@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-short bench-go sweep-check chaos-short engine-check ssd-check fleet-check docs-check fmt lint check
+.PHONY: all build test race bench bench-short bench-go bench-test sweep-check chaos-short engine-check ssd-check fleet-check docs-check fmt lint check
 
 all: build test
 
@@ -28,6 +28,12 @@ bench-short:
 
 bench-go:
 	$(GO) test -short -bench=. -benchtime=1x ./...
+
+# bench-test compiles and smoke-tests the repository benchmark (bench/, a
+# module of its own that root `go test ./...` does not build), so an API
+# change in the simulator cannot silently break it. See bench/README.md.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # sweep-check regenerates every quick-mode figure/table through the
 # parallel sweep scheduler with the race detector on — the end-to-end

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"hwdp/internal/cpu"
@@ -298,17 +299,13 @@ func NewSystem(cfg Config) (*System, error) {
 			frame := mem.FrameID(cmd.PRP1 / mem.PageSize)
 			switch cmd.Opcode {
 			case nvme.OpRead:
-				if err := memory.Fill(frame, func(buf []byte) {
-					_ = fsys.ReadBlock(cmd.SLBA, buf)
-				}); err != nil {
+				if err := fsys.ReadDMA(memory, frame, cmd.SLBA); err != nil {
 					panic(fmt.Sprintf("core: read DMA into bad frame: %v", err))
 				}
 			case nvme.OpWrite:
-				data, err := memory.Data(frame)
-				if err != nil {
+				if err := fsys.WriteDMA(memory, frame, cmd.SLBA); errors.Is(err, mem.ErrBadFrame) {
 					panic(fmt.Sprintf("core: write DMA from bad frame: %v", err))
 				}
-				_ = fsys.WriteBlock(cmd.SLBA, data)
 			}
 		})
 		dev.AddNamespace(nvme.Namespace{ID: uint32(sid + 1), Blocks: cfg.FSBlocks})

@@ -9,6 +9,14 @@
 // generates any page's bytes on demand, and explicit writes override pages.
 // This lets the simulation address terabyte-scale layouts while only paying
 // host memory for blocks actually written.
+//
+// A block's contents are a mem.Content descriptor: the file's initializer
+// plus the page index, or the descriptor last written to the block, or
+// zeros for a trimmed block. The device's DMA moves descriptors, not bytes
+// (ReadDMA, WriteDMA); bytes are generated only when a frame or ReadBlock
+// materializes them. The file system never mutates a byte snapshot it has
+// stored, so a descriptor handed out keeps the block's contents as of that
+// moment, across later writes and remaps of the block.
 package fs
 
 import (
@@ -24,15 +32,9 @@ import (
 const PageBytes = mem.PageSize
 
 // Initializer produces the pristine content of file page `page` into buf
-// (len PageBytes).
+// (len PageBytes). It must be a pure function of page: frames hold
+// (initializer, page) descriptors and may generate the bytes much later.
 type Initializer func(page int, buf []byte)
-
-// ZeroInit is the initializer for all-zero files.
-func ZeroInit(page int, buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
-}
 
 // SeededInit returns an initializer generating pseudorandom page contents
 // from a seed; used by FIO-style raw files.
@@ -55,8 +57,8 @@ func SeededInit(seed uint64) Initializer {
 // File is one file: a size and a per-page block mapping.
 type File struct {
 	Name  string
-	pages []uint64 // page index -> LBA
-	init  Initializer
+	pages []uint64    // page index -> LBA
+	init  Initializer // nil: all zeros
 	// Marked is set when the file is mapped with fast-mmap so that block
 	// remaps are propagated to LBA-augmented PTEs (Section IV-B: "when a
 	// file is mapped using LBA augmentation, the file is marked").
@@ -98,7 +100,7 @@ type FS struct {
 
 	files     map[string]*File
 	byLBA     map[uint64]blockRef
-	overrides map[uint64][]byte
+	overrides map[uint64]mem.Content
 	onRemap   RemapFunc
 
 	writes uint64
@@ -112,7 +114,7 @@ func New(sid, devID uint8, nsid uint32, blocks uint64) *FS {
 		sid: sid, devID: devID, nsid: nsid, blocks: blocks,
 		files:     make(map[string]*File),
 		byLBA:     make(map[uint64]blockRef),
-		overrides: make(map[uint64][]byte),
+		overrides: make(map[uint64]mem.Content),
 	}
 }
 
@@ -139,9 +141,6 @@ func (s *FS) allocBlock() (uint64, error) {
 func (s *FS) Create(name string, pages int, init Initializer) (*File, error) {
 	if _, dup := s.files[name]; dup {
 		return nil, fmt.Errorf("fs: file %q exists", name)
-	}
-	if init == nil {
-		init = ZeroInit
 	}
 	f := &File{Name: name, pages: make([]uint64, pages), init: init}
 	for i := 0; i < pages; i++ {
@@ -186,14 +185,11 @@ func (s *FS) Remap(f *File, page int) (pagetable.BlockAddr, error) {
 		return pagetable.BlockAddr{}, err
 	}
 	old := f.pages[page]
-	// Preserve current content across the move.
-	if data, ok := s.overrides[old]; ok {
-		s.overrides[newLBA] = data
+	// Preserve current content across the move. A block never written
+	// needs nothing: the new block generates the same page.
+	if c, ok := s.overrides[old]; ok {
+		s.overrides[newLBA] = c
 		delete(s.overrides, old)
-	} else {
-		buf := make([]byte, PageBytes)
-		f.init(page, buf)
-		s.overrides[newLBA] = buf
 	}
 	delete(s.byLBA, old)
 	f.pages[page] = newLBA
@@ -209,28 +205,40 @@ func (s *FS) Remap(f *File, page int) (pagetable.BlockAddr, error) {
 // Remaps returns the cumulative remap count.
 func (s *FS) Remaps() uint64 { return s.remaps }
 
-// ReadBlock fills buf (len PageBytes) with the content of the block at lba
-// — the device's DMA source for reads.
+// BlockContent returns the descriptor of the block at lba's current
+// contents — the device's DMA source for reads. Unallocated blocks read
+// as zeros, like a trimmed SSD.
+//
+//hwdp:hotpath
+func (s *FS) BlockContent(lba uint64) mem.Content {
+	if c, ok := s.overrides[lba]; ok {
+		return c
+	}
+	if ref, ok := s.byLBA[lba]; ok {
+		return mem.Generated(ref.file.init, ref.page)
+	}
+	return mem.Content{}
+}
+
+// ReadBlock fills buf (len PageBytes) with the content of the block at lba.
 func (s *FS) ReadBlock(lba uint64, buf []byte) error {
-	if data, ok := s.overrides[lba]; ok {
-		copy(buf, data)
-		return nil
-	}
-	ref, ok := s.byLBA[lba]
-	if !ok {
-		// Unallocated block: reads return zeros, like a trimmed SSD.
-		ZeroInit(0, buf)
-		return nil
-	}
-	ref.file.init(ref.page, buf)
+	s.BlockContent(lba).Materialize(buf)
 	return nil
 }
 
-// WriteBlock stores data (len PageBytes) at lba — the device's DMA sink for
-// writes (page writeback). In RemapOnWrite mode the data lands at a newly
-// allocated block instead, the file's mapping moves, and marked files get
-// their LBA-augmented PTEs patched via the remap observer.
+// WriteBlock stores a copy of data (len PageBytes) at lba; see
+// WriteContent.
 func (s *FS) WriteBlock(lba uint64, data []byte) error {
+	cp := new([PageBytes]byte)
+	copy(cp[:], data)
+	return s.WriteContent(lba, mem.Snapshot(cp))
+}
+
+// WriteContent stores the descriptor c at lba — the device's DMA sink for
+// writes (page writeback). In RemapOnWrite mode the contents land at a
+// newly allocated block instead, the file's mapping moves, and marked
+// files get their LBA-augmented PTEs patched via the remap observer.
+func (s *FS) WriteContent(lba uint64, c mem.Content) error {
 	if lba >= s.blocks {
 		return fmt.Errorf("fs: write beyond device: lba %d", lba)
 	}
@@ -241,11 +249,9 @@ func (s *FS) WriteBlock(lba uint64, data []byte) error {
 			if err != nil {
 				return err
 			}
-			cp := make([]byte, PageBytes)
-			copy(cp, data)
 			delete(s.overrides, lba)
 			delete(s.byLBA, lba)
-			s.overrides[newLBA] = cp
+			s.overrides[newLBA] = c
 			ref.file.pages[ref.page] = newLBA
 			s.byLBA[newLBA] = ref
 			s.remaps++
@@ -257,10 +263,28 @@ func (s *FS) WriteBlock(lba uint64, data []byte) error {
 		}
 		// Write to an unmapped block (trimmed): store in place.
 	}
-	cp := make([]byte, PageBytes)
-	copy(cp, data)
-	s.overrides[lba] = cp
+	s.overrides[lba] = c
 	return nil
+}
+
+// ReadDMA is the device's read DMA into frame f: the frame takes the
+// descriptor of the block at lba.
+func (s *FS) ReadDMA(m *mem.Memory, f mem.FrameID, lba uint64) error {
+	return m.SetContent(f, s.BlockContent(lba))
+}
+
+// WriteDMA is the device's write DMA from frame f to the block at lba. A
+// frame whose contents were never materialized passes its descriptor on;
+// only a materialized frame's bytes are copied.
+func (s *FS) WriteDMA(m *mem.Memory, f mem.FrameID, lba uint64) error {
+	if c, ok := m.Descriptor(f); ok {
+		return s.WriteContent(lba, c)
+	}
+	data, err := m.Data(f)
+	if err != nil {
+		return err
+	}
+	return s.WriteBlock(lba, data)
 }
 
 // Writes returns the cumulative block-write count.

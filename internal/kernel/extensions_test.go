@@ -214,13 +214,9 @@ func TestMultiDeviceRouting(t *testing.T) {
 		frame := cmd.PRP1 / 4096
 		switch cmd.Opcode {
 		case nvme.OpRead:
-			_ = r.mem.Fill(memFrame(frame), func(buf []byte) {
-				_ = fsys2.ReadBlock(cmd.SLBA, buf)
-			})
+			_ = fsys2.ReadDMA(r.mem, memFrame(frame), cmd.SLBA)
 		case nvme.OpWrite:
-			if data, err := r.mem.Data(memFrame(frame)); err == nil {
-				_ = fsys2.WriteBlock(cmd.SLBA, data)
-			}
+			_ = fsys2.WriteDMA(r.mem, memFrame(frame), cmd.SLBA)
 		}
 	})
 	dev2.AddNamespace(nvme.Namespace{ID: 2, Blocks: 1 << 16})

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hwdp/internal/cpu"
@@ -53,17 +54,13 @@ func newRigProf(t *testing.T, memBytes uint64, freeQDepth int, prof ssd.Profile,
 		frame := mem.FrameID(cmd.PRP1 / mem.PageSize)
 		switch cmd.Opcode {
 		case nvme.OpRead:
-			if err := memory.Fill(frame, func(buf []byte) {
-				_ = fsys.ReadBlock(cmd.SLBA, buf)
-			}); err != nil {
+			if err := fsys.ReadDMA(memory, frame, cmd.SLBA); err != nil {
 				panic(err)
 			}
 		case nvme.OpWrite:
-			data, err := memory.Data(frame)
-			if err != nil {
+			if err := fsys.WriteDMA(memory, frame, cmd.SLBA); errors.Is(err, mem.ErrBadFrame) {
 				panic(err)
 			}
-			_ = fsys.WriteBlock(cmd.SLBA, data)
 		}
 	})
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 22})

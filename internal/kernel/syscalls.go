@@ -92,9 +92,7 @@ func (k *Kernel) populate(p *Process, vma *VMA) error {
 		if err != nil {
 			return err
 		}
-		if err := k.mem.Fill(frame, func(buf []byte) {
-			_ = vma.st.fsys.ReadBlock(blk.LBA, buf)
-		}); err != nil {
+		if err := vma.st.fsys.ReadDMA(k.mem, frame, blk.LBA); err != nil {
 			return err
 		}
 		pg := k.insertPage(vma.st, vma.File, i, frame,

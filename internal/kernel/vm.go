@@ -100,7 +100,14 @@ func (k *Kernel) copyVM(th *Thread, va pagetable.VAddr, buf []byte, write bool, 
 				n = len(buf)
 			}
 			frame := r.PTE.PFN()
-			data, err := k.mem.Data(frame)
+			var data []byte
+			var err error
+			if write && n == mem.PageSize {
+				// A full-page store: skip generating the bytes it replaces.
+				data, err = k.mem.Overwrite(frame)
+			} else {
+				data, err = k.mem.Data(frame)
+			}
 			if err != nil {
 				panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
 			}

@@ -4,7 +4,7 @@
 // memory-mapped I/O path — exactly the deployment the paper targets with
 // fast file mmap(): every cold Get is a demand-paging miss.
 //
-// Records are self-validating (key echo + FNV checksum over the payload),
+// Records are self-validating (key echo + a checksum over the payload),
 // so every read through the full MMU → SMU/fault-handler → NVMe → DMA
 // pipeline proves end-to-end data integrity, not just timing.
 package kvs
@@ -35,12 +35,21 @@ var ErrCorrupt = errors.New("kvs: corrupt record")
 // ErrBadKey reports an out-of-range key.
 var ErrBadKey = errors.New("kvs: key out of range")
 
-func fnv64(bs ...[]byte) uint64 {
+// checksum is FNV-1a folded a little-endian word at a time, with the tail
+// of each slice folded byte by byte. Each step is a bijection of the
+// running hash, so changing any one word (in particular any one byte) of
+// the input always changes the sum.
+func checksum(bs ...[]byte) uint64 {
+	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for _, b := range bs {
+		for ; len(b) >= 8; b = b[8:] {
+			h ^= binary.LittleEndian.Uint64(b)
+			h *= prime
+		}
 		for _, c := range b {
 			h ^= uint64(c)
-			h *= 1099511628211
+			h *= prime
 		}
 	}
 	return h
@@ -60,7 +69,7 @@ func encodeRecord(buf []byte, key, version uint64) {
 	}
 	binary.LittleEndian.PutUint64(buf[0:], key)
 	binary.LittleEndian.PutUint64(buf[8:], version)
-	binary.LittleEndian.PutUint64(buf[16:], fnv64(buf[0:16], payload))
+	binary.LittleEndian.PutUint64(buf[16:], checksum(buf[0:16], payload))
 }
 
 // validateRecord checks key echo and checksum, returning the version.
@@ -71,7 +80,7 @@ func validateRecord(buf []byte, key uint64) (version uint64, err error) {
 	if gotKey != key {
 		return 0, fmt.Errorf("%w: key %d read %d", ErrCorrupt, key, gotKey)
 	}
-	if want := fnv64(buf[0:16], buf[headerSize:]); sum != want {
+	if want := checksum(buf[0:16], buf[headerSize:]); sum != want {
 		return 0, fmt.Errorf("%w: checksum mismatch for key %d", ErrCorrupt, key)
 	}
 	return version, nil

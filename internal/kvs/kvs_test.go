@@ -50,6 +50,25 @@ func TestRecordEncodeValidate(t *testing.T) {
 	}
 }
 
+// TestRecordSingleByteFlipIsCorrupt: flipping any one byte of an encoded
+// record, header or payload, fails validation.
+func TestRecordSingleByteFlipIsCorrupt(t *testing.T) {
+	buf := make([]byte, RecordSize)
+	encodeRecord(buf, 42, 7)
+	for i := range buf {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			buf[i] ^= mask
+			if _, err := validateRecord(buf, 42); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d ^ %#x: err = %v, want ErrCorrupt", i, mask, err)
+			}
+			buf[i] ^= mask
+		}
+	}
+	if _, err := validateRecord(buf, 42); err != nil {
+		t.Fatalf("restored record: %v", err)
+	}
+}
+
 func TestRecordRoundTripProperty(t *testing.T) {
 	buf := make([]byte, RecordSize)
 	f := func(key, version uint64) bool {
