@@ -37,6 +37,7 @@ import (
 	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
 	"hwdp/internal/kvs"
+	"hwdp/internal/mem"
 	"hwdp/internal/metrics"
 	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
@@ -347,9 +348,11 @@ func (st *Store) Keys() uint64 { return st.st.Keys() }
 func (st *Store) Get(key uint64) (payload []byte, version uint64, err error) {
 	done := false
 	var gv uint64
+	var rec mem.Content
 	var ge error
-	st.st.Get(st.th, key, st.wb, func(v uint64, e error) { gv, ge, done = v, e, true })
+	st.st.Get(st.th, key, func(v uint64, c mem.Content, e error) { gv, rec, ge, done = v, c, e, true })
 	st.s.await(&done)
+	rec.Materialize(st.wb)
 	out := make([]byte, kvs.PayloadSize)
 	copy(out, st.wb[kvs.RecordSize-kvs.PayloadSize:])
 	return out, gv, ge
@@ -359,7 +362,7 @@ func (st *Store) Get(key uint64) (payload []byte, version uint64, err error) {
 func (st *Store) Put(key, version uint64) error {
 	done := false
 	var pe error
-	st.st.Put(st.th, key, version, st.wb, func(e error) { pe, done = e, true })
+	st.st.Put(st.th, key, version, func(e error) { pe, done = e, true })
 	st.s.await(&done)
 	return pe
 }
@@ -369,7 +372,7 @@ func (st *Store) Put(key, version uint64) error {
 func (st *Store) ReadModifyWrite(key uint64) error {
 	done := false
 	var pe error
-	st.st.ReadModifyWrite(st.th, key, st.wb, func(e error) { pe, done = e, true })
+	st.st.ReadModifyWrite(st.th, key, func(e error) { pe, done = e, true })
 	st.s.await(&done)
 	return pe
 }

@@ -41,7 +41,7 @@ func (r *dmaRig) load(t *testing.T, page int) mem.FrameID {
 
 func (r *dmaRig) pristine(page int) []byte {
 	buf := make([]byte, PageBytes)
-	r.f.init(page, buf)
+	mem.Generated(r.f.gen, page).Materialize(buf)
 	return buf
 }
 

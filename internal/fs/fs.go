@@ -34,6 +34,9 @@ const PageBytes = mem.PageSize
 // Initializer produces the pristine content of file page `page` into buf
 // (len PageBytes). It must be a pure function of page: frames hold
 // (initializer, page) descriptors and may generate the bytes much later.
+// A file's initializer may also be handed page words beyond its length: a
+// record store packs (key, version) into the word and writes descriptors
+// of them, so its initializer generates every version of a record.
 type Initializer func(page int, buf []byte)
 
 // SeededInit returns an initializer generating pseudorandom page contents
@@ -57,8 +60,8 @@ func SeededInit(seed uint64) Initializer {
 // File is one file: a size and a per-page block mapping.
 type File struct {
 	Name  string
-	pages []uint64    // page index -> LBA
-	init  Initializer // nil: all zeros
+	pages []uint64       // page index -> LBA
+	gen   *mem.Generator // the initializer; nil: all zeros
 	// Marked is set when the file is mapped with fast-mmap so that block
 	// remaps are propagated to LBA-augmented PTEs (Section IV-B: "when a
 	// file is mapped using LBA augmentation, the file is marked").
@@ -67,6 +70,10 @@ type File struct {
 
 // Pages returns the file length in pages.
 func (f *File) Pages() int { return len(f.pages) }
+
+// Generator returns the file's initializer as the Generator its block
+// descriptors carry (nil for a zero-filled file).
+func (f *File) Generator() *mem.Generator { return f.gen }
 
 // ErrNoSpace is returned when the namespace has no free blocks.
 var ErrNoSpace = errors.New("fs: out of space")
@@ -142,7 +149,7 @@ func (s *FS) Create(name string, pages int, init Initializer) (*File, error) {
 	if _, dup := s.files[name]; dup {
 		return nil, fmt.Errorf("fs: file %q exists", name)
 	}
-	f := &File{Name: name, pages: make([]uint64, pages), init: init}
+	f := &File{Name: name, pages: make([]uint64, pages), gen: mem.NewGenerator(init)}
 	for i := 0; i < pages; i++ {
 		lba, err := s.allocBlock()
 		if err != nil {
@@ -215,7 +222,7 @@ func (s *FS) BlockContent(lba uint64) mem.Content {
 		return c
 	}
 	if ref, ok := s.byLBA[lba]; ok {
-		return mem.Generated(ref.file.init, ref.page)
+		return mem.Generated(ref.file.gen, ref.page)
 	}
 	return mem.Content{}
 }

@@ -224,7 +224,7 @@ func TestRemapInvariantProperty(t *testing.T) {
 		want := make([][]byte, 16)
 		for i := range want {
 			want[i] = make([]byte, PageBytes)
-			file.init(i, want[i])
+			SeededInit(5)(i, want[i])
 		}
 		for _, p := range pageSeq {
 			page := int(p % 16)

@@ -77,6 +77,52 @@ func (k *Kernel) Store(th *Thread, va pagetable.VAddr, buf []byte, done func(mmu
 	k.copyVM(th, va, buf, true, done)
 }
 
+// LoadPage reads the whole page at the page-aligned va without generating
+// its bytes: done receives the MMU's outcome and the frame's contents,
+// either as a descriptor (data nil) or, for a frame whose bytes already
+// exist, as data, which stays valid only until done returns. The access
+// costs exactly what a Load of the page costs.
+func (k *Kernel) LoadPage(th *Thread, va pagetable.VAddr, done func(r mmu.Result, c mem.Content, data []byte)) {
+	mustBePageAligned(va)
+	k.Access(th, va, false, func(r mmu.Result) {
+		if r.Outcome == mmu.OutcomeBadAddr {
+			done(r, mem.Content{}, nil)
+			return
+		}
+		frame := r.PTE.PFN()
+		if c, ok := k.mem.Descriptor(frame); ok {
+			done(r, c, nil)
+			return
+		}
+		data, err := k.mem.Data(frame)
+		if err != nil {
+			panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
+		}
+		done(r, mem.Content{}, data)
+	})
+}
+
+// StorePage replaces the whole page at the page-aligned va with the
+// descriptor c, moving no bytes. The access costs exactly what a Store of
+// the page costs.
+func (k *Kernel) StorePage(th *Thread, va pagetable.VAddr, c mem.Content, done func(mmu.Result)) {
+	mustBePageAligned(va)
+	k.Access(th, va, true, func(r mmu.Result) {
+		if r.Outcome != mmu.OutcomeBadAddr {
+			if err := k.mem.SetContent(r.PTE.PFN(), c); err != nil {
+				panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
+			}
+		}
+		done(r)
+	})
+}
+
+func mustBePageAligned(va pagetable.VAddr) {
+	if va != va.PageBase() {
+		panic(fmt.Sprintf("kernel: whole-page access at unaligned address %#x", uint64(va)))
+	}
+}
+
 func (k *Kernel) copyVM(th *Thread, va pagetable.VAddr, buf []byte, write bool, done func(mmu.Result)) {
 	if len(buf) == 0 {
 		panic("kernel: zero-length VM copy")
@@ -99,15 +145,7 @@ func (k *Kernel) copyVM(th *Thread, va pagetable.VAddr, buf []byte, write bool, 
 			if n > len(buf) {
 				n = len(buf)
 			}
-			frame := r.PTE.PFN()
-			var data []byte
-			var err error
-			if write && n == mem.PageSize {
-				// A full-page store: skip generating the bytes it replaces.
-				data, err = k.mem.Overwrite(frame)
-			} else {
-				data, err = k.mem.Data(frame)
-			}
+			data, err := k.mem.Data(r.PTE.PFN())
 			if err != nil {
 				panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
 			}

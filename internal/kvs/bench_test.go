@@ -1,6 +1,10 @@
 package kvs
 
-import "testing"
+import (
+	"testing"
+
+	"hwdp/internal/mem"
+)
 
 func BenchmarkRecordEncode(b *testing.B) {
 	buf := make([]byte, RecordSize)
@@ -16,6 +20,18 @@ func BenchmarkRecordValidate(b *testing.B) {
 	b.SetBytes(RecordSize)
 	for i := 0; i < b.N; i++ {
 		if _, err := validateRecord(buf, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecordValidateDescriptor is BenchmarkRecordValidate's record
+// validated the way Get validates a table page: by descriptor, no bytes.
+func BenchmarkRecordValidateDescriptor(b *testing.B) {
+	s := &Store{gen: mem.NewGenerator(generateRecord)}
+	c := mem.Generated(s.gen, pack(42, 7))
+	for i := 0; i < b.N; i++ {
+		if _, err := s.validate(c, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

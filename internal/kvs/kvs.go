@@ -4,18 +4,34 @@
 // memory-mapped I/O path — exactly the deployment the paper targets with
 // fast file mmap(): every cold Get is a demand-paging miss.
 //
-// Records are self-validating (key echo + a checksum over the payload),
-// so every read through the full MMU → SMU/fault-handler → NVMe → DMA
-// pipeline proves end-to-end data integrity, not just timing.
+// A record is a pure function of its (key, version) pair: a header echoing
+// the key and version, a payload generated from the pair, and a checksum.
+// The table file's initializer generates it from the pair packed into one
+// page word, so an unwritten block already reads as (key, version 0), and
+// a Put stores the descriptor mem.Generated(table generator, pair) through
+// the mmap path (Kernel.StorePage) without building any bytes. Writeback
+// and refaults carry that descriptor through the whole MMU → SMU/fault
+// handler → NVMe → DMA pipeline.
+//
+// Every read still proves end-to-end integrity. Get loads the page's
+// descriptor (Kernel.LoadPage) and accepts it when it was made by this
+// table's generator (mem.Content.GeneratedBy, a pointer comparison) and
+// its page word echoes the key; the version then comes from the word.
+// Anything else — a frame whose bytes were materialized, a zero page (a
+// block trimmed under a read), a byte snapshot, another file's generator,
+// a wrong key — falls back to the bytes: the contents are materialized and
+// validateRecord checks the key echo and the checksum.
 package kvs
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
+	"hwdp/internal/mem"
 	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
 )
@@ -34,6 +50,27 @@ var ErrCorrupt = errors.New("kvs: corrupt record")
 
 // ErrBadKey reports an out-of-range key.
 var ErrBadKey = errors.New("kvs: key out of range")
+
+// ErrBadVersion reports a version too large for a record descriptor.
+var ErrBadVersion = errors.New("kvs: version out of range")
+
+// A record's descriptor page word packs its key into the low keyBits bits
+// and its version above them, keeping the word a non-negative int.
+const (
+	keyBits    = 32
+	keyMask    = 1<<keyBits - 1
+	maxKeys    = 1 << keyBits
+	maxVersion = math.MaxInt >> keyBits
+)
+
+// pack is the page word of the record (key, version).
+func pack(key, version uint64) int { return int(version<<keyBits | key) }
+
+// generateRecord is every table's initializer: it encodes the record
+// packed into word, so file page p (word p) is key p at version 0.
+func generateRecord(word int, buf []byte) {
+	encodeRecord(buf, uint64(word)&keyMask, uint64(word)>>keyBits)
+}
 
 // checksum is FNV-1a folded a little-endian word at a time, with the tail
 // of each slice folded byte by byte. Each step is a bijection of the
@@ -90,6 +127,7 @@ func validateRecord(buf []byte, key uint64) (version uint64, err error) {
 type Store struct {
 	k    *kernel.Kernel
 	file *fs.File
+	gen  *mem.Generator // the table file's initializer: record descriptors
 	base pagetable.VAddr
 	keys uint64
 
@@ -104,14 +142,16 @@ type Store struct {
 	walLen  int
 }
 
-// Create builds the table file (keys records) on the file system and maps
-// it into the process with the requested mmap flags — the "database files
-// of a NoSQL application are the target of the fast file mmap()".
+// Create builds the table file (keys records, fewer than 2^32) on the file
+// system and maps it into the process with the requested mmap flags — the
+// "database files of a NoSQL application are the target of the fast file
+// mmap()".
 func Create(k *kernel.Kernel, fsys *fs.FS, p *kernel.Process, name string,
 	keys uint64, sid, devID uint8, flags kernel.MmapFlags) (*Store, error) {
-	f, err := fsys.Create(name, int(keys), func(page int, buf []byte) {
-		encodeRecord(buf, uint64(page), 0)
-	})
+	if keys >= maxKeys {
+		return nil, fmt.Errorf("kvs: %d keys do not fit a record descriptor (max %d)", keys, maxKeys-1)
+	}
+	f, err := fsys.Create(name, int(keys), generateRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +164,7 @@ func Create(k *kernel.Kernel, fsys *fs.FS, p *kernel.Process, name string,
 	if err != nil {
 		return nil, err
 	}
-	return &Store{k: k, file: f, base: base, keys: keys,
+	return &Store{k: k, file: f, gen: f.Generator(), base: base, keys: keys,
 		wal: wal, walSID: sid, walDev: devID, walLen: walLen}, nil
 }
 
@@ -141,37 +181,66 @@ func (s *Store) addr(key uint64) pagetable.VAddr {
 	return s.base + pagetable.VAddr(key)*RecordSize
 }
 
-// Get reads and validates the record for key. done receives the record
-// version and a validation error (nil on success). buf must be RecordSize
-// bytes and survives until done.
-func (s *Store) Get(th *kernel.Thread, key uint64, buf []byte, done func(version uint64, err error)) {
+// validate checks the record contents c read for key and returns its
+// version: by descriptor when this table's generator made c for key, by
+// bytes otherwise.
+//
+//hwdp:hotpath
+func (s *Store) validate(c mem.Content, key uint64) (version uint64, err error) {
+	if word, ok := c.GeneratedBy(s.gen); ok && uint64(word)&keyMask == key {
+		return uint64(word) >> keyBits, nil
+	}
+	return validateBytes(c, key)
+}
+
+// validateBytes materializes c and validates the bytes.
+//
+//hwdp:coldpath only contents that fail the descriptor check get here: materialized frames, zeros, snapshots, other files' pages, wrong keys
+func validateBytes(c mem.Content, key uint64) (version uint64, err error) {
+	buf := new([RecordSize]byte)
+	c.Materialize(buf[:])
+	return validateRecord(buf[:], key)
+}
+
+// Get reads and validates the record for key. done receives the record's
+// version and its contents as a descriptor, or a validation error.
+func (s *Store) Get(th *kernel.Thread, key uint64, done func(version uint64, rec mem.Content, err error)) {
 	if key >= s.keys {
-		done(0, fmt.Errorf("%w: %d", ErrBadKey, key))
+		done(0, mem.Content{}, fmt.Errorf("%w: %d", ErrBadKey, key))
 		return
 	}
-	s.k.Load(th, s.addr(key), buf[:RecordSize], func(r mmu.Result) {
+	s.k.LoadPage(th, s.addr(key), func(r mmu.Result, c mem.Content, data []byte) {
 		if r.Outcome == mmu.OutcomeBadAddr {
-			done(0, fmt.Errorf("kvs: unmapped record %d", key))
+			done(0, mem.Content{}, fmt.Errorf("kvs: unmapped record %d", key))
 			return
 		}
-		v, err := validateRecord(buf, key)
-		done(v, err)
+		if data != nil {
+			// Something materialized the frame: validate a copy of its bytes.
+			b := new([RecordSize]byte)
+			copy(b[:], data)
+			c = mem.Snapshot(b)
+		}
+		v, err := s.validate(c, key)
+		done(v, c, err)
 	})
 }
 
 // Put writes a full record for key at the given version: a WAL append
 // (buffered device write) followed by the in-place table update through
-// the mmap path.
-func (s *Store) Put(th *kernel.Thread, key, version uint64, buf []byte, done func(err error)) {
+// the mmap path, which stores the record's descriptor.
+func (s *Store) Put(th *kernel.Thread, key, version uint64, done func(err error)) {
 	if key >= s.keys {
 		done(fmt.Errorf("%w: %d", ErrBadKey, key))
+		return
+	}
+	if version > maxVersion {
+		done(fmt.Errorf("%w: %d (max %d)", ErrBadVersion, version, maxVersion))
 		return
 	}
 	page := s.walHead
 	s.walHead = (s.walHead + 1) % s.walLen
 	s.k.WriteRaw(th, s.walSID, s.walDev, s.wal, page, func() {
-		encodeRecord(buf[:RecordSize], key, version)
-		s.k.Store(th, s.addr(key), buf[:RecordSize], func(r mmu.Result) {
+		s.k.StorePage(th, s.addr(key), mem.Generated(s.gen, pack(key, version)), func(r mmu.Result) {
 			if r.Outcome == mmu.OutcomeBadAddr {
 				done(fmt.Errorf("kvs: unmapped record %d", key))
 				return
@@ -183,19 +252,19 @@ func (s *Store) Put(th *kernel.Thread, key, version uint64, buf []byte, done fun
 
 // ReadModifyWrite performs YCSB-F's read-modify-write: Get, bump the
 // version, Put.
-func (s *Store) ReadModifyWrite(th *kernel.Thread, key uint64, buf []byte, done func(err error)) {
-	s.Get(th, key, buf, func(v uint64, err error) {
+func (s *Store) ReadModifyWrite(th *kernel.Thread, key uint64, done func(err error)) {
+	s.Get(th, key, func(v uint64, _ mem.Content, err error) {
 		if err != nil {
 			done(err)
 			return
 		}
-		s.Put(th, key, v+1, buf, done)
+		s.Put(th, key, v+1, done)
 	})
 }
 
 // Scan reads n consecutive records starting at key (YCSB-E), validating
 // each. done receives the number of records scanned and the first error.
-func (s *Store) Scan(th *kernel.Thread, key uint64, n int, buf []byte, done func(scanned int, err error)) {
+func (s *Store) Scan(th *kernel.Thread, key uint64, n int, done func(scanned int, err error)) {
 	scanned := 0
 	var step func(k uint64)
 	step = func(k uint64) {
@@ -203,7 +272,7 @@ func (s *Store) Scan(th *kernel.Thread, key uint64, n int, buf []byte, done func
 			done(scanned, nil)
 			return
 		}
-		s.Get(th, k, buf, func(_ uint64, err error) {
+		s.Get(th, k, func(_ uint64, _ mem.Content, err error) {
 			if err != nil {
 				done(scanned, err)
 				return

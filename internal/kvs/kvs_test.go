@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"hwdp/internal/core"
+	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
+	"hwdp/internal/mem"
 	"hwdp/internal/sim"
 )
 
@@ -86,9 +88,8 @@ func TestGetColdRecordAllSchemes(t *testing.T) {
 		sys := testSystem(t, scheme)
 		st := mkStore(t, sys, 256)
 		th := sys.WorkloadThread(0)
-		buf := make([]byte, RecordSize)
 		done := false
-		st.Get(th, 123, buf, func(v uint64, err error) {
+		st.Get(th, 123, func(v uint64, _ mem.Content, err error) {
 			if err != nil {
 				t.Errorf("%v: get: %v", scheme, err)
 			}
@@ -108,13 +109,12 @@ func TestPutGetRoundTrip(t *testing.T) {
 	sys := testSystem(t, kernel.HWDP)
 	st := mkStore(t, sys, 128)
 	th := sys.WorkloadThread(0)
-	buf := make([]byte, RecordSize)
 	done := false
-	st.Put(th, 7, 99, buf, func(err error) {
+	st.Put(th, 7, 99, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
-		st.Get(th, 7, buf, func(v uint64, err error) {
+		st.Get(th, 7, func(v uint64, _ mem.Content, err error) {
 			if err != nil || v != 99 {
 				t.Errorf("get after put: v=%d err=%v", v, err)
 			}
@@ -131,13 +131,12 @@ func TestReadModifyWrite(t *testing.T) {
 	sys := testSystem(t, kernel.HWDP)
 	st := mkStore(t, sys, 64)
 	th := sys.WorkloadThread(0)
-	buf := make([]byte, RecordSize)
 	done := false
-	st.ReadModifyWrite(th, 5, buf, func(err error) {
+	st.ReadModifyWrite(th, 5, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
-		st.Get(th, 5, buf, func(v uint64, err error) {
+		st.Get(th, 5, func(v uint64, _ mem.Content, err error) {
 			if err != nil || v != 1 {
 				t.Errorf("rmw result: v=%d err=%v", v, err)
 			}
@@ -154,9 +153,8 @@ func TestScan(t *testing.T) {
 	sys := testSystem(t, kernel.HWDP)
 	st := mkStore(t, sys, 64)
 	th := sys.WorkloadThread(0)
-	buf := make([]byte, RecordSize)
 	done := false
-	st.Scan(th, 10, 8, buf, func(n int, err error) {
+	st.Scan(th, 10, 8, func(n int, err error) {
 		if err != nil || n != 8 {
 			t.Errorf("scan: n=%d err=%v", n, err)
 		}
@@ -168,7 +166,7 @@ func TestScan(t *testing.T) {
 	}
 	// Scan clipped at the end of the keyspace.
 	done = false
-	st.Scan(th, 60, 100, buf, func(n int, err error) {
+	st.Scan(th, 60, 100, func(n int, err error) {
 		if err != nil || n != 4 {
 			t.Errorf("clipped scan: n=%d err=%v", n, err)
 		}
@@ -181,22 +179,31 @@ func TestBadKey(t *testing.T) {
 	sys := testSystem(t, kernel.HWDP)
 	st := mkStore(t, sys, 8)
 	th := sys.WorkloadThread(0)
-	buf := make([]byte, RecordSize)
 	gotGet, gotPut := false, false
-	st.Get(th, 8, buf, func(_ uint64, err error) {
+	st.Get(th, 8, func(_ uint64, _ mem.Content, err error) {
 		if !errors.Is(err, ErrBadKey) {
 			t.Errorf("get err = %v", err)
 		}
 		gotGet = true
 	})
-	st.Put(th, 99, 1, buf, func(err error) {
+	st.Put(th, 99, 1, func(err error) {
 		if !errors.Is(err, ErrBadKey) {
 			t.Errorf("put err = %v", err)
 		}
 		gotPut = true
 	})
-	if !gotGet || !gotPut {
+	gotVersion := false
+	st.Put(th, 1, maxVersion+1, func(err error) {
+		if !errors.Is(err, ErrBadVersion) {
+			t.Errorf("put of an unpackable version: err = %v", err)
+		}
+		gotVersion = true
+	})
+	if !gotGet || !gotPut || !gotVersion {
 		t.Fatal("bad-key callbacks not synchronous")
+	}
+	if _, err := Create(sys.K, sys.FS, sys.Proc, "huge", maxKeys, 0, 0, sys.FastFlags()); err == nil {
+		t.Fatal("Create accepted 2^32 keys")
 	}
 }
 
@@ -206,7 +213,6 @@ func TestDataSurvivesEvictionPressure(t *testing.T) {
 	sys := testSystem(t, kernel.HWDP)
 	st := mkStore(t, sys, 8192) // 32 MiB store, 16 MiB memory
 	th := sys.WorkloadThread(0)
-	buf := make([]byte, RecordSize)
 	rng := sim.NewRand(5)
 	writes := map[uint64]uint64{}
 	ops := 0
@@ -222,14 +228,14 @@ func TestDataSurvivesEvictionPressure(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			v := writes[key] + 1
 			writes[key] = v
-			st.Put(th, key, v, buf, func(err error) {
+			st.Put(th, key, v, func(err error) {
 				if err != nil {
 					t.Error(err)
 				}
 				step()
 			})
 		} else {
-			st.Get(th, key, buf, func(v uint64, err error) {
+			st.Get(th, key, func(v uint64, _ mem.Content, err error) {
 				if err != nil {
 					t.Errorf("op %d key %d: %v", ops, key, err)
 				}
@@ -247,5 +253,122 @@ func TestDataSurvivesEvictionPressure(t *testing.T) {
 	}
 	if sys.K.Stats().Evictions == 0 {
 		t.Fatal("test intended to create eviction pressure but did not")
+	}
+}
+
+// TestDescriptorMatchesBytes: for any (key, version), validating the
+// record's descriptor returns exactly what validateRecord returns on the
+// descriptor's bytes, and every descriptor that is not this table's record
+// for the key is rejected through the byte path.
+func TestDescriptorMatchesBytes(t *testing.T) {
+	s := &Store{gen: mem.NewGenerator(generateRecord)}
+	foreign := mem.NewGenerator(fs.SeededInit(1))
+	buf := make([]byte, RecordSize)
+	// validate runs s.validate and checks it against validateRecord on
+	// the materialized bytes.
+	validate := func(c mem.Content, key uint64) (uint64, error) {
+		c.Materialize(buf)
+		wantV, wantErr := validateRecord(buf, key)
+		v, err := s.validate(c, key)
+		if v != wantV || (err == nil) != (wantErr == nil) || errors.Is(err, ErrCorrupt) != errors.Is(wantErr, ErrCorrupt) {
+			t.Errorf("key %d: validate = %d, %v; validateRecord = %d, %v", key, v, err, wantV, wantErr)
+		}
+		return v, err
+	}
+	f := func(key uint32, version uint32, flip uint16) bool {
+		k, ver := uint64(key), uint64(version)&maxVersion
+		word := pack(k, ver)
+		if v, err := validate(mem.Generated(s.gen, word), k); err != nil || v != ver {
+			t.Logf("record (%d, %d): v=%d err=%v", k, ver, v, err)
+			return false
+		}
+		enc := new([RecordSize]byte)
+		encodeRecord(enc[:], k, ver)
+		if v, err := validate(mem.Snapshot(enc), k); err != nil || v != ver {
+			t.Logf("snapshot of (%d, %d): v=%d err=%v", k, ver, v, err)
+			return false
+		}
+		flipped := *enc
+		flipped[int(flip)%RecordSize] ^= 1
+		for name, tc := range map[string]struct {
+			c   mem.Content
+			key uint64
+		}{
+			"zero descriptor":   {mem.Content{}, k},
+			"foreign generator": {mem.Generated(foreign, word), k},
+			"wrong key":         {mem.Generated(s.gen, word), k ^ 1},
+			"flipped byte":      {mem.Snapshot(&flipped), k},
+		} {
+			if _, err := validate(tc.c, tc.key); !errors.Is(err, ErrCorrupt) {
+				t.Logf("%s for (%d, %d): err=%v", name, k, ver, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDescriptorValidateAllocationFree pins the descriptor path of record
+// validation at zero allocations.
+func TestDescriptorValidateAllocationFree(t *testing.T) {
+	s := &Store{gen: mem.NewGenerator(generateRecord)}
+	c := mem.Generated(s.gen, pack(42, 7))
+	got := testing.AllocsPerRun(100, func() {
+		if v, err := s.validate(c, 42); err != nil || v != 7 {
+			t.Fatalf("validate = %d, %v", v, err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("descriptor validation allocates %.1f objects/op, want 0", got)
+	}
+}
+
+// TestPutWritesNoBytes: a Put stores the record's descriptor, writeback
+// hands that descriptor to the file system, and a Get validates it without
+// materializing the frame.
+func TestPutWritesNoBytes(t *testing.T) {
+	sys := testSystem(t, kernel.HWDP)
+	st := mkStore(t, sys, 64)
+	th := sys.WorkloadThread(0)
+	const key, version = 7, 3
+	done := false
+	st.Put(th, key, version, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		sys.K.Msync(th, st.Base(), func() { done = true })
+	})
+	runUntil(sys, &done)
+	if !done {
+		t.Fatal("put or msync hung")
+	}
+	blk, err := sys.FS.Block(st.File(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if word, ok := sys.FS.BlockContent(blk.LBA).GeneratedBy(st.File().Generator()); !ok || word != pack(key, version) {
+		t.Fatalf("block content: word %#x ok=%v, want the table's descriptor %#x", word, ok, pack(key, version))
+	}
+
+	done = false
+	st.Get(th, key, func(v uint64, rec mem.Content, err error) {
+		if err != nil || v != version {
+			t.Errorf("get: v=%d err=%v", v, err)
+		}
+		if _, ok := rec.GeneratedBy(st.File().Generator()); !ok {
+			t.Error("get returned a snapshot, not the record's descriptor")
+		}
+		done = true
+	})
+	runUntil(sys, &done)
+	pte, ok := sys.Proc.AS.Table.Lookup(st.Base() + key*RecordSize)
+	if !ok || !pte.Present() {
+		t.Fatal("record page not resident after get")
+	}
+	if _, ok := sys.Mem.Descriptor(pte.PFN()); !ok {
+		t.Fatal("get materialized the record's frame")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hwdp/internal/core"
 	"hwdp/internal/kernel"
 	"hwdp/internal/kvs"
+	"hwdp/internal/mem"
 	"hwdp/internal/sim"
 )
 
@@ -47,7 +48,6 @@ type KV struct {
 	insertFrontier                 uint64
 	scanMax                        int
 	versions                       map[uint64]uint64
-	bufs                           map[int][]byte
 }
 
 func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, scan float64) *KV {
@@ -57,7 +57,6 @@ func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, s
 		scanP:    read + update + insert + scan,
 		scanMax:  16,
 		versions: make(map[uint64]uint64),
-		bufs:     make(map[int][]byte),
 	}
 }
 
@@ -112,15 +111,6 @@ func NewYCSB(sys *core.System, st *kvs.Store, variant byte) (*KV, error) {
 	}
 }
 
-func (kv *KV) buf(th *kernel.Thread) []byte {
-	b := kv.bufs[th.ID]
-	if b == nil {
-		b = make([]byte, kvs.RecordSize)
-		kv.bufs[th.ID] = b
-	}
-	return b
-}
-
 func (kv *KV) pickKind(r *sim.Rand) KVOp {
 	u := r.Float64()
 	switch {
@@ -155,22 +145,21 @@ const KVSyscallPerOp = 800 * sim.Nanosecond
 // (stale versions are fine — concurrent updaters — but corruption is not).
 func (kv *KV) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 	kind := kv.pickKind(rng)
-	buf := kv.buf(th)
 	kv.Sys.CPU.UserExec(th.HW, kv.OpInstr, func() {
-		kv.Sys.CPU.KernelExec(th.HW, KVSyscallPerOp, func() { kv.op2(th, rng, kind, buf, done) })
+		kv.Sys.CPU.KernelExec(th.HW, KVSyscallPerOp, func() { kv.op2(th, rng, kind, done) })
 	})
 }
 
-func (kv *KV) op2(th *kernel.Thread, rng *sim.Rand, kind KVOp, buf []byte, done func(error)) {
+func (kv *KV) op2(th *kernel.Thread, rng *sim.Rand, kind KVOp, done func(error)) {
 	{
 		switch kind {
 		case OpRead:
 			key := kv.nextKey(rng)
-			kv.Store.Get(th, key, buf, func(_ uint64, err error) { done(err) })
+			kv.Store.Get(th, key, func(_ uint64, _ mem.Content, err error) { done(err) })
 		case OpUpdate:
 			key := kv.nextKey(rng)
 			kv.versions[key]++
-			kv.Store.Put(th, key, kv.versions[key], buf, done)
+			kv.Store.Put(th, key, kv.versions[key], done)
 		case OpInsert:
 			key := kv.insertFrontier
 			if key >= kv.Store.Keys() {
@@ -182,17 +171,17 @@ func (kv *KV) op2(th *kernel.Thread, rng *sim.Rand, kind KVOp, buf []byte, done 
 				}
 			}
 			kv.versions[key]++
-			kv.Store.Put(th, key, kv.versions[key], buf, done)
+			kv.Store.Put(th, key, kv.versions[key], done)
 		case OpScan:
 			start := kv.nextKey(rng)
 			n := 1 + rng.Intn(kv.scanMax)
 			extra := uint64(n) * YCSBScanPerRec
 			kv.Sys.CPU.UserExec(th.HW, extra, func() {
-				kv.Store.Scan(th, start, n, buf, func(_ int, err error) { done(err) })
+				kv.Store.Scan(th, start, n, func(_ int, err error) { done(err) })
 			})
 		case OpRMW:
 			key := kv.nextKey(rng)
-			kv.Store.ReadModifyWrite(th, key, buf, done)
+			kv.Store.ReadModifyWrite(th, key, done)
 		}
 	}
 }
