@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-short bench-go bench-test sweep-check chaos-short engine-check ssd-check fleet-check docs-check fmt lint check
+.PHONY: all build test race bench bench-short bench-go bench-test sweep-check chaos-short ssd-check fleet-check docs-check fmt lint check
 
 all: build test
 
@@ -24,7 +24,7 @@ bench:
 	$(GO) run ./cmd/hwdpbench -bench
 
 bench-short:
-	$(GO) run ./cmd/hwdpbench -bench -quick -lanes 8
+	$(GO) run ./cmd/hwdpbench -bench -quick
 
 bench-go:
 	$(GO) test -short -bench=. -benchtime=1x ./...
@@ -52,32 +52,22 @@ sweep-check:
 chaos-short:
 	$(GO) run -race ./cmd/hwdpbench -pressure -quick -no-cache -sweep-out CAMPAIGN_sweep.json
 
-# engine-check runs the lane-engine equivalence battery (protocol unit
-# tests, full-system lanes-vs-sequential output equivalence, the pinned
-# per-lane event-stream digests), then repeats it under the race
-# detector so the 8-lane rounds genuinely dispatch worker goroutines
-# with -race watching. See docs/ENGINE.md.
-ENGINE_TESTS = Lane|Group|Bucket|Lookahead|TieCross|SerialParallel
-engine-check:
-	$(GO) test -run '$(ENGINE_TESTS)' ./internal/sim ./internal/core .
-	$(GO) test -race -run '$(ENGINE_TESTS)' ./internal/sim ./internal/core .
-
 # ssd-check runs the modeled-SSD battery: the FTL/GC conservation
-# property tests and checked-in fuzz seed corpora, the lanes-1-vs-8
-# byte-equivalence pin, and the steady-state/GC-tail direction
+# property tests and checked-in fuzz seed corpora, the end-to-end
+# modeled-backend smoke test, and the steady-state/GC-tail direction
 # regressions — then repeats everything under the race detector. See
 # docs/SSD.md.
-SSD_TESTS = GCConservation|Precondition|Unmapped|WriteBuffer|Flush|Deterministic|MinLatency|Victim|Fuzz|ModeledSSD|ModeledBackend|SSDSteadyState|GCTailAblation|FingerprintCoversSSD
+SSD_TESTS = GCConservation|Precondition|Unmapped|WriteBuffer|Flush|Deterministic|Victim|Fuzz|ModeledBackend|SSDSteadyState|GCTailAblation|FingerprintCoversSSD
 ssd-check:
 	$(GO) test -run '$(SSD_TESTS)' ./internal/ssd/... ./internal/core ./internal/figures
 	$(GO) test -race -run '$(SSD_TESTS)' ./internal/ssd/... ./internal/core ./internal/figures
 
 # fleet-check runs the multi-tenant battery — the per-tenant counter
-# conservation property (under QoS, engine lanes and fault storms), the
-# noisy-neighbor isolation acceptance (victim p99.9 improves >= 2x with
-# QoS on), and the -j/-lanes byte-equivalence pins — plain and under the
-# race detector, then regenerates the CI-sized fleet figure so
-# FLEET_hwdp.json is always a fresh artifact. See docs/FLEET.md.
+# conservation property (under QoS and fault storms), the noisy-neighbor
+# isolation acceptance (victim p99.9 improves >= 2x with QoS on), and the
+# -j byte-equivalence pin — plain and under the race detector, then
+# regenerates the CI-sized fleet figure so FLEET_hwdp.json is always a
+# fresh artifact. See docs/FLEET.md.
 fleet-check:
 	$(GO) test ./internal/fleet/
 	$(GO) test -race ./internal/fleet/
@@ -88,11 +78,13 @@ fmt:
 
 # lint runs the stock go vet analyzers plus the repo's own hwdplint suite
 # (determinism, pool pairing, sim-time units, hot-path closure captures,
-# status-switch exhaustiveness, and the interprocedural hotalloc/laneescape
-# proofs over per-package callgraph facts). See docs/ANALYSIS.md for the
-# analyzers and the //hwdp:ignore syntax. The wall-clock budget keeps the
-# fact-driven vettool pass honest: blowing it means facts stopped caching
-# (check the -V=full fingerprint) or an analyzer went superlinear.
+# status-switch exhaustiveness, the no-shared-state checks that keep
+# concurrent sweep units independent, and the interprocedural
+# hotalloc/laneescape proofs over per-package callgraph facts). See
+# docs/ANALYSIS.md for the analyzers and the //hwdp:ignore syntax. The
+# wall-clock budget keeps the fact-driven vettool pass honest: blowing it
+# means facts stopped caching (check the -V=full fingerprint) or an
+# analyzer went superlinear.
 LINT_BUDGET_SECS ?= 120
 lint:
 	@start=$$(date +%s); \

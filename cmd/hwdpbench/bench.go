@@ -60,10 +60,7 @@ type benchReport struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	Short     bool   `json:"short"`
-	// Lanes is the -lanes value the lane_engine benchmark ran at;
-	// GOMAXPROCS bounds how much of that lane count can turn into
-	// wall-clock speedup, so the report records both.
-	Lanes      int                      `json:"lanes"`
+	// GOMAXPROCS records the host parallelism the numbers were taken at.
 	GOMAXPROCS int                      `json:"gomaxprocs"`
 	Bench      []benchResult            `json:"benchmarks"`
 	Baseline   map[string]benchBaseline `json:"baseline"`
@@ -83,23 +80,20 @@ var baselines = map[string]benchBaseline{
 // benchUnit wraps the benchmark suite as a sweep unit. It is uncacheable
 // by design: ns/op measures the host, not just the code and config, so a
 // cached report would be a stale measurement.
-func benchUnit(short bool, lanes int, outPath string) sweep.Unit {
+func benchUnit(short bool, outPath string) sweep.Unit {
 	return sweep.Unit{
 		Name:        "bench",
 		Kind:        "bench",
-		Fingerprint: fmt.Sprintf("short=%v lanes=%d out=%s", short, lanes, outPath),
+		Fingerprint: fmt.Sprintf("short=%v out=%s", short, outPath),
 		Uncacheable: true,
-		Run:         func() (string, error) { return runBench(short, lanes, outPath) },
+		Run:         func() (string, error) { return runBench(short, outPath) },
 	}
 }
 
 // runBench executes the benchmark suite, writes the JSON report to
 // outPath and returns the human-readable summary. Short mode shrinks the
 // macro sweep so CI finishes in seconds.
-func runBench(short bool, lanes int, outPath string) (string, error) {
-	if lanes < 1 {
-		lanes = 1
-	}
+func runBench(short bool, outPath string) (string, error) {
 	var sb strings.Builder
 	rep := benchReport{
 		Schema:     1,
@@ -107,7 +101,6 @@ func runBench(short bool, lanes int, outPath string) (string, error) {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		Short:      short,
-		Lanes:      lanes,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Baseline:   baselines,
 	}
@@ -135,17 +128,6 @@ func runBench(short bool, lanes int, outPath string) (string, error) {
 	add("miss_path", r, eps)
 	r, eps = benchFigureSweep(short)
 	add("figure_sweep", r, eps)
-	r, seqEPS := benchLaneEngine(1, short)
-	add("lane_engine_seq", r, seqEPS)
-	var laneEPS float64
-	if lanes > 1 {
-		r, laneEPS = benchLaneEngine(lanes, short)
-		add(fmt.Sprintf("lane_engine_lanes%d", lanes), r, laneEPS)
-		if seqEPS > 0 {
-			fmt.Fprintf(&sb, "lane_engine speedup at %d lanes: %.2fx (GOMAXPROCS=%d bounds wall-clock scaling)\n",
-				lanes, laneEPS/seqEPS, runtime.GOMAXPROCS(0))
-		}
-	}
 	add("fleet_fifo", benchFleet(short, false), 0)
 	add("fleet_qos", benchFleet(short, true), 0)
 
@@ -170,37 +152,6 @@ func runBench(short bool, lanes int, outPath string) (string, error) {
 	}
 	fmt.Fprintf(&sb, "wrote %s\n", outPath)
 	return sb.String(), nil
-}
-
-// benchLaneEngine measures lane-scheduler throughput of the fleet-shaped
-// Fig-13 event population (sim.RunFleet — the same model as the package's
-// BenchmarkLaneFig13Mix). It is the sim_events_per_sec unit ISSUE's
-// acceptance tracks: lanes=1 is the sequential baseline, lanes=N the
-// sharded run of the identical population. Wall-clock speedup is bounded
-// by min(lanes, GOMAXPROCS); the report records both so a 1-core CI runner
-// is not misread as a scheduler regression.
-func benchLaneEngine(lanes int, short bool) (testing.BenchmarkResult, float64) {
-	virtual := sim.Milli(5)
-	if short {
-		virtual = sim.Milli(2)
-	}
-	var events uint64
-	var wall time.Duration
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		start := time.Now()
-		var fired uint64
-		for i := 0; i < b.N; i++ {
-			fired += sim.RunFleet(lanes, virtual).Fired
-		}
-		wall = time.Since(start)
-		events = fired
-	})
-	eps := 0.0
-	if wall > 0 {
-		eps = float64(events) / wall.Seconds()
-	}
-	return r, eps
 }
 
 // benchEnginePost measures the pooled fire-and-forget schedule/fire path

@@ -82,7 +82,7 @@ func TestBenchReportParallelEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	runAt := func(workers int, name string) benchReport {
 		path := filepath.Join(dir, name)
-		rs := sweep.Run([]sweep.Unit{benchUnit(true, 8, path)},
+		rs := sweep.Run([]sweep.Unit{benchUnit(true, path)},
 			sweep.Options{Workers: workers})
 		if rs[0].Status != sweep.StatusOK {
 			t.Fatalf("workers=%d: bench unit %s: %s", workers, rs[0].Status, rs[0].Err)

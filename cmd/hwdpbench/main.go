@@ -14,7 +14,6 @@
 //	hwdpbench -seed 7           # simulation seed for every unit (default 1)
 //	hwdpbench -threads 1,4      # restrict Fig. 13's thread sweep
 //	hwdpbench -j 8              # parallel run units (default GOMAXPROCS)
-//	hwdpbench -lanes 8          # parallel-in-run engine lanes per simulation
 //	hwdpbench -no-cache         # re-simulate even when a cached result exists
 //	hwdpbench -ssd modeled      # FTL/GC media model for every unit (default profile)
 //	hwdpbench -ssd-fill 0.8     # modeled preconditioning: fraction of LBAs filled
@@ -70,7 +69,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed threaded through every experiment")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts for -fig 13")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max run units executing in parallel")
-	lanes := flag.Int("lanes", 1, "engine lanes per simulation (parallel-in-run; output is byte-identical across lane counts, see docs/ENGINE.md)")
 	noCache := flag.Bool("no-cache", false, "ignore and don't write the result cache")
 	ssdBackend := flag.String("ssd", "profile", "SSD media backend for figure units: profile or modeled (FTL + GC + plane parallelism, docs/SSD.md)")
 	ssdFill := flag.Float64("ssd-fill", 0, "modeled-backend preconditioning fill fraction (0 = backend default of 1)")
@@ -101,7 +99,6 @@ func main() {
 		p = figures.Quick()
 	}
 	p.Seed = *seed
-	p.Lanes = *lanes
 	p.SSDBackend = *ssdBackend
 	p.SSDFill = *ssdFill
 	p.SSDChurn = *ssdChurn
@@ -129,7 +126,7 @@ func main() {
 	}
 	var sel []sweep.Unit
 	if *bench {
-		sel = append(sel, benchUnit(*quick, *lanes, *benchOut))
+		sel = append(sel, benchUnit(*quick, *benchOut))
 	}
 	var campaignResults []campaign.Result
 	if *pressure {
@@ -140,9 +137,9 @@ func main() {
 	}
 	var fleetResults []fleet.Result
 	if *fleetRun {
-		cfgs := fleet.Ladder(*seed, *lanes)
+		cfgs := fleet.Ladder(*seed)
 		if *quick {
-			cfgs = fleet.QuickLadder(*seed, *lanes)
+			cfgs = fleet.QuickLadder(*seed)
 		}
 		kept := cfgs[:0]
 		for _, c := range cfgs {

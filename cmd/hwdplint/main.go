@@ -1,6 +1,10 @@
 // Command hwdplint runs the repo's analyzer suite (simdeterminism,
 // lanesafety, laneescape, poolpair, simtime, eventcapture, hotalloc,
-// statuscase — see docs/ANALYSIS.md).
+// statuscase — see docs/ANALYSIS.md). lanesafety and laneescape keep model
+// packages free of shared mutable state: `hwdpbench -j N` runs independent
+// simulated machines concurrently in one process (internal/sweep), so a
+// package variable, lock or channel reached from model code would couple
+// one unit's output to the units running beside it.
 //
 // It speaks the `go vet -vettool` protocol, so the canonical invocation is
 //

@@ -138,12 +138,6 @@ type Config struct {
 	// TraceRing sets the flight-recorder depth in misses (0 picks the
 	// default of 64). Only meaningful with Trace enabled.
 	TraceRing int
-	// Lanes shards the simulation engine for parallel-in-run execution
-	// (see docs/ENGINE.md): 0 or 1 keeps the zero-overhead sequential
-	// engine; N >= 2 runs each device domain on its own lane. Fixed-seed
-	// output is byte-identical across lane counts. Incompatible features
-	// (Faults, Trace) silently fall back to the sequential engine.
-	Lanes int
 }
 
 // FaultKind classifies an injected device fault.
@@ -240,7 +234,6 @@ func New(cfg Config) *System {
 	}
 	c.TraceEnabled = cfg.Trace
 	c.TraceRing = cfg.TraceRing
-	c.Lanes = cfg.Lanes
 	return &System{sys: c.Build()}
 }
 

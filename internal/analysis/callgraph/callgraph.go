@@ -48,7 +48,7 @@ import (
 const Version = 1
 
 // Atom is one interprocedurally-relevant site inside a function: a
-// potential heap allocation (Analyzer "hotalloc") or a lane-unsafe
+// potential heap allocation (Analyzer "hotalloc") or a shared-state
 // operation (Analyzer "laneescape"). Atoms waived with //hwdp:ignore at
 // their own line never enter the summary.
 type Atom struct {
@@ -91,8 +91,8 @@ type FuncFacts struct {
 	// Hot marks a //hwdp:hotpath root for the hotalloc analyzer.
 	Hot bool `json:",omitempty"`
 	// Cold holds the //hwdp:coldpath reason; hotalloc stops descending
-	// into cold functions (laneescape does not: cold code still runs on
-	// the lane).
+	// into cold functions (laneescape does not: cold code shares state
+	// just the same).
 	Cold string `json:",omitempty"`
 }
 

@@ -98,7 +98,7 @@ func TestReachableChain(t *testing.T) {
 
 // TestReachableHonorsCold checks the asymmetry between the analyzers:
 // hotalloc does not enter //hwdp:coldpath functions, laneescape does
-// (cold code still runs on its lane).
+// (cold code shares state just the same).
 func TestReachableHonorsCold(t *testing.T) {
 	r := reg(&PkgFacts{Pkg: "a", Funcs: map[string]*FuncFacts{
 		"Root": {Edges: []Edge{{Kind: "call", Target: "a::fail", Pos: "a.go:3"}}},

@@ -53,8 +53,7 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 		pkg: path,
 		// laneescape atoms are collected only outside the hot-path
 		// packages: inside them, lanesafety already reports the same
-		// sites locally (and the sim package legitimately owns
-		// goroutine machinery).
+		// sites locally.
 		laneAtoms: !analysis.IsHotPathPkg(path),
 	}
 	for _, f := range u.Files {
@@ -67,7 +66,7 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 				continue
 			}
 			if fd.Recv == nil && fd.Name.Name == "init" {
-				// init runs once at construction, before lanes start and
+				// init runs once at construction, before any unit starts and
 				// before the alloc pins measure; it is neither a root nor
 				// a callee (and multiple init funcs would collide on one
 				// key).
@@ -402,7 +401,7 @@ func (w *funcWalker) pkgVarWrite(lhs ast.Expr) {
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return
 	}
-	w.laneAtom("pkgwrite", lhs.Pos(), "write to package-level variable %s (reachable from every engine lane at once)", v.Name())
+	w.laneAtom("pkgwrite", lhs.Pos(), "write to package-level variable %s (shared by every machine in the process)", v.Name())
 }
 
 // syncUse flags sync / sync-atomic selector uses.
@@ -482,7 +481,7 @@ func (w *funcWalker) call(call *ast.CallExpr) {
 					w.allocAtom("make", call.Pos(), "make of map %s allocates", exprLabel(call.Args, 0))
 				case *types.Chan:
 					w.allocAtom("make", call.Pos(), "make of chan %s allocates", exprLabel(call.Args, 0))
-					w.laneAtom("chanmake", call.Pos(), "channel creation in lane-reachable code")
+					w.laneAtom("chanmake", call.Pos(), "channel creation in model-reachable code")
 				}
 			case "append":
 				w.allocAtom("append", call.Pos(), "append may grow the backing array")

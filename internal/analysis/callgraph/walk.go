@@ -53,11 +53,11 @@ type pred struct {
 // is breadth-first with edges taken in summary (source) order, so results
 // are deterministic. When honorCold is true (hotalloc), functions carrying
 // a //hwdp:coldpath reason are not entered; laneescape passes false — cold
-// code still runs on its lane.
+// code shares state just the same.
 //
 // Unknown targets (standard library, packages outside the registry) are
 // treated as opaque: the walk stops there, and any allocation or
-// lane-unsafety behind them must have been recorded as an atom at the call
+// shared state behind them must have been recorded as an atom at the call
 // site during summarization.
 func (r *Registry) Reachable(root, analyzer string, honorCold bool) []Finding {
 	preds := map[string]pred{root: {}}

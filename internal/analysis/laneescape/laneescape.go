@@ -1,57 +1,45 @@
 // Package laneescape upgrades lanesafety's local syntax checks to a
-// transitive proof over the callgraph facts (docs/ANALYSIS.md): every
-// function declared in a lane-hosted model package (mmu, smu, nvme, ssd)
-// may run on an engine lane, so nothing it reaches — across any number of
-// calls and packages — may touch package-level mutable state, host
-// synchronization, or channels. lanesafety polices the hot-path packages
-// themselves line by line; laneescape walks from them into the helper
-// packages (trace, pagetable, metrics, fault, ...) that lanesafety's
-// package gate leaves unexamined, and reports the reaching call chain.
-//
-// It also adds a local aliasing check on cross-lane mailbox sends: a
-// pointer handed to Engine.SendArg belongs to the receiving lane from the
-// moment of the send, so the sender must not touch it afterwards — a
-// use-after-send is a data race once the payload is delivered.
+// transitive proof over the callgraph facts (docs/ANALYSIS.md). `hwdpbench
+// -j N` (internal/sweep) runs independent run units — each one a whole
+// simulated machine — concurrently in one process, so nothing a model
+// package reaches — across any number of calls and packages — may touch
+// package-level mutable state, host synchronization, or channels: that
+// state would be shared by every machine in the process. lanesafety
+// polices the hot-path packages themselves line by line; laneescape walks
+// from the device-side model packages (mmu, smu, nvme, ssd) into the
+// helper packages (trace, pagetable, metrics, fault, ...) that
+// lanesafety's package gate leaves unexamined, and reports the reaching
+// call chain.
 package laneescape
 
 import (
 	"go/ast"
-	"go/types"
 	"regexp"
 
 	"hwdp/internal/analysis"
 	"hwdp/internal/analysis/callgraph"
 )
 
-// LaneModelPackages matches the packages whose components are sharded
-// onto engine lanes (core.Config.Lanes places device/SMU/MMU models);
-// every function they declare is treated as a potential lane-hosted root.
-var LaneModelPackages = regexp.MustCompile(`^hwdp/internal/(mmu|smu|nvme|ssd)(/|$)`)
+// ModelPackages matches the device-side model packages; every
+// function they declare is a root of the walk.
+var ModelPackages = regexp.MustCompile(`^hwdp/internal/(mmu|smu|nvme|ssd)(/|$)`)
 
 // Analyzer is the laneescape check.
 var Analyzer = &analysis.Analyzer{
 	Name: "laneescape",
-	Doc: "prove transitively that lane-hosted model code reaches no " +
-		"package-level variable writes, sync/channel use, or goroutines, " +
-		"and that cross-lane send payloads are not used after the send",
+	Doc: "prove transitively that device-side model code reaches no " +
+		"package-level variable writes, sync/channel use, or goroutines",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	path := analysis.NormalizePkgPath(pass.Pkg.Path())
-	if !LaneModelPackages.MatchString(path) {
+	if !ModelPackages.MatchString(path) {
 		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkSendAliasing(pass, fd)
-			}
-		}
 	}
 	reg, ok := pass.Unit.Facts.(*callgraph.Registry)
 	if !ok {
-		return nil // fact-less driver: local checks only
+		return nil // fact-less driver: nothing to walk
 	}
 	seen := map[string]bool{}
 	for _, f := range pass.Files {
@@ -77,7 +65,7 @@ func run(pass *analysis.Pass) error {
 				if !pos.IsValid() {
 					pos = fd.Name.Pos()
 				}
-				pass.Reportf(pos, "lane-hosted %s reaches lane-unsafe state: %s: %s at %s — cross-lane state must flow through engine sends (docs/ENGINE.md)",
+				pass.Reportf(pos, "model code %s reaches shared state: %s: %s at %s — state must live on a model component, not be shared across concurrent sweep units",
 					callgraph.DisplayKey(root), callgraph.RenderChain(finding.Chain), finding.Atom.Msg, finding.Atom.Pos)
 			}
 		}
@@ -88,54 +76,4 @@ func run(pass *analysis.Pass) error {
 func isTestFile(pass *analysis.Pass, f *ast.File) bool {
 	name := pass.Fset.Position(f.Pos()).Filename
 	return len(name) > 8 && name[len(name)-8:] == "_test.go"
-}
-
-// checkSendAliasing flags a pointer payload of Engine.SendArg that the
-// sending function touches again after the send: ownership crosses lanes
-// at the send, so any later use races the receiving lane.
-func checkSendAliasing(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := analysis.CalleeFunc(pass.TypesInfo, call)
-		if fn == nil || fn.Name() != "SendArg" || len(call.Args) < 4 {
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return true
-		}
-		rpath, rname := analysis.NamedPathAndName(sig.Recv().Type())
-		if rname != "Engine" || !analysis.IsSimPkg(rpath) {
-			return true
-		}
-		id, ok := ast.Unparen(call.Args[3]).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if _, isPtr := types.Unalias(v.Type().Underlying()).(*types.Pointer); !isPtr {
-			return true
-		}
-		// Any use of the same variable after the send keeps the sender
-		// aliased to a payload the receiving lane now owns.
-		ast.Inspect(fd.Body, func(m ast.Node) bool {
-			use, ok := m.(*ast.Ident)
-			if !ok || use.Pos() <= call.End() {
-				return true
-			}
-			if pass.TypesInfo.Uses[use] == v {
-				pass.Reportf(use.Pos(), "payload %s is used after being handed across lanes via SendArg (at %s): the receiving lane owns it from the send on — finish all sender-side use before sending",
-					v.Name(), pass.Fset.Position(call.Pos()))
-				return false
-			}
-			return true
-		})
-		return true
-	})
 }

@@ -7,10 +7,10 @@ import (
 	"hwdp/internal/analysis/laneescape"
 )
 
-// TestLaneEscape drives the transitive lane-safety proof over the escape
-// fixture: a lane-hosted package reaching package-level writes, host
+// TestLaneEscape drives the transitive shared-state proof over the escape
+// fixture: a device-side model package reaching package-level writes, host
 // locks, and goroutine launches through a helper package lanesafety never
-// examines, plus the local SendArg payload-aliasing check.
+// examines.
 func TestLaneEscape(t *testing.T) {
 	analyzertest.Run(t, "../testdata", "hwdp/internal/mmu/escape", laneescape.Analyzer)
 }

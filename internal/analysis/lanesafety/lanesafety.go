@@ -1,32 +1,25 @@
-// Package lanesafety rejects state-sharing patterns that are harmless on
-// the sequential engine but break the lane scheduler's isolation contract
-// (docs/ENGINE.md): under -lanes N, callbacks on different lanes run on
-// different goroutines within a round, so the only sound cross-lane
-// channels are Engine.Send/SendArg with a delay at or above the sender's
-// declared lookahead. The analyzer flags, in hot-path packages:
+// Package lanesafety rejects state-sharing patterns in simulator model
+// packages. `hwdpbench -j N` (internal/sweep) runs independent run units
+// — each one a whole simulated machine — concurrently in one process, so a
+// model package may only mutate state owned by a component of its own
+// machine. The analyzer flags, in hot-path packages:
 //
 //   - writes to package-level variables from function bodies — a package
-//     var is reachable from every lane at once, so a write is a data race
-//     under -lanes N and a determinism hazard even when it happens to be
-//     race-free (lane scheduling must not influence observable state);
-//   - Engine.Send/SendArg with a constant zero delay — zero undercuts any
-//     positive lookahead floor, so the receiving lane may already have
-//     advanced past the arrival time (the group panics at delivery; the
-//     lint catches it at compile time);
-//   - sync primitives and channel operations in model packages (the sim
-//     package itself is exempt: the lane scheduler is the one place that
-//     legitimately owns goroutine coordination). Locks "fix" the race the
+//     var is shared by every machine in the process, so a write is a data
+//     race under sweep -j and a determinism hazard even when it happens to
+//     be race-free (one unit's output must not depend on which units run
+//     beside it);
+//   - sync primitives and channel operations. Locks "fix" the race the
 //     first check exposes but reintroduce host-scheduling order into the
-//     model; cross-lane communication must be an engine send, which the
-//     group delivers in deterministic lane order.
+//     model; hand-offs between components must be engine events, which
+//     fire in virtual-time order.
 //
 // Initialization at declaration and in init functions is not flagged:
-// construction happens before the group starts rounds, on one goroutine.
+// both run once, before any unit starts.
 package lanesafety
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 
 	"hwdp/internal/analysis"
@@ -35,9 +28,9 @@ import (
 // Analyzer is the lanesafety check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lanesafety",
-	Doc: "forbid package-variable writes, zero-delay cross-lane sends, and " +
-		"sync/channel coordination in simulator model packages: state shared " +
-		"across engine lanes must flow through lookahead-respecting sends",
+	Doc: "forbid package-variable writes and sync/channel coordination in " +
+		"simulator model packages: concurrent sweep units must share no " +
+		"mutable state, and hand-offs must be engine events",
 	Run: run,
 }
 
@@ -45,7 +38,6 @@ func run(pass *analysis.Pass) error {
 	if !analysis.IsHotPathPkg(pass.Pkg.Path()) {
 		return nil
 	}
-	simItself := analysis.IsSimPkg(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -65,20 +57,14 @@ func run(pass *analysis.Pass) error {
 					if !inInit {
 						checkPkgVarWrite(pass, n.X)
 					}
-				case *ast.CallExpr:
-					checkZeroDelaySend(pass, n)
 				case *ast.SendStmt:
-					if !simItself {
-						pass.Reportf(n.Pos(), "channel send in model code: under -lanes N this serializes on the host scheduler, not the virtual clock; hand the value across lanes with sim.Engine.SendArg instead")
-					}
+					pass.Reportf(n.Pos(), "channel send in model code: it serializes on the host scheduler, not the virtual clock; schedule the hand-off as an engine event instead")
 				case *ast.UnaryExpr:
-					if !simItself && n.Op.String() == "<-" {
-						pass.Reportf(n.Pos(), "channel receive in model code: under -lanes N this serializes on the host scheduler, not the virtual clock; hand the value across lanes with sim.Engine.SendArg instead")
+					if n.Op.String() == "<-" {
+						pass.Reportf(n.Pos(), "channel receive in model code: it serializes on the host scheduler, not the virtual clock; schedule the hand-off as an engine event instead")
 					}
 				case *ast.SelectorExpr:
-					if !simItself {
-						checkSyncUse(pass, n)
-					}
+					checkSyncUse(pass, n)
 				}
 				return true
 			})
@@ -93,8 +79,8 @@ func checkPkgVarWrite(pass *analysis.Pass, lhs ast.Expr) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
 		// A selector write (x.f = ...) mutates an object reached through a
-		// pointer; lane ownership of objects is the components' contract,
-		// not statically checkable here. Only bare package vars are flagged.
+		// pointer; object ownership is the components' contract, not
+		// statically checkable here. Only bare package vars are flagged.
 		return
 	}
 	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
@@ -106,34 +92,7 @@ func checkPkgVarWrite(pass *analysis.Pass, lhs ast.Expr) {
 	if v.Parent() != v.Pkg().Scope() {
 		return
 	}
-	pass.Reportf(lhs.Pos(), "write to package-level variable %s: package state is reachable from every engine lane at once (data race under -lanes N); move it onto a lane-owned component or initialize it at declaration", v.Name())
-}
-
-// checkZeroDelaySend flags Engine.Send/SendArg calls whose delay argument
-// is a compile-time zero.
-func checkZeroDelaySend(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || (fn.Name() != "Send" && fn.Name() != "SendArg") {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return
-	}
-	path, name := analysis.NamedPathAndName(sig.Recv().Type())
-	if name != "Engine" || !analysis.IsSimPkg(path) {
-		return
-	}
-	if len(call.Args) < 2 {
-		return
-	}
-	tv, ok := pass.TypesInfo.Types[call.Args[1]]
-	if !ok || tv.Value == nil {
-		return
-	}
-	if v, exact := constant.Int64Val(tv.Value); exact && v == 0 {
-		pass.Reportf(call.Args[1].Pos(), "cross-lane %s with zero delay: the receiving lane may already be past Now() (lookahead floor violated; the group panics at delivery) — every cross-lane send needs a positive model delay", fn.Name())
-	}
+	pass.Reportf(lhs.Pos(), "write to package-level variable %s: package state is shared by every machine in the process (data race under sweep -j); move it onto a model component or initialize it at declaration", v.Name())
 }
 
 // checkSyncUse flags any use of a sync / sync-atomic object (type, func,
@@ -145,6 +104,6 @@ func checkSyncUse(pass *analysis.Pass, e *ast.SelectorExpr) {
 	}
 	switch obj.Pkg().Path() {
 	case "sync", "sync/atomic":
-		pass.Reportf(e.Pos(), "%s.%s in model code: host-scheduler synchronization makes event outcomes depend on lane timing; coordinate across lanes with engine sends instead", obj.Pkg().Name(), obj.Name())
+		pass.Reportf(e.Pos(), "%s.%s in model code: host-scheduler synchronization makes event outcomes depend on host timing; coordinate components with engine events instead", obj.Pkg().Name(), obj.Name())
 	}
 }

@@ -1,5 +1,5 @@
 // Package counters is the laneescape fixture helper: host-side global
-// bookkeeping that lane-hosted model code must not reach. It sits outside
+// bookkeeping that model code must not reach. It sits outside
 // the hot-path packages, so lanesafety's package gate never examines it —
 // only the interprocedural walk can find these sites.
 package counters

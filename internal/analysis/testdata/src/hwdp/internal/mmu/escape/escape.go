@@ -1,8 +1,7 @@
-// Package escape is the laneescape analyzer fixture: a lane-hosted model
-// package (the mmu/ subtree is sharded onto engine lanes) whose functions
-// reach host-global state through helper packages that lanesafety's
-// package gate never examines, plus the local SendArg payload-aliasing
-// check.
+// Package escape is the laneescape analyzer fixture: a device-side model
+// package (the mmu/ subtree is a walk root) whose functions reach
+// host-global state through helper packages that lanesafety's package
+// gate never examines.
 package escape
 
 import (
@@ -10,22 +9,21 @@ import (
 	"hwdp/internal/sim"
 )
 
-// Walker is the fixture's lane-hosted component.
+// Walker is the fixture's model component.
 type Walker struct {
 	eng  *sim.Engine
-	peer *sim.Engine
 	hits uint64
 }
 
 // CountMiss reaches a package-level write one call away.
 func (w *Walker) CountMiss() {
-	counters.Bump(1) // want `lane-hosted mmu/escape\.\(Walker\)\.CountMiss reaches lane-unsafe state: counters\.Bump \(escape\.go:\d+\): write to package-level variable Total \(reachable from every engine lane at once\) at counters\.go:\d+`
+	counters.Bump(1) // want `model code mmu/escape\.\(Walker\)\.CountMiss reaches shared state: counters\.Bump \(escape\.go:\d+\): write to package-level variable Total \(shared by every machine in the process\) at counters\.go:\d+`
 }
 
 // LockedCount reaches host synchronization two calls away; the lock, the
 // write, and the unlock each report at the first hop out of the root.
 func (w *Walker) LockedCount() {
-	w.tally() // want `lane-hosted mmu/escape\.\(Walker\)\.LockedCount reaches lane-unsafe state: mmu/escape\.\(Walker\)\.tally \(escape\.go:\d+\) -> counters\.Locked \(escape\.go:\d+\): sync\.Lock couples event outcomes to host-scheduler timing at counters\.go:\d+` `write to package-level variable Total` `sync\.Unlock couples event outcomes to host-scheduler timing`
+	w.tally() // want `model code mmu/escape\.\(Walker\)\.LockedCount reaches shared state: mmu/escape\.\(Walker\)\.tally \(escape\.go:\d+\) -> counters\.Locked \(escape\.go:\d+\): sync\.Lock couples event outcomes to host-scheduler timing at counters\.go:\d+` `write to package-level variable Total` `sync\.Unlock couples event outcomes to host-scheduler timing`
 }
 
 func (w *Walker) tally() {
@@ -34,30 +32,12 @@ func (w *Walker) tally() {
 
 // Detach hands a callback to a helper that launches a goroutine.
 func (w *Walker) Detach(fn func()) {
-	counters.Spawn(fn) // want `lane-hosted mmu/escape\.\(Walker\)\.Detach reaches lane-unsafe state: counters\.Spawn \(escape\.go:\d+\): go statement starts a host-scheduled goroutine at counters\.go:\d+`
+	counters.Spawn(fn) // want `model code mmu/escape\.\(Walker\)\.Detach reaches shared state: counters\.Spawn \(escape\.go:\d+\): go statement starts a host-scheduled goroutine at counters\.go:\d+`
 }
 
-// Deliver is clean: cross-lane work flows through an engine send.
+// Deliver is clean: the hand-off is an engine event.
 func (w *Walker) Deliver(d sim.Time) {
-	w.eng.Send(w.peer, d, nothing)
+	w.eng.Post(d, nothing)
 }
 
 func nothing() {}
-
-// Payload crosses lanes by pointer.
-type Payload struct{ N int }
-
-// Ship hands p to the peer lane and then touches it again: the receiving
-// lane owns the payload from the send on, so the late use is a race.
-func (w *Walker) Ship(d sim.Time, p *Payload) {
-	w.eng.SendArg(w.peer, d, recv, p)
-	p.N++ // want `payload p is used after being handed across lanes via SendArg`
-}
-
-// ShipClean finishes all sender-side use before the send: clean.
-func (w *Walker) ShipClean(d sim.Time, p *Payload) {
-	p.N++
-	w.eng.SendArg(w.peer, d, recv, p)
-}
-
-func recv(arg any) {}

@@ -60,9 +60,3 @@ func (e *Engine) PostAt(t Time, fn func()) {}
 
 // PostArg schedules fn(arg) after d with a pooled event (stub).
 func (e *Engine) PostArg(d Time, fn func(any), arg any) {}
-
-// Send schedules fn on dst's lane after d (stub).
-func (e *Engine) Send(dst *Engine, d Time, fn func()) {}
-
-// SendArg schedules fn(arg) on dst's lane after d (stub).
-func (e *Engine) SendArg(dst *Engine, d Time, fn func(any), arg any) {}

@@ -10,32 +10,29 @@ import (
 )
 
 // ErrStub shows initialization at declaration is fine (a sentinel is
-// written once, before any lane exists).
+// written once, before any unit starts).
 var ErrStub = "stub"
 
-// served is package state a lane-unsafe write below targets.
+// served is package state an unsafe write below targets.
 var served uint64
 
 // registry is fixture package state written only from init (allowed).
 var registry map[string]int
 
 func init() {
-	registry = map[string]int{"a": 1} // construction precedes rounds: allowed
+	registry = map[string]int{"a": 1} // runs once at start-up: allowed
 }
 
-// Device is the fixture's lane-owned component; mutating its own fields
-// is the sanctioned pattern and must not be flagged.
+// Device is the fixture's model component; mutating its own fields is
+// the sanctioned pattern and must not be flagged.
 type Device struct {
 	eng    *sim.Engine
-	peer   *sim.Engine
 	served uint64
 	mu     sync.Mutex
 }
 
-func tick(any) {}
-
 func (d *Device) ownState() {
-	d.served++ // lane-owned field: fine
+	d.served++ // component-owned field: fine
 }
 
 func (d *Device) globalState() {
@@ -44,23 +41,6 @@ func (d *Device) globalState() {
 
 func (d *Device) globalAssign() {
 	served = 7 // want `write to package-level variable served`
-}
-
-func (d *Device) goodSend() {
-	d.eng.SendArg(d.peer, sim.Microsecond, tick, nil) // positive delay: fine
-}
-
-func (d *Device) variableSend(delay sim.Time) {
-	d.eng.SendArg(d.peer, delay, tick, nil) // runtime delay: the group checks it
-}
-
-func (d *Device) zeroSend() {
-	d.eng.SendArg(d.peer, 0, tick, nil) // want `cross-lane SendArg with zero delay`
-}
-
-func (d *Device) zeroConstSend() {
-	const none sim.Time = 0
-	d.eng.Send(d.peer, none, func() {}) // want `cross-lane Send with zero delay`
 }
 
 func (d *Device) locked() {

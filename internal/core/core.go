@@ -87,21 +87,6 @@ type Config struct {
 	// TraceRing is the flight-recorder depth in misses (0 picks
 	// trace.DefaultRingDepth). Only meaningful with TraceEnabled.
 	TraceRing int
-	// Lanes shards the engine for parallel-in-run simulation: 0 or 1 (the
-	// default) keeps the sequential single-engine wiring with zero
-	// overhead; N >= 2 builds a sim.Group with CPU/kernel/MMU/SMU events on
-	// the home lane and each socket's device on lane 1 + sid%(N-1),
-	// synchronized by conservative lookahead at the doorbell boundary.
-	// Fixed-seed output is byte-identical across lane counts (see
-	// docs/ENGINE.md). Lane mode needs the evented transport end to end,
-	// so it is incompatible with fault injection (synchronous Abort) and
-	// per-miss tracing (shared trace ring); NewSystem falls back to the
-	// sequential engine — same output, no parallelism — when FaultRules or
-	// TraceEnabled are set, and disarms the abort-driven BlockTimeout /
-	// CmdTimeout watchdogs (output-neutral in fault-free runs: the
-	// watchdog events only matter when a command is lost, which requires
-	// fault injection).
-	Lanes int
 	// SSDBackend selects the device media model: "" or "profile" keeps
 	// the latency-profile backend (byte-identical to historical runs);
 	// "modeled" swaps in internal/ssd/modeled — a page-mapping FTL with a
@@ -175,11 +160,8 @@ func Dur(ps int64) sim.Time { return sim.Time(ps) }
 // components; multi-socket machines expose the rest via SMUs/Devs/FSs.
 type System struct {
 	Cfg Config
-	// Eng is the home-lane engine (the only engine when Grp is nil).
-	Eng *sim.Engine
-	// Grp is the lane group driving parallel runs, nil for the sequential
-	// wiring (Config.Lanes <= 1 or an incompatible-feature fallback).
-	Grp  *sim.Group
+	// Eng is the event engine every component schedules on.
+	Eng  *sim.Engine
 	CPU  *cpu.CPU
 	Mem  *mem.Memory
 	MMU  *mmu.MMU
@@ -209,26 +191,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if sockets == 0 {
 		sockets = 1
 	}
-	lanes := cfg.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > sockets+1 {
-		// One home lane plus at most one lane per device: extra lanes would
-		// only sit idle at every barrier.
-		lanes = sockets + 1
-	}
-	if len(cfg.FaultRules) > 0 || cfg.TraceEnabled {
-		// Graceful fallback (see Config.Lanes): identical output, run
-		// sequentially.
-		lanes = 1
-	}
-	var grp *sim.Group
 	eng := sim.NewEngine()
-	if lanes >= 2 {
-		grp = sim.NewGroup(lanes)
-		eng = grp.Home()
-	}
 	rng := sim.NewRand(cfg.Seed)
 	c := cpu.New(eng, cfg.Cores, cfg.CPUParams)
 	memory := mem.New(cfg.MemoryBytes)
@@ -265,15 +228,11 @@ func NewSystem(cfg Config) (*System, error) {
 
 	kcfg := cfg.Kernel
 	kcfg.Scheme = cfg.Scheme
-	// Abort-driven watchdogs are disarmed in two cases, so the decision is
-	// identical at every lane count: lane mode (aborts reach across the
-	// doorbell boundary synchronously; output-neutral without fault
-	// injection, which lane mode excludes), and the modeled backend
-	// without fault injection (its GC stalls legitimately exceed the
-	// default 10 ms BlockTimeout, and a command behind a relocation convoy
-	// is slow, not lost — aborting it just re-queues into the same stall).
-	disarmWatchdogs := grp != nil ||
-		(cfg.SSDBackend == "modeled" && len(cfg.FaultRules) == 0)
+	// Abort-driven watchdogs are disarmed for the modeled backend without
+	// fault injection: its GC stalls legitimately exceed the default 10 ms
+	// BlockTimeout, and a command behind a relocation convoy is slow, not
+	// lost — aborting it just re-queues into the same stall.
+	disarmWatchdogs := cfg.SSDBackend == "modeled" && len(cfg.FaultRules) == 0
 	if disarmWatchdogs {
 		kcfg.BlockTimeout = 0
 	}
@@ -285,17 +244,13 @@ func NewSystem(cfg Config) (*System, error) {
 	k.SetTracer(tracer)
 
 	sys := &System{
-		Cfg: cfg, Eng: eng, Grp: grp, CPU: c, Mem: memory, MMU: mm, K: k, Rng: rng,
+		Cfg: cfg, Eng: eng, CPU: c, Mem: memory, MMU: mm, K: k, Rng: rng,
 		Trace: tracer,
 	}
 	for sid := 0; sid < sockets; sid++ {
-		deng := eng
-		if grp != nil {
-			deng = grp.Lane(1 + sid%(lanes-1))
-		}
 		fsys := fs.New(uint8(sid), 0, uint32(sid+1), cfg.FSBlocks)
 		fsys.RemapOnWrite = cfg.LogStructuredFS
-		dev := ssd.New(deng, prof, rng.Fork(0xD0+uint64(sid)), func(cmd nvme.Command) {
+		dev := ssd.New(eng, prof, rng.Fork(0xD0+uint64(sid)), func(cmd nvme.Command) {
 			frame := mem.FrameID(cmd.PRP1 / mem.PageSize)
 			switch cmd.Opcode {
 			case nvme.OpRead:
@@ -347,27 +302,6 @@ func NewSystem(cfg Config) (*System, error) {
 		sys.FSs = append(sys.FSs, fsys)
 	}
 	sys.SMU, sys.Dev, sys.FS = sys.SMUs[0], sys.Devs[0], sys.FSs[0]
-	if grp != nil {
-		// Declared lookahead. The home lane's only cross-lane sends are
-		// doorbell writes (SMU issue and kernel block layer); a device
-		// lane's are completion/rejection shipments, floored by SendFloor.
-		// Devices sharing a lane take the min of their floors.
-		home := smu.DefaultTiming().Doorbell
-		if kcfg.DoorbellWire < home {
-			home = kcfg.DoorbellWire
-		}
-		eng.SetLookahead(home)
-		minIRQ := kcfg.IRQWire
-		if t := smu.DefaultTiming().CQHandle; t < minIRQ {
-			minIRQ = t
-		}
-		for i, dev := range sys.Devs {
-			le := grp.Lane(1 + i%(lanes-1))
-			if f := dev.SendFloor(minIRQ); le.Lookahead() == 0 || f < le.Lookahead() {
-				le.SetLookahead(f)
-			}
-		}
-	}
 	k.Start()
 	sys.Proc = k.NewProcess()
 	return sys, nil
@@ -418,31 +352,13 @@ func (s *System) FastFlags() kernel.MmapFlags {
 
 // Run drives the simulation until the queue drains (rarely wanted: the
 // kernel's periodic threads keep it non-empty) — prefer RunFor/RunWhile.
-func (s *System) Run() {
-	if s.Grp != nil {
-		s.Grp.Run()
-		return
-	}
-	s.Eng.Run()
-}
+func (s *System) Run() { s.Eng.Run() }
 
 // RunFor advances virtual time by d.
-func (s *System) RunFor(d sim.Time) {
-	if s.Grp != nil {
-		s.Grp.RunUntil(s.Eng.Now() + d)
-		return
-	}
-	s.Eng.RunUntil(s.Eng.Now() + d)
-}
+func (s *System) RunFor(d sim.Time) { s.Eng.RunUntil(s.Eng.Now() + d) }
 
 // RunWhile steps the engine until cond returns false or the queue drains.
-// cond must read home-lane state only (everything the public API exposes
-// lives there), which makes the stop point exact in lane mode too.
 func (s *System) RunWhile(cond func() bool) {
-	if s.Grp != nil {
-		s.Grp.RunWhile(cond)
-		return
-	}
 	for cond() && s.Eng.Step() {
 	}
 }

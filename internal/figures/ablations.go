@@ -30,7 +30,6 @@ func AblationPMSHR(p Params) (*PMSHRResult, error) {
 	res := &PMSHRResult{}
 	for _, entries := range []int{2, 4, 8, 16, 32, 64} {
 		cfg := core.DefaultConfig(kernel.HWDP)
-		cfg.Lanes = p.Lanes
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.Seed = p.Seed
 		cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
@@ -92,7 +91,6 @@ func AblationDeviceSweep(p Params) (*DeviceSweepResult, error) {
 		var lats [2]sim.Time
 		for i, scheme := range []kernel.Scheme{kernel.OSDP, kernel.HWDP} {
 			cfg := core.DefaultConfig(scheme)
-			cfg.Lanes = p.Lanes
 			cfg.MemoryBytes = p.memoryBytes()
 			cfg.Device = dev
 			cfg.DeviceJitter = false
@@ -151,7 +149,6 @@ func AblationPrefetch(p Params) (*PrefetchResult, error) {
 	for _, pattern := range []string{"sequential", "random"} {
 		for _, degree := range []int{0, 1, 4} {
 			cfg := core.DefaultConfig(kernel.HWDP)
-			cfg.Lanes = p.Lanes
 			cfg.MemoryBytes = p.memoryBytes()
 			cfg.Seed = p.Seed
 			cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)

@@ -27,7 +27,6 @@ type Fig11Result struct {
 func Fig11(p Params) (*Fig11Result, error) {
 	single := func(scheme kernel.Scheme) (sim.Time, *core.FaultTrace, *core.System, error) {
 		cfg := core.DefaultConfig(scheme)
-		cfg.Lanes = p.Lanes
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.DeviceJitter = false
 		sys := cfg.Build()
@@ -153,7 +152,6 @@ type Fig17Result struct{ Rows []Fig17Row }
 func Fig17(p Params) (*Fig17Result, error) {
 	single := func(scheme kernel.Scheme, dev ssd.Profile) (sim.Time, error) {
 		cfg := core.DefaultConfig(scheme)
-		cfg.Lanes = p.Lanes
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.Device = dev
 		cfg.DeviceJitter = false
@@ -210,7 +208,6 @@ type KpooldResult struct {
 func KpooldAblation(p Params) (*KpooldResult, error) {
 	run := func(disable bool) (uint64, uint64, error) {
 		cfg := core.DefaultConfig(kernel.HWDP)
-		cfg.Lanes = p.Lanes
 		// The ablation needs the paper's scale relations: a free page queue
 		// that is small relative to the reclaim watermarks (so refills are
 		// never starved by kswapd) and a kpoold period comparable to the

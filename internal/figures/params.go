@@ -25,10 +25,6 @@ type Params struct {
 	OpsPerThread int
 	WarmupOps    int
 	Seed         uint64
-	// Lanes shards the engine for parallel-in-run simulation (see
-	// core.Config.Lanes); 0 or 1 is the sequential engine. Figure output
-	// is byte-identical across lane counts.
-	Lanes int
 	// SSDBackend selects the device media model for every unit: "" or
 	// "profile" keeps the latency-profile backend, "modeled" swaps in the
 	// FTL/GC model (core.Config.SSDBackend; see docs/SSD.md). The
@@ -65,7 +61,6 @@ func (p Params) datasetPages() int {
 // newSystem builds the standard evaluation machine for a scheme.
 func (p Params) newSystem(scheme kernel.Scheme, dev ssd.Profile) *core.System {
 	cfg := core.DefaultConfig(scheme)
-	cfg.Lanes = p.Lanes
 	cfg.MemoryBytes = p.memoryBytes()
 	cfg.Device = dev
 	cfg.Seed = p.Seed

@@ -47,7 +47,6 @@ func steadyChurn(p Params) float64 {
 // writes) on one device configuration.
 func runSSDRow(p Params, name string, configure func(*core.Config)) (SSDSteadyRow, error) {
 	cfg := core.DefaultConfig(kernel.HWDP)
-	cfg.Lanes = p.Lanes
 	cfg.MemoryBytes = p.memoryBytes()
 	cfg.Seed = p.Seed
 	cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)

@@ -11,7 +11,7 @@
 // lives in the layers below (kernel.Thread.Tenant → mmu.TenantCarrier →
 // smu.Request.Tenant → nvme.Command.Tenant), and the fleet package only
 // wires configs, workloads and reports around it. Fixed-seed runs are
-// byte-identical across sweep workers and engine lanes; see docs/FLEET.md.
+// byte-identical across sweep workers; see docs/FLEET.md.
 package fleet
 
 import (
@@ -67,10 +67,8 @@ type Config struct {
 	Warmup   sim.Time `json:"warmup_ps"`
 	// SLOTargetUS is the per-tenant p99.9 access-latency objective.
 	SLOTargetUS float64 `json:"slo_target_us"`
-	// Seed drives all randomness; Lanes shards the engine (0/1 keeps the
-	// sequential wiring).
-	Seed  uint64 `json:"seed"`
-	Lanes int    `json:"lanes"`
+	// Seed drives all randomness.
+	Seed uint64 `json:"seed"`
 }
 
 // DefaultConfig is the standard fleet experiment: 3 tenants on a 2-socket
@@ -114,10 +112,10 @@ func (c Config) Validate() error {
 
 // Fingerprint serializes every input that affects the experiment's output.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("%s|t%d|s%d|th%d|%dMB|r%.3f|skew%.3f|w%.3f|qos%v|pmshr%d|d%d|wu%d|slo%.1f|seed%d|lanes%d",
+	return fmt.Sprintf("%s|t%d|s%d|th%d|%dMB|r%.3f|skew%.3f|w%.3f|qos%v|pmshr%d|d%d|wu%d|slo%.1f|seed%d",
 		c.Name, c.Tenants, c.Sockets, c.Threads, c.MemoryMB, c.DatasetRatio,
 		c.Skew, c.WriteFrac, c.QoS, c.PMSHREntries,
-		int64(c.Duration), int64(c.Warmup), c.SLOTargetUS, c.Seed, c.Lanes)
+		int64(c.Duration), int64(c.Warmup), c.SLOTargetUS, c.Seed)
 }
 
 // ThreadCounts splits total threads over tenants proportionally to the
@@ -275,7 +273,6 @@ func newExperiment(c Config, faults []fault.Rule) (*experiment, error) {
 	cfg.FaultRules = faults
 	cfg.Seed = c.Seed
 	cfg.Sockets = c.Sockets
-	cfg.Lanes = c.Lanes
 	cfg.MemoryBytes = uint64(c.MemoryMB) << 20
 	cfg.PMSHREntries = c.PMSHREntries
 	// One physical core per workload thread (threads pin to even hardware

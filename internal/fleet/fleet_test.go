@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -91,44 +90,12 @@ func TestIsolationImprovement(t *testing.T) {
 	}
 }
 
-// TestLaneInvariance pins the fleet figure across engine lane counts: the
-// rendered report and the full JSON result must be byte-identical between
-// the sequential wiring and the maximally-sharded lane group.
-func TestLaneInvariance(t *testing.T) {
-	var out [2]string
-	var js [2][]byte
-	for i, lanes := range []int{1, 8} {
-		c := DefaultConfig()
-		c.QoS = true
-		c.Duration = 10 * sim.Millisecond
-		c.Warmup = 2 * sim.Millisecond
-		c.Lanes = lanes
-		r, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Name = "pin" // lane count is not part of the result
-		out[i] = RenderResult(r)
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js[i] = b
-	}
-	if out[0] != out[1] {
-		t.Errorf("rendered fleet report differs between -lanes 1 and -lanes 8:\n%s\nvs\n%s", out[0], out[1])
-	}
-	if !bytes.Equal(js[0], js[1]) {
-		t.Errorf("fleet result JSON differs between -lanes 1 and -lanes 8")
-	}
-}
-
 // TestSweepWorkerInvariance pins the fleet figure across sweep worker
 // counts: running the quick ladder under -j 1 and -j 8 must emit identical
 // bytes (unit-list-order emission).
 func TestSweepWorkerInvariance(t *testing.T) {
 	emit := func(workers int) string {
-		units, _ := Units(QuickLadder(1, 0))
+		units, _ := Units(QuickLadder(1))
 		var buf bytes.Buffer
 		rs := sweep.Run(units, sweep.Options{Workers: workers, Out: &buf})
 		for _, r := range rs {
@@ -162,8 +129,7 @@ func mirroredFields() []string {
 
 // TestTenantConservation is the per-tenant accounting property: for every
 // mirrored counter, the sum over tenant rows equals the global SMU
-// counter — under QoS on and off, under engine lanes, and under a device
-// fault storm (which exercises the retry/timeout/UECC mirrors).
+// counter — under QoS on and off, and under a device fault storm (which exercises the retry/timeout/UECC mirrors).
 func TestTenantConservation(t *testing.T) {
 	fields := mirroredFields()
 	if len(fields) < 10 {
@@ -177,20 +143,17 @@ func TestTenantConservation(t *testing.T) {
 	cases := []struct {
 		name   string
 		qos    bool
-		lanes  int
 		faults []fault.Rule
 	}{
-		{"fifo", false, 0, nil},
-		{"qos", true, 0, nil},
-		{"qos-lanes", true, 8, nil},
-		{"fifo-faults", false, 0, storm},
-		{"qos-faults", true, 0, storm},
+		{"fifo", false, nil},
+		{"qos", true, nil},
+		{"fifo-faults", false, storm},
+		{"qos-faults", true, storm},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := DefaultConfig()
 			c.QoS = tc.qos
-			c.Lanes = tc.lanes
 			c.Duration = 10 * sim.Millisecond
 			c.Warmup = 2 * sim.Millisecond
 			e, err := newExperiment(c, tc.faults)
@@ -222,7 +185,7 @@ func TestTenantConservation(t *testing.T) {
 // unit runs, the manifest summarizes every tenant row, and the comparison
 // figure has one line per skew.
 func TestLadderRenders(t *testing.T) {
-	cfgs := QuickLadder(1, 0)
+	cfgs := QuickLadder(1)
 	units, results := Units(cfgs)
 	var buf bytes.Buffer
 	rs := sweep.Run(units, sweep.Options{Workers: 2, Out: &buf})

@@ -11,7 +11,7 @@ import (
 // experiment with QoS off (today's FIFO admission) and one with QoS on,
 // so the comparison isolates exactly what weighted-fair admission buys the
 // victim tenant. Tenant/thread/socket shape comes from DefaultConfig.
-func Ladder(seed uint64, lanes int) []Config {
+func Ladder(seed uint64) []Config {
 	var cfgs []Config
 	for _, skew := range []float64{0.5, 1.3, 2.0, 3.0} {
 		for _, qos := range []bool{false, true} {
@@ -19,7 +19,6 @@ func Ladder(seed uint64, lanes int) []Config {
 			c.Skew = skew
 			c.QoS = qos
 			c.Seed = seed
-			c.Lanes = lanes
 			tag := "fifo"
 			if qos {
 				tag = "qos"
@@ -33,13 +32,12 @@ func Ladder(seed uint64, lanes int) []Config {
 
 // QuickLadder is the CI-sized sweep: one skew, both admission modes, a
 // shorter run.
-func QuickLadder(seed uint64, lanes int) []Config {
+func QuickLadder(seed uint64) []Config {
 	var cfgs []Config
 	for _, qos := range []bool{false, true} {
 		c := DefaultConfig()
 		c.QoS = qos
 		c.Seed = seed
-		c.Lanes = lanes
 		c.Duration = 12 * sim.Millisecond
 		c.Warmup = 3 * sim.Millisecond
 		tag := "fifo"

@@ -70,8 +70,8 @@ type Config struct {
 	// ShardKpoold splits the kpoold refill sweep into one periodic tick per
 	// socket, staggered across the period, instead of one tick refilling
 	// every SMU at the same timestamp. Fleet configs enable it so refill
-	// work — and the doorbell traffic it triggers on the per-socket device
-	// lanes — spreads in time across sockets. Off (the default) keeps the
+	// work — and the doorbell traffic it triggers on each socket's device
+	// — spreads in time across sockets. Off (the default) keeps the
 	// single-sweep behavior byte-identical.
 	ShardKpoold bool
 
@@ -123,9 +123,7 @@ type Config struct {
 	OOMStallLimit sim.Time
 
 	// DoorbellWire is the host-to-device latency of an OS submission-queue
-	// doorbell write (MMIO post over PCIe), charged per delivered command
-	// on the evented transport. It also lower-bounds the home lane's
-	// cross-lane sends in parallel runs.
+	// doorbell write (MMIO post over PCIe), charged per delivered command.
 	DoorbellWire sim.Time
 	// IRQWire is the device-to-host latency from CQ write to the interrupt
 	// handler starting (MSI-X delivery; the handler's own cost is
@@ -659,10 +657,9 @@ func (k *Kernel) osQueueFor(st *storage, hw *cpu.HWThread) *osQueue {
 		st.nextQP++
 		q = &osQueue{qp: qp, st: st, pending: make(map[uint16]*osPending)}
 		st.qps[hw.ID] = q
-		// Evented transport: completions cross back over the IRQ wire and
-		// the interrupt handler runs kernel-side — on the home lane in
-		// parallel runs.
-		st.dev.AttachLane(qp, k.eng, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
+		// Completions cross back over the IRQ wire and the interrupt
+		// handler runs kernel-side.
+		st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
 	}
 	return q
 }
@@ -706,8 +703,7 @@ func (k *Kernel) drainParked(q *osQueue) {
 }
 
 // ringOS pops everything the host just submitted on an OS queue and puts it
-// on the doorbell wire — the evented replacement for RingSQDoorbell, with
-// the rings staying wholly host-owned.
+// on the doorbell wire, with the rings staying wholly host-owned.
 func (k *Kernel) ringOS(q *osQueue) {
 	for {
 		cmd, ok := q.qp.PopSQ()

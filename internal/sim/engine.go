@@ -52,19 +52,8 @@ type Engine struct {
 	free  []*Event
 	fired uint64
 
-	// Lane plumbing (nil/zero for a standalone engine). A grouped engine is
-	// one lane of a Group: lane is its index, lookahead lower-bounds the
-	// delay of every cross-lane send it will ever make, and outbox[dst]
-	// buffers sends to lane dst until the group's end-of-round drain. obSeq
-	// numbers this lane's sends so the drain's merge order is stable.
-	grp       *Group
-	lane      int
-	lookahead Time
-	outbox    []([]xmsg)
-	obSeq     uint64
-
 	// obs, when set, observes every fired event's timestamp. Tests use it
-	// to hash per-lane event streams for engine-equivalence checks.
+	// to hash the event stream for the event-stream pin.
 	obs func(Time)
 }
 
@@ -74,32 +63,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Lane returns this engine's lane index within its Group (0 for a
-// standalone engine and for the home lane).
-func (e *Engine) Lane() int { return e.lane }
-
-// Group returns the lane group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.grp }
-
-// Lookahead returns the declared cross-lane send floor (see SetLookahead).
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// SetLookahead declares that every future cross-lane send from this engine
-// uses a delay of at least l. The group uses the declaration to compute
-// each round's horizon; a send below it is a protocol violation and panics
-// at delivery. Zero (the default) is always safe and degrades the group to
-// time-bucketed barrier rounds whenever this lane has pending events.
-func (e *Engine) SetLookahead(l Time) {
-	if l < 0 {
-		l = 0
-	}
-	e.lookahead = l
-}
-
 // SetObserver installs fn to be called with every fired event's timestamp
-// (nil uninstalls). Equivalence tests use it to fingerprint the per-lane
-// event stream; production paths leave it nil.
+// (nil uninstalls). The event-stream pin uses it to fingerprint the
+// fired-event sequence; production paths leave it nil.
 func (e *Engine) SetObserver(fn func(Time)) { e.obs = fn }
 
 // Fired returns the number of events executed so far (useful for progress

@@ -537,11 +537,10 @@ func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qp *nvme.QueuePair, nsi
 	qp.InterruptsEnabled = false
 	slot := &devSlot{qp: qp, dev: dev, nsid: nsid}
 	s.devs[devID] = slot
-	// Evented transport: the CQ write plus the completion unit's
-	// protocol-handling latency ride the wire as the attachment's irq, so
-	// the notify callback runs at what used to be the post-snoop handle
-	// time — possibly on a different lane than the device.
-	dev.AttachLane(qp, s.eng, s.timing.CQHandle, func(cp nvme.Completion) {
+	// The CQ write plus the completion unit's protocol-handling latency
+	// ride the wire as the attachment's irq, so the notify callback runs
+	// at the post-snoop handle time.
+	dev.Attach(qp, s.timing.CQHandle, func(cp nvme.Completion) {
 		s.trace("CQ handle", s.timing.CQHandle)
 		s.cqHandle(slot)
 	})
@@ -734,10 +733,10 @@ func (s *SMU) issue(e *pmshrEntry) {
 	t := s.timing
 	now := s.eng.Now()
 	e.req.Trace.AddSpan(trace.LayerNVMe, "sq-doorbell", now, now+t.Doorbell)
-	// The host side owns the rings on the evented transport: pop the entry
-	// just submitted and put it on the doorbell wire. Deliver before the
-	// doorbell-tail stage so device service keeps its legacy ordering
-	// (service, then prefetch) when both land on the same timestamp.
+	// The host side owns the rings: pop the entry just submitted and put
+	// it on the doorbell wire. Deliver before the doorbell-tail stage so
+	// device service precedes the prefetch when both land on the same
+	// timestamp.
 	wcmd, ok := e.dev.qp.PopSQ()
 	if !ok {
 		panic("smu: submitted command missing from SQ")
@@ -872,7 +871,7 @@ func (s *SMU) anonFill(e *pmshrEntry) {
 
 // cqHandle is the completion unit: the memory-write snoop of the CQ entry
 // plus the protocol-handling latency arrive together over the attachment's
-// completion wire (AttachLane's irq), so by the time this runs the CQ entry
+// completion wire (Attach's irq), so by the time this runs the CQ entry
 // is visible and CQHandle has elapsed. It updates the page table and
 // broadcasts.
 //

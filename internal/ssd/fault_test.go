@@ -8,19 +8,15 @@ import (
 	"hwdp/internal/sim"
 )
 
-func submitRead(t *testing.T, dev *Device, qp *nvme.QueuePair, cid uint16, lba uint64) {
-	t.Helper()
-	if err := qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}); err != nil {
-		t.Fatal(err)
-	}
-	dev.RingSQDoorbell(qp.ID)
+func submitRead(dev *Device, cid uint16, lba uint64) {
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}, 0)
 }
 
 func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.Transient, Prob: 1}))
-	submitRead(t, dev, qp, 1, 0)
+	submitRead(dev, 1, 0)
 	eng.Run()
 	if len(*done) != 1 {
 		t.Fatalf("completions: %d", len(*done))
@@ -43,10 +39,10 @@ func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
 
 func TestInjectedUECCDoesNotDMA(t *testing.T) {
 	dmas := 0
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), func(nvme.Command) { dmas++ })
+	eng, dev, done := newDev(t, noJitter(ZSSD), func(nvme.Command) { dmas++ })
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
-	submitRead(t, dev, qp, 1, 0)
+	submitRead(dev, 1, 0)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusUncorrectable {
 		t.Fatalf("completions: %+v", *done)
@@ -60,13 +56,10 @@ func TestInjectedUECCDoesNotDMA(t *testing.T) {
 }
 
 func TestInjectedUECCOnWriteIsWriteFault(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
-	if err := qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}); err != nil {
-		t.Fatal(err)
-	}
-	dev.RingSQDoorbell(1)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusWriteFault {
 		t.Fatalf("completions: %+v", *done)
@@ -75,10 +68,10 @@ func TestInjectedUECCOnWriteIsWriteFault(t *testing.T) {
 
 func TestInjectedDropNeverCompletes(t *testing.T) {
 	dmas := 0
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), func(nvme.Command) { dmas++ })
+	eng, dev, done := newDev(t, noJitter(ZSSD), func(nvme.Command) { dmas++ })
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.Drop, Prob: 1}))
-	submitRead(t, dev, qp, 1, 0)
+	submitRead(dev, 1, 0)
 	eng.Run()
 	if len(*done) != 0 || dmas != 0 {
 		t.Fatalf("dropped command completed: done=%d dmas=%d", len(*done), dmas)
@@ -92,10 +85,10 @@ func TestInjectedDropNeverCompletes(t *testing.T) {
 }
 
 func TestInjectedSpikeMultipliesLatency(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.Spike, Prob: 1, SpikeFactor: 4}))
-	submitRead(t, dev, qp, 1, 0)
+	submitRead(dev, 1, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
@@ -109,8 +102,9 @@ func TestInjectedSpikeMultipliesLatency(t *testing.T) {
 }
 
 func TestAbortCancelsPendingCommand(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	submitRead(t, dev, qp, 7, 0)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	submitRead(dev, 7, 0)
+	eng.RunUntil(0) // the zero-latency doorbell wire delivers at t=0
 	if dev.Inflight() != 1 {
 		t.Fatalf("inflight = %d", dev.Inflight())
 	}
@@ -130,8 +124,8 @@ func TestAbortCancelsPendingCommand(t *testing.T) {
 }
 
 func TestAbortAfterCompletionReturnsFalse(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	submitRead(t, dev, qp, 7, 0)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	submitRead(dev, 7, 0)
 	eng.Run()
 	if len(*done) != 1 {
 		t.Fatalf("completions: %d", len(*done))
@@ -145,10 +139,10 @@ func TestAbortAfterCompletionReturnsFalse(t *testing.T) {
 }
 
 func TestAbortReleasesChannelTail(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.Spike, Prob: 1, SpikeFactor: 100, MaxInjections: 1}))
-	submitRead(t, dev, qp, 1, 0)
+	submitRead(dev, 1, 0)
 	// Abort the spiked command shortly after issue, then re-read the same
 	// LBA (same channel): the retry must not queue behind reserved media
 	// time belonging to the canceled command.
@@ -156,7 +150,7 @@ func TestAbortReleasesChannelTail(t *testing.T) {
 		if !dev.Abort(1, 1) {
 			t.Error("abort failed")
 		}
-		submitRead(t, dev, qp, 2, 0)
+		submitRead(dev, 2, 0)
 	})
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].CID != 2 {
@@ -168,17 +162,15 @@ func TestAbortReleasesChannelTail(t *testing.T) {
 }
 
 func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	if err := qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}); err != nil {
-		t.Fatal(err)
-	}
-	dev.RingSQDoorbell(1)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	eng.RunUntil(0) // the zero-latency doorbell wire delivers at t=0
 	if !dev.Abort(1, 1) {
 		t.Fatal("abort failed")
 	}
 	// A read on the same channel after the abort must see zero outstanding
 	// writes — i.e. plain read latency, no interference penalty.
-	submitRead(t, dev, qp, 2, 0)
+	submitRead(dev, 2, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
@@ -189,11 +181,11 @@ func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
 }
 
 func TestInjectionRespectsLBARangeAndQueue(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.UECC, Prob: 1, LBAStart: 100, LBAEnd: 200}))
-	submitRead(t, dev, qp, 1, 50)  // outside the faulty extent
-	submitRead(t, dev, qp, 2, 150) // inside
+	submitRead(dev, 1, 50)  // outside the faulty extent
+	submitRead(dev, 2, 150) // inside
 	eng.Run()
 	if len(*done) != 2 {
 		t.Fatalf("completions: %d", len(*done))

@@ -10,7 +10,7 @@ import "hwdp/internal/sim"
 //
 // It is an intrusive doubly-linked LRU over a preallocated node arena
 // with an open-addressing index, so hit/miss/evict are O(1) with no Go
-// map iteration anywhere (lane determinism).
+// map iteration anywhere (fixed-seed determinism).
 type mapCache struct {
 	cap   int
 	nodes []mapNode

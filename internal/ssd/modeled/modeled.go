@@ -15,9 +15,9 @@
 // Everything is plain virtual-time bookkeeping evaluated at admission
 // time in event order: no internal events, no goroutines, no global
 // state, no map iteration. Same seed and admission sequence ⇒ identical
-// timings and Stats, which keeps -lanes N runs byte-identical to
-// sequential ones (the lanesafety/simdeterminism analyzers police this
-// package like the rest of the device stack).
+// timings and Stats, so fixed-seed runs are byte-identical (the
+// lanesafety/simdeterminism analyzers police this package like the rest
+// of the device stack).
 package modeled
 
 import (
@@ -349,20 +349,6 @@ func (m *Model) Config() Config { return m.cfg }
 
 // FreeBlocks returns the current global free-block count.
 func (m *Model) FreeBlocks() int { return m.freeTotal }
-
-// MinLatency lower-bounds every admission's Done-now: the cheapest
-// possible outcomes are an uncontended buffered write, a flush with an
-// empty buffer, and a zero-fill unmapped read.
-func (m *Model) MinLatency() sim.Time {
-	min := m.cfg.BufWriteLatency
-	if m.cfg.FlushLatency < min {
-		min = m.cfg.FlushLatency
-	}
-	if r := m.cfg.ReadLatency + m.cfg.XferLatency; r < min {
-		min = r
-	}
-	return min
-}
 
 // scale multiplies a service time by the fault injector's spike factor
 // (clamped to never shrink a latency).

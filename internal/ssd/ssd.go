@@ -1,6 +1,6 @@
-// Package ssd models ultra-low-latency NVMe SSDs. A device drains attached
-// submission queues when their doorbell rings, services commands on a set
-// of internal channels (striped by LBA), applies write-induced read
+// Package ssd models ultra-low-latency NVMe SSDs. A device receives
+// commands over the doorbell wire of an attached queue pair, services them
+// on a set of internal channels (striped by LBA), applies write-induced read
 // interference (reads behind flash-program operations get slower — the
 // effect the paper cites for YCSB's lower gains), performs the DMA via a
 // caller-supplied callback, and posts completions.
@@ -63,19 +63,15 @@ var (
 // asks the backend only when each command's media work starts and ends.
 //
 // Backends are plain virtual-time bookkeeping: Admit is called in event
-// order on the device's engine, must not schedule events or touch other
-// lanes, and must be deterministic for a fixed construction seed — that is
-// what keeps modeled runs byte-identical across -lanes counts.
+// order on the device's engine, must not schedule events, and must be
+// deterministic for a fixed construction seed — that is what keeps modeled
+// runs byte-identical for a fixed seed.
 type Backend interface {
 	// Admit commits the media schedule for one command at submission time
 	// and returns when its device-internal queueing ends and when its
 	// media work (including any data transfer) completes. spike is the
 	// fault injector's service-time multiplier (1 when clean).
 	Admit(now sim.Time, cmd nvme.Command, spike float64) Admission
-	// MinLatency lower-bounds Admission.Done - now over every possible
-	// command: the Device folds it into SendFloor so lane scheduling stays
-	// sound with the backend swapped in.
-	MinLatency() sim.Time
 }
 
 // Admission is a Backend's scheduling decision for one command.
@@ -102,7 +98,8 @@ type BackendSpan struct {
 
 // DMAFunc performs the data transfer for a command once the media access
 // completes: for reads it deposits the block into the frame addressed by
-// PRP1. It runs at completion time in virtual time order.
+// PRP1. It runs when the completion reaches the host, in virtual time
+// order.
 type DMAFunc func(cmd nvme.Command)
 
 // NotifyFunc delivers a completion to the host side of a queue pair: an
@@ -112,17 +109,10 @@ type NotifyFunc func(cp nvme.Completion)
 type attachment struct {
 	qp     *nvme.QueuePair
 	notify NotifyFunc
-	// home and irq are set by AttachLane: home is the engine owning the
-	// host side of the pair (queue rings, DMA targets, notify state), and
-	// irq is the completion wire latency (CQ write plus interrupt/snoop
-	// delivery). A nil home marks a legacy same-engine attachment driven
-	// by RingSQDoorbell.
-	home *sim.Engine
-	irq  sim.Time
+	// irq is the completion wire latency: CQ write plus interrupt or
+	// snoop delivery.
+	irq sim.Time
 }
-
-// evented reports whether the attachment uses the evented transport.
-func (at *attachment) evented() bool { return at.home != nil }
 
 type channel struct {
 	freeAt            sim.Time
@@ -165,23 +155,18 @@ type flight struct {
 	dec     fault.Decision
 	ch      *channel
 	isWrite bool
-	shipped bool     // lane mode: completion already sent at service time
 	done    sim.Time // scheduled media-completion time
 	key     flightKey
 }
 
 // wireMsg is one host<->device transport crossing: a command riding the
 // doorbell wire toward the device, or a completion riding the IRQ/snoop
-// wire home. Messages are pooled on the same-engine path (lanes <= 1) so
-// the steady-state miss path stays allocation-free; a true cross-lane
-// crossing allocates one message per I/O, released to the garbage
-// collector on the far side (a pool cannot be shared race-free between
-// lanes, and an I/O is microseconds of virtual time anyway).
+// wire home. Messages are pooled so the steady-state miss path stays
+// allocation-free.
 type wireMsg struct {
 	at     *attachment
 	cmd    nvme.Command
 	status uint16
-	pooled bool
 }
 
 // Device is one simulated NVMe SSD.
@@ -223,31 +208,24 @@ func New(eng *sim.Engine, prof Profile, rng *sim.Rand, dma DMAFunc) *Device {
 	d.serviceFn = func(a any) {
 		m := a.(*wireMsg)
 		at, cmd := m.at, m.cmd
-		if m.pooled {
-			d.putMsg(m)
-		}
+		d.putMsg(m)
 		d.service(at, cmd)
 	}
-	d.deliverFn = func(a any) { d.deliverHome(a.(*wireMsg)) }
+	d.deliverFn = func(a any) { d.deliverCompletion(a.(*wireMsg)) }
 	return d
 }
 
-// getMsg takes a transport message, pooled only for a same-engine
-// attachment (see wireMsg).
+// getMsg takes a pooled transport message.
 //
 //hwdp:pool acquire wiremsg
-func (d *Device) getMsg(at *attachment) *wireMsg {
-	if at.home != d.eng {
-		return &wireMsg{}
-	}
+func (d *Device) getMsg() *wireMsg {
 	if n := len(d.msgPool); n > 0 {
 		m := d.msgPool[n-1]
 		d.msgPool[n-1] = nil
 		d.msgPool = d.msgPool[:n-1]
-		m.pooled = true
 		return m
 	}
-	return &wireMsg{pooled: true}
+	return &wireMsg{}
 }
 
 // putMsg clears a pooled message and returns it to the pool.
@@ -305,80 +283,29 @@ func (d *Device) Stats() Stats { return d.stats }
 // AddNamespace registers a namespace.
 func (d *Device) AddNamespace(ns nvme.Namespace) { d.ns[ns.ID] = ns }
 
-// Attach registers a queue pair and its completion delivery path on the
-// legacy same-engine transport: the host rings RingSQDoorbell synchronously
-// and notify runs inline at media-completion time. System wiring uses
-// AttachLane instead; Attach remains for unit tests that poke the device
-// directly.
-func (d *Device) Attach(qp *nvme.QueuePair, notify NotifyFunc) {
-	if _, dup := d.attached[qp.ID]; dup {
-		panic(fmt.Sprintf("ssd: queue %d attached twice", qp.ID))
-	}
-	d.attached[qp.ID] = &attachment{qp: qp, notify: notify}
-}
-
-// AttachLane registers a queue pair on the evented transport: the host
-// submits commands with Deliver (each crossing the doorbell wire as an
-// event), and completions cross back after irq — the CQ write plus
-// interrupt (OS queues) or memory-snoop handling (the SMU queue) — with
-// the CQ post, the DMA, and notify all executing on home, the engine that
-// owns the host side of the pair. home may be the device's own engine
-// (lanes <= 1, the default system wiring) or another lane of the same
-// sim.Group; either way the virtual-time behavior is identical, which is
-// what keeps -lanes N output byte-identical to -lanes 1.
-func (d *Device) AttachLane(qp *nvme.QueuePair, home *sim.Engine, irq sim.Time, notify NotifyFunc) {
-	if home == nil {
-		panic("ssd: AttachLane needs the host-side engine")
-	}
+// Attach registers a queue pair: the host submits commands with Deliver
+// (each crossing the doorbell wire as an event), and completions cross back
+// after irq — the CQ write plus interrupt (OS queues) or memory-snoop
+// handling (the SMU queue) — with the DMA, the CQ post and notify all
+// running at delivery.
+func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) {
 	if _, dup := d.attached[qp.ID]; dup {
 		panic(fmt.Sprintf("ssd: queue %d attached twice", qp.ID))
 	}
 	if irq < 0 {
 		irq = 0
 	}
-	d.attached[qp.ID] = &attachment{qp: qp, notify: notify, home: home, irq: irq}
+	d.attached[qp.ID] = &attachment{qp: qp, notify: notify, irq: irq}
 }
 
 // RejectLatency is the device-side handling time of a command rejected
-// without touching media (bad namespace or LBA range). It doubles as part
-// of the device's cross-lane send floor, so profiles must keep the
-// jittered media floor (0.7x the cheapest media op) above it — the
-// group's lookahead-violation panic enforces that invariant at run time.
+// without touching media (bad namespace or LBA range).
 const RejectLatency = 500 * sim.Nanosecond
 
-// SendFloor returns a conservative lower bound on the delay of every
-// cross-lane send this device makes toward a host attached with at most
-// minIRQ wire latency: the cheaper of a rejection and the jittered floor
-// of the cheapest media operation, plus the wire. Core wiring feeds it to
-// Engine.SetLookahead for the device's lane.
-func (d *Device) SendFloor(minIRQ sim.Time) sim.Time {
-	var m sim.Time
-	if d.backend != nil {
-		m = d.backend.MinLatency()
-	} else {
-		m = d.prof.Read4K
-		if d.prof.Write4K < m {
-			m = d.prof.Write4K
-		}
-		if h := d.prof.Write4K / 2; h < m {
-			m = h
-		}
-		m = m * 7 / 10 // the jitter clamp in jitter()
-	}
-	if RejectLatency < m {
-		m = RejectLatency
-	}
-	if minIRQ < 0 {
-		minIRQ = 0
-	}
-	return m + minIRQ
-}
-
 // Deliver carries one host-submitted command across the doorbell wire to
-// the device: service begins wire later. It must be called from the home
-// engine of an AttachLane attachment (the host side pops its own SQ at
-// ring time — the rings are wholly host-owned on the evented transport,
-// and the wire message carries the command).
+// the device: service begins wire later. The host side pops its own SQ at
+// ring time — the rings are wholly host-owned, and the wire message
+// carries the command.
 //
 //hwdp:hotpath
 func (d *Device) Deliver(qid uint16, cmd nvme.Command, wire sim.Time) {
@@ -386,29 +313,9 @@ func (d *Device) Deliver(qid uint16, cmd nvme.Command, wire sim.Time) {
 	if !ok {
 		panic(fmt.Sprintf("ssd: delivery for unattached queue %d", qid))
 	}
-	if !at.evented() {
-		panic(fmt.Sprintf("ssd: Deliver on queue %d needs AttachLane", qid))
-	}
-	m := d.getMsg(at)
+	m := d.getMsg()
 	m.at, m.cmd = at, cmd
-	at.home.SendArg(d.eng, wire, d.serviceFn, m)
-}
-
-// RingSQDoorbell tells the device that the host advanced the SQ tail of the
-// given queue. The device drains all pending entries, scheduling each on an
-// internal channel.
-func (d *Device) RingSQDoorbell(qid uint16) {
-	at, ok := d.attached[qid]
-	if !ok {
-		panic(fmt.Sprintf("ssd: doorbell for unattached queue %d", qid))
-	}
-	for {
-		cmd, ok := at.qp.PopSQ()
-		if !ok {
-			return
-		}
-		d.service(at, cmd)
-	}
+	d.eng.PostArg(wire, d.serviceFn, m)
 }
 
 //hwdp:hotpath
@@ -423,16 +330,6 @@ func (d *Device) service(at *attachment, cmd nvme.Command) {
 	if status != nvme.StatusSuccess {
 		// Errors complete quickly without touching media.
 		cmd.Trace.Mark(trace.LayerSSD, "rejected", now)
-		if at.evented() && at.home != d.eng {
-			// Cross-lane: ship the rejection directly so the send delay is
-			// RejectLatency+irq, which SendFloor guarantees is above the
-			// lane's declared lookahead (a Post-then-send two-step would
-			// cross with only the irq delay and trip the violation check).
-			m := d.getMsg(at)
-			m.at, m.cmd, m.status = at, cmd, status
-			d.eng.SendArg(at.home, RejectLatency+at.irq, d.deliverFn, m)
-			return
-		}
 		//hwdp:ignore all command rejections only happen on malformed/out-of-range submissions, off the steady-state path
 		d.eng.Post(RejectLatency, func() { d.complete(at, cmd, status) })
 		return
@@ -534,22 +431,6 @@ func (d *Device) service(at *attachment, cmd nvme.Command) {
 	fl := d.getFlight()
 	fl.at, fl.cmd, fl.dec, fl.ch, fl.done, fl.key = at, cmd, dec, ch, done, key
 	fl.isWrite = cmd.Opcode == nvme.OpWrite
-	if at.evented() && at.home != d.eng {
-		// True cross-lane attachment: the completion outcome (status, DMA
-		// eligibility, done time) is fully decided right here, so ship it
-		// now — the whole media time becomes conservative lookahead for
-		// the lane scheduler instead of a last-picosecond crossing. finish
-		// still runs device-side at done for the channel bookkeeping.
-		// Same-engine attachments complete from finish instead (identical
-		// delivery timestamp), which keeps Abort workable — core wiring
-		// disarms abort-driven timeouts in lane mode.
-		if status, deliverable := outcomeStatus(dec.Kind, cmd.Opcode); deliverable {
-			m := d.getMsg(at)
-			m.at, m.cmd, m.status = at, cmd, status
-			d.eng.SendArg(at.home, done-now+at.irq, d.deliverFn, m)
-		}
-		fl.shipped = true
-	}
 	// Pooled handle: finish recycles fl (dropping fl.ev) when the event
 	// fires, and Abort drops it right after Cancel, so the handle never
 	// outlives the event.
@@ -592,28 +473,7 @@ func (d *Device) finish(fl *flight) {
 	}
 	at, cmd, done := fl.at, fl.cmd, fl.done
 	kind := fl.dec.Kind
-	shipped := fl.shipped
 	d.putFlight(fl)
-	if shipped {
-		// Cross-lane attachment: the completion left at service time and
-		// the DMA runs home-side at delivery; only the fault accounting
-		// remains device-side.
-		//hwdp:exhaustive
-		switch kind {
-		case fault.Drop:
-			d.stats.InjDropped++
-			cmd.Trace.Mark(trace.LayerSSD, "fault-dropped", done)
-		case fault.Transient:
-			d.stats.InjTransient++
-			cmd.Trace.Mark(trace.LayerSSD, "fault-transient", done)
-		case fault.UECC:
-			d.stats.InjUECC++
-			cmd.Trace.Mark(trace.LayerSSD, "fault-uecc", done)
-		case fault.None, fault.Spike:
-			// Clean (or merely slowed) completion: nothing to account.
-		}
-		return
-	}
 	//hwdp:exhaustive
 	switch kind {
 	case fault.Drop:
@@ -621,30 +481,18 @@ func (d *Device) finish(fl *flight) {
 		// Only a host-side timeout (followed by Abort) recovers.
 		d.stats.InjDropped++
 		cmd.Trace.Mark(trace.LayerSSD, "fault-dropped", done)
-		return
 	case fault.Transient:
 		d.stats.InjTransient++
 		cmd.Trace.Mark(trace.LayerSSD, "fault-transient", done)
-		d.complete(at, cmd, nvme.StatusCmdInterrupted)
-		return
 	case fault.UECC:
 		d.stats.InjUECC++
 		cmd.Trace.Mark(trace.LayerSSD, "fault-uecc", done)
-		if cmd.Opcode == nvme.OpRead {
-			d.complete(at, cmd, nvme.StatusUncorrectable)
-		} else {
-			d.complete(at, cmd, nvme.StatusWriteFault)
-		}
-		return
 	case fault.None, fault.Spike:
-		// Fall through to the normal DMA + success completion below.
+		// Clean (or merely slowed) completion: nothing to account.
 	}
-	if d.dma != nil && !at.evented() {
-		// Evented attachments DMA home-side at wire-delivery time
-		// (deliverHome); doing it here too would move the data twice.
-		d.dma(cmd)
+	if status, deliverable := outcomeStatus(kind, cmd.Opcode); deliverable {
+		d.complete(at, cmd, status)
 	}
-	d.complete(at, cmd, nvme.StatusSuccess)
 }
 
 // Abort cancels an in-flight command the host has given up on (after a
@@ -660,12 +508,6 @@ func (d *Device) Abort(qid, cid uint16) bool {
 	fl, ok := d.inflight[key]
 	if !ok {
 		return false
-	}
-	if fl.shipped {
-		// The completion is already on the cross-lane wire and cannot be
-		// recalled. Core wiring disarms abort-driven timeouts in lane mode,
-		// so reaching this means a model bug, not a timing race.
-		panic(fmt.Sprintf("ssd: abort of shipped command CID %d on queue %d", cid, qid))
 	}
 	fl.ev.Cancel()
 	delete(d.inflight, key)
@@ -694,34 +536,20 @@ func (d *Device) Abort(qid, cid uint16) bool {
 // yet completed or been aborted (invariant-checking hook for tests).
 func (d *Device) Inflight() int { return len(d.inflight) }
 
+// complete puts a completion on the attachment's irq/snoop wire.
 func (d *Device) complete(at *attachment, cmd nvme.Command, status uint16) {
-	if at.evented() {
-		// Same-engine evented attachment: the completion crosses the
-		// irq/snoop wire as an event. (True cross-lane attachments never
-		// reach complete — their completions ship at service time, where the
-		// full media latency backs the lane's declared lookahead.)
-		m := d.getMsg(at)
-		m.at, m.cmd, m.status = at, cmd, status
-		d.eng.SendArg(at.home, at.irq, d.deliverFn, m)
-		return
-	}
-	at.qp.PostCompletion(nvme.Completion{CID: cmd.CID, Status: status})
-	if at.notify != nil {
-		at.notify(nvme.Completion{CID: cmd.CID, SQID: at.qp.ID, Status: status})
-	}
+	m := d.getMsg()
+	m.at, m.cmd, m.status = at, cmd, status
+	d.eng.PostArg(at.irq, d.deliverFn, m)
 }
 
-// deliverHome runs on the attachment's home engine when a completion
-// finishes crossing the irq/snoop wire: DMA (successful commands only),
-// CQ post, then host notification — the same order the legacy path uses,
-// just relocated to the engine that owns the host-side state.
+// deliverCompletion runs when a completion finishes crossing the irq/snoop
+// wire: DMA (successful commands only), CQ post, then host notification.
 //
 //hwdp:hotpath
-func (d *Device) deliverHome(m *wireMsg) {
+func (d *Device) deliverCompletion(m *wireMsg) {
 	at, cmd, status := m.at, m.cmd, m.status
-	if m.pooled {
-		d.putMsg(m)
-	}
+	d.putMsg(m)
 	if status == nvme.StatusSuccess && d.dma != nil {
 		d.dma(cmd)
 	}

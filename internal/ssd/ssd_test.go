@@ -7,25 +7,22 @@ import (
 	"hwdp/internal/sim"
 )
 
-func newDev(t *testing.T, prof Profile, dma DMAFunc) (*sim.Engine, *Device, *nvme.QueuePair, *[]nvme.Completion) {
+func newDev(t *testing.T, prof Profile, dma DMAFunc) (*sim.Engine, *Device, *[]nvme.Completion) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dev := New(eng, prof, sim.NewRand(1), dma)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 20})
 	qp := nvme.NewQueuePair(1, 64)
 	var done []nvme.Completion
-	dev.Attach(qp, func(cp nvme.Completion) { done = append(done, cp) })
-	return eng, dev, qp, &done
+	dev.Attach(qp, 0, func(cp nvme.Completion) { done = append(done, cp) })
+	return eng, dev, &done
 }
 
 func noJitter(p Profile) Profile { p.JitterFrac = 0; return p }
 
 func TestSingleReadLatency(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	if err := qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}); err != nil {
-		t.Fatal(err)
-	}
-	dev.RingSQDoorbell(1)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
@@ -55,12 +52,11 @@ func TestProfilesMatchPaperDeviceTimes(t *testing.T) {
 }
 
 func TestChannelParallelism(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// 8 reads striped over 8 channels: total time ~= one read.
 	for i := 0; i < 8; i++ {
-		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)})
+		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)}, 0)
 	}
-	dev.RingSQDoorbell(1)
 	eng.Run()
 	if len(*done) != 8 {
 		t.Fatalf("done = %d", len(*done))
@@ -71,12 +67,11 @@ func TestChannelParallelism(t *testing.T) {
 }
 
 func TestSameChannelSerializes(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// Same channel (stride = channel count): serial service.
 	for i := 0; i < 4; i++ {
-		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)})
+		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)}, 0)
 	}
-	dev.RingSQDoorbell(1)
 	eng.Run()
 	if len(*done) != 4 {
 		t.Fatalf("done = %d", len(*done))
@@ -90,14 +85,12 @@ func TestSameChannelSerializes(t *testing.T) {
 }
 
 func TestWriteInterferenceSlowsReads(t *testing.T) {
-	eng, dev, qp, _ := newDev(t, noJitter(ZSSD), nil)
+	eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
 	// Launch a write, then while it is in flight, a read on the same channel.
-	_ = qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
-	dev.RingSQDoorbell(1)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	var readDone sim.Time
 	eng.After(sim.Micro(1), func() {
-		_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)})
-		dev.RingSQDoorbell(1)
+		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)}, 0)
 	})
 	eng.Run()
 	readDone = eng.Now()
@@ -110,12 +103,10 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 
 func TestUrgentReadSkipsInterference(t *testing.T) {
 	run := func(urgent bool) sim.Time {
-		eng, dev, qp, _ := newDev(t, noJitter(ZSSD), nil)
-		_ = qp.Submit(nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
-		dev.RingSQDoorbell(1)
+		eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
+		dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 		eng.After(sim.Micro(1), func() {
-			_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent})
-			dev.RingSQDoorbell(1)
+			dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent}, 0)
 		})
 		eng.Run()
 		return eng.Now()
@@ -126,9 +117,8 @@ func TestUrgentReadSkipsInterference(t *testing.T) {
 }
 
 func TestInvalidNamespace(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 42, SLBA: 0})
-	dev.RingSQDoorbell(1)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 42, SLBA: 0}, 0)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusInvalidNS {
 		t.Fatalf("completions: %+v", *done)
@@ -136,9 +126,8 @@ func TestInvalidNamespace(t *testing.T) {
 }
 
 func TestLBARangeError(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20})
-	dev.RingSQDoorbell(1)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20}, 0)
 	eng.Run()
 	if (*done)[0].Status != nvme.StatusLBARange {
 		t.Fatalf("status = %#x", (*done)[0].Status)
@@ -147,9 +136,8 @@ func TestLBARangeError(t *testing.T) {
 
 func TestDMACallbackRuns(t *testing.T) {
 	var got []nvme.Command
-	eng, dev, qp, _ := newDev(t, noJitter(ZSSD), func(c nvme.Command) { got = append(got, c) })
-	_ = qp.Submit(nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000})
-	dev.RingSQDoorbell(1)
+	eng, dev, _ := newDev(t, noJitter(ZSSD), func(c nvme.Command) { got = append(got, c) })
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000}, 0)
 	eng.Run()
 	if len(got) != 1 || got[0].SLBA != 77 || got[0].PRP1 != 0x1000 {
 		t.Fatalf("dma calls: %+v", got)
@@ -157,9 +145,8 @@ func TestDMACallbackRuns(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	eng, dev, qp, done := newDev(t, noJitter(ZSSD), nil)
-	_ = qp.Submit(nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1})
-	dev.RingSQDoorbell(1)
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	dev.Deliver(1, nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1}, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatal("flush failed")
@@ -173,13 +160,13 @@ func TestDoubleAttachPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := New(eng, ZSSD, sim.NewRand(1), nil)
 	qp := nvme.NewQueuePair(1, 4)
-	dev.Attach(qp, nil)
+	dev.Attach(qp, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.Attach(qp, nil)
+	dev.Attach(qp, 0, nil)
 }
 
 func TestUnattachedDoorbellPanics(t *testing.T) {
@@ -190,7 +177,7 @@ func TestUnattachedDoorbellPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.RingSQDoorbell(5)
+	dev.Deliver(5, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
 }
 
 func TestJitterBounded(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // the whole module must type-check and produce zero unsuppressed
 // diagnostics. A new wall-clock read, unpaired pool acquire, unit-less
 // sim.Time constant, hot-path capturing closure, non-exhaustive status
-// switch, allocation reachable from a //hwdp:hotpath root, or lane-unsafe
-// site reachable from lane-hosted code fails this test — the same
+// switch, allocation reachable from a //hwdp:hotpath root, or shared-state
+// site reachable from device-side model code fails this test — the same
 // findings `make lint` reports, without needing the vettool binary
 // (suite.RunAll summarizes callgraph facts in-process).
 func TestLintClean(t *testing.T) {
