@@ -35,6 +35,8 @@
 //	hwdpbench -tenants 5        # override the fleet sweep's tenant count
 //	hwdpbench -qos ladder       # fleet admission: ladder (off+on), on, off
 //	hwdpbench -fleet-out f.json # fleet manifest path (default FLEET_hwdp.json)
+//	hwdpbench -cpuprofile f     # write a CPU profile of the whole run
+//	hwdpbench -memprofile f     # write an allocation profile at exit
 //
 // Unit results (figure/table text) stream to stdout in deterministic
 // order; progress, ETA and failure records go to stderr. A unit that
@@ -86,7 +88,10 @@ func main() {
 	tenants := flag.Int("tenants", 0, "override the fleet sweep's tenant count (0 keeps the default)")
 	qosMode := flag.String("qos", "ladder", "fleet admission modes to run: ladder (off and on), on, or off")
 	fleetOut := flag.String("fleet-out", "FLEET_hwdp.json", "fleet manifest path for -fleet")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit (read with go tool pprof)")
 	flag.Parse()
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	if *fig == "fleet" {
 		// -fig fleet is sugar for -fleet: the fleet sweep is a figure
 		// family, but its units come from internal/fleet, not figures.
@@ -217,6 +222,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: %d experiments, %d/%d tenant rows met SLO; manifest %s\n",
 			m.Experiments, m.SLOMet, m.TenantRows, *fleetOut)
 	}
+	stopProfiles()
 	if failed > 0 {
 		os.Exit(1)
 	}

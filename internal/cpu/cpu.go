@@ -137,6 +137,10 @@ type HWThread struct {
 
 	warmth float64
 	Counters
+
+	// The open-ended stall StartStall opened, if any.
+	stallOpen  bool
+	stallStart sim.Time
 }
 
 // Core is one physical core with two hardware threads.
@@ -354,32 +358,25 @@ func (c *CPU) Stall(t *HWThread, dur sim.Time, done func()) {
 // KernelExec by the scheduler model).
 func (t *HWThread) AccountContextSwitch() { t.ContextSwaps++ }
 
-// BeginStall puts t's pipeline into the stalled state for an open-ended
+// StartStall puts t's pipeline into the stalled state for an open-ended
 // duration (an HWDP page miss whose length is decided by the SMU/device).
-// The returned function ends the stall and must be called exactly once.
-func (c *CPU) BeginStall(t *HWThread) (end func()) {
+// Each StartStall must be matched by exactly one EndStall.
+func (c *CPU) StartStall(t *HWThread) {
 	if t.state != Idle {
-		panic(fmt.Sprintf("cpu: BeginStall on thread %d in state %v", t.ID, t.state))
+		panic(fmt.Sprintf("cpu: StartStall on thread %d in state %v", t.ID, t.state))
 	}
 	t.state = Stalled
-	start := c.eng.Now()
-	ended := false
-	return func() {
-		if ended {
-			panic("cpu: stall ended twice")
-		}
-		ended = true
-		t.StallTime += c.eng.Now() - start
-		t.state = Idle
-	}
+	t.stallOpen = true
+	t.stallStart = c.eng.Now()
 }
 
-// BeginIdle marks t idle-but-descheduled (a blocked thread in OSDP: the
-// hardware thread has nothing to issue). It exists for symmetry and
-// readability at call sites; threads are Idle by default.
-func (c *CPU) BeginIdle(t *HWThread) (end func()) {
-	if t.state != Idle {
-		panic(fmt.Sprintf("cpu: BeginIdle on thread %d in state %v", t.ID, t.state))
+// EndStall ends the stall StartStall opened on t, charging its length to
+// StallTime and idling the thread.
+func (c *CPU) EndStall(t *HWThread) {
+	if !t.stallOpen {
+		panic(fmt.Sprintf("cpu: EndStall on thread %d with no open stall", t.ID))
 	}
-	return func() {}
+	t.stallOpen = false
+	t.StallTime += c.eng.Now() - t.stallStart
+	t.state = Idle
 }

@@ -221,6 +221,30 @@ func TestStallDoesNotPollute(t *testing.T) {
 	}
 }
 
+func TestOpenEndedStall(t *testing.T) {
+	// StartStall/EndStall bracket a stall whose length the caller learns
+	// only when it ends; the time lands in StallTime and the thread idles.
+	eng, c := newCPU(1)
+	th := c.Thread(0)
+	eng.At(sim.Micro(5), func() { c.StartStall(th) })
+	eng.At(sim.Micro(12), func() {
+		if th.State() != Stalled {
+			t.Fatalf("state = %v during the stall", th.State())
+		}
+		c.EndStall(th)
+	})
+	eng.Run()
+	if th.StallTime != sim.Micro(7) || th.State() != Idle {
+		t.Fatalf("stall time = %v, state = %v; want 7us, idle", th.StallTime, th.State())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on EndStall without an open stall")
+		}
+	}()
+	c.EndStall(th)
+}
+
 func TestBusyThreadPanics(t *testing.T) {
 	eng, c := newCPU(1)
 	th := c.Thread(0)

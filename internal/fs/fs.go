@@ -175,6 +175,7 @@ func (s *FS) Open(name string) (*File, error) {
 // into an LBA-augmented PTE.
 func (s *FS) Block(f *File, page int) (pagetable.BlockAddr, error) {
 	if page < 0 || page >= len(f.pages) {
+		//hwdp:ignore hotalloc error construction on the out-of-range return only; the kernel asks only for pages inside a mapped file
 		return pagetable.BlockAddr{}, fmt.Errorf("%w: %s[%d]", ErrBadPage, f.Name, page)
 	}
 	return pagetable.BlockAddr{SID: s.sid, DeviceID: s.devID, LBA: f.pages[page]}, nil

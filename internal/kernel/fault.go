@@ -17,8 +17,6 @@ import (
 // Thread (set by Access). hwFailed marks an HWDP miss bounced for an empty
 // free page queue. ms is the miss's trace context (nil when tracing is
 // disabled).
-//
-//hwdp:coldpath OS exception path — the software fallback the hardware miss path exists to avoid; microseconds of kernel time dwarf any allocation here
 func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 	write, hwFailed bool, ms *trace.Miss, done func()) {
 	th, ok := ctx.(*Thread)
@@ -26,7 +24,7 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		panic("kernel: fault without thread context")
 	}
 	// The pipeline is no longer stalled: the CPU vectors into the kernel.
-	th.endStall()
+	th.endStall(k)
 
 	p := k.byASID[as.ASID]
 	vma := p.findVMA(va)
@@ -53,176 +51,294 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		k.swFault(th, as, va, vma, idx, ms, done)
 		return
 	}
-	k.osFaultPath(th, as, va, vma, idx, hwFailed, ms, done)
+	f := k.getOSFault()
+	f.th, f.hw, f.as, f.va, f.vma, f.idx = th, th.HW, as, va, vma, idx
+	f.key, f.hwFailed, f.ms, f.done = pcKey{vma.File, idx}, hwFailed, ms, done
+	c := k.cfg.Costs
+	k.kspan(ms, "exception-entry", f.hw, c.Exception+c.WalkInFault+c.HandlerEntry, f.entryFn)
 }
 
-// osFaultPath is the conventional OSDP page-fault handler: exception entry,
-// VMA triage, page-cache lookup (minor) or full storage I/O with a context
-// switch (major), then OS metadata and PTE updates — Figure 3's timeline.
-func (k *Kernel) osFaultPath(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
+// osFault carries one conventional OSDP page fault through Figure 3's
+// timeline: exception entry, VMA triage, page-cache lookup (minor) or full
+// storage I/O with a context switch (major), then OS metadata and PTE
+// updates. Each phase is a method bound once when the carrier is made, so
+// a pooled carrier takes minor and major faults without allocating.
+type osFault struct {
+	k        *Kernel
+	th       *Thread
+	hw       *cpu.HWThread
+	as       *mmu.AddressSpace
+	va       pagetable.VAddr
+	vma      *VMA
+	idx      int
+	key      pcKey
+	hwFailed bool
+	ms       *trace.Miss
+	done     func()
+
+	pg       *Page       // minor fault: the resident page
+	frame    mem.FrameID // major fault: the frame being read into
+	ioStatus uint16      // major fault: the read's final status
+
+	entryFn, minorFn, submitFn, wakeFn, installFn func()
+	frameFn                                       func(mem.FrameID)
+	ioFn                                          func(status uint16)
+}
+
+//hwdp:pool acquire osfault
+func (k *Kernel) getOSFault() *osFault {
+	var f *osFault
+	if n := len(k.faultPool); n > 0 {
+		f = k.faultPool[n-1]
+		k.faultPool[n-1] = nil
+		k.faultPool = k.faultPool[:n-1]
+	} else {
+		f = &osFault{k: k}
+		f.entryFn, f.minorFn, f.submitFn = f.entry, f.minor, f.submit
+		f.wakeFn, f.installFn = f.wake, f.install
+		f.frameFn, f.ioFn = f.onFrame, f.onIO
+	}
+	return f
+}
+
+// put clears f and returns it to the pool.
+//
+//hwdp:pool release osfault
+func (f *osFault) put() {
+	k := f.k
+	f.th, f.hw, f.as, f.va, f.vma, f.idx = nil, nil, nil, 0, nil, 0
+	f.key, f.hwFailed, f.ms, f.done = pcKey{}, false, nil, nil
+	f.pg, f.frame, f.ioStatus = nil, 0, 0
+	k.faultPool = append(k.faultPool, f)
+}
+
+// entry runs after exception entry: a page-cache hit is a minor fault,
+// anything else reads the page in.
+//
+//hwdp:hotpath
+func (f *osFault) entry() {
+	k, c := f.k, f.k.cfg.Costs
+	// Minor fault: the page is already resident in the page cache (pages
+	// under writeback are still valid and mappable).
+	if pg := k.lookupPage(f.vma.File, f.idx); pg != nil {
+		k.stats.MinorFaults++
+		f.ms.SetCause(trace.CauseOSMinor)
+		f.pg = pg
+		k.kspan(f.ms, "minor-fault", f.hw, c.MinorFault, f.minorFn)
+		return
+	}
+	if f.vma.Anon && !f.vma.swapped[f.idx] {
+		th, as, va, vma, idx, hwFailed, ms, done := f.th, f.as, f.va, f.vma, f.idx, f.hwFailed, f.ms, f.done
+		f.put()
+		k.anonFault(th, as, va, vma, idx, hwFailed, ms, done)
+		return
+	}
+	// Another thread is already reading this page in (the page-lock
+	// serialization of real kernels): block until it finishes, then take
+	// the minor-fault path.
+	if waiters, inflight := k.faultInflight[f.key]; inflight {
+		f.ms.SetCause(trace.CauseOSMinor)
+		key, hw, as, va, vma, idx, ms, done := f.key, f.hw, f.as, f.va, f.vma, f.idx, f.ms, f.done
+		f.put()
+		k.parkOnPageLock(key, waiters, ms, hw, as, va, vma, idx, done)
+		return
+	}
+	k.faultInflight[f.key] = nil
+	k.stats.MajorFaults++
+	f.ms.SetCause(trace.CauseOSMajor)
+	if f.hwFailed {
+		k.stats.HWBounceFaults++
+	}
+	k.allocFrame(f.hw, f.frameFn)
+}
+
+// minor maps the resident page and returns to user.
+func (f *osFault) minor() {
+	f.k.mapPTE(f.as, f.va, f.vma, f.pg)
+	done := f.done
+	f.put()
+	done()
+}
+
+// onFrame receives the major fault's frame from the allocator.
+//
+//hwdp:hotpath
+func (f *osFault) onFrame(frame mem.FrameID) {
+	c := f.k.cfg.Costs
+	f.frame = frame
+	f.k.kspan(f.ms, "page-alloc+io-submit", f.hw, c.PageAlloc+c.IOSubmit, f.submitFn)
+}
+
+// submit issues the read and switches the faulting thread out while the
+// device works.
+//
+//hwdp:hotpath
+func (f *osFault) submit() {
+	k := f.k
+	blk, err := f.vma.st.fsys.Block(f.vma.File, f.idx)
+	if err != nil {
+		panic(err)
+	}
+	k.submitIORetry(f.vma.st, f.hw, nvme.OpRead, blk.LBA, f.frame, f.ms, f.ioFn)
+	// The thread blocks: schedule away while the device works.
+	f.hw.AccountContextSwitch()
+	switched := nop
+	if f.hwFailed {
+		switched = k.refillAfterBounce(f.hw)
+	}
+	k.kspan(f.ms, "ctx-switch-out", f.hw, k.cfg.Costs.CtxSwitchOut, switched)
+}
+
+func nop() {}
+
+// refillAfterBounce returns the end of a bounced hardware miss's context
+// switch out: it tops up every SMU free page queue from the allocator, on
+// the faulting core, overlapped with the in-flight device I/O (AIOS-style,
+// Section IV-D).
+//
+//hwdp:coldpath runs only for hardware misses bounced for an empty free page queue, which kpoold keeps filled
+func (k *Kernel) refillAfterBounce(hw *cpu.HWThread) func() {
+	return func() {
+		k.stats.FaultRefills++
+		var total int
+		for _, s := range k.smuList {
+			total += k.refillSMU(s)
+		}
+		if total > 0 {
+			k.kexec(hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), nop)
+		}
+	}
+}
+
+// onIO receives the read's final status from the block layer and starts
+// the wake-up: interrupt, block-layer completion, wake and schedule in.
+//
+//hwdp:hotpath
+func (f *osFault) onIO(status uint16) {
+	c := f.k.cfg.Costs
+	f.ioStatus = status
+	f.hw.AccountContextSwitch()
+	f.k.kspan(f.ms, "irq+complete+wake", f.hw, c.InterruptDelivery+c.IOCompletion+c.WakeSchedule, f.wakeFn)
+}
+
+// wake runs once the thread is back on the core: metadata and PTE
+// install, or SIGBUS when the read failed even after block-layer retries.
+//
+//hwdp:hotpath
+func (f *osFault) wake() {
+	k, c := f.k, f.k.cfg.Costs
+	if f.ioStatus != nvme.StatusSuccess {
+		// Waiters on the page lock observe the missing page and fail their
+		// walks too: nobody hangs.
+		k.sigbus(f.th, f.as, f.va, f.frame, f.ms)
+		f.finish()
+		return
+	}
+	k.kspan(f.ms, "metadata+pte-install", f.hw, c.MetadataUpdate+c.PTEInstallReturn, f.installFn)
+}
+
+// install puts the read page in the page cache and maps it.
+func (f *osFault) install() {
+	k := f.k
+	// The SMU may have resolved this page for another thread while our
+	// I/O was in flight (its miss found a refilled queue after ours
+	// bounced); installing over it would leak its frame.
+	if e, found := f.as.Table.Lookup(f.va); found && e.Present() {
+		if err := k.mem.Free(f.frame); err != nil {
+			panic(err)
+		}
+		f.finish()
+		return
+	}
+	pg := k.insertPage(f.vma.st, f.vma.File, f.idx, f.frame,
+		mapping{as: f.as, va: f.va.PageBase(), vma: f.vma})
+	k.finishMap(f.as, f.va, f.vma, pg)
+	f.finish()
+}
+
+// finish releases the page lock, returns to user and wakes the faults
+// that waited on the lock.
+//
+//hwdp:hotpath
+func (f *osFault) finish() {
+	k := f.k
+	waiters := k.faultInflight[f.key]
+	delete(k.faultInflight, f.key)
+	done := f.done
+	f.put()
+	done()
+	for _, w := range waiters {
+		w()
+	}
+}
+
+// anonFault is an anonymous first touch (no swapped-out content): zero-fill
+// a fresh frame without any I/O, the minor-fault path of real kernels and
+// the fallback for bounced hardware zero-fills. The fault holds the page
+// lock like the major path: allocation can park in the reclaim-retry loop,
+// and a concurrent first-touch of the same page must coalesce, not insert
+// the page twice.
+//
+//hwdp:coldpath anonymous first touches are rare on every benchmark workload; the closures here stay
+func (k *Kernel) anonFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
 	vma *VMA, idx int, hwFailed bool, ms *trace.Miss, done func()) {
 	c := k.cfg.Costs
 	hw := th.HW
 	key := pcKey{vma.File, idx}
-	k.kspan(ms, "exception-entry", hw, c.Exception+c.WalkInFault+c.HandlerEntry, func() {
-		// Minor fault: the page is already resident in the page cache
-		// (pages under writeback are still valid and mappable).
-		if pg := k.lookupPage(vma.File, idx); pg != nil {
-			k.stats.MinorFaults++
-			ms.SetCause(trace.CauseOSMinor)
-			k.kspan(ms, "minor-fault", hw, c.MinorFault, func() {
-				k.mapPTE(as, va, vma, pg)
+	k.stats.MinorFaults++
+	ms.SetCause(trace.CauseOSMinor)
+	if waiters, inflight := k.faultInflight[key]; inflight {
+		k.parkOnPageLock(key, waiters, ms, hw, as, va, vma, idx, done)
+		return
+	}
+	k.faultInflight[key] = nil
+	k.allocFrame(hw, func(frame mem.FrameID) {
+		k.kspan(ms, "page-alloc+pte-install", hw, c.PageAlloc+c.PTEInstallReturn, func() {
+			finish := func() {
+				waiters := k.faultInflight[key]
+				delete(k.faultInflight, key)
 				done()
-			})
-			return
-		}
-		// Anonymous first touch (no swapped-out content): zero-fill a
-		// fresh frame without any I/O — the minor-fault path of real
-		// kernels, and the fallback for bounced hardware zero-fills. The
-		// fault holds the page lock like the major path: allocation can
-		// park in the reclaim-retry loop, and a concurrent first-touch of
-		// the same page must coalesce, not insert the page twice.
-		if vma.Anon && !vma.swapped[idx] {
-			k.stats.MinorFaults++
-			ms.SetCause(trace.CauseOSMinor)
-			if waiters, inflight := k.faultInflight[key]; inflight {
-				k.faultInflight[key] = append(waiters, k.pageLockWaiter(ms, hw, as, va, vma, idx, done))
-				return
+				for _, w := range waiters {
+					w()
+				}
 			}
-			k.faultInflight[key] = []func(){}
-			k.allocFrame(hw, func(frame mem.FrameID) {
-				k.kspan(ms, "page-alloc+pte-install", hw, c.PageAlloc+c.PTEInstallReturn, func() {
-					finish := func() {
-						waiters := k.faultInflight[key]
-						delete(k.faultInflight, key)
-						done()
-						for _, w := range waiters {
-							w()
-						}
-					}
-					// While the allocation stalled, the SMU may have resolved
-					// the page for another thread (its miss found a refilled
-					// free queue after ours bounced). Installing over it would
-					// leak the SMU's frame; yield to it instead.
-					if e, found := as.Table.Lookup(va); found && e.Present() {
-						if err := k.mem.Free(frame); err != nil {
-							panic(err)
-						}
-						finish()
-						return
-					}
-					pg := k.insertPage(vma.st, vma.File, idx, frame,
-						mapping{as: as, va: va.PageBase(), vma: vma})
-					k.finishMap(as, va, vma, pg)
-					if !hwFailed {
-						finish()
-						return
-					}
-					// No device time to hide behind here: refill the free
-					// page queue synchronously before returning to user.
-					k.stats.FaultRefills++
-					var total int
-					for _, s := range k.smuList {
-						total += k.refillSMU(s)
-					}
-					k.kspan(ms, "fault-queue-refill", hw, c.RefillPerFrame*sim.Time(total), finish)
-				})
-			})
-			return
-		}
-		// Another thread is already reading this page in (the page-lock
-		// serialization of real kernels): block until it finishes, then
-		// take the minor-fault path.
-		if waiters, inflight := k.faultInflight[key]; inflight {
-			ms.SetCause(trace.CauseOSMinor)
-			k.faultInflight[key] = append(waiters, k.pageLockWaiter(ms, hw, as, va, vma, idx, done))
-			return
-		}
-		k.faultInflight[key] = []func(){}
-		k.stats.MajorFaults++
-		ms.SetCause(trace.CauseOSMajor)
-		if hwFailed {
-			k.stats.HWBounceFaults++
-		}
-		k.allocFrame(hw, func(frame mem.FrameID) {
-			k.kspan(ms, "page-alloc+io-submit", hw, c.PageAlloc+c.IOSubmit, func() {
-				blk, err := vma.st.fsys.Block(vma.File, idx)
-				if err != nil {
+			// While the allocation stalled, the SMU may have resolved the
+			// page for another thread (its miss found a refilled free
+			// queue after ours bounced). Installing over it would leak the
+			// SMU's frame; yield to it instead.
+			if e, found := as.Table.Lookup(va); found && e.Present() {
+				if err := k.mem.Free(frame); err != nil {
 					panic(err)
 				}
-				ioDone := false
-				ioStatus := nvme.StatusSuccess
-				var onIO func(status uint16)
-				k.submitIORetry(vma.st, hw, nvme.OpRead, blk.LBA, frame, ms, func(status uint16) {
-					ioDone, ioStatus = true, status
-					if onIO != nil {
-						onIO(status)
-					}
-				})
-				// The thread blocks: schedule away while the device works.
-				hw.AccountContextSwitch()
-				k.kspan(ms, "ctx-switch-out", hw, c.CtxSwitchOut, func() {
-					if hwFailed {
-						// Refill the free page queue, overlapped with the
-						// in-flight device I/O (AIOS-style, Section IV-D).
-						k.stats.FaultRefills++
-						k.refillOnFault(hw)
-					}
-				})
-				completion := func(status uint16) {
-					// Interrupt → block-layer completion → wake + schedule
-					// in → metadata + PTE install → return to user.
-					hw.AccountContextSwitch()
-					k.kspan(ms, "irq+complete+wake", hw, c.InterruptDelivery+c.IOCompletion+c.WakeSchedule, func() {
-						if status != nvme.StatusSuccess {
-							// The read is unrecoverable even after block-layer
-							// retries: SIGBUS the faulting thread. Waiters on
-							// the page lock observe the missing page and fail
-							// their walks too — nobody hangs.
-							k.sigbus(th, as, va, frame, ms)
-							waiters := k.faultInflight[key]
-							delete(k.faultInflight, key)
-							done()
-							for _, w := range waiters {
-								w()
-							}
-							return
-						}
-						k.kspan(ms, "metadata+pte-install", hw, c.MetadataUpdate+c.PTEInstallReturn, func() {
-							finish := func() {
-								waiters := k.faultInflight[key]
-								delete(k.faultInflight, key)
-								done()
-								for _, w := range waiters {
-									w()
-								}
-							}
-							// The SMU may have resolved this page for another
-							// thread while our I/O was in flight (its miss
-							// found a refilled queue after ours bounced);
-							// installing over it would leak its frame.
-							if e, found := as.Table.Lookup(va); found && e.Present() {
-								if err := k.mem.Free(frame); err != nil {
-									panic(err)
-								}
-								finish()
-								return
-							}
-							pg := k.insertPage(vma.st, vma.File, idx, frame,
-								mapping{as: as, va: va.PageBase(), vma: vma})
-							k.finishMap(as, va, vma, pg)
-							finish()
-						})
-					})
-				}
-				if ioDone {
-					completion(ioStatus)
-				} else {
-					onIO = completion
-				}
-			})
+				finish()
+				return
+			}
+			pg := k.insertPage(vma.st, vma.File, idx, frame,
+				mapping{as: as, va: va.PageBase(), vma: vma})
+			k.finishMap(as, va, vma, pg)
+			if !hwFailed {
+				finish()
+				return
+			}
+			// No device time to hide behind here: refill the free page
+			// queue synchronously before returning to user.
+			k.stats.FaultRefills++
+			var total int
+			for _, s := range k.smuList {
+				total += k.refillSMU(s)
+			}
+			k.kspan(ms, "fault-queue-refill", hw, c.RefillPerFrame*sim.Time(total), finish)
 		})
 	})
+}
+
+// parkOnPageLock queues a fault behind the in-flight fault holding key's
+// page lock.
+//
+//hwdp:coldpath page-lock contention needs two threads faulting on one page at once, rare on every benchmark workload
+func (k *Kernel) parkOnPageLock(key pcKey, waiters []func(), ms *trace.Miss, hw *cpu.HWThread,
+	as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, idx int, done func()) {
+	k.faultInflight[key] = append(waiters, k.pageLockWaiter(ms, hw, as, va, vma, idx, done))
 }
 
 // pageLockWaiter builds the continuation for a fault parked on another
@@ -254,6 +370,8 @@ func (k *Kernel) pageLockWaiter(ms *trace.Miss, hw *cpu.HWThread, as *mmu.Addres
 // allocated for the read is returned, and a still-unresolved PTE is
 // poisoned to the plain not-present state so later accesses route straight
 // to the OS path instead of re-driving hardware at a bad block.
+//
+//hwdp:coldpath an unrecoverable fault read needs injected device faults
 func (k *Kernel) sigbus(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr, frame mem.FrameID, ms *trace.Miss) {
 	k.stats.SIGBUSKills++
 	th.Killed = true
@@ -296,18 +414,6 @@ func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, p
 	}
 }
 
-// refillOnFault tops up every SMU free page queue from the allocator, on
-// the faulting core, while the fault's device I/O is outstanding.
-func (k *Kernel) refillOnFault(hw *cpu.HWThread) {
-	var total int
-	for _, s := range k.smuList {
-		total += k.refillSMU(s)
-	}
-	if total > 0 {
-		k.kexec(hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), func() {})
-	}
-}
-
 // refillSMU moves frames from the allocator into one SMU's free page
 // queue(s), respecting the kpoold reserve. It returns the number of frames
 // transferred (bookkeeping only; callers charge the time).
@@ -341,6 +447,8 @@ func (k *Kernel) refillSMU(s *smu.SMU) int {
 // PMSHR kept as a memory table, the NVMe command issued by the kernel, and
 // monitor/mwait used to wait for the completion without a context switch.
 // OS metadata stays batched via kpted, like HWDP.
+//
+//hwdp:coldpath the SW-only scheme runs only in the Fig. 17 comparison, on no benchmark workload; its closures stay
 func (k *Kernel) swFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
 	vma *VMA, idx int, ms *trace.Miss, done func()) {
 	c := k.cfg.Costs
@@ -393,7 +501,7 @@ func (k *Kernel) swFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
 						// The interrupt handler touches the monitored
 						// address; the mwait returns and the routine
 						// finishes the miss.
-						th.endStall()
+						th.endStall(k)
 						k.kspan(ms, "irq+sw-complete", hw, c.InterruptDelivery+c.SWComplete, func() {
 							if status != nvme.StatusSuccess {
 								// Unrecoverable: SIGBUS, and fail every fault

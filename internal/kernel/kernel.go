@@ -206,10 +206,23 @@ type sqWait struct {
 	at  sim.Time
 }
 
-// osPending tracks one in-flight OS command: the completion callback and
-// the block-layer timeout armed for it.
+// osPending is one block-layer request: the command's arguments, the retry
+// state, the completion callback and the timeout armed for the current
+// attempt. It is pooled and lives from submitIORetry until the final
+// status is delivered; each attempt files it in its queue's pending map
+// under that attempt's CID.
 type osPending struct {
+	st      *storage
+	hw      *cpu.HWThread
+	op      nvme.Opcode
+	lba     uint64
+	frame   mem.FrameID
+	ms      *trace.Miss
 	done    func(status uint16)
+	attempt int
+
+	q       *osQueue
+	cid     uint16
 	timeout *sim.Event
 }
 
@@ -277,8 +290,17 @@ type Thread struct {
 	// Killed marks a thread terminated by the SIGBUS model: the I/O backing
 	// one of its page faults failed unrecoverably. The simulation keeps the
 	// Thread object (accounting), but workloads should stop driving it.
-	Killed   bool
-	stallEnd func()
+	Killed bool
+
+	// The in-flight access. The stall gate admits one access per hardware
+	// thread at a time, so its completion state lives here instead of in
+	// a per-access closure. accessFn is the accessed method, bound once in
+	// NewThread.
+	stalled  bool
+	accDone  func(mmu.Result)
+	accTimer *sim.Event
+	timedOut bool
+	accessFn func(mmu.Result)
 }
 
 // CoreID implements mmu.CoreCarrier: the logical core the thread is pinned
@@ -289,12 +311,16 @@ func (t *Thread) CoreID() int { return t.HW.ID }
 // thread's page misses.
 func (t *Thread) TenantID() int { return t.Tenant }
 
-func (t *Thread) beginStall(k *Kernel) { t.stallEnd = k.cpu.BeginStall(t.HW) }
+func (t *Thread) beginStall(k *Kernel) {
+	k.cpu.StartStall(t.HW)
+	t.stalled = true
+}
 
-func (t *Thread) endStall() {
-	if t.stallEnd != nil {
-		t.stallEnd()
-		t.stallEnd = nil
+// endStall ends the thread's open pipeline stall, if it has one.
+func (t *Thread) endStall(k *Kernel) {
+	if t.stalled {
+		k.cpu.EndStall(t.HW)
+		t.stalled = false
 	}
 }
 
@@ -393,6 +419,16 @@ type Kernel struct {
 	allocPool    []*allocReq
 	throttleFn   func(any)
 	throttlePool []*throttleReq
+
+	// Pooled block-layer requests and their pre-bound timeout and retry
+	// callbacks: one osPending per in-flight I/O, recycled forever.
+	ioTimeoutFn func(any)
+	ioRetryFn   func(any)
+	pendingPool []*osPending
+
+	// Pooled OS fault carriers, and the pre-bound stall-timeout callback.
+	faultPool      []*osFault
+	stallTimeoutFn func(any)
 }
 
 // New wires a kernel over the machine components. Background threads run on
@@ -423,6 +459,9 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	k.kexecFn = k.runKexec
 	k.allocFn = k.runAllocRetry
 	k.throttleFn = k.runThrottle
+	k.ioTimeoutFn = k.ioTimeout
+	k.ioRetryFn = k.ioRetry
+	k.stallTimeoutFn = k.stallTimeout
 	if cfg.DirtyRatioFrac > 0 {
 		k.dirtyHardLimit = int(float64(m.Frames()) * cfg.DirtyRatioFrac)
 		if k.dirtyHardLimit < 1 {
@@ -572,6 +611,7 @@ func (k *Kernel) NewProcess() *Process {
 // NewThread pins a software thread to hardware thread hwID.
 func (k *Kernel) NewThread(p *Process, hwID int) *Thread {
 	th := &Thread{ID: hwID, HW: k.cpu.Thread(hwID), Proc: p}
+	th.accessFn = th.accessed
 	p.threads = append(p.threads, th)
 	return th
 }
@@ -642,6 +682,7 @@ func (k *Kernel) kspan(ms *trace.Miss, name string, hw *cpu.HWThread, d sim.Time
 		return
 	}
 	start := k.eng.Now()
+	//hwdp:ignore hotalloc closure only built when tracing is on (single-miss experiments), never in steady state
 	k.kexec(hw, d, func() {
 		ms.AddSpan(trace.LayerKernel, name, start, k.eng.Now())
 		fn()
@@ -651,16 +692,23 @@ func (k *Kernel) kspan(ms *trace.Miss, name string, hw *cpu.HWThread, d sim.Time
 // osQueueFor returns (lazily creating) the per-hardware-thread OS queue
 // pair on a storage device.
 func (k *Kernel) osQueueFor(st *storage, hw *cpu.HWThread) *osQueue {
-	q, ok := st.qps[hw.ID]
-	if !ok {
-		qp := nvme.NewQueuePair(st.nextQP, 256)
-		st.nextQP++
-		q = &osQueue{qp: qp, st: st, pending: make(map[uint16]*osPending)}
-		st.qps[hw.ID] = q
-		// Completions cross back over the IRQ wire and the interrupt
-		// handler runs kernel-side.
-		st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
+	if q, ok := st.qps[hw.ID]; ok {
+		return q
 	}
+	return k.newOSQueue(st, hw)
+}
+
+// newOSQueue creates and attaches the OS queue pair for hw on st.
+//
+//hwdp:coldpath runs once per (storage, hardware thread), on its first I/O
+func (k *Kernel) newOSQueue(st *storage, hw *cpu.HWThread) *osQueue {
+	qp := nvme.NewQueuePair(st.nextQP, 256)
+	st.nextQP++
+	q := &osQueue{qp: qp, st: st, pending: make(map[uint16]*osPending)}
+	st.qps[hw.ID] = q
+	// Completions cross back over the IRQ wire and the interrupt
+	// handler runs kernel-side.
+	st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
 	return q
 }
 
@@ -679,7 +727,8 @@ func (k *Kernel) osInterrupt(q *osQueue, _ nvme.Completion) {
 		delete(q.pending, cp.CID)
 		if p != nil {
 			p.timeout.Cancel()
-			p.done(cp.Status)
+			p.timeout = nil
+			k.ioDone(p, cp.Status)
 		}
 	}
 	k.drainParked(q)
@@ -729,42 +778,45 @@ func (k *Kernel) dropParked(q *osQueue, cid uint16) {
 	}
 }
 
-// submitIO issues a read or write on the caller's OS queue pair. done runs
-// at completion-interrupt time with the completion status (callers charge
-// completion costs). When Config.BlockTimeout is set and no completion
-// arrives in time, the command is aborted and done receives the
-// host-synthesized StatusHostTimeout.
-func (k *Kernel) submitIO(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
+// submitIORetry issues a read or write on the caller's OS queue pair and
+// resubmits on retryable failures (transient media errors, timeouts) with
+// a doubling delay, up to Config.BlockRetries resubmissions. done runs at
+// completion-interrupt time with the final status (callers charge
+// completion costs); retries are invisible to the caller except as
+// latency. When Config.BlockTimeout is set (the default is 10 ms) and an
+// attempt gets no completion in time, the command is aborted and the
+// attempt fails with the host-synthesized StatusHostTimeout.
+//
+//hwdp:hotpath
+func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
 	frame mem.FrameID, ms *trace.Miss, done func(status uint16)) {
-	q := k.osQueueFor(st, hw)
+	p := k.getPending()
+	p.st, p.hw, p.op, p.lba, p.frame, p.ms, p.done = st, hw, op, lba, frame, ms, done
+	p.attempt = 1
+	k.submitIO(p)
+}
+
+// submitIO issues one attempt of p under a fresh CID.
+//
+//hwdp:hotpath
+func (k *Kernel) submitIO(p *osPending) {
+	q := k.osQueueFor(p.st, p.hw)
 	cid := q.nextCID
 	q.nextCID++
-	p := &osPending{done: done}
+	p.q, p.cid = q, cid
 	q.pending[cid] = p
 	if k.cfg.BlockTimeout > 0 {
-		// The watchdog needs the cancelable handle (canceled on normal
-		// completion), and arming is gated on the fault-injection
-		// BlockTimeout knob — off on the steady-state path.
-		//hwdp:ignore eventcapture cancelable watchdog, armed only when the fault-injection BlockTimeout knob is set
-		p.timeout = k.eng.After(k.cfg.BlockTimeout, func() {
-			if q.pending[cid] != p {
-				return
-			}
-			delete(q.pending, cid)
-			k.dropParked(q, cid)
-			st.dev.Abort(q.qp.ID, cid)
-			k.stats.BlockTimeouts++
-			ms.Mark(trace.LayerKernel, "block-timeout", k.eng.Now())
-			done(nvme.StatusHostTimeout)
-		})
+		// Pooled handle: osInterrupt drops it right after Cancel, and
+		// ioTimeout drops it as its first action.
+		p.timeout = k.eng.AtArgPooled(k.eng.Now()+k.cfg.BlockTimeout, k.ioTimeoutFn, p)
 	}
 	cmd := nvme.Command{
-		Opcode: op,
+		Opcode: p.op,
 		CID:    cid,
-		NSID:   st.fsys.NSID(),
-		PRP1:   uint64(frame) * mem.PageSize,
-		SLBA:   lba,
-		Trace:  ms,
+		NSID:   p.st.fsys.NSID(),
+		PRP1:   uint64(p.frame) * mem.PageSize,
+		SLBA:   p.lba,
+		Trace:  p.ms,
 	}
 	if err := q.qp.Submit(cmd); err != nil {
 		// Submission queue full (I/O storm): park the command instead of
@@ -773,36 +825,67 @@ func (k *Kernel) submitIO(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uin
 		k.stats.SQFullWaits++
 		now := k.eng.Now()
 		k.psi.BeginStall(metrics.StallSQFull, int64(now))
+		//hwdp:ignore hotalloc the waitlist grows only in an I/O storm that fills the submission queue
 		q.waitlist = append(q.waitlist, sqWait{cmd: cmd, at: now})
 		return
 	}
 	k.ringOS(q)
 }
 
-// submitIORetry issues an I/O through submitIO and resubmits on retryable
-// failures (transient media errors, timeouts) with a doubling delay, up to
-// Config.BlockRetries resubmissions. done receives the final status —
-// retries are invisible to the caller except as latency.
-func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
-	frame mem.FrameID, ms *trace.Miss, done func(status uint16)) {
-	attempt := 1
-	var try func()
-	try = func() {
-		k.submitIO(st, hw, op, lba, frame, ms, func(status uint16) {
-			if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
-				attempt > k.cfg.BlockRetries {
-				done(status)
-				return
-			}
-			k.stats.BlockRetries++
-			delay := k.cfg.BlockRetryDelay << (attempt - 1)
-			attempt++
-			now := k.eng.Now()
-			ms.AddSpan(trace.LayerKernel, "block-retry-backoff", now, now+delay)
-			k.eng.Post(delay, try)
-		})
+// ioTimeout is the block-layer watchdog (the pre-bound AtArgPooled
+// callback): the attempt got no completion in time, so the command is
+// aborted and the attempt fails with StatusHostTimeout.
+func (k *Kernel) ioTimeout(a any) {
+	p := a.(*osPending)
+	p.timeout = nil
+	q, cid := p.q, p.cid
+	delete(q.pending, cid)
+	k.dropParked(q, cid)
+	p.st.dev.Abort(q.qp.ID, cid)
+	k.stats.BlockTimeouts++
+	p.ms.Mark(trace.LayerKernel, "block-timeout", k.eng.Now())
+	k.ioDone(p, nvme.StatusHostTimeout)
+}
+
+// ioDone ends one attempt of p: it delivers the final status, or
+// schedules the next attempt after the backoff.
+//
+//hwdp:hotpath
+func (k *Kernel) ioDone(p *osPending, status uint16) {
+	if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
+		p.attempt > k.cfg.BlockRetries {
+		done := p.done
+		k.putPending(p)
+		done(status)
+		return
 	}
-	try()
+	k.stats.BlockRetries++
+	delay := k.cfg.BlockRetryDelay << (p.attempt - 1)
+	p.attempt++
+	now := k.eng.Now()
+	p.ms.AddSpan(trace.LayerKernel, "block-retry-backoff", now, now+delay)
+	k.eng.PostArg(delay, k.ioRetryFn, p)
+}
+
+// ioRetry is the pre-bound PostArg callback that resubmits p after its
+// backoff.
+func (k *Kernel) ioRetry(a any) { k.submitIO(a.(*osPending)) }
+
+//hwdp:pool acquire ospending
+func (k *Kernel) getPending() *osPending {
+	if n := len(k.pendingPool); n > 0 {
+		p := k.pendingPool[n-1]
+		k.pendingPool[n-1] = nil
+		k.pendingPool = k.pendingPool[:n-1]
+		return p
+	}
+	return &osPending{}
+}
+
+//hwdp:pool release ospending
+func (k *Kernel) putPending(p *osPending) {
+	*p = osPending{}
+	k.pendingPool = append(k.pendingPool, p)
 }
 
 func (k *Kernel) storageFor(b pagetable.BlockAddr) *storage {

@@ -72,6 +72,8 @@ func (k *Kernel) allocFrame(hw *cpu.HWThread, done func(mem.FrameID)) {
 
 // allocReclaim runs one direct-reclaim pass for a stalled allocation:
 // either the retried Alloc succeeds, or the next 50 µs poll is scheduled.
+//
+//hwdp:coldpath direct reclaim runs only when the allocator is empty; kswapd keeps free memory above the low watermark in steady state
 func (k *Kernel) allocReclaim(r *allocReq) {
 	k.stats.DirectReclaims++
 	k.kexec(r.hw, k.cfg.Costs.DirectReclaim, func() {

@@ -6,7 +6,6 @@ import (
 	"hwdp/internal/mem"
 	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
-	"hwdp/internal/sim"
 )
 
 // Access performs one user memory access (timing only): the pipeline
@@ -29,40 +28,64 @@ func (k *Kernel) Access(th *Thread, va pagetable.VAddr, write bool, done func(mm
 }
 
 // accessNow is Access past the throttle gate.
+//
+//hwdp:hotpath
 func (k *Kernel) accessNow(th *Thread, va pagetable.VAddr, write bool, done func(mmu.Result)) {
-	th.beginStall(k)
-	timedOut := false
-	var tev *sim.Event
-	if k.cfg.StallTimeout > 0 && k.cfg.Scheme == HWDP {
-		// Needs the cancelable handle (canceled when the access completes
-		// before the deadline) and shares timedOut with the completion
-		// callback below; the timer fires only on I/Os slower than the
-		// stall budget.
-		//hwdp:ignore eventcapture cancelable stall watchdog sharing state with the completion callback; fires only past the stall budget
-		tev = k.eng.After(k.cfg.StallTimeout, func() {
-			if th.stallEnd == nil {
-				return // the miss moved into a kernel path; not a pure stall
-			}
-			timedOut = true
-			k.stats.StallTimeouts++
-			th.endStall()
-			th.HW.AccountContextSwitch()
-			k.kexec(th.HW, k.cfg.Costs.Exception+k.cfg.Costs.CtxSwitchOut, func() {})
-		})
+	if th.accDone != nil {
+		panic(fmt.Sprintf("kernel: thread %d started an access with one in flight", th.ID))
 	}
-	k.mmu.Access(th.Proc.AS, va, write, th, func(r mmu.Result) {
-		if tev != nil {
-			tev.Cancel()
-		}
-		if timedOut {
-			// The completion wakes the blocked thread like an OSDP fault.
-			th.HW.AccountContextSwitch()
-			k.kexec(th.HW, k.cfg.Costs.WakeSchedule, func() { done(r) })
-			return
-		}
-		th.endStall()
-		done(r)
-	})
+	th.beginStall(k)
+	th.accDone = done
+	if k.cfg.StallTimeout > 0 && k.cfg.Scheme == HWDP {
+		// Pooled handle: accessed drops it right after Cancel, and
+		// stallTimeout drops it as its first action.
+		th.accTimer = k.eng.AtArgPooled(k.eng.Now()+k.cfg.StallTimeout, k.stallTimeoutFn, th)
+	}
+	k.mmu.Access(th.Proc.AS, va, write, th, th.accessFn)
+}
+
+// accessed completes the thread's in-flight access (the pre-bound MMU
+// callback).
+//
+//hwdp:hotpath
+func (th *Thread) accessed(r mmu.Result) {
+	k := th.Proc.k
+	th.accTimer.Cancel()
+	th.accTimer = nil
+	done := th.accDone
+	th.accDone = nil
+	if th.timedOut {
+		th.timedOut = false
+		k.wakeTimedOut(th, r, done)
+		return
+	}
+	th.endStall(k)
+	done(r)
+}
+
+// stallTimeout is the stall watchdog (the pre-bound AtArgPooled callback):
+// the access outlived Config.StallTimeout, so the timeout exception fires
+// and the OS context-switches the thread away until the miss completes.
+func (k *Kernel) stallTimeout(a any) {
+	th := a.(*Thread)
+	th.accTimer = nil
+	if !th.stalled {
+		return // the miss moved into a kernel path; not a pure stall
+	}
+	th.timedOut = true
+	k.stats.StallTimeouts++
+	th.endStall(k)
+	th.HW.AccountContextSwitch()
+	k.kexec(th.HW, k.cfg.Costs.Exception+k.cfg.Costs.CtxSwitchOut, nop)
+}
+
+// wakeTimedOut completes an access whose stall timed out: the completion
+// wakes the blocked thread like an OSDP fault.
+//
+//hwdp:coldpath stall timeouts fire only on I/Os slower than the configured stall budget
+func (k *Kernel) wakeTimedOut(th *Thread, r mmu.Result, done func(mmu.Result)) {
+	th.HW.AccountContextSwitch()
+	k.kexec(th.HW, k.cfg.Costs.WakeSchedule, func() { done(r) })
 }
 
 // Load reads n bytes of user memory at va into buf (which must have length

@@ -203,6 +203,7 @@ func (m *Memory) Free(f FrameID) error {
 	}
 	m.allocated[f] = false
 	m.slots[f] = slot{}
+	//hwdp:ignore hotalloc freeList is made with capacity for every frame, so append never grows it
 	m.freeList = append(m.freeList, f)
 	m.frees++
 	return nil

@@ -133,11 +133,13 @@ type MMU struct {
 	// free list: together they make walk scheduling allocation-free (one
 	// walkReq per in-flight walk, recycled forever). missFree and pfFree
 	// recycle the SMU-dispatch continuations the same way (one missCont per
-	// in-flight hardware miss, one prefetchCont per speculative fetch).
+	// in-flight hardware miss, one prefetchCont per speculative fetch), and
+	// osFree the OS-fault continuations (one osCont per raised exception).
 	walkCb   func(any)
 	walkFree []*walkReq
 	missFree []*missCont
 	pfFree   []*prefetchCont
+	osFree   []*osCont
 }
 
 // walkReq carries a pending walk's arguments through the engine's pooled
@@ -442,7 +444,10 @@ func prefetchDone(arg any, res smu.Result, _ pagetable.Entry) {
 	m.putPrefetchCont(c)
 }
 
-//hwdp:coldpath OS exception path: conventional faults and HW-miss bounces, not the steady-state hardware miss path
+// raiseOS raises the page-fault exception and re-walks once the kernel
+// has resolved the fault. The pending access rides a pooled osCont.
+//
+//hwdp:hotpath
 func (m *MMU) raiseOS(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, done func(Result), retried bool, t0 sim.Time, core int, ms *trace.Miss) {
 	if m.osFault == nil || retried {
 		ms.Finish(m.eng.Now())
@@ -455,17 +460,64 @@ func (m *MMU) raiseOS(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFa
 		ms = m.Tracer.Begin(core, uint64(va), trace.CauseUnknown, t0)
 		ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", t0, m.eng.Now())
 	}
-	m.osFault(ctx, as, va, write, hwFailed, ms, func() {
-		// Re-walk once the kernel resolved the fault; a second failure is
-		// fatal for the access (the kernel would deliver SIGSEGV). The
-		// overall access is reported as an OS fault regardless of how the
-		// retry hits.
-		m.walk(ctx, as, va, write, func(r Result) {
-			if r.Outcome == OutcomeWalkHit || r.Outcome == OutcomeHW {
-				r.Outcome = OutcomeOSFault
-			}
-			ms.Finish(m.eng.Now())
-			done(r)
-		}, true, t0, ms)
-	})
+	c := m.getOSCont()
+	c.ctx, c.as, c.va, c.write, c.done, c.t0, c.ms = ctx, as, va, write, done, t0, ms
+	m.osFault(ctx, as, va, write, hwFailed, ms, c.resolvedFn)
+}
+
+// osCont carries an access through the OS fault handler and the re-walk
+// that follows it. Its two steps are bound once when the carrier is made.
+type osCont struct {
+	m     *MMU
+	ctx   any
+	as    *AddressSpace
+	va    pagetable.VAddr
+	write bool
+	done  func(Result)
+	t0    sim.Time
+	ms    *trace.Miss
+
+	resolvedFn func()
+	rewalkFn   func(Result)
+}
+
+//hwdp:pool acquire oscont
+func (m *MMU) getOSCont() *osCont {
+	if n := len(m.osFree); n > 0 {
+		c := m.osFree[n-1]
+		m.osFree[n-1] = nil
+		m.osFree = m.osFree[:n-1]
+		return c
+	}
+	c := &osCont{m: m}
+	c.resolvedFn, c.rewalkFn = c.resolved, c.rewalked
+	return c
+}
+
+//hwdp:pool release oscont
+func (m *MMU) putOSCont(c *osCont) {
+	c.ctx, c.as, c.va, c.write, c.done, c.t0, c.ms = nil, nil, 0, false, nil, 0, nil
+	m.osFree = append(m.osFree, c)
+}
+
+// resolved re-walks once the kernel resolved the fault; a second failure
+// is fatal for the access (the kernel would deliver SIGSEGV).
+//
+//hwdp:hotpath
+func (c *osCont) resolved() {
+	c.m.walk(c.ctx, c.as, c.va, c.write, c.rewalkFn, true, c.t0, c.ms)
+}
+
+// rewalked completes the access. It is reported as an OS fault regardless
+// of how the re-walk hit.
+//
+//hwdp:hotpath
+func (c *osCont) rewalked(r Result) {
+	if r.Outcome == OutcomeWalkHit || r.Outcome == OutcomeHW {
+		r.Outcome = OutcomeOSFault
+	}
+	m, done := c.m, c.done
+	c.ms.Finish(m.eng.Now())
+	m.putOSCont(c)
+	done(r)
 }

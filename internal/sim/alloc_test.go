@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // Allocation pins for the engine hot path. The Post* family and AtArgPooled
 // promise zero steady-state allocations (events are recycled through the
@@ -111,23 +114,77 @@ func TestPooledEventRecycledAfterFire(t *testing.T) {
 	}
 }
 
-func TestCanceledPooledEventRecycledLazily(t *testing.T) {
-	// A canceled pooled event stays in the queue (Cancel is O(1)) and is
-	// recycled when the queue reaches it — without invoking the callback.
+func TestCancelRemovesPooledEventEagerly(t *testing.T) {
+	// Cancel takes a pooled event out of the queue at once and returns its
+	// storage to the free list: Pending drops, and the next Post reuses
+	// the slot.
 	e := NewEngine()
 	fired := 0
 	ev := e.AtArgPooled(10, func(any) { fired++ }, nil)
-	ev.Cancel()
 	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (lazy collection)", e.Pending())
+		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
+	ev.Cancel()
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Cancel, want 0", e.Pending())
+	}
+	if ev.Pending() {
+		t.Fatal("canceled event still reports Pending")
+	}
+	canceled := ev
+	ev = nil // holder discipline: drop the handle immediately after Cancel
 	e.Post(20, func() {})
+	if e.queue[0] != canceled {
+		t.Fatal("Post did not reuse the canceled pooled slot")
+	}
 	e.Run()
 	if fired != 0 {
 		t.Fatal("canceled event fired")
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", e.Pending())
+	if e.Fired() != 1 {
+		t.Fatalf("fired = %d, want 1 (canceled events are never counted)", e.Fired())
+	}
+}
+
+func TestCancelAfterFireIsNoop(t *testing.T) {
+	// Cancel on a fired handle event, and Cancel from inside an event's own
+	// callback, leave every other queued event alone.
+	e := NewEngine()
+	var self *Event
+	selfFired := 0
+	self = e.After(10, func() {
+		selfFired++
+		self.Cancel()
+	})
+	other := 0
+	e.After(10, func() { other++ })
+	e.After(30, func() { other++ })
+	e.RunUntil(20)
+	if selfFired != 1 {
+		t.Fatalf("self-canceling event fired %d times, want 1", selfFired)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.Pending())
+	}
+	self.Cancel()
+	e.Run()
+	if other != 2 {
+		t.Fatalf("other events fired %d times, want 2", other)
+	}
+
+	// The same for a pooled event canceling itself before it schedules
+	// anything: the slot sits in the free list, so Cancel does nothing.
+	var pev *Event
+	pooledFired := 0
+	pev = e.AtArgPooled(e.Now()+5, func(any) {
+		pooledFired++
+		pev.Cancel()
+		pev = nil
+	}, nil)
+	e.Post(5, func() { pooledFired++ })
+	e.Run()
+	if pooledFired != 2 {
+		t.Fatalf("pooled events fired %d times, want 2", pooledFired)
 	}
 }
 
@@ -151,17 +208,111 @@ func TestHandleEventsNeverRecycled(t *testing.T) {
 	}
 }
 
-func TestRunUntilCollectsDeadRoots(t *testing.T) {
-	// Dead events past the deadline are collected instead of blocking the
-	// deadline check forever.
+func TestRunUntilStopsAtCanceledDeadline(t *testing.T) {
+	// A canceled event past the deadline is gone from the queue, so
+	// RunUntil advances the clock to the deadline as on an empty queue.
 	e := NewEngine()
 	ev := e.AtArgPooled(100, func(any) {}, nil)
 	ev.Cancel()
 	e.RunUntil(50)
 	if e.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 (dead root past deadline collected)", e.Pending())
+		t.Fatalf("pending = %d, want 0", e.Pending())
 	}
 	if e.Now() != 50 {
 		t.Fatalf("now = %d, want 50", e.Now())
+	}
+}
+
+func TestCancelPropertyMatchesSortedReference(t *testing.T) {
+	// Random Post/AtArgPooled/After schedules interleaved with Cancel of
+	// random live handles, including from inside callbacks: the fire order
+	// must equal the live events sorted by (time, schedule order).
+	type handle struct {
+		id int
+		ev *Event
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := NewRand(seed)
+		e := NewEngine()
+		var at []Time // deadline by id; ids are assigned in schedule order
+		canceled := map[int]bool{}
+		var handles []handle // cancelable and still queued
+		var fired []int
+		drop := func(id int) {
+			for i, h := range handles {
+				if h.id == id {
+					handles = append(handles[:i], handles[i+1:]...)
+					return
+				}
+			}
+		}
+		cancelOne := func() {
+			if len(handles) == 0 {
+				return
+			}
+			i := rng.Intn(len(handles))
+			h := handles[i]
+			handles = append(handles[:i], handles[i+1:]...)
+			h.ev.Cancel()
+			canceled[h.id] = true
+		}
+		var schedule func()
+		record := func(id int) {
+			drop(id)
+			fired = append(fired, id)
+			switch rng.Intn(6) {
+			case 0:
+				schedule()
+			case 1:
+				cancelOne()
+			}
+		}
+		schedule = func() {
+			id := len(at)
+			d := Time(rng.Intn(50))
+			at = append(at, e.Now()+d)
+			switch rng.Intn(3) {
+			case 0:
+				e.Post(d, func() { record(id) })
+			case 1:
+				ev := e.AtArgPooled(e.Now()+d, func(any) { record(id) }, nil)
+				handles = append(handles, handle{id, ev})
+			default:
+				handles = append(handles, handle{id, e.After(d, func() { record(id) })})
+			}
+		}
+		for i := 0; i < 400; i++ {
+			if rng.Intn(3) == 0 {
+				cancelOne()
+			} else {
+				schedule()
+			}
+			if rng.Intn(5) == 0 {
+				e.Step()
+			}
+		}
+		e.Run()
+
+		var want []int
+		for id := range at {
+			if !canceled[id] {
+				want = append(want, id)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return at[want[i]] < at[want[j]] })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: fire order diverges at %d: got id %d, want %d", seed, i, fired[i], want[i])
+			}
+		}
+		if e.Fired() != uint64(len(want)) {
+			t.Fatalf("seed %d: Fired() = %d, want %d", seed, e.Fired(), len(want))
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: pending = %d after drain", seed, e.Pending())
+		}
 	}
 }

@@ -8,7 +8,12 @@ package sim
 // and live until the garbage collector takes them. Events created by the
 // Post* family never escape the engine, so they are recycled through an
 // internal free list: steady-state scheduling on the hot path performs no
-// allocations.
+// allocations. AtArgPooled events are recycled the same way but hand out a
+// handle that is valid until the event fires or is canceled.
+//
+// Cancel removes the event from the queue at once, so the queue holds only
+// live events and a canceled pooled event's storage is reused by the next
+// schedule.
 type Event struct {
 	at  Time
 	seq uint64
@@ -21,21 +26,25 @@ type Event struct {
 	afn func(any)
 	arg any
 
-	idx    int
-	dead   bool
+	eng *Engine
+	// idx is the heap position, -1 once fired, canceled or recycled. It is
+	// 32 bits wide so the Event stays in the 64-byte size class.
+	idx    int32
 	pooled bool
 }
 
-// Cancel prevents a pending event from firing. Canceling an event that has
-// already fired (or was already canceled) is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
+// Cancel removes a pending event from the queue; it will never fire.
+// Canceling an event that has already fired (including from inside its
+// own callback) or was already canceled is a no-op.
+func (ev *Event) Cancel() {
+	if ev == nil || ev.idx < 0 {
+		return
 	}
+	ev.eng.remove(ev)
 }
 
 // Pending reports whether the event is still scheduled to fire.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.idx >= 0 }
+func (ev *Event) Pending() bool { return ev != nil && ev.idx >= 0 }
 
 // Engine is a single-threaded discrete-event simulator. It owns the virtual
 // clock; all model components schedule work on it and must only be touched
@@ -83,7 +92,7 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{}
+	return &Event{idx: -1}
 }
 
 // recycle clears a pooled event and returns it to the free list. Handle
@@ -96,7 +105,7 @@ func (e *Engine) recycle(ev *Event) {
 	if !ev.pooled {
 		return
 	}
-	*ev = Event{pooled: true}
+	*ev = Event{pooled: true, idx: -1}
 	e.free = append(e.free, ev)
 }
 
@@ -106,12 +115,13 @@ func (e *Engine) schedule(ev *Event, t Time) {
 		t = e.now
 	}
 	ev.at = t
+	ev.eng = e
 	ev.seq = e.seq
 	e.seq++
-	ev.idx = len(e.queue)
+	ev.idx = int32(len(e.queue))
 	//hwdp:ignore hotalloc queue growth is amortized: the heap reaches steady-state capacity and append stops allocating
 	e.queue = append(e.queue, ev)
-	e.siftUp(ev.idx)
+	e.siftUp(int(ev.idx))
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -138,8 +148,8 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 }
 
 // AtArgPooled is AtArg with engine-recycled storage: the returned handle is
-// valid only until the event fires or its cancellation is collected, after
-// which the engine reuses the Event for a future Post*/pooled call. The
+// valid only until the event fires or is canceled, after which the engine
+// reuses the Event for a future Post*/pooled call. The
 // caller must drop the handle when the callback runs and immediately after
 // Cancel; retaining it past either point aliases an unrelated event.
 // Model components use it for per-operation timeouts and completions whose
@@ -198,29 +208,25 @@ func (e *Engine) PostArg(d Time, fn func(any), arg any) {
 //
 //hwdp:hotpath
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		if e.obs != nil {
-			e.obs(ev.at)
-		}
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		// Recycle before the callback runs so the callback's own scheduling
-		// can reuse the slot.
-		e.recycle(ev)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.pop()
+	e.now = ev.at
+	e.fired++
+	if e.obs != nil {
+		e.obs(ev.at)
+	}
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	// Recycle before the callback runs so the callback's own scheduling
+	// can reuse the slot.
+	e.recycle(ev)
+	if afn != nil {
+		afn(arg)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run fires events until the queue drains.
@@ -233,19 +239,8 @@ func (e *Engine) Run() {
 // deadline. Events scheduled exactly at deadline still fire. It returns the
 // clock value on exit.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 {
-		// Peek: the root is the earliest event, but it may be dead; Step
-		// handles skipping, so pre-check only live roots.
-		if e.queue[0].at > deadline {
-			if e.queue[0].dead {
-				e.recycle(e.pop())
-				continue
-			}
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		e.Step()
 	}
 	if e.now < deadline && len(e.queue) == 0 {
 		e.now = deadline
@@ -253,8 +248,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Pending returns the number of events in the queue, including canceled
-// events not yet collected.
+// Pending returns the number of events in the queue. Canceled events leave
+// the queue at Cancel, so every counted event will fire.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // less orders events by time, then schedule order. (at, seq) is a strict
@@ -283,6 +278,27 @@ func (e *Engine) pop() *Event {
 	return root
 }
 
+// remove takes a queued event out of the heap (Cancel) and recycles its
+// storage if it is pooled.
+func (e *Engine) remove(ev *Event) {
+	i := int(ev.idx)
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	ev.idx = -1
+	if i < n {
+		e.queue[i] = last
+		last.idx = int32(i)
+		if i > 0 && less(last, e.queue[(i-1)>>2]) {
+			e.siftUp(i)
+		} else {
+			e.siftDown(i)
+		}
+	}
+	e.recycle(ev)
+}
+
 // siftUp restores the heap property from index i toward the root.
 func (e *Engine) siftUp(i int) {
 	ev := e.queue[i]
@@ -292,11 +308,11 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		e.queue[i] = e.queue[p]
-		e.queue[i].idx = i
+		e.queue[i].idx = int32(i)
 		i = p
 	}
 	e.queue[i] = ev
-	ev.idx = i
+	ev.idx = int32(i)
 }
 
 // siftDown restores the heap property from index i toward the leaves.
@@ -322,9 +338,9 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		e.queue[i] = e.queue[m]
-		e.queue[i].idx = i
+		e.queue[i].idx = int32(i)
 		i = m
 	}
 	e.queue[i] = ev
-	ev.idx = i
+	ev.idx = int32(i)
 }

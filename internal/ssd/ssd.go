@@ -510,6 +510,7 @@ func (d *Device) Abort(qid, cid uint16) bool {
 		return false
 	}
 	fl.ev.Cancel()
+	fl.ev = nil
 	delete(d.inflight, key)
 	if fl.ch != nil {
 		if fl.isWrite {

@@ -87,52 +87,69 @@ func RunMixed(sys *core.System, assignments []Assignment, opt RunOptions) []Resu
 		deadline = sys.Eng.Now() + opt.Duration
 	}
 	for i, a := range assignments {
-		i, th, w := i, a.Th, a.W
 		results[i].Lat = metrics.NewHistogram()
-		rng := sys.Rng.Fork(uint64(i) + 100)
-		start := sys.Eng.Now()
-		warm := opt.WarmupOps
-		measured := 0
-		var loop func()
-		loop = func() {
-			if th.Killed {
-				// SIGBUS or the OOM killer terminated the thread; it stops
-				// issuing ops and reports what it measured so far.
-				results[i].Elapsed = sys.Eng.Now() - start
-				running--
-				return
-			}
-			if deadline != sim.Never && sys.Eng.Now() >= deadline {
-				results[i].Elapsed = sys.Eng.Now() - start
-				running--
-				return
-			}
-			if opt.OpsPerThread > 0 && measured >= opt.OpsPerThread {
-				results[i].Elapsed = sys.Eng.Now() - start
-				running--
-				return
-			}
-			opStart := sys.Eng.Now()
-			w.Op(th, rng, func(err error) {
-				if warm > 0 {
-					warm--
-					start = sys.Eng.Now() // move the measurement origin
-				} else {
-					measured++
-					results[i].Ops++
-					if err != nil {
-						results[i].Errors++
-					}
-					results[i].Lat.Record(int64(sys.Eng.Now() - opStart))
-				}
-				loop()
-			})
+		d := &driver{
+			eng: sys.Eng, th: a.Th, w: a.W, rng: sys.Rng.Fork(uint64(i) + 100),
+			res: &results[i], running: &running, deadline: deadline,
+			opsPerThread: opt.OpsPerThread, warm: opt.WarmupOps, start: sys.Eng.Now(),
 		}
-		loop()
+		d.doneFn = d.opDone
+		d.next()
 	}
 	sys.RunWhile(func() bool { return running > 0 })
 	if running > 0 {
 		panic(fmt.Sprintf("workload: %d threads never finished (event queue drained)", running))
 	}
 	return results
+}
+
+// driver is one thread's closed loop: each op's completion issues the
+// next. Its completion callback is bound once, so the loop allocates
+// nothing per op.
+type driver struct {
+	eng          *sim.Engine
+	th           *kernel.Thread
+	w            Workload
+	rng          *sim.Rand
+	res          *Result
+	running      *int
+	deadline     sim.Time
+	opsPerThread int
+
+	warm, measured int
+	start, opStart sim.Time
+	doneFn         func(error)
+}
+
+// next issues the thread's next op, or retires the thread when it is
+// done.
+func (d *driver) next() {
+	now := d.eng.Now()
+	// A thread killed by SIGBUS or the OOM killer stops issuing ops and
+	// reports what it measured so far.
+	if d.th.Killed || (d.deadline != sim.Never && now >= d.deadline) ||
+		(d.opsPerThread > 0 && d.measured >= d.opsPerThread) {
+		d.res.Elapsed = now - d.start
+		*d.running--
+		return
+	}
+	d.opStart = now
+	d.w.Op(d.th, d.rng, d.doneFn)
+}
+
+// opDone records a finished op and issues the next.
+func (d *driver) opDone(err error) {
+	now := d.eng.Now()
+	if d.warm > 0 {
+		d.warm--
+		d.start = now // move the measurement origin
+	} else {
+		d.measured++
+		d.res.Ops++
+		if err != nil {
+			d.res.Errors++
+		}
+		d.res.Lat.Record(int64(now - d.opStart))
+	}
+	d.next()
 }

@@ -43,6 +43,21 @@ type FIO struct {
 
 	bufs  map[int][]byte
 	walks map[int]*coldWalk
+	ops   map[*kernel.Thread]*fioOp
+}
+
+// fioOp carries one thread's in-flight op through its phases. A thread
+// runs one op at a time, so each thread reuses one carrier whose phases
+// are bound once.
+type fioOp struct {
+	f     *FIO
+	th    *kernel.Thread
+	va    pagetable.VAddr
+	write bool
+	done  func(error)
+
+	execFn, accessFn func()
+	resultFn         func(mmu.Result)
 }
 
 // coldWalk visits every page of a partition once per cycle in a scrambled
@@ -67,7 +82,8 @@ func gcd(a, b int) int {
 // NewFIO creates the workload over an already-mapped region.
 func NewFIO(sys *core.System, base pagetable.VAddr, pages int) *FIO {
 	return &FIO{Sys: sys, Base: base, Pages: pages, OpInstr: FIOOpInstr,
-		bufs: make(map[int][]byte), walks: make(map[int]*coldWalk)}
+		bufs: make(map[int][]byte), walks: make(map[int]*coldWalk),
+		ops: make(map[*kernel.Thread]*fioOp)}
 }
 
 // SetupFIO creates and maps a file for the standard FIO scenario.
@@ -109,22 +125,45 @@ func (f *FIO) pick(th *kernel.Thread, rng *sim.Rand) int {
 // Op implements Workload.
 func (f *FIO) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 	page := f.pick(th, rng)
-	va := f.Base + pagetable.VAddr(page)*4096
-	write := f.WriteFrac > 0 && rng.Float64() < f.WriteFrac
-	f.Sys.CPU.Stall(th.HW, FIOOpFixed, func() {
-		f.Sys.CPU.UserExec(th.HW, f.OpInstr, func() {
-			if f.CopyData {
-				buf := f.bufs[th.ID]
-				if buf == nil {
-					buf = make([]byte, 4096)
-					f.bufs[th.ID] = buf
-				}
-				f.Sys.K.Load(th, va, buf, func(r mmu.Result) { done(badAddrErr(r)) })
-				return
-			}
-			f.Sys.K.Access(th, va, write, func(r mmu.Result) { done(badAddrErr(r)) })
-		})
-	})
+	op := f.ops[th]
+	if op == nil {
+		op = &fioOp{f: f, th: th}
+		op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
+		f.ops[th] = op
+	}
+	op.va = f.Base + pagetable.VAddr(page)*4096
+	op.write = f.WriteFrac > 0 && rng.Float64() < f.WriteFrac
+	op.done = done
+	f.Sys.CPU.Stall(th.HW, FIOOpFixed, op.execFn)
+}
+
+// exec runs the op's user work after its fixed overhead.
+//
+//hwdp:hotpath
+func (op *fioOp) exec() { op.f.Sys.CPU.UserExec(op.th.HW, op.f.OpInstr, op.accessFn) }
+
+// access touches the op's page.
+func (op *fioOp) access() {
+	f := op.f
+	if f.CopyData {
+		buf := f.bufs[op.th.ID]
+		if buf == nil {
+			buf = make([]byte, 4096)
+			f.bufs[op.th.ID] = buf
+		}
+		f.Sys.K.Load(op.th, op.va, buf, op.resultFn)
+		return
+	}
+	f.Sys.K.Access(op.th, op.va, op.write, op.resultFn)
+}
+
+// result completes the op.
+//
+//hwdp:hotpath
+func (op *fioOp) result(r mmu.Result) {
+	done := op.done
+	op.done = nil
+	done(badAddrErr(r))
 }
 
 func badAddrErr(r mmu.Result) error {
