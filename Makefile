@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-short bench-go bench-test sweep-check chaos-short ssd-check fleet-check docs-check fmt lint check
+.PHONY: all build test race bench-go bench-test sweep-check chaos-short ssd-check fleet-check docs-check fmt lint check
 
 all: build test
 
@@ -16,18 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the fixed-seed benchmark suite and writes BENCH_hwdp.json
-# (ns/op, allocs/op, sim-events/sec, plus the pinned pre-optimization
-# baseline). bench-short is the CI smoke variant. bench-go runs the raw
-# go-test benchmarks once each as a compile-and-smoke check.
-bench:
-	$(GO) run ./cmd/hwdpbench -bench
-
-bench-short:
-	$(GO) run ./cmd/hwdpbench -bench -quick
-
+# bench-go runs every go-test benchmark once, and no tests, as a
+# compile-and-smoke check: the engine benchmarks in internal/sim, the SMU
+# miss path (smu.BenchmarkHandleMiss) and the root BenchmarkFig* figure
+# summaries. The repository benchmark is bench/ (bash bench/run.sh).
 bench-go:
-	$(GO) test -short -bench=. -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench=. -benchtime=1x ./...
 
 # bench-test compiles and smoke-tests the repository benchmark (bench/, a
 # module of its own that root `go test ./...` does not build), so an API

@@ -100,8 +100,13 @@ func main() {
 	fmt.Printf("  faults         hw=%d os=%d (major=%d minor=%d bounced=%d)\n",
 		ms.HWMisses, ms.OSFaults, ks.MajorFaults, ks.MinorFaults, ks.HWBounceFaults)
 	fmt.Printf("  memory         evictions=%d writebacks=%d\n", ks.Evictions, ks.Writebacks)
-	ds := sys.Dev.Stats()
-	fmt.Printf("  device         reads=%d writes=%d\n", ds.Reads, ds.Writes)
+	var reads, writes uint64
+	for _, d := range sys.Devs {
+		ds := d.Stats()
+		reads += ds.Reads
+		writes += ds.Writes
+	}
+	fmt.Printf("  device         reads=%d writes=%d\n", reads, writes)
 
 	if *breakdown {
 		fmt.Printf("\n%s", sys.Trace.Report())

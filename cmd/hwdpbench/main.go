@@ -23,9 +23,6 @@
 //	hwdpbench -sweep-out f.json # sweep manifest path (default SWEEP_hwdp.json)
 //	hwdpbench -breakdown        # per-layer miss-latency attribution, all schemes
 //	hwdpbench -trace out.json   # Chrome trace of the same sweep (Perfetto)
-//	hwdpbench -bench            # fixed-seed benchmark suite -> BENCH_hwdp.json
-//	hwdpbench -bench -quick     # short variant (CI smoke)
-//	hwdpbench -bench-out f.json # report path (default BENCH_hwdp.json)
 //	hwdpbench -pressure         # chaos-pressure campaign -> CAMPAIGN_hwdp.json
 //	hwdpbench -pressure -quick  # bounded variant (CI smoke)
 //	hwdpbench -campaign-out f   # campaign manifest path (default CAMPAIGN_hwdp.json)
@@ -80,8 +77,6 @@ func main() {
 	sweepOut := flag.String("sweep-out", "SWEEP_hwdp.json", "sweep manifest path")
 	breakdown := flag.Bool("breakdown", false, "run a traced FIO sweep over all three schemes and print per-layer latency attribution")
 	tracePath := flag.String("trace", "", "write the traced sweep as Chrome trace_event JSON to this file")
-	bench := flag.Bool("bench", false, "run the fixed-seed benchmark suite and write a JSON report")
-	benchOut := flag.String("bench-out", "BENCH_hwdp.json", "benchmark report path for -bench")
 	pressure := flag.Bool("pressure", false, "run the chaos-pressure campaign (oversubscription under fault storms) and write a JSON manifest")
 	campaignOut := flag.String("campaign-out", "CAMPAIGN_hwdp.json", "campaign manifest path for -pressure")
 	fleetRun := flag.Bool("fleet", false, "run the multi-tenant fleet sweep (noisy-neighbor isolation ladder, docs/FLEET.md) and write a JSON manifest")
@@ -130,9 +125,6 @@ func main() {
 		byName[u.Name] = u
 	}
 	var sel []sweep.Unit
-	if *bench {
-		sel = append(sel, benchUnit(*quick, *benchOut))
-	}
 	var campaignResults []campaign.Result
 	if *pressure {
 		scs := campaign.DefaultScenarios(*quick)

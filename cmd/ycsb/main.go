@@ -114,8 +114,13 @@ func main() {
 		ms.HWMisses, ms.OSFaults, ks.MajorFaults, ks.MinorFaults, ks.SWFaults, ks.HWBounceFaults)
 	fmt.Printf("  memory         evictions=%d writebacks=%d kpted-syncs=%d\n",
 		ks.Evictions, ks.Writebacks, ks.KptedSyncs)
-	ds := sys.Dev.Stats()
-	fmt.Printf("  device         reads=%d writes=%d\n", ds.Reads, ds.Writes)
+	var reads, writes uint64
+	for _, d := range sys.Devs {
+		ds := d.Stats()
+		reads += ds.Reads
+		writes += ds.Writes
+	}
+	fmt.Printf("  device         reads=%d writes=%d\n", reads, writes)
 
 	if *breakdown {
 		fmt.Printf("\n%s", sys.Trace.Report())

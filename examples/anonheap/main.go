@@ -69,8 +69,13 @@ func run(scheme kernel.Scheme) (elapsed sim.Time, zeroFills, swapIns uint64, ok 
 	}
 	step()
 	sys.RunWhile(func() bool { return !done })
-	hwStats := sys.SMU.Stats()
-	return sys.Eng.Now(), hwStats.AnonZeroFill, sys.Dev.Stats().Reads, ok
+	for _, u := range sys.SMUs {
+		zeroFills += u.Stats().AnonZeroFill
+	}
+	for _, d := range sys.Devs {
+		swapIns += d.Stats().Reads
+	}
+	return sys.Eng.Now(), zeroFills, swapIns, ok
 }
 
 func main() {

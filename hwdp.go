@@ -262,7 +262,7 @@ func (s *System) ColdPageLatency() (Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	lat, _ := s.sys.MeasureSingleFault(s.sys.WorkloadThread(0), va)
+	lat := s.sys.MeasureSingleFault(s.sys.WorkloadThread(0), va)
 	return lat, nil
 }
 
@@ -478,9 +478,7 @@ type Stats struct {
 func (s *System) Stats() Stats {
 	ks := s.sys.K.Stats()
 	ms := s.sys.MMU.Stats()
-	ds := s.sys.Dev.Stats()
-	ss := s.sys.SMU.Stats()
-	return Stats{
+	st := Stats{
 		HWMisses:       ms.HWMisses,
 		OSFaults:       ms.OSFaults,
 		MajorFaults:    ks.MajorFaults,
@@ -490,13 +488,20 @@ func (s *System) Stats() Stats {
 		Writebacks:     ks.Writebacks,
 		KptedSyncs:     ks.KptedSyncs,
 		KpooldFrames:   ks.KpooldFrames,
-		DeviceReads:    ds.Reads,
-		DeviceWrites:   ds.Writes,
-		PMSHRCoalesced: ss.Coalesced,
-		AnonZeroFills:  ss.AnonZeroFill,
 		Prefetches:     ms.Prefetches,
 		StallTimeouts:  ks.StallTimeouts,
 	}
+	for _, d := range s.sys.Devs {
+		ds := d.Stats()
+		st.DeviceReads += ds.Reads
+		st.DeviceWrites += ds.Writes
+	}
+	for _, u := range s.sys.SMUs {
+		ss := u.Stats()
+		st.PMSHRCoalesced += ss.Coalesced
+		st.AnonZeroFills += ss.AnonZeroFill
+	}
+	return st
 }
 
 // Recovery reports the per-layer error-recovery counters: injected faults

@@ -1,12 +1,12 @@
-// Package eventcapture flags closures handed to the event engine's
-// scheduling methods (Post, PostAt, After, At) in hot-path packages when
-// they capture local variables. Each such closure is a fresh heap
-// allocation on every call — on the page-miss path that is millions of
-// allocations per run and the difference between 0 and 2 allocs/op in
+// Package eventcapture flags closures handed to the event engine's one
+// closure-taking scheduling method, Post, in hot-path packages when they
+// capture local variables. Each such closure is a fresh heap allocation
+// on every call — on the page-miss path that is millions of allocations
+// per run and the difference between 0 and 2 allocs/op in
 // BenchmarkHandleMiss. The fix is a pre-bound method value (captures
-// nothing) or the pooled argument-passing forms PostArg / AtArg /
-// AtArgPooled, which carry the per-event state through a recycled carrier
-// instead of a closure environment.
+// nothing) or the argument-passing forms PostArg / AtArgPooled, which
+// carry the per-event state through a recycled carrier instead of a
+// closure environment.
 //
 // Capture-free closures (pure method values wrapped in func(){...} with
 // only package-level or receiver-free references) are allowed: the
@@ -51,7 +51,7 @@ func checkSchedule(pass *analysis.Pass, call *ast.CallExpr) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	name, ok := analysis.IsEngineScheduler(fn)
 	if !ok || !analysis.EngineSchedulers[name] {
-		return // PostArg/AtArg/AtArgPooled are the sanctioned forms
+		return // PostArg/AtArgPooled are the sanctioned forms
 	}
 	for _, arg := range call.Args {
 		lit, ok := ast.Unparen(arg).(*ast.FuncLit)

@@ -17,10 +17,10 @@ func (m *M) handle(arg any) {}
 func noop() {}
 
 func (m *M) schedule(va uint64, done func(uint64)) {
-	m.eng.Post(m.lat, noop)                      // ok: package-level function value
-	m.eng.Post(m.lat, func() { done(va) })       // want `captures variables done, va`
-	m.eng.At(m.lat, func() { m.step() })         // want `captures variable m`
-	m.eng.After(m.lat, func() { println("ok") }) // ok: captures nothing
-	m.eng.PostArg(m.lat, m.handle, va)           // ok: the pooled form
-	m.eng.PostAt(m.lat, func() { m.step() })     //hwdp:ignore eventcapture cold path, fires once per run
+	m.eng.Post(m.lat, noop)                     // ok: package-level function value
+	m.eng.Post(m.lat, func() { done(va) })      // want `captures variables done, va`
+	m.eng.Post(m.lat, func() { m.step() })      // want `captures variable m`
+	m.eng.Post(m.lat, func() { println("ok") }) // ok: captures nothing
+	m.eng.PostArg(m.lat, m.handle, va)          // ok: the pooled form
+	m.eng.Post(m.lat, func() { m.step() })      //hwdp:ignore eventcapture cold path, fires once per run
 }

@@ -40,23 +40,11 @@ func (e *Engine) Now() Time { return 0 }
 // Run drains the queue (stub).
 func (e *Engine) Run() {}
 
-// At schedules fn at t (stub).
-func (e *Engine) At(t Time, fn func()) *Event { return nil }
-
-// After schedules fn after d (stub).
-func (e *Engine) After(d Time, fn func()) *Event { return nil }
-
-// AtArg schedules fn(arg) at t (stub).
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event { return nil }
-
 // AtArgPooled schedules fn(arg) at t with a pooled event (stub).
 func (e *Engine) AtArgPooled(t Time, fn func(any), arg any) *Event { return nil }
 
 // Post schedules fn after d with a pooled event (stub).
 func (e *Engine) Post(d Time, fn func()) {}
-
-// PostAt schedules fn at t with a pooled event (stub).
-func (e *Engine) PostAt(t Time, fn func()) {}
 
 // PostArg schedules fn(arg) after d with a pooled event (stub).
 func (e *Engine) PostArg(d Time, fn func(any), arg any) {}

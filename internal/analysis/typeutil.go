@@ -82,11 +82,7 @@ func IsTimeDuration(t types.Type) bool {
 // eventcapture steers away from).
 var EngineSchedulers = map[string]bool{
 	"Post":        true,  // Post(d, func())
-	"PostAt":      true,  // PostAt(t, func())
-	"After":       true,  // After(d, func())
-	"At":          true,  // At(t, func())
-	"PostArg":     false, // pooled, pre-bound: the preferred form
-	"AtArg":       false,
+	"PostArg":     false, // pre-bound callback plus argument: the preferred form
 	"AtArgPooled": false,
 }
 

@@ -156,8 +156,8 @@ func (c Config) Build() *System {
 // Dur converts raw picoseconds (e.g. histogram percentiles) to sim.Time.
 func Dur(ps int64) sim.Time { return sim.Time(ps) }
 
-// System is one assembled machine. SMU, Dev and FS are socket 0's
-// components; multi-socket machines expose the rest via SMUs/Devs/FSs.
+// System is one assembled machine. SMUs, Devs and FSs hold each socket's
+// components, indexed by socket ID.
 type System struct {
 	Cfg Config
 	// Eng is the event engine every component schedules on.
@@ -165,9 +165,7 @@ type System struct {
 	CPU  *cpu.CPU
 	Mem  *mem.Memory
 	MMU  *mmu.MMU
-	SMU  *smu.SMU
-	Dev  *ssd.Device
-	FS   *fs.FS
+	FS   *fs.FS // socket 0's file system, where MapFile puts files
 	SMUs []*smu.SMU
 	Devs []*ssd.Device
 	FSs  []*fs.FS
@@ -301,7 +299,7 @@ func NewSystem(cfg Config) (*System, error) {
 		sys.Devs = append(sys.Devs, dev)
 		sys.FSs = append(sys.FSs, fsys)
 	}
-	sys.SMU, sys.Dev, sys.FS = sys.SMUs[0], sys.Devs[0], sys.FSs[0]
+	sys.FS = sys.FSs[0]
 	k.Start()
 	sys.Proc = k.NewProcess()
 	return sys, nil
@@ -403,26 +401,10 @@ func (s *System) BacklogWait() *metrics.Histogram {
 	return h
 }
 
-// FaultTrace is a single-miss phase trace (Fig. 11(b)).
-type FaultTrace struct {
-	Phases []TracePhase
-	Total  sim.Time
-}
-
-// TracePhase is one labeled span.
-type TracePhase struct {
-	Name string
-	Dur  sim.Time
-}
-
 // MeasureSingleFault touches one cold page and returns the end-to-end miss
-// latency plus, for HWDP, the SMU's phase trace.
-func (s *System) MeasureSingleFault(th *kernel.Thread, va pagetable.VAddr) (sim.Time, *FaultTrace) {
-	tr := &FaultTrace{}
-	s.SMU.Tracer = func(phase string, d sim.Time) {
-		tr.Phases = append(tr.Phases, TracePhase{phase, d})
-	}
-	defer func() { s.SMU.Tracer = nil }()
+// latency. With Config.TraceEnabled, Trace also records the miss's
+// per-layer spans.
+func (s *System) MeasureSingleFault(th *kernel.Thread, va pagetable.VAddr) sim.Time {
 	start := s.Eng.Now()
 	var end sim.Time = -1
 	s.K.Access(th, va, false, func(mmu.Result) { end = s.Eng.Now() })
@@ -430,6 +412,5 @@ func (s *System) MeasureSingleFault(th *kernel.Thread, va pagetable.VAddr) (sim.
 	if end < 0 {
 		panic("core: single fault never completed")
 	}
-	tr.Total = end - start
-	return tr.Total, tr
+	return end - start
 }

@@ -9,6 +9,7 @@ import (
 	"hwdp/internal/mmu"
 	"hwdp/internal/sim"
 	"hwdp/internal/ssd"
+	"hwdp/internal/trace"
 )
 
 func smallConfig(scheme kernel.Scheme) Config {
@@ -21,14 +22,14 @@ func smallConfig(scheme kernel.Scheme) Config {
 
 func TestNewSystemAssembly(t *testing.T) {
 	s := smallConfig(kernel.HWDP).Build()
-	if s.CPU == nil || s.K == nil || s.SMU == nil {
+	if s.CPU == nil || s.K == nil || len(s.SMUs) != 1 {
 		t.Fatal("incomplete assembly")
 	}
 	if got := s.Mem.Frames(); got != (32<<20)/4096 {
 		t.Fatalf("frames = %d", got)
 	}
 	// Free page queue primed at start.
-	if s.SMU.FreeQueue().Len()+s.SMU.FreeQueue().Buffered() == 0 {
+	if q := s.SMUs[0].FreeQueue(); q.Len()+q.Buffered() == 0 {
 		t.Fatal("free page queue not primed")
 	}
 }
@@ -64,21 +65,34 @@ func TestWorkloadThreadPinning(t *testing.T) {
 }
 
 func TestMeasureSingleFaultHWDP(t *testing.T) {
-	s := smallConfig(kernel.HWDP).Build()
+	cfg := smallConfig(kernel.HWDP)
+	cfg.TraceEnabled = true
+	s := cfg.Build()
 	va, _, err := s.MapFile("f", 16, fs.SeededInit(1), s.FastFlags())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, tr := s.MeasureSingleFault(s.WorkloadThread(0), va)
-	want := s.MMU.WalkLatency + s.SMU.Timing().BeforeDevice() + ssd.ZSSD.Read4K + s.SMU.Timing().AfterDevice()
+	lat := s.MeasureSingleFault(s.WorkloadThread(0), va)
+	tm := s.SMUs[0].Timing()
+	want := s.MMU.WalkLatency + tm.BeforeDevice() + ssd.ZSSD.Read4K + tm.AfterDevice()
 	if lat != want {
 		t.Fatalf("latency = %v, want %v", lat, want)
 	}
-	if len(tr.Phases) < 6 {
-		t.Fatalf("trace phases = %d", len(tr.Phases))
+	misses := s.Trace.Misses()
+	if len(misses) != 1 {
+		t.Fatalf("traced misses = %d, want 1", len(misses))
 	}
-	if tr.Total != lat {
-		t.Fatal("trace total mismatch")
+	hw := 0
+	for _, sp := range misses[0].Spans {
+		if sp.Layer == trace.LayerSMU || sp.Layer == trace.LayerNVMe {
+			hw++
+		}
+	}
+	if hw < 6 {
+		t.Fatalf("SMU and NVMe trace phases = %d", hw)
+	}
+	if got := misses[0].Total(); got != lat {
+		t.Fatalf("trace total = %v, want %v", got, lat)
 	}
 }
 
@@ -90,7 +104,7 @@ func TestMeasureSingleFaultAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat, _ := s.MeasureSingleFault(s.WorkloadThread(0), va)
+		lat := s.MeasureSingleFault(s.WorkloadThread(0), va)
 		lats = append(lats, lat)
 	}
 	if !(lats[0] < lats[1] && lats[1] < lats[2]) {

@@ -102,7 +102,7 @@ func TestPerCoreFreeQueues(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PerCoreFreeQueues = true
 	s := cfg.Build()
-	if got := len(s.SMU.Queues()); got != cfg.Cores*2 {
+	if got := len(s.SMUs[0].Queues()); got != cfg.Cores*2 {
 		t.Fatalf("queues = %d, want %d", got, cfg.Cores*2)
 	}
 	va, _, err := s.MapFile("f", 256, fs.SeededInit(1), s.FastFlags())
@@ -112,8 +112,8 @@ func TestPerCoreFreeQueues(t *testing.T) {
 	// Two threads on different cores fault concurrently; each consumes
 	// from its own queue.
 	t0, t1 := s.WorkloadThread(0), s.WorkloadThread(1)
-	q0 := s.SMU.Queues()[t0.HW.ID]
-	q4 := s.SMU.Queues()[t1.HW.ID]
+	q0 := s.SMUs[0].Queues()[t0.HW.ID]
+	q4 := s.SMUs[0].Queues()[t1.HW.ID]
 	pops0, pops4 := q0.Pops(), q4.Pops()
 	done := 0
 	for i, th := range []*kernel.Thread{t0, t1} {
@@ -129,7 +129,7 @@ func TestPerCoreFreeQueues(t *testing.T) {
 	}
 	// Other queues untouched by these two misses.
 	var othersPopped int
-	for i, q := range s.SMU.Queues() {
+	for i, q := range s.SMUs[0].Queues() {
 		if i == t0.HW.ID || i == t1.HW.ID {
 			continue
 		}
@@ -144,7 +144,7 @@ func TestPerCoreQueuesRefillAll(t *testing.T) {
 	cfg := smallConfig(kernel.HWDP)
 	cfg.PerCoreFreeQueues = true
 	s := cfg.Build()
-	for i, q := range s.SMU.Queues() {
+	for i, q := range s.SMUs[0].Queues() {
 		if q.Len()+q.Buffered() == 0 {
 			t.Fatalf("queue %d not primed at start", i)
 		}
@@ -328,7 +328,7 @@ func TestModeledBackendEndToEnd(t *testing.T) {
 	if vs := m.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("FTL invariants violated after end-to-end run: %v", vs[0])
 	}
-	ds := s.Dev.Stats()
+	ds := s.Devs[0].Stats()
 	if ds.MediaBusySum == 0 || ds.Reads == 0 {
 		t.Fatalf("device stats not accounted: %+v", ds)
 	}

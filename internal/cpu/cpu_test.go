@@ -226,8 +226,8 @@ func TestOpenEndedStall(t *testing.T) {
 	// only when it ends; the time lands in StallTime and the thread idles.
 	eng, c := newCPU(1)
 	th := c.Thread(0)
-	eng.At(sim.Micro(5), func() { c.StartStall(th) })
-	eng.At(sim.Micro(12), func() {
+	eng.Post(sim.Micro(5), func() { c.StartStall(th) })
+	eng.Post(sim.Micro(12), func() {
 		if th.State() != Stalled {
 			t.Fatalf("state = %v during the stall", th.State())
 		}

@@ -44,7 +44,7 @@ func AblationPMSHR(p Params) (*PMSHRResult, error) {
 		rs := workload.Run(sys, threadSet(sys, 8), fio,
 			workload.RunOptions{OpsPerThread: p.OpsPerThread / 2, WarmupOps: p.WarmupOps / 2})
 		m := workload.Merge(rs)
-		st := sys.SMU.Stats()
+		st := sys.SMUs[0].Stats()
 		res.Rows = append(res.Rows, PMSHRRow{
 			Entries:    entries,
 			Throughput: m.Throughput(),
@@ -99,7 +99,7 @@ func AblationDeviceSweep(p Params) (*DeviceSweepResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			lats[i], _ = sys.MeasureSingleFault(sys.WorkloadThread(0), va)
+			lats[i] = sys.MeasureSingleFault(sys.WorkloadThread(0), va)
 		}
 		c := kernel.DefaultCosts()
 		hwTime := lats[1] - dev.Read4K

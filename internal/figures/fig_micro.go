@@ -8,6 +8,7 @@ import (
 	"hwdp/internal/kernel"
 	"hwdp/internal/sim"
 	"hwdp/internal/ssd"
+	"hwdp/internal/trace"
 	"hwdp/internal/workload"
 )
 
@@ -19,35 +20,54 @@ type Fig11Result struct {
 	BeforeReduction       sim.Time
 	AfterReduction        sim.Time
 	OSDPTotal, HWDPTotal  sim.Time // measured end-to-end single-fault latencies
-	Timeline              []core.TracePhase
+	// Timeline is the HWDP miss's SMU- and NVMe-layer trace spans, in
+	// recording order.
+	Timeline []trace.Span
 }
 
-// Fig11 measures one fault under each scheme and captures the SMU phase
-// timeline.
+// fig11Labels maps the SMU and NVMe span names of a hardware miss to the
+// phase labels of the paper's Fig. 11(b).
+var fig11Labels = map[string]string{
+	"req-regs+cam":    "request regs + CAM lookup",
+	"free-page-fetch": "free page fetch",
+	"pmshr-write":     "PMSHR write",
+	"nvme-cmd-write":  "NVMe cmd write",
+	"sq-doorbell":     "SQ doorbell",
+	"cq-handle":       "CQ handle",
+	"pt-update":       "PT update",
+	"notify-mmu":      "notify MMU",
+}
+
+// Fig11 measures one fault under each scheme and takes the hardware
+// timeline from the traced HWDP miss.
 func Fig11(p Params) (*Fig11Result, error) {
-	single := func(scheme kernel.Scheme) (sim.Time, *core.FaultTrace, *core.System, error) {
+	single := func(scheme kernel.Scheme) (sim.Time, *core.System, error) {
 		cfg := core.DefaultConfig(scheme)
 		cfg.MemoryBytes = p.memoryBytes()
 		cfg.DeviceJitter = false
+		cfg.TraceEnabled = scheme == kernel.HWDP
 		sys := cfg.Build()
 		va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
-		lat, tr := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
-		return lat, tr, sys, nil
+		return sys.MeasureSingleFault(sys.WorkloadThread(0), va), sys, nil
 	}
-	osLat, _, osSys, err := single(kernel.OSDP)
+	osLat, osSys, err := single(kernel.OSDP)
 	if err != nil {
 		return nil, err
 	}
-	hwLat, tr, hwSys, err := single(kernel.HWDP)
+	hwLat, hwSys, err := single(kernel.HWDP)
 	if err != nil {
 		return nil, err
+	}
+	misses := hwSys.Trace.Misses()
+	if len(misses) != 1 {
+		return nil, fmt.Errorf("fig11: traced %d HWDP misses, want 1", len(misses))
 	}
 	c := osSys.K.Config().Costs
 	walk := osSys.MMU.WalkLatency
-	tm := hwSys.SMU.Timing()
+	tm := hwSys.SMUs[0].Timing()
 	r := &Fig11Result{
 		OSDPBefore: walk + c.OSDPBeforeDevice(),
 		OSDPAfter:  c.OSDPAfterDevice(),
@@ -55,7 +75,11 @@ func Fig11(p Params) (*Fig11Result, error) {
 		HWDPAfter:  tm.AfterDevice(),
 		OSDPTotal:  osLat,
 		HWDPTotal:  hwLat,
-		Timeline:   tr.Phases,
+	}
+	for _, sp := range misses[0].Spans {
+		if sp.Layer == trace.LayerSMU || sp.Layer == trace.LayerNVMe {
+			r.Timeline = append(r.Timeline, sp)
+		}
 	}
 	r.BeforeReduction = r.OSDPBefore - r.HWDPBefore
 	r.AfterReduction = r.OSDPAfter - r.HWDPAfter
@@ -72,8 +96,8 @@ func (r *Fig11Result) String() string {
 	fmt.Fprintf(&b, "  reduction: before %v (paper: 2.38us), after %v (paper: 6.16us)\n",
 		r.BeforeReduction, r.AfterReduction)
 	b.WriteString("Figure 11(b): HWDP single-miss hardware timeline\n")
-	for _, ph := range r.Timeline {
-		fmt.Fprintf(&b, "  %-28s %10v (%d cycles)\n", ph.Name, ph.Dur, ph.Dur.ToCycles())
+	for _, sp := range r.Timeline {
+		fmt.Fprintf(&b, "  %-28s %10v (%d cycles)\n", fig11Labels[sp.Name], sp.Dur(), sp.Dur().ToCycles())
 	}
 	return b.String()
 }
@@ -160,7 +184,7 @@ func Fig17(p Params) (*Fig17Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		lat, _ := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
+		lat := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
 		return lat, nil
 	}
 	res := &Fig17Result{}

@@ -134,7 +134,7 @@ func Fig3(p Params) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	measured, _ := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
+	measured := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
 
 	c := sys.K.Config().Costs
 	dev := sys.Cfg.Device.Read4K

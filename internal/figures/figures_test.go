@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"hwdp/internal/core"
+	"hwdp/internal/sim"
+	"hwdp/internal/smu"
+	"hwdp/internal/trace"
 )
-
-type core_TracePhase = core.TracePhase
 
 // The figure tests assert that each regenerated experiment reproduces the
 // paper's *shape*: who wins, by roughly what factor, and in which
@@ -113,13 +113,49 @@ func TestFig11Reductions(t *testing.T) {
 	}
 	// Command write dominates before-device (77.16ns).
 	var cmdNS float64
-	for _, ph := range r.Timeline {
-		if strings.Contains(ph.Name, "cmd write") {
-			cmdNS = ph.Dur.Nanos()
+	for _, sp := range r.Timeline {
+		if sp.Name == "nvme-cmd-write" {
+			cmdNS = sp.Dur().Nanos()
 		}
 	}
 	if cmdNS < 77 || cmdNS > 78 {
 		t.Fatalf("cmd write = %.2fns", cmdNS)
+	}
+}
+
+func TestFig11TimelineMatchesSMUTiming(t *testing.T) {
+	// Every Fig. 11(b) phase is one hardware step of the traced miss, so
+	// its duration is exactly the SMU timing entry for that step, and the
+	// phases come in critical-path order.
+	r, err := Fig11(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := smu.DefaultTiming()
+	want := []struct {
+		name string
+		dur  sim.Time
+	}{
+		{"req-regs+cam", 2*tm.ReqRegWrite + tm.CAMLookup},
+		{"free-page-fetch", tm.FreePageHit},
+		{"pmshr-write", tm.PMSHRWrite},
+		{"nvme-cmd-write", tm.CmdWrite},
+		{"sq-doorbell", tm.Doorbell},
+		{"cq-handle", tm.CQHandle},
+		{"pt-update", tm.PTUpdate},
+		{"notify-mmu", tm.Notify},
+	}
+	if len(r.Timeline) != len(want) {
+		t.Fatalf("timeline has %d phases, want %d: %v", len(r.Timeline), len(want), r.Timeline)
+	}
+	for i, w := range want {
+		sp := r.Timeline[i]
+		if sp.Name != w.name || sp.Dur() != w.dur {
+			t.Errorf("phase %d = %s %dps, want %s %dps", i, sp.Name, sp.Dur(), w.name, w.dur)
+		}
+		if fig11Labels[sp.Name] == "" {
+			t.Errorf("phase %s has no Fig. 11(b) label", sp.Name)
+		}
 	}
 }
 
@@ -375,7 +411,7 @@ func TestAblationPrefetch(t *testing.T) {
 func TestResultRenders(t *testing.T) {
 	// Exercise every String() with hand-built values (no experiment runs).
 	f1 := &Fig1Result{Rows: []Fig1Row{{Ratio: 2, Throughput: 1000, ComputeFrac: 0.6, PageFaultFrac: 0.4}}}
-	f11 := &Fig11Result{Timeline: []core_TracePhase{{Name: "PT update", Dur: 97 * 357}}}
+	f11 := &Fig11Result{Timeline: []trace.Span{{Layer: trace.LayerSMU, Name: "pt-update", End: 97 * 357}}}
 	f12 := &Fig12Result{Rows: []Fig12Row{{Threads: 1, OSDP: 1000, HWDP: 600, Reduction: 0.4}}}
 	f13 := &Fig13Result{Cells: []Fig13Cell{{Workload: "FIO", Threads: 1, OSDP: 1, HWDP: 2, Gain: 1}}}
 	f14 := &Fig14Result{ThroughputNorm: 1.2, IPCGain: 0.07}

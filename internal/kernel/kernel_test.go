@@ -497,7 +497,7 @@ func TestMunmapWaitsForOutstandingMisses(t *testing.T) {
 	// Start a hardware miss and munmap while it is in flight.
 	var missDone, unmapDone sim.Time = -1, -1
 	r.k.Access(th2, va, false, func(mmu.Result) { missDone = r.eng.Now() })
-	r.eng.After(sim.Micro(1), func() {
+	r.eng.Post(sim.Micro(1), func() {
 		r.k.Munmap(r.th, va, func() { unmapDone = r.eng.Now() })
 	})
 	r.eng.RunUntil(sim.Second)

@@ -211,7 +211,7 @@ func TestOSFaultPath(t *testing.T) {
 			t.Fatal("conventional fault flagged as hw-failed")
 		}
 		// Kernel installs the mapping after its handling latency.
-		r.eng.After(sim.Micro(20), func() {
+		r.eng.Post(sim.Micro(20), func() {
 			as.Table.Set(va.PageBase(), pagetable.MakePresent(77, pagetable.Prot{}, true))
 			done()
 		})
@@ -234,7 +234,7 @@ func TestHWMissBouncesToOSWhenNoFreePage(t *testing.T) {
 	hwFailedSeen := false
 	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func()) {
 		hwFailedSeen = hwFailed
-		r.eng.After(sim.Micro(15), func() {
+		r.eng.Post(sim.Micro(15), func() {
 			as.Table.Set(va.PageBase(), pagetable.MakePresent(55, pagetable.Prot{}, true))
 			done()
 		})

@@ -55,14 +55,14 @@ func TestAtArgPooledAllocationBudget(t *testing.T) {
 	}
 }
 
-func TestPostOrderingMatchesAfter(t *testing.T) {
-	// Post must observe the same (at, seq) total order as After: mixing the
-	// two at equal timestamps fires in schedule order.
+func TestScheduleFormsShareOneOrder(t *testing.T) {
+	// Post, PostArg and AtArgPooled observe one (at, seq) total order:
+	// mixing them at equal timestamps fires in schedule order.
 	e := NewEngine()
 	var order []int
-	e.After(20, func() { order = append(order, 1) })
+	e.AtArgPooled(20, func(any) { order = append(order, 1) }, nil)
 	e.Post(20, func() { order = append(order, 2) })
-	e.PostAt(20, func() { order = append(order, 3) })
+	e.PostArg(20, func(any) { order = append(order, 3) }, nil)
 	e.Post(10, func() { order = append(order, 0) })
 	e.Run()
 	want := []int{0, 1, 2, 3}
@@ -147,36 +147,13 @@ func TestCancelRemovesPooledEventEagerly(t *testing.T) {
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
-	// Cancel on a fired handle event, and Cancel from inside an event's own
-	// callback, leave every other queued event alone.
+	// A pooled event canceling itself from inside its own callback, before
+	// it schedules anything: the slot sits in the free list, so Cancel
+	// does nothing and every other queued event still fires.
 	e := NewEngine()
-	var self *Event
-	selfFired := 0
-	self = e.After(10, func() {
-		selfFired++
-		self.Cancel()
-	})
-	other := 0
-	e.After(10, func() { other++ })
-	e.After(30, func() { other++ })
-	e.RunUntil(20)
-	if selfFired != 1 {
-		t.Fatalf("self-canceling event fired %d times, want 1", selfFired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	self.Cancel()
-	e.Run()
-	if other != 2 {
-		t.Fatalf("other events fired %d times, want 2", other)
-	}
-
-	// The same for a pooled event canceling itself before it schedules
-	// anything: the slot sits in the free list, so Cancel does nothing.
 	var pev *Event
 	pooledFired := 0
-	pev = e.AtArgPooled(e.Now()+5, func(any) {
+	pev = e.AtArgPooled(5, func(any) {
 		pooledFired++
 		pev.Cancel()
 		pev = nil
@@ -185,26 +162,6 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e.Run()
 	if pooledFired != 2 {
 		t.Fatalf("pooled events fired %d times, want 2", pooledFired)
-	}
-}
-
-func TestHandleEventsNeverRecycled(t *testing.T) {
-	// At/After handles may be retained forever; their storage must never
-	// enter the pool, or a stale Cancel could kill an unrelated event.
-	e := NewEngine()
-	ev1 := e.After(10, func() {})
-	e.Run()
-	ev2 := e.After(10, func() {})
-	if ev1 == ev2 {
-		t.Fatal("handle event storage was recycled")
-	}
-	// Late cancel on the fired event must be harmless.
-	ev1.Cancel()
-	fired := false
-	e.After(5, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed a live event")
 	}
 }
 
@@ -224,9 +181,10 @@ func TestRunUntilStopsAtCanceledDeadline(t *testing.T) {
 }
 
 func TestCancelPropertyMatchesSortedReference(t *testing.T) {
-	// Random Post/AtArgPooled/After schedules interleaved with Cancel of
-	// random live handles, including from inside callbacks: the fire order
-	// must equal the live events sorted by (time, schedule order).
+	// Random Post/AtArgPooled schedules interleaved with Cancel of random
+	// live handles, including from inside callbacks: the fire order must
+	// equal the live events sorted by (time, schedule order). A handle is
+	// dropped when its event fires, as the AtArgPooled contract requires.
 	type handle struct {
 		id int
 		ev *Event
@@ -271,14 +229,11 @@ func TestCancelPropertyMatchesSortedReference(t *testing.T) {
 			id := len(at)
 			d := Time(rng.Intn(50))
 			at = append(at, e.Now()+d)
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(3) == 0 {
 				e.Post(d, func() { record(id) })
-			case 1:
+			} else {
 				ev := e.AtArgPooled(e.Now()+d, func(any) { record(id) }, nil)
 				handles = append(handles, handle{id, ev})
-			default:
-				handles = append(handles, handle{id, e.After(d, func() { record(id) })})
 			}
 		}
 		for i := 0; i < 400; i++ {

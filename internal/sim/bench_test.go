@@ -4,9 +4,10 @@ import "testing"
 
 func BenchmarkEngineScheduleAndFire(b *testing.B) {
 	e := NewEngine()
+	fn := func(any) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%1000), func() {})
+		e.AtArgPooled(e.Now()+Time(i%1000), fn, nil)
 		if e.Pending() > 1024 {
 			for e.Step() {
 			}
@@ -22,10 +23,10 @@ func BenchmarkEngineNestedChain(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			e.After(100, tick)
+			e.Post(100, tick)
 		}
 	}
-	e.At(0, tick)
+	e.Post(0, tick)
 	e.Run()
 }
 

@@ -4,15 +4,15 @@ package sim
 // they were scheduled (stable FIFO tie-break), which keeps runs
 // deterministic.
 //
-// Events created by At/After are caller-visible handles (Cancel/Pending)
-// and live until the garbage collector takes them. Events created by the
-// Post* family never escape the engine, so they are recycled through an
-// internal free list: steady-state scheduling on the hot path performs no
-// allocations. AtArgPooled events are recycled the same way but hand out a
-// handle that is valid until the event fires or is canceled.
+// Every event's storage is owned by the engine and recycled through an
+// internal free list, so steady-state scheduling performs no allocations.
+// Post and PostArg are fire-and-forget and return no handle. AtArgPooled
+// returns a handle for Cancel and Pending that is valid only until the
+// event fires or is canceled: after either, the engine reuses the storage
+// for a later event, so the holder must drop the handle at both points.
 //
 // Cancel removes the event from the queue at once, so the queue holds only
-// live events and a canceled pooled event's storage is reused by the next
+// live events and a canceled event's storage is reused by the next
 // schedule.
 type Event struct {
 	at  Time
@@ -29,13 +29,13 @@ type Event struct {
 	eng *Engine
 	// idx is the heap position, -1 once fired, canceled or recycled. It is
 	// 32 bits wide so the Event stays in the 64-byte size class.
-	idx    int32
-	pooled bool
+	idx int32
 }
 
 // Cancel removes a pending event from the queue; it will never fire.
-// Canceling an event that has already fired (including from inside its
-// own callback) or was already canceled is a no-op.
+// Until the engine reuses the storage, canceling an event that has already
+// fired (including from inside its own callback) or was already canceled
+// is a no-op.
 func (ev *Event) Cancel() {
 	if ev == nil || ev.idx < 0 {
 		return
@@ -95,17 +95,12 @@ func (e *Engine) alloc() *Event {
 	return &Event{idx: -1}
 }
 
-// recycle clears a pooled event and returns it to the free list. Handle
-// events (At/After) are not recycled: the caller may hold the pointer
-// indefinitely, and reusing it would let a stale Cancel kill an unrelated
-// event.
+// recycle clears a fired or canceled event and returns it to the free
+// list.
 //
 //hwdp:pool release event
 func (e *Engine) recycle(ev *Event) {
-	if !ev.pooled {
-		return
-	}
-	*ev = Event{pooled: true, idx: -1}
+	*ev = Event{idx: -1}
 	e.free = append(e.free, ev)
 }
 
@@ -124,42 +119,20 @@ func (e *Engine) schedule(ev *Event, t Time) {
 	e.siftUp(int(ev.idx))
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) clamps to Now: the event fires on the current timestep, after
-// already-pending events for that time. The returned handle supports
-// Cancel and Pending.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := &Event{fn: fn}
-	e.schedule(ev, t)
-	return ev
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event { return e.At(e.now+d, fn) }
-
-// AtArg schedules fn(arg) at absolute time t and returns a cancelable
-// handle. Unlike At it takes the callback and its context separately, so a
-// call site that would otherwise build a one-pointer closure per event can
-// pass a method value bound once at construction instead.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
-	ev := &Event{afn: fn, arg: arg}
-	e.schedule(ev, t)
-	return ev
-}
-
-// AtArgPooled is AtArg with engine-recycled storage: the returned handle is
-// valid only until the event fires or is canceled, after which the engine
-// reuses the Event for a future Post*/pooled call. The
-// caller must drop the handle when the callback runs and immediately after
-// Cancel; retaining it past either point aliases an unrelated event.
-// Model components use it for per-operation timeouts and completions whose
-// holder discipline guarantees exactly that (the handle lives in a record
-// that is itself reset at fire/cancel time).
+// AtArgPooled schedules fn(arg) at absolute virtual time t and returns a
+// handle for Cancel and Pending. Scheduling in the past (t < Now) clamps
+// to Now: the event fires on the current timestep, after already-pending
+// events for that time. The handle is valid only until the event fires or
+// is canceled, after which the engine reuses the Event for a later
+// schedule. The caller must drop the handle when the callback runs and
+// immediately after Cancel; retaining it past either point aliases an
+// unrelated event. Model components use it for per-operation timeouts and
+// completions whose holder discipline guarantees exactly that (the handle
+// lives in a record that is itself reset at fire/cancel time).
 //
 //hwdp:hotpath
 func (e *Engine) AtArgPooled(t Time, fn func(any), arg any) *Event {
 	ev := e.alloc()
-	ev.pooled = true
 	ev.afn = fn
 	ev.arg = arg
 	e.schedule(ev, t)
@@ -168,25 +141,13 @@ func (e *Engine) AtArgPooled(t Time, fn func(any), arg any) *Event {
 
 // Post schedules fn to run d after the current time, fire-and-forget: no
 // handle is returned, and the event's storage is recycled after it fires.
-// This is the zero-allocation-steady-state variant of After for call sites
-// that never Cancel.
+// Call sites that may Cancel use AtArgPooled instead.
 //
 //hwdp:hotpath
 func (e *Engine) Post(d Time, fn func()) {
 	ev := e.alloc()
-	ev.pooled = true
 	ev.fn = fn
 	e.schedule(ev, e.now+d)
-}
-
-// PostAt is Post with an absolute deadline.
-//
-//hwdp:hotpath
-func (e *Engine) PostAt(t Time, fn func()) {
-	ev := e.alloc()
-	ev.pooled = true
-	ev.fn = fn
-	e.schedule(ev, t)
 }
 
 // PostArg schedules fn(arg) d after the current time, fire-and-forget.
@@ -197,7 +158,6 @@ func (e *Engine) PostAt(t Time, fn func()) {
 //hwdp:hotpath
 func (e *Engine) PostArg(d Time, fn func(any), arg any) {
 	ev := e.alloc()
-	ev.pooled = true
 	ev.afn = fn
 	ev.arg = arg
 	e.schedule(ev, e.now+d)
@@ -279,7 +239,7 @@ func (e *Engine) pop() *Event {
 }
 
 // remove takes a queued event out of the heap (Cancel) and recycles its
-// storage if it is pooled.
+// storage.
 func (e *Engine) remove(ev *Event) {
 	i := int(ev.idx)
 	n := len(e.queue) - 1

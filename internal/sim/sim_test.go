@@ -65,11 +65,11 @@ func TestTimeString(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.Post(30, func() { order = append(order, 3) })
+	e.Post(10, func() { order = append(order, 1) })
+	e.Post(20, func() { order = append(order, 2) })
 	// Same timestamp: FIFO.
-	e.At(20, func() { order = append(order, 4) })
+	e.Post(20, func() { order = append(order, 4) })
 	e.Run()
 	want := []int{1, 2, 4, 3}
 	if len(order) != len(want) {
@@ -92,10 +92,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) < 5 {
-			e.After(100, tick)
+			e.Post(100, tick)
 		}
 	}
-	e.At(0, tick)
+	e.Post(0, tick)
 	e.Run()
 	if len(ticks) != 5 || ticks[4] != 400 {
 		t.Fatalf("ticks = %v", ticks)
@@ -105,23 +105,24 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.AtArgPooled(10, func(any) { fired = true }, nil)
 	if !ev.Pending() {
 		t.Fatal("event should be pending")
 	}
 	ev.Cancel()
+	ev.Cancel() // double-cancel is a no-op
+	ev = nil    // holder discipline: drop the handle after Cancel
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	ev.Cancel() // double-cancel is a no-op
 }
 
 func TestEnginePastSchedulingClamps(t *testing.T) {
 	e := NewEngine()
 	var at Time = -1
-	e.At(100, func() {
-		e.At(50, func() { at = e.Now() }) // in the past
+	e.Post(100, func() {
+		e.AtArgPooled(50, func(any) { at = e.Now() }, nil) // in the past
 	})
 	e.Run()
 	if at != 100 {
@@ -134,7 +135,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, ts := range []Time{10, 20, 30, 40} {
 		ts := ts
-		e.At(ts, func() { fired = append(fired, ts) })
+		e.Post(ts, func() { fired = append(fired, ts) })
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -157,7 +158,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunUntilInclusive(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.At(25, func() { n++ })
+	e.Post(25, func() { n++ })
 	e.RunUntil(25)
 	if n != 1 {
 		t.Fatal("event at deadline should fire")
@@ -172,7 +173,7 @@ func TestEngineHeapProperty(t *testing.T) {
 		var times []Time
 		for i := 0; i < 200; i++ {
 			ts := Time(r.Intn(1000))
-			e.At(ts, func() { times = append(times, e.Now()) })
+			e.Post(ts, func() { times = append(times, e.Now()) })
 		}
 		e.Run()
 		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }) && len(times) == 200

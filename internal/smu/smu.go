@@ -108,10 +108,6 @@ func (d doneRef) call(res Result, pte pagetable.Entry) {
 	d.fn(res, pte)
 }
 
-// TraceFunc observes the per-phase latencies of miss handling, used to
-// regenerate the Fig. 11(b) timeline.
-type TraceFunc func(phase string, dur sim.Time)
-
 // Stats are the SMU's event counters.
 type Stats struct {
 	Handled      uint64 // misses fully handled in hardware
@@ -251,10 +247,6 @@ type SMU struct {
 	notifyFn   func(any)
 	anonFillFn func(any)
 	noticeFn   func(any)
-
-	// Tracer, when set, observes each handling phase (single-miss
-	// experiments).
-	Tracer TraceFunc
 }
 
 // New builds an SMU with the given free-page-queue ring depth and the
@@ -541,15 +533,8 @@ func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qp *nvme.QueuePair, nsi
 	// ride the wire as the attachment's irq, so the notify callback runs
 	// at the post-snoop handle time.
 	dev.Attach(qp, s.timing.CQHandle, func(cp nvme.Completion) {
-		s.trace("CQ handle", s.timing.CQHandle)
 		s.cqHandle(slot)
 	})
-}
-
-func (s *SMU) trace(phase string, dur sim.Time) {
-	if s.Tracer != nil {
-		s.Tracer(phase, dur)
-	}
 }
 
 // HandleMiss processes one page-miss request. done is invoked (in virtual
@@ -575,7 +560,6 @@ func (s *SMU) HandleMissArg(req Request, done DoneArgFunc, arg any) {
 func (s *SMU) handleMiss(req Request, done doneRef) {
 	t := s.timing
 	lookupCost := 2*t.ReqRegWrite + t.CAMLookup
-	s.trace("request regs + CAM lookup", lookupCost)
 	now := s.eng.Now()
 	req.Trace.AddSpan(trace.LayerSMU, "req-regs+cam", now, now+lookupCost)
 	c := s.getReq()
@@ -663,7 +647,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 		s.stats.BufferMisses++
 		s.tstat(req.Tenant).BufferMisses++
 	}
-	s.trace("free page fetch", fetchCost)
 
 	s.qosCharge(req.Tenant, true)
 	idx := s.freeIdx[len(s.freeIdx)-1]
@@ -675,9 +658,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 	s.slots[idx] = e
 
 	t := s.timing
-	s.trace("PMSHR write", t.PMSHRWrite)
-	s.trace("NVMe cmd write", t.CmdWrite)
-	s.trace("SQ doorbell", t.Doorbell)
 	now := s.eng.Now()
 	req.Trace.AddSpan(trace.LayerSMU, "free-page-fetch", now, now+fetchCost)
 	req.Trace.AddSpan(trace.LayerSMU, "pmshr-write", now+fetchCost, now+fetchCost+t.PMSHRWrite)
@@ -825,9 +805,6 @@ func (s *SMU) admitAnon(req Request, done doneRef) {
 	s.slots[idx] = e
 
 	t := s.timing
-	s.trace("free page fetch", fetchCost)
-	s.trace("PT update", t.PTUpdate)
-	s.trace("notify MMU", t.Notify)
 	req.Trace.SetCause(trace.CauseAnonZeroFill)
 	now := s.eng.Now()
 	req.Trace.AddSpan(trace.LayerSMU, "free-page-fetch", now, now+fetchCost)
@@ -903,7 +880,6 @@ func (s *SMU) cqHandle(dev *devSlot) {
 		s.recover(e, cp.Status)
 		return
 	}
-	s.trace("PT update", t.PTUpdate)
 	ptAt := s.eng.Now()
 	e.req.Trace.AddSpan(trace.LayerSMU, "pt-update", ptAt, ptAt+t.PTUpdate)
 	s.eng.PostArg(t.PTUpdate, s.ptUpdateFn, e)
@@ -925,7 +901,6 @@ func (s *SMU) ptUpdate(e *pmshrEntry) {
 		s.stats.RaceYields++
 		s.tstat(e.req.Tenant).RaceYields++
 		e.newPTE = cur
-		s.trace("notify MMU", t.Notify)
 		notifyAt := s.eng.Now()
 		e.req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", notifyAt, notifyAt+t.Notify)
 		s.eng.PostArg(t.Notify, s.notifyFn, e)
@@ -936,7 +911,6 @@ func (s *SMU) ptUpdate(e *pmshrEntry) {
 	e.installed = true
 	e.newPTE = pte
 	pagetable.MarkUnsynced(e.req.PUD, e.req.PMD)
-	s.trace("notify MMU", t.Notify)
 	notifyAt := s.eng.Now()
 	e.req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", notifyAt, notifyAt+t.Notify)
 	s.eng.PostArg(t.Notify, s.notifyFn, e)

@@ -11,6 +11,7 @@ import (
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
 	"hwdp/internal/ssd"
+	"hwdp/internal/trace"
 )
 
 type rig struct {
@@ -222,7 +223,7 @@ func TestBarrierWaitsForOutstanding(t *testing.T) {
 	r.smu.HandleMiss(req, func(Result, pagetable.Entry) { missDone = true })
 	barrierAt := sim.Time(-1)
 	// Schedule the barrier while the miss is in flight.
-	r.eng.After(sim.Micro(1), func() {
+	r.eng.Post(sim.Micro(1), func() {
 		r.smu.Barrier([]pagetable.EntryAddr{req.PTE.Addr()}, func() {
 			if !missDone {
 				t.Fatal("barrier fired before outstanding miss completed")
@@ -253,7 +254,7 @@ func TestBarrierAll(t *testing.T) {
 		req := r.request(pagetable.VAddr(0x70000+i*0x1000), uint64(i))
 		r.smu.HandleMiss(req, func(Result, pagetable.Entry) { order = append(order, "miss") })
 	}
-	r.eng.After(sim.Micro(1), func() {
+	r.eng.Post(sim.Micro(1), func() {
 		r.smu.BarrierAll(func() { order = append(order, "barrier") })
 	})
 	r.eng.Run()
@@ -316,22 +317,27 @@ func TestAttachDeviceValidation(t *testing.T) {
 }
 
 func TestTracerPhases(t *testing.T) {
+	// A hardware miss records every SMU and NVMe handling phase, each with
+	// a positive duration, in its trace record.
 	r := newRig(t, 8)
-	var phases []string
-	r.smu.Tracer = func(phase string, dur sim.Time) {
-		if dur <= 0 {
-			t.Errorf("phase %q has non-positive duration", phase)
-		}
-		phases = append(phases, phase)
-	}
 	req := r.request(0xB000, 4)
+	req.Trace = &trace.Miss{}
 	r.smu.HandleMiss(req, func(Result, pagetable.Entry) {})
 	r.eng.Run()
-	joined := strings.Join(phases, ",")
-	for _, want := range []string{"CAM", "free page", "PMSHR", "cmd write", "doorbell", "CQ", "PT update", "notify"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing phase %q in %v", want, phases)
+	var phases []string
+	for _, sp := range req.Trace.Spans {
+		if sp.Layer != trace.LayerSMU && sp.Layer != trace.LayerNVMe {
+			continue
 		}
+		if sp.Dur() <= 0 {
+			t.Errorf("phase %q has non-positive duration", sp.Name)
+		}
+		phases = append(phases, sp.Name)
+	}
+	want := []string{"req-regs+cam", "free-page-fetch", "pmshr-write", "nvme-cmd-write",
+		"sq-doorbell", "cq-handle", "pt-update", "notify-mmu"}
+	if strings.Join(phases, ",") != strings.Join(want, ",") {
+		t.Errorf("phases = %v, want %v", phases, want)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestAbortReleasesChannelTail(t *testing.T) {
 	// Abort the spiked command shortly after issue, then re-read the same
 	// LBA (same channel): the retry must not queue behind reserved media
 	// time belonging to the canceled command.
-	eng.After(sim.Micro(1), func() {
+	eng.Post(sim.Micro(1), func() {
 		if !dev.Abort(1, 1) {
 			t.Error("abort failed")
 		}

@@ -89,7 +89,7 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 	// Launch a write, then while it is in flight, a read on the same channel.
 	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	var readDone sim.Time
-	eng.After(sim.Micro(1), func() {
+	eng.Post(sim.Micro(1), func() {
 		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)}, 0)
 	})
 	eng.Run()
@@ -105,7 +105,7 @@ func TestUrgentReadSkipsInterference(t *testing.T) {
 	run := func(urgent bool) sim.Time {
 		eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
 		dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
-		eng.After(sim.Micro(1), func() {
+		eng.Post(sim.Micro(1), func() {
 			dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent}, 0)
 		})
 		eng.Run()

@@ -35,10 +35,10 @@ import (
 // machine — and deterministic for a fixed Fingerprint, which is what
 // makes both parallel execution and result caching sound.
 type Unit struct {
-	// Name identifies the unit ("fig/12", "table/area", "bench"). It is
+	// Name identifies the unit ("fig/12", "table/area", "fleet/quick/qos"). It is
 	// the stable key used for ordering, the manifest and the cache.
 	Name string
-	// Kind groups units for reporting: "figure", "table", "bench", ...
+	// Kind groups units for reporting: "figure", "table", "fleet", ...
 	Kind string
 	// Fingerprint serializes every input that affects the unit's output
 	// (parameters, seed, thread set). It is hashed into the cache key, so
@@ -47,8 +47,8 @@ type Unit struct {
 	// Run executes the experiment and returns its rendered text exactly
 	// as it should appear on the aggregate output stream.
 	Run func() (string, error)
-	// Uncacheable marks units whose output depends on the host (e.g.
-	// wall-clock benchmarks); they always re-run.
+	// Uncacheable marks units that always re-run, such as those whose
+	// callers need the in-memory results of the run, not just its text.
 	Uncacheable bool
 }
 

@@ -215,7 +215,7 @@ func TestYCSBWritesCauseDeviceWrites(t *testing.T) {
 	if !synced {
 		t.Fatal("msync hung")
 	}
-	if sys.Dev.Stats().Writes == 0 {
+	if sys.Devs[0].Stats().Writes == 0 {
 		t.Fatal("update-heavy workload produced no device writes")
 	}
 }
