@@ -71,10 +71,10 @@ fmt:
 	gofmt -w .
 
 # lint runs the stock go vet analyzers plus the repo's own hwdplint suite
-# (determinism, pool pairing, sim-time units, hot-path closure captures,
-# status-switch exhaustiveness, the no-shared-state checks that keep
-# concurrent sweep units independent, and the interprocedural
-# hotalloc/laneescape proofs over per-package callgraph facts). See
+# (determinism, pool pairing, sim-time units, status-switch
+# exhaustiveness, and the interprocedural sharedstate/hotalloc proofs over
+# per-package callgraph facts: no state shared between concurrent sweep
+# units, and an allocation-free miss path). See
 # docs/ANALYSIS.md for the analyzers and the //hwdp:ignore syntax. The
 # wall-clock budget keeps the fact-driven vettool pass honest: blowing it
 # means facts stopped caching (check the -V=full fingerprint) or an

@@ -16,7 +16,13 @@
 //
 //   - every flag cmd/hwdpbench registers is documented in EXPERIMENTS.md
 //     (as `-name`), so the reference the docs promise cannot drift behind
-//     the binary's actual surface.
+//     the binary's actual surface;
+//
+// and, for the hwdplint suite:
+//
+//   - every analyzer in suite.Analyzers has a `### <name>` section under
+//     "## The analyzers" in docs/ANALYSIS.md, and every section there names
+//     a registered analyzer (or hwdpignore, the suppression check).
 //
 // It exits non-zero and lists each violation as file:line when anything
 // fails, so it slots directly into CI.
@@ -36,6 +42,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"hwdp/internal/analysis/suite"
 )
 
 func main() {
@@ -59,6 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(1)
 	}
+	checkAnalyzerDocs(*root, addf)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -261,6 +270,41 @@ func checkFlagDocs(root string, addf func(string, ...any)) error {
 		})
 	}
 	return nil
+}
+
+// checkAnalyzerDocs requires one "### <name>" section under "## The
+// analyzers" in docs/ANALYSIS.md per registered analyzer, and no section
+// there for an analyzer the suite does not register.
+func checkAnalyzerDocs(root string, addf func(string, ...any)) {
+	docPath := filepath.Join(root, "docs", "ANALYSIS.md")
+	doc, err := os.ReadFile(docPath)
+	if err != nil {
+		addf("%s: missing; it documents the hwdplint analyzers", docPath)
+		return
+	}
+	known := map[string]bool{"hwdpignore": true}
+	for _, a := range suite.Analyzers {
+		known[a.Name] = true
+	}
+	documented := map[string]bool{}
+	inSection := false
+	for i, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "## "):
+			inSection = strings.TrimSpace(line) == "## The analyzers"
+		case inSection && strings.HasPrefix(line, "### "):
+			name := strings.Fields(line)[1]
+			documented[name] = true
+			if !known[name] {
+				addf("%s:%d: section %q names no registered analyzer", docPath, i+1, name)
+			}
+		}
+	}
+	for _, a := range suite.Analyzers {
+		if !documented[a.Name] {
+			addf("%s: analyzer %s has no \"### %s\" section under \"## The analyzers\"", docPath, a.Name, a.Name)
+		}
+	}
 }
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)

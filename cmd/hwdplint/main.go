@@ -1,26 +1,23 @@
 // Command hwdplint runs the repo's analyzer suite (simdeterminism,
-// lanesafety, laneescape, poolpair, simtime, eventcapture, hotalloc,
-// statuscase — see docs/ANALYSIS.md). lanesafety and laneescape keep model
-// packages free of shared mutable state: `hwdpbench -j N` runs independent
-// simulated machines concurrently in one process (internal/sweep), so a
-// package variable, lock or channel reached from model code would couple
-// one unit's output to the units running beside it.
+// sharedstate, poolpair, simtime, hotalloc, statuscase — see
+// docs/ANALYSIS.md). sharedstate keeps model code free of shared mutable
+// state: `hwdpbench -j N` runs independent simulated machines concurrently
+// in one process (internal/sweep), so a package variable, lock, channel or
+// goroutine reached from model code would couple one unit's output to the
+// units running beside it.
 //
-// It speaks the `go vet -vettool` protocol, so the canonical invocation is
+// It speaks only the `go vet -vettool` protocol:
 //
 //	go build -o bin/hwdplint ./cmd/hwdplint
 //	go vet -vettool=$(pwd)/bin/hwdplint ./...
 //
-// (that is what `make lint` runs). In that mode the go command runs the
-// tool once per package in dependency order; hwdplint writes each
-// package's callgraph summary to the facts file the go command names
-// (vet.cfg VetxOutput) and reads its dependencies' summaries back
-// (PackageVetx), giving the interprocedural analyzers (laneescape,
-// hotalloc) cross-package reach with full incremental caching. Invoked
-// with package patterns instead, it loads the packages itself and threads
-// the facts in-process:
-//
-//	./bin/hwdplint ./...
+// (that is what `make lint` runs). The go command runs the tool once per
+// package in dependency order; hwdplint writes each package's callgraph
+// summary to the facts file the go command names (vet.cfg VetxOutput) and
+// reads its dependencies' summaries back (PackageVetx), giving the
+// interprocedural analyzers (sharedstate, hotalloc) cross-package reach
+// with full incremental caching. The in-process run over the same suite is
+// the repo-level TestLintClean.
 //
 // Exit status is 2 when any diagnostic is reported, matching go vet.
 package main
@@ -68,11 +65,8 @@ func run(args []string) int {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return runVetCfg(args[0])
 	}
-	if len(args) == 0 {
-		usage()
-		return 2
-	}
-	return runStandalone(args)
+	usage()
+	return 2
 }
 
 // selfHash returns a content hash of the running binary, in the
@@ -95,7 +89,7 @@ func selfHash() string {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: hwdplint <packages>   (or via go vet -vettool=hwdplint)\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(pwd)/bin/hwdplint <packages>\n\nanalyzers:\n")
 	for _, a := range suite.Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 	}
@@ -155,28 +149,6 @@ func writeFacts(cfg *loader.VetConfig, pf *callgraph.PkgFacts) {
 	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
 		fmt.Fprintf(os.Stderr, "hwdplint: writing facts for %s: %v\n", cfg.ImportPath, err)
 	}
-}
-
-// runStandalone loads package patterns itself and analyzes each unit,
-// threading callgraph facts in dependency order in-process.
-func runStandalone(patterns []string) int {
-	units, err := loader.Load("", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hwdplint: %v\n", err)
-		return 1
-	}
-	results, err := suite.RunAll(units)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hwdplint: %v\n", err)
-		return 1
-	}
-	status := 0
-	for _, r := range results {
-		if s := report(r.Unit.Fset, r.Diags); s > status {
-			status = s
-		}
-	}
-	return status
 }
 
 // report prints diagnostics (paths relative to the working directory where

@@ -290,8 +290,9 @@ func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // HotPathPackages matches the import paths of the packages holding the
-// simulator's deterministic, allocation-free hot path. The simdeterminism
-// and eventcapture analyzers gate on it.
+// simulator's deterministic, allocation-free hot path. simdeterminism and
+// hotalloc's Post rule gate on it, and sharedstate roots its walk at every
+// function these packages declare.
 var HotPathPackages = regexp.MustCompile(`^hwdp/internal/(sim|smu|mmu|nvme|ssd|kernel|cpu|mem)(/|$)`)
 
 // SimPackagePath is the import path of the discrete-event substrate; the

@@ -32,8 +32,9 @@ import (
 // the resulting diagnostics against the fixture's `// want` expectations.
 // Callgraph facts are threaded exactly as in a real run: the fixture's
 // hwdp/... imports are summarized dependency-first into a shared registry
-// before the fixture itself, so the interprocedural analyzers (laneescape,
-// hotalloc) see cross-package reachability inside testdata too.
+// before the fixture itself, so the interprocedural analyzers
+// (sharedstate, hotalloc) see cross-package reachability inside testdata
+// too.
 func Run(t *testing.T, testdata, pkgpath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	unit := Load(t, testdata, pkgpath)
@@ -56,7 +57,7 @@ func Load(t *testing.T, testdata, pkgpath string) *analysis.Unit {
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgpath, err)
 	}
-	ld.summarize(u, callgraph.NewRegistry(), map[string]bool{})
+	callgraph.SummarizeAll(ld.loaded)
 	return u
 }
 
@@ -65,8 +66,8 @@ func Load(t *testing.T, testdata, pkgpath string) *analysis.Unit {
 type loader struct {
 	root     string // testdata/src
 	fset     *token.FileSet
-	pkgs     map[string]*types.Package
 	units    map[string]*analysis.Unit
+	loaded   []*analysis.Unit // units in load order
 	fallback types.Importer
 }
 
@@ -75,7 +76,6 @@ func newLoader(root string) *loader {
 	return &loader{
 		root:     root,
 		fset:     fset,
-		pkgs:     make(map[string]*types.Package),
 		units:    make(map[string]*analysis.Unit),
 		fallback: importer.ForCompiler(fset, "source", nil),
 	}
@@ -126,31 +126,8 @@ func (l *loader) load(path string) (*analysis.Unit, error) {
 	}
 	u := &analysis.Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info}
 	l.units[path] = u
-	l.pkgs[path] = pkg
+	l.loaded = append(l.loaded, u)
 	return u, nil
-}
-
-// summarize walks the unit's hwdp/... imports depth-first (imports before
-// importers) and records each package's callgraph facts in reg, mirroring
-// suite.RunAll for fixture trees.
-func (l *loader) summarize(u *analysis.Unit, reg *callgraph.Registry, done map[string]bool) {
-	path := analysis.NormalizePkgPath(u.Pkg.Path())
-	if done[path] {
-		return
-	}
-	done[path] = true
-	imps := u.Pkg.Imports()
-	paths := make([]string, 0, len(imps))
-	for _, imp := range imps {
-		paths = append(paths, analysis.NormalizePkgPath(imp.Path()))
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if dep, ok := l.units[p]; ok {
-			l.summarize(dep, reg, done)
-		}
-	}
-	callgraph.Summarize(u, reg)
 }
 
 // expectation is one `// want` pattern anchored to a file line.

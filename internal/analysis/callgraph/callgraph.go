@@ -10,9 +10,9 @@
 // the vet facts file the go command provides (vet.cfg VetxOutput) and
 // reads its dependencies' summaries back (vet.cfg PackageVetx), so facts
 // flow between separate tool invocations exactly like x/tools analyzer
-// facts. Standalone drivers (hwdplint with package patterns, the
-// TestLintClean gate, the analyzertest fixture harness) summarize the
-// whole load in dependency order within one process.
+// facts. In-process drivers (the TestLintClean gate and the analyzertest
+// fixture harness) summarize the whole load in dependency order with
+// SummarizeAll.
 //
 // The graph is a deliberate over-approximation, resolved class-hierarchy
 // style:
@@ -45,15 +45,15 @@ import (
 
 // Version tags the serialized fact format; a registry silently drops
 // summaries written by a different format version.
-const Version = 1
+const Version = 2
 
 // Atom is one interprocedurally-relevant site inside a function: a
 // potential heap allocation (Analyzer "hotalloc") or a shared-state
-// operation (Analyzer "laneescape"). Atoms waived with //hwdp:ignore at
+// operation (Analyzer "sharedstate"). Atoms waived with //hwdp:ignore at
 // their own line never enter the summary.
 type Atom struct {
 	// Analyzer names the check the atom feeds ("hotalloc" or
-	// "laneescape").
+	// "sharedstate").
 	Analyzer string
 	// Kind is a stable short tag for the site class (e.g. "append",
 	// "box", "pkgwrite").
@@ -91,7 +91,7 @@ type FuncFacts struct {
 	// Hot marks a //hwdp:hotpath root for the hotalloc analyzer.
 	Hot bool `json:",omitempty"`
 	// Cold holds the //hwdp:coldpath reason; hotalloc stops descending
-	// into cold functions (laneescape does not: cold code shares state
+	// into cold functions (sharedstate does not: cold code shares state
 	// just the same).
 	Cold string `json:",omitempty"`
 }
@@ -211,7 +211,7 @@ func SplitKey(key string) (pkg, local string, ok bool) {
 }
 
 // DisplayKey renders a function key for diagnostics, dropping the module
-// prefix ("hwdp/internal/smu::(SMU).HandleMiss" -> "smu.(SMU).HandleMiss").
+// prefix ("hwdp/internal/smu::(SMU).HandleMissArg" -> "smu.(SMU).HandleMissArg").
 func DisplayKey(key string) string {
 	pkg, local, ok := SplitKey(key)
 	if !ok {

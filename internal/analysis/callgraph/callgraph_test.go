@@ -91,13 +91,13 @@ func TestReachableChain(t *testing.T) {
 		t.Errorf("RenderChain = %q", s)
 	}
 	// An atom of the other analyzer is invisible to this walk.
-	if got := r.Reachable("a::Root", "laneescape", false); len(got) != 0 {
-		t.Errorf("laneescape walk found %d hotalloc atoms", len(got))
+	if got := r.Reachable("a::Root", "sharedstate", false); len(got) != 0 {
+		t.Errorf("sharedstate walk found %d hotalloc atoms", len(got))
 	}
 }
 
 // TestReachableHonorsCold checks the asymmetry between the analyzers:
-// hotalloc does not enter //hwdp:coldpath functions, laneescape does
+// hotalloc does not enter //hwdp:coldpath functions, sharedstate does
 // (cold code shares state just the same).
 func TestReachableHonorsCold(t *testing.T) {
 	r := reg(&PkgFacts{Pkg: "a", Funcs: map[string]*FuncFacts{
@@ -106,15 +106,15 @@ func TestReachableHonorsCold(t *testing.T) {
 			Cold: "failure path",
 			Atoms: []Atom{
 				{Analyzer: "hotalloc", Kind: "concat", Msg: "concat", Pos: "a.go:8"},
-				{Analyzer: "laneescape", Kind: "pkgwrite", Msg: "write", Pos: "a.go:9"},
+				{Analyzer: "sharedstate", Kind: "pkgwrite", Msg: "write", Pos: "a.go:9"},
 			},
 		},
 	}})
 	if got := r.Reachable("a::Root", "hotalloc", true); len(got) != 0 {
 		t.Errorf("hotalloc walk entered a coldpath function: %+v", got)
 	}
-	if got := r.Reachable("a::Root", "laneescape", false); len(got) != 1 {
-		t.Errorf("laneescape walk skipped a coldpath function: %+v", got)
+	if got := r.Reachable("a::Root", "sharedstate", false); len(got) != 1 {
+		t.Errorf("sharedstate walk skipped a coldpath function: %+v", got)
 	}
 }
 

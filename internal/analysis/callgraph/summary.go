@@ -34,7 +34,7 @@ const (
 //
 // Non-module packages get an empty summary: the walk treats them as
 // opaque, and allocating stdlib calls are recorded as atoms at the caller.
-// Sites covered by a //hwdp:ignore hotalloc/laneescape comment are dropped
+// Sites covered by a //hwdp:ignore hotalloc/sharedstate comment are dropped
 // here — in the defining package, where the waiver can sit next to the
 // code it excuses — and the waiver is marked used for the stale check.
 func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
@@ -47,15 +47,7 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 	if !strings.HasPrefix(path, "hwdp") {
 		return pf
 	}
-	s := &summarizer{
-		u:   u,
-		pf:  pf,
-		pkg: path,
-		// laneescape atoms are collected only outside the hot-path
-		// packages: inside them, lanesafety already reports the same
-		// sites locally.
-		laneAtoms: !analysis.IsHotPathPkg(path),
-	}
+	s := &summarizer{u: u, pf: pf, pkg: path}
 	for _, f := range u.Files {
 		if strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
@@ -91,6 +83,43 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 		sort.Strings(keys)
 	}
 	return pf
+}
+
+// SummarizeAll summarizes a whole in-process load into one fresh
+// registry, each unit after the units it imports, so cross-package walks
+// see complete facts. Imports outside units stay opaque. It is the
+// in-process equivalent of the vet driver's facts files.
+func SummarizeAll(units []*analysis.Unit) *Registry {
+	byPath := make(map[string]*analysis.Unit, len(units))
+	for _, u := range units {
+		byPath[analysis.NormalizePkgPath(u.Pkg.Path())] = u
+	}
+	reg := NewRegistry()
+	done := make(map[string]bool, len(units))
+	var visit func(u *analysis.Unit)
+	visit = func(u *analysis.Unit) {
+		path := analysis.NormalizePkgPath(u.Pkg.Path())
+		if done[path] {
+			return
+		}
+		done[path] = true
+		imps := u.Pkg.Imports()
+		paths := make([]string, 0, len(imps))
+		for _, imp := range imps {
+			paths = append(paths, analysis.NormalizePkgPath(imp.Path()))
+		}
+		sort.Strings(paths)
+		for _, p := range paths {
+			if dep, ok := byPath[p]; ok {
+				visit(dep)
+			}
+		}
+		Summarize(u, reg)
+	}
+	for _, u := range units {
+		visit(u)
+	}
+	return reg
 }
 
 // parseDirectives extracts //hwdp:hotpath and //hwdp:coldpath from a doc
@@ -198,10 +227,9 @@ var allocPkgs = map[string]map[string]bool{
 
 // summarizer walks one package's function bodies.
 type summarizer struct {
-	u         *analysis.Unit
-	pf        *PkgFacts
-	pkg       string
-	laneAtoms bool
+	u   *analysis.Unit
+	pf  *PkgFacts
+	pkg string
 }
 
 // walkFunc summarizes one function body into ff. poolFn suppresses
@@ -293,13 +321,9 @@ func (w *funcWalker) allocAtom(kind string, pos token.Pos, format string, args .
 	w.atom("hotalloc", kind, pos, format, args...)
 }
 
-// laneAtom records a laneescape atom (collected only outside hot-path
-// packages, where lanesafety does not look).
-func (w *funcWalker) laneAtom(kind string, pos token.Pos, format string, args ...any) {
-	if !w.s.laneAtoms {
-		return
-	}
-	w.atom("laneescape", kind, pos, format, args...)
+// sharedAtom records a sharedstate atom.
+func (w *funcWalker) sharedAtom(kind string, pos token.Pos, format string, args ...any) {
+	w.atom("sharedstate", kind, pos, format, args...)
 }
 
 // edge records one outgoing edge.
@@ -331,12 +355,12 @@ func (w *funcWalker) visit(n ast.Node) bool {
 	case *ast.IncDecStmt:
 		w.pkgVarWrite(n.X)
 	case *ast.GoStmt:
-		w.laneAtom("go", n.Pos(), "go statement starts a host-scheduled goroutine")
+		w.sharedAtom("go", n.Pos(), "go statement starts a host-scheduled goroutine")
 	case *ast.SendStmt:
-		w.laneAtom("chansend", n.Pos(), "channel send serializes on the host scheduler, not the virtual clock")
+		w.sharedAtom("chansend", n.Pos(), "channel send serializes on the host scheduler, not the virtual clock")
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW {
-			w.laneAtom("chanrecv", n.Pos(), "channel receive serializes on the host scheduler, not the virtual clock")
+			w.sharedAtom("chanrecv", n.Pos(), "channel receive serializes on the host scheduler, not the virtual clock")
 		}
 		if lit, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
 			w.handled[lit] = true
@@ -390,8 +414,9 @@ func typeLabel(info *types.Info, e ast.Expr) string {
 }
 
 // pkgVarWrite flags an assignment target resolving to a package-level
-// variable, mirroring lanesafety's local check for packages it does not
-// cover.
+// variable (of this or any other package). A selector write (x.f = ...)
+// mutates an object reached through a pointer, whose ownership is the
+// components' contract; only bare package variables are flagged.
 func (w *funcWalker) pkgVarWrite(lhs ast.Expr) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok {
@@ -401,10 +426,11 @@ func (w *funcWalker) pkgVarWrite(lhs ast.Expr) {
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return
 	}
-	w.laneAtom("pkgwrite", lhs.Pos(), "write to package-level variable %s (shared by every machine in the process)", v.Name())
+	w.sharedAtom("pkgwrite", lhs.Pos(), "write to package-level variable %s (shared by every machine in the process)", v.Name())
 }
 
-// syncUse flags sync / sync-atomic selector uses.
+// syncUse flags sync / sync-atomic selector uses (types, functions and
+// methods).
 func (w *funcWalker) syncUse(sel *ast.SelectorExpr) {
 	obj := w.s.u.Info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil {
@@ -412,7 +438,7 @@ func (w *funcWalker) syncUse(sel *ast.SelectorExpr) {
 	}
 	switch obj.Pkg().Path() {
 	case "sync", "sync/atomic":
-		w.laneAtom("sync", sel.Pos(), "%s.%s couples event outcomes to host-scheduler timing", obj.Pkg().Name(), obj.Name())
+		w.sharedAtom("sync", sel.Pos(), "%s.%s couples event outcomes to host-scheduler timing", obj.Pkg().Name(), obj.Name())
 	}
 }
 
@@ -481,7 +507,7 @@ func (w *funcWalker) call(call *ast.CallExpr) {
 					w.allocAtom("make", call.Pos(), "make of map %s allocates", exprLabel(call.Args, 0))
 				case *types.Chan:
 					w.allocAtom("make", call.Pos(), "make of chan %s allocates", exprLabel(call.Args, 0))
-					w.laneAtom("chanmake", call.Pos(), "channel creation in model-reachable code")
+					w.sharedAtom("chanmake", call.Pos(), "channel creation in model-reachable code")
 				}
 			case "append":
 				w.allocAtom("append", call.Pos(), "append may grow the backing array")

@@ -37,10 +37,15 @@ type Finding struct {
 // the reporting package), otherwise the first call out of the root.
 func (f *Finding) ReportPos() token.Pos {
 	if len(f.Chain) == 0 {
-		return f.Atom.pos
+		return f.SitePos()
 	}
 	return f.FirstHopPos
 }
+
+// SitePos returns the atom's own position. It is valid only when the
+// atom's package was summarized in this process, which always holds for
+// the reporting package's own sites.
+func (f *Finding) SitePos() token.Pos { return f.Atom.pos }
 
 // pred records how the walk first reached a function.
 type pred struct {
@@ -52,7 +57,7 @@ type pred struct {
 // of the named analyzer in reach, each with its discovery chain. The walk
 // is breadth-first with edges taken in summary (source) order, so results
 // are deterministic. When honorCold is true (hotalloc), functions carrying
-// a //hwdp:coldpath reason are not entered; laneescape passes false — cold
+// a //hwdp:coldpath reason are not entered; sharedstate passes false — cold
 // code shares state just the same.
 //
 // Unknown targets (standard library, packages outside the registry) are

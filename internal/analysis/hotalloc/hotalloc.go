@@ -22,10 +22,20 @@
 // callbacks dispatched through pooled func values (the engine fire loop)
 // are reached dynamically, not through a static edge, so each stage entry
 // point on the miss path carries its own //hwdp:hotpath root.
+//
+// One rule needs no root: in hot-path packages, a closure handed to the
+// engine's one closure-taking scheduling method, sim.Engine.Post, is
+// reported when it captures local variables, because it allocates an
+// environment on every call. The fix is a pre-bound method value
+// (captures nothing) or the argument-passing forms PostArg / AtArgPooled,
+// which carry the per-event state through a recycled carrier. Capture-free
+// closures are allowed: the compiler hoists those to a single static
+// closure. A site this rule reports is not reported again by the walk.
 package hotalloc
 
 import (
 	"go/ast"
+	"go/token"
 	"strings"
 
 	"hwdp/internal/analysis"
@@ -37,7 +47,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "prove //hwdp:hotpath functions reach no heap allocation " +
 		"(composite escapes, closures, boxing, append growth, allocating " +
-		"stdlib calls), reporting the reaching call chain",
+		"stdlib calls), reporting the reaching call chain, and flag " +
+		"capturing closures passed to sim.Engine.Post in hot-path packages",
 	Run: run,
 }
 
@@ -64,9 +75,20 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
+	posted := map[token.Pos]bool{}
+	if analysis.IsHotPathPkg(pass.Pkg.Path()) {
+		for _, f := range pass.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkPost(pass, call, posted)
+				}
+				return true
+			})
+		}
+	}
 	reg, ok := pass.Unit.Facts.(*callgraph.Registry)
 	if !ok {
-		return nil // fact-less driver: directive validation only
+		return nil // fact-less driver: local checks only
 	}
 	seen := map[string]bool{}
 	for _, fd := range roots {
@@ -76,7 +98,7 @@ func run(pass *analysis.Pass) error {
 		}
 		for _, finding := range reg.Reachable(root, "hotalloc", true) {
 			key := finding.Func + "|" + finding.Atom.Pos + "|" + finding.Atom.Kind
-			if seen[key] {
+			if seen[key] || posted[finding.SitePos()] {
 				continue
 			}
 			seen[key] = true
@@ -94,6 +116,33 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// checkPost reports a capturing closure passed to a sim.Engine
+// scheduling method that takes a bare func() (Post), recording its
+// position in posted.
+func checkPost(pass *analysis.Pass, call *ast.CallExpr, posted map[token.Pos]bool) {
+	name, ok := analysis.IsEngineScheduler(analysis.CalleeFunc(pass.TypesInfo, call))
+	if !ok || !analysis.EngineSchedulers[name] {
+		return // PostArg/AtArgPooled are the sanctioned forms
+	}
+	for _, arg := range call.Args {
+		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		caps := analysis.CapturedVars(pass.TypesInfo, pass.Pkg, lit)
+		if len(caps) == 0 {
+			continue
+		}
+		posted[lit.Pos()] = true
+		vars := "variable " + caps[0]
+		if len(caps) > 1 {
+			vars = "variables " + strings.Join(caps, ", ")
+		}
+		pass.Reportf(lit.Pos(), "closure passed to sim.Engine.%s captures %s, allocating a closure environment per event on the hot path: use a pre-bound callback or the pooled PostArg/AtArgPooled forms",
+			name, vars)
+	}
 }
 
 // directives parses the hotpath/coldpath annotations off a doc comment,

@@ -16,3 +16,12 @@ import (
 func TestHotalloc(t *testing.T) {
 	analyzertest.Run(t, "../testdata", "hwdp/internal/smu", hotalloc.Analyzer)
 }
+
+// TestEventCapture drives the rootless Post rule over the mmu fixture:
+// capturing closures passed to sim.Engine.Post are reported with no
+// //hwdp:hotpath root in sight, capture-free closures and the pooled
+// forms pass, and a hot-path root posting a capturing closure reports the
+// site once.
+func TestEventCapture(t *testing.T) {
+	analyzertest.Run(t, "../testdata", "hwdp/internal/mmu", hotalloc.Analyzer)
+}

@@ -1,9 +1,9 @@
-// Package loader type-checks this module's packages for standalone
-// analysis runs (hwdplint invoked with package patterns, and the lint
-// regression test). It shells out to `go list -deps -export -json`, which
-// builds export data for every dependency; the named module packages are
-// then parsed from source and type-checked against that export data — the
-// same split the `go vet` driver uses, without requiring go/packages.
+// Package loader type-checks this module's packages for the in-process
+// analysis run (the TestLintClean lint regression test). It shells out to
+// `go list -deps -export -json`, which builds export data for every
+// dependency; the named module packages are then parsed from source and
+// type-checked against that export data — the same split the `go vet`
+// driver uses, without requiring go/packages.
 package loader
 
 import (

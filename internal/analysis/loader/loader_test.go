@@ -135,10 +135,10 @@ func TestLoadUnitResolvesImportMap(t *testing.T) {
 	}
 }
 
-// TestLoadGoListFallback drives the standalone loader (hwdplint invoked
-// with package patterns, no vet.cfg) over a throwaway module, checking
-// that `go list -deps -export -json` supplies export data and the module
-// packages come back parsed, type-checked, and sorted.
+// TestLoadGoListFallback drives the in-process loader (no vet.cfg) over a
+// throwaway module, checking that `go list -deps -export -json` supplies
+// export data and the module packages come back parsed, type-checked, and
+// sorted.
 func TestLoadGoListFallback(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")

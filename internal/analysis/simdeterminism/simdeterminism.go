@@ -1,9 +1,9 @@
 // Package simdeterminism rejects sources of nondeterminism inside the
 // simulator's hot-path packages: wall-clock reads, the global math/rand
-// generators, goroutine spawns, and map iteration whose body has
-// order-dependent effects. Fixed-seed bit-reproducibility (the golden
-// SHA-256 pin and every figure regeneration) depends on none of these
-// appearing in model code.
+// generators, and map iteration whose body has order-dependent effects.
+// Fixed-seed bit-reproducibility (the golden SHA-256 pin and every figure
+// regeneration) depends on none of these appearing in model code.
+// Goroutine spawns are sharedstate's to report.
 package simdeterminism
 
 import (
@@ -18,8 +18,8 @@ import (
 // Analyzer is the simdeterminism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdeterminism",
-	Doc: "forbid wall-clock time, global math/rand, time.Sleep, goroutine spawns, " +
-		"and map iteration with order-dependent effects in simulator packages",
+	Doc: "forbid wall-clock time, global math/rand, time.Sleep, and map " +
+		"iteration with order-dependent effects in simulator packages",
 	Run: run,
 }
 
@@ -48,8 +48,6 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "goroutine spawn in simulation code: the event engine is single-threaded and scheduling order must be deterministic")
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.RangeStmt:

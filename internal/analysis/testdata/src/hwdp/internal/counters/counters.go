@@ -1,7 +1,7 @@
-// Package counters is the laneescape fixture helper: host-side global
-// bookkeeping that model code must not reach. It sits outside
-// the hot-path packages, so lanesafety's package gate never examines it —
-// only the interprocedural walk can find these sites.
+// Package counters is the sharedstate fixture helper: host-side global
+// bookkeeping that model code must not reach. It sits outside the
+// hot-path packages, so its functions are not walk roots; only the walk
+// from a model package finds these sites.
 package counters
 
 import "sync"

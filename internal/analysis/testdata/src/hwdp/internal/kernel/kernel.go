@@ -1,5 +1,7 @@
 // Package kernel is the simdeterminism analyzer fixture: it lives at a
 // hot-path import path and exercises every rule, positive and negative.
+// It also carries sharedstate's kernel cases: a goroutine spawn, and a
+// kernel function reaching a helper package's package-level write.
 package kernel
 
 import (
@@ -7,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"hwdp/internal/counters"
 	"hwdp/internal/metrics"
 	"hwdp/internal/sim"
 )
@@ -40,7 +43,13 @@ func randomJitter() int {
 }
 
 func spawn() {
-	go tick() // want `goroutine spawn in simulation code`
+	go tick() // want `model code kernel\.spawn: go statement starts a host-scheduled goroutine`
+}
+
+// countFault reaches package-level state in a helper package: every
+// kernel function is a sharedstate walk root.
+func (k *K) countFault() {
+	counters.Bump(1) // want `model code kernel\.\(K\)\.countFault reaches shared state: counters\.Bump \(kernel\.go:\d+\): write to package-level variable Total`
 }
 
 func (k *K) badPost() {

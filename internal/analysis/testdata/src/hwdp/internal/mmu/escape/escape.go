@@ -1,7 +1,7 @@
-// Package escape is the laneescape analyzer fixture: a device-side model
-// package (the mmu/ subtree is a walk root) whose functions reach
-// host-global state through helper packages that lanesafety's package
-// gate never examines.
+// Package escape is the sharedstate fixture for sites reached across a
+// package boundary: a hot-path model package (every function in the mmu/
+// subtree is a walk root) whose functions reach host-global state through
+// a helper package outside the hot path.
 package escape
 
 import (

@@ -1,5 +1,6 @@
-// Package ssd is the lanesafety analyzer fixture: it lives at a hot-path
-// import path and exercises every rule, positive and negative.
+// Package ssd is the sharedstate analyzer fixture for sites in the
+// hot-path package itself: it exercises every local rule, positive and
+// negative, and each site reports at its own line.
 package ssd
 
 import (
@@ -36,7 +37,7 @@ func (d *Device) ownState() {
 }
 
 func (d *Device) globalState() {
-	served++ // want `write to package-level variable served`
+	served++ // want `model code ssd\.\(Device\)\.globalState: write to package-level variable served \(shared by every machine in the process\)`
 }
 
 func (d *Device) globalAssign() {
@@ -44,20 +45,20 @@ func (d *Device) globalAssign() {
 }
 
 func (d *Device) locked() {
-	d.mu.Lock()         // want `sync.Lock in model code`
-	defer d.mu.Unlock() // want `sync.Unlock in model code`
+	d.mu.Lock()         // want `sync\.Lock couples event outcomes to host-scheduler timing`
+	defer d.mu.Unlock() // want `sync\.Unlock couples event outcomes to host-scheduler timing`
 	d.served++
 }
 
 func (d *Device) counted() {
-	atomic.AddUint64(&d.served, 1) // want `atomic.AddUint64 in model code`
+	atomic.AddUint64(&d.served, 1) // want `atomic\.AddUint64 couples event outcomes to host-scheduler timing`
 }
 
 func (d *Device) channelled(c chan int) {
-	c <- 1 // want `channel send in model code`
-	<-c    // want `channel receive in model code`
+	c <- 1 // want `channel send serializes on the host scheduler`
+	<-c    // want `channel receive serializes on the host scheduler`
 }
 
 func (d *Device) suppressed() {
-	served++ //hwdp:ignore lanesafety fixture demonstrates a justified suppression
+	served++ //hwdp:ignore sharedstate fixture demonstrates a justified suppression
 }

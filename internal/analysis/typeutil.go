@@ -79,7 +79,7 @@ func IsTimeDuration(t types.Type) bool {
 
 // EngineSchedulers is the set of sim.Engine scheduling methods. The values
 // note which ones accept a bare func() closure (the allocation-prone form
-// eventcapture steers away from).
+// hotalloc checks for captures).
 var EngineSchedulers = map[string]bool{
 	"Post":        true,  // Post(d, func())
 	"PostArg":     false, // pre-bound callback plus argument: the preferred form

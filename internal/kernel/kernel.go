@@ -245,9 +245,6 @@ type Process struct {
 	oomKilled bool
 }
 
-// OOMKilled reports whether the OOM killer terminated this process.
-func (p *Process) OOMKilled() bool { return p.oomKilled }
-
 // VMA is one mapped region of a file (or of anonymous memory, in which
 // case File is a hidden swap-backing file).
 type VMA struct {
@@ -495,9 +492,6 @@ func (k *Kernel) SetPSI(p *metrics.PSI) { k.psi = p }
 // Processes returns the live process list in creation order.
 func (k *Kernel) Processes() []*Process { return k.procs }
 
-// PageCacheLen returns the number of resident pages in the page cache.
-func (k *Kernel) PageCacheLen() int { return len(k.pageCache) }
-
 // AccountedFrames counts the distinct physical frames the kernel can
 // name: page-cache pages (via the LRU, which holds every cached page),
 // present PTEs of every process (covers hardware-installed pages not yet
@@ -522,10 +516,6 @@ func (k *Kernel) AccountedFrames() int {
 	}
 	return n
 }
-
-// DirtyPages returns the approximate dirty-page count. It is zero unless
-// Config.DirtyRatioFrac armed dirty accounting.
-func (k *Kernel) DirtyPages() int { return k.dirtyPages }
 
 // Stats returns a copy of the counters.
 func (k *Kernel) Stats() Stats { return k.stats }

@@ -65,7 +65,7 @@ func newRigProf(t *testing.T, memBytes uint64, freeQDepth int, prof ssd.Profile,
 	})
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 22})
 	mm := mmu.New(eng)
-	s := smu.New(eng, 0, freeQDepth)
+	s := smu.NewPerCore(eng, 0, freeQDepth, smu.PMSHREntries, 1)
 	sqp := nvme.NewQueuePair(1, 2*smu.PMSHREntries)
 	s.AttachDevice(0, dev, sqp, 1)
 	mm.AttachSMU(s)

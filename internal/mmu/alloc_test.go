@@ -24,7 +24,7 @@ func TestAccessMissAllocationBudget(t *testing.T) {
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := smu.New(eng, 0, 4096)
+	s := smu.NewPerCore(eng, 0, 4096, smu.PMSHREntries, 1)
 	qp := nvme.NewQueuePair(1, 64)
 	s.AttachDevice(0, dev, qp, 1)
 	m := New(eng)

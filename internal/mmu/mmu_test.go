@@ -112,7 +112,7 @@ func newRig(t *testing.T, freeFrames int) *rig {
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := smu.New(eng, 0, 4096)
+	s := smu.NewPerCore(eng, 0, 4096, smu.PMSHREntries, 1)
 	qp := nvme.NewQueuePair(1, 64)
 	s.AttachDevice(0, dev, qp, 1)
 	if freeFrames > 0 {
@@ -307,7 +307,7 @@ func TestDoubleAttachSMUPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	r.m.AttachSMU(smu.New(r.eng, 0, 8))
+	r.m.AttachSMU(smu.NewPerCore(r.eng, 0, 8, smu.PMSHREntries, 1))
 }
 
 func TestOutcomeString(t *testing.T) {

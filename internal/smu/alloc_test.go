@@ -23,7 +23,7 @@ func TestMissPathAllocationBudget(t *testing.T) {
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := New(eng, 0, 1<<16)
+	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
 	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
 	s.AttachDevice(0, dev, qp, 1)
 
@@ -48,7 +48,6 @@ func TestMissPathAllocationBudget(t *testing.T) {
 		sites[i] = site{pud: pud, pmd: pmd, pte: pte, blk: pagetable.BlockAddr{LBA: uint64(i)}}
 	}
 	done := false
-	complete := func(Result, pagetable.Entry) { done = true }
 	iter := 0
 
 	got := testing.AllocsPerRun(500, func() {
@@ -59,7 +58,7 @@ func TestMissPathAllocationBudget(t *testing.T) {
 		iter++
 		st.pte.Set(pagetable.MakeLBA(st.blk, pagetable.Prot{}))
 		done = false
-		s.HandleMiss(Request{PUD: st.pud, PMD: st.pmd, PTE: st.pte, Block: st.blk}, complete)
+		s.HandleMissArg(Request{PUD: st.pud, PMD: st.pmd, PTE: st.pte, Block: st.blk}, markDone, &done)
 		for !done && eng.Step() {
 		}
 		if !done {

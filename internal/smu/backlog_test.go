@@ -19,12 +19,12 @@ func TestBacklogWaitHistogramRecorded(t *testing.T) {
 	done := 0
 	for i := 0; i < PMSHREntries+extra; i++ {
 		req := r.request(pagetable.VAddr(0x1000+i*0x1000), uint64(100+i))
-		r.smu.HandleMiss(req, func(res Result, _ pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, res Result, _ pagetable.Entry) {
 			if res != ResultOK {
 				t.Fatalf("miss %v", res)
 			}
 			done++
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if done != PMSHREntries+extra {
@@ -68,7 +68,7 @@ func TestBacklogWaitHistogramEmptyWithoutOverflow(t *testing.T) {
 	r := newRig(t, 16)
 	for i := 0; i < 4; i++ {
 		req := r.request(pagetable.VAddr(0x1000+i*0x1000), uint64(10+i))
-		r.smu.HandleMiss(req, func(Result, pagetable.Entry) {})
+		r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) {}, nil)
 	}
 	r.eng.Run()
 	if n := r.smu.BacklogWait().Count(); n != 0 {

@@ -10,15 +10,21 @@ import (
 	"hwdp/internal/ssd"
 )
 
+// markDone is the benchmark's pre-bound completion callback: it flags the
+// *bool passed as the miss's context argument, the way the MMU passes a
+// pooled continuation record.
+func markDone(arg any, _ Result, _ pagetable.Entry) { *arg.(*bool) = true }
+
 // BenchmarkHandleMiss measures simulator throughput for the full hardware
-// miss path (SMU + device model), in simulated misses per wall second.
+// miss path (SMU + device model), in simulated misses per wall second,
+// through HandleMissArg with a pre-bound callback as the MMU calls it.
 func BenchmarkHandleMiss(b *testing.B) {
 	eng := sim.NewEngine()
 	prof := ssd.ZSSD
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := New(eng, 0, 1<<16)
+	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
 	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
 	s.AttachDevice(0, dev, qp, 1)
 	tbl := pagetable.New()
@@ -26,6 +32,7 @@ func BenchmarkHandleMiss(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		recs = append(recs, RecordFor(mem.FrameID(i)))
 	}
+	done := false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.FreeQueue().Len()+s.FreeQueue().Buffered() < 8 {
@@ -35,9 +42,8 @@ func BenchmarkHandleMiss(b *testing.B) {
 		pud, pmd, pte := tbl.Ensure(va)
 		blk := pagetable.BlockAddr{LBA: uint64(i)}
 		pte.Set(pagetable.MakeLBA(blk, pagetable.Prot{}))
-		done := false
-		s.HandleMiss(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk},
-			func(Result, pagetable.Entry) { done = true })
+		done = false
+		s.HandleMissArg(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk}, markDone, &done)
 		for !done && eng.Step() {
 		}
 	}
@@ -66,7 +72,7 @@ func TestBenchmarkMissShapeCompletes(t *testing.T) {
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := New(eng, 0, 1<<16)
+	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
 	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
 	s.AttachDevice(0, dev, qp, 1)
 	recs := make([]FrameRecord, 0, 64)
@@ -82,13 +88,13 @@ func TestBenchmarkMissShapeCompletes(t *testing.T) {
 		pte.Set(pagetable.MakeLBA(blk, pagetable.Prot{}))
 		done := false
 		var got pagetable.Entry
-		s.HandleMiss(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk},
-			func(r Result, e pagetable.Entry) {
+		s.HandleMissArg(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk},
+			func(_ any, r Result, e pagetable.Entry) {
 				if r != ResultOK {
 					t.Fatalf("miss %d: result %v", i, r)
 				}
 				done, got = true, e
-			})
+			}, nil)
 		for !done && eng.Step() {
 		}
 		if !done {

@@ -105,22 +105,9 @@ func (s *SMU) SetQoS(cfg QoSConfig) {
 	s.EnsureTenants(n)
 }
 
-// QoSEnabled reports whether weighted-fair admission is armed.
-func (s *SMU) QoSEnabled() bool { return s.qos != nil }
-
 // QoSWait exposes the throttle wait-time histogram (picoseconds): how long
 // each QoS-parked request waited before re-admission.
 func (s *SMU) QoSWait() *metrics.Histogram { return s.qosWait }
-
-// QoSParked returns how many admissions are currently parked by the QoS
-// layer (for the invariant watchdog: parked > 0 implies the owning tenants
-// hold in-service entries, so Outstanding() > 0).
-func (s *SMU) QoSParked() int {
-	if s.qos == nil {
-		return 0
-	}
-	return s.qos.total
-}
 
 // qosTenant clamps a request's tenant into the configured range (requests
 // from tenants the config does not know are charged to tenant 0).

@@ -31,7 +31,7 @@ func TestTransientErrorRetriedToSuccess(t *testing.T) {
 	req := r.request(0x1000, 9)
 	var res Result = -1
 	var pte pagetable.Entry
-	r.smu.HandleMiss(req, func(rr Result, p pagetable.Entry) { res, pte = rr, p })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, p pagetable.Entry) { res, pte = rr, p }, nil)
 	r.eng.Run()
 	if res != ResultOK {
 		t.Fatalf("res = %v, want ok after retries", res)
@@ -55,7 +55,7 @@ func TestRetryExhaustionFailsToOSAndRecyclesFrame(t *testing.T) {
 		fault.Rule{Kind: fault.Transient, Prob: 1})) // every attempt fails
 	req := r.request(0x2000, 10)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v, want io-error after exhaustion", res)
@@ -80,7 +80,7 @@ func TestUECCFailsWithoutRetry(t *testing.T) {
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
 	req := r.request(0x3000, 11)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v", res)
@@ -105,7 +105,7 @@ func TestDroppedCommandRecoveredByTimeout(t *testing.T) {
 		fault.Rule{Kind: fault.Drop, Prob: 1, MaxInjections: 1}))
 	req := r.request(0x4000, 12)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultOK {
 		t.Fatalf("res = %v, want ok via timeout + retry", res)
@@ -135,7 +135,7 @@ func TestTimeoutAbortsSlowCommand(t *testing.T) {
 		fault.Rule{Kind: fault.Spike, Prob: 1, MaxInjections: 1}))
 	req := r.request(0x5000, 13)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultOK {
 		t.Fatalf("res = %v, want ok via abort + retry", res)
@@ -157,9 +157,9 @@ func TestCoalescedWaitersAllObserveFailure(t *testing.T) {
 	req := r.request(0x6000, 14)
 	var results []Result
 	for i := 0; i < 4; i++ {
-		r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) {
 			results = append(results, rr)
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if len(results) != 4 {
@@ -190,7 +190,7 @@ func TestBacklogDrainsThroughFailures(t *testing.T) {
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	dev.SetInjector(fault.NewInjector(sim.NewRand(2),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
-	s := NewWithEntries(eng, 0, 4096, 2)
+	s := NewPerCore(eng, 0, 4096, 2, 1)
 	qp := nvme.NewQueuePair(100, 2*PMSHREntries)
 	s.AttachDevice(0, dev, qp, 1)
 	s.Refill(recs(16, 1000))
@@ -204,8 +204,8 @@ func TestBacklogDrainsThroughFailures(t *testing.T) {
 		blk := pagetable.BlockAddr{LBA: uint64(100 + i)}
 		prot := pagetable.Prot{Write: true, User: true}
 		pte.Set(pagetable.MakeLBA(blk, prot))
-		s.HandleMiss(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: prot},
-			func(rr Result, _ pagetable.Entry) { results = append(results, rr) })
+		s.HandleMissArg(Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: prot},
+			func(_ any, rr Result, _ pagetable.Entry) { results = append(results, rr) }, nil)
 	}
 	eng.Run()
 	if len(results) != n {
@@ -237,7 +237,7 @@ func TestRetryBackoffIsExponential(t *testing.T) {
 		fault.Rule{Kind: fault.Transient, Prob: 1}))
 	req := r.request(0x7000, 15)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	start := r.eng.Now()
 	r.eng.Run()
 	if res != ResultIOError {

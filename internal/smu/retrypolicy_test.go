@@ -24,7 +24,7 @@ func TestBackoffScheduleExactShifts(t *testing.T) {
 	req := r.request(0x9000, 21)
 	req.Trace = &trace.Miss{}
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v, want io-error after exhaustion", res)
@@ -57,7 +57,7 @@ func TestZeroRetryPolicyFailsImmediately(t *testing.T) {
 		fault.Rule{Kind: fault.Transient, Prob: 1, MaxInjections: 1}))
 	req := r.request(0xA000, 22)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v, want io-error with zero retry budget", res)
@@ -84,7 +84,7 @@ func TestZeroCmdTimeoutNeverFires(t *testing.T) {
 		fault.Rule{Kind: fault.Drop, Prob: 1, MaxInjections: 1}))
 	req := r.request(0xB000, 23)
 	fired := false
-	r.smu.HandleMiss(req, func(Result, pagetable.Entry) { fired = true })
+	r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) { fired = true }, nil)
 	r.eng.RunUntil(sim.Second)
 	if fired {
 		t.Fatal("miss completed despite a dropped command and no timeout")
@@ -108,7 +108,7 @@ func TestTimeoutLongerThanServiceNeverFires(t *testing.T) {
 	r.smu.SetRetryPolicy(p)
 	req := r.request(0xC000, 24)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultOK {
 		t.Fatalf("res = %v, want ok", res)

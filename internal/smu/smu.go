@@ -79,33 +79,23 @@ type Request struct {
 	Trace *trace.Miss
 }
 
-// DoneFunc receives the handling outcome and, on success, the new PTE
-// value (the broadcast payload: "the PTE address, the value of the PTE,
-// and the result of the page miss handling").
-type DoneFunc func(res Result, pte pagetable.Entry)
-
-// DoneArgFunc is DoneFunc with a caller-supplied context argument, for
-// callers that pool their continuation state (HandleMissArg): done(arg,
-// res, pte) runs with arg passed back verbatim, so the callback can be a
-// plain function or a once-bound method value instead of a per-miss
-// closure.
+// DoneArgFunc receives a miss's handling outcome and, on success, the new
+// PTE value (the broadcast payload: "the PTE address, the value of the
+// PTE, and the result of the page miss handling"), with the caller's
+// context argument passed back verbatim. Callers pool their continuation
+// state in arg, so the callback can be a plain function or a once-bound
+// method value instead of a per-miss closure.
 type DoneArgFunc func(arg any, res Result, pte pagetable.Entry)
 
-// doneRef is the SMU's internal completion callback: either a bare
-// DoneFunc or a DoneArgFunc with its context. Storing the pair (instead of
-// wrapping the arg form in a DoneFunc) keeps HandleMissArg closure-free.
+// doneRef is the SMU's internal completion callback: a DoneArgFunc with
+// its context. Storing the pair keeps HandleMissArg closure-free.
 type doneRef struct {
-	fn  DoneFunc
 	afn DoneArgFunc
 	arg any
 }
 
 func (d doneRef) call(res Result, pte pagetable.Entry) {
-	if d.afn != nil {
-		d.afn(d.arg, res, pte)
-		return
-	}
-	d.fn(res, pte)
+	d.afn(d.arg, res, pte)
 }
 
 // Stats are the SMU's event counters.
@@ -247,21 +237,6 @@ type SMU struct {
 	notifyFn   func(any)
 	anonFillFn func(any)
 	noticeFn   func(any)
-}
-
-// New builds an SMU with the given free-page-queue ring depth and the
-// prototype's 32 PMSHR entries.
-func New(eng *sim.Engine, sid uint8, freeQueueDepth int) *SMU {
-	return NewWithEntries(eng, sid, freeQueueDepth, PMSHREntries)
-}
-
-// NewWithEntries builds an SMU with a custom PMSHR size (the design-space
-// ablation sweeps it; the prototype "empirically chooses 32 entries").
-func NewWithEntries(eng *sim.Engine, sid uint8, freeQueueDepth, entries int) *SMU {
-	if entries < 1 {
-		panic("smu: need at least one PMSHR entry")
-	}
-	return NewPerCore(eng, sid, freeQueueDepth, entries, 1)
 }
 
 // NewPerCore builds an SMU with one free page queue per logical core
@@ -537,33 +512,21 @@ func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qp *nvme.QueuePair, nsi
 	})
 }
 
-// HandleMiss processes one page-miss request. done is invoked (in virtual
-// time) when handling concludes; for coalesced requests it is invoked when
-// the original miss completes.
-//
-//hwdp:hotpath
-func (s *SMU) HandleMiss(req Request, done DoneFunc) {
-	s.handleMiss(req, doneRef{fn: done})
-}
-
-// HandleMissArg is HandleMiss for callers that pre-bind their completion
-// callback: done(arg, res, pte) runs with the caller-supplied arg, letting
-// the caller keep its continuation state in a pooled record instead of
-// allocating a closure per miss (the MMU's walk continuations use this).
+// HandleMissArg processes one page-miss request. done(arg, res, pte) is
+// invoked (in virtual time) when handling concludes; for coalesced
+// requests it is invoked when the original miss completes. arg is passed
+// back verbatim, letting the caller keep its continuation state in a
+// pooled record instead of allocating a closure per miss (the MMU's walk
+// continuations use this).
 //
 //hwdp:hotpath
 func (s *SMU) HandleMissArg(req Request, done DoneArgFunc, arg any) {
-	s.handleMiss(req, doneRef{afn: done, arg: arg})
-}
-
-//hwdp:hotpath
-func (s *SMU) handleMiss(req Request, done doneRef) {
 	t := s.timing
 	lookupCost := 2*t.ReqRegWrite + t.CAMLookup
 	now := s.eng.Now()
 	req.Trace.AddSpan(trace.LayerSMU, "req-regs+cam", now, now+lookupCost)
 	c := s.getReq()
-	c.req, c.done = req, done
+	c.req, c.done = req, doneRef{afn: done, arg: arg}
 	s.eng.PostArg(lookupCost, s.admitFn, c)
 }
 
@@ -576,7 +539,7 @@ func (s *SMU) admit(req Request, done doneRef) {
 		if req.Trace != nil {
 			at, ms, orig := s.eng.Now(), req.Trace, done
 			//hwdp:ignore hotalloc closure only built when tracing is on (single-miss experiments), never in steady state
-			done = doneRef{fn: func(res Result, pte pagetable.Entry) {
+			done = doneRef{afn: func(_ any, res Result, pte pagetable.Entry) {
 				ms.AddSpan(trace.LayerSMU, "pmshr-coalesce-wait", at, s.eng.Now())
 				orig.call(res, pte)
 			}}

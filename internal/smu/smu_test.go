@@ -28,7 +28,7 @@ func newRig(t *testing.T, freeFrames int) *rig {
 	prof.JitterFrac = 0
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
-	s := New(eng, 0, 4096)
+	s := NewPerCore(eng, 0, 4096, PMSHREntries, 1)
 	qp := nvme.NewQueuePair(100, 2*PMSHREntries)
 	s.AttachDevice(0, dev, qp, 1)
 	if freeFrames > 0 {
@@ -50,7 +50,7 @@ func TestSingleMissHandledInHardware(t *testing.T) {
 	req := r.request(0x1000, 77)
 	var res Result = -1
 	var pte pagetable.Entry
-	r.smu.HandleMiss(req, func(rr Result, p pagetable.Entry) { res, pte = rr, p })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, p pagetable.Entry) { res, pte = rr, p }, nil)
 	r.eng.Run()
 
 	if res != ResultOK {
@@ -104,12 +104,12 @@ func TestCoalescingDuplicateMisses(t *testing.T) {
 	req := r.request(0x2000, 5)
 	var results []pagetable.Entry
 	for i := 0; i < 3; i++ {
-		r.smu.HandleMiss(req, func(res Result, p pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, res Result, p pagetable.Entry) {
 			if res != ResultOK {
 				t.Fatalf("res = %v", res)
 			}
 			results = append(results, p)
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if len(results) != 3 {
@@ -133,12 +133,12 @@ func TestDistinctMissesProceedConcurrently(t *testing.T) {
 	n := 0
 	for i := 0; i < 8; i++ {
 		req := r.request(pagetable.VAddr(0x10000+i*0x1000), uint64(i))
-		r.smu.HandleMiss(req, func(res Result, _ pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, res Result, _ pagetable.Entry) {
 			if res != ResultOK {
 				t.Fatalf("res = %v", res)
 			}
 			n++
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if n != 8 {
@@ -155,7 +155,7 @@ func TestNoFreePageFailsToOS(t *testing.T) {
 	r := newRig(t, 0)
 	req := r.request(0x3000, 9)
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultNoFreePage {
 		t.Fatalf("res = %v", res)
@@ -176,9 +176,9 @@ func TestFreeQueueConsumedInOrder(t *testing.T) {
 	var pfns []uint64
 	for i := 0; i < 3; i++ {
 		req := r.request(pagetable.VAddr(0x100000+i*0x1000), uint64(100+i))
-		r.smu.HandleMiss(req, func(res Result, p pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, res Result, p pagetable.Entry) {
 			pfns = append(pfns, uint64(p.PFN()))
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if len(pfns) != 3 {
@@ -200,12 +200,12 @@ func TestPMSHRBacklog(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Same device channel so they serialize and the PMSHR saturates.
 		req := r.request(pagetable.VAddr(0x200000+i*0x1000), uint64(i*ssd.ZSSD.Channels))
-		r.smu.HandleMiss(req, func(res Result, _ pagetable.Entry) {
+		r.smu.HandleMissArg(req, func(_ any, res Result, _ pagetable.Entry) {
 			if res != ResultOK {
 				t.Fatalf("res = %v", res)
 			}
 			done++
-		})
+		}, nil)
 	}
 	r.eng.Run()
 	if done != n {
@@ -220,7 +220,7 @@ func TestBarrierWaitsForOutstanding(t *testing.T) {
 	r := newRig(t, 8)
 	req := r.request(0x5000, 3)
 	missDone := false
-	r.smu.HandleMiss(req, func(Result, pagetable.Entry) { missDone = true })
+	r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) { missDone = true }, nil)
 	barrierAt := sim.Time(-1)
 	// Schedule the barrier while the miss is in flight.
 	r.eng.Post(sim.Micro(1), func() {
@@ -252,7 +252,7 @@ func TestBarrierAll(t *testing.T) {
 	var order []string
 	for i := 0; i < 4; i++ {
 		req := r.request(pagetable.VAddr(0x70000+i*0x1000), uint64(i))
-		r.smu.HandleMiss(req, func(Result, pagetable.Entry) { order = append(order, "miss") })
+		r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) { order = append(order, "miss") }, nil)
 	}
 	r.eng.Post(sim.Micro(1), func() {
 		r.smu.BarrierAll(func() { order = append(order, "barrier") })
@@ -269,7 +269,7 @@ func TestIOErrorPath(t *testing.T) {
 	req.Block.LBA = 1 << 31
 	req.PTE.Set(pagetable.MakeLBA(req.Block, req.Prot))
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v", res)
@@ -284,7 +284,7 @@ func TestUnattachedDeviceIDFails(t *testing.T) {
 	req := r.request(0xA000, 1)
 	req.Block.DeviceID = 5
 	var res Result = -1
-	r.smu.HandleMiss(req, func(rr Result, _ pagetable.Entry) { res = rr })
+	r.smu.HandleMissArg(req, func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
 	r.eng.Run()
 	if res != ResultIOError {
 		t.Fatalf("res = %v", res)
@@ -293,7 +293,7 @@ func TestUnattachedDeviceIDFails(t *testing.T) {
 
 func TestAttachDeviceValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	s := New(eng, 0, 64)
+	s := NewPerCore(eng, 0, 64, PMSHREntries, 1)
 	prof := ssd.ZSSD
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	qp := nvme.NewQueuePair(1, 8)
@@ -322,7 +322,7 @@ func TestTracerPhases(t *testing.T) {
 	r := newRig(t, 8)
 	req := r.request(0xB000, 4)
 	req.Trace = &trace.Miss{}
-	r.smu.HandleMiss(req, func(Result, pagetable.Entry) {})
+	r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) {}, nil)
 	r.eng.Run()
 	var phases []string
 	for _, sp := range req.Trace.Spans {
@@ -345,7 +345,7 @@ func TestPrefetchHidesMemoryLatency(t *testing.T) {
 	// After a refill, pops come from the prefetch buffer (no memory trip).
 	r := newRig(t, 8)
 	req := r.request(0xC000, 2)
-	r.smu.HandleMiss(req, func(Result, pagetable.Entry) {})
+	r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) {}, nil)
 	r.eng.Run()
 	if st := r.smu.Stats(); st.BufferMisses != 0 {
 		t.Fatalf("buffer misses = %d", st.BufferMisses)
@@ -388,11 +388,11 @@ func TestNoAliasingProperty(t *testing.T) {
 				req = Request{PUD: pud, PMD: pmd, PTE: pte2, Block: e.Block(), Prot: e.Prot()}
 			}
 			vaKey := uint64(va)
-			r.smu.HandleMiss(req, func(res Result, e pagetable.Entry) {
+			r.smu.HandleMissArg(req, func(_ any, res Result, e pagetable.Entry) {
 				if res == ResultOK {
 					seen[vaKey] = append(seen[vaKey], e)
 				}
-			})
+			}, nil)
 			// Interleave some progress.
 			if p%3 == 0 {
 				for i := 0; i < int(p); i++ {

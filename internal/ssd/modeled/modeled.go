@@ -16,7 +16,7 @@
 // time in event order: no internal events, no goroutines, no global
 // state, no map iteration. Same seed and admission sequence ⇒ identical
 // timings and Stats, so fixed-seed runs are byte-identical (the
-// lanesafety/simdeterminism analyzers police this package like the rest
+// sharedstate/simdeterminism analyzers police this package like the rest
 // of the device stack).
 package modeled
 

@@ -82,12 +82,3 @@ func (t *Tracer) LayerStats(l Layer) *metrics.Histogram {
 	}
 	return t.layerH[l]
 }
-
-// TotalStats exposes the end-to-end miss-latency histogram (picoseconds);
-// nil on a nil tracer.
-func (t *Tracer) TotalStats() *metrics.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.totalH
-}

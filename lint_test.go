@@ -13,9 +13,9 @@ import (
 // diagnostics. A new wall-clock read, unpaired pool acquire, unit-less
 // sim.Time constant, hot-path capturing closure, non-exhaustive status
 // switch, allocation reachable from a //hwdp:hotpath root, or shared-state
-// site reachable from device-side model code fails this test — the same
-// findings `make lint` reports, without needing the vettool binary
-// (suite.RunAll summarizes callgraph facts in-process).
+// site reachable from hot-path model code fails this test — the same
+// findings `make lint` reports through the vettool, run in process
+// (suite.RunAll summarizes callgraph facts with callgraph.SummarizeAll).
 func TestLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lint pass recompiles the module for export data; skipped in -short mode")
