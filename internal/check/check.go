@@ -36,12 +36,18 @@ func (r *report) addf(inv, format string, args ...any) {
 //     of different file pages;
 //   - Table I discipline: every PTE is in one of the four legal states,
 //     and non-present LBA-augmented PTEs name an attached socket;
+//   - page cache (kernel.Kernel.AuditPageCache): one page per frame, the
+//     file indexes and the LRU agree, every present synced PTE names the
+//     frame cached for its file page, and reverse maps point back;
 //   - SMU: outstanding misses never exceed the PMSHR size, and free-page
 //     queues only hold frames the allocator handed out.
 func System(s *core.System) []Violation {
 	var r report
 	checkFrames(&r, s)
 	checkPageTables(&r, s)
+	for _, v := range s.K.AuditPageCache() {
+		r.out = append(r.out, Violation{v.Invariant, v.Detail})
+	}
 	checkSMU(&r, s)
 	return r.out
 }

@@ -91,6 +91,26 @@ func TestDetectsUnallocatedFrame(t *testing.T) {
 	}
 }
 
+func TestDetectsUncachedSyncedPTE(t *testing.T) {
+	s := buildSystem(t)
+	va, _, _ := s.MapFile("f", 8, nil, s.FastFlags())
+	// An OS-synced PTE naming an allocated frame that backs no cached page.
+	frame, err := s.Mem.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Proc.AS.Table.Set(va, pagetable.MakePresent(frame, pagetable.Prot{}, true))
+	found := false
+	for _, v := range System(s) {
+		if v.Invariant == "pte-pagecache" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("synced PTE outside the page cache not detected")
+	}
+}
+
 func TestDetectsBadSID(t *testing.T) {
 	s := buildSystem(t)
 	va, _, _ := s.MapFile("f", 8, nil, s.FastFlags())

@@ -168,7 +168,13 @@ type CPU struct {
 	params  Params
 	cores   []*Core
 	threads []*HWThread
-	expApx  func(float64) float64
+
+	// pollute memoizes KernelExec's warmth factor expNeg(instr /
+	// PolluteInstr), direct-mapped on the integer instruction count. Most
+	// kernel charges are fixed per-event costs, so few distinct counts
+	// recur; a count-scaled charge that collides just recomputes. math.Exp
+	// is deterministic, so a hit returns the bits a recomputation would.
+	pollute [polluteSlots]polluteMemo
 
 	// contFn is the pre-bound continuation callback and contPool its
 	// carrier free list: every userChunk/KernelExec/Stall completion is
@@ -226,9 +232,28 @@ func (c *CPU) Thread(i int) *HWThread {
 
 func expNeg(x float64) float64 { return math.Exp(-x) }
 
+// polluteSlots sizes the KernelExec pollution memo (a power of two).
+const polluteSlots = 256
+
+// polluteMemo is one pollution-memo slot: instr+1 (0 = empty) and its
+// factor.
+type polluteMemo struct {
+	key    uint64
+	factor float64
+}
+
+// pollution returns expNeg(instr / PolluteInstr) through the memo.
+func (c *CPU) pollution(instr uint64) float64 {
+	m := &c.pollute[instr&(polluteSlots-1)]
+	if m.key != instr+1 {
+		m.key, m.factor = instr+1, expNeg(float64(instr)/c.params.PolluteInstr)
+	}
+	return m.factor
+}
+
 // userIPCAt returns the effective user IPC for warmth w, ignoring SMT.
 func (c *CPU) userIPCAt(w float64) float64 {
-	p := c.params
+	p := &c.params
 	return p.BaseIPC * (p.IPCFloor + (1-p.IPCFloor)*w)
 }
 
@@ -260,7 +285,7 @@ func (c *CPU) UserExec(t *HWThread, instr uint64, done func()) {
 }
 
 func (c *CPU) userChunk(t *HWThread, remaining uint64, done func()) {
-	p := c.params
+	p := &c.params
 	chunk := remaining
 	if chunk > userQuantum {
 		chunk = userQuantum
@@ -326,14 +351,13 @@ func (c *CPU) KernelExec(t *HWThread, dur sim.Time, done func()) {
 	if t.state != Idle {
 		panic(fmt.Sprintf("cpu: KernelExec on thread %d in state %v", t.ID, t.state))
 	}
-	p := c.params
 	if dur < 0 {
 		dur = 0
 	}
-	instr := uint64(float64(dur.ToCycles()) * p.KernelIPC)
+	instr := uint64(float64(dur.ToCycles()) * c.params.KernelIPC)
 	t.KernelInstr += instr
 	t.KernelTime += dur
-	t.warmth *= expNeg(float64(instr) / p.PolluteInstr)
+	t.warmth *= c.pollution(instr)
 	t.state = RunningKernel
 	cc := c.getCont()
 	cc.t, cc.done = t, done

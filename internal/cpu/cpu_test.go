@@ -115,6 +115,18 @@ func TestKernelExecPollutes(t *testing.T) {
 	}
 }
 
+func TestPollutionMemoMatchesExp(t *testing.T) {
+	// Instruction counts that share a memo slot evict each other; every
+	// lookup, hit or miss, returns exactly the recomputed factor.
+	_, c := newCPU(1)
+	for _, instr := range []uint64{0, 5, 5 + polluteSlots, 5, 28000, 28000 + 3*polluteSlots, 28000} {
+		want := expNeg(float64(instr) / c.params.PolluteInstr)
+		if got := c.pollution(instr); got != want {
+			t.Fatalf("pollution(%d) = %v, want %v", instr, got, want)
+		}
+	}
+}
+
 func TestUserExecRecoversWarmth(t *testing.T) {
 	eng, c := newCPU(1)
 	th := c.Thread(0)

@@ -1,17 +1,20 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
+	"hwdp/internal/mem"
 	"hwdp/internal/mmu"
 	"hwdp/internal/nvme"
 	"hwdp/internal/pagetable"
 )
 
 // Allocation and event-heap pins for the OS side of the access path. The
-// access gate, the OS block layer and the OS fault carriers are pooled;
-// these pins keep a per-access or per-I/O closure from creeping back.
-// AllocsPerRun warms the pools with a first run before measuring.
+// access gate, the OS block layer, the OS fault carriers and the page
+// replacement carriers are pooled; these pins keep a per-access, per-I/O
+// or per-eviction closure from creeping back. AllocsPerRun warms the pools
+// with a first run before measuring.
 
 func TestAccessTLBHitAllocationBudget(t *testing.T) {
 	r := newRig(t, 64<<20, 512, withScheme(OSDP))
@@ -88,5 +91,96 @@ func TestOSDPFaultsLeaveNoCanceledTimers(t *testing.T) {
 	}
 	if n := r.eng.Pending(); n >= 64 {
 		t.Fatalf("event heap holds %d events after %d faults, want < 64", n, faults)
+	}
+}
+
+// Steady-state OSDP faults on a full memory: a sequential sweep over a
+// file four times the size of memory misses on every access, so each fault
+// takes a frame that kswapd's clock reclaim freed by evicting a page. Every
+// other access writes, so the evictions mix clean frees with dirty
+// writebacks.
+const evictFrames, evictFilePages = 1024, 4096
+
+// evictRig builds the full-memory OSDP machine and returns a function that
+// accesses page i%evictFilePages of the file, writing on even i.
+func evictRig(tb testing.TB) (*rig, func(i int)) {
+	r := newRig(tb, evictFrames*mem.PageSize, 512, withScheme(OSDP))
+	va, _ := r.mmapFile(tb, "f", evictFilePages, MmapFlags{})
+	done := false
+	complete := func(mmu.Result) { done = true }
+	access := func(i int) {
+		done = false
+		r.k.Access(r.th, va+pagetable.VAddr(i%evictFilePages)*mem.PageSize, i%2 == 0, complete)
+		for !done && r.eng.Step() {
+		}
+		if !done {
+			tb.Fatalf("access %d never completed", i)
+		}
+	}
+	return r, access
+}
+
+func TestReclaimAllocationBudget(t *testing.T) {
+	r, access := evictRig(t)
+	passes := 0
+	kswapdDone := r.k.kswapdDoneFn
+	r.k.kswapdDoneFn = func(freed int) {
+		passes++
+		kswapdDone(freed)
+	}
+	// Eight warm-up sweeps fill memory, build every page-table node, write
+	// every dirty block once (the file system's block map grows on a
+	// block's first write) and grow each free list and queue to its
+	// high-water mark.
+	for i := 0; i < 8*evictFilePages; i++ {
+		access(i)
+	}
+	before, passesBefore := r.k.Stats(), passes
+	// Four measured sweeps. The pin is the sweeps' total malloc count, not
+	// a per-fault average: an allocation made once per dirty writeback or
+	// once per kswapd pass averages well below one per fault and would
+	// round away. The budget is a small fraction of the pass count, not
+	// zero, because the block layer's pending-CID map is a Go map under
+	// insert/delete churn and may rehash in place.
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 4*evictFilePages; i++ {
+		access(i)
+	}
+	runtime.ReadMemStats(&ms1)
+	mallocs := ms1.Mallocs - ms0.Mallocs
+	after := r.k.Stats()
+	faults := after.MajorFaults - before.MajorFaults
+	evictions := after.Evictions - before.Evictions
+	writebacks := after.Writebacks - before.Writebacks
+	passes -= passesBefore
+	if faults != 4*evictFilePages {
+		t.Fatalf("major faults = %d, want %d: some access hit", faults, 4*evictFilePages)
+	}
+	if evictions < faults-evictFrames || writebacks < evictions/4 || writebacks == evictions {
+		t.Fatalf("%d faults made %d evictions (%d dirty): want about one eviction per fault, clean and dirty",
+			faults, evictions, writebacks)
+	}
+	if passes < 64 {
+		t.Fatalf("%d kswapd passes, want at least 64", passes)
+	}
+	if budget := uint64(passes) / 8; mallocs > budget {
+		t.Fatalf("%d faults, %d evictions (%d dirty) and %d kswapd passes made %d mallocs, want at most %d",
+			faults, evictions, writebacks, passes, mallocs, budget)
+	}
+	t.Logf("%d faults, %d evictions (%d dirty), %d kswapd passes: %d mallocs", faults, evictions, writebacks, passes, mallocs)
+}
+
+// BenchmarkMajorFaultEvict is one steady-state OSDP major fault on a full
+// memory, with its share of the kswapd eviction that freed its frame.
+func BenchmarkMajorFaultEvict(b *testing.B) {
+	_, access := evictRig(b)
+	for i := 0; i < 2*evictFilePages; i++ {
+		access(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access(i)
 	}
 }

@@ -118,8 +118,11 @@ func (f *osFault) put() {
 //hwdp:hotpath
 func (f *osFault) entry() {
 	k, c := f.k, f.k.cfg.Costs
-	// Minor fault: the page is already resident in the page cache (pages
-	// under writeback are still valid and mappable).
+	// Minor fault: the page is already resident in the page cache. A page
+	// the flusher or msync is writing back stays cached and mappable; a
+	// page evicted dirty left the cache when its write was submitted, so
+	// this fault misses it and reads the block again (the open
+	// refault-during-writeback race in ROADMAP.md).
 	if pg := k.lookupPage(f.vma.File, f.idx); pg != nil {
 		k.stats.MinorFaults++
 		f.ms.SetCause(trace.CauseOSMinor)
@@ -152,8 +155,18 @@ func (f *osFault) entry() {
 	k.allocFrame(f.hw, f.frameFn)
 }
 
-// minor maps the resident page and returns to user.
+// minor maps the resident page and returns to user. kswapd may have
+// evicted the page during the MinorFault charge, and its frame may back
+// another page by now: a page no longer cached under (file, idx) is not
+// mapped, and the fault is triaged again (Linux retries the fault the
+// same way). Returning instead would fail the access, since the MMU
+// re-walks only once.
 func (f *osFault) minor() {
+	if f.k.lookupPage(f.vma.File, f.idx) != f.pg {
+		f.pg = nil
+		f.entry()
+		return
+	}
 	f.k.mapPTE(f.as, f.va, f.vma, f.pg)
 	done := f.done
 	f.put()

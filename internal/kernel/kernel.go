@@ -8,7 +8,6 @@
 package kernel
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 
@@ -329,15 +328,27 @@ type mapping struct {
 	vma *VMA
 }
 
-// Page is the kernel's struct page: a resident file page.
+// Page is the kernel's struct page. The kernel keeps one per physical
+// frame (Kernel.pages, indexed by mem.FrameID, Linux's mem_map): a frame
+// backs at most one file page from insertPage until the frame is freed,
+// including while the page is under writeback or orphaned, so a *Page
+// names one page for as long as its frame stays allocated.
 type Page struct {
-	frame mem.FrameID
 	file  *fs.File
-	idx   int
 	st    *storage
-	maps  []mapping
-	elem  *list.Element // LRU position, nil while not on the LRU
-	wb    bool          // under writeback
+	idx   int
+	frame mem.FrameID
+	// maps is the reverse map. Each slot starts with room for one mapping
+	// and insertPage reuses the slot's backing array, so a page takes its
+	// first mapping without allocating.
+	maps []mapping
+	// prev and next link the page into the clock LRU, as frame+1 (0 = no
+	// neighbour). They are meaningful only while cached is set.
+	prev, next int32
+	// cached marks a page indexed in the page cache and on the LRU; an
+	// evicted or unmapped page keeps its slot until its frame is freed.
+	cached bool
+	wb     bool // under writeback
 	// orphan marks a page whose last mapping was torn down while a
 	// non-freeing writeback (msync/flusher) was in flight: the writeback
 	// completion must free the frame, or it leaks.
@@ -373,8 +384,14 @@ type Kernel struct {
 	// run them concurrently without shared state.
 	anonCount int
 
-	pageCache map[pcKey]*Page
-	lru       *list.List
+	// The page cache, frame-indexed. pages is sized to physical memory at
+	// the first insertPage; pcIndex maps each file to its per-page frame
+	// index (frame+1, 0 = not cached). lruHead/lruTail (frame+1) bound the
+	// clock LRU of every cached page, oldest first.
+	pages            []Page
+	pcIndex          map[*fs.File][]int32
+	lruHead, lruTail int32
+	lruLen           int
 
 	// Software-emulated PMSHR for the SW-only scheme.
 	swPMSHR map[pagetable.EntryAddr][]func()
@@ -426,6 +443,14 @@ type Kernel struct {
 	// Pooled OS fault carriers, and the pre-bound stall-timeout callback.
 	faultPool      []*osFault
 	stallTimeoutFn func(any)
+
+	// Pooled page-replacement carriers: one per reclaim pass and one per
+	// freeing writeback. kswapdFn and kswapdDoneFn are kswapd's tick and
+	// end-of-pass callbacks, bound once.
+	scanPool     []*reclaimScan
+	wbPool       []*wbDone
+	kswapdFn     func()
+	kswapdDoneFn func(int)
 }
 
 // New wires a kernel over the machine components. Background threads run on
@@ -442,8 +467,7 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 		storages:      make(map[storKey]*storage),
 		smus:          make(map[uint8]*smu.SMU),
 		byASID:        make(map[uint32]*Process),
-		pageCache:     make(map[pcKey]*Page),
-		lru:           list.New(),
+		pcIndex:       make(map[*fs.File][]int32),
 		swPMSHR:       make(map[pagetable.EntryAddr][]func()),
 		faultInflight: make(map[pcKey][]func()),
 		kptedHW:       kptedHW,
@@ -459,6 +483,7 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	k.ioTimeoutFn = k.ioTimeout
 	k.ioRetryFn = k.ioRetry
 	k.stallTimeoutFn = k.stallTimeout
+	k.kswapdFn, k.kswapdDoneFn = k.kswapdTick, k.kswapdDone
 	if cfg.DirtyRatioFrac > 0 {
 		k.dirtyHardLimit = int(float64(m.Frames()) * cfg.DirtyRatioFrac)
 		if k.dirtyHardLimit < 1 {
@@ -493,15 +518,15 @@ func (k *Kernel) SetPSI(p *metrics.PSI) { k.psi = p }
 func (k *Kernel) Processes() []*Process { return k.procs }
 
 // AccountedFrames counts the distinct physical frames the kernel can
-// name: page-cache pages (via the LRU, which holds every cached page),
+// name: page-cache pages (via the LRU links, which hold every cached page),
 // present PTEs of every process (covers hardware-installed pages not yet
 // synced into the cache), and the pinned WAL buffer. The leak audit
 // compares it against the allocator's outstanding count once in-flight
 // I/O has drained.
 func (k *Kernel) AccountedFrames() int {
 	seen := make(map[mem.FrameID]bool)
-	for e := k.lru.Front(); e != nil; e = e.Next() {
-		seen[e.Value.(*Page).frame] = true
+	for i := k.lruHead; i != 0; i = k.pages[i-1].next {
+		seen[mem.FrameID(i-1)] = true
 	}
 	for _, p := range k.procs {
 		p.AS.Table.ScanAll(func(_ pagetable.VAddr, pte pagetable.EntryRef) {
@@ -582,7 +607,7 @@ func (k *Kernel) Start() {
 	if (k.cfg.Scheme == HWDP || k.cfg.Scheme == SWDP) && !k.cfg.DisableKpted {
 		k.eng.Post(k.cfg.KptedPeriod, k.kptedTick)
 	}
-	k.eng.Post(k.cfg.KswapdPeriod, k.kswapdTick)
+	k.eng.Post(k.cfg.KswapdPeriod, k.kswapdFn)
 }
 
 // NewProcess creates a process with an empty address space.

@@ -38,13 +38,13 @@ func withScheme(s Scheme) rigOpt   { return func(c *Config) { c.Scheme = s } }
 func noKpoold() rigOpt             { return func(c *Config) { c.DisableKpoold = true } }
 func kptedEvery(d sim.Time) rigOpt { return func(c *Config) { c.KptedPeriod = d } }
 
-func newRig(t *testing.T, memBytes uint64, freeQDepth int, opts ...rigOpt) *rig {
+func newRig(t testing.TB, memBytes uint64, freeQDepth int, opts ...rigOpt) *rig {
 	prof := ssd.ZSSD
 	prof.JitterFrac = 0
 	return newRigProf(t, memBytes, freeQDepth, prof, opts...)
 }
 
-func newRigProf(t *testing.T, memBytes uint64, freeQDepth int, prof ssd.Profile, opts ...rigOpt) *rig {
+func newRigProf(t testing.TB, memBytes uint64, freeQDepth int, prof ssd.Profile, opts ...rigOpt) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	c := cpu.New(eng, 4, cpu.DefaultParams())
@@ -83,7 +83,7 @@ func newRigProf(t *testing.T, memBytes uint64, freeQDepth int, prof ssd.Profile,
 		fsys: fsys, k: k, p: p, th: k.NewThread(p, 0)}
 }
 
-func (r *rig) mmapFile(t *testing.T, name string, pages int, flags MmapFlags) (pagetable.VAddr, *fs.File) {
+func (r *rig) mmapFile(t testing.TB, name string, pages int, flags MmapFlags) (pagetable.VAddr, *fs.File) {
 	t.Helper()
 	f, err := r.fsys.Create(name, pages, fs.SeededInit(77))
 	if err != nil {
@@ -661,3 +661,51 @@ func TestCostsCalibration(t *testing.T) {
 
 func smuDefaultBefore() sim.Time { return smu.DefaultTiming().BeforeDevice() }
 func smuDefaultAfter() sim.Time  { return smu.DefaultTiming().AfterDevice() }
+
+func TestMinorFaultRevalidatesAfterEviction(t *testing.T) {
+	// A minor fault finds its page cached, then charges MinorFault before
+	// mapping it. kswapd evicts the page inside that window; the fault must
+	// not map it (the freed frame may back another page by then), but
+	// triage again and read the page back in.
+	r := newRig(t, 64<<20, 512, withScheme(OSDP))
+	va1, f := r.mmapFile(t, "f", 4, MmapFlags{})
+	va2, err := r.k.Mmap(r.p, 0, 0, f, pagetable.Prot{Write: true, User: true}, MmapFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := r.access(t, r.th, va1, false); out != mmu.OutcomeOSFault {
+		t.Fatalf("first access: %v, want an OS fault", out)
+	}
+	// Clear the accessed bit so the clock takes the page at once.
+	_, _, pte, _ := r.p.AS.Table.Walk(va1)
+	pte.Set(pte.Get().ClearFlags(pagetable.FlagAccessed))
+
+	var out mmu.Outcome = -1
+	r.k.Access(r.th, va2, false, func(res mmu.Result) { out = res.Outcome })
+	for r.k.Stats().MinorFaults == 0 && r.eng.Step() {
+	}
+	if r.k.Stats().MinorFaults != 1 {
+		t.Fatal("the second mapping took no minor fault")
+	}
+	evicted := -1
+	r.k.reclaim(r.k.kswapdHW, 1, func(n int) { evicted = n })
+	for out == -1 && r.eng.Step() {
+	}
+	if out == -1 || evicted != 1 {
+		t.Fatalf("access outcome %v, evicted %d: want a completed access and one eviction", out, evicted)
+	}
+	e, ok := r.p.AS.Table.Lookup(va2)
+	if !ok || !e.Present() {
+		t.Fatal("the access left the page unmapped")
+	}
+	if !r.mem.Allocated(e.PFN()) {
+		t.Fatalf("PTE names freed frame %d", e.PFN())
+	}
+	if pg := r.k.lookupPage(f, 0); pg == nil || pg.frame != e.PFN() {
+		t.Fatalf("PTE names frame %d, which is not the cached page", e.PFN())
+	}
+	if n := r.k.Stats().MajorFaults; n != 2 {
+		t.Fatalf("major faults = %d, want 2 (the first read and the refault)", n)
+	}
+	checkInvariants(t, r)
+}

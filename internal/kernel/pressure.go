@@ -122,18 +122,25 @@ func (k *Kernel) flushSweep() {
 	k.flushBatch(batch, 0)
 }
 
+// flushRef is one page collected for background writeback, with the
+// identity it had at collection.
+type flushRef struct {
+	pg  *Page
+	key pcKey
+}
+
 // collectDirty walks the LRU from the cold end and returns up to target
 // pages with at least one dirty present PTE and no writeback in flight.
-func (k *Kernel) collectDirty(target int) []*Page {
-	var batch []*Page
-	for e := k.lru.Front(); e != nil && len(batch) < target; e = e.Next() {
-		pg := e.Value.(*Page)
+func (k *Kernel) collectDirty(target int) []flushRef {
+	var batch []flushRef
+	for i := k.lruHead; i != 0 && len(batch) < target; i = k.pages[i-1].next {
+		pg := &k.pages[i-1]
 		if pg.wb {
 			continue
 		}
 		for _, m := range pg.maps {
 			if ent := m.pte.Get(); ent.Present() && ent.Dirty() {
-				batch = append(batch, pg)
+				batch = append(batch, flushRef{pg, pcKey{pg.file, pg.idx}})
 				break
 			}
 		}
@@ -143,21 +150,30 @@ func (k *Kernel) collectDirty(target int) []*Page {
 
 // flushBatch writes back one collected page per WritebackSubmit charge on
 // the kswapd hardware thread, then re-sweeps.
-func (k *Kernel) flushBatch(batch []*Page, i int) {
+func (k *Kernel) flushBatch(batch []flushRef, i int) {
 	if i >= len(batch) {
 		k.flushSweep()
 		return
 	}
-	pg := batch[i]
-	if pg.wb || pg.elem == nil {
-		// Evicted or claimed by another writeback since collection.
+	r := batch[i]
+	if !k.flushable(r) {
 		k.flushBatch(batch, i+1)
 		return
 	}
 	k.kexec(k.kswapdHW, k.cfg.Costs.WritebackSubmit, func() {
-		k.flushPage(pg)
+		if k.flushable(r) {
+			k.flushPage(r.pg)
+		}
 		k.flushBatch(batch, i+1)
 	})
+}
+
+// flushable reports whether a collected page still needs its flush. Since
+// collection, and during the submit charge, the page may have been claimed
+// by another writeback or evicted, and its frame may back another page by
+// now: only the page still cached under the collected identity is flushed.
+func (k *Kernel) flushable(r flushRef) bool {
+	return !r.pg.wb && k.lookupPage(r.key.file, r.key.idx) == r.pg
 }
 
 // flushPage cleans one page in place: PTE dirty bits are cleared (the

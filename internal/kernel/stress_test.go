@@ -4,11 +4,10 @@ package kernel
 // writes, msyncs, anonymous traffic) across multiple threads and schemes,
 // with structural invariants checked throughout:
 //
-//   - no frame is referenced by two different page-cache entries
-//     (no page aliasing — the PMSHR's core guarantee);
-//   - every present PTE of a file VMA points at the frame the page cache
-//     records for that file page;
-//   - resident pages never exceed physical frames;
+//   - the page-cache audit (Kernel.AuditPageCache) is clean: one page per
+//     frame, no page aliasing (the PMSHR's core guarantee), every synced
+//     present PTE of a file VMA points at the frame the page cache records
+//     for that file page, and resident pages never exceed physical frames;
 //   - every Load observes exactly the bytes last Stored (or the file's
 //     pristine content).
 
@@ -23,58 +22,12 @@ import (
 	"hwdp/internal/sim"
 )
 
-// checkInvariants walks the machine structures and fails the test on any
-// violation.
+// checkInvariants runs the kernel's page-cache audit and fails the test on
+// any violation.
 func checkInvariants(t *testing.T, r *rig) {
 	t.Helper()
-	// Frame uniqueness across the page cache.
-	frames := make(map[uint64]pcKey)
-	for key, pg := range r.k.pageCache {
-		f := uint64(pg.frame)
-		if prev, dup := frames[f]; dup {
-			t.Fatalf("frame %d aliased by %v and %v", f, prev, key)
-		}
-		frames[f] = key
-		if !r.mem.Allocated(pg.frame) {
-			t.Fatalf("page cache holds unallocated frame %d", f)
-		}
-		// Reverse map consistency: every mapping's PTE points here.
-		for _, m := range pg.maps {
-			e := m.pte.Get()
-			if e.Present() && e.PFN() != pg.frame {
-				t.Fatalf("rmap mismatch at %#x: PTE frame %d, page frame %d",
-					uint64(m.va), e.PFN(), pg.frame)
-			}
-		}
-	}
-	if uint64(len(r.k.pageCache)) > r.mem.Frames() {
-		t.Fatalf("resident pages %d exceed frames %d", len(r.k.pageCache), r.mem.Frames())
-	}
-	// PTE → page cache consistency for every process.
-	for _, p := range r.k.procs {
-		for _, v := range p.vmas {
-			if v.dead {
-				continue
-			}
-			for i := 0; i < v.Pages; i++ {
-				va := v.Start + pagetable.VAddr(i)*4096
-				e, ok := p.AS.Table.Lookup(va)
-				if !ok || !e.Present() {
-					continue
-				}
-				if e.State() == pagetable.StateResidentUnsynced {
-					continue // not yet in OS metadata, by design
-				}
-				pg := r.k.lookupPage(v.File, i)
-				if pg == nil {
-					t.Fatalf("present synced PTE at %#x without page cache entry", uint64(va))
-				}
-				if pg.frame != e.PFN() {
-					t.Fatalf("PTE at %#x names frame %d, cache has %d",
-						uint64(va), e.PFN(), pg.frame)
-				}
-			}
-		}
+	if vs := r.k.AuditPageCache(); len(vs) != 0 {
+		t.Fatalf("page-cache audit: %v", vs)
 	}
 }
 

@@ -234,25 +234,13 @@ func (k *Kernel) unmapOne(p *Process, vma *VMA, va pagetable.VAddr, pte pagetabl
 	if len(pg.maps) > 0 {
 		return // still mapped elsewhere; page stays
 	}
-	delete(k.pageCache, pcKey{pg.file, pg.idx})
-	if pg.elem != nil {
-		k.lru.Remove(pg.elem)
-		pg.elem = nil
-	}
+	k.uncache(pg)
 	if e.Dirty() && !pg.wb {
 		pg.wb = true
 		k.stats.Writebacks++
 		k.noteCleaned()
 		blk, _ := vma.st.fsys.Block(pg.file, pg.idx)
-		k.submitIORetry(vma.st, k.kswapdHW, nvme.OpWrite, blk.LBA, pg.frame, nil, func(status uint16) {
-			if status != nvme.StatusSuccess {
-				k.stats.WritebackErrors++
-			}
-			pg.wb = false
-			if err := k.mem.Free(pg.frame); err != nil {
-				panic(err)
-			}
-		})
+		k.writeBackAndFree(vma.st, k.kswapdHW, pg, blk.LBA)
 		return
 	}
 	if !pg.wb {

@@ -79,15 +79,16 @@ func (k *Kernel) kpooldTickSMU(s *smu.SMU, resched func()) {
 // the watermarks by evicting cold pages from the clock LRU.
 func (k *Kernel) kswapdTick() {
 	free, low, high := k.freeLevel()
-	reschedule := func() { k.eng.Post(k.cfg.KswapdPeriod, k.kswapdTick) }
 	if free >= low || k.reclaiming {
-		reschedule()
+		k.eng.Post(k.cfg.KswapdPeriod, k.kswapdFn)
 		return
 	}
 	k.reclaiming = true
-	target := int(high - free)
-	k.reclaim(k.kswapdHW, target, func(int) {
-		k.reclaiming = false
-		reschedule()
-	})
+	k.reclaim(k.kswapdHW, int(high-free), k.kswapdDoneFn)
+}
+
+// kswapdDone ends a kswapd reclaim pass and schedules the next tick.
+func (k *Kernel) kswapdDone(int) {
+	k.reclaiming = false
+	k.eng.Post(k.cfg.KswapdPeriod, k.kswapdFn)
 }
