@@ -32,27 +32,27 @@ bench-test:
 
 # sweep-check regenerates every quick-mode figure/table through the
 # parallel sweep scheduler with the race detector on — the end-to-end
-# proof that concurrent units share no state. The cache is bypassed so
-# every unit actually simulates; SWEEP_hwdp.json records per-unit
-# status/duration and is uploaded as a CI artifact. See docs/SWEEP.md.
+# proof that concurrent units share no state. SWEEP_hwdp.json records
+# per-unit status/duration and is uploaded as a CI artifact. See
+# docs/SWEEP.md.
 sweep-check:
-	$(GO) run -race ./cmd/hwdpbench -all -quick -no-cache
+	$(GO) run -race ./cmd/hwdpbench -all -quick
 
 # chaos-short runs the bounded chaos-pressure campaign under the race
 # detector: oversubscription scenarios with fault storms, audited by the
 # invariant watchdog; every scenario must finish with zero violations
-# and zero leaked frames. CAMPAIGN_hwdp.json records the per-scenario
-# degradation report and is uploaded as a CI artifact. See
-# docs/PRESSURE.md.
+# and zero leaked frames. SWEEP_hwdp.json records each scenario's
+# degradation report as its run's "data" and is uploaded as a CI
+# artifact. See docs/PRESSURE.md.
 chaos-short:
-	$(GO) run -race ./cmd/hwdpbench -pressure -quick -no-cache -sweep-out CAMPAIGN_sweep.json
+	$(GO) run -race ./cmd/hwdpbench -pressure -quick
 
 # ssd-check runs the modeled-SSD battery: the FTL/GC conservation
 # property tests and checked-in fuzz seed corpora, the end-to-end
 # modeled-backend smoke test, and the steady-state/GC-tail direction
 # regressions — then repeats everything under the race detector. See
 # docs/SSD.md.
-SSD_TESTS = GCConservation|Precondition|Unmapped|WriteBuffer|Flush|Deterministic|Victim|Fuzz|ModeledBackend|SSDSteadyState|GCTailAblation|FingerprintCoversSSD
+SSD_TESTS = GCConservation|Precondition|Unmapped|WriteBuffer|Flush|Deterministic|Victim|Fuzz|ModeledBackend|SSDSteadyState|GCTailAblation
 ssd-check:
 	$(GO) test -run '$(SSD_TESTS)' ./internal/ssd/... ./internal/core ./internal/figures
 	$(GO) test -race -run '$(SSD_TESTS)' ./internal/ssd/... ./internal/core ./internal/figures
@@ -61,12 +61,13 @@ ssd-check:
 # conservation property (under QoS and fault storms), the noisy-neighbor
 # isolation acceptance (victim p99.9 improves >= 2x with QoS on), and the
 # -j byte-equivalence pin — plain and under the race detector, then
-# regenerates the CI-sized fleet figure so FLEET_hwdp.json is always a
+# regenerates the CI-sized fleet figure so SWEEP_hwdp.json, which carries
+# each experiment's per-tenant report as its run's "data", is always a
 # fresh artifact. See docs/FLEET.md.
 fleet-check:
 	$(GO) test ./internal/fleet/
 	$(GO) test -race ./internal/fleet/
-	$(GO) run ./cmd/hwdpbench -fleet -quick -no-cache -sweep-out FLEET_sweep.json
+	$(GO) run ./cmd/hwdpbench -fleet -quick
 
 fmt:
 	gofmt -w .

@@ -15,8 +15,9 @@
 // and, for the experiment driver:
 //
 //   - every flag cmd/hwdpbench registers is documented in EXPERIMENTS.md
-//     (as `-name`), so the reference the docs promise cannot drift behind
-//     the binary's actual surface;
+//     (as `-name`), and every row of the EXPERIMENTS.md flag table names
+//     a registered flag, so the reference cannot drift from the binary's
+//     actual surface in either direction;
 //
 // and, for the hwdplint suite:
 //
@@ -210,8 +211,10 @@ var flagCtors = map[string]bool{
 	"Uint64Var": true, "Float64Var": true, "StringVar": true, "DurationVar": true,
 }
 
-// checkFlagDocs parses cmd/hwdpbench's flag registrations and requires
-// every flag to appear as `-name` somewhere in EXPERIMENTS.md.
+// checkFlagDocs parses cmd/hwdpbench's flag registrations and checks them
+// against EXPERIMENTS.md both ways: every flag must appear as `-name`
+// somewhere in the document, and every first-column `-name` of the table
+// under "## Driver flags" must be a registered flag.
 func checkFlagDocs(root string, addf func(string, ...any)) error {
 	cmdDir := filepath.Join(root, "cmd", "hwdpbench")
 	if _, err := os.Stat(cmdDir); err != nil {
@@ -223,19 +226,50 @@ func checkFlagDocs(root string, addf func(string, ...any)) error {
 		addf("%s: EXPERIMENTS.md missing but cmd/hwdpbench exists", docPath)
 		return nil
 	}
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(cmdDir)
+	registered, err := registeredFlags(cmdDir)
 	if err != nil {
 		return err
 	}
+	for name, p := range registered {
+		if !strings.Contains(string(doc), "-"+name) {
+			addf("%s:%d: flag -%s is not documented in EXPERIMENTS.md", p.Filename, p.Line, name)
+		}
+	}
+	inSection := false
+	for i, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inSection = strings.HasPrefix(line, "## Driver flags")
+			continue
+		}
+		if m := flagRow.FindStringSubmatch(line); inSection && m != nil {
+			if _, ok := registered[m[1]]; !ok {
+				addf("%s:%d: flag table row -%s names no flag cmd/hwdpbench registers", docPath, i+1, m[1])
+			}
+		}
+	}
+	return nil
+}
+
+// flagRow matches a flag-table row and captures the first column's flag
+// name: "| `-seed N` | 1 | ..." captures "seed".
+var flagRow = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][A-Za-z0-9_-]*)")
+
+// registeredFlags returns the name and position of every flag the non-test
+// Go files in cmdDir register through the flag package.
+func registeredFlags(cmdDir string) (map[string]token.Position, error) {
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(cmdDir)
+	if err != nil {
+		return nil, err
+	}
+	flags := map[string]token.Position{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		path := filepath.Join(cmdDir, e.Name())
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, filepath.Join(cmdDir, e.Name()), nil, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -257,19 +291,13 @@ func checkFlagDocs(root string, addf func(string, ...any)) error {
 				}
 				arg = call.Args[1]
 			}
-			lit, ok := arg.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name := strings.Trim(lit.Value, `"`)
-			if !strings.Contains(string(doc), "-"+name) {
-				p := fset.Position(lit.Pos())
-				addf("%s:%d: flag -%s is not documented in EXPERIMENTS.md", p.Filename, p.Line, name)
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				flags[strings.Trim(lit.Value, `"`)] = fset.Position(lit.Pos())
 			}
 			return true
 		})
 	}
-	return nil
+	return flags, nil
 }
 
 // checkAnalyzerDocs requires one "### <name>" section under "## The

@@ -52,3 +52,64 @@ func TestAnalyzerDocsDrift(t *testing.T) {
 		t.Errorf("problems = %q, want the missing %s section and the retired section", problems, suite.Analyzers[0].Name)
 	}
 }
+
+// flagProblems runs checkFlagDocs over a root whose cmd/hwdpbench
+// registers src's flags and whose EXPERIMENTS.md holds doc.
+func flagProblems(t *testing.T, src, doc string) []string {
+	t.Helper()
+	root := t.TempDir()
+	cmdDir := filepath.Join(root, "cmd", "hwdpbench")
+	if err := os.MkdirAll(cmdDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cmdDir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "EXPERIMENTS.md"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var problems []string
+	if err := checkFlagDocs(root, func(format string, args ...any) {
+		problems = append(problems, fmt.Sprintf(format, args...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return problems
+}
+
+// TestFlagDocsDrift checks both directions of the flag check: a
+// registered flag missing from EXPERIMENTS.md and a flag-table row naming
+// no registered flag are each reported, while a `-name` outside the
+// "## Driver flags" table is not taken for a row.
+func TestFlagDocsDrift(t *testing.T) {
+	const src = `package main
+
+import "flag"
+
+func main() {
+	flag.Bool("all", false, "")
+	flag.Int("j", 1, "")
+	var seed uint64
+	flag.Uint64Var(&seed, "seed", 1, "")
+	flag.Parse()
+}
+`
+	const doc = "# EXPERIMENTS\n\n## Driver flags (`cmd/hwdpbench`)\n\n" +
+		"| flag | default | meaning |\n|---|---|---|\n" +
+		"| `-all` | off | everything |\n" +
+		"| `-j N` | 1 | workers |\n" +
+		"| `-stale` | off | retired |\n\n" +
+		"## Figures\n\n| `-fig 13` | a table cell, not a flag row |\n"
+	problems := flagProblems(t, src, doc)
+	if len(problems) != 2 {
+		t.Fatalf("got %d problems, want 2: %q", len(problems), problems)
+	}
+	undocumented, stale := false, false
+	for _, p := range problems {
+		undocumented = undocumented || strings.Contains(p, "flag -seed is not documented")
+		stale = stale || strings.Contains(p, "row -stale names no flag")
+	}
+	if !undocumented || !stale {
+		t.Errorf("problems = %q, want the undocumented -seed and the stale -stale row", problems)
+	}
+}

@@ -1,9 +1,9 @@
 // Command hwdpbench regenerates the paper's tables and figures on the
 // simulated machine. Runs are decomposed into named units and executed by
 // the internal/sweep scheduler: a bounded worker pool (figure text stays
-// byte-identical to a sequential run at any -j), a content-addressed
-// result cache, per-run panic/timeout isolation, and a machine-readable
-// manifest (SWEEP_hwdp.json) for CI.
+// byte-identical to a sequential run at any -j), per-run panic/timeout
+// isolation, and one machine-readable manifest (SWEEP_hwdp.json) for CI
+// that also carries the campaign and fleet results.
 //
 // Usage:
 //
@@ -14,29 +14,27 @@
 //	hwdpbench -seed 7           # simulation seed for every unit (default 1)
 //	hwdpbench -threads 1,4      # restrict Fig. 13's thread sweep
 //	hwdpbench -j 8              # parallel run units (default GOMAXPROCS)
-//	hwdpbench -no-cache         # re-simulate even when a cached result exists
 //	hwdpbench -ssd modeled      # FTL/GC media model for every unit (default profile)
 //	hwdpbench -ssd-fill 0.8     # modeled preconditioning: fraction of LBAs filled
 //	hwdpbench -ssd-churn 2      # modeled preconditioning: overwrite churn multiple
-//	hwdpbench -cache-dir DIR    # result cache location (default .hwdpcache)
 //	hwdpbench -run-timeout 15m  # per-unit wall-clock budget (0 disables)
 //	hwdpbench -sweep-out f.json # sweep manifest path (default SWEEP_hwdp.json)
 //	hwdpbench -breakdown        # per-layer miss-latency attribution, all schemes
 //	hwdpbench -trace out.json   # Chrome trace of the same sweep (Perfetto)
-//	hwdpbench -pressure         # chaos-pressure campaign -> CAMPAIGN_hwdp.json
+//	hwdpbench -pressure         # chaos-pressure campaign
 //	hwdpbench -pressure -quick  # bounded variant (CI smoke)
-//	hwdpbench -campaign-out f   # campaign manifest path (default CAMPAIGN_hwdp.json)
-//	hwdpbench -fleet            # multi-tenant fleet sweep -> FLEET_hwdp.json
+//	hwdpbench -fleet            # multi-tenant fleet sweep
 //	hwdpbench -fleet -quick     # CI-sized variant (one skew, both modes)
 //	hwdpbench -fig fleet        # alias for -fleet
 //	hwdpbench -tenants 5        # override the fleet sweep's tenant count
 //	hwdpbench -qos ladder       # fleet admission: ladder (off+on), on, off
-//	hwdpbench -fleet-out f.json # fleet manifest path (default FLEET_hwdp.json)
 //	hwdpbench -cpuprofile f     # write a CPU profile of the whole run
 //	hwdpbench -memprofile f     # write an allocation profile at exit
 //
 // Unit results (figure/table text) stream to stdout in deterministic
-// order; progress, ETA and failure records go to stderr. A unit that
+// order; progress, ETA and failure records go to stderr. Campaign and
+// fleet units also record their structured reports as the "data" of
+// their runs in the sweep manifest. A unit that
 // panics or times out is recorded in the manifest and reported, the
 // remaining units complete, and the exit status is 1.
 package main
@@ -68,21 +66,17 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed threaded through every experiment")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts for -fig 13")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max run units executing in parallel")
-	noCache := flag.Bool("no-cache", false, "ignore and don't write the result cache")
 	ssdBackend := flag.String("ssd", "profile", "SSD media backend for figure units: profile or modeled (FTL + GC + plane parallelism, docs/SSD.md)")
 	ssdFill := flag.Float64("ssd-fill", 0, "modeled-backend preconditioning fill fraction (0 = backend default of 1)")
 	ssdChurn := flag.Float64("ssd-churn", 0, "modeled-backend preconditioning churn, in multiples of the filled capacity (0 = fresh drive)")
-	cacheDir := flag.String("cache-dir", ".hwdpcache", "result cache directory")
 	runTimeout := flag.Duration("run-timeout", 15*time.Minute, "per-unit wall-clock budget (0 disables)")
 	sweepOut := flag.String("sweep-out", "SWEEP_hwdp.json", "sweep manifest path")
 	breakdown := flag.Bool("breakdown", false, "run a traced FIO sweep over all three schemes and print per-layer latency attribution")
 	tracePath := flag.String("trace", "", "write the traced sweep as Chrome trace_event JSON to this file")
-	pressure := flag.Bool("pressure", false, "run the chaos-pressure campaign (oversubscription under fault storms) and write a JSON manifest")
-	campaignOut := flag.String("campaign-out", "CAMPAIGN_hwdp.json", "campaign manifest path for -pressure")
-	fleetRun := flag.Bool("fleet", false, "run the multi-tenant fleet sweep (noisy-neighbor isolation ladder, docs/FLEET.md) and write a JSON manifest")
+	pressure := flag.Bool("pressure", false, "run the chaos-pressure campaign (oversubscription under fault storms)")
+	fleetRun := flag.Bool("fleet", false, "run the multi-tenant fleet sweep (noisy-neighbor isolation ladder, docs/FLEET.md)")
 	tenants := flag.Int("tenants", 0, "override the fleet sweep's tenant count (0 keeps the default)")
 	qosMode := flag.String("qos", "ladder", "fleet admission modes to run: ladder (off and on), on, or off")
-	fleetOut := flag.String("fleet-out", "FLEET_hwdp.json", "fleet manifest path for -fleet")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit (read with go tool pprof)")
 	flag.Parse()
@@ -125,14 +119,9 @@ func main() {
 		byName[u.Name] = u
 	}
 	var sel []sweep.Unit
-	var campaignResults []campaign.Result
 	if *pressure {
-		scs := campaign.DefaultScenarios(*quick)
-		cunits, cres := campaign.Units(scs)
-		sel = append(sel, cunits...)
-		campaignResults = cres
+		sel = append(sel, campaign.Units(campaign.DefaultScenarios(*quick))...)
 	}
-	var fleetResults []fleet.Result
 	if *fleetRun {
 		cfgs := fleet.Ladder(*seed)
 		if *quick {
@@ -161,9 +150,7 @@ func main() {
 			}
 			kept = append(kept, c)
 		}
-		funits, fres := fleet.Units(kept)
-		sel = append(sel, funits...)
-		fleetResults = fres
+		sel = append(sel, fleet.Units(kept)...)
 	}
 	switch {
 	case *all:
@@ -190,29 +177,27 @@ func main() {
 	}
 	failed := 0
 	if len(sel) > 0 {
-		failed = runSweep(sel, *jobs, *noCache, *cacheDir, *runTimeout, *sweepOut)
+		var results []sweep.Result
+		results, failed = runSweep(sel, *jobs, *runTimeout, *sweepOut)
 		ran = true
-	}
-	if *pressure {
-		// The campaign manifest and the degradation figure are written even
-		// when scenarios failed their audit — a dirty manifest is exactly
-		// the artifact CI needs to diagnose the failure.
-		m := campaign.NewManifest(campaignResults)
-		if err := m.Write(*campaignOut); err != nil {
-			fatal(err)
+		// The comparison figures render from the runs' structured results,
+		// including those of scenarios that failed their audit.
+		var campaignResults []campaign.Result
+		var fleetResults []fleet.Result
+		for _, r := range results {
+			switch d := r.Data.(type) {
+			case campaign.Result:
+				campaignResults = append(campaignResults, d)
+			case fleet.Result:
+				fleetResults = append(fleetResults, d)
+			}
 		}
-		fmt.Println(campaign.RenderComparison(campaignResults))
-		fmt.Fprintf(os.Stderr, "campaign: %d/%d scenarios clean (%d violations); manifest %s\n",
-			m.Clean, m.Scenarios, m.Violations, *campaignOut)
-	}
-	if *fleetRun {
-		m := fleet.NewManifest(fleetResults)
-		if err := m.Write(*fleetOut); err != nil {
-			fatal(err)
+		if *pressure {
+			fmt.Println(campaign.RenderComparison(campaignResults))
 		}
-		fmt.Println(fleet.RenderComparison(fleetResults))
-		fmt.Fprintf(os.Stderr, "fleet: %d experiments, %d/%d tenant rows met SLO; manifest %s\n",
-			m.Experiments, m.SLOMet, m.TenantRows, *fleetOut)
+		if *fleetRun {
+			fmt.Println(fleet.RenderComparison(fleetResults))
+		}
 	}
 	stopProfiles()
 	if failed > 0 {
@@ -225,23 +210,13 @@ func main() {
 }
 
 // runSweep executes the selected units on the scheduler, writes the
-// manifest, reports failures to stderr and returns the number of units
-// that did not complete (the caller decides the exit status, after any
-// post-sweep artifacts are written).
-func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTimeout time.Duration, sweepOut string) int {
-	var cache *sweep.Cache
-	if !noCache {
-		c, err := sweep.Open(cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hwdpbench: result cache disabled:", err)
-		} else {
-			cache = c
-		}
-	}
+// manifest, reports failures to stderr and returns the results with the
+// number of units that did not complete (the caller decides the exit
+// status, after any post-sweep output is written).
+func runSweep(sel []sweep.Unit, jobs int, runTimeout time.Duration, sweepOut string) ([]sweep.Result, int) {
 	start := time.Now()
 	results := sweep.Run(sel, sweep.Options{
 		Workers:     jobs,
-		Cache:       cache,
 		UnitTimeout: runTimeout,
 		Progress:    os.Stderr,
 		Out:         os.Stdout,
@@ -261,11 +236,11 @@ func runSweep(sel []sweep.Unit, jobs int, noCache bool, cacheDir string, runTime
 		}
 	}
 	fmt.Fprintf(os.Stderr,
-		"sweep: %d/%d units ok (%d cached) in %v (aggregate %v, speedup %.2fx); manifest %s\n",
-		m.OK, m.Units, m.CacheHits, wall.Round(10*time.Millisecond),
+		"sweep: %d/%d units ok in %v (aggregate %v, speedup %.2fx); manifest %s\n",
+		m.OK, m.Units, wall.Round(10*time.Millisecond),
 		time.Duration(m.AggregateMS*1e6).Round(10*time.Millisecond),
 		m.ParallelSpeedup, sweepOut)
-	return m.Failed
+	return results, m.Failed
 }
 
 // traceSweep runs the same cold FIO workload under all three paging

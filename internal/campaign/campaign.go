@@ -4,12 +4,12 @@
 // physical memory under deliberately hostile device behavior, audit every
 // structural invariant while the storm runs, and report graceful-
 // degradation metrics (tail latency, fallback rate, OOM kills, pressure
-// stalls) in a deterministic manifest.
+// stalls) that the sweep manifest records as each run's "data".
 //
 // A scenario is a fixed-seed experiment: same scenario, same bytes out.
-// The campaign runner wraps scenarios as uncacheable sweep units so the
-// existing orchestrator provides parallelism, timeouts and panic capture;
-// results are collected index-aligned and rendered in scenario order.
+// The campaign runner wraps scenarios as sweep units so the existing
+// orchestrator provides parallelism, timeouts and panic capture; results
+// are emitted and recorded in scenario order.
 package campaign
 
 import (
@@ -58,14 +58,6 @@ type Scenario struct {
 	Faults []fault.Rule `json:"-"`
 	// Seed drives all randomness.
 	Seed uint64 `json:"seed"`
-}
-
-// Fingerprint serializes every input that affects the scenario's output.
-func (sc Scenario) Fingerprint() string {
-	return fmt.Sprintf("%s|%s|%s|%dMB|r%.3f|p%d/t%d|ops%d|w%.3f|dirty%.3f|oom%d|faults%+v|seed%d",
-		sc.Name, sc.Kind, sc.Scheme, sc.MemoryMB, sc.OversubRatio,
-		sc.Procs, sc.Threads, sc.OpsPerThread, sc.WriteFrac,
-		sc.DirtyRatioFrac, int64(sc.OOMStallLimit), sc.Faults, sc.Seed)
 }
 
 // PSIRow is one stall kind's pressure summary.

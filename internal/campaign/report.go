@@ -1,94 +1,37 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 
 	"hwdp/internal/sweep"
 )
 
-// ManifestSchema versions the CAMPAIGN_hwdp.json layout.
-const ManifestSchema = 1
-
-// Manifest is the machine-readable record of one campaign, written as
-// CAMPAIGN_hwdp.json for CI artifacts. Scenario results appear in
-// scenario-list order, so the manifest is deterministic for a fixed
-// scenario set (host fields aside).
-type Manifest struct {
-	Schema    int    `json:"schema"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// Scenarios/Clean/Violations summarize the campaign: a scenario is
-	// clean when its watchdog recorded nothing and no frames leaked.
-	Scenarios  int `json:"scenarios"`
-	Clean      int `json:"clean"`
-	Violations int `json:"violations"`
-	// Results is one report per scenario, in scenario order.
-	Results []Result `json:"results"`
-}
-
-// NewManifest summarizes campaign results.
-func NewManifest(results []Result) Manifest {
-	m := Manifest{
-		Schema:    ManifestSchema,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Scenarios: len(results),
-		Results:   results,
-	}
-	for _, r := range results {
-		m.Violations += len(r.WatchdogViolations)
-		if len(r.WatchdogViolations) == 0 && r.LeakedFrames == 0 {
-			m.Clean++
-		}
-	}
-	return m
-}
-
-// Write marshals the manifest to path as indented JSON.
-func (m Manifest) Write(path string) error {
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
-}
-
-// Units wraps the scenarios as uncacheable sweep units (a campaign runs
-// under chaos by design; its results must always be regenerated). Each
-// unit's Run stores its Result into the returned slice at the scenario's
-// index and renders the per-scenario report text.
-func Units(scenarios []Scenario) ([]sweep.Unit, []Result) {
-	results := make([]Result, len(scenarios))
+// Units wraps the scenarios as sweep units. Each unit's Run renders the
+// per-scenario report text and returns the scenario's Result as its
+// structured result, which the sweep manifest records as the run's
+// "data" — also when the audit fails, so a dirty report stays in the
+// artifact CI needs to diagnose the failure.
+func Units(scenarios []Scenario) []sweep.Unit {
 	units := make([]sweep.Unit, len(scenarios))
 	for i, sc := range scenarios {
-		i, sc := i, sc
 		units[i] = sweep.Unit{
-			Name:        "campaign/" + sc.Name,
-			Kind:        "campaign",
-			Fingerprint: sc.Fingerprint(),
-			Uncacheable: true,
-			Run: func() (string, error) {
+			Name: "campaign/" + sc.Name,
+			Kind: "campaign",
+			Run: func() (string, any, error) {
 				r := Run(sc)
-				results[i] = r
 				if len(r.WatchdogViolations) > 0 {
-					return "", fmt.Errorf("campaign %s: %d watchdog violations, first: %s",
+					return "", r, fmt.Errorf("campaign %s: %d watchdog violations, first: %s",
 						sc.Name, len(r.WatchdogViolations), r.WatchdogViolations[0])
 				}
 				if r.LeakedFrames != 0 {
-					return "", fmt.Errorf("campaign %s: %d frames leaked", sc.Name, r.LeakedFrames)
+					return "", r, fmt.Errorf("campaign %s: %d frames leaked", sc.Name, r.LeakedFrames)
 				}
-				return RenderResult(r), nil
+				return RenderResult(r), r, nil
 			},
 		}
 	}
-	return units, results
+	return units
 }
 
 // RenderResult renders one scenario's degradation report.

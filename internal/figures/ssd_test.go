@@ -83,21 +83,3 @@ func TestGCTailAblationDirection(t *testing.T) {
 		}
 	}
 }
-
-// TestFingerprintCoversSSDFields guards the sweep cache: two Params that
-// differ only in the SSD-backend selection must fingerprint differently,
-// or cached profile results would be served for modeled runs.
-func TestFingerprintCoversSSDFields(t *testing.T) {
-	base := Quick()
-	for _, mutate := range []func(*Params){
-		func(p *Params) { p.SSDBackend = "modeled" },
-		func(p *Params) { p.SSDFill = 0.5 },
-		func(p *Params) { p.SSDChurn = 3 },
-	} {
-		p := base
-		mutate(&p)
-		if Fingerprint(p) == Fingerprint(base) {
-			t.Fatalf("fingerprint ignores an SSD field: %q", Fingerprint(p))
-		}
-	}
-}

@@ -9,10 +9,8 @@ import (
 // Units decomposes the full `-all` regeneration — tables first, then
 // every figure in the usage order — into named sweep units for the
 // internal/sweep scheduler. Each unit builds its own System from the
-// given Params, so units are independent and safe to run concurrently;
-// the fingerprint captures every input that affects the unit's output
-// (all Params fields including the seed, plus the thread restriction for
-// Fig. 13), which is what makes the result cache sound.
+// given Params, so units are independent and safe to run concurrently.
+// Figure and table units return only text, no structured result.
 //
 // Fig. 13 dominates the aggregate runtime (8 workloads × thread sweep ×
 // 2 schemes), so it is sharded into one unit per workload
@@ -23,28 +21,24 @@ import (
 // The threads slice restricts Fig. 13's thread sweep, exactly like the
 // -threads flag; nil means the default 1,2,4,8.
 func Units(p Params, threads []int) []sweep.Unit {
-	fp := Fingerprint(p)
-	stringer := func(run func() (fmt.Stringer, error)) func() (string, error) {
-		return func() (string, error) {
-			r, err := run()
-			if err != nil {
-				return "", err
-			}
-			// The trailing newline matches fmt.Println on the sequential
-			// path, keeping one blank line between units.
-			return r.String() + "\n", nil
+	table := func(name string, render func() string) sweep.Unit {
+		return sweep.Unit{
+			Name: "table/" + name, Kind: "table",
+			Run: func() (string, any, error) { return render() + "\n", nil, nil },
 		}
 	}
-	table := func(name, fingerprint string, render func() string) sweep.Unit {
+	figure := func(name string, run func() (fmt.Stringer, error)) sweep.Unit {
 		return sweep.Unit{
-			Name: "table/" + name, Kind: "table", Fingerprint: fingerprint,
-			Run: func() (string, error) { return render() + "\n", nil },
-		}
-	}
-	figure := func(name, fingerprint string, run func() (fmt.Stringer, error)) sweep.Unit {
-		return sweep.Unit{
-			Name: "fig/" + name, Kind: "figure", Fingerprint: fingerprint,
-			Run: stringer(run),
+			Name: "fig/" + name, Kind: "figure",
+			Run: func() (string, any, error) {
+				r, err := run()
+				if err != nil {
+					return "", nil, err
+				}
+				// The trailing newline matches fmt.Println on the
+				// sequential path, keeping one blank line between units.
+				return r.String() + "\n", nil, nil
+			},
 		}
 	}
 	fig13Shard := func(i int) sweep.Unit {
@@ -52,11 +46,10 @@ func Units(p Params, threads []int) []sweep.Unit {
 		first, last := i == 0, i == len(Fig13Workloads)-1
 		return sweep.Unit{
 			Name: "fig/13/" + workload, Kind: "figure",
-			Fingerprint: fmt.Sprintf("%s threads=%v workload=%s", fp, threads, workload),
-			Run: func() (string, error) {
+			Run: func() (string, any, error) {
 				cells, err := fig13Workload(p, workload, fig13Threads(threads))
 				if err != nil {
-					return "", err
+					return "", nil, err
 				}
 				out := fig13Rows(cells)
 				if first {
@@ -67,46 +60,34 @@ func Units(p Params, threads []int) []sweep.Unit {
 					// unit ends with.
 					out += fig13Footer + "\n"
 				}
-				return out, nil
+				return out, nil, nil
 			},
 		}
 	}
 	units := []sweep.Unit{
-		// Table I is generated from the PTE semantics alone and Table
-		// area from the closed-form area model; neither depends on
-		// Params, so their fingerprints are constant.
-		table("1", "static", TableI),
-		table("2", fp, func() string { return TableII(p) }),
-		table("area", "static", AreaTable),
-		figure("1", fp, func() (fmt.Stringer, error) { return Fig1(p) }),
-		figure("2", "static", func() (fmt.Stringer, error) { return Fig2(), nil }),
-		figure("3", fp, func() (fmt.Stringer, error) { return Fig3(p) }),
-		figure("4", fp, func() (fmt.Stringer, error) { return Fig4(p) }),
-		figure("11", fp, func() (fmt.Stringer, error) { return Fig11(p) }),
-		figure("12", fp, func() (fmt.Stringer, error) { return Fig12(p) }),
+		table("1", TableI),
+		table("2", func() string { return TableII(p) }),
+		table("area", AreaTable),
+		figure("1", func() (fmt.Stringer, error) { return Fig1(p) }),
+		figure("2", func() (fmt.Stringer, error) { return Fig2(), nil }),
+		figure("3", func() (fmt.Stringer, error) { return Fig3(p) }),
+		figure("4", func() (fmt.Stringer, error) { return Fig4(p) }),
+		figure("11", func() (fmt.Stringer, error) { return Fig11(p) }),
+		figure("12", func() (fmt.Stringer, error) { return Fig12(p) }),
 	}
 	for i := range Fig13Workloads {
 		units = append(units, fig13Shard(i))
 	}
 	return append(units,
-		figure("14", fp, func() (fmt.Stringer, error) { return Fig14(p) }),
-		figure("15", fp, func() (fmt.Stringer, error) { return Fig15(p) }),
-		figure("16", fp, func() (fmt.Stringer, error) { return Fig16(p) }),
-		figure("17", fp, func() (fmt.Stringer, error) { return Fig17(p) }),
-		figure("kpoold", fp, func() (fmt.Stringer, error) { return KpooldAblation(p) }),
-		figure("pmshr", fp, func() (fmt.Stringer, error) { return AblationPMSHR(p) }),
-		figure("devices", fp, func() (fmt.Stringer, error) { return AblationDeviceSweep(p) }),
-		figure("prefetch", fp, func() (fmt.Stringer, error) { return AblationPrefetch(p) }),
-		figure("ssd", fp, func() (fmt.Stringer, error) { return AblationSSDSteady(p) }),
-		figure("gctail", fp, func() (fmt.Stringer, error) { return AblationGCTail(p) }),
+		figure("14", func() (fmt.Stringer, error) { return Fig14(p) }),
+		figure("15", func() (fmt.Stringer, error) { return Fig15(p) }),
+		figure("16", func() (fmt.Stringer, error) { return Fig16(p) }),
+		figure("17", func() (fmt.Stringer, error) { return Fig17(p) }),
+		figure("kpoold", func() (fmt.Stringer, error) { return KpooldAblation(p) }),
+		figure("pmshr", func() (fmt.Stringer, error) { return AblationPMSHR(p) }),
+		figure("devices", func() (fmt.Stringer, error) { return AblationDeviceSweep(p) }),
+		figure("prefetch", func() (fmt.Stringer, error) { return AblationPrefetch(p) }),
+		figure("ssd", func() (fmt.Stringer, error) { return AblationSSDSteady(p) }),
+		figure("gctail", func() (fmt.Stringer, error) { return AblationGCTail(p) }),
 	)
-}
-
-// Fingerprint serializes every Params field that can change experiment
-// output. New fields must be added here, or the sweep cache would serve
-// stale results for configurations that differ in the new field.
-func Fingerprint(p Params) string {
-	return fmt.Sprintf("mem=%dMiB ratio=%g ops=%d warmup=%d seed=%d ssd=%s fill=%g churn=%g",
-		p.MemoryMB, p.DatasetRatio, p.OpsPerThread, p.WarmupOps, p.Seed,
-		p.SSDBackend, p.SSDFill, p.SSDChurn)
 }

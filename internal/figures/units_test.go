@@ -28,51 +28,8 @@ func TestUnitsCoverAllOrder(t *testing.T) {
 		if u.Name != want[i] {
 			t.Fatalf("unit %d = %s, want %s", i, u.Name, want[i])
 		}
-		if u.Run == nil || u.Kind == "" || u.Fingerprint == "" {
+		if u.Run == nil || u.Kind == "" {
 			t.Fatalf("unit %s incomplete: %+v", u.Name, u)
-		}
-	}
-}
-
-// TestUnitFingerprints verifies the cache-key inputs react to the
-// parameters that change results: the seed (any unit) and the thread
-// restriction (Fig. 13 only).
-func TestUnitFingerprints(t *testing.T) {
-	p := Quick()
-	seeded := p
-	seeded.Seed = 7
-	base := Units(p, nil)
-	reseeded := Units(seeded, nil)
-	for i := range base {
-		if base[i].Fingerprint == "static" {
-			if reseeded[i].Fingerprint != "static" {
-				t.Fatalf("%s: static unit became seed-dependent", base[i].Name)
-			}
-			continue
-		}
-		if base[i].Fingerprint == reseeded[i].Fingerprint {
-			t.Fatalf("%s: fingerprint ignores the seed", base[i].Name)
-		}
-	}
-	threaded := Units(p, []int{1, 4})
-	for i := range base {
-		changed := base[i].Fingerprint != threaded[i].Fingerprint
-		shard := strings.HasPrefix(base[i].Name, "fig/13/")
-		if shard && !changed {
-			t.Fatalf("%s: fingerprint ignores the thread restriction", base[i].Name)
-		}
-		if !shard && changed {
-			t.Fatalf("%s: fingerprint depends on threads but the experiment does not", base[i].Name)
-		}
-	}
-	// Shards of the same configuration must still key separately.
-	seen := map[string]bool{}
-	for _, u := range base {
-		if strings.HasPrefix(u.Name, "fig/13/") {
-			if seen[u.Fingerprint] {
-				t.Fatalf("%s: fingerprint collides with another shard", u.Name)
-			}
-			seen[u.Fingerprint] = true
 		}
 	}
 }
@@ -95,7 +52,7 @@ func TestFig13ShardAssembly(t *testing.T) {
 		if !strings.HasPrefix(u.Name, "fig/13/") {
 			continue
 		}
-		out, err := u.Run()
+		out, _, err := u.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -108,15 +65,19 @@ func TestFig13ShardAssembly(t *testing.T) {
 }
 
 // TestUnitRunMatchesDirectCall spot-checks that a unit's output is the
-// direct function's rendering plus the separator newline.
+// direct function's rendering plus the separator newline, with no
+// structured result.
 func TestUnitRunMatchesDirectCall(t *testing.T) {
 	for _, u := range Units(Quick(), nil) {
 		if u.Name != "table/1" {
 			continue
 		}
-		out, err := u.Run()
+		out, data, err := u.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if data != nil {
+			t.Fatalf("table unit returned data %#v, want nil", data)
 		}
 		if out != TableI()+"\n" {
 			t.Fatalf("unit output diverges from TableI():\n%q", out)

@@ -110,14 +110,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Fingerprint serializes every input that affects the experiment's output.
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("%s|t%d|s%d|th%d|%dMB|r%.3f|skew%.3f|w%.3f|qos%v|pmshr%d|d%d|wu%d|slo%.1f|seed%d",
-		c.Name, c.Tenants, c.Sockets, c.Threads, c.MemoryMB, c.DatasetRatio,
-		c.Skew, c.WriteFrac, c.QoS, c.PMSHREntries,
-		int64(c.Duration), int64(c.Warmup), c.SLOTargetUS, c.Seed)
-}
-
 // ThreadCounts splits total threads over tenants proportionally to the
 // zipfian intensity weights at the given skew, by largest remainder, with
 // every tenant guaranteed at least one thread. The split is deterministic:

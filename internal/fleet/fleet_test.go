@@ -95,7 +95,7 @@ func TestIsolationImprovement(t *testing.T) {
 // bytes (unit-list-order emission).
 func TestSweepWorkerInvariance(t *testing.T) {
 	emit := func(workers int) string {
-		units, _ := Units(QuickLadder(1))
+		units := Units(QuickLadder(1))
 		var buf bytes.Buffer
 		rs := sweep.Run(units, sweep.Options{Workers: workers, Out: &buf})
 		for _, r := range rs {
@@ -182,21 +182,27 @@ func TestTenantConservation(t *testing.T) {
 }
 
 // TestLadderRenders smoke-checks the full ladder report plumbing: every
-// unit runs, the manifest summarizes every tenant row, and the comparison
-// figure has one line per skew.
+// unit runs and returns its Result as sweep data, the data covers every
+// tenant row, and the comparison figure has one line per skew.
 func TestLadderRenders(t *testing.T) {
 	cfgs := QuickLadder(1)
-	units, results := Units(cfgs)
 	var buf bytes.Buffer
-	rs := sweep.Run(units, sweep.Options{Workers: 2, Out: &buf})
+	rs := sweep.Run(Units(cfgs), sweep.Options{Workers: 2, Out: &buf})
+	var results []Result
+	rows := 0
 	for _, r := range rs {
 		if r.Status != sweep.StatusOK {
 			t.Fatalf("unit %s: %s: %s", r.Name, r.Status, r.Err)
 		}
+		res, ok := r.Data.(Result)
+		if !ok {
+			t.Fatalf("unit %s data = %T, want fleet.Result", r.Name, r.Data)
+		}
+		results = append(results, res)
+		rows += len(res.Rows)
 	}
-	m := NewManifest(results)
-	if m.Experiments != len(cfgs) || m.TenantRows != len(cfgs)*cfgs[0].Tenants {
-		t.Fatalf("manifest shape: %d experiments, %d tenant rows", m.Experiments, m.TenantRows)
+	if len(results) != len(cfgs) || rows != len(cfgs)*cfgs[0].Tenants {
+		t.Fatalf("data shape: %d experiments, %d tenant rows", len(results), rows)
 	}
 	cmp := RenderComparison(results)
 	if want := fmt.Sprintf("%.2f", cfgs[0].Skew); !bytes.Contains([]byte(cmp), []byte(want)) {

@@ -1,59 +1,9 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 )
-
-// ManifestSchema versions the FLEET_hwdp.json layout.
-const ManifestSchema = 1
-
-// Manifest is the machine-readable record of one fleet sweep, written as
-// FLEET_hwdp.json for CI artifacts. Results appear in config-list order,
-// so the manifest is deterministic for a fixed ladder (host fields aside).
-type Manifest struct {
-	Schema    int    `json:"schema"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// Experiments/SLOMet summarize the sweep: SLOMet counts tenant rows
-	// meeting their p99.9 objective across all experiments.
-	Experiments int `json:"experiments"`
-	SLOMet      int `json:"slo_met"`
-	TenantRows  int `json:"tenant_rows"`
-	// Results is one report per experiment, in config order.
-	Results []Result `json:"results"`
-}
-
-// NewManifest summarizes fleet results.
-func NewManifest(results []Result) Manifest {
-	m := Manifest{
-		Schema:      ManifestSchema,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Experiments: len(results),
-		Results:     results,
-	}
-	for _, r := range results {
-		m.SLOMet += r.SLOMet
-		m.TenantRows += len(r.Rows)
-	}
-	return m
-}
-
-// Write marshals the manifest to path as indented JSON.
-func (m Manifest) Write(path string) error {
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
-}
 
 // RenderResult renders one experiment's per-tenant SLO report.
 func RenderResult(r Result) string {

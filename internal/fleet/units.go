@@ -50,31 +50,24 @@ func QuickLadder(seed uint64) []Config {
 	return cfgs
 }
 
-// Units wraps the experiments as sweep units. Each unit's Run stores its
-// Result into the returned slice at the config's index and renders the
-// per-tenant report text; the orchestrator emits outputs in config order,
-// so `-j 1` and `-j 8` produce identical bytes.
-func Units(cfgs []Config) ([]sweep.Unit, []Result) {
-	results := make([]Result, len(cfgs))
+// Units wraps the experiments as sweep units. Each unit's Run renders the
+// per-tenant report text and returns the experiment's Result as its
+// structured result; the orchestrator emits outputs in config order, so
+// `-j 1` and `-j 8` produce identical bytes.
+func Units(cfgs []Config) []sweep.Unit {
 	units := make([]sweep.Unit, len(cfgs))
 	for i, c := range cfgs {
-		i, c := i, c
 		units[i] = sweep.Unit{
-			Name:        c.Name,
-			Kind:        "fleet",
-			Fingerprint: c.Fingerprint(),
-			// The manifest and comparison need every Result in memory,
-			// so cached outputs alone are not enough: always re-run.
-			Uncacheable: true,
-			Run: func() (string, error) {
+			Name: c.Name,
+			Kind: "fleet",
+			Run: func() (string, any, error) {
 				r, err := Run(c)
 				if err != nil {
-					return "", err
+					return "", nil, err
 				}
-				results[i] = r
-				return RenderResult(r), nil
+				return RenderResult(r), r, nil
 			},
 		}
 	}
-	return units, results
+	return units
 }

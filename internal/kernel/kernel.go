@@ -64,7 +64,6 @@ type Config struct {
 	KswapdPeriod sim.Time
 
 	DisableKpoold bool // ablation: no background refill (Section IV-D)
-	DisableKpted  bool
 
 	// ShardKpoold splits the kpoold refill sweep into one periodic tick per
 	// socket, staggered across the period, instead of one tick refilling
@@ -104,16 +103,11 @@ type Config struct {
 
 	// DirtyRatioFrac, when non-zero, is the hard dirty-page limit as a
 	// fraction of physical frames: a thread writing past it is throttled
-	// in ThrottleBackoff slices until the flusher catches up (the
-	// balance_dirty_pages model). Zero (the default) disables dirty
-	// accounting and throttling entirely.
+	// in 100 µs slices until the flusher catches up (the
+	// balance_dirty_pages model), and background writeback starts at half
+	// the limit. Zero (the default) disables dirty accounting and
+	// throttling entirely.
 	DirtyRatioFrac float64
-	// DirtyBackgroundFrac starts background writeback once the dirty-page
-	// count exceeds this fraction of frames. Zero with DirtyRatioFrac set
-	// defaults to half the hard limit.
-	DirtyBackgroundFrac float64
-	// ThrottleBackoff is one throttle sleep slice (0 = 100 µs).
-	ThrottleBackoff sim.Time
 	// OOMStallLimit, when non-zero, bounds how long an allocation may
 	// stall in the reclaim-retry loop before the OOM killer selects and
 	// kills the process with the largest resident set. Zero (the default)
@@ -489,11 +483,7 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 		if k.dirtyHardLimit < 1 {
 			k.dirtyHardLimit = 1
 		}
-		bg := cfg.DirtyBackgroundFrac
-		if bg <= 0 {
-			bg = cfg.DirtyRatioFrac / 2
-		}
-		k.dirtyBgLimit = int(float64(m.Frames()) * bg)
+		k.dirtyBgLimit = int(float64(m.Frames()) * cfg.DirtyRatioFrac / 2)
 		if k.dirtyBgLimit < 1 {
 			k.dirtyBgLimit = 1
 		}
@@ -604,7 +594,7 @@ func (k *Kernel) Start() {
 			k.eng.Post(k.cfg.KpooldPeriod, k.kpooldTick)
 		}
 	}
-	if (k.cfg.Scheme == HWDP || k.cfg.Scheme == SWDP) && !k.cfg.DisableKpted {
+	if k.cfg.Scheme == HWDP || k.cfg.Scheme == SWDP {
 		k.eng.Post(k.cfg.KptedPeriod, k.kptedTick)
 	}
 	k.eng.Post(k.cfg.KswapdPeriod, k.kswapdFn)

@@ -256,7 +256,7 @@ func (k *Kernel) throttle(th *Thread, va pagetable.VAddr, done func(mmu.Result))
 	r.th, r.va, r.done, r.since = th, va, done, k.eng.Now()
 	k.psi.BeginStall(metrics.StallWritebackThrottle, int64(r.since))
 	k.kickFlusher()
-	k.eng.PostArg(k.throttleSlice(), k.throttleFn, r)
+	k.eng.PostArg(throttleSlice, k.throttleFn, r)
 }
 
 // runThrottle is the pre-bound PostArg callback for one throttle slice.
@@ -265,7 +265,7 @@ func (k *Kernel) runThrottle(a any) {
 	r.spins++
 	if k.dirtyPages >= k.dirtyHardLimit && r.spins < throttleMaxSpins && !r.th.Killed {
 		k.kickFlusher()
-		k.eng.PostArg(k.throttleSlice(), k.throttleFn, r)
+		k.eng.PostArg(throttleSlice, k.throttleFn, r)
 		return
 	}
 	now := k.eng.Now()
@@ -275,12 +275,8 @@ func (k *Kernel) runThrottle(a any) {
 	k.accessNow(th, va, true, done)
 }
 
-func (k *Kernel) throttleSlice() sim.Time {
-	if k.cfg.ThrottleBackoff > 0 {
-		return k.cfg.ThrottleBackoff
-	}
-	return 100 * sim.Microsecond
-}
+// throttleSlice is one write-throttle sleep slice.
+const throttleSlice = 100 * sim.Microsecond
 
 // oomKill selects and kills the live process with the largest resident
 // set (ties break toward the oldest process — the scan is in creation

@@ -12,7 +12,7 @@ import (
 )
 
 // ManifestSchema versions the SWEEP_hwdp.json layout.
-const ManifestSchema = 1
+const ManifestSchema = 2
 
 // RunRecord is one unit's row in the sweep manifest.
 type RunRecord struct {
@@ -21,18 +21,17 @@ type RunRecord struct {
 	Kind string `json:"kind"`
 	// Status is the unit outcome ("ok", "failed", "panic", "timeout").
 	Status Status `json:"status"`
-	// Cache is "hit", "miss" or "off".
-	Cache string `json:"cache"`
-	// CacheKey is the content address, when caching was enabled.
-	CacheKey string `json:"cache_key,omitempty"`
 	// DurationMS is wall-clock milliseconds spent on the unit.
 	DurationMS float64 `json:"duration_ms"`
 	// OutputSHA256 hashes the unit's output text; it is the per-unit
-	// determinism witness (identical across -j values and cache hits).
+	// determinism witness (identical across -j values).
 	OutputSHA256 string `json:"output_sha256"`
 	// Error and Stack describe failures.
 	Error string `json:"error,omitempty"`
 	Stack string `json:"stack,omitempty"`
+	// Data is the unit's structured result (a campaign or fleet report),
+	// omitted for figures and tables.
+	Data any `json:"data,omitempty"`
 }
 
 // Manifest is the machine-readable record of one sweep, written as
@@ -46,16 +45,13 @@ type Manifest struct {
 	GOARCH    string `json:"goarch"`
 	// Workers is the requested pool bound (-j).
 	Workers int `json:"workers"`
-	// Units/OK/Failed/CacheHits/CacheMisses summarize the run.
-	Units       int `json:"units"`
-	OK          int `json:"ok"`
-	Failed      int `json:"failed"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
+	// Units/OK/Failed summarize the run.
+	Units  int `json:"units"`
+	OK     int `json:"ok"`
+	Failed int `json:"failed"`
 	// WallMS is the sweep's end-to-end wall-clock time; AggregateMS sums
 	// the per-unit durations. Their ratio is the measured parallel
-	// speedup (cache hits deflate AggregateMS, so compare uncached runs
-	// when measuring scaling).
+	// speedup.
 	WallMS          float64 `json:"wall_ms"`
 	AggregateMS     float64 `json:"aggregate_ms"`
 	ParallelSpeedup float64 `json:"parallel_speedup"`
@@ -80,24 +76,16 @@ func NewManifest(results []Result, workers int, wall time.Duration) Manifest {
 			Name:         r.Name,
 			Kind:         r.Kind,
 			Status:       r.Status,
-			Cache:        r.Cache,
-			CacheKey:     r.CacheKey,
 			DurationMS:   float64(r.Duration.Nanoseconds()) / 1e6,
 			OutputSHA256: digest(r.Output),
 			Error:        r.Err,
 			Stack:        r.Stack,
+			Data:         r.Data,
 		}
-		switch {
-		case r.Status == StatusOK:
+		if r.Status == StatusOK {
 			m.OK++
-		default:
+		} else {
 			m.Failed++
-		}
-		switch r.Cache {
-		case "hit":
-			m.CacheHits++
-		case "miss":
-			m.CacheMisses++
 		}
 		agg += r.Duration
 		m.Runs = append(m.Runs, rec)
@@ -122,7 +110,7 @@ func (m Manifest) Write(path string) error {
 // DeterministicSignature projects the manifest onto its host-independent
 // fields — unit names, kinds, statuses and output hashes, in order — so
 // two sweeps of the same units can be compared regardless of worker
-// count, timing or cache state. Equality of signatures is the
+// count or timing. Equality of signatures is the
 // sequential-vs-parallel equivalence check used by the golden tests.
 func (m Manifest) DeterministicSignature() string {
 	var b strings.Builder

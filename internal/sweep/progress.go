@@ -8,7 +8,7 @@ import (
 )
 
 // progress reports live sweep state: one line per completed unit with the
-// running count, outcome, duration, cache state and an ETA extrapolated
+// running count, outcome, duration and an ETA extrapolated
 // from the observed completion rate (which already folds in the worker
 // parallelism). It writes to stderr-style side channels only — never the
 // aggregate output stream — so progress noise can't break the
@@ -37,9 +37,6 @@ func (p *progress) finished(r Result) {
 	line := fmt.Sprintf("sweep [%*d/%d] %-7s %-14s %8s",
 		countWidth(p.total), p.done, p.total, r.Status, r.Name,
 		r.Duration.Round(10*time.Millisecond))
-	if r.Cache == "hit" {
-		line += "  (cached)"
-	}
 	if p.done < p.total {
 		elapsed := time.Since(p.start)
 		eta := elapsed / time.Duration(p.done) * time.Duration(p.total-p.done)

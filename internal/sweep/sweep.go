@@ -15,9 +15,7 @@
 // Robustness plumbing wraps every unit: a panicking run is captured with
 // its stack and recorded as a structured failure without aborting the
 // rest of the sweep, and a per-unit wall-clock timeout abandons runs that
-// hang. A content-addressed result cache (see Cache) skips re-simulating
-// units whose code and configuration are unchanged. See docs/SWEEP.md for
-// the architecture and failure semantics.
+// hang. See docs/SWEEP.md for the architecture and failure semantics.
 package sweep
 
 import (
@@ -32,24 +30,20 @@ import (
 // Unit is one self-describing run of a sweep: a named experiment with a
 // fixed configuration whose Run function produces the unit's rendered
 // output. Units must be independent — each builds its own simulated
-// machine — and deterministic for a fixed Fingerprint, which is what
-// makes both parallel execution and result caching sound.
+// machine — and deterministic, which is what makes parallel execution
+// sound.
 type Unit struct {
-	// Name identifies the unit ("fig/12", "table/area", "fleet/quick/qos"). It is
-	// the stable key used for ordering, the manifest and the cache.
+	// Name identifies the unit ("fig/12", "table/area", "fleet/quick/qos").
+	// It is the stable key used for ordering and the manifest.
 	Name string
 	// Kind groups units for reporting: "figure", "table", "fleet", ...
 	Kind string
-	// Fingerprint serializes every input that affects the unit's output
-	// (parameters, seed, thread set). It is hashed into the cache key, so
-	// any field that changes results must appear here.
-	Fingerprint string
-	// Run executes the experiment and returns its rendered text exactly
-	// as it should appear on the aggregate output stream.
-	Run func() (string, error)
-	// Uncacheable marks units that always re-run, such as those whose
-	// callers need the in-memory results of the run, not just its text.
-	Uncacheable bool
+	// Run executes the experiment. It returns the rendered text exactly
+	// as it should appear on the aggregate output stream, an optional
+	// structured result (nil for figures and tables) that the manifest
+	// records as the run's "data", and an error. The result is kept even
+	// when the error is not nil, so a failed run still reports what it saw.
+	Run func() (string, any, error)
 }
 
 // Status classifies how a unit run ended.
@@ -76,18 +70,15 @@ type Result struct {
 	Kind string
 	// Status is the outcome; output below is empty unless StatusOK.
 	Status Status
-	// Output is the unit's rendered text (from Run or the cache).
+	// Output is the unit's rendered text.
 	Output string
+	// Data is the structured result Run returned, on success or failure.
+	Data any
 	// Err is the failure description for non-OK statuses.
 	Err string
 	// Stack is the captured goroutine stack for StatusPanicked.
 	Stack string
-	// CacheKey is the content address of this unit's result ("" when
-	// caching is off or the unit is uncacheable).
-	CacheKey string
-	// Cache is "hit", "miss" or "off".
-	Cache string
-	// Duration is the wall-clock time spent on this unit (≈0 on a hit).
+	// Duration is the wall-clock time spent on this unit.
 	Duration time.Duration
 }
 
@@ -95,13 +86,10 @@ type Result struct {
 type Options struct {
 	// Workers bounds the worker pool; <=0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Cache, when non-nil, serves and stores unit results by content
-	// address. Failed runs are never cached.
-	Cache *Cache
 	// UnitTimeout is the per-unit wall-clock budget; 0 disables it.
 	UnitTimeout time.Duration
 	// Progress, when non-nil, receives one human-readable line per
-	// completed unit (count, status, duration, cache state, ETA).
+	// completed unit (count, status, duration, ETA).
 	Progress io.Writer
 	// Out, when non-nil, receives each unit's Output in unit-list order
 	// regardless of completion order, streamed as soon as the ordered
@@ -151,24 +139,15 @@ func Run(units []Unit, opt Options) []Result {
 type outcome struct {
 	status Status
 	output string
+	data   any
 	err    string
 	stack  string
 }
 
-// runUnit executes one unit with cache lookup, panic capture and the
-// wall-clock watchdog.
+// runUnit executes one unit with panic capture and the wall-clock
+// watchdog.
 func runUnit(u Unit, opt Options) Result {
-	res := Result{Name: u.Name, Kind: u.Kind, Cache: "off"}
-	if opt.Cache != nil && !u.Uncacheable {
-		res.CacheKey = opt.Cache.Key(u)
-		if out, ok := opt.Cache.Get(res.CacheKey); ok {
-			res.Status = StatusOK
-			res.Output = out
-			res.Cache = "hit"
-			return res
-		}
-		res.Cache = "miss"
-	}
+	res := Result{Name: u.Name, Kind: u.Kind}
 	start := time.Now()
 	// The unit runs on its own goroutine so the watchdog can abandon it:
 	// a simulation stuck in an event loop cannot be preempted, only
@@ -185,12 +164,12 @@ func runUnit(u Unit, opt Options) Result {
 				}
 			}
 		}()
-		out, err := u.Run()
+		out, data, err := u.Run()
 		if err != nil {
-			ch <- outcome{status: StatusFailed, err: err.Error()}
+			ch <- outcome{status: StatusFailed, data: data, err: err.Error()}
 			return
 		}
-		ch <- outcome{status: StatusOK, output: out}
+		ch <- outcome{status: StatusOK, output: out, data: data}
 	}()
 	var timeout <-chan time.Time
 	if opt.UnitTimeout > 0 {
@@ -202,6 +181,7 @@ func runUnit(u Unit, opt Options) Result {
 	case oc := <-ch:
 		res.Status = oc.status
 		res.Output = oc.output
+		res.Data = oc.data
 		res.Err = oc.err
 		res.Stack = oc.stack
 	case <-timeout:
@@ -209,13 +189,6 @@ func runUnit(u Unit, opt Options) Result {
 		res.Err = fmt.Sprintf("exceeded the %v per-unit wall-clock budget; run abandoned", opt.UnitTimeout)
 	}
 	res.Duration = time.Since(start)
-	if res.Status == StatusOK && res.Cache == "miss" {
-		if err := opt.Cache.Put(res.CacheKey, res.Output); err != nil {
-			// A cache write failure must not fail the sweep; the result
-			// is still valid, only the next run loses the hit.
-			res.Cache = "miss (store failed: " + err.Error() + ")"
-		}
-	}
 	return res
 }
 

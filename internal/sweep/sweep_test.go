@@ -16,10 +16,10 @@ import (
 // perturbed without touching the simulator.
 func fakeUnit(name string, delay time.Duration) Unit {
 	return Unit{
-		Name: name, Kind: "fake", Fingerprint: "fp:" + name,
-		Run: func() (string, error) {
+		Name: name, Kind: "fake",
+		Run: func() (string, any, error) {
 			time.Sleep(delay)
-			return "out:" + name + "\n", nil
+			return "out:" + name + "\n", nil, nil
 		},
 	}
 }
@@ -62,8 +62,8 @@ func TestOrderedOutputAcrossWorkerCounts(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	units := []Unit{
 		fakeUnit("a", 0),
-		{Name: "boom", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { panic("injected failure") }},
+		{Name: "boom", Kind: "fake",
+			Run: func() (string, any, error) { panic("injected failure") }},
 		fakeUnit("b", 0),
 	}
 	var out bytes.Buffer
@@ -92,8 +92,8 @@ func TestPanicIsolation(t *testing.T) {
 // stopping the sweep.
 func TestErrorIsolation(t *testing.T) {
 	units := []Unit{
-		{Name: "bad", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { return "", fmt.Errorf("no such experiment") }},
+		{Name: "bad", Kind: "fake",
+			Run: func() (string, any, error) { return "", nil, fmt.Errorf("no such experiment") }},
 		fakeUnit("ok", 0),
 	}
 	results := Run(units, Options{Workers: 2})
@@ -111,8 +111,8 @@ func TestTimeoutIsolation(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	units := []Unit{
-		{Name: "hung", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { <-release; return "late\n", nil }},
+		{Name: "hung", Kind: "fake",
+			Run: func() (string, any, error) { <-release; return "late\n", nil, nil }},
 		fakeUnit("ok", 0),
 	}
 	var out bytes.Buffer
@@ -131,67 +131,50 @@ func TestTimeoutIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheRoundTrip verifies miss → store → hit, fingerprint
-// sensitivity, and that uncacheable units bypass the cache.
-func TestCacheRoundTrip(t *testing.T) {
-	cache, err := Open(t.TempDir())
+// TestDataSurvivesFailure verifies a unit's structured result is kept
+// when Run also returns an error: the run ends failed, its Data is
+// recorded, and the manifest JSON round-trips it as the run's "data".
+func TestDataSurvivesFailure(t *testing.T) {
+	type report struct {
+		Name       string `json:"name"`
+		Violations int    `json:"violations"`
+	}
+	units := []Unit{
+		{Name: "dirty", Kind: "fake",
+			Run: func() (string, any, error) {
+				return "", report{Name: "dirty", Violations: 2}, fmt.Errorf("audit failed")
+			}},
+		fakeUnit("plain", 0),
+	}
+	results := Run(units, Options{Workers: 2})
+	r := results[0]
+	if r.Status != StatusFailed || r.Err != "audit failed" {
+		t.Fatalf("failed record = %+v", r)
+	}
+	if got, ok := r.Data.(report); !ok || got.Violations != 2 {
+		t.Fatalf("data = %#v, want the failed run's report", r.Data)
+	}
+	if results[1].Data != nil {
+		t.Fatalf("plain unit data = %#v, want nil", results[1].Data)
+	}
+
+	b, err := json.Marshal(NewManifest(results, 2, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := 0
-	unit := Unit{Name: "u", Kind: "fake", Fingerprint: "v1",
-		Run: func() (string, error) { ran++; return "payload\n", nil }}
-	bench := Unit{Name: "bench", Kind: "bench", Fingerprint: "v1", Uncacheable: true,
-		Run: func() (string, error) { ran++; return "timing\n", nil }}
-
-	r1 := Run([]Unit{unit, bench}, Options{Workers: 1, Cache: cache})
-	if r1[0].Cache != "miss" || r1[1].Cache != "off" {
-		t.Fatalf("first run cache states = %s, %s", r1[0].Cache, r1[1].Cache)
+	var got struct {
+		Runs []struct {
+			Data *report `json:"data"`
+		} `json:"runs"`
 	}
-	r2 := Run([]Unit{unit, bench}, Options{Workers: 1, Cache: cache})
-	if r2[0].Cache != "hit" {
-		t.Fatalf("second run cache state = %s, want hit", r2[0].Cache)
-	}
-	if r2[0].Output != "payload\n" {
-		t.Fatalf("cached output = %q", r2[0].Output)
-	}
-	if ran != 3 { // unit once, bench twice
-		t.Fatalf("run count = %d, want 3 (hit must not re-run, uncacheable must)", ran)
-	}
-
-	// A config change must change the key and force a re-simulation.
-	unit.Fingerprint = "v2"
-	r3 := Run([]Unit{unit}, Options{Workers: 1, Cache: cache})
-	if r3[0].Cache != "miss" {
-		t.Fatalf("changed fingerprint cache state = %s, want miss", r3[0].Cache)
-	}
-	if r3[0].CacheKey == r1[0].CacheKey {
-		t.Fatal("cache key ignored the fingerprint")
-	}
-}
-
-// TestCacheNeverStoresFailures verifies failed runs are not poisoning the
-// cache: a later fixed run must re-execute and then hit.
-func TestCacheNeverStoresFailures(t *testing.T) {
-	cache, err := Open(t.TempDir())
-	if err != nil {
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	fail := true
-	unit := Unit{Name: "flaky", Kind: "fake", Fingerprint: "fp",
-		Run: func() (string, error) {
-			if fail {
-				return "", fmt.Errorf("transient")
-			}
-			return "good\n", nil
-		}}
-	if r := Run([]Unit{unit}, Options{Cache: cache}); r[0].Status != StatusFailed {
-		t.Fatalf("status = %s", r[0].Status)
+	if d := got.Runs[0].Data; d == nil || *d != (report{Name: "dirty", Violations: 2}) {
+		t.Fatalf("round-tripped data = %+v", d)
 	}
-	fail = false
-	r := Run([]Unit{unit}, Options{Cache: cache})
-	if r[0].Cache != "miss" || r[0].Output != "good\n" {
-		t.Fatalf("recovered run = %+v (a failure must not have been cached)", r[0])
+	if got.Runs[1].Data != nil || strings.Contains(string(b), `"data": null`) {
+		t.Fatalf("nil data was written for the plain unit:\n%s", b)
 	}
 }
 
@@ -200,8 +183,8 @@ func TestCacheNeverStoresFailures(t *testing.T) {
 func TestManifest(t *testing.T) {
 	units := []Unit{
 		fakeUnit("a", 0),
-		{Name: "boom", Kind: "fake", Fingerprint: "fp",
-			Run: func() (string, error) { panic("x") }},
+		{Name: "boom", Kind: "fake",
+			Run: func() (string, any, error) { panic("x") }},
 	}
 	seq := NewManifest(Run(units, Options{Workers: 1}), 1, 5*time.Millisecond)
 	par := NewManifest(Run(units, Options{Workers: 8}), 8, 5*time.Millisecond)
