@@ -113,3 +113,48 @@ func main() {
 		t.Errorf("problems = %q, want the undocumented -seed and the stale -stale row", problems)
 	}
 }
+
+// TestPoolDocsDrift checks the pool-list check: a pool whose acquire
+// directive is missing from the list in docs/ANALYSIS.md is reported, at
+// its directive's line, while listed pools (also in a/b form), pools
+// declared under testdata, and a directive quoted inside a comment or a
+// string literal are not.
+func TestPoolDocsDrift(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, body string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("docs/ANALYSIS.md", "# Static analysis\n\n"+
+		"Annotated pools on the current tree include `event` and\n`entry`/`req` (SMU).\n\n"+
+		"Later text naming `stale` is not the list.\n")
+	write("internal/x/x.go", `package x
+
+//	//hwdp:pool acquire quoted
+
+//hwdp:pool acquire event
+func getEvent() {}
+
+//hwdp:pool acquire req result=1
+func getReq() {}
+
+//hwdp:pool acquire stale
+func getStale() {}
+`+"\nvar doc = \x60\n//hwdp:pool acquire instring\n\x60\n")
+	write("internal/x/testdata/src/p/p.go", "package p\n\n//hwdp:pool acquire fixture\nfunc get() {}\n")
+	var problems []string
+	if err := checkPoolDocs(root, func(format string, args ...any) {
+		problems = append(problems, fmt.Sprintf(format, args...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], `x.go:11: pool "stale" is not in the pool list`) {
+		t.Fatalf("problems = %q, want only the unlisted pool stale at x.go:11", problems)
+	}
+}

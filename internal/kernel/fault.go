@@ -167,7 +167,7 @@ func (f *osFault) minor() {
 		f.entry()
 		return
 	}
-	f.k.mapPTE(f.as, f.va, f.vma, f.pg)
+	f.k.finishMap(f.as, f.va, f.vma, f.pg)
 	done := f.done
 	f.put()
 	done()
@@ -213,11 +213,7 @@ func nop() {}
 func (k *Kernel) refillAfterBounce(hw *cpu.HWThread) func() {
 	return func() {
 		k.stats.FaultRefills++
-		var total int
-		for _, s := range k.smuList {
-			total += k.refillSMU(s)
-		}
-		if total > 0 {
+		if total := k.refillAll(); total > 0 {
 			k.kexec(hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), nop)
 		}
 	}
@@ -252,20 +248,7 @@ func (f *osFault) wake() {
 
 // install puts the read page in the page cache and maps it.
 func (f *osFault) install() {
-	k := f.k
-	// The SMU may have resolved this page for another thread while our
-	// I/O was in flight (its miss found a refilled queue after ours
-	// bounced); installing over it would leak its frame.
-	if e, found := f.as.Table.Lookup(f.va); found && e.Present() {
-		if err := k.mem.Free(f.frame); err != nil {
-			panic(err)
-		}
-		f.finish()
-		return
-	}
-	pg := k.insertPage(f.vma.st, f.vma.File, f.idx, f.frame,
-		mapping{as: f.as, va: f.va.PageBase(), vma: f.vma})
-	k.finishMap(f.as, f.va, f.vma, pg)
+	f.k.installPage(f.as, f.va, f.vma, f.idx, f.frame)
 	f.finish()
 }
 
@@ -315,31 +298,14 @@ func (k *Kernel) anonFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
 					w()
 				}
 			}
-			// While the allocation stalled, the SMU may have resolved the
-			// page for another thread (its miss found a refilled free
-			// queue after ours bounced). Installing over it would leak the
-			// SMU's frame; yield to it instead.
-			if e, found := as.Table.Lookup(va); found && e.Present() {
-				if err := k.mem.Free(frame); err != nil {
-					panic(err)
-				}
-				finish()
-				return
-			}
-			pg := k.insertPage(vma.st, vma.File, idx, frame,
-				mapping{as: as, va: va.PageBase(), vma: vma})
-			k.finishMap(as, va, vma, pg)
-			if !hwFailed {
+			if !k.installPage(as, va, vma, idx, frame) || !hwFailed {
 				finish()
 				return
 			}
 			// No device time to hide behind here: refill the free page
 			// queue synchronously before returning to user.
 			k.stats.FaultRefills++
-			var total int
-			for _, s := range k.smuList {
-				total += k.refillSMU(s)
-			}
+			total := k.refillAll()
 			k.kspan(ms, "fault-queue-refill", hw, c.RefillPerFrame*sim.Time(total), finish)
 		})
 	})
@@ -370,7 +336,7 @@ func (k *Kernel) pageLockWaiter(ms *trace.Miss, hw *cpu.HWThread, as *mmu.Addres
 				return
 			}
 			if pg := k.lookupPage(vma.File, idx); pg != nil {
-				k.mapPTE(as, va, vma, pg)
+				k.finishMap(as, va, vma, pg)
 			}
 			done()
 		})
@@ -404,11 +370,27 @@ func (k *Kernel) sigbus(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr, fr
 	k.mmu.TLB().Invalidate(as.ASID, va.PageNumber())
 }
 
-// mapPTE installs a present PTE for an existing page (minor fault).
-func (k *Kernel) mapPTE(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, pg *Page) {
+// installPage caches a freshly filled frame as vma's page idx and maps
+// it at va. The SMU may have resolved the page for another thread while
+// the frame was being filled (its miss found a refilled free page queue
+// after this fault's bounced); installing over it would leak the SMU's
+// frame, so the fault yields to it: the frame is freed and installPage
+// reports false.
+func (k *Kernel) installPage(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, idx int, frame mem.FrameID) bool {
+	if e, found := as.Table.Lookup(va); found && e.Present() {
+		if err := k.mem.Free(frame); err != nil {
+			panic(err)
+		}
+		return false
+	}
+	pg := k.insertPage(vma.st, vma.File, idx, frame,
+		mapping{as: as, va: va.PageBase(), vma: vma})
 	k.finishMap(as, va, vma, pg)
+	return true
 }
 
+// finishMap installs a present PTE for pg at va and records the mapping,
+// with its final PTE reference, in pg's reverse map.
 func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, pg *Page) {
 	_, _, pte := as.Table.Ensure(va.PageBase())
 	pte.Set(pagetable.MakePresent(pg.frame, vma.Prot, true))
@@ -425,6 +407,16 @@ func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, p
 	if !replaced {
 		pg.maps = append(pg.maps, m)
 	}
+}
+
+// refillAll refills every SMU's free page queues, in SID order, and
+// returns the number of frames moved.
+func (k *Kernel) refillAll() int {
+	total := 0
+	for _, s := range k.smuList {
+		total += k.refillSMU(s)
+	}
+	return total
 }
 
 // refillSMU moves frames from the allocator into one SMU's free page

@@ -325,8 +325,8 @@ type mapping struct {
 // Page is the kernel's struct page. The kernel keeps one per physical
 // frame (Kernel.pages, indexed by mem.FrameID, Linux's mem_map): a frame
 // backs at most one file page from insertPage until the frame is freed,
-// including while the page is under writeback or orphaned, so a *Page
-// names one page for as long as its frame stays allocated.
+// including while the page is under writeback after it left the cache, so
+// a *Page names one page for as long as its frame stays allocated.
 type Page struct {
 	file  *fs.File
 	st    *storage
@@ -343,10 +343,6 @@ type Page struct {
 	// evicted or unmapped page keeps its slot until its frame is freed.
 	cached bool
 	wb     bool // under writeback
-	// orphan marks a page whose last mapping was torn down while a
-	// non-freeing writeback (msync/flusher) was in flight: the writeback
-	// completion must free the frame, or it leaks.
-	orphan bool
 }
 
 type pcKey struct {
@@ -575,9 +571,7 @@ func (k *Kernel) Start() {
 	}
 	k.started = true
 	if k.cfg.Scheme == HWDP {
-		for _, s := range k.smuList {
-			k.refillSMU(s)
-		}
+		k.refillAll()
 		switch {
 		case k.cfg.DisableKpoold:
 		case k.cfg.ShardKpoold:

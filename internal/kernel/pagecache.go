@@ -38,7 +38,7 @@ func (k *Kernel) insertPage(st *storage, f *fs.File, idx int, frame mem.FrameID,
 	if pg.cached || pg.wb {
 		panic(fmt.Sprintf("kernel: frame %d inserted while it backs %s[%d]", frame, pg.file.Name, pg.idx))
 	}
-	pg.file, pg.st, pg.idx, pg.frame, pg.orphan = f, st, idx, frame, false
+	pg.file, pg.st, pg.idx, pg.frame = f, st, idx, frame
 	pg.maps = append(pg.maps[:0], m)
 	ix[idx] = int32(frame) + 1
 	k.lruPushBack(pg)
@@ -189,7 +189,7 @@ func (k *Kernel) getScan() *reclaimScan {
 		return s
 	}
 	s := &reclaimScan{k: k}
-	s.stepFn, s.freeFn, s.submitFn = s.step, s.free, s.submitWriteback
+	s.stepFn, s.freeFn, s.submitFn = s.step, s.free, s.submit
 	return s
 }
 
@@ -261,15 +261,15 @@ func (s *reclaimScan) free() {
 	s.evicted()
 }
 
-// submitWriteback writes a dirty victim back after its eviction charge.
-// The eviction continues once the write is submitted; the frame is
-// released at write completion.
+// submit writes a dirty victim back after its eviction charge. The
+// eviction continues once the write is submitted; the frame is released
+// at write completion.
 //
 //hwdp:hotpath
-func (s *reclaimScan) submitWriteback() {
+func (s *reclaimScan) submit() {
 	pg := s.pg
 	s.pg = nil
-	s.k.writeBackAndFree(pg.st, s.hw, pg, s.lba)
+	s.k.submitWriteback(s.hw, pg, s.lba, nil)
 	s.evicted()
 }
 
@@ -324,21 +324,39 @@ func (k *Kernel) evictPage(s *reclaimScan, pg *Page) {
 		k.kexec(s.hw, k.cfg.Costs.EvictPerPage, s.freeFn)
 		return
 	}
-	pg.wb = true
-	k.stats.Writebacks++
-	k.noteCleaned()
-	blk, _ := pg.st.fsys.Block(pg.file, pg.idx)
-	s.lba = blk.LBA
+	s.lba = k.startWriteback(pg)
 	k.kexec(s.hw, k.cfg.Costs.EvictPerPage+k.cfg.Costs.WritebackSubmit, s.submitFn)
 }
 
-// wbDone is the completion of a writeback that frees its frame: a dirty
-// eviction, or the unmap of a dirty page's last mapping. It holds the
-// page; its callback is bound once when the carrier is made.
+// startWriteback marks pg under writeback, counts the write in the stats
+// and the dirty accounting, and returns the block it goes to.
+func (k *Kernel) startWriteback(pg *Page) (lba uint64) {
+	pg.wb = true
+	k.stats.Writebacks++
+	k.noteCleaned()
+	blk, err := pg.st.fsys.Block(pg.file, pg.idx)
+	if err != nil {
+		panic(err)
+	}
+	return blk.LBA
+}
+
+// submitWriteback writes pg, already started, to lba from hw. Its
+// completion is wbDone.complete; then, if not nil, runs after it.
+func (k *Kernel) submitWriteback(hw *cpu.HWThread, pg *Page, lba uint64, then func()) {
+	w := k.getWBDone()
+	w.pg, w.then = pg, then
+	k.submitIORetry(pg.st, hw, nvme.OpWrite, lba, pg.frame, nil, w.fn)
+}
+
+// wbDone is the completion of every page writeback: eviction, unmap,
+// msync and the flusher. It holds the page and the caller's continuation;
+// its callback is bound once when the carrier is made.
 type wbDone struct {
-	k  *Kernel
-	pg *Page
-	fn func(status uint16)
+	k    *Kernel
+	pg   *Page
+	then func()
+	fn   func(status uint16)
 }
 
 //hwdp:pool acquire wbdone
@@ -356,32 +374,32 @@ func (k *Kernel) getWBDone() *wbDone {
 
 //hwdp:pool release wbdone
 func (k *Kernel) putWBDone(w *wbDone) {
-	w.pg = nil
+	w.pg, w.then = nil, nil
 	k.wbPool = append(k.wbPool, w)
 }
 
-// writeBackAndFree writes pg (already marked under writeback) to lba on
-// st and frees its frame when the write completes.
-func (k *Kernel) writeBackAndFree(st *storage, hw *cpu.HWThread, pg *Page, lba uint64) {
-	w := k.getWBDone()
-	w.pg = pg
-	k.submitIORetry(st, hw, nvme.OpWrite, lba, pg.frame, nil, w.fn)
-}
-
-// complete ends a freeing writeback. When retries are exhausted the
-// page's disk copy is stale: it is counted and the frame is reclaimed
-// regardless (data-loss accounting, not a model failure).
+// complete ends a writeback. The frame belongs to the write once the page
+// has left the page cache (a dirty eviction, or an unmap of the page's
+// last mapping before or during the write), and is freed here; a page
+// still cached keeps it. When retries are exhausted the page's disk copy
+// is stale: it is counted and the frame is handled the same way
+// (data-loss accounting, not a model failure).
 //
 //hwdp:hotpath
 func (w *wbDone) complete(status uint16) {
-	k, pg := w.k, w.pg
+	k, pg, then := w.k, w.pg, w.then
 	k.putWBDone(w)
 	if status != nvme.StatusSuccess {
 		k.stats.WritebackErrors++
 	}
 	pg.wb = false
-	if err := k.mem.Free(pg.frame); err != nil {
-		panic(err)
+	if !pg.cached {
+		if err := k.mem.Free(pg.frame); err != nil {
+			panic(err)
+		}
+	}
+	if then != nil {
+		then()
 	}
 }
 

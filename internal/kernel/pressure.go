@@ -14,7 +14,6 @@ import (
 	"hwdp/internal/mem"
 	"hwdp/internal/metrics"
 	"hwdp/internal/mmu"
-	"hwdp/internal/nvme"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
 )
@@ -193,26 +192,8 @@ func (k *Kernel) flushPage(pg *Page) {
 			m.vma.swapped[pg.idx] = true
 		}
 	}
-	pg.wb = true
-	k.stats.Writebacks++
 	k.stats.FlusherPages++
-	k.noteCleaned()
-	blk, err := pg.st.fsys.Block(pg.file, pg.idx)
-	if err != nil {
-		panic(err)
-	}
-	k.submitIORetry(pg.st, k.kswapdHW, nvme.OpWrite, blk.LBA, pg.frame, nil, func(status uint16) {
-		if status != nvme.StatusSuccess {
-			k.stats.WritebackErrors++
-		}
-		pg.wb = false
-		if pg.orphan {
-			pg.orphan = false
-			if err := k.mem.Free(pg.frame); err != nil {
-				panic(err)
-			}
-		}
-	})
+	k.submitWriteback(k.kswapdHW, pg, k.startWriteback(pg), nil)
 }
 
 // throttleReq carries a throttled write through the backoff loop without
@@ -328,39 +309,17 @@ func (p *Process) residentPages() int {
 // dead VMA, and evicts normally).
 func (k *Kernel) oomReap(victim *Process, hw *cpu.HWThread) {
 	for _, vma := range victim.vmas {
-		if vma.dead {
-			continue
+		if !vma.dead {
+			k.afterBarrier(vma, func() { k.reapVMA(victim, vma, hw) })
 		}
-		vma := vma
-		if vma.Fast {
-			if s, ok := k.smus[vma.st.key.sid]; ok {
-				s.Barrier(k.vmaPTEAddrs(vma), func() { k.reapVMA(victim, vma, hw) })
-				continue
-			}
-		}
-		k.reapVMA(victim, vma, hw)
 	}
 }
 
 // reapVMA is the teardown half of oomReap for one VMA.
 func (k *Kernel) reapVMA(p *Process, vma *VMA, hw *cpu.HWThread) {
-	k.syncVMARange(vma)
-	freed := 0
-	for i := 0; i < vma.Pages; i++ {
-		va := vma.Start + pagetable.VAddr(i)*4096
-		_, _, pte, ok := p.AS.Table.Walk(va)
-		if !ok {
-			continue
-		}
-		if pte.Get().Present() {
-			k.unmapOne(p, vma, va, pte)
-			freed++
-		}
-		pte.Set(0)
-	}
-	vma.dead = true
-	k.stats.OOMReapedPages += uint64(freed)
-	if freed > 0 {
-		k.kexec(hw, k.cfg.Costs.EvictPerPage*sim.Time(freed), func() {})
+	_, unmapped := k.unmapVMA(p, vma)
+	k.stats.OOMReapedPages += uint64(unmapped)
+	if unmapped > 0 {
+		k.kexec(hw, k.cfg.Costs.EvictPerPage*sim.Time(unmapped), nop)
 	}
 }

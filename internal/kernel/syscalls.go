@@ -169,6 +169,41 @@ func (k *Kernel) syncVMARange(vma *VMA) int {
 	return n
 }
 
+// afterBarrier runs fn once the SMU serving a fast-mmap VMA has drained
+// every outstanding miss over the VMA's PTEs (the barrier that prevents
+// the SMU/unmap race of Section IV-C), and at once for any other VMA.
+func (k *Kernel) afterBarrier(vma *VMA, fn func()) {
+	if vma.Fast {
+		if s, ok := k.smus[vma.st.key.sid]; ok {
+			s.Barrier(k.vmaPTEAddrs(vma), fn)
+			return
+		}
+	}
+	fn()
+}
+
+// unmapVMA tears a VMA down: it synchronizes pending OS metadata, unmaps
+// every present page (unmapOne), clears every installed PTE and marks the
+// VMA dead. It returns the PTEs synced and the pages unmapped; callers
+// charge the time.
+func (k *Kernel) unmapVMA(p *Process, vma *VMA) (synced, unmapped int) {
+	synced = k.syncVMARange(vma)
+	for i := 0; i < vma.Pages; i++ {
+		va := vma.Start + pagetable.VAddr(i)*4096
+		_, _, pte, ok := p.AS.Table.Walk(va)
+		if !ok {
+			continue
+		}
+		if pte.Get().Present() {
+			k.unmapOne(p, vma, va, pte)
+			unmapped++
+		}
+		pte.Set(0)
+	}
+	vma.dead = true
+	return synced, unmapped
+}
+
 // Munmap unmaps a VMA. For fast-mmap areas it first waits on the SMU
 // barrier for all outstanding page misses over the region (preventing the
 // SMU/unmap race of Section IV-C), synchronizes pending OS metadata, then
@@ -180,44 +215,19 @@ func (k *Kernel) Munmap(th *Thread, start pagetable.VAddr, done func()) {
 	if vma == nil || vma.Start != start {
 		panic(fmt.Sprintf("kernel: munmap of unmapped region %#x", uint64(start)))
 	}
-	c := k.cfg.Costs
-	teardown := func() {
-		synced := k.syncVMARange(vma)
-		cost := c.SyscallEntry + c.KptedPerSync*sim.Time(synced)
-		freedPages := 0
-		for i := 0; i < vma.Pages; i++ {
-			va := vma.Start + pagetable.VAddr(i)*4096
-			_, _, pte, ok := p.AS.Table.Walk(va)
-			if !ok {
-				continue
-			}
-			e := pte.Get()
-			if e.Present() {
-				k.unmapOne(p, vma, va, pte)
-				cost += c.TLBShootdown
-				freedPages++
-			}
-			pte.Set(0)
-		}
-		vma.dead = true
+	k.afterBarrier(vma, func() {
+		synced, unmapped := k.unmapVMA(p, vma)
 		k.stats.MunmapPages += uint64(vma.Pages)
-		_ = freedPages
-		k.kexec(th.HW, cost, done)
-	}
-	if vma.Fast {
-		if s, ok := k.smus[vma.st.key.sid]; ok {
-			s.Barrier(k.vmaPTEAddrs(vma), teardown)
-			return
-		}
-	}
-	teardown()
+		c := k.cfg.Costs
+		k.kexec(th.HW, c.SyscallEntry+c.KptedPerSync*sim.Time(synced)+c.TLBShootdown*sim.Time(unmapped), done)
+	})
 }
 
 // unmapOne removes one present mapping: reverse-map surgery, TLB
-// shootdown, and — when this was the last mapping — page-cache removal
-// with writeback-then-free for dirty pages.
+// shootdown, and — when this was the last mapping — page-cache removal.
+// The frame then goes back to the allocator: now for a clean page, at the
+// end of the write for a dirty one or one already under writeback.
 func (k *Kernel) unmapOne(p *Process, vma *VMA, va pagetable.VAddr, pte pagetable.EntryRef) {
-	e := pte.Get()
 	idx := vma.pageIndex(va)
 	pg := k.lookupPage(vma.File, idx)
 	k.mmu.TLB().Invalidate(p.AS.ASID, va.PageNumber())
@@ -235,28 +245,23 @@ func (k *Kernel) unmapOne(p *Process, vma *VMA, va pagetable.VAddr, pte pagetabl
 		return // still mapped elsewhere; page stays
 	}
 	k.uncache(pg)
-	if e.Dirty() && !pg.wb {
-		pg.wb = true
-		k.stats.Writebacks++
-		k.noteCleaned()
-		blk, _ := vma.st.fsys.Block(pg.file, pg.idx)
-		k.writeBackAndFree(vma.st, k.kswapdHW, pg, blk.LBA)
-		return
-	}
-	if !pg.wb {
+	switch {
+	case pg.wb:
+		// An msync or flusher write is in flight: its completion frees
+		// the frame of the now uncached page.
+	case pte.Get().Dirty():
+		k.submitWriteback(k.kswapdHW, pg, k.startWriteback(pg), nil)
+	default:
 		if err := k.mem.Free(pg.frame); err != nil {
 			panic(err)
 		}
-		return
 	}
-	// A non-freeing writeback (msync or the flusher) is still in flight:
-	// its completion owns the frame now and must release it.
-	pg.orphan = true
 }
 
 // Msync synchronizes a fast-mmap region: pending OS-metadata updates are
 // applied first (the modified msync of Section IV-C), then dirty pages are
-// written back; done fires when all writebacks complete.
+// written back; done fires when all writebacks complete. A written-back
+// anonymous page is swap-backed from then on, as after a flush.
 func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 	p := th.Proc
 	vma := p.findVMA(start)
@@ -265,10 +270,14 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 	}
 	k.stats.Msyncs++
 	c := k.cfg.Costs
-	sync := func() {
+	k.afterBarrier(vma, func() {
 		synced := k.syncVMARange(vma)
-		outstanding := 1 // sentinel until submission finishes
-		var maybeDone func()
+		outstanding := 1 // the submission charge, until it ends
+		pageDone := func() {
+			if outstanding--; outstanding == 0 {
+				done()
+			}
+		}
 		cost := c.SyscallEntry + c.KptedPerSync*sim.Time(synced)
 		for i := 0; i < vma.Pages; i++ {
 			va := vma.Start + pagetable.VAddr(i)*4096
@@ -285,46 +294,15 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 				continue
 			}
 			pte.Set(e.ClearFlags(pagetable.FlagDirty))
-			pg.wb = true
-			k.stats.Writebacks++
-			k.noteCleaned()
-			cost += c.WritebackSubmit
-			blk, _ := vma.st.fsys.Block(pg.file, pg.idx)
-			outstanding++
-			k.submitIORetry(vma.st, th.HW, nvme.OpWrite, blk.LBA, pg.frame, nil, func(status uint16) {
-				if status != nvme.StatusSuccess {
-					k.stats.WritebackErrors++
-				}
-				pg.wb = false
-				if pg.orphan {
-					// The region was unmapped while this writeback was in
-					// flight; the frame is ours to free.
-					pg.orphan = false
-					if err := k.mem.Free(pg.frame); err != nil {
-						panic(err)
-					}
-				}
-				outstanding--
-				maybeDone()
-			})
-		}
-		maybeDone = func() {
-			if outstanding == 0 {
-				done()
+			if vma.Anon {
+				vma.swapped[pg.idx] = true
 			}
+			cost += c.WritebackSubmit
+			outstanding++
+			k.submitWriteback(th.HW, pg, k.startWriteback(pg), pageDone)
 		}
-		k.kexec(th.HW, cost, func() {
-			outstanding--
-			maybeDone()
-		})
-	}
-	if vma.Fast {
-		if s, ok := k.smus[vma.st.key.sid]; ok {
-			s.Barrier(k.vmaPTEAddrs(vma), sync)
-			return
-		}
-	}
-	sync()
+		k.kexec(th.HW, cost, pageDone)
+	})
 }
 
 // WriteRaw appends one block to a file from a pinned kernel buffer — the
@@ -358,7 +336,8 @@ func (k *Kernel) WriteRaw(th *Thread, sid, devID uint8, f *fs.File, page int, do
 	})
 }
 
-// Fsync synchronizes every mapping of a file, then issues a device flush.
+// Fsync msyncs every live mapping of a file; done fires when all their
+// writebacks complete. It issues no device flush.
 func (k *Kernel) Fsync(th *Thread, f *fs.File, done func()) {
 	var targets []*VMA
 	for _, p := range k.procs {

@@ -37,10 +37,7 @@ func (k *Kernel) kptedTick() {
 // refill every SMU's free page queue in the background so the fault path
 // rarely sees an empty queue.
 func (k *Kernel) kpooldTick() {
-	var total int
-	for _, s := range k.smuList {
-		total += k.refillSMU(s)
-	}
+	total := k.refillAll()
 	k.stats.KpooldFrames += uint64(total)
 	finish := func() { k.eng.Post(k.cfg.KpooldPeriod, k.kpooldTick) }
 	if total > 0 {
