@@ -19,8 +19,8 @@ race:
 # bench-go runs every go-test benchmark once, and no tests, as a
 # compile-and-smoke check: the engine benchmarks in internal/sim, the SMU
 # miss path (smu.BenchmarkHandleMiss), the OS fault-and-evict path
-# (kernel.BenchmarkMajorFaultEvict) and the root BenchmarkFig* figure
-# summaries. The repository benchmark is bench/ (bash bench/run.sh).
+# (kernel.BenchmarkMajorFaultEvict), the KV op path
+# (workload.BenchmarkKVOp) and the root BenchmarkFig* figure summaries. The repository benchmark is bench/ (bash bench/run.sh).
 bench-go:
 	$(GO) test -short -run '^$$' -bench=. -benchtime=1x ./...
 

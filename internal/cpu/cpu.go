@@ -174,7 +174,10 @@ type CPU struct {
 	// kernel charges are fixed per-event costs, so few distinct counts
 	// recur; a count-scaled charge that collides just recomputes. math.Exp
 	// is deterministic, so a hit returns the bits a recomputation would.
-	pollute [polluteSlots]polluteMemo
+	// recovery does the same for userChunk's expNeg(chunk / RecoverInstr):
+	// a chunk is almost always userQuantum or an op's fixed remainder.
+	pollute  [memoSlots]expMemo
+	recovery [memoSlots]expMemo
 
 	// contFn is the pre-bound continuation callback and contPool its
 	// carrier free list: every userChunk/KernelExec/Stall completion is
@@ -232,23 +235,32 @@ func (c *CPU) Thread(i int) *HWThread {
 
 func expNeg(x float64) float64 { return math.Exp(-x) }
 
-// polluteSlots sizes the KernelExec pollution memo (a power of two).
-const polluteSlots = 256
+// memoSlots sizes the warmth-factor memos (a power of two).
+const memoSlots = 256
 
-// polluteMemo is one pollution-memo slot: instr+1 (0 = empty) and its
-// factor.
-type polluteMemo struct {
+// expMemo is one warmth-memo slot: n+1 (0 = empty) and its factor.
+type expMemo struct {
 	key    uint64
 	factor float64
 }
 
-// pollution returns expNeg(instr / PolluteInstr) through the memo.
-func (c *CPU) pollution(instr uint64) float64 {
-	m := &c.pollute[instr&(polluteSlots-1)]
-	if m.key != instr+1 {
-		m.key, m.factor = instr+1, expNeg(float64(instr)/c.params.PolluteInstr)
+// memoExpNeg returns expNeg(n / scale) through the direct-mapped memo tab.
+func memoExpNeg(tab *[memoSlots]expMemo, n uint64, scale float64) float64 {
+	m := &tab[n&(memoSlots-1)]
+	if m.key != n+1 {
+		m.key, m.factor = n+1, expNeg(float64(n)/scale)
 	}
 	return m.factor
+}
+
+// pollution returns expNeg(instr / PolluteInstr) through the memo.
+func (c *CPU) pollution(instr uint64) float64 {
+	return memoExpNeg(&c.pollute, instr, c.params.PolluteInstr)
+}
+
+// recoveryFactor returns expNeg(chunk / RecoverInstr) through the memo.
+func (c *CPU) recoveryFactor(chunk uint64) float64 {
+	return memoExpNeg(&c.recovery, chunk, c.params.RecoverInstr)
 }
 
 // userIPCAt returns the effective user IPC for warmth w, ignoring SMT.
@@ -303,7 +315,7 @@ func (c *CPU) userChunk(t *HWThread, remaining uint64, done func()) {
 	t.BranchMiss += uint64(float64(chunk) * (p.BranchMissBase + p.BranchMissCold*cold))
 	t.UserInstr += chunk
 	t.UserTime += dur
-	t.warmth = 1 - (1-w)*expNeg(float64(chunk)/p.RecoverInstr)
+	t.warmth = 1 - (1-w)*c.recoveryFactor(chunk)
 	cc := c.getCont()
 	cc.t, cc.remaining, cc.chunk, cc.done = t, remaining, chunk, done
 	c.eng.PostArg(dur, c.contFn, cc)

@@ -119,11 +119,35 @@ func TestPollutionMemoMatchesExp(t *testing.T) {
 	// Instruction counts that share a memo slot evict each other; every
 	// lookup, hit or miss, returns exactly the recomputed factor.
 	_, c := newCPU(1)
-	for _, instr := range []uint64{0, 5, 5 + polluteSlots, 5, 28000, 28000 + 3*polluteSlots, 28000} {
+	for _, instr := range []uint64{0, 5, 5 + memoSlots, 5, 28000, 28000 + 3*memoSlots, 28000} {
 		want := expNeg(float64(instr) / c.params.PolluteInstr)
 		if got := c.pollution(instr); got != want {
 			t.Fatalf("pollution(%d) = %v, want %v", instr, got, want)
 		}
+	}
+}
+
+func TestRecoveryMemoMatchesExp(t *testing.T) {
+	// A sweep over every chunk size userChunk can take, run twice so the
+	// second pass hits the memo, plus chunks that share a slot with
+	// userQuantum and with each other, interleaved so each evicts the
+	// other: every lookup returns exactly the recomputed factor.
+	_, c := newCPU(1)
+	check := func(chunk uint64) {
+		t.Helper()
+		want := expNeg(float64(chunk) / c.params.RecoverInstr)
+		if got := c.recoveryFactor(chunk); got != want {
+			t.Fatalf("recoveryFactor(%d) = %v, want %v", chunk, got, want)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for chunk := uint64(1); chunk <= userQuantum; chunk++ {
+			check(chunk)
+		}
+	}
+	for _, chunk := range []uint64{userQuantum, userQuantum - memoSlots, userQuantum,
+		7232, 7232 + memoSlots, 7232, 7232 - 2*memoSlots, userQuantum, 7232} {
+		check(chunk)
 	}
 }
 

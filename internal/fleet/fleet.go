@@ -205,29 +205,83 @@ type tenantWork struct {
 	writeFrac    float64
 	measureAfter sim.Time
 	lat          *metrics.Histogram
+	ops          map[*kernel.Thread]*workOp
+}
+
+// workOp carries one tenant thread's in-flight op through its phases. A
+// thread runs one op at a time, so each thread reuses one carrier whose
+// phases are bound once.
+type workOp struct {
+	w     *tenantWork
+	th    *kernel.Thread
+	va    pagetable.VAddr
+	write bool
+	start sim.Time
+	done  func(error)
+
+	execFn, accessFn func()
+	resultFn         func(mmu.Result)
 }
 
 // Op issues one access and records its latency post-warmup.
+//
+//hwdp:hotpath
 func (w *tenantWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)) {
 	page := w.gen.Next(rng)
-	write := rng.Float64() < w.writeFrac
-	va := w.base + pagetable.VAddr(page)*4096
-	w.sys.CPU.Stall(th.HW, workload.FIOOpFixed, func() {
-		w.sys.CPU.UserExec(th.HW, workload.FIOOpInstr, func() {
-			start := w.sys.Eng.Now()
-			w.sys.K.Access(th, va, write, func(r mmu.Result) {
-				if now := w.sys.Eng.Now(); now >= w.measureAfter {
-					w.lat.Record(int64(now - start))
-				}
-				if r.Outcome == mmu.OutcomeBadAddr {
-					done(fmt.Errorf("fleet: bad address %#x", va))
-					return
-				}
-				done(nil)
-			})
-		})
-	})
+	op := w.ops[th]
+	if op == nil {
+		op = w.newOp(th)
+	}
+	op.write = rng.Float64() < w.writeFrac
+	op.va = w.base + pagetable.VAddr(page)*4096
+	op.done = done
+	w.sys.CPU.Stall(th.HW, workload.FIOOpFixed, op.execFn)
 }
+
+// newOp builds th's carrier and binds its phases.
+//
+//hwdp:coldpath runs once per thread, on its first op
+func (w *tenantWork) newOp(th *kernel.Thread) *workOp {
+	op := &workOp{w: w, th: th}
+	op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
+	w.ops[th] = op
+	return op
+}
+
+// exec runs the op's user work after its fixed overhead.
+//
+//hwdp:hotpath
+func (op *workOp) exec() { op.w.sys.CPU.UserExec(op.th.HW, workload.FIOOpInstr, op.accessFn) }
+
+// access starts the op's timed memory access.
+//
+//hwdp:hotpath
+func (op *workOp) access() {
+	op.start = op.w.sys.Eng.Now()
+	op.w.sys.K.Access(op.th, op.va, op.write, op.resultFn)
+}
+
+// result records the access latency and completes the op.
+//
+//hwdp:hotpath
+func (op *workOp) result(r mmu.Result) {
+	w := op.w
+	if now := w.sys.Eng.Now(); now >= w.measureAfter {
+		w.lat.Record(int64(now - op.start))
+	}
+	done := op.done
+	op.done = nil
+	if r.Outcome == mmu.OutcomeBadAddr {
+		done(errBadAddr(op.va))
+		return
+	}
+	done(nil)
+}
+
+// errBadAddr reports an access to an unmapped address.
+//
+//hwdp:coldpath error path: tenants touch only their mapped datasets
+func errBadAddr(va pagetable.VAddr) error { return fmt.Errorf("fleet: bad address %#x", va) }
 
 // experiment is a built-but-not-yet-run fleet machine. Run composes
 // newExperiment and run; the split lets the property tests inspect the
@@ -331,6 +385,7 @@ func newExperiment(c Config, faults []fault.Rule) (*experiment, error) {
 			writeFrac:    c.WriteFrac,
 			measureAfter: sys.Eng.Now() + c.Warmup,
 			lat:          lat[t],
+			ops:          make(map[*kernel.Thread]*workOp),
 		}
 		for i := 0; i < counts[t]; i++ {
 			th := sys.K.NewThread(proc, 2*hw)

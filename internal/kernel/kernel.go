@@ -291,6 +291,20 @@ type Thread struct {
 	accTimer *sim.Event
 	timedOut bool
 	accessFn func(mmu.Result)
+
+	// The in-flight whole-page op (LoadPage or StorePage) and WAL append
+	// (WriteRaw). Each rides one access or one kexec of this thread, so
+	// its state lives here next to accDone; loadedFn, storedFn and
+	// walExecFn are the completion methods, bound once in NewThread.
+	pageLoadDone  func(r mmu.Result, c mem.Content, data []byte)
+	pageStore     mem.Content
+	pageStoreDone func(mmu.Result)
+	walSt         *storage
+	walLBA        uint64
+	walDone       func()
+	loadedFn      func(mmu.Result)
+	storedFn      func(mmu.Result)
+	walExecFn     func()
 }
 
 // CoreID implements mmu.CoreCarrier: the logical core the thread is pinned
@@ -441,6 +455,10 @@ type Kernel struct {
 	wbPool       []*wbDone
 	kswapdFn     func()
 	kswapdDoneFn func(int)
+
+	// walWrittenFn is the completion of every WriteRaw device write,
+	// bound once.
+	walWrittenFn func(status uint16)
 }
 
 // New wires a kernel over the machine components. Background threads run on
@@ -474,6 +492,7 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	k.ioRetryFn = k.ioRetry
 	k.stallTimeoutFn = k.stallTimeout
 	k.kswapdFn, k.kswapdDoneFn = k.kswapdTick, k.kswapdDone
+	k.walWrittenFn = k.walWritten
 	if cfg.DirtyRatioFrac > 0 {
 		k.dirtyHardLimit = int(float64(m.Frames()) * cfg.DirtyRatioFrac)
 		if k.dirtyHardLimit < 1 {
@@ -611,6 +630,7 @@ func (k *Kernel) NewProcess() *Process {
 func (k *Kernel) NewThread(p *Process, hwID int) *Thread {
 	th := &Thread{ID: hwID, HW: k.cpu.Thread(hwID), Proc: p}
 	th.accessFn = th.accessed
+	th.loadedFn, th.storedFn, th.walExecFn = th.pageLoaded, th.pageStored, th.walExec
 	p.threads = append(p.threads, th)
 	return th
 }

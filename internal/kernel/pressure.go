@@ -231,6 +231,8 @@ const throttleMaxSpins = 512
 // throttle parks a write that hit the hard dirty limit: the thread
 // sleeps in backoff slices, kicking the flusher, until the dirty count
 // drops (balance_dirty_pages).
+//
+//hwdp:coldpath writes throttle only with Config.DirtyRatioFrac set, at the hard dirty limit
 func (k *Kernel) throttle(th *Thread, va pagetable.VAddr, done func(mmu.Result)) {
 	k.stats.ThrottledWrites++
 	r := k.getThrottleReq()

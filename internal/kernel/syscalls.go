@@ -310,6 +310,8 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 // submission; the device write proceeds asynchronously and contends with
 // reads). The caller owns pacing; the kernel charges half an I/O
 // submission of kernel time.
+//
+//hwdp:hotpath
 func (k *Kernel) WriteRaw(th *Thread, sid, devID uint8, f *fs.File, page int, done func()) {
 	st, ok := k.storages[storKey{sid, devID}]
 	if !ok {
@@ -320,20 +322,43 @@ func (k *Kernel) WriteRaw(th *Thread, sid, devID uint8, f *fs.File, page int, do
 		panic(err)
 	}
 	if k.walBuffer == mem.NoFrame {
-		f, err := k.mem.Alloc()
-		if err != nil {
-			panic("kernel: no frame for WAL buffer")
-		}
-		k.walBuffer = f
+		k.allocWALBuffer()
 	}
-	k.kexec(th.HW, k.cfg.Costs.IOSubmit/2, func() {
-		k.submitIORetry(st, th.HW, nvme.OpWrite, blk.LBA, k.walBuffer, nil, func(status uint16) {
-			if status != nvme.StatusSuccess {
-				k.stats.WritebackErrors++
-			}
-		})
-		done()
-	})
+	if th.walDone != nil {
+		panic(fmt.Sprintf("kernel: thread %d started a WriteRaw with one in flight", th.ID))
+	}
+	th.walSt, th.walLBA, th.walDone = st, blk.LBA, done
+	k.kexec(th.HW, k.cfg.Costs.IOSubmit/2, th.walExecFn)
+}
+
+// allocWALBuffer pins the frame every WriteRaw DMAs from.
+//
+//hwdp:coldpath runs once, on the first WriteRaw
+func (k *Kernel) allocWALBuffer() {
+	f, err := k.mem.Alloc()
+	if err != nil {
+		panic("kernel: no frame for WAL buffer")
+	}
+	k.walBuffer = f
+}
+
+// walExec submits the thread's in-flight WriteRaw once its submission
+// cost has run (the pre-bound kexec callback), then completes it.
+//
+//hwdp:hotpath
+func (th *Thread) walExec() {
+	k := th.Proc.k
+	st, lba, done := th.walSt, th.walLBA, th.walDone
+	th.walSt, th.walDone = nil, nil
+	k.submitIORetry(st, th.HW, nvme.OpWrite, lba, k.walBuffer, nil, k.walWrittenFn)
+	done()
+}
+
+// walWritten is the completion of a WriteRaw device write.
+func (k *Kernel) walWritten(status uint16) {
+	if status != nvme.StatusSuccess {
+		k.stats.WritebackErrors++
+	}
 }
 
 // Fsync msyncs every live mapping of a file; done fires when all their

@@ -105,39 +105,76 @@ func (k *Kernel) Store(th *Thread, va pagetable.VAddr, buf []byte, done func(mmu
 // either as a descriptor (data nil) or, for a frame whose bytes already
 // exist, as data, which stays valid only until done returns. The access
 // costs exactly what a Load of the page costs.
+//
+//hwdp:hotpath
 func (k *Kernel) LoadPage(th *Thread, va pagetable.VAddr, done func(r mmu.Result, c mem.Content, data []byte)) {
 	mustBePageAligned(va)
-	k.Access(th, va, false, func(r mmu.Result) {
-		if r.Outcome == mmu.OutcomeBadAddr {
-			done(r, mem.Content{}, nil)
-			return
-		}
-		frame := r.PTE.PFN()
-		if c, ok := k.mem.Descriptor(frame); ok {
-			done(r, c, nil)
-			return
-		}
-		data, err := k.mem.Data(frame)
-		if err != nil {
-			panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
-		}
-		done(r, mem.Content{}, data)
-	})
+	if th.pageLoadDone != nil {
+		panic(fmt.Sprintf("kernel: thread %d started a LoadPage with one in flight", th.ID))
+	}
+	th.pageLoadDone = done
+	k.Access(th, va, false, th.loadedFn)
+}
+
+// pageLoaded completes the thread's in-flight LoadPage (the pre-bound
+// Access callback).
+//
+//hwdp:hotpath
+func (th *Thread) pageLoaded(r mmu.Result) {
+	done := th.pageLoadDone
+	th.pageLoadDone = nil
+	if r.Outcome == mmu.OutcomeBadAddr {
+		done(r, mem.Content{}, nil)
+		return
+	}
+	k := th.Proc.k
+	frame := r.PTE.PFN()
+	if c, ok := k.mem.Descriptor(frame); ok {
+		done(r, c, nil)
+		return
+	}
+	done(r, mem.Content{}, k.mappedData(frame))
+}
+
+// mappedData returns the bytes of a mapped frame, generating them on
+// first access.
+//
+//hwdp:coldpath byte copies (Load, Store) and whole-page loads of frames something materialized
+func (k *Kernel) mappedData(frame mem.FrameID) []byte {
+	data, err := k.mem.Data(frame)
+	if err != nil {
+		panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
+	}
+	return data
 }
 
 // StorePage replaces the whole page at the page-aligned va with the
 // descriptor c, moving no bytes. The access costs exactly what a Store of
 // the page costs.
+//
+//hwdp:hotpath
 func (k *Kernel) StorePage(th *Thread, va pagetable.VAddr, c mem.Content, done func(mmu.Result)) {
 	mustBePageAligned(va)
-	k.Access(th, va, true, func(r mmu.Result) {
-		if r.Outcome != mmu.OutcomeBadAddr {
-			if err := k.mem.SetContent(r.PTE.PFN(), c); err != nil {
-				panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
-			}
+	if th.pageStoreDone != nil {
+		panic(fmt.Sprintf("kernel: thread %d started a StorePage with one in flight", th.ID))
+	}
+	th.pageStore, th.pageStoreDone = c, done
+	k.Access(th, va, true, th.storedFn)
+}
+
+// pageStored completes the thread's in-flight StorePage (the pre-bound
+// Access callback).
+//
+//hwdp:hotpath
+func (th *Thread) pageStored(r mmu.Result) {
+	c, done := th.pageStore, th.pageStoreDone
+	th.pageStore, th.pageStoreDone = mem.Content{}, nil
+	if r.Outcome != mmu.OutcomeBadAddr {
+		if err := th.Proc.k.mem.SetContent(r.PTE.PFN(), c); err != nil {
+			panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
 		}
-		done(r)
-	})
+	}
+	done(r)
 }
 
 func mustBePageAligned(va pagetable.VAddr) {
@@ -168,10 +205,7 @@ func (k *Kernel) copyVM(th *Thread, va pagetable.VAddr, buf []byte, write bool, 
 			if n > len(buf) {
 				n = len(buf)
 			}
-			data, err := k.mem.Data(r.PTE.PFN())
-			if err != nil {
-				panic(fmt.Sprintf("kernel: mapped PTE names bad frame: %v", err))
-			}
+			data := k.mappedData(r.PTE.PFN())
 			if write {
 				copy(data[off:off+n], buf[:n])
 			} else {

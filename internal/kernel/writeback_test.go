@@ -128,3 +128,38 @@ func TestMsyncAnonKeepsData(t *testing.T) {
 		})
 	}
 }
+
+// TestCoalescedWriteMissesDirtyOnce: two threads write-miss the same
+// cold page under HWDP, so the SMU coalesces the second miss onto the
+// first and both resolve through the same PTE. The page turns dirty once,
+// so the dirty-page count rises by exactly one.
+func TestCoalescedWriteMissesDirtyOnce(t *testing.T) {
+	// A hard limit of half of memory: nothing here throttles.
+	r := newRig(t, 64<<20, 512, withScheme(HWDP), withDirtyRatio(0.5))
+	va, _ := r.mmapFile(t, "f", 4, MmapFlags{Fast: true})
+	before := r.k.dirtyPages
+	th2 := r.k.NewThread(r.p, 2)
+	done := 0
+	for _, th := range []*Thread{r.th, th2} {
+		r.k.Access(th, va, true, func(res mmu.Result) {
+			if res.Outcome != mmu.OutcomeHW {
+				t.Errorf("write miss resolved as %v, want a hardware miss", res.Outcome)
+			}
+			done++
+		})
+	}
+	for done < 2 && r.eng.Step() {
+	}
+	if done != 2 {
+		t.Fatalf("%d of 2 write misses completed", done)
+	}
+	if n := r.smu.Stats().Coalesced; n != 1 {
+		t.Fatalf("SMU coalesced %d misses, want 1", n)
+	}
+	if e, _ := r.p.AS.Table.Lookup(va); !e.Present() || !e.Dirty() {
+		t.Fatalf("page after two writes: present %v dirty %v", e.Present(), e.Dirty())
+	}
+	if got := r.k.dirtyPages - before; got != 1 {
+		t.Fatalf("dirty pages rose by %d, want 1", got)
+	}
+}

@@ -140,6 +140,35 @@ type Store struct {
 	walDev  uint8
 	walHead int
 	walLen  int
+
+	ops map[*kernel.Thread]*storeOp
+}
+
+// storeOp carries one thread's in-flight store operations through their
+// phases. A thread runs one op at a time (RMW and Scan chain their Gets
+// and Put one after another), so each thread reuses one carrier whose
+// phases are bound once.
+type storeOp struct {
+	s  *Store
+	th *kernel.Thread
+
+	getKey  uint64
+	getDone func(version uint64, rec mem.Content, err error)
+
+	putKey, putVersion uint64
+	putDone            func(err error)
+
+	rmwDone func(err error)
+
+	scanKey  uint64
+	scanN    int
+	scanned  int
+	scanDone func(scanned int, err error)
+
+	loadedFn            func(r mmu.Result, c mem.Content, data []byte)
+	walDoneFn           func()
+	storedFn            func(mmu.Result)
+	rmwGotFn, scanGotFn func(version uint64, rec mem.Content, err error)
 }
 
 // Create builds the table file (keys records, fewer than 2^32) on the file
@@ -165,7 +194,8 @@ func Create(k *kernel.Kernel, fsys *fs.FS, p *kernel.Process, name string,
 		return nil, err
 	}
 	return &Store{k: k, file: f, gen: f.Generator(), base: base, keys: keys,
-		wal: wal, walSID: sid, walDev: devID, walLen: walLen}, nil
+		wal: wal, walSID: sid, walDev: devID, walLen: walLen,
+		ops: make(map[*kernel.Thread]*storeOp)}, nil
 }
 
 // Keys returns the number of records.
@@ -202,84 +232,202 @@ func validateBytes(c mem.Content, key uint64) (version uint64, err error) {
 	return validateRecord(buf[:], key)
 }
 
+// op returns th's carrier.
+//
+//hwdp:hotpath
+func (s *Store) op(th *kernel.Thread) *storeOp {
+	if op := s.ops[th]; op != nil {
+		return op
+	}
+	return s.newOp(th)
+}
+
+// newOp builds th's carrier and binds its phases.
+//
+//hwdp:coldpath runs once per thread, on its first store op
+func (s *Store) newOp(th *kernel.Thread) *storeOp {
+	op := &storeOp{s: s, th: th}
+	op.loadedFn, op.walDoneFn, op.storedFn = op.loaded, op.walDone, op.stored
+	op.rmwGotFn, op.scanGotFn = op.rmwGot, op.scanGot
+	s.ops[th] = op
+	return op
+}
+
 // Get reads and validates the record for key. done receives the record's
 // version and its contents as a descriptor, or a validation error.
+//
+//hwdp:hotpath
 func (s *Store) Get(th *kernel.Thread, key uint64, done func(version uint64, rec mem.Content, err error)) {
 	if key >= s.keys {
-		done(0, mem.Content{}, fmt.Errorf("%w: %d", ErrBadKey, key))
+		done(0, mem.Content{}, errBadKey(key))
 		return
 	}
-	s.k.LoadPage(th, s.addr(key), func(r mmu.Result, c mem.Content, data []byte) {
-		if r.Outcome == mmu.OutcomeBadAddr {
-			done(0, mem.Content{}, fmt.Errorf("kvs: unmapped record %d", key))
-			return
-		}
-		if data != nil {
-			// Something materialized the frame: validate a copy of its bytes.
-			b := new([RecordSize]byte)
-			copy(b[:], data)
-			c = mem.Snapshot(b)
-		}
-		v, err := s.validate(c, key)
-		done(v, c, err)
-	})
+	op := s.op(th)
+	if op.getDone != nil {
+		panic(fmt.Sprintf("kvs: thread %d started a Get with one in flight", th.ID))
+	}
+	op.getKey, op.getDone = key, done
+	s.k.LoadPage(th, s.addr(key), op.loadedFn)
 }
+
+// loaded validates the record a Get loaded (the LoadPage callback) and
+// completes the Get.
+//
+//hwdp:hotpath
+func (op *storeOp) loaded(r mmu.Result, c mem.Content, data []byte) {
+	key, done := op.getKey, op.getDone
+	op.getDone = nil
+	if r.Outcome == mmu.OutcomeBadAddr {
+		done(0, mem.Content{}, errUnmapped(key))
+		return
+	}
+	if data != nil {
+		// Something materialized the frame: validate a copy of its bytes.
+		c = snapshot(data)
+	}
+	v, err := op.s.validate(c, key)
+	done(v, c, err)
+}
+
+// snapshot copies a materialized record frame's bytes.
+//
+//hwdp:coldpath only frames whose bytes something materialized get here
+func snapshot(data []byte) mem.Content {
+	b := new([RecordSize]byte)
+	copy(b[:], data)
+	return mem.Snapshot(b)
+}
+
+// errBadKey reports an out-of-range key.
+//
+//hwdp:coldpath error path: workloads draw keys below Keys
+func errBadKey(key uint64) error { return fmt.Errorf("%w: %d", ErrBadKey, key) }
+
+// errUnmapped reports a record whose page is not mapped.
+//
+//hwdp:coldpath error path: the table stays mapped while the store is open
+func errUnmapped(key uint64) error { return fmt.Errorf("kvs: unmapped record %d", key) }
 
 // Put writes a full record for key at the given version: a WAL append
 // (buffered device write) followed by the in-place table update through
 // the mmap path, which stores the record's descriptor.
+//
+//hwdp:hotpath
 func (s *Store) Put(th *kernel.Thread, key, version uint64, done func(err error)) {
 	if key >= s.keys {
-		done(fmt.Errorf("%w: %d", ErrBadKey, key))
+		done(errBadKey(key))
 		return
 	}
 	if version > maxVersion {
-		done(fmt.Errorf("%w: %d (max %d)", ErrBadVersion, version, maxVersion))
+		done(errBadVersion(version))
 		return
 	}
+	op := s.op(th)
+	if op.putDone != nil {
+		panic(fmt.Sprintf("kvs: thread %d started a Put with one in flight", th.ID))
+	}
+	op.putKey, op.putVersion, op.putDone = key, version, done
 	page := s.walHead
 	s.walHead = (s.walHead + 1) % s.walLen
-	s.k.WriteRaw(th, s.walSID, s.walDev, s.wal, page, func() {
-		s.k.StorePage(th, s.addr(key), mem.Generated(s.gen, pack(key, version)), func(r mmu.Result) {
-			if r.Outcome == mmu.OutcomeBadAddr {
-				done(fmt.Errorf("kvs: unmapped record %d", key))
-				return
-			}
-			done(nil)
-		})
-	})
+	s.k.WriteRaw(th, s.walSID, s.walDev, s.wal, page, op.walDoneFn)
+}
+
+// errBadVersion reports a version too large for a record descriptor.
+//
+//hwdp:coldpath error path: versions stay far below 2^31 in any run
+func errBadVersion(version uint64) error {
+	return fmt.Errorf("%w: %d (max %d)", ErrBadVersion, version, maxVersion)
+}
+
+// walDone stores the Put's record once its WAL append is submitted (the
+// WriteRaw callback).
+//
+//hwdp:hotpath
+func (op *storeOp) walDone() {
+	s := op.s
+	s.k.StorePage(op.th, s.addr(op.putKey), mem.Generated(s.gen, pack(op.putKey, op.putVersion)), op.storedFn)
+}
+
+// stored completes the Put (the StorePage callback).
+//
+//hwdp:hotpath
+func (op *storeOp) stored(r mmu.Result) {
+	done := op.putDone
+	op.putDone = nil
+	if r.Outcome == mmu.OutcomeBadAddr {
+		done(errUnmapped(op.putKey))
+		return
+	}
+	done(nil)
 }
 
 // ReadModifyWrite performs YCSB-F's read-modify-write: Get, bump the
 // version, Put.
+//
+//hwdp:hotpath
 func (s *Store) ReadModifyWrite(th *kernel.Thread, key uint64, done func(err error)) {
-	s.Get(th, key, func(v uint64, _ mem.Content, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		s.Put(th, key, v+1, done)
-	})
+	op := s.op(th)
+	if op.rmwDone != nil {
+		panic(fmt.Sprintf("kvs: thread %d started a ReadModifyWrite with one in flight", th.ID))
+	}
+	op.rmwDone = done
+	s.Get(th, key, op.rmwGotFn)
+}
+
+// rmwGot puts the record an RMW read back at the next version (the Get
+// callback).
+//
+//hwdp:hotpath
+func (op *storeOp) rmwGot(v uint64, _ mem.Content, err error) {
+	done := op.rmwDone
+	op.rmwDone = nil
+	if err != nil {
+		done(err)
+		return
+	}
+	op.s.Put(op.th, op.getKey, v+1, done)
 }
 
 // Scan reads n consecutive records starting at key (YCSB-E), validating
 // each. done receives the number of records scanned and the first error.
+//
+//hwdp:hotpath
 func (s *Store) Scan(th *kernel.Thread, key uint64, n int, done func(scanned int, err error)) {
-	scanned := 0
-	var step func(k uint64)
-	step = func(k uint64) {
-		if scanned >= n || k >= s.keys {
-			done(scanned, nil)
-			return
-		}
-		s.Get(th, k, func(_ uint64, _ mem.Content, err error) {
-			if err != nil {
-				done(scanned, err)
-				return
-			}
-			scanned++
-			step(k + 1)
-		})
+	op := s.op(th)
+	if op.scanDone != nil {
+		panic(fmt.Sprintf("kvs: thread %d started a Scan with one in flight", th.ID))
 	}
-	step(key)
+	op.scanN, op.scanned, op.scanDone = n, 0, done
+	op.scanStep(key)
+}
+
+// scanStep reads the scan's record at k, or completes the scan.
+//
+//hwdp:hotpath
+func (op *storeOp) scanStep(k uint64) {
+	if op.scanned >= op.scanN || k >= op.s.keys {
+		op.scanEnd(nil)
+		return
+	}
+	op.scanKey = k
+	op.s.Get(op.th, k, op.scanGotFn)
+}
+
+// scanGot counts one scanned record and steps on (the Get callback).
+//
+//hwdp:hotpath
+func (op *storeOp) scanGot(_ uint64, _ mem.Content, err error) {
+	if err != nil {
+		op.scanEnd(err)
+		return
+	}
+	op.scanned++
+	op.scanStep(op.scanKey + 1)
+}
+
+// scanEnd completes the scan.
+func (op *storeOp) scanEnd(err error) {
+	done, scanned := op.scanDone, op.scanned
+	op.scanDone = nil
+	done(scanned, err)
 }

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -51,7 +52,7 @@ func bucketIndex(v int64) int32 {
 	if v < 1<<subBucketBits {
 		return int32(v)
 	}
-	msb := 63 - leadingZeros(uint64(v))
+	msb := 63 - bits.LeadingZeros64(uint64(v))
 	shift := msb - subBucketBits
 	sub := (v >> uint(shift)) & ((1 << subBucketBits) - 1)
 	return int32((int64(shift)+1)<<subBucketBits | sub)
@@ -64,18 +65,6 @@ func bucketLow(idx int32) int64 {
 	shift := int64(idx>>subBucketBits) - 1
 	sub := int64(idx & ((1 << subBucketBits) - 1))
 	return (1<<subBucketBits | sub) << uint(shift)
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one sample.

@@ -61,6 +61,41 @@ func TestBucketMonotonicProperty(t *testing.T) {
 	}
 }
 
+// TestBucketIndexMatchesBitLoop pins bucketIndex against the bit-by-bit
+// leading-zero count it replaced, at zero, at every power of two and one
+// either side of it, and at MaxInt64.
+func TestBucketIndexMatchesBitLoop(t *testing.T) {
+	slowLeadingZeros := func(x uint64) int {
+		if x == 0 {
+			return 64
+		}
+		n := 0
+		for x&(1<<63) == 0 {
+			x <<= 1
+			n++
+		}
+		return n
+	}
+	want := func(v int64) int32 {
+		if v < 1<<subBucketBits {
+			return int32(v)
+		}
+		shift := 63 - slowLeadingZeros(uint64(v)) - subBucketBits
+		sub := (v >> uint(shift)) & ((1 << subBucketBits) - 1)
+		return int32((int64(shift)+1)<<subBucketBits | sub)
+	}
+	vs := []int64{0, math.MaxInt64}
+	for k := 0; k < 63; k++ {
+		p := int64(1) << k
+		vs = append(vs, p-1, p, p+1)
+	}
+	for _, v := range vs {
+		if got, w := bucketIndex(v), want(v); got != w {
+			t.Fatalf("bucketIndex(%d) = %d, want %d", v, got, w)
+		}
+	}
+}
+
 func TestBucketLowInverseProperty(t *testing.T) {
 	// bucketLow(bucketIndex(v)) <= v, and relative error < 1/32.
 	f := func(a uint32) bool {

@@ -407,10 +407,13 @@ func missDone(arg any, res smu.Result, _ pagetable.Entry) {
 	switch res {
 	case smu.ResultOK:
 		if c.write {
-			// A freshly installed PTE is always clean.
-			c.pte.Set(c.pte.Get().WithFlags(pagetable.FlagDirty))
-			if m.OnDirty != nil {
-				m.OnDirty()
+			// A write miss coalesced on the same PTE may have dirtied it
+			// already: count only the clean→dirty transition.
+			if e := c.pte.Get(); !e.Dirty() {
+				c.pte.Set(e.WithFlags(pagetable.FlagDirty))
+				if m.OnDirty != nil {
+					m.OnDirty()
+				}
 			}
 		}
 		m.tlb.Insert(c.as.ASID, c.va.PageNumber(), c.pte)

@@ -30,6 +30,9 @@ type Zipfian struct {
 	theta           float64
 	alpha, zetan    float64
 	eta, zeta2theta float64
+	// second is 1 + 0.5^theta, the draw bound below which Next returns
+	// item 1.
+	second float64
 }
 
 // ZipfTheta is YCSB's default skew.
@@ -42,6 +45,7 @@ func NewZipfian(n uint64, theta float64) *Zipfian {
 	z.zeta2theta = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2theta/z.zetan)
+	z.second = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -76,7 +80,7 @@ func (z *Zipfian) Next(r *sim.Rand) uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -113,6 +117,8 @@ func NewLatest(initialMax uint64) *Latest {
 }
 
 // SetMax advances the insert frontier.
+//
+//hwdp:coldpath rebuilds the generator once per 1024 inserts (YCSB-D)
 func (l *Latest) SetMax(m uint64) {
 	if m > l.max {
 		// Recompute zetan incrementally would be the YCSB approach; at

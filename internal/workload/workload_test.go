@@ -11,7 +11,7 @@ import (
 	"hwdp/internal/sim"
 )
 
-func testSystem(t *testing.T, scheme kernel.Scheme) *core.System {
+func testSystem(t testing.TB, scheme kernel.Scheme) *core.System {
 	t.Helper()
 	cfg := core.DefaultConfig(scheme)
 	cfg.Cores = 4

@@ -48,6 +48,26 @@ type KV struct {
 	insertFrontier                 uint64
 	scanMax                        int
 	versions                       map[uint64]uint64
+	ops                            map[*kernel.Thread]*kvOp
+}
+
+// kvOp carries one thread's in-flight op through its phases. A thread
+// runs one op at a time, so each thread reuses one carrier whose phases
+// are bound once.
+type kvOp struct {
+	kv   *KV
+	th   *kernel.Thread
+	rng  *sim.Rand
+	kind KVOp
+	done func(error)
+
+	// The scan's start key and length, drawn before its extra user work.
+	scanStart uint64
+	scanN     int
+
+	execFn, op2Fn, scanFn func()
+	gotFn                 func(version uint64, rec mem.Content, err error)
+	scannedFn             func(scanned int, err error)
 }
 
 func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, scan float64) *KV {
@@ -57,6 +77,7 @@ func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, s
 		scanP:    read + update + insert + scan,
 		scanMax:  16,
 		versions: make(map[uint64]uint64),
+		ops:      make(map[*kernel.Thread]*kvOp),
 	}
 }
 
@@ -143,45 +164,88 @@ const KVSyscallPerOp = 800 * sim.Nanosecond
 // Op implements Workload: client-side compute plus baseline syscall work,
 // then the storage operation through the mmap path, with read validation
 // (stale versions are fine — concurrent updaters — but corruption is not).
+//
+//hwdp:hotpath
 func (kv *KV) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 	kind := kv.pickKind(rng)
-	kv.Sys.CPU.UserExec(th.HW, kv.OpInstr, func() {
-		kv.Sys.CPU.KernelExec(th.HW, KVSyscallPerOp, func() { kv.op2(th, rng, kind, done) })
-	})
+	op := kv.ops[th]
+	if op == nil {
+		op = kv.newOp(th)
+	}
+	op.rng, op.kind, op.done = rng, kind, done
+	kv.Sys.CPU.UserExec(th.HW, kv.OpInstr, op.execFn)
 }
 
-func (kv *KV) op2(th *kernel.Thread, rng *sim.Rand, kind KVOp, done func(error)) {
-	{
-		switch kind {
-		case OpRead:
-			key := kv.nextKey(rng)
-			kv.Store.Get(th, key, func(_ uint64, _ mem.Content, err error) { done(err) })
-		case OpUpdate:
-			key := kv.nextKey(rng)
-			kv.versions[key]++
-			kv.Store.Put(th, key, kv.versions[key], done)
-		case OpInsert:
-			key := kv.insertFrontier
-			if key >= kv.Store.Keys() {
-				key = kv.nextKey(rng) // table full: degrade to update
-			} else {
-				kv.insertFrontier++
-				if kv.latest != nil && kv.insertFrontier%1024 == 0 {
-					kv.latest.SetMax(kv.insertFrontier)
-				}
+// newOp builds th's carrier and binds its phases.
+//
+//hwdp:coldpath runs once per thread, on its first op
+func (kv *KV) newOp(th *kernel.Thread) *kvOp {
+	op := &kvOp{kv: kv, th: th}
+	op.execFn, op.op2Fn, op.scanFn = op.exec, op.op2, op.scan
+	op.gotFn, op.scannedFn = op.got, op.scanned
+	kv.ops[th] = op
+	return op
+}
+
+// exec runs the op's baseline syscall work after its user work.
+//
+//hwdp:hotpath
+func (op *kvOp) exec() { op.kv.Sys.CPU.KernelExec(op.th.HW, KVSyscallPerOp, op.op2Fn) }
+
+// op2 issues the storage operation.
+//
+//hwdp:hotpath
+func (op *kvOp) op2() {
+	kv, th, rng := op.kv, op.th, op.rng
+	switch op.kind {
+	case OpRead:
+		key := kv.nextKey(rng)
+		kv.Store.Get(th, key, op.gotFn)
+	case OpUpdate:
+		key := kv.nextKey(rng)
+		kv.versions[key]++
+		kv.Store.Put(th, key, kv.versions[key], op.take())
+	case OpInsert:
+		key := kv.insertFrontier
+		if key >= kv.Store.Keys() {
+			key = kv.nextKey(rng) // table full: degrade to update
+		} else {
+			kv.insertFrontier++
+			if kv.latest != nil && kv.insertFrontier%1024 == 0 {
+				kv.latest.SetMax(kv.insertFrontier)
 			}
-			kv.versions[key]++
-			kv.Store.Put(th, key, kv.versions[key], done)
-		case OpScan:
-			start := kv.nextKey(rng)
-			n := 1 + rng.Intn(kv.scanMax)
-			extra := uint64(n) * YCSBScanPerRec
-			kv.Sys.CPU.UserExec(th.HW, extra, func() {
-				kv.Store.Scan(th, start, n, func(_ int, err error) { done(err) })
-			})
-		case OpRMW:
-			key := kv.nextKey(rng)
-			kv.Store.ReadModifyWrite(th, key, done)
 		}
+		kv.versions[key]++
+		kv.Store.Put(th, key, kv.versions[key], op.take())
+	case OpScan:
+		op.scanStart = kv.nextKey(rng)
+		op.scanN = 1 + rng.Intn(kv.scanMax)
+		kv.Sys.CPU.UserExec(th.HW, uint64(op.scanN)*YCSBScanPerRec, op.scanFn)
+	case OpRMW:
+		key := kv.nextKey(rng)
+		kv.Store.ReadModifyWrite(th, key, op.take())
 	}
+}
+
+// scan runs the scan after its per-record user work.
+//
+//hwdp:hotpath
+func (op *kvOp) scan() { op.kv.Store.Scan(op.th, op.scanStart, op.scanN, op.scannedFn) }
+
+// got completes a read (the Get callback).
+//
+//hwdp:hotpath
+func (op *kvOp) got(_ uint64, _ mem.Content, err error) { op.take()(err) }
+
+// scanned completes a scan (the Scan callback).
+//
+//hwdp:hotpath
+func (op *kvOp) scanned(_ int, err error) { op.take()(err) }
+
+// take hands over the op's completion, clearing the carrier's slot
+// first: the completion starts the thread's next op on this carrier.
+func (op *kvOp) take() func(error) {
+	done := op.done
+	op.done = nil
+	return done
 }
