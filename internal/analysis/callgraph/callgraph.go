@@ -45,7 +45,7 @@ import (
 
 // Version tags the serialized fact format; a registry silently drops
 // summaries written by a different format version.
-const Version = 2
+const Version = 3
 
 // Atom is one interprocedurally-relevant site inside a function: a
 // potential heap allocation (Analyzer "hotalloc") or a shared-state

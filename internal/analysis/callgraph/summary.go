@@ -350,10 +350,12 @@ func (w *funcWalker) visit(n ast.Node) bool {
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
 			w.pkgVarWrite(lhs)
+			w.mapStore(lhs)
 		}
 		w.boxedAssign(n)
 	case *ast.IncDecStmt:
 		w.pkgVarWrite(n.X)
+		w.mapStore(n.X)
 	case *ast.GoStmt:
 		w.sharedAtom("go", n.Pos(), "go statement starts a host-scheduled goroutine")
 	case *ast.SendStmt:
@@ -393,6 +395,18 @@ func (w *funcWalker) visit(n ast.Node) bool {
 		}
 	}
 	return true
+}
+
+// mapStore records a store into a map element (m[k] = v, m[k]++, m[k] op=
+// v): inserting a key can grow the map, which allocates.
+func (w *funcWalker) mapStore(lhs ast.Expr) {
+	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if _, ok := types.Unalias(underlying(w.s.u.Info, ix.X)).(*types.Map); ok {
+		w.allocAtom("mapstore", ix.Pos(), "store into map %s may grow it", typeLabel(w.s.u.Info, ix.X))
+	}
 }
 
 // underlying returns the underlying type of an expression, or nil.

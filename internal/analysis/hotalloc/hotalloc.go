@@ -7,9 +7,9 @@
 // it walks all transitively reachable callees through the callgraph facts
 // and diagnoses anything that can touch the heap — escaping composite
 // literals, closure-environment captures, interface-conversion boxing,
-// append growth, map/slice/chan makes, string building, and allocating
-// standard-library calls — reporting the callee chain that reaches the
-// site.
+// append growth, map/slice/chan makes, map element stores (inserting a
+// key can grow the map), string building, and allocating standard-library
+// calls — reporting the callee chain that reaches the site.
 //
 // Descent stops at functions annotated
 //
@@ -46,8 +46,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "prove //hwdp:hotpath functions reach no heap allocation " +
-		"(composite escapes, closures, boxing, append growth, allocating " +
-		"stdlib calls), reporting the reaching call chain, and flag " +
+		"(composite escapes, closures, boxing, append growth, map stores, " +
+		"allocating stdlib calls), reporting the reaching call chain, and flag " +
 		"capturing closures passed to sim.Engine.Post in hot-path packages",
 	Run: run,
 }

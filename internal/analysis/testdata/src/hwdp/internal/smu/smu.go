@@ -13,6 +13,7 @@ type SMU struct {
 	name    string
 	scratch []int
 	free    []*entry
+	byVA    map[uint64]int
 }
 
 type entry struct{ va uint64 }
@@ -112,6 +113,26 @@ func (s *SMU) guardrail(va uint64) {
 func (s *SMU) waived(va uint64) {
 	//hwdp:ignore hotalloc fixture: amortized growth, backing array recycled by the drain path
 	s.scratch = append(s.scratch, int(va))
+}
+
+// index stores into a map on the hot path: inserting a key can grow the
+// map, whatever the store's operator.
+//
+//hwdp:hotpath
+func (s *SMU) index(va uint64) {
+	s.byVA[va] = 1    // want `hot path smu\.\(SMU\)\.index: store into map map\[uint64\]int may grow it`
+	s.byVA[va+1]++    // want `hot path smu\.\(SMU\)\.index: store into map map\[uint64\]int may grow it`
+	s.byVA[va+2] += 2 // want `hot path smu\.\(SMU\)\.index: store into map map\[uint64\]int may grow it`
+	_ = s.byVA[va]    // a read never allocates
+	delete(s.byVA, va)
+}
+
+// indexWaived carries an atom-site waiver for its map store.
+//
+//hwdp:hotpath
+func (s *SMU) indexWaived(va uint64) {
+	//hwdp:ignore hotalloc fixture: the key is always present, so the store never grows the map
+	s.byVA[va] = 2
 }
 
 // badCold is missing the mandatory reason.

@@ -205,7 +205,7 @@ type tenantWork struct {
 	writeFrac    float64
 	measureAfter sim.Time
 	lat          *metrics.Histogram
-	ops          map[*kernel.Thread]*workOp
+	ops          kernel.ThreadTable[*workOp]
 }
 
 // workOp carries one tenant thread's in-flight op through its phases. A
@@ -228,8 +228,8 @@ type workOp struct {
 //hwdp:hotpath
 func (w *tenantWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)) {
 	page := w.gen.Next(rng)
-	op := w.ops[th]
-	if op == nil {
+	op, ok := w.ops.Get(th)
+	if !ok {
 		op = w.newOp(th)
 	}
 	op.write = rng.Float64() < w.writeFrac
@@ -244,7 +244,7 @@ func (w *tenantWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)) 
 func (w *tenantWork) newOp(th *kernel.Thread) *workOp {
 	op := &workOp{w: w, th: th}
 	op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
-	w.ops[th] = op
+	w.ops.Set(th, op)
 	return op
 }
 
@@ -385,7 +385,6 @@ func newExperiment(c Config, faults []fault.Rule) (*experiment, error) {
 			writeFrac:    c.WriteFrac,
 			measureAfter: sys.Eng.Now() + c.Warmup,
 			lat:          lat[t],
-			ops:          make(map[*kernel.Thread]*workOp),
 		}
 		for i := 0; i < counts[t]; i++ {
 			th := sys.K.NewThread(proc, 2*hw)

@@ -7,8 +7,11 @@
 //
 // File contents are deterministic: each file carries an initializer that
 // generates any page's bytes on demand, and explicit writes override pages.
-// This lets the simulation address terabyte-scale layouts while only paying
-// host memory for blocks actually written.
+// The file system keeps one 40-byte entry per allocated block (its owner
+// file and page, and its current descriptor) in a table indexed by LBA,
+// and page bytes only for blocks written from materialized frames, so a
+// terabyte-scale layout costs host memory per allocated block, not per
+// byte.
 //
 // A block's contents are a mem.Content descriptor: the file's initializer
 // plus the page index, or the descriptor last written to the block, or
@@ -22,6 +25,8 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"hwdp/internal/mem"
 	"hwdp/internal/pagetable"
@@ -81,9 +86,16 @@ var ErrNoSpace = errors.New("fs: out of space")
 // ErrBadPage is returned for out-of-range page indices.
 var ErrBadPage = errors.New("fs: page out of range")
 
-type blockRef struct {
+// block is one entry of the LBA-indexed block table: the file page that
+// owns the block (file nil: none) and the block's current contents.
+type block struct {
+	c    mem.Content
 	file *File
-	page int
+	page int32
+	// written marks c as written to the block rather than generated from
+	// the owner's initializer; a written descriptor survives a later
+	// Create or Remap that claims the block.
+	written bool
 }
 
 // RemapFunc observes block-mapping changes of marked files so the kernel
@@ -105,10 +117,9 @@ type FS struct {
 	// Log cleaning is not modeled; the device is sized for the run.
 	RemapOnWrite bool
 
-	files     map[string]*File
-	byLBA     map[uint64]blockRef
-	overrides map[uint64]mem.Content
-	onRemap   RemapFunc
+	files   map[string]*File
+	tab     []block // by LBA; LBAs past its end read as zeros
+	onRemap RemapFunc
 
 	writes uint64
 	remaps uint64
@@ -119,9 +130,7 @@ type FS struct {
 func New(sid, devID uint8, nsid uint32, blocks uint64) *FS {
 	return &FS{
 		sid: sid, devID: devID, nsid: nsid, blocks: blocks,
-		files:     make(map[string]*File),
-		byLBA:     make(map[uint64]blockRef),
-		overrides: make(map[uint64]mem.Content),
+		files: make(map[string]*File),
 	}
 }
 
@@ -143,20 +152,48 @@ func (s *FS) allocBlock() (uint64, error) {
 	return lba, nil
 }
 
+// entry returns the table entry of lba, growing the table to cover it.
+//
+//hwdp:coldpath Create sizes the table for its blocks in one step; only Remap, a log-structured write and a write past every allocated block get here, each growing the table by amortized doubling
+func (s *FS) entry(lba uint64) *block {
+	if lba >= uint64(len(s.tab)) {
+		s.tab = slices.Grow(s.tab, int(lba)+1-len(s.tab))[:lba+1]
+	}
+	return &s.tab[lba]
+}
+
+// claim makes the freshly allocated block lba hold page of f. A descriptor
+// written to the block before any file owned it stays; otherwise the block
+// generates the page.
+func (s *FS) claim(lba uint64, f *File, page int) {
+	b := &s.tab[lba]
+	b.file, b.page = f, int32(page)
+	if !b.written {
+		b.c = mem.Generated(f.gen, page)
+	}
+}
+
 // Create allocates a file of the given page count. init may be nil (zero
 // content).
 func (s *FS) Create(name string, pages int, init Initializer) (*File, error) {
 	if _, dup := s.files[name]; dup {
 		return nil, fmt.Errorf("fs: file %q exists", name)
 	}
+	if pages < 0 || pages > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d pages", ErrBadPage, pages)
+	}
+	if uint64(pages) > s.FreeBlocks() {
+		return nil, ErrNoSpace
+	}
 	f := &File{Name: name, pages: make([]uint64, pages), gen: mem.NewGenerator(init)}
-	for i := 0; i < pages; i++ {
-		lba, err := s.allocBlock()
-		if err != nil {
-			return nil, err
-		}
+	if end := s.nextLBA + uint64(pages); end > uint64(len(s.tab)) {
+		s.tab = slices.Grow(s.tab, int(end)-len(s.tab))[:end]
+	}
+	for i := range f.pages {
+		lba := s.nextLBA
+		s.nextLBA++
 		f.pages[i] = lba
-		s.byLBA[lba] = blockRef{f, i}
+		s.claim(lba, f, i)
 	}
 	s.files[name] = f
 	return f, nil
@@ -192,16 +229,16 @@ func (s *FS) Remap(f *File, page int) (pagetable.BlockAddr, error) {
 	if err != nil {
 		return pagetable.BlockAddr{}, err
 	}
-	old := f.pages[page]
+	nb := s.entry(newLBA)
+	ob := &s.tab[f.pages[page]]
 	// Preserve current content across the move. A block never written
 	// needs nothing: the new block generates the same page.
-	if c, ok := s.overrides[old]; ok {
-		s.overrides[newLBA] = c
-		delete(s.overrides, old)
+	if ob.written {
+		nb.c, nb.written = ob.c, true
 	}
-	delete(s.byLBA, old)
+	*ob = block{}
 	f.pages[page] = newLBA
-	s.byLBA[newLBA] = blockRef{f, page}
+	s.claim(newLBA, f, page)
 	s.remaps++
 	b := pagetable.BlockAddr{SID: s.sid, DeviceID: s.devID, LBA: newLBA}
 	if f.Marked && s.onRemap != nil {
@@ -219,13 +256,10 @@ func (s *FS) Remaps() uint64 { return s.remaps }
 //
 //hwdp:hotpath
 func (s *FS) BlockContent(lba uint64) mem.Content {
-	if c, ok := s.overrides[lba]; ok {
-		return c
+	if lba >= uint64(len(s.tab)) {
+		return mem.Content{}
 	}
-	if ref, ok := s.byLBA[lba]; ok {
-		return mem.Generated(ref.file.gen, ref.page)
-	}
-	return mem.Content{}
+	return s.tab[lba].c
 }
 
 // ReadBlock fills buf (len PageBytes) with the content of the block at lba.
@@ -251,27 +285,27 @@ func (s *FS) WriteContent(lba uint64, c mem.Content) error {
 		return fmt.Errorf("fs: write beyond device: lba %d", lba)
 	}
 	s.writes++
-	if s.RemapOnWrite {
-		if ref, ok := s.byLBA[lba]; ok {
-			newLBA, err := s.allocBlock()
-			if err != nil {
-				return err
-			}
-			delete(s.overrides, lba)
-			delete(s.byLBA, lba)
-			s.overrides[newLBA] = c
-			ref.file.pages[ref.page] = newLBA
-			s.byLBA[newLBA] = ref
-			s.remaps++
-			if ref.file.Marked && s.onRemap != nil {
-				s.onRemap(ref.file, ref.page,
-					pagetable.BlockAddr{SID: s.sid, DeviceID: s.devID, LBA: newLBA})
-			}
-			return nil
+	if s.RemapOnWrite && lba < uint64(len(s.tab)) && s.tab[lba].file != nil {
+		newLBA, err := s.allocBlock()
+		if err != nil {
+			return err
 		}
-		// Write to an unmapped block (trimmed): store in place.
+		nb := s.entry(newLBA)
+		ob := &s.tab[lba]
+		f, page := ob.file, int(ob.page)
+		*ob = block{}
+		*nb = block{c: c, file: f, page: int32(page), written: true}
+		f.pages[page] = newLBA
+		s.remaps++
+		if f.Marked && s.onRemap != nil {
+			s.onRemap(f, page, pagetable.BlockAddr{SID: s.sid, DeviceID: s.devID, LBA: newLBA})
+		}
+		return nil
 	}
-	s.overrides[lba] = c
+	// In place; in RemapOnWrite mode only a write to an unowned (trimmed)
+	// block gets here.
+	b := s.entry(lba)
+	b.c, b.written = c, true
 	return nil
 }
 

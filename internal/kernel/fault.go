@@ -26,7 +26,7 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 	// The pipeline is no longer stalled: the CPU vectors into the kernel.
 	th.endStall(k)
 
-	p := k.byASID[as.ASID]
+	p := k.procs[as.ASID-1]
 	vma := p.findVMA(va)
 	if vma == nil {
 		// Segfault: the MMU will report BadAddr on the retried walk.
@@ -130,7 +130,7 @@ func (f *osFault) entry() {
 		k.kspan(f.ms, "minor-fault", f.hw, c.MinorFault, f.minorFn)
 		return
 	}
-	if f.vma.Anon && !f.vma.swapped[f.idx] {
+	if f.vma.Anon && !f.vma.isSwapped(f.idx) {
 		th, as, va, vma, idx, hwFailed, ms, done := f.th, f.as, f.va, f.vma, f.idx, f.hwFailed, f.ms, f.done
 		f.put()
 		k.anonFault(th, as, va, vma, idx, hwFailed, ms, done)
@@ -146,6 +146,7 @@ func (f *osFault) entry() {
 		k.parkOnPageLock(key, waiters, ms, hw, as, va, vma, idx, done)
 		return
 	}
+	//hwdp:ignore hotalloc faultInflight is keyed by file page across all files, and a pending fault owns no dense slot; the map stays sized to the peak of concurrent major faults after warm-up
 	k.faultInflight[f.key] = nil
 	k.stats.MajorFaults++
 	f.ms.SetCause(trace.CauseOSMajor)

@@ -184,9 +184,10 @@ type storKey struct{ sid, dev uint8 }
 
 type osQueue struct {
 	qp      *nvme.QueuePair
+	port    *ssd.Port
 	st      *storage
 	nextCID uint16
-	pending map[uint16]*osPending
+	pending nvme.CIDTable[*osPending]
 	// waitlist holds commands that found the submission queue full (I/O
 	// storm): instead of overflowing, they park here and the completion
 	// interrupt resubmits them as slots free up.
@@ -202,7 +203,7 @@ type sqWait struct {
 // osPending is one block-layer request: the command's arguments, the retry
 // state, the completion callback and the timeout armed for the current
 // attempt. It is pooled and lives from submitIORetry until the final
-// status is delivered; each attempt files it in its queue's pending map
+// status is delivered; each attempt files it in its queue's pending table
 // under that attempt's CID.
 type osPending struct {
 	st      *storage
@@ -223,8 +224,9 @@ type storage struct {
 	key  storKey
 	dev  *ssd.Device
 	fsys *fs.FS
-	// One OS-managed queue pair per hardware thread, NVMe-style.
-	qps    map[int]*osQueue
+	// One OS-managed queue pair per hardware thread, NVMe-style, by
+	// hardware thread ID; nil until the thread's first I/O.
+	qps    []*osQueue
 	nextQP uint16
 }
 
@@ -250,11 +252,22 @@ type VMA struct {
 	Prot  pagetable.Prot
 	proc  *Process
 	dead  bool
-	// swapped records anonymous pages whose current content lives in the
-	// swap backing (they were written and later evicted); other anonymous
-	// pages refault as zero-fills without I/O.
-	swapped map[int]bool
+	// swapped is a bitset by page index of the anonymous pages whose
+	// current content lives in the swap backing (they were written and
+	// later evicted); other anonymous pages refault as zero-fills without
+	// I/O.
+	swapped []uint64
 }
+
+// isSwapped reports whether anonymous page idx's content is in the swap
+// backing.
+func (v *VMA) isSwapped(idx int) bool {
+	return v.swapped[idx>>6]&(1<<(idx&63)) != 0
+}
+
+// setSwapped records that anonymous page idx's content is in the swap
+// backing.
+func (v *VMA) setSwapped(idx int) { v.swapped[idx>>6] |= 1 << (idx & 63) }
 
 // End returns the first address past the VMA.
 func (v *VMA) End() pagetable.VAddr {
@@ -372,15 +385,16 @@ type Kernel struct {
 	mmu *mmu.MMU
 	cfg Config
 
-	storages map[storKey]*storage
+	storages []*storage // in attach order; a machine has a few
 	smus     map[uint8]*smu.SMU
 	// smuList mirrors smus sorted by SID: refill sweeps must visit SMUs in
 	// a deterministic order (map iteration would allocate frames in random
 	// order and break bit-reproducibility).
 	smuList []*smu.SMU
 
+	// procs holds every process in creation order, so process ASID sits
+	// at procs[ASID-1] (ASIDs count up from 1).
 	procs    []*Process
-	byASID   map[uint32]*Process
 	nextASID uint32
 
 	// anonCount names anonymous backings uniquely. It is per-Kernel, not
@@ -472,9 +486,7 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 		mem:           m,
 		mmu:           mm,
 		cfg:           cfg,
-		storages:      make(map[storKey]*storage),
 		smus:          make(map[uint8]*smu.SMU),
-		byASID:        make(map[uint32]*Process),
 		pcIndex:       make(map[*fs.File][]int32),
 		swPMSHR:       make(map[pagetable.EntryAddr][]func()),
 		faultInflight: make(map[pcKey][]func()),
@@ -561,11 +573,11 @@ func (k *Kernel) Memory() *mem.Memory { return k.mem }
 // marked files stay correct.
 func (k *Kernel) AttachStorage(sid, devID uint8, dev *ssd.Device, fsys *fs.FS) {
 	key := storKey{sid, devID}
-	if _, dup := k.storages[key]; dup {
+	if k.storage(sid, devID) != nil {
 		panic(fmt.Sprintf("kernel: storage %v attached twice", key))
 	}
-	st := &storage{key: key, dev: dev, fsys: fsys, qps: make(map[int]*osQueue), nextQP: 1000}
-	k.storages[key] = st
+	st := &storage{key: key, dev: dev, fsys: fsys, qps: make([]*osQueue, len(k.cpu.Threads())), nextQP: 1000}
+	k.storages = append(k.storages, st)
 	fsys.OnRemap(func(f *fs.File, page int, nb pagetable.BlockAddr) {
 		k.patchRemappedPTEs(st, f, page, nb)
 	})
@@ -622,7 +634,6 @@ func (k *Kernel) NewProcess() *Process {
 		nextMap: 0x1000_0000_0000,
 	}
 	k.procs = append(k.procs, p)
-	k.byASID[p.AS.ASID] = p
 	return p
 }
 
@@ -711,7 +722,7 @@ func (k *Kernel) kspan(ms *trace.Miss, name string, hw *cpu.HWThread, d sim.Time
 // osQueueFor returns (lazily creating) the per-hardware-thread OS queue
 // pair on a storage device.
 func (k *Kernel) osQueueFor(st *storage, hw *cpu.HWThread) *osQueue {
-	if q, ok := st.qps[hw.ID]; ok {
+	if q := st.qps[hw.ID]; q != nil {
 		return q
 	}
 	return k.newOSQueue(st, hw)
@@ -723,11 +734,11 @@ func (k *Kernel) osQueueFor(st *storage, hw *cpu.HWThread) *osQueue {
 func (k *Kernel) newOSQueue(st *storage, hw *cpu.HWThread) *osQueue {
 	qp := nvme.NewQueuePair(st.nextQP, 256)
 	st.nextQP++
-	q := &osQueue{qp: qp, st: st, pending: make(map[uint16]*osPending)}
+	q := &osQueue{qp: qp, st: st}
 	st.qps[hw.ID] = q
 	// Completions cross back over the IRQ wire and the interrupt
 	// handler runs kernel-side.
-	st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
+	q.port = st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
 	return q
 }
 
@@ -742,9 +753,7 @@ func (k *Kernel) osInterrupt(q *osQueue, _ nvme.Completion) {
 			break
 		}
 		q.qp.ConsumeCQ()
-		p := q.pending[cp.CID]
-		delete(q.pending, cp.CID)
-		if p != nil {
+		if p, ok := q.pending.Take(cp.CID); ok {
 			p.timeout.Cancel()
 			p.timeout = nil
 			k.ioDone(p, cp.Status)
@@ -778,7 +787,7 @@ func (k *Kernel) ringOS(q *osQueue) {
 		if !ok {
 			return
 		}
-		q.st.dev.Deliver(q.qp.ID, cmd, k.cfg.DoorbellWire)
+		q.st.dev.Deliver(q.port, cmd, k.cfg.DoorbellWire)
 	}
 }
 
@@ -823,7 +832,9 @@ func (k *Kernel) submitIO(p *osPending) {
 	cid := q.nextCID
 	q.nextCID++
 	p.q, p.cid = q, cid
-	q.pending[cid] = p
+	if !q.pending.Put(cid, p) {
+		k.replacePending(q, cid, p)
+	}
 	if k.cfg.BlockTimeout > 0 {
 		// Pooled handle: osInterrupt drops it right after Cancel, and
 		// ioTimeout drops it as its first action.
@@ -851,6 +862,17 @@ func (k *Kernel) submitIO(p *osPending) {
 	k.ringOS(q)
 }
 
+// replacePending files p under a CID that is still live: the command
+// behind the old entry got no completion over a full lap of the CID
+// counter (a dropped command with no block-layer timeout), so its entry is
+// abandoned and a late completion for the CID goes to p.
+//
+//hwdp:coldpath only a command lost with no timeout armed keeps its CID live for 65,536 later commands
+func (k *Kernel) replacePending(q *osQueue, cid uint16, p *osPending) {
+	q.pending.Take(cid)
+	q.pending.Put(cid, p)
+}
+
 // ioTimeout is the block-layer watchdog (the pre-bound AtArgPooled
 // callback): the attempt got no completion in time, so the command is
 // aborted and the attempt fails with StatusHostTimeout.
@@ -858,7 +880,7 @@ func (k *Kernel) ioTimeout(a any) {
 	p := a.(*osPending)
 	p.timeout = nil
 	q, cid := p.q, p.cid
-	delete(q.pending, cid)
+	q.pending.Take(cid)
 	k.dropParked(q, cid)
 	p.st.dev.Abort(q.qp.ID, cid)
 	k.stats.BlockTimeouts++
@@ -907,9 +929,21 @@ func (k *Kernel) putPending(p *osPending) {
 	k.pendingPool = append(k.pendingPool, p)
 }
 
+// storage returns the storage attached at <sid, devID>, or nil.
+//
+//hwdp:hotpath
+func (k *Kernel) storage(sid, devID uint8) *storage {
+	for _, st := range k.storages {
+		if st.key == (storKey{sid, devID}) {
+			return st
+		}
+	}
+	return nil
+}
+
 func (k *Kernel) storageFor(b pagetable.BlockAddr) *storage {
-	st, ok := k.storages[storKey{b.SID, b.DeviceID}]
-	if !ok {
+	st := k.storage(b.SID, b.DeviceID)
+	if st == nil {
 		panic(fmt.Sprintf("kernel: no storage for %v", b))
 	}
 	return st

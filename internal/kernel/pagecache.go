@@ -303,10 +303,10 @@ func (k *Kernel) evictPage(s *reclaimScan, pg *Page) {
 		}
 		if m.vma != nil && m.vma.Anon && e.Dirty() {
 			// The page's content will live in swap from now on.
-			m.vma.swapped[pg.idx] = true
+			m.vma.setSwapped(pg.idx)
 		}
 		if m.vma != nil && m.vma.Fast && k.cfg.Scheme != OSDP {
-			if m.vma.Anon && !m.vma.swapped[pg.idx] {
+			if m.vma.Anon && !m.vma.isSwapped(pg.idx) {
 				// Still zero content: refault as a no-I/O zero fill.
 				blk.LBA = pagetable.AnonFirstTouch
 			}

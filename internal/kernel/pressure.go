@@ -189,7 +189,7 @@ func (k *Kernel) flushPage(pg *Page) {
 		}
 		m.pte.Set(e.ClearFlags(pagetable.FlagDirty))
 		if m.vma != nil && m.vma.Anon {
-			m.vma.swapped[pg.idx] = true
+			m.vma.setSwapped(pg.idx)
 		}
 	}
 	k.stats.FlusherPages++

@@ -32,8 +32,8 @@ var ErrNoMemory = errors.New("kernel: not enough memory to populate mapping")
 // space/latency overhead discussion.
 func (k *Kernel) Mmap(p *Process, sid, devID uint8, f *fs.File,
 	prot pagetable.Prot, flags MmapFlags) (pagetable.VAddr, error) {
-	st, ok := k.storages[storKey{sid, devID}]
-	if !ok {
+	st := k.storage(sid, devID)
+	if st == nil {
 		return 0, fmt.Errorf("kernel: no storage at sid%d/dev%d", sid, devID)
 	}
 	pages := f.Pages()
@@ -109,8 +109,8 @@ func (k *Kernel) populate(p *Process, vma *VMA) error {
 // their PTEs get real swap LBAs, accelerating swap-in (Section V).
 func (k *Kernel) MmapAnon(p *Process, sid, devID uint8, pages int,
 	prot pagetable.Prot, fast bool) (pagetable.VAddr, error) {
-	st, ok := k.storages[storKey{sid, devID}]
-	if !ok {
+	st := k.storage(sid, devID)
+	if st == nil {
 		return 0, fmt.Errorf("kernel: no storage at sid%d/dev%d", sid, devID)
 	}
 	k.anonCount++
@@ -123,7 +123,7 @@ func (k *Kernel) MmapAnon(p *Process, sid, devID uint8, pages int,
 	p.nextMap += span
 	vma := &VMA{Start: base, Pages: pages, File: backing, st: st,
 		Fast: fast && k.cfg.Scheme != OSDP, Anon: true, Prot: prot, proc: p,
-		swapped: make(map[int]bool)}
+		swapped: make([]uint64, (pages+63)/64)}
 	p.vmas = append(p.vmas, vma)
 	k.stats.MmapPages += uint64(pages)
 	if vma.Fast {
@@ -295,7 +295,7 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 			}
 			pte.Set(e.ClearFlags(pagetable.FlagDirty))
 			if vma.Anon {
-				vma.swapped[pg.idx] = true
+				vma.setSwapped(pg.idx)
 			}
 			cost += c.WritebackSubmit
 			outstanding++
@@ -313,8 +313,8 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 //
 //hwdp:hotpath
 func (k *Kernel) WriteRaw(th *Thread, sid, devID uint8, f *fs.File, page int, done func()) {
-	st, ok := k.storages[storKey{sid, devID}]
-	if !ok {
+	st := k.storage(sid, devID)
+	if st == nil {
 		panic(fmt.Sprintf("kernel: WriteRaw to unknown storage sid%d/dev%d", sid, devID))
 	}
 	blk, err := st.fsys.Block(f, page)

@@ -141,7 +141,7 @@ type Store struct {
 	walHead int
 	walLen  int
 
-	ops map[*kernel.Thread]*storeOp
+	ops kernel.ThreadTable[*storeOp]
 }
 
 // storeOp carries one thread's in-flight store operations through their
@@ -194,8 +194,7 @@ func Create(k *kernel.Kernel, fsys *fs.FS, p *kernel.Process, name string,
 		return nil, err
 	}
 	return &Store{k: k, file: f, gen: f.Generator(), base: base, keys: keys,
-		wal: wal, walSID: sid, walDev: devID, walLen: walLen,
-		ops: make(map[*kernel.Thread]*storeOp)}, nil
+		wal: wal, walSID: sid, walDev: devID, walLen: walLen}, nil
 }
 
 // Keys returns the number of records.
@@ -236,7 +235,7 @@ func validateBytes(c mem.Content, key uint64) (version uint64, err error) {
 //
 //hwdp:hotpath
 func (s *Store) op(th *kernel.Thread) *storeOp {
-	if op := s.ops[th]; op != nil {
+	if op, ok := s.ops.Get(th); ok {
 		return op
 	}
 	return s.newOp(th)
@@ -249,7 +248,7 @@ func (s *Store) newOp(th *kernel.Thread) *storeOp {
 	op := &storeOp{s: s, th: th}
 	op.loadedFn, op.walDoneFn, op.storedFn = op.loaded, op.walDone, op.stored
 	op.rmwGotFn, op.scanGotFn = op.rmwGot, op.scanGot
-	s.ops[th] = op
+	s.ops.Set(th, op)
 	return op
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -30,19 +29,31 @@ func (c *Counter) Reset() { c.n = 0 }
 
 const subBucketBits = 5 // 32 linear sub-buckets per power of two
 
+// rowCount is the number of bucket rows: row 0 holds the values 0..31,
+// and row r >= 1 the 32 sub-buckets of magnitude [2^(r+4), 2^(r+5)), up to
+// MaxInt64 in row 58.
+const rowCount = 64 - subBucketBits
+
+// row is the 32 linear sub-bucket counters of one power of two.
+type row [1 << subBucketBits]uint64
+
 // Histogram records non-negative int64 samples (latencies in picoseconds)
-// with ~3% relative bucket error.
+// with ~3% relative bucket error. Bucket idx's count lives in row
+// idx>>subBucketBits, which is allocated when its first sample arrives;
+// rowAt maps a row number to its place in rows, so an empty histogram is
+// small and a latency histogram holds the few rows its samples span.
 type Histogram struct {
-	buckets map[int32]uint64
-	count   uint64
-	sum     int64
-	min     int64
-	max     int64
+	rowAt [rowCount]uint8 // row r is rows[rowAt[r]-1]; 0: r has no samples
+	rows  []*row
+	count uint64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{buckets: make(map[int32]uint64), min: math.MaxInt64}
+	return &Histogram{min: math.MaxInt64}
 }
 
 func bucketIndex(v int64) int32 {
@@ -67,12 +78,29 @@ func bucketLow(idx int32) int64 {
 	return (1<<subBucketBits | sub) << uint(shift)
 }
 
+// row returns row r, allocating it on its first sample.
+func (h *Histogram) row(r int32) *row {
+	if h.rowAt[r] == 0 {
+		h.newRow(r)
+	}
+	return h.rows[h.rowAt[r]-1]
+}
+
+// newRow allocates row r.
+//
+//hwdp:coldpath runs at most once per power-of-two magnitude (59 rows) over a histogram's life
+func (h *Histogram) newRow(r int32) {
+	h.rows = append(h.rows, new(row))
+	h.rowAt[r] = uint8(len(h.rows))
+}
+
 // Record adds one sample.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)]++
+	idx := bucketIndex(v)
+	h.row(idx >> subBucketBits)[idx&(1<<subBucketBits-1)]++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -133,16 +161,20 @@ func (h *Histogram) Percentile(p float64) int64 {
 		return h.max
 	}
 	target := uint64(math.Ceil(float64(h.count) * p / 100))
-	idxs := make([]int32, 0, len(h.buckets))
-	for idx := range h.buckets {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	var cum uint64
-	for _, idx := range idxs {
-		n := h.buckets[idx]
-		cum += n
-		if cum >= target {
+	for r, at := range h.rowAt {
+		if at == 0 {
+			continue
+		}
+		for sub, n := range h.rows[at-1] {
+			if n == 0 {
+				continue
+			}
+			cum += n
+			if cum < target {
+				continue
+			}
+			idx := int32(r)<<subBucketBits | int32(sub)
 			lo := bucketLow(idx)
 			hi := bucketEnd(idx)
 			// The target rank is sample (target - cumBefore) of the n in
@@ -168,9 +200,11 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return h.max
 }
 
-// Reset clears all samples.
+// Reset clears all samples, keeping the rows allocated.
 func (h *Histogram) Reset() {
-	h.buckets = make(map[int32]uint64)
+	for _, rw := range h.rows {
+		*rw = row{}
+	}
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxInt64
@@ -179,8 +213,14 @@ func (h *Histogram) Reset() {
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	for idx, n := range other.buckets {
-		h.buckets[idx] += n
+	for r, at := range other.rowAt {
+		if at == 0 {
+			continue
+		}
+		dst := h.row(int32(r))
+		for sub, n := range other.rows[at-1] {
+			dst[sub] += n
+		}
 	}
 	h.count += other.count
 	h.sum += other.sum

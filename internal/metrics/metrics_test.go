@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -323,5 +324,241 @@ func TestHistogramPercentileWithinBucket(t *testing.T) {
 		if v < h.Min() || v > h.Max() {
 			t.Fatalf("p%g = %d escapes [%d, %d]", p, v, h.Min(), h.Max())
 		}
+	}
+}
+
+// mapHistogram is the map-backed histogram the row table replaced, kept
+// verbatim as the oracle for TestHistogramMatchesMapOracle.
+type mapHistogram struct {
+	buckets map[int32]uint64
+	count   uint64
+	sum     int64
+	min     int64
+	max     int64
+}
+
+func newMapHistogram() *mapHistogram {
+	return &mapHistogram{buckets: make(map[int32]uint64), min: math.MaxInt64}
+}
+
+func (h *mapHistogram) Record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.buckets[bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+}
+
+func (h *mapHistogram) Mean() float64 {
+	if h.count == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.count)
+}
+
+func (h *mapHistogram) Min() int64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.min
+}
+
+func (h *mapHistogram) Max() int64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.max
+}
+
+func (h *mapHistogram) Percentile(p float64) int64 {
+	if h.count == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return h.min
+	}
+	if p >= 100 {
+		return h.max
+	}
+	target := uint64(math.Ceil(float64(h.count) * p / 100))
+	idxs := make([]int32, 0, len(h.buckets))
+	for idx := range h.buckets {
+		idxs = append(idxs, idx)
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	var cum uint64
+	for _, idx := range idxs {
+		n := h.buckets[idx]
+		cum += n
+		if cum >= target {
+			lo := bucketLow(idx)
+			hi := bucketEnd(idx)
+			rank := float64(target-(cum-n)) - 0.5
+			v := lo + int64(rank/float64(n)*float64(hi-lo))
+			if v >= hi {
+				v = hi - 1
+			}
+			if v < lo {
+				v = lo
+			}
+			if v < h.min {
+				v = h.min
+			}
+			if v > h.max {
+				v = h.max
+			}
+			return v
+		}
+	}
+	return h.max
+}
+
+func (h *mapHistogram) Reset() {
+	h.buckets = make(map[int32]uint64)
+	h.count = 0
+	h.sum = 0
+	h.min = math.MaxInt64
+	h.max = 0
+}
+
+func (h *mapHistogram) Merge(other *mapHistogram) {
+	for idx, n := range other.buckets {
+		h.buckets[idx] += n
+	}
+	h.count += other.count
+	h.sum += other.sum
+	if other.count > 0 {
+		if other.min < h.min {
+			h.min = other.min
+		}
+		if other.max > h.max {
+			h.max = other.max
+		}
+	}
+}
+
+// histPair records every sample into a Histogram and its map oracle.
+type histPair struct {
+	h *Histogram
+	o *mapHistogram
+}
+
+func newHistPair() histPair { return histPair{NewHistogram(), newMapHistogram()} }
+
+func (p histPair) record(v int64) {
+	p.h.Record(v)
+	p.o.Record(v)
+}
+
+func (p histPair) merge(q histPair) {
+	p.h.Merge(q.h)
+	p.o.Merge(q.o)
+}
+
+func (p histPair) reset() {
+	p.h.Reset()
+	p.o.Reset()
+}
+
+// check compares every query of the pair.
+func (p histPair) check(t *testing.T, what string) {
+	t.Helper()
+	h, o := p.h, p.o
+	if h.Count() != o.count || h.Sum() != o.sum || h.Min() != o.Min() || h.Max() != o.Max() {
+		t.Fatalf("%s: count/sum/min/max %d/%d/%d/%d, oracle %d/%d/%d/%d", what,
+			h.Count(), h.Sum(), h.Min(), h.Max(), o.count, o.sum, o.Min(), o.Max())
+	}
+	if h.Mean() != o.Mean() {
+		t.Fatalf("%s: mean %v, oracle %v", what, h.Mean(), o.Mean())
+	}
+	for _, q := range []float64{0, 0.1, 1, 50, 99, 99.9, 100} {
+		if got, want := h.Percentile(q), o.Percentile(q); got != want {
+			t.Fatalf("%s: p%v = %d, oracle %d", what, q, got, want)
+		}
+	}
+}
+
+// oracleSample draws a sample that is often an edge: 0, a negative, 2^k
+// and its neighbours, MaxInt64, or a latency-like value.
+func oracleSample(rng *rand.Rand, maxShift int) int64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return -rng.Int63n(1 << 40)
+	case 2:
+		return math.MaxInt64
+	case 3, 4:
+		k := uint(rng.Intn(63))
+		return int64(1)<<k + int64(rng.Intn(3)) - 1
+	default:
+		return rng.Int63n(int64(1) << uint(1+rng.Intn(maxShift)))
+	}
+}
+
+// TestHistogramMatchesMapOracle runs the row-table histogram against the
+// map-backed oracle over random samples, merges with disjoint and
+// overlapping magnitudes and into an empty histogram, and Reset.
+func TestHistogramMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := newHistPair()
+		a.check(t, "empty")
+		for i, n := 0, rng.Intn(2000); i < n; i++ {
+			a.record(oracleSample(rng, 62))
+		}
+		a.check(t, "recorded")
+
+		// Disjoint magnitudes: b holds only values below 2^10, c only
+		// values at 2^40 and above.
+		b, c := newHistPair(), newHistPair()
+		for i := 0; i < 500; i++ {
+			b.record(rng.Int63n(1 << 10))
+			c.record(int64(1)<<40 + rng.Int63n(1<<40))
+		}
+		b.merge(c)
+		b.check(t, "disjoint merge")
+
+		// Overlapping magnitudes.
+		a.merge(b)
+		a.check(t, "overlapping merge")
+
+		// Into an empty histogram, and an empty one into a full one.
+		e := newHistPair()
+		e.merge(a)
+		e.check(t, "merge into empty")
+		a.merge(newHistPair())
+		a.check(t, "merge of empty")
+
+		a.reset()
+		a.check(t, "reset")
+		for i := 0; i < 300; i++ {
+			a.record(oracleSample(rng, 30))
+		}
+		a.check(t, "recorded after reset")
+	}
+}
+
+// TestHistogramRecordAllocationFree pins that Record allocates nothing once
+// the rows its samples land in exist.
+func TestHistogramRecordAllocationFree(t *testing.T) {
+	h := NewHistogram()
+	vals := []int64{0, 31, 32, 1000, 11_500_000, 64_377_047, math.MaxInt64}
+	for _, v := range vals {
+		h.Record(v)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		h.Record(vals[i%len(vals)])
+		i++
+	}); a != 0 {
+		t.Fatalf("Record allocates %.1f per sample with its rows in place", a)
 	}
 }

@@ -165,6 +165,7 @@ type pmshrEntry struct {
 type devSlot struct {
 	qp   *nvme.QueuePair
 	dev  *ssd.Device
+	port *ssd.Port
 	nsid uint32
 }
 
@@ -507,7 +508,7 @@ func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qp *nvme.QueuePair, nsi
 	// The CQ write plus the completion unit's protocol-handling latency
 	// ride the wire as the attachment's irq, so the notify callback runs
 	// at the post-snoop handle time.
-	dev.Attach(qp, s.timing.CQHandle, func(cp nvme.Completion) {
+	slot.port = dev.Attach(qp, s.timing.CQHandle, func(cp nvme.Completion) {
 		s.cqHandle(slot)
 	})
 }
@@ -684,7 +685,7 @@ func (s *SMU) issue(e *pmshrEntry) {
 	if !ok {
 		panic("smu: submitted command missing from SQ")
 	}
-	e.dev.dev.Deliver(e.dev.qp.ID, wcmd, t.Doorbell)
+	e.dev.dev.Deliver(e.dev.port, wcmd, t.Doorbell)
 	s.eng.PostArg(t.Doorbell, s.doorbellFn, e)
 	if s.policy.CmdTimeout > 0 {
 		// Pooled handle: onTimeout nils e.timeout as its first action and

@@ -9,7 +9,7 @@ import (
 )
 
 func submitRead(dev *Device, cid uint16, lba uint64) {
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}, 0)
 }
 
 func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
@@ -59,7 +59,7 @@ func TestInjectedUECCOnWriteIsWriteFault(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusWriteFault {
 		t.Fatalf("completions: %+v", *done)
@@ -123,6 +123,46 @@ func TestAbortCancelsPendingCommand(t *testing.T) {
 	}
 }
 
+// TestAbortUnknownQueueOrCIDReturnsFalse pins Abort's misses: a queue
+// that was never attached, a CID that already finished and a CID live on
+// another queue all return false, and Inflight counts across queues.
+func TestAbortUnknownQueueOrCIDReturnsFalse(t *testing.T) {
+	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
+	var done2 []nvme.Completion
+	p2 := dev.Attach(nvme.NewQueuePair(2, 64), 0, func(cp nvme.Completion) { done2 = append(done2, cp) })
+	submitRead(dev, 1, 0)
+	eng.Run()
+	submitRead(dev, 7, 0)
+	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 7, NSID: 1, SLBA: 1}, 0)
+	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 8, NSID: 1, SLBA: 2}, 0)
+	eng.RunUntil(eng.Now()) // the zero-latency doorbell wire delivers now
+	if n := dev.Inflight(); n != 3 {
+		t.Fatalf("inflight = %d, want 3 across two queues", n)
+	}
+	if dev.Abort(9, 7) {
+		t.Fatal("abort on a never-attached queue returned true")
+	}
+	if dev.Abort(1, 1) {
+		t.Fatal("abort of a finished CID returned true")
+	}
+	if dev.Abort(1, 8) {
+		t.Fatal("abort found queue 2's CID on queue 1")
+	}
+	if !dev.Abort(2, 7) {
+		t.Fatal("abort of queue 2's pending CID 7 returned false")
+	}
+	if n := dev.Inflight(); n != 2 {
+		t.Fatalf("inflight after abort = %d, want 2", n)
+	}
+	eng.Run()
+	if len(*done) != 2 || len(done2) != 1 || done2[0].CID != 8 {
+		t.Fatalf("completions: queue 1 %+v, queue 2 %+v", *done, done2)
+	}
+	if dev.Inflight() != 0 || dev.Stats().Aborts != 1 {
+		t.Fatalf("inflight %d, stats %+v", dev.Inflight(), dev.Stats())
+	}
+}
+
 func TestAbortAfterCompletionReturnsFalse(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	submitRead(dev, 7, 0)
@@ -163,7 +203,7 @@ func TestAbortReleasesChannelTail(t *testing.T) {
 
 func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	eng.RunUntil(0) // the zero-latency doorbell wire delivers at t=0
 	if !dev.Abort(1, 1) {
 		t.Fatal("abort failed")

@@ -106,12 +106,17 @@ type DMAFunc func(cmd nvme.Command)
 // interrupt for OS-managed queues, a memory-write snoop for the SMU queue.
 type NotifyFunc func(cp nvme.Completion)
 
-type attachment struct {
+// Port is one queue pair's attachment to a device, the handle Attach
+// returns: the host delivers commands through it, and it holds the
+// device-side state of the pair's in-flight commands by CID.
+type Port struct {
+	dev    *Device
 	qp     *nvme.QueuePair
 	notify NotifyFunc
 	// irq is the completion wire latency: CQ write plus interrupt or
 	// snoop delivery.
-	irq sim.Time
+	irq      sim.Time
+	inflight nvme.CIDTable[*flight]
 }
 
 type channel struct {
@@ -138,25 +143,18 @@ type Stats struct {
 	Aborts       uint64 // host aborts that canceled an in-flight command
 }
 
-// flightKey identifies one in-flight command for abort lookups.
-type flightKey struct {
-	qid uint16
-	cid uint16
-}
-
 // flight is the device-side state of one scheduled command: the completion
 // event plus everything the completion (or an abort) needs to run the
 // channel bookkeeping exactly once. Flights are pooled and recycled, so a
 // steady read stream allocates no per-command device state.
 type flight struct {
 	ev      *sim.Event
-	at      *attachment
+	at      *Port
 	cmd     nvme.Command
 	dec     fault.Decision
 	ch      *channel
 	isWrite bool
 	done    sim.Time // scheduled media-completion time
-	key     flightKey
 }
 
 // wireMsg is one host<->device transport crossing: a command riding the
@@ -164,7 +162,7 @@ type flight struct {
 // wire home. Messages are pooled so the steady-state miss path stays
 // allocation-free.
 type wireMsg struct {
-	at     *attachment
+	at     *Port
 	cmd    nvme.Command
 	status uint16
 }
@@ -174,13 +172,12 @@ type Device struct {
 	eng       *sim.Engine
 	prof      Profile
 	rng       *sim.Rand
-	ns        map[uint32]nvme.Namespace
-	attached  map[uint16]*attachment
+	ns        []nvme.Namespace // by NSID; a zero ID marks an unregistered NSID
+	ports     []*Port          // in attach order
 	chans     []channel
 	dma       DMAFunc
 	backend   Backend
 	inj       *fault.Injector
-	inflight  map[flightKey]*flight
 	pool      []*flight
 	msgPool   []*wireMsg
 	finishFn  func(any) // pre-bound media-completion callback
@@ -195,14 +192,12 @@ func New(eng *sim.Engine, prof Profile, rng *sim.Rand, dma DMAFunc) *Device {
 		panic("ssd: profile needs at least one channel")
 	}
 	d := &Device{
-		eng:      eng,
-		prof:     prof,
-		rng:      rng,
-		ns:       make(map[uint32]nvme.Namespace),
-		attached: make(map[uint16]*attachment),
-		chans:    make([]channel, prof.Channels),
-		dma:      dma,
-		inflight: make(map[flightKey]*flight),
+		eng:   eng,
+		prof:  prof,
+		rng:   rng,
+		chans: make([]channel, prof.Channels),
+		dma:   dma,
+		ports: make([]*Port, 0, 8), // a device serves a few queues
 	}
 	d.finishFn = func(a any) { d.finish(a.(*flight)) }
 	d.serviceFn = func(a any) {
@@ -280,22 +275,59 @@ func (d *Device) Profile() Profile { return d.prof }
 // Stats returns a copy of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// AddNamespace registers a namespace.
-func (d *Device) AddNamespace(ns nvme.Namespace) { d.ns[ns.ID] = ns }
+// MaxNSID is the largest namespace ID a device accepts. Namespace IDs
+// index the device's namespace table, so they are small and dense, as on
+// real controllers.
+const MaxNSID = 1024
 
-// Attach registers a queue pair: the host submits commands with Deliver
-// (each crossing the doorbell wire as an event), and completions cross back
-// after irq — the CQ write plus interrupt (OS queues) or memory-snoop
-// handling (the SMU queue) — with the DMA, the CQ post and notify all
-// running at delivery.
-func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) {
-	if _, dup := d.attached[qp.ID]; dup {
+// AddNamespace registers a namespace. Its ID must be in [1, MaxNSID]
+// (NSID 0 is not a valid namespace in NVMe).
+func (d *Device) AddNamespace(ns nvme.Namespace) {
+	if ns.ID == 0 || ns.ID > MaxNSID {
+		panic(fmt.Sprintf("ssd: namespace ID %d outside [1, %d]", ns.ID, MaxNSID))
+	}
+	if int(ns.ID) >= len(d.ns) {
+		d.ns = append(d.ns, make([]nvme.Namespace, int(ns.ID)+1-len(d.ns))...)
+	}
+	d.ns[ns.ID] = ns
+}
+
+// namespace returns the registered namespace nsid.
+//
+//hwdp:hotpath
+func (d *Device) namespace(nsid uint32) (nvme.Namespace, bool) {
+	if nsid == 0 || uint64(nsid) >= uint64(len(d.ns)) || d.ns[nsid].ID != nsid {
+		return nvme.Namespace{}, false
+	}
+	return d.ns[nsid], true
+}
+
+// Attach registers a queue pair and returns its port: the host submits
+// commands with Deliver (each crossing the doorbell wire as an event), and
+// completions cross back after irq — the CQ write plus interrupt (OS
+// queues) or memory-snoop handling (the SMU queue) — with the DMA, the CQ
+// post and notify all running at delivery.
+func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) *Port {
+	if d.port(qp.ID) != nil {
 		panic(fmt.Sprintf("ssd: queue %d attached twice", qp.ID))
 	}
 	if irq < 0 {
 		irq = 0
 	}
-	d.attached[qp.ID] = &attachment{qp: qp, notify: notify, irq: irq}
+	p := &Port{dev: d, qp: qp, notify: notify, irq: irq}
+	d.ports = append(d.ports, p)
+	return p
+}
+
+// port returns the port of queue qid, or nil when no such queue is
+// attached.
+func (d *Device) port(qid uint16) *Port {
+	for _, p := range d.ports {
+		if p.qp.ID == qid {
+			return p
+		}
+	}
+	return nil
 }
 
 // RejectLatency is the device-side handling time of a command rejected
@@ -303,15 +335,14 @@ func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) {
 const RejectLatency = 500 * sim.Nanosecond
 
 // Deliver carries one host-submitted command across the doorbell wire to
-// the device: service begins wire later. The host side pops its own SQ at
-// ring time — the rings are wholly host-owned, and the wire message
-// carries the command.
+// the device through the queue's port: service begins wire later. The host
+// side pops its own SQ at ring time — the rings are wholly host-owned, and
+// the wire message carries the command.
 //
 //hwdp:hotpath
-func (d *Device) Deliver(qid uint16, cmd nvme.Command, wire sim.Time) {
-	at, ok := d.attached[qid]
-	if !ok {
-		panic(fmt.Sprintf("ssd: delivery for unattached queue %d", qid))
+func (d *Device) Deliver(at *Port, cmd nvme.Command, wire sim.Time) {
+	if at == nil || at.dev != d {
+		panic("ssd: delivery through a port not attached to this device")
 	}
 	m := d.getMsg()
 	m.at, m.cmd = at, cmd
@@ -319,10 +350,10 @@ func (d *Device) Deliver(qid uint16, cmd nvme.Command, wire sim.Time) {
 }
 
 //hwdp:hotpath
-func (d *Device) service(at *attachment, cmd nvme.Command) {
+func (d *Device) service(at *Port, cmd nvme.Command) {
 	now := d.eng.Now()
 	status := nvme.StatusSuccess
-	if ns, ok := d.ns[cmd.NSID]; !ok {
+	if ns, ok := d.namespace(cmd.NSID); !ok {
 		status = nvme.StatusInvalidNS
 	} else if cmd.Opcode != nvme.OpFlush && cmd.SLBA+uint64(cmd.Blocks()) > ns.Blocks {
 		status = nvme.StatusLBARange
@@ -424,18 +455,16 @@ func (d *Device) service(at *attachment, cmd nvme.Command) {
 		}
 	}
 
-	key := flightKey{qid: at.qp.ID, cid: cmd.CID}
-	if _, dup := d.inflight[key]; dup {
+	fl := d.getFlight()
+	if !at.inflight.Put(cmd.CID, fl) {
 		panic(fmt.Sprintf("ssd: duplicate in-flight CID %d on queue %d", cmd.CID, at.qp.ID))
 	}
-	fl := d.getFlight()
-	fl.at, fl.cmd, fl.dec, fl.ch, fl.done, fl.key = at, cmd, dec, ch, done, key
+	fl.at, fl.cmd, fl.dec, fl.ch, fl.done = at, cmd, dec, ch, done
 	fl.isWrite = cmd.Opcode == nvme.OpWrite
 	// Pooled handle: finish recycles fl (dropping fl.ev) when the event
 	// fires, and Abort drops it right after Cancel, so the handle never
 	// outlives the event.
 	fl.ev = d.eng.AtArgPooled(done, d.finishFn, fl)
-	d.inflight[key] = fl
 }
 
 // outcomeStatus maps a fault decision and opcode to the completion status
@@ -465,7 +494,7 @@ func outcomeStatus(kind fault.Kind, op nvme.Opcode) (status uint16, deliverable 
 //
 //hwdp:hotpath
 func (d *Device) finish(fl *flight) {
-	delete(d.inflight, fl.key)
+	fl.at.inflight.Take(fl.cmd.CID)
 	if fl.isWrite && fl.ch != nil {
 		// Backend flights carry no channel: interference lives in the
 		// backend's own plane timelines.
@@ -504,14 +533,16 @@ func (d *Device) finish(fl *flight) {
 // the simulated window between "host decides to abort" and "device acks"
 // folds into the host's own timeout delay.
 func (d *Device) Abort(qid, cid uint16) bool {
-	key := flightKey{qid: qid, cid: cid}
-	fl, ok := d.inflight[key]
+	at := d.port(qid)
+	if at == nil {
+		return false
+	}
+	fl, ok := at.inflight.Take(cid)
 	if !ok {
 		return false
 	}
 	fl.ev.Cancel()
 	fl.ev = nil
-	delete(d.inflight, key)
 	if fl.ch != nil {
 		if fl.isWrite {
 			fl.ch.outstandingWrites--
@@ -534,11 +565,18 @@ func (d *Device) Abort(qid, cid uint16) bool {
 }
 
 // Inflight returns the number of commands scheduled on media that have not
-// yet completed or been aborted (invariant-checking hook for tests).
-func (d *Device) Inflight() int { return len(d.inflight) }
+// yet completed or been aborted, across all queues (invariant-checking
+// hook for tests).
+func (d *Device) Inflight() int {
+	n := 0
+	for _, p := range d.ports {
+		n += p.inflight.Len()
+	}
+	return n
+}
 
-// complete puts a completion on the attachment's irq/snoop wire.
-func (d *Device) complete(at *attachment, cmd nvme.Command, status uint16) {
+// complete puts a completion on the port's irq/snoop wire.
+func (d *Device) complete(at *Port, cmd nvme.Command, status uint16) {
 	m := d.getMsg()
 	m.at, m.cmd, m.status = at, cmd, status
 	d.eng.PostArg(at.irq, d.deliverFn, m)

@@ -22,7 +22,7 @@ func noJitter(p Profile) Profile { p.JitterFrac = 0; return p }
 
 func TestSingleReadLatency(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
@@ -55,7 +55,7 @@ func TestChannelParallelism(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// 8 reads striped over 8 channels: total time ~= one read.
 	for i := 0; i < 8; i++ {
-		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)}, 0)
 	}
 	eng.Run()
 	if len(*done) != 8 {
@@ -70,7 +70,7 @@ func TestSameChannelSerializes(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// Same channel (stride = channel count): serial service.
 	for i := 0; i < 4; i++ {
-		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)}, 0)
 	}
 	eng.Run()
 	if len(*done) != 4 {
@@ -87,10 +87,10 @@ func TestSameChannelSerializes(t *testing.T) {
 func TestWriteInterferenceSlowsReads(t *testing.T) {
 	eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
 	// Launch a write, then while it is in flight, a read on the same channel.
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 	var readDone sim.Time
 	eng.Post(sim.Micro(1), func() {
-		dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)}, 0)
 	})
 	eng.Run()
 	readDone = eng.Now()
@@ -104,9 +104,9 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 func TestUrgentReadSkipsInterference(t *testing.T) {
 	run := func(urgent bool) sim.Time {
 		eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
-		dev.Deliver(1, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
 		eng.Post(sim.Micro(1), func() {
-			dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent}, 0)
+			dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent}, 0)
 		})
 		eng.Run()
 		return eng.Now()
@@ -116,18 +116,53 @@ func TestUrgentReadSkipsInterference(t *testing.T) {
 	}
 }
 
+// TestInvalidNamespace sends commands to NSID 0, to an unregistered gap
+// below a registered namespace, and to IDs past the namespace table: each
+// completes with StatusInvalidNS, and the registered namespaces still
+// serve.
 func TestInvalidNamespace(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 42, SLBA: 0}, 0)
+	dev.AddNamespace(nvme.Namespace{ID: 4, Blocks: 1 << 10})
+	bad := []uint32{0, 2, 3, 5, 42, MaxNSID + 1, 1<<32 - 1}
+	for i, nsid := range bad {
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: nsid, SLBA: 0}, 0)
+	}
 	eng.Run()
-	if len(*done) != 1 || (*done)[0].Status != nvme.StatusInvalidNS {
+	if len(*done) != len(bad) {
 		t.Fatalf("completions: %+v", *done)
+	}
+	for _, cp := range *done {
+		if cp.Status != nvme.StatusInvalidNS {
+			t.Fatalf("NSID %d: status %#x, want StatusInvalidNS", bad[cp.CID], cp.Status)
+		}
+	}
+	*done = nil
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 4, SLBA: 0}, 0)
+	eng.Run()
+	if len(*done) != 2 || !(*done)[0].OK() || !(*done)[1].OK() {
+		t.Fatalf("registered namespaces: %+v", *done)
+	}
+}
+
+// TestAddNamespaceRejectsBadIDs pins that NSID 0 and IDs past MaxNSID
+// cannot be registered.
+func TestAddNamespaceRejectsBadIDs(t *testing.T) {
+	for _, id := range []uint32{0, MaxNSID + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AddNamespace(%d) did not panic", id)
+				}
+			}()
+			New(sim.NewEngine(), ZSSD, nil, nil).AddNamespace(nvme.Namespace{ID: id, Blocks: 1})
+		}()
 	}
 }
 
 func TestLBARangeError(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20}, 0)
 	eng.Run()
 	if (*done)[0].Status != nvme.StatusLBARange {
 		t.Fatalf("status = %#x", (*done)[0].Status)
@@ -137,7 +172,7 @@ func TestLBARangeError(t *testing.T) {
 func TestDMACallbackRuns(t *testing.T) {
 	var got []nvme.Command
 	eng, dev, _ := newDev(t, noJitter(ZSSD), func(c nvme.Command) { got = append(got, c) })
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000}, 0)
 	eng.Run()
 	if len(got) != 1 || got[0].SLBA != 77 || got[0].PRP1 != 0x1000 {
 		t.Fatalf("dma calls: %+v", got)
@@ -146,7 +181,7 @@ func TestDMACallbackRuns(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(1, nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1}, 0)
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatal("flush failed")
@@ -177,7 +212,22 @@ func TestUnattachedDoorbellPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.Deliver(5, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
+	dev.Deliver(dev.port(5), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
+}
+
+// TestForeignPortPanics pins that a port only delivers to the device that
+// returned it.
+func TestForeignPortPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	a := New(eng, ZSSD, sim.NewRand(1), nil)
+	b := New(eng, ZSSD, sim.NewRand(1), nil)
+	p := a.Attach(nvme.NewQueuePair(1, 4), 0, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic")
+		}
+	}()
+	b.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
 }
 
 func TestJitterBounded(t *testing.T) {

@@ -41,9 +41,10 @@ type FIO struct {
 	// than memory, pages are evicted again before their next visit.
 	Cold bool
 
-	bufs  map[int][]byte
-	walks map[int]*coldWalk
-	ops   map[*kernel.Thread]*fioOp
+	cold *coldWalk                       // the walk shared by all threads in Cold mode
+	seqs kernel.ThreadTable[*coldWalk]   // each thread's walk in Sequential mode
+	bufs kernel.ThreadTable[*[4096]byte] // each thread's copy buffer in CopyData mode
+	ops  kernel.ThreadTable[*fioOp]
 }
 
 // fioOp carries one thread's in-flight op through its phases. A thread
@@ -81,9 +82,7 @@ func gcd(a, b int) int {
 
 // NewFIO creates the workload over an already-mapped region.
 func NewFIO(sys *core.System, base pagetable.VAddr, pages int) *FIO {
-	return &FIO{Sys: sys, Base: base, Pages: pages, OpInstr: FIOOpInstr,
-		bufs: make(map[int][]byte), walks: make(map[int]*coldWalk),
-		ops: make(map[*kernel.Thread]*fioOp)}
+	return &FIO{Sys: sys, Base: base, Pages: pages, OpInstr: FIOOpInstr}
 }
 
 // SetupFIO creates and maps a file for the standard FIO scenario.
@@ -97,10 +96,10 @@ func SetupFIO(sys *core.System, name string, pages int, flags kernel.MmapFlags) 
 
 func (f *FIO) pick(th *kernel.Thread, rng *sim.Rand) int {
 	if f.Sequential {
-		w := f.walks[th.ID+1]
-		if w == nil {
+		w, ok := f.seqs.Get(th)
+		if !ok {
 			w = &coldWalk{offset: 0, size: f.Pages, stride: 1}
-			f.walks[th.ID+1] = w
+			f.seqs.Set(th, w)
 		}
 		return w.next()
 	}
@@ -110,31 +109,37 @@ func (f *FIO) pick(th *kernel.Thread, rng *sim.Rand) int {
 	// One shared full-cycle walk over the whole file: every page is
 	// visited exactly once per cycle (threads interleave on it), and with
 	// the file larger than memory a page is evicted before its next visit.
-	w := f.walks[0]
-	if w == nil {
+	if f.cold == nil {
 		stride := f.Pages/3 + 1 + rng.Intn(f.Pages/3+1)
 		for gcd(stride, f.Pages) != 1 {
 			stride++
 		}
-		w = &coldWalk{offset: 0, size: f.Pages, stride: stride}
-		f.walks[0] = w
+		f.cold = &coldWalk{offset: 0, size: f.Pages, stride: stride}
 	}
-	return w.next()
+	return f.cold.next()
 }
 
 // Op implements Workload.
 func (f *FIO) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 	page := f.pick(th, rng)
-	op := f.ops[th]
-	if op == nil {
-		op = &fioOp{f: f, th: th}
-		op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
-		f.ops[th] = op
+	op, ok := f.ops.Get(th)
+	if !ok {
+		op = f.newOp(th)
 	}
 	op.va = f.Base + pagetable.VAddr(page)*4096
 	op.write = f.WriteFrac > 0 && rng.Float64() < f.WriteFrac
 	op.done = done
 	f.Sys.CPU.Stall(th.HW, FIOOpFixed, op.execFn)
+}
+
+// newOp builds th's carrier and binds its phases.
+//
+//hwdp:coldpath runs once per thread, on its first op
+func (f *FIO) newOp(th *kernel.Thread) *fioOp {
+	op := &fioOp{f: f, th: th}
+	op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
+	f.ops.Set(th, op)
+	return op
 }
 
 // exec runs the op's user work after its fixed overhead.
@@ -146,12 +151,12 @@ func (op *fioOp) exec() { op.f.Sys.CPU.UserExec(op.th.HW, op.f.OpInstr, op.acces
 func (op *fioOp) access() {
 	f := op.f
 	if f.CopyData {
-		buf := f.bufs[op.th.ID]
-		if buf == nil {
-			buf = make([]byte, 4096)
-			f.bufs[op.th.ID] = buf
+		buf, ok := f.bufs.Get(op.th)
+		if !ok {
+			buf = new([4096]byte)
+			f.bufs.Set(op.th, buf)
 		}
-		f.Sys.K.Load(op.th, op.va, buf, op.resultFn)
+		f.Sys.K.Load(op.th, op.va, buf[:], op.resultFn)
 		return
 	}
 	f.Sys.K.Access(op.th, op.va, op.write, op.resultFn)

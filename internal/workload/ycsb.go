@@ -47,8 +47,10 @@ type KV struct {
 	latest                         *Latest
 	insertFrontier                 uint64
 	scanMax                        int
-	versions                       map[uint64]uint64
-	ops                            map[*kernel.Thread]*kvOp
+	// versions holds each key's last written version, by key; it is
+	// sized to the store on the first write.
+	versions []uint64
+	ops      kernel.ThreadTable[*kvOp]
 }
 
 // kvOp carries one thread's in-flight op through its phases. A thread
@@ -74,10 +76,8 @@ func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, s
 	return &KV{
 		Sys: sys, Store: st, Name: name, OpInstr: YCSBOpInstr,
 		readP: read, updateP: read + update, insertP: read + update + insert,
-		scanP:    read + update + insert + scan,
-		scanMax:  16,
-		versions: make(map[uint64]uint64),
-		ops:      make(map[*kernel.Thread]*kvOp),
+		scanP:   read + update + insert + scan,
+		scanMax: 16,
 	}
 }
 
@@ -168,8 +168,8 @@ const KVSyscallPerOp = 800 * sim.Nanosecond
 //hwdp:hotpath
 func (kv *KV) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 	kind := kv.pickKind(rng)
-	op := kv.ops[th]
-	if op == nil {
+	op, ok := kv.ops.Get(th)
+	if !ok {
 		op = kv.newOp(th)
 	}
 	op.rng, op.kind, op.done = rng, kind, done
@@ -183,9 +183,29 @@ func (kv *KV) newOp(th *kernel.Thread) *kvOp {
 	op := &kvOp{kv: kv, th: th}
 	op.execFn, op.op2Fn, op.scanFn = op.exec, op.op2, op.scan
 	op.gotFn, op.scannedFn = op.got, op.scanned
-	kv.ops[th] = op
+	kv.ops.Set(th, op)
 	return op
 }
+
+// bump advances key's version and returns it. A key past the store's end
+// keeps no version: Put rejects it before looking at the version.
+//
+//hwdp:hotpath
+func (kv *KV) bump(key uint64) uint64 {
+	if key >= uint64(len(kv.versions)) {
+		if key >= kv.Store.Keys() {
+			return 0
+		}
+		kv.allocVersions()
+	}
+	kv.versions[key]++
+	return kv.versions[key]
+}
+
+// allocVersions sizes the version table to the store.
+//
+//hwdp:coldpath runs once, on the workload's first write
+func (kv *KV) allocVersions() { kv.versions = make([]uint64, kv.Store.Keys()) }
 
 // exec runs the op's baseline syscall work after its user work.
 //
@@ -203,8 +223,7 @@ func (op *kvOp) op2() {
 		kv.Store.Get(th, key, op.gotFn)
 	case OpUpdate:
 		key := kv.nextKey(rng)
-		kv.versions[key]++
-		kv.Store.Put(th, key, kv.versions[key], op.take())
+		kv.Store.Put(th, key, kv.bump(key), op.take())
 	case OpInsert:
 		key := kv.insertFrontier
 		if key >= kv.Store.Keys() {
@@ -215,8 +234,7 @@ func (op *kvOp) op2() {
 				kv.latest.SetMax(kv.insertFrontier)
 			}
 		}
-		kv.versions[key]++
-		kv.Store.Put(th, key, kv.versions[key], op.take())
+		kv.Store.Put(th, key, kv.bump(key), op.take())
 	case OpScan:
 		op.scanStart = kv.nextKey(rng)
 		op.scanN = 1 + rng.Intn(kv.scanMax)
