@@ -94,8 +94,9 @@ lint:
 	fi
 
 # docs-check enforces the documentation invariants: gofmt-clean sources,
-# package docs and doc comments on every exported symbol, and no broken
-# relative links in markdown. See cmd/docscheck.
+# package docs and doc comments on every exported symbol, no broken
+# relative links in markdown, and no dead `go run` path or unregistered
+# hwdpbench flag in a fenced command. See cmd/docscheck.
 docs-check:
 	@fmtout="$$(gofmt -l .)"; \
 	if [ -n "$$fmtout" ]; then \

@@ -11,6 +11,10 @@
 //
 //   - every relative link target ([text](path) and [text](path#anchor))
 //     resolves to an existing file or directory;
+//   - inside fenced code blocks, every `go run ./PATH` names a directory
+//     holding a package main, and every hwdpbench command line (`go run
+//     ./cmd/hwdpbench ...` or `hwdpbench ...`) uses only flags
+//     cmd/hwdpbench registers;
 //
 // and, for the experiment driver:
 //
@@ -68,6 +72,10 @@ func main() {
 		os.Exit(1)
 	}
 	if err := checkFlagDocs(*root, addf); err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(1)
+	}
+	if err := checkCommandDocs(*root, addf); err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(1)
 	}
@@ -406,8 +414,8 @@ var backquoted = regexp.MustCompile("`([^`]+)`")
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// checkMarkdownLinks verifies every relative markdown link target exists.
-func checkMarkdownLinks(root string, addf func(string, ...any)) error {
+// walkMarkdown calls fn with the lines of every markdown file under root.
+func walkMarkdown(root string, fn func(path string, lines []string)) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -425,7 +433,15 @@ func checkMarkdownLinks(root string, addf func(string, ...any)) error {
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(data), "\n") {
+		fn(path, strings.Split(string(data), "\n"))
+		return nil
+	})
+}
+
+// checkMarkdownLinks verifies every relative markdown link target exists.
+func checkMarkdownLinks(root string, addf func(string, ...any)) error {
+	return walkMarkdown(root, func(path string, lines []string) {
+		for i, line := range lines {
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 				target := m[1]
 				if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") ||
@@ -439,6 +455,70 @@ func checkMarkdownLinks(root string, addf func(string, ...any)) error {
 				}
 			}
 		}
-		return nil
 	})
+}
+
+// checkCommandDocs checks the commands in the fenced code blocks of every
+// markdown file, the lines a reader copies into a shell: a `go run ./PATH`
+// must name a directory (relative to root) holding a package main, and a
+// hwdpbench command line may use only flags cmd/hwdpbench registers.
+// Prose and inline code are left alone, since history may name commands
+// that are gone.
+func checkCommandDocs(root string, addf func(string, ...any)) error {
+	registered, err := registeredFlags(filepath.Join(root, "cmd", "hwdpbench"))
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return walkMarkdown(root, func(path string, lines []string) {
+		fenced := false
+		for i, line := range lines {
+			if t := strings.TrimSpace(line); strings.HasPrefix(t, "```") || strings.HasPrefix(t, "~~~") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				continue
+			}
+			cmd, _, _ := strings.Cut(line, "#")
+			args := strings.Fields(cmd)
+			if j := strings.Index(cmd, "go run "); j >= 0 {
+				args = strings.Fields(cmd[j+len("go run "):])
+				for len(args) > 0 && strings.HasPrefix(args[0], "-") {
+					args = args[1:] // go run's own flags, as in -race
+				}
+				if len(args) == 0 || !strings.HasPrefix(args[0], "./") {
+					continue
+				}
+				if !isMainPackage(filepath.Join(root, args[0])) {
+					addf("%s:%d: `go run %s` names no package main", path, i+1, args[0])
+				}
+				args[0] = filepath.Base(args[0])
+			}
+			if registered == nil || len(args) == 0 || args[0] != "hwdpbench" {
+				continue
+			}
+			for _, a := range args[1:] {
+				if a == "|" || a == "&&" || a == "||" || a == ";" || strings.HasPrefix(a, ">") {
+					break
+				}
+				name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+				if _, ok := registered[name]; strings.HasPrefix(a, "-") && !ok {
+					addf("%s:%d: hwdpbench flag %s is not registered by cmd/hwdpbench", path, i+1, a)
+				}
+			}
+		}
+	})
+}
+
+// isMainPackage reports whether dir holds a non-test Go file of package
+// main.
+func isMainPackage(dir string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go")) // only a malformed pattern errs, and then nothing matches
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" && !strings.HasSuffix(file, "_test.go") {
+			return true
+		}
+	}
+	return false
 }

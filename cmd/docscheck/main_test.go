@@ -158,3 +158,57 @@ func getStale() {}
 		t.Fatalf("problems = %q, want only the unlisted pool stale at x.go:11", problems)
 	}
 }
+
+// TestCommandDocsDrift checks the documented-command check: inside fenced
+// code blocks, a `go run` of a missing directory or of a directory without
+// a package main, and a hwdpbench flag cmd/hwdpbench does not register, are
+// each reported. Prose, inline code, comments, go run's own flags and the
+// words after a shell operator are not checked.
+func TestCommandDocsDrift(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, body string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("cmd/hwdpbench/main.go", "package main\n\nimport \"flag\"\n\nfunc main() {\n\tflag.Bool(\"all\", false, \"\")\n\tflag.Int(\"j\", 1, \"\")\n}\n")
+	write("cmd/hwdpbench/main_test.go", "package other\n")
+	write("cmd/tool/main.go", "package main\n\nfunc main() {}\n")
+	write("lib/lib.go", "package lib\n")
+	write("docs/RUN.md", "# Running\n\nThe old `go run ./examples/gone` is history.\n\n"+
+		"```bash\n"+
+		"go run ./cmd/hwdpbench -all -j 2     # fine\n"+
+		"go run -race ./cmd/tool\n"+
+		"go run ./examples/gone\n"+
+		"cd x && go run ./lib\n"+
+		"go run .   # -bogus\n"+
+		"```\n\n"+
+		"hwdpbench -bogus outside a fence\n\n"+
+		"   ~~~\n"+
+		"   hwdpbench -all -j=4 -bogus | grep -x\n"+
+		"   ~~~\n")
+	var problems []string
+	if err := checkCommandDocs(root, func(format string, args ...any) {
+		problems = append(problems, fmt.Sprintf(format, args...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"RUN.md:8: `go run ./examples/gone` names no package main",
+		"RUN.md:9: `go run ./lib` names no package main",
+		"RUN.md:16: hwdpbench flag -bogus is not registered",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("got %d problems, want %d: %q", len(problems), len(want), problems)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want it to contain %q", i, problems[i], w)
+		}
+	}
+}

@@ -23,8 +23,9 @@
 // The heavy lifting lives in the internal packages; this package offers a
 // small synchronous API for experiments and examples, advancing the
 // discrete-event simulation under the hood. For full control (custom
-// workloads, async operation, per-component stats) use the internal
-// packages directly; cmd/hwdpbench regenerates every figure of the paper.
+// workloads, async operation, per-component stats) reach the underlying
+// machine through System.Raw, as ExampleSystem_Raw does; cmd/hwdpbench
+// regenerates every figure of the paper.
 package hwdp
 
 import (
@@ -409,8 +410,8 @@ func (s *System) RunYCSB(variant byte, threads, opsPerThread int, keys uint64) (
 // MmapAnon maps anonymous (heap-style) memory. First touches are handled
 // as zero-fills — under HWDP without any I/O, via the reserved first-touch
 // LBA constant — and dirty pages evicted under pressure swap out and back
-// in through the configured demand-paging scheme. It returns an opaque
-// handle usable with Touch/Read/Write-style access through Raw().
+// in through the configured demand-paging scheme. Access the region with
+// AnonRegion.Read and AnonRegion.Write.
 func (s *System) MmapAnon(pages int) (AnonRegion, error) {
 	va, err := s.sys.K.MmapAnon(s.sys.Proc, 0, 0, pages,
 		anonProt(), s.sys.Cfg.Scheme != kernelOSDP())
@@ -433,25 +434,31 @@ type AnonRegion struct {
 // Pages returns the region length in 4 KiB pages.
 func (a AnonRegion) Pages() int { return a.pages }
 
-// Write stores data at byte offset off.
-func (a AnonRegion) Write(off int, data []byte) error {
-	if off < 0 || off+len(data) > a.pages*4096 {
-		return fmt.Errorf("hwdp: write outside region")
-	}
-	done := false
-	a.s.sys.K.Store(a.th, a.base+pagetable.VAddr(off), data, func(mmu.Result) { done = true })
-	a.s.await(&done)
-	return nil
-}
+// Write stores data at byte offset off. It returns an error if the
+// access fails, as when an unrecoverable device error kills the thread
+// (SIGBUS) while a page is paged in.
+func (a AnonRegion) Write(off int, data []byte) error { return a.access(off, data, true) }
 
-// Read loads len(buf) bytes at byte offset off.
-func (a AnonRegion) Read(off int, buf []byte) error {
+// Read loads len(buf) bytes at byte offset off. It returns an error if
+// the access fails, as Write does; buf's contents are then undefined.
+func (a AnonRegion) Read(off int, buf []byte) error { return a.access(off, buf, false) }
+
+func (a AnonRegion) access(off int, buf []byte, write bool) error {
 	if off < 0 || off+len(buf) > a.pages*4096 {
-		return fmt.Errorf("hwdp: read outside region")
+		return fmt.Errorf("hwdp: access [%d, %d) outside region", off, off+len(buf))
 	}
 	done := false
-	a.s.sys.K.Load(a.th, a.base+pagetable.VAddr(off), buf, func(mmu.Result) { done = true })
+	var res mmu.Result
+	cb := func(r mmu.Result) { res, done = r, true }
+	if va := a.base + pagetable.VAddr(off); write {
+		a.s.sys.K.Store(a.th, va, buf, cb)
+	} else {
+		a.s.sys.K.Load(a.th, va, buf, cb)
+	}
 	a.s.await(&done)
+	if res.Outcome == mmu.OutcomeBadAddr {
+		return fmt.Errorf("hwdp: access at offset %d failed: its page could not be paged in (SIGBUS)", off)
+	}
 	return nil
 }
 

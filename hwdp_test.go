@@ -1,6 +1,7 @@
 package hwdp
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -197,6 +198,70 @@ func TestAnonRegionAPI(t *testing.T) {
 	}
 	if err := region.Read(-1, buf); err == nil {
 		t.Fatal("negative read accepted")
+	}
+}
+
+// TestAnonSwapStorm writes a counter into every page of an anonymous heap
+// twice the size of memory, so most pages swap out, then reads every page
+// back. Under a one-shot unrecoverable read fault, exactly one Read fails
+// (the thread's SIGBUS kill) and every other Read still returns the value
+// written. Swap counts differ by scheme and are not compared: HWDP's
+// SMU-zero-filled pages are rarely evicted.
+func TestAnonSwapStorm(t *testing.T) {
+	const pages = 3000
+	uecc := []FaultRule{{Kind: FaultUECC, Prob: 1, ReadsOnly: true, MaxInjections: 1}}
+	for _, tc := range []struct {
+		scheme Scheme
+		faults []FaultRule
+	}{
+		{scheme: OSDP}, {scheme: SWOnly}, {scheme: HWDP},
+		{scheme: OSDP, faults: uecc}, {scheme: SWOnly, faults: uecc}, {scheme: HWDP, faults: uecc},
+	} {
+		name := tc.scheme.String()
+		if tc.faults != nil {
+			name += "/uecc"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys := New(Config{Scheme: tc.scheme, MemoryMB: 6, Seed: 11, Faults: tc.faults})
+			heap, err := sys.MmapAnon(pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 8)
+			for i := 0; i < pages; i++ {
+				binary.LittleEndian.PutUint64(buf, uint64(i)*7+1)
+				if err := heap.Write(i*4096, buf); err != nil {
+					t.Fatalf("write page %d: %v", i, err)
+				}
+			}
+			failed := 0
+			for i := 0; i < pages; i++ {
+				for j := range buf {
+					buf[j] = 0xEE // a Read that copies nothing cannot pass the check below
+				}
+				if err := heap.Read(i*4096, buf); err != nil {
+					failed++
+					continue
+				}
+				if got := binary.LittleEndian.Uint64(buf); got != uint64(i)*7+1 {
+					t.Fatalf("page %d read %#x, want %d", i, got, uint64(i)*7+1)
+				}
+			}
+			wantFailed := 0
+			if tc.faults != nil {
+				wantFailed = 1
+			}
+			st := sys.Stats()
+			if failed != wantFailed {
+				t.Errorf("%d reads failed, want %d", failed, wantFailed)
+			}
+			if st.DeviceWrites == 0 || st.DeviceReads == 0 {
+				t.Errorf("device writes %d, reads %d: the heap never swapped", st.DeviceWrites, st.DeviceReads)
+			}
+			if v := sys.CheckInvariants(); len(v) != 0 {
+				t.Errorf("invariants: %v", v)
+			}
+		})
 	}
 }
 
