@@ -30,7 +30,7 @@
 //     a registered analyzer (or hwdpignore, the suppression check);
 //   - every pool declared with `//hwdp:pool acquire NAME` in a Go file
 //     outside testdata is named in docs/ANALYSIS.md's list of annotated
-//     pools.
+//     pools, and every name in that list is declared so.
 //
 // It exits non-zero and lists each violation as file:line when anything
 // fails, so it slots directly into CI.
@@ -360,27 +360,34 @@ var poolAcquire = regexp.MustCompile(`^//hwdp:pool acquire (\S+)`)
 
 // checkPoolDocs requires every pool declared by an acquire directive in a
 // Go file outside testdata to be named in the pool list of
-// docs/ANALYSIS.md.
+// docs/ANALYSIS.md, and every name in that list to be declared so.
 func checkPoolDocs(root string, addf func(string, ...any)) error {
 	docPath := filepath.Join(root, "docs", "ANALYSIS.md")
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
 		return nil // checkAnalyzerDocs reports the missing file
 	}
-	listed := map[string]bool{}
-	para := ""
+	listed := map[string]int{} // pool name -> doc line
+	var order []string
 	if i := strings.Index(string(doc), poolListStart); i >= 0 {
-		para, _, _ = strings.Cut(string(doc)[i:], "\n\n")
+		para, _, _ := strings.Cut(string(doc)[i:], "\n\n")
+		first := strings.Count(string(doc[:i]), "\n") + 1
+		for j, line := range strings.Split(para, "\n") {
+			for _, m := range backquoted.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], "/") {
+					if _, dup := listed[name]; !dup {
+						listed[name] = first + j
+						order = append(order, name)
+					}
+				}
+			}
+		}
 	} else {
 		addf("%s: no paragraph starting %q lists the annotated pools", docPath, poolListStart)
 	}
-	for _, m := range backquoted.FindAllStringSubmatch(para, -1) {
-		for _, name := range strings.Split(m[1], "/") {
-			listed[name] = true
-		}
-	}
+	declared := map[string]bool{}
 	fset := token.NewFileSet()
-	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -399,7 +406,12 @@ func checkPoolDocs(root string, addf func(string, ...any)) error {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := poolAcquire.FindStringSubmatch(c.Text); m != nil && !listed[m[1]] {
+				m := poolAcquire.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				declared[m[1]] = true
+				if _, ok := listed[m[1]]; !ok {
 					addf("%s:%d: pool %q is not in the pool list of docs/ANALYSIS.md",
 						path, fset.Position(c.Pos()).Line, m[1])
 				}
@@ -407,6 +419,13 @@ func checkPoolDocs(root string, addf func(string, ...any)) error {
 		}
 		return nil
 	})
+	for _, name := range order {
+		if !declared[name] {
+			addf("%s:%d: pool %q in the pool list has no //hwdp:pool acquire directive outside testdata",
+				docPath, listed[name], name)
+		}
+	}
+	return err
 }
 
 // backquoted captures the text of a `code span`.

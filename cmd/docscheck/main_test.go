@@ -114,11 +114,13 @@ func main() {
 	}
 }
 
-// TestPoolDocsDrift checks the pool-list check: a pool whose acquire
-// directive is missing from the list in docs/ANALYSIS.md is reported, at
-// its directive's line, while listed pools (also in a/b form), pools
-// declared under testdata, and a directive quoted inside a comment or a
-// string literal are not.
+// TestPoolDocsDrift checks the pool-list check in both directions: a pool
+// whose acquire directive is missing from the list in docs/ANALYSIS.md is
+// reported at its directive's line, and a listed name no directive outside
+// testdata declares (a retired pool, or one declared only in a fixture) at
+// its doc line. Listed pools (also in a/b form), pools declared under
+// testdata, and a directive quoted inside a comment or a string literal
+// are not reported.
 func TestPoolDocsDrift(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, body string) {
@@ -132,7 +134,7 @@ func TestPoolDocsDrift(t *testing.T) {
 		}
 	}
 	write("docs/ANALYSIS.md", "# Static analysis\n\n"+
-		"Annotated pools on the current tree include `event` and\n`entry`/`req` (SMU).\n\n"+
+		"Annotated pools on the current tree include `event` and\n`entry`/`req` (SMU), `fixture`.\n\n"+
 		"Later text naming `stale` is not the list.\n")
 	write("internal/x/x.go", `package x
 
@@ -154,8 +156,18 @@ func getStale() {}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(problems) != 1 || !strings.Contains(problems[0], `x.go:11: pool "stale" is not in the pool list`) {
-		t.Fatalf("problems = %q, want only the unlisted pool stale at x.go:11", problems)
+	want := []string{
+		`x.go:11: pool "stale" is not in the pool list`,
+		`ANALYSIS.md:4: pool "entry" in the pool list has no //hwdp:pool acquire directive`,
+		`ANALYSIS.md:4: pool "fixture" in the pool list has no //hwdp:pool acquire directive`,
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %q, want %q", problems, want)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want %q", i, problems[i], w)
+		}
 	}
 }
 

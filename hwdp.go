@@ -136,9 +136,6 @@ type Config struct {
 	// (flight-recorder postmortems). Off by default; when off, the miss
 	// path does no tracing work and performs no allocations for it.
 	Trace bool
-	// TraceRing sets the flight-recorder depth in misses (0 picks the
-	// default of 64). Only meaningful with Trace enabled.
-	TraceRing int
 }
 
 // FaultKind classifies an injected device fault.
@@ -234,7 +231,6 @@ func New(cfg Config) *System {
 		c.SMURetry = &p
 	}
 	c.TraceEnabled = cfg.Trace
-	c.TraceRing = cfg.TraceRing
 	return &System{sys: c.Build()}
 }
 

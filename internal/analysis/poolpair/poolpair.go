@@ -9,11 +9,11 @@
 // Pools are declared, not guessed. A pool's accessors carry directives in
 // their doc comments:
 //
-//	//hwdp:pool acquire entry
-//	func (s *SMU) getEntry() *pmshrEntry { ... }
+//	//hwdp:pool acquire req
+//	func (s *SMU) getReq() *pendingReq { ... }
 //
-//	//hwdp:pool release entry
-//	func (s *SMU) putEntry(e *pmshrEntry) { ... }
+//	//hwdp:pool release req
+//	func (s *SMU) putReq(c *pendingReq) { ... }
 //
 // An optional "result=N" selects which result of a multi-value acquire is
 // the pooled object (default 0). Directives are package-local, matching

@@ -62,8 +62,6 @@ type Config struct {
 	Sockets int
 	// Seed drives all randomness.
 	Seed uint64
-	// CPUParams tunes the core model.
-	CPUParams cpu.Params
 	// Kernel carries kernel tunables; Scheme and Costs are filled in by
 	// NewSystem.
 	Kernel kernel.Config
@@ -84,9 +82,6 @@ type Config struct {
 	// and the kernel exception path. Off by default; when off, the miss
 	// path performs no tracing work at all.
 	TraceEnabled bool
-	// TraceRing is the flight-recorder depth in misses (0 picks
-	// trace.DefaultRingDepth). Only meaningful with TraceEnabled.
-	TraceRing int
 	// SSDBackend selects the device media model: "" or "profile" keeps
 	// the latency-profile backend (byte-identical to historical runs);
 	// "modeled" swaps in internal/ssd/modeled — a page-mapping FTL with a
@@ -111,7 +106,6 @@ func DefaultConfig(scheme kernel.Scheme) Config {
 		Device:         ssd.ZSSD,
 		FreeQueueDepth: 4096,
 		Seed:           1,
-		CPUParams:      cpu.DefaultParams(),
 		Kernel:         kernel.DefaultConfig(scheme),
 		FSBlocks:       1 << 22, // 16 GiB of storage
 		DeviceJitter:   true,
@@ -191,7 +185,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	eng := sim.NewEngine()
 	rng := sim.NewRand(cfg.Seed)
-	c := cpu.New(eng, cfg.Cores, cfg.CPUParams)
+	c := cpu.New(eng, cfg.Cores, cpu.DefaultParams())
 	memory := mem.New(cfg.MemoryBytes)
 	prof := cfg.Device
 	if !cfg.DeviceJitter {
@@ -202,7 +196,7 @@ func NewSystem(cfg Config) (*System, error) {
 	mm.PrefetchDegree = cfg.PrefetchDegree
 	var tracer *trace.Tracer
 	if cfg.TraceEnabled {
-		tracer = trace.New(cfg.TraceRing)
+		tracer = trace.New(trace.DefaultRingDepth)
 		mm.Tracer = tracer
 	}
 	// Keep the free page queue a small fraction of memory (the paper's

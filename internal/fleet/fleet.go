@@ -9,7 +9,7 @@
 //
 // Everything here is harness-level composition: the tenant model itself
 // lives in the layers below (kernel.Thread.Tenant → mmu.TenantCarrier →
-// smu.Request.Tenant → nvme.Command.Tenant), and the fleet package only
+// smu.Request.Tenant), and the fleet package only
 // wires configs, workloads and reports around it. Fixed-seed runs are
 // byte-identical across sweep workers; see docs/FLEET.md.
 package fleet

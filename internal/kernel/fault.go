@@ -414,7 +414,7 @@ func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, p
 // returns the number of frames moved.
 func (k *Kernel) refillAll() int {
 	total := 0
-	for _, s := range k.smuList {
+	for _, s := range k.smus {
 		total += k.refillSMU(s)
 	}
 	return total
@@ -424,7 +424,7 @@ func (k *Kernel) refillAll() int {
 // queue(s), respecting the kpoold reserve. It returns the number of frames
 // transferred (bookkeeping only; callers charge the time).
 func (k *Kernel) refillSMU(s *smu.SMU) int {
-	reserve := int(float64(k.mem.Frames()) * k.cfg.KpooldReserveFrac)
+	reserve := int(float64(k.mem.Frames()) * kpooldReserveFrac)
 	total := 0
 	for core, q := range s.Queues() {
 		space := q.Space()

@@ -9,7 +9,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"hwdp/internal/cpu"
 	"hwdp/internal/fs"
@@ -73,28 +72,12 @@ type Config struct {
 	// single-sweep behavior byte-identical.
 	ShardKpoold bool
 
-	// LowWaterFrac / HighWaterFrac bound background reclaim: kswapd starts
-	// evicting below low*frames free and stops at high*frames.
-	LowWaterFrac  float64
-	HighWaterFrac float64
-
-	// KpooldReserveFrac keeps kpoold from handing the allocator's last
-	// frames to the SMU.
-	KpooldReserveFrac float64
-
 	// StallTimeout, when non-zero under HWDP, bounds how long a pipeline
 	// stall may wait on the SMU: past it, a timeout exception fires and the
 	// OS context-switches the thread away until the miss completes
 	// (Section V, "Long Latency I/O"). Zero disables the timeout.
 	StallTimeout sim.Time
 
-	// BlockRetries bounds how many times the block layer resubmits an I/O
-	// that failed with a retryable status (command interrupted, host
-	// timeout) before reporting the failure to the caller.
-	BlockRetries int
-	// BlockRetryDelay is the delay before the first block-layer retry; it
-	// doubles on each subsequent attempt.
-	BlockRetryDelay sim.Time
 	// BlockTimeout, when non-zero, bounds how long the block layer waits for
 	// any completion: past it the command is aborted and treated as a
 	// retryable failure. This is what recovers commands lost inside a
@@ -114,32 +97,45 @@ type Config struct {
 	// keeps the pre-existing behavior: exhausted allocations retry until
 	// writeback completions free memory.
 	OOMStallLimit sim.Time
+}
 
-	// DoorbellWire is the host-to-device latency of an OS submission-queue
-	// doorbell write (MMIO post over PCIe), charged per delivered command.
-	DoorbellWire sim.Time
-	// IRQWire is the device-to-host latency from CQ write to the interrupt
+const (
+	// lowWaterFrac / highWaterFrac bound background reclaim: kswapd starts
+	// evicting below low*frames free and stops at high*frames.
+	lowWaterFrac  = 0.06
+	highWaterFrac = 0.12
+
+	// kpooldReserveFrac keeps kpoold from handing the allocator's last
+	// frames to the SMU.
+	kpooldReserveFrac = 0.03
+
+	// blockRetries bounds how many times the block layer resubmits an I/O
+	// that failed with a retryable status (command interrupted, host
+	// timeout) before reporting the failure to the caller.
+	blockRetries = 3
+	// blockRetryDelay is the delay before the first block-layer retry; it
+	// doubles on each subsequent attempt.
+	blockRetryDelay = 20 * sim.Microsecond
+
+	// doorbellWire is the host-to-device latency of an OS submission-queue
+	// doorbell write (MMIO post over PCIe), charged per delivered command:
+	// 1.6 ns.
+	doorbellWire = 1600 * sim.Picosecond
+	// irqWire is the device-to-host latency from CQ write to the interrupt
 	// handler starting (MSI-X delivery; the handler's own cost is
 	// Costs.InterruptDelivery, charged separately on the CPU).
-	IRQWire sim.Time
-}
+	irqWire = 100 * sim.Nanosecond
+)
 
 // DefaultConfig returns the configuration used by the evaluation.
 func DefaultConfig(scheme Scheme) Config {
 	return Config{
-		Scheme:            scheme,
-		Costs:             DefaultCosts(),
-		KpooldPeriod:      4 * sim.Millisecond,
-		KptedPeriod:       40 * sim.Millisecond,
-		KswapdPeriod:      1 * sim.Millisecond,
-		LowWaterFrac:      0.06,
-		HighWaterFrac:     0.12,
-		KpooldReserveFrac: 0.03,
-		BlockRetries:      3,
-		BlockRetryDelay:   sim.Micro(20),
-		BlockTimeout:      10 * sim.Millisecond,
-		DoorbellWire:      sim.Nano(1.6),
-		IRQWire:           sim.Nano(100),
+		Scheme:       scheme,
+		Costs:        DefaultCosts(),
+		KpooldPeriod: 4 * sim.Millisecond,
+		KptedPeriod:  40 * sim.Millisecond,
+		KswapdPeriod: 1 * sim.Millisecond,
+		BlockTimeout: 10 * sim.Millisecond,
 	}
 }
 
@@ -386,11 +382,9 @@ type Kernel struct {
 	cfg Config
 
 	storages []*storage // in attach order; a machine has a few
-	smus     map[uint8]*smu.SMU
-	// smuList mirrors smus sorted by SID: refill sweeps must visit SMUs in
-	// a deterministic order (map iteration would allocate frames in random
-	// order and break bit-reproducibility).
-	smuList []*smu.SMU
+	// smus holds the SMUs indexed by socket ID; refill sweeps visit them
+	// in SID order, so frames are handed out deterministically.
+	smus []*smu.SMU
 
 	// procs holds every process in creation order, so process ASID sits
 	// at procs[ASID-1] (ASIDs count up from 1).
@@ -486,7 +480,6 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 		mem:           m,
 		mmu:           mm,
 		cfg:           cfg,
-		smus:          make(map[uint8]*smu.SMU),
 		pcIndex:       make(map[*fs.File][]int32),
 		swPMSHR:       make(map[pagetable.EntryAddr][]func()),
 		faultInflight: make(map[pcKey][]func()),
@@ -584,14 +577,12 @@ func (k *Kernel) AttachStorage(sid, devID uint8, dev *ssd.Device, fsys *fs.FS) {
 }
 
 // AttachSMU registers the SMU for a socket (HWDP control plane: refills and
-// barriers).
+// barriers). Sockets attach in SID order from 0, as core builds them.
 func (k *Kernel) AttachSMU(s *smu.SMU) {
-	if _, dup := k.smus[s.SID]; dup {
-		panic(fmt.Sprintf("kernel: SMU %d attached twice", s.SID))
+	if int(s.SID) != len(k.smus) {
+		panic(fmt.Sprintf("kernel: SMU %d attached after %d SMUs (want SIDs 0, 1, ... in order)", s.SID, len(k.smus)))
 	}
-	k.smus[s.SID] = s
-	k.smuList = append(k.smuList, s)
-	sort.Slice(k.smuList, func(i, j int) bool { return k.smuList[i].SID < k.smuList[j].SID })
+	k.smus = append(k.smus, s)
 }
 
 // Start primes the free page queues and launches the background threads.
@@ -609,10 +600,10 @@ func (k *Kernel) Start() {
 			// One refill tick per socket, staggered across the period so the
 			// sweeps don't land on a single timestamp. Each ticker binds its
 			// callback once; rescheduling reposts the stored func.
-			for i, s := range k.smuList {
+			for i, s := range k.smus {
 				t := &smuTicker{k: k, s: s}
 				t.tick = t.run
-				off := k.cfg.KpooldPeriod * sim.Time(i) / sim.Time(len(k.smuList))
+				off := k.cfg.KpooldPeriod * sim.Time(i) / sim.Time(len(k.smus))
 				k.eng.Post(k.cfg.KpooldPeriod+off, t.tick)
 			}
 		default:
@@ -738,7 +729,7 @@ func (k *Kernel) newOSQueue(st *storage, hw *cpu.HWThread) *osQueue {
 	st.qps[hw.ID] = q
 	// Completions cross back over the IRQ wire and the interrupt
 	// handler runs kernel-side.
-	q.port = st.dev.Attach(qp, k.cfg.IRQWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
+	q.port = st.dev.Attach(qp, irqWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
 	return q
 }
 
@@ -787,7 +778,7 @@ func (k *Kernel) ringOS(q *osQueue) {
 		if !ok {
 			return
 		}
-		q.st.dev.Deliver(q.port, cmd, k.cfg.DoorbellWire)
+		q.st.dev.Deliver(q.port, cmd, doorbellWire)
 	}
 }
 
@@ -808,7 +799,7 @@ func (k *Kernel) dropParked(q *osQueue, cid uint16) {
 
 // submitIORetry issues a read or write on the caller's OS queue pair and
 // resubmits on retryable failures (transient media errors, timeouts) with
-// a doubling delay, up to Config.BlockRetries resubmissions. done runs at
+// a doubling delay, up to blockRetries resubmissions. done runs at
 // completion-interrupt time with the final status (callers charge
 // completion costs); retries are invisible to the caller except as
 // latency. When Config.BlockTimeout is set (the default is 10 ms) and an
@@ -894,14 +885,14 @@ func (k *Kernel) ioTimeout(a any) {
 //hwdp:hotpath
 func (k *Kernel) ioDone(p *osPending, status uint16) {
 	if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
-		p.attempt > k.cfg.BlockRetries {
+		p.attempt > blockRetries {
 		done := p.done
 		k.putPending(p)
 		done(status)
 		return
 	}
 	k.stats.BlockRetries++
-	delay := k.cfg.BlockRetryDelay << (p.attempt - 1)
+	delay := blockRetryDelay << (p.attempt - 1)
 	p.attempt++
 	now := k.eng.Now()
 	p.ms.AddSpan(trace.LayerKernel, "block-retry-backoff", now, now+delay)

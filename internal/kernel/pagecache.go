@@ -118,8 +118,8 @@ func (k *Kernel) mapExisting(pg *Page, m mapping) {
 // freeLevel returns current free frames and the low/high watermarks.
 func (k *Kernel) freeLevel() (free, low, high uint64) {
 	total := k.mem.Frames()
-	return k.mem.FreeFrames(), uint64(float64(total) * k.cfg.LowWaterFrac),
-		uint64(float64(total) * k.cfg.HighWaterFrac)
+	return k.mem.FreeFrames(), uint64(float64(total) * lowWaterFrac),
+		uint64(float64(total) * highWaterFrac)
 }
 
 // allocFrame hands out a frame, entering direct reclaim when the allocator

@@ -174,8 +174,8 @@ func (k *Kernel) syncVMARange(vma *VMA) int {
 // the SMU/unmap race of Section IV-C), and at once for any other VMA.
 func (k *Kernel) afterBarrier(vma *VMA, fn func()) {
 	if vma.Fast {
-		if s, ok := k.smus[vma.st.key.sid]; ok {
-			s.Barrier(k.vmaPTEAddrs(vma), fn)
+		if sid := int(vma.st.key.sid); sid < len(k.smus) {
+			k.smus[sid].Barrier(k.vmaPTEAddrs(vma), fn)
 			return
 		}
 	}

@@ -1,4 +1,4 @@
-// Package metrics provides the counters and latency histograms used to
+// Package metrics provides the latency histograms and summaries used to
 // report every figure in the evaluation. Histograms use logarithmic
 // bucketing (HDR-style: power-of-two magnitude, linear sub-buckets) so
 // percentiles over nanosecond-to-millisecond latencies stay accurate with
@@ -11,21 +11,6 @@ import (
 	"math/bits"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct{ n uint64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 const subBucketBits = 5 // 32 linear sub-buckets per power of two
 

@@ -9,19 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
 	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {

@@ -129,45 +129,33 @@ type MMU struct {
 	osFault OSFaultFunc
 	stats   Stats
 
-	// walkCb is the pre-bound runWalk callback and walkFree the walkReq
-	// free list: together they make walk scheduling allocation-free (one
-	// walkReq per in-flight walk, recycled forever). missFree and pfFree
-	// recycle the SMU-dispatch continuations the same way (one missCont per
-	// in-flight hardware miss, one prefetchCont per speculative fetch), and
-	// osFree the OS-fault continuations (one osCont per raised exception).
-	walkCb   func(any)
-	walkFree []*walkReq
-	missFree []*missCont
-	pfFree   []*prefetchCont
-	osFree   []*osCont
+	// walkCb is the pre-bound runWalk callback. accessFree recycles the
+	// access records (one per in-flight TLB miss) and pfFree the prefetch
+	// continuations (one per speculative fetch), so a miss allocates
+	// nothing.
+	walkCb     func(any)
+	accessFree []*access
+	pfFree     []*prefetchCont
 }
 
-// walkReq carries a pending walk's arguments through the engine's pooled
-// argument path, replacing a per-TLB-miss closure allocation.
-type walkReq struct {
-	ctx   any
-	as    *AddressSpace
-	va    pagetable.VAddr
-	write bool
-	done  func(Result)
-	t0    sim.Time
-}
-
-// missCont carries a dispatched hardware miss's completion state through
-// the SMU's pooled callback path (HandleMissArg + the missDone
-// trampoline), replacing the per-miss closure the MMU used to allocate.
-type missCont struct {
+// access carries one TLB-missing access from the miss to its callback:
+// across the walk latency, through the SMU (HandleMissArg and the missDone
+// trampoline), and through the OS fault handler and the re-walk after it.
+type access struct {
 	m       *MMU
 	ctx     any
 	as      *AddressSpace
 	va      pagetable.VAddr
 	write   bool
 	done    func(Result)
-	retried bool
-	t0      sim.Time
+	t0      sim.Time // when the TLB missed
 	core    int
+	tenant  int
+	retried bool // re-walking after the OS resolved a fault
 	ms      *trace.Miss
-	pte     pagetable.EntryRef
+	pte     pagetable.EntryRef // the PTE dispatched to the SMU
+
+	resolvedFn func() // resolved, bound once when the record is made
 }
 
 // prefetchCont carries one speculative prefetch's TLB-install state
@@ -240,42 +228,34 @@ func (m *MMU) Access(as *AddressSpace, va pagetable.VAddr, write bool, ctx any, 
 		m.tlb.Invalidate(as.ASID, vpn)
 	}
 	m.stats.Walks++
-	r := m.getWalkReq()
-	r.ctx, r.as, r.va, r.write, r.done, r.t0 = ctx, as, va, write, done, m.eng.Now()
-	m.eng.PostArg(m.WalkLatency, m.walkCb, r)
-}
-
-//hwdp:pool acquire walkreq
-func (m *MMU) getWalkReq() *walkReq {
-	if n := len(m.walkFree); n > 0 {
-		r := m.walkFree[n-1]
-		m.walkFree = m.walkFree[:n-1]
-		return r
+	a := m.getAccess()
+	a.ctx, a.as, a.va, a.write, a.done, a.t0 = ctx, as, va, write, done, m.eng.Now()
+	if cc, ok := ctx.(CoreCarrier); ok {
+		a.core = cc.CoreID()
 	}
-	return new(walkReq)
-}
-
-//hwdp:pool release walkreq
-func (m *MMU) putWalkReq(r *walkReq) {
-	*r = walkReq{}
-	m.walkFree = append(m.walkFree, r)
-}
-
-//hwdp:pool acquire misscont
-func (m *MMU) getMissCont() *missCont {
-	if n := len(m.missFree); n > 0 {
-		c := m.missFree[n-1]
-		m.missFree[n-1] = nil
-		m.missFree = m.missFree[:n-1]
-		return c
+	if tc, ok := ctx.(TenantCarrier); ok {
+		a.tenant = tc.TenantID()
 	}
-	return new(missCont)
+	m.eng.PostArg(m.WalkLatency, m.walkCb, a)
 }
 
-//hwdp:pool release misscont
-func (m *MMU) putMissCont(c *missCont) {
-	*c = missCont{}
-	m.missFree = append(m.missFree, c)
+//hwdp:pool acquire access
+func (m *MMU) getAccess() *access {
+	if n := len(m.accessFree); n > 0 {
+		a := m.accessFree[n-1]
+		m.accessFree[n-1] = nil
+		m.accessFree = m.accessFree[:n-1]
+		return a
+	}
+	a := &access{m: m}
+	a.resolvedFn = a.resolved
+	return a
+}
+
+//hwdp:pool release access
+func (m *MMU) putAccess(a *access) {
+	*a = access{m: m, resolvedFn: a.resolvedFn}
+	m.accessFree = append(m.accessFree, a)
 }
 
 //hwdp:pool acquire prefetchcont
@@ -295,33 +275,21 @@ func (m *MMU) putPrefetchCont(c *prefetchCont) {
 	m.pfFree = append(m.pfFree, c)
 }
 
-// runWalk unpacks a pooled walkReq and starts the walk proper.
+// runWalk starts the walk of a pooled access once the walk latency elapsed.
 //
 //hwdp:hotpath
-func (m *MMU) runWalk(arg any) {
-	r := arg.(*walkReq)
-	ctx, as, va, write, done, t0 := r.ctx, r.as, r.va, r.write, r.done, r.t0
-	m.putWalkReq(r)
-	m.walk(ctx, as, va, write, done, false, t0, nil)
-}
+func (m *MMU) runWalk(arg any) { m.walk(arg.(*access)) }
 
-// walk resolves one page-table walk. t0 is when the TLB missed (the walk
-// began); ms is the miss's trace context, nil until the walk turns out to
-// be a miss (and always nil when tracing is disabled).
-func (m *MMU) walk(ctx any, as *AddressSpace, va pagetable.VAddr, write bool, done func(Result), retried bool, t0 sim.Time, ms *trace.Miss) {
-	core, tenant := 0, 0
-	if cc, okc := ctx.(CoreCarrier); okc {
-		core = cc.CoreID()
-	}
-	if tc, okt := ctx.(TenantCarrier); okt {
-		tenant = tc.TenantID()
-	}
-	pud, pmd, pte, ok := as.Table.Walk(va)
+// walk resolves one page-table walk. a.ms is the miss's trace context, nil
+// until the walk turns out to be a miss (and always nil when tracing is
+// disabled).
+func (m *MMU) walk(a *access) {
+	pud, pmd, pte, ok := a.as.Table.Walk(a.va)
 	if !ok {
 		// No page-table structure at all: a conventional OS fault (mmap'ed
 		// but never populated — the OS allocates tables) or a segfault; the
 		// kernel decides.
-		m.raiseOS(ctx, as, va, write, false, done, retried, t0, core, ms)
+		m.raiseOS(a, false)
 		return
 	}
 	e := pte.Get()
@@ -329,22 +297,21 @@ func (m *MMU) walk(ctx any, as *AddressSpace, va pagetable.VAddr, write bool, do
 	case pagetable.StateResident, pagetable.StateResidentUnsynced:
 		m.stats.WalkHits++
 		flags := pagetable.FlagAccessed
-		if write {
+		if a.write {
 			flags |= pagetable.FlagDirty
 			if m.OnDirty != nil && !e.Dirty() {
 				m.OnDirty()
 			}
 		}
 		pte.Set(e.WithFlags(flags))
-		m.tlb.Insert(as.ASID, va.PageNumber(), pte)
-		ms.Finish(m.eng.Now())
-		done(Result{OutcomeWalkHit, pte.Get()})
+		m.tlb.Insert(a.as.ASID, a.va.PageNumber(), pte)
+		m.complete(a, Result{OutcomeWalkHit, pte.Get()})
 
 	case pagetable.StateNotPresentLBA:
 		if !m.DispatchHW {
 			// SW-only scheme: the exception is raised and the kernel's
 			// software SMU emulation takes over.
-			m.raiseOS(ctx, as, va, write, false, done, retried, t0, core, ms)
+			m.raiseOS(a, false)
 			return
 		}
 		// Both checks in one walk step: present clear, LBA set → request
@@ -355,31 +322,30 @@ func (m *MMU) walk(ctx any, as *AddressSpace, va pagetable.VAddr, write bool, do
 			panic(fmt.Sprintf("mmu: PTE names socket %d with no SMU", blk.SID))
 		}
 		m.stats.HWMisses++
-		if ms == nil {
-			ms = m.Tracer.Begin(core, uint64(va), trace.CauseHWMiss, t0)
+		if a.ms == nil {
+			a.ms = m.Tracer.Begin(a.core, uint64(a.va), trace.CauseHWMiss, a.t0)
 		}
-		if !retried {
-			ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", t0, m.eng.Now())
+		if !a.retried {
+			a.ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", a.t0, m.eng.Now())
 		}
-		req := smu.Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: e.Prot(), Core: core, Tenant: tenant, Trace: ms}
-		c := m.getMissCont()
-		c.m, c.ctx, c.as, c.va, c.write, c.done = m, ctx, as, va, write, done
-		c.retried, c.t0, c.core, c.ms, c.pte = retried, t0, core, ms, pte
-		s.HandleMissArg(req, missDone, c)
-		m.prefetch(as, va, core, tenant, s)
+		a.pte = pte
+		// The SMU answers no earlier than its request-register latency, so
+		// a is still live for prefetch.
+		s.HandleMissArg(smu.Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: e.Prot(), Core: a.core, Tenant: a.tenant, Trace: a.ms}, missDone, a)
+		m.prefetch(a, s)
 
 	case pagetable.StateNotPresentOS:
-		m.raiseOS(ctx, as, va, write, false, done, retried, t0, core, ms)
+		m.raiseOS(a, false)
 	}
 }
 
 // prefetch speculatively dispatches the next virtually-contiguous
 // LBA-augmented pages to the SMU. Failures (no free page) are silently
 // dropped: a prefetch must never cause an OS fault.
-func (m *MMU) prefetch(as *AddressSpace, va pagetable.VAddr, core, tenant int, s *smu.SMU) {
+func (m *MMU) prefetch(a *access, s *smu.SMU) {
 	for i := 1; i <= m.PrefetchDegree; i++ {
-		nva := va.PageBase() + pagetable.VAddr(i)*4096
-		pud, pmd, pte, ok := as.Table.Walk(nva)
+		nva := a.va.PageBase() + pagetable.VAddr(i)*4096
+		pud, pmd, pte, ok := a.as.Table.Walk(nva)
 		if !ok {
 			return
 		}
@@ -392,47 +358,38 @@ func (m *MMU) prefetch(as *AddressSpace, va pagetable.VAddr, core, tenant int, s
 			return
 		}
 		m.stats.Prefetches++
-		req := smu.Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: e.Prot(), Core: core, Tenant: tenant}
+		req := smu.Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: e.Prot(), Core: a.core, Tenant: a.tenant}
 		pc := m.getPrefetchCont()
-		pc.m, pc.as, pc.va, pc.pte = m, as, nva, pte
+		pc.m, pc.as, pc.va, pc.pte = m, a.as, nva, pte
 		s.HandleMissArg(req, prefetchDone, pc)
 	}
 }
 
 // missDone resumes a dispatched walk when the SMU broadcasts its result
-// (the HandleMissArg trampoline bound to a pooled missCont).
+// (the HandleMissArg trampoline bound to a pooled access).
 func missDone(arg any, res smu.Result, _ pagetable.Entry) {
-	c := arg.(*missCont)
-	m := c.m
-	switch res {
-	case smu.ResultOK:
-		if c.write {
-			// A write miss coalesced on the same PTE may have dirtied it
-			// already: count only the clean→dirty transition.
-			if e := c.pte.Get(); !e.Dirty() {
-				c.pte.Set(e.WithFlags(pagetable.FlagDirty))
-				if m.OnDirty != nil {
-					m.OnDirty()
-				}
+	a := arg.(*access)
+	m := a.m
+	if res != smu.ResultOK {
+		// Free page queue empty (or I/O error): raise the exception after
+		// all.
+		m.stats.HWBounced++
+		a.ms.SetCause(trace.CauseBounced)
+		m.raiseOS(a, true)
+		return
+	}
+	if a.write {
+		// A write miss coalesced on the same PTE may have dirtied it
+		// already: count only the clean→dirty transition.
+		if e := a.pte.Get(); !e.Dirty() {
+			a.pte.Set(e.WithFlags(pagetable.FlagDirty))
+			if m.OnDirty != nil {
+				m.OnDirty()
 			}
 		}
-		m.tlb.Insert(c.as.ASID, c.va.PageNumber(), c.pte)
-		c.ms.Finish(m.eng.Now())
-		done, pte := c.done, c.pte
-		// Release before the callback: done may start another access that
-		// reuses the record.
-		m.putMissCont(c)
-		done(Result{OutcomeHW, pte.Get()})
-	default:
-		// Free page queue empty (or I/O error): raise the
-		// exception after all.
-		m.stats.HWBounced++
-		c.ms.SetCause(trace.CauseBounced)
-		ctx, as, va, write, done := c.ctx, c.as, c.va, c.write, c.done
-		retried, t0, core, ms := c.retried, c.t0, c.core, c.ms
-		m.putMissCont(c)
-		m.raiseOS(ctx, as, va, write, true, done, retried, t0, core, ms)
 	}
+	m.tlb.Insert(a.as.ASID, a.va.PageNumber(), a.pte)
+	m.complete(a, Result{OutcomeHW, a.pte.Get()})
 }
 
 // prefetchDone installs a speculatively fetched page's translation (the
@@ -448,79 +405,44 @@ func prefetchDone(arg any, res smu.Result, _ pagetable.Entry) {
 }
 
 // raiseOS raises the page-fault exception and re-walks once the kernel
-// has resolved the fault. The pending access rides a pooled osCont.
+// has resolved the fault. A fault on the re-walk is fatal for the access
+// (the kernel would deliver SIGSEGV).
 //
 //hwdp:hotpath
-func (m *MMU) raiseOS(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, done func(Result), retried bool, t0 sim.Time, core int, ms *trace.Miss) {
-	if m.osFault == nil || retried {
-		ms.Finish(m.eng.Now())
-		done(Result{Outcome: OutcomeBadAddr})
+func (m *MMU) raiseOS(a *access, hwFailed bool) {
+	if m.osFault == nil || a.retried {
+		m.complete(a, Result{Outcome: OutcomeBadAddr})
 		return
 	}
 	m.stats.OSFaults++
-	if ms == nil {
+	if a.ms == nil {
 		// Cause is refined by the kernel once it has triaged the fault.
-		ms = m.Tracer.Begin(core, uint64(va), trace.CauseUnknown, t0)
-		ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", t0, m.eng.Now())
+		a.ms = m.Tracer.Begin(a.core, uint64(a.va), trace.CauseUnknown, a.t0)
+		a.ms.AddSpan(trace.LayerMMU, "tlb-miss+walk", a.t0, m.eng.Now())
 	}
-	c := m.getOSCont()
-	c.ctx, c.as, c.va, c.write, c.done, c.t0, c.ms = ctx, as, va, write, done, t0, ms
-	m.osFault(ctx, as, va, write, hwFailed, ms, c.resolvedFn)
+	m.osFault(a.ctx, a.as, a.va, a.write, hwFailed, a.ms, a.resolvedFn)
 }
 
-// osCont carries an access through the OS fault handler and the re-walk
-// that follows it. Its two steps are bound once when the carrier is made.
-type osCont struct {
-	m     *MMU
-	ctx   any
-	as    *AddressSpace
-	va    pagetable.VAddr
-	write bool
-	done  func(Result)
-	t0    sim.Time
-	ms    *trace.Miss
-
-	resolvedFn func()
-	rewalkFn   func(Result)
-}
-
-//hwdp:pool acquire oscont
-func (m *MMU) getOSCont() *osCont {
-	if n := len(m.osFree); n > 0 {
-		c := m.osFree[n-1]
-		m.osFree[n-1] = nil
-		m.osFree = m.osFree[:n-1]
-		return c
-	}
-	c := &osCont{m: m}
-	c.resolvedFn, c.rewalkFn = c.resolved, c.rewalked
-	return c
-}
-
-//hwdp:pool release oscont
-func (m *MMU) putOSCont(c *osCont) {
-	c.ctx, c.as, c.va, c.write, c.done, c.t0, c.ms = nil, nil, 0, false, nil, 0, nil
-	m.osFree = append(m.osFree, c)
-}
-
-// resolved re-walks once the kernel resolved the fault; a second failure
-// is fatal for the access (the kernel would deliver SIGSEGV).
+// resolved re-walks once the kernel resolved the fault.
 //
 //hwdp:hotpath
-func (c *osCont) resolved() {
-	c.m.walk(c.ctx, c.as, c.va, c.write, c.rewalkFn, true, c.t0, c.ms)
+func (a *access) resolved() {
+	a.retried = true
+	a.m.walk(a)
 }
 
-// rewalked completes the access. It is reported as an OS fault regardless
-// of how the re-walk hit.
+// complete ends the access: it closes the miss's trace, releases the
+// record (before the callback, which may start another access) and fires
+// the callback. After an OS fault the access is reported as one, however
+// the re-walk hit.
 //
 //hwdp:hotpath
-func (c *osCont) rewalked(r Result) {
-	if r.Outcome == OutcomeWalkHit || r.Outcome == OutcomeHW {
+func (m *MMU) complete(a *access, r Result) {
+	if a.retried && (r.Outcome == OutcomeWalkHit || r.Outcome == OutcomeHW) {
 		r.Outcome = OutcomeOSFault
 	}
-	m, done := c.m, c.done
-	c.ms.Finish(m.eng.Now())
-	m.putOSCont(c)
+	a.ms.Finish(m.eng.Now())
+	done := a.done
+	m.putAccess(a)
 	done(r)
 }

@@ -2,16 +2,6 @@ package nvme
 
 import "testing"
 
-func BenchmarkCommandEncodeDecode(b *testing.B) {
-	c := Command{Opcode: OpRead, CID: 7, NSID: 1, PRP1: 0x1000, SLBA: 99}
-	for i := 0; i < b.N; i++ {
-		wire := c.Encode()
-		if _, err := Decode(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkQueuePairRoundTrip(b *testing.B) {
 	q := NewQueuePair(1, 64)
 	for i := 0; i < b.N; i++ {

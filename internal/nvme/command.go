@@ -1,5 +1,5 @@
 // Package nvme implements the subset of the NVM Express protocol the paper
-// relies on: 64-byte I/O commands, paired submission/completion queues with
+// relies on: I/O commands, paired submission/completion queues with
 // doorbells and the completion phase bit, and namespaces. Both the OS block
 // layer (OSDP) and the SMU's NVMe host controller (HWDP) drive devices
 // through this package — the SMU issues "a 4KB read without a physical
@@ -7,8 +7,6 @@
 package nvme
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"hwdp/internal/trace"
@@ -39,15 +37,12 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op%#x", uint8(o))
 }
 
-// CommandSize is the size of an NVMe submission queue entry.
-const CommandSize = 64
-
 // BlockSize is the logical block size of all simulated namespaces. The
 // paper's PTEs address 4 KiB pages; with 4 KiB logical blocks a page is
 // exactly one block.
 const BlockSize = 4096
 
-// Command is a decoded submission-queue entry. PRP1 carries the DMA target
+// Command is a submission-queue entry. PRP1 carries the DMA target
 // (the physical address of the destination frame); commands for one 4 KiB
 // block never need PRP2 or a PRP list.
 type Command struct {
@@ -58,64 +53,16 @@ type Command struct {
 	SLBA   uint64 // starting LBA
 	NLB    uint16 // number of logical blocks, 0-based per spec
 	Urgent bool   // storage-side urgent priority (Section V)
-	// Tenant tags the command with the fleet tenant whose miss it serves
-	// (vendor-specific DW14; zero on the default single-tenant machine).
-	// Carrying it on the wire lets per-tenant I/O accounting survive the
-	// submission queue's encode/decode round trip.
-	Tenant uint16
 
 	// Trace is simulator-side metadata, not wire data: the trace context
 	// of the page miss this command serves (nil when tracing is disabled
-	// or the command is not miss I/O). It rides alongside the 64-byte
-	// entry so the device model can attribute queue-wait and media time.
+	// or the command is not miss I/O). It lets the device model attribute
+	// queue-wait and media time.
 	Trace *trace.Miss
 }
 
 // Blocks returns the transfer length in logical blocks.
 func (c Command) Blocks() int { return int(c.NLB) + 1 }
-
-// Encode serializes the command into its 64-byte wire format
-// (spec-shaped: DW0 opcode/CID, DW1 NSID, DW6-7 PRP1, DW10-11 SLBA,
-// DW12 NLB; the urgent hint uses a reserved DW13 bit and the tenant tag a
-// vendor-specific DW14 field).
-func (c Command) Encode() [CommandSize]byte {
-	var b [CommandSize]byte
-	binary.LittleEndian.PutUint32(b[0:], uint32(c.Opcode)|uint32(c.CID)<<16)
-	binary.LittleEndian.PutUint32(b[4:], c.NSID)
-	binary.LittleEndian.PutUint64(b[24:], c.PRP1)
-	binary.LittleEndian.PutUint64(b[40:], c.SLBA)
-	binary.LittleEndian.PutUint32(b[48:], uint32(c.NLB))
-	if c.Urgent {
-		b[52] = 1
-	}
-	binary.LittleEndian.PutUint16(b[56:], c.Tenant)
-	return b
-}
-
-// ErrBadCommand reports a malformed submission entry.
-var ErrBadCommand = errors.New("nvme: malformed command")
-
-// Decode parses a 64-byte submission entry.
-func Decode(b [CommandSize]byte) (Command, error) {
-	dw0 := binary.LittleEndian.Uint32(b[0:])
-	c := Command{
-		Opcode: Opcode(dw0 & 0xFF),
-		CID:    uint16(dw0 >> 16),
-		NSID:   binary.LittleEndian.Uint32(b[4:]),
-		PRP1:   binary.LittleEndian.Uint64(b[24:]),
-		SLBA:   binary.LittleEndian.Uint64(b[40:]),
-		NLB:    uint16(binary.LittleEndian.Uint32(b[48:])),
-		Urgent: b[52] == 1,
-		Tenant: binary.LittleEndian.Uint16(b[56:]),
-	}
-	switch c.Opcode {
-	case OpFlush, OpWrite, OpRead:
-	default:
-		//hwdp:ignore hotalloc error construction on the malformed-command return only; commands the SMU encodes always carry a known opcode
-		return Command{}, fmt.Errorf("%w: opcode %#x", ErrBadCommand, uint8(c.Opcode))
-	}
-	return c, nil
-}
 
 // Status codes in completion entries, encoded as (SCT << 8) | SC like the
 // spec's combined status field: generic command status (SCT 0), command

@@ -6,47 +6,23 @@ import (
 	"testing/quick"
 )
 
-func TestCommandEncodeDecodeRoundTrip(t *testing.T) {
-	c := Command{
-		Opcode: OpRead,
-		CID:    0x1234,
-		NSID:   3,
-		PRP1:   0xDEAD_BEEF_000,
-		SLBA:   0x1_0000_0042,
-		NLB:    0,
-		Urgent: true,
-	}
-	got, err := Decode(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c {
-		t.Fatalf("round trip: %+v != %+v", got, c)
-	}
-	if got.Blocks() != 1 {
-		t.Fatalf("blocks = %d", got.Blocks())
-	}
-}
-
+// TestCommandRoundTripProperty checks that the submission queue hands the
+// device every command exactly as it was submitted.
 func TestCommandRoundTripProperty(t *testing.T) {
+	q := NewQueuePair(1, 4)
 	f := func(op uint8, cid uint16, nsid uint32, prp, slba uint64, nlb uint16, urg bool) bool {
 		c := Command{
 			Opcode: []Opcode{OpFlush, OpWrite, OpRead}[op%3],
 			CID:    cid, NSID: nsid, PRP1: prp, SLBA: slba, NLB: nlb, Urgent: urg,
 		}
-		got, err := Decode(c.Encode())
-		return err == nil && got == c
+		if err := q.Submit(c); err != nil {
+			return false
+		}
+		got, ok := q.PopSQ()
+		return ok && got == c && got.Blocks() == int(nlb)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecodeRejectsBadOpcode(t *testing.T) {
-	var b [CommandSize]byte
-	b[0] = 0x7F
-	if _, err := Decode(b); !errors.Is(err, ErrBadCommand) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -84,16 +84,7 @@ func (q *QueuePair) Submit(c Command) error {
 		//hwdp:ignore hotalloc error construction on the queue-full return only; the SMU sizes its isolated queue to PMSHR depth and panics on this error
 		return fmt.Errorf("%w: qid %d", ErrQueueFull, q.ID)
 	}
-	// Encode/decode through the wire format so tests exercise it.
-	wire := c.Encode()
-	dec, err := Decode(wire)
-	if err != nil {
-		return err
-	}
-	// The trace context is simulator metadata, not wire data: carry it
-	// across the round trip explicitly.
-	dec.Trace = c.Trace
-	q.sq[q.sqTail] = dec
+	q.sq[q.sqTail] = c
 	q.sqTail = (q.sqTail + 1) % q.depth
 	q.submitted++
 	return nil

@@ -5,7 +5,6 @@ import (
 
 	"hwdp/internal/metrics"
 	"hwdp/internal/pagetable"
-	"hwdp/internal/sim"
 	"hwdp/internal/trace"
 )
 
@@ -32,14 +31,6 @@ type QoSConfig struct {
 	Weights []float64
 }
 
-// qosWaiter is one parked admission: the request, its completion callback,
-// and when it was parked (for the throttle-wait histogram and PSI).
-type qosWaiter struct {
-	req  Request
-	done doneRef
-	at   sim.Time
-}
-
 // qosState is the armed admission layer: per-tenant caps, current
 // holdings, and the per-tenant park queues drained round-robin.
 type qosState struct {
@@ -48,7 +39,7 @@ type qosState struct {
 	ioCap   []int // NVMe commands a tenant may have in flight
 	slots   []int // PMSHR slots currently held
 	ios     []int // NVMe commands currently in flight
-	parked  [][]qosWaiter
+	parked  [][]pendingReq
 	heads   []int
 	rr      int // next tenant the drain scan starts from
 	total   int // parked waiters across all tenants
@@ -72,7 +63,7 @@ func (s *SMU) SetQoS(cfg QoSConfig) {
 		ioCap:   make([]int, n),
 		slots:   make([]int, n),
 		ios:     make([]int, n),
-		parked:  make([][]qosWaiter, n),
+		parked:  make([][]pendingReq, n),
 		heads:   make([]int, n),
 	}
 	sum := 0.0
@@ -91,7 +82,7 @@ func (s *SMU) SetQoS(cfg QoSConfig) {
 		if cfg.Weights != nil {
 			w = cfg.Weights[t]
 		}
-		share := int(w / sum * float64(s.entries))
+		share := int(w / sum * float64(len(s.pmshr)))
 		if share < 1 {
 			share = 1
 		}
@@ -182,7 +173,7 @@ func (s *SMU) qosPark(req Request, done doneRef) {
 	t := q.qosTenant(req.Tenant)
 	now := s.eng.Now()
 	//hwdp:ignore hotalloc the per-tenant park queue is drained to parked[t][:0] (retained capacity), so steady-state appends do not allocate
-	q.parked[t] = append(q.parked[t], qosWaiter{req: req, done: done, at: now})
+	q.parked[t] = append(q.parked[t], pendingReq{req, done, now})
 	q.total++
 	s.tstat(req.Tenant).Throttled++
 	req.Trace.Mark(trace.LayerSMU, "qos-throttle", now)
@@ -207,7 +198,7 @@ func (s *SMU) qosDrain() {
 		t := q.rr % n
 		if q.heads[t] < len(q.parked[t]) && !s.qosBlocked(q.parked[t][q.heads[t]].req) {
 			w := q.parked[t][q.heads[t]]
-			q.parked[t][q.heads[t]] = qosWaiter{}
+			q.parked[t][q.heads[t]] = pendingReq{}
 			q.heads[t]++
 			if q.heads[t] == len(q.parked[t]) {
 				q.parked[t] = q.parked[t][:0]

@@ -7,9 +7,10 @@
 // completion so stalled page-table walks resume — all without raising an
 // exception.
 //
-// The PMSHR is modeled the way the hardware builds it: a fixed array of
-// slots searched associatively (a CAM scan) rather than a hash map, and
-// slot state is pooled and recycled, so steady-state miss handling
+// The PMSHR is modeled the way the hardware builds it: a fixed table of
+// records, sized at construction and searched associatively (a CAM scan)
+// rather than a hash map. A record is reset when its miss retires and
+// reused by the next claim of its slot, so steady-state miss handling
 // performs no heap allocations (pinned by TestMissPathAllocationBudget).
 package smu
 
@@ -143,6 +144,8 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Backoff: sim.Micro(5)}
 }
 
+// pmshrEntry is one PMSHR record. idx is its fixed slot index; every
+// other field is reset when the miss retires.
 type pmshrEntry struct {
 	idx     int
 	pteAddr pagetable.EntryAddr
@@ -169,17 +172,13 @@ type devSlot struct {
 	nsid uint32
 }
 
-// pendingReq carries a request across the admission latency without
-// building a per-miss closure; carriers are pooled.
+// pendingReq is a request not yet in a PMSHR slot: crossing the admission
+// latency (a pooled carrier, so no per-miss closure), waiting in the
+// backlog for a free slot, or parked by the QoS layer.
 type pendingReq struct {
 	req  Request
 	done doneRef
-}
-
-type backlogItem struct {
-	req  Request
-	done doneRef
-	at   sim.Time // when the request began waiting for a PMSHR slot
+	at   sim.Time // when the request began waiting (backlog or QoS park)
 }
 
 type barrier struct {
@@ -189,16 +188,16 @@ type barrier struct {
 
 // SMU is one per-socket storage management unit.
 type SMU struct {
-	SID     uint8
-	eng     *sim.Engine
-	timing  Timing
-	entries int
+	SID    uint8
+	eng    *sim.Engine
+	timing Timing
 
-	slots       []*pmshrEntry // the PMSHR proper: nil = free slot
+	pmshr       []pmshrEntry  // the PMSHR records, one per slot
+	slots       []*pmshrEntry // the CAM's view of pmshr: nil = free slot
 	freeIdx     []int
 	nextCID     uint16
 	policy      RetryPolicy
-	backlog     []backlogItem
+	backlog     []pendingReq
 	backlogHead int
 	freeqs      []*FreeQueue // one, or one per logical core
 	devs        [8]*devSlot
@@ -221,12 +220,13 @@ type SMU struct {
 	qos     *qosState
 	qosWait *metrics.Histogram
 
-	// Pools: PMSHR entry state, admission carriers, and completion-notice
-	// carriers are recycled so the steady-state miss path allocates
-	// nothing.
-	entryPool  []*pmshrEntry
-	reqPool    []*pendingReq
-	noticePool []*doneNotice
+	// Pools: admission carriers and completion-notice carriers are
+	// recycled so the steady-state miss path allocates nothing. finish
+	// notifies a retiring record's waiters from their own list and hands
+	// it back here, for the next record it resets.
+	reqPool      []*pendingReq
+	noticePool   []*doneNotice
+	spareWaiters []doneRef
 
 	// Pre-bound event callbacks (built once in NewPerCore) so scheduling a
 	// pipeline stage costs no closure allocation.
@@ -254,7 +254,7 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		SID:         sid,
 		eng:         eng,
 		timing:      DefaultTiming(),
-		entries:     entries,
+		pmshr:       make([]pmshrEntry, entries),
 		slots:       make([]*pmshrEntry, entries),
 		nextCID:     1,
 		policy:      DefaultRetryPolicy(),
@@ -270,6 +270,7 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		s.freeqs = append(s.freeqs, NewFreeQueue(per, PrefetchBufEntries))
 	}
 	for i := entries - 1; i >= 0; i-- {
+		s.pmshr[i].idx = i
 		s.freeIdx = append(s.freeIdx, i)
 	}
 	s.admitFn = func(a any) {
@@ -295,13 +296,18 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 	}
 	s.timeoutFn = func(a any) { s.onTimeout(a.(*pmshrEntry)) }
 	s.ptUpdateFn = func(a any) { s.ptUpdate(a.(*pmshrEntry)) }
-	s.notifyFn = func(a any) {
+	s.notifyFn = func(a any) { s.notify(a.(*pmshrEntry)) }
+	s.anonFillFn = func(a any) {
+		// A first-touch anonymous miss needs no I/O: install the
+		// zero-filled frame and broadcast.
 		e := a.(*pmshrEntry)
-		s.stats.Handled++
-		s.tstat(e.req.Tenant).Handled++
-		s.finish(e, ResultOK, e.newPTE)
+		e.newPTE = s.install(e)
+		if e.installed {
+			s.stats.AnonZeroFill++
+			s.tstat(e.req.Tenant).AnonZeroFill++
+		}
+		s.notify(e)
 	}
-	s.anonFillFn = func(a any) { s.anonFill(a.(*pmshrEntry)) }
 	return s
 }
 
@@ -318,7 +324,7 @@ func (s *SMU) queueFor(core int) *FreeQueue {
 func (s *SMU) Queues() []*FreeQueue { return s.freeqs }
 
 // Entries returns the PMSHR size.
-func (s *SMU) Entries() int { return s.entries }
+func (s *SMU) Entries() int { return len(s.pmshr) }
 
 // Timing returns the component latency model.
 func (s *SMU) Timing() Timing { return s.timing }
@@ -366,7 +372,7 @@ func (s *SMU) RefillCore(core int, recs []FrameRecord) int {
 }
 
 // Outstanding returns the number of in-flight hardware-handled misses.
-func (s *SMU) Outstanding() int { return s.entries - len(s.freeIdx) }
+func (s *SMU) Outstanding() int { return len(s.pmshr) - len(s.freeIdx) }
 
 // BacklogLen returns how many requests are currently waiting for a PMSHR
 // slot. The invariant watchdog uses it for the no-lost-wakeup check: a
@@ -403,33 +409,6 @@ func (s *SMU) lookupCID(cid uint16) *pmshrEntry {
 	return nil
 }
 
-// getEntry takes a pooled PMSHR entry record (or allocates the pool's
-// first few).
-//
-//hwdp:pool acquire entry
-func (s *SMU) getEntry() *pmshrEntry {
-	if n := len(s.entryPool); n > 0 {
-		e := s.entryPool[n-1]
-		s.entryPool[n-1] = nil
-		s.entryPool = s.entryPool[:n-1]
-		return e
-	}
-	return &pmshrEntry{}
-}
-
-// putEntry clears an entry and returns it to the pool.
-//
-//hwdp:pool release entry
-func (s *SMU) putEntry(e *pmshrEntry) {
-	w := e.waiters
-	for i := range w {
-		w[i] = doneRef{}
-	}
-	*e = pmshrEntry{}
-	e.waiters = w[:0]
-	s.entryPool = append(s.entryPool, e)
-}
-
 // getReq takes a pooled admission carrier.
 //
 //hwdp:pool acquire req
@@ -447,7 +426,7 @@ func (s *SMU) getReq() *pendingReq {
 //
 //hwdp:pool release req
 func (s *SMU) putReq(c *pendingReq) {
-	c.req, c.done = Request{}, doneRef{}
+	*c = pendingReq{}
 	s.reqPool = append(s.reqPool, c)
 }
 
@@ -575,24 +554,25 @@ func (s *SMU) admit(req Request, done doneRef) {
 	if len(s.freeIdx) == 0 {
 		// All PMSHRs busy: the walk stays pending until a slot frees.
 		//hwdp:ignore hotalloc backlog only grows under PMSHR oversubscription and finish recycles it to backlog[:0], retaining capacity
-		s.backlog = append(s.backlog, backlogItem{req, done, s.eng.Now()})
+		s.backlog = append(s.backlog, pendingReq{req, done, s.eng.Now()})
 		s.stats.Backlogged++
 		s.tstat(req.Tenant).Backlogged++
 		s.psi.BeginStall(metrics.StallPMSHRBacklog, int64(s.eng.Now()))
 		return
 	}
 
-	if req.Block.LBA == pagetable.AnonFirstTouch {
-		s.admitAnon(req, done)
-		return
-	}
-
-	dev := s.devs[req.Block.DeviceID]
-	if dev == nil {
-		s.stats.IOErrors++
-		s.tstat(req.Tenant).IOErrors++
-		s.notifySchedule(done, ResultIOError, 0)
-		return
+	// The reserved LBA constant marks a first-touch anonymous miss: the
+	// same miss with the device I/O skipped (Section V).
+	anon := req.Block.LBA == pagetable.AnonFirstTouch
+	var dev *devSlot
+	if !anon {
+		dev = s.devs[req.Block.DeviceID]
+		if dev == nil {
+			s.stats.IOErrors++
+			s.tstat(req.Tenant).IOErrors++
+			s.notifySchedule(done, ResultIOError, 0)
+			return
+		}
 	}
 
 	freeq := s.queueFor(req.Core)
@@ -612,22 +592,35 @@ func (s *SMU) admit(req Request, done doneRef) {
 		s.tstat(req.Tenant).BufferMisses++
 	}
 
-	s.qosCharge(req.Tenant, true)
+	// An anonymous fill, too, holds its slot for the few cycles it takes,
+	// so that a concurrent duplicate miss coalesces instead of claiming a
+	// second frame (no page aliases).
+	s.qosCharge(req.Tenant, !anon)
 	idx := s.freeIdx[len(s.freeIdx)-1]
 	s.freeIdx = s.freeIdx[:len(s.freeIdx)-1]
-	e := s.getEntry()
-	e.idx, e.pteAddr, e.req, e.frame, e.dev = idx, addr, req, rec, dev
-	//hwdp:ignore hotalloc waiters backing array is retained by the pooled entry (putEntry keeps capacity), so steady-state appends do not allocate
+	e := &s.pmshr[idx]
+	e.pteAddr, e.req, e.frame, e.dev = addr, req, rec, dev
+	//hwdp:ignore hotalloc waiters backing array is retained by the PMSHR record (finish hands every record a cleared list back), so steady-state appends do not allocate
 	e.waiters = append(e.waiters, done)
 	s.slots[idx] = e
 
 	t := s.timing
+	if anon {
+		req.Trace.SetCause(trace.CauseAnonZeroFill)
+	}
 	now := s.eng.Now()
+	written := fetchCost + t.PMSHRWrite
 	req.Trace.AddSpan(trace.LayerSMU, "free-page-fetch", now, now+fetchCost)
-	req.Trace.AddSpan(trace.LayerSMU, "pmshr-write", now+fetchCost, now+fetchCost+t.PMSHRWrite)
-	req.Trace.AddSpan(trace.LayerNVMe, "nvme-cmd-write", now+fetchCost+t.PMSHRWrite, now+fetchCost+t.PMSHRWrite+t.CmdWrite)
-	issueCost := fetchCost + t.PMSHRWrite + t.CmdWrite
-	s.eng.PostArg(issueCost, s.issueFn, e)
+	req.Trace.AddSpan(trace.LayerSMU, "pmshr-write", now+fetchCost, now+written)
+	if anon {
+		filled := written + t.PTUpdate
+		req.Trace.AddSpan(trace.LayerSMU, "pt-update", now+written, now+filled)
+		req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", now+filled, now+filled+t.Notify)
+		s.eng.PostArg(filled+t.Notify, s.anonFillFn, e)
+		return
+	}
+	req.Trace.AddSpan(trace.LayerNVMe, "nvme-cmd-write", now+written, now+written+t.CmdWrite)
+	s.eng.PostArg(written+t.CmdWrite, s.issueFn, e)
 }
 
 // allocCID hands out a command identifier not currently in flight. Each
@@ -666,7 +659,6 @@ func (s *SMU) issue(e *pmshrEntry) {
 		PRP1:   e.frame.DMA,
 		SLBA:   e.req.Block.LBA,
 		NLB:    0, // one 4 KiB block, no PRP list
-		Tenant: uint16(e.req.Tenant),
 		Trace:  e.req.Trace,
 	}
 	s.tstat(e.req.Tenant).Submitted++
@@ -734,82 +726,6 @@ func (s *SMU) recover(e *pmshrEntry, status uint16) {
 	s.finish(e, ResultIOError, 0)
 }
 
-// admitAnon serves a first-touch anonymous miss: the reserved LBA constant
-// tells the SMU to bypass I/O entirely (Section V). A zero-filled frame
-// from the free page queue is installed directly; the whole miss costs a
-// handful of cycles instead of a device access.
-//
-//hwdp:hotpath
-func (s *SMU) admitAnon(req Request, done doneRef) {
-	freeq := s.queueFor(req.Core)
-	rec, fromBuf, ok := freeq.Pop()
-	if !ok {
-		s.stats.NoFreePage++
-		s.tstat(req.Tenant).NoFreePage++
-		s.notifySchedule(done, ResultNoFreePage, 0)
-		return
-	}
-	fetchCost := s.timing.FreePageHit
-	if !fromBuf {
-		fetchCost = s.timing.FreePageMem
-		s.stats.BufferMisses++
-		s.tstat(req.Tenant).BufferMisses++
-	}
-	// Occupy a PMSHR entry for the handful of cycles the fill takes so
-	// that a concurrent duplicate miss coalesces instead of claiming a
-	// second frame (no page aliases, same as the I/O path).
-	s.qosCharge(req.Tenant, false)
-	addr := req.PTE.Addr()
-	idx := s.freeIdx[len(s.freeIdx)-1]
-	s.freeIdx = s.freeIdx[:len(s.freeIdx)-1]
-	e := s.getEntry()
-	e.idx, e.pteAddr, e.req, e.frame = idx, addr, req, rec
-	//hwdp:ignore hotalloc waiters backing array is retained by the pooled entry (putEntry keeps capacity), so steady-state appends do not allocate
-	e.waiters = append(e.waiters, done)
-	s.slots[idx] = e
-
-	t := s.timing
-	req.Trace.SetCause(trace.CauseAnonZeroFill)
-	now := s.eng.Now()
-	req.Trace.AddSpan(trace.LayerSMU, "free-page-fetch", now, now+fetchCost)
-	req.Trace.AddSpan(trace.LayerSMU, "pmshr-write", now+fetchCost, now+fetchCost+t.PMSHRWrite)
-	req.Trace.AddSpan(trace.LayerSMU, "pt-update", now+fetchCost+t.PMSHRWrite, now+fetchCost+t.PMSHRWrite+t.PTUpdate)
-	req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", now+fetchCost+t.PMSHRWrite+t.PTUpdate, now+fetchCost+t.PMSHRWrite+t.PTUpdate+t.Notify)
-	s.eng.PostArg(fetchCost+t.PMSHRWrite+t.PTUpdate+t.Notify, s.anonFillFn, e)
-}
-
-// anonFill completes a first-touch anonymous miss: install the zero-filled
-// frame's PTE and broadcast.
-//
-//hwdp:hotpath
-func (s *SMU) anonFill(e *pmshrEntry) {
-	// Same locked PTE update as ptUpdate: a bounced duplicate of this
-	// miss may have zero-filled the page through the OS path meanwhile.
-	if cur := e.req.PTE.Get(); cur.Present() {
-		s.stats.RaceYields++
-		s.stats.Handled++
-		ts := s.tstat(e.req.Tenant)
-		ts.RaceYields++
-		ts.Handled++
-		core := e.req.Core
-		s.finish(e, ResultOK, cur)
-		s.queueFor(core).Prefetch()
-		return
-	}
-	pte := pagetable.MakePresent(e.frame.PFN, e.req.Prot, false)
-	e.req.PTE.Set(pte)
-	e.installed = true
-	pagetable.MarkUnsynced(e.req.PUD, e.req.PMD)
-	s.stats.AnonZeroFill++
-	s.stats.Handled++
-	ts := s.tstat(e.req.Tenant)
-	ts.AnonZeroFill++
-	ts.Handled++
-	core := e.req.Core
-	s.finish(e, ResultOK, pte)
-	s.queueFor(core).Prefetch()
-}
-
 // cqHandle is the completion unit: the memory-write snoop of the CQ entry
 // plus the protocol-handling latency arrive together over the attachment's
 // completion wire (Attach's irq), so by the time this runs the CQ entry
@@ -849,35 +765,52 @@ func (s *SMU) cqHandle(dev *devSlot) {
 	s.eng.PostArg(t.PTUpdate, s.ptUpdateFn, e)
 }
 
-// ptUpdate installs the fetched frame's PTE — "replace the LBA field with
-// the PFN" — leaving the PTE's LBA bit set so kpted later updates OS
-// metadata, and marking the upper levels; then schedules the broadcast.
+// ptUpdate installs the fetched frame's PTE and schedules the broadcast.
 //
 //hwdp:hotpath
 func (s *SMU) ptUpdate(e *pmshrEntry) {
-	t := s.timing
-	// The PTE write is a locked compare-exchange: if the OS fault path
-	// resolved the page while the I/O was in flight (a duplicate of this
-	// miss bounced to the exception path earlier and won), installing
-	// over its translation would leak the OS's frame. Yield: complete
-	// the walk with the OS's PTE; finish recycles our fetched frame.
+	e.newPTE = s.install(e)
+	notifyAt := s.eng.Now()
+	e.req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", notifyAt, notifyAt+s.timing.Notify)
+	s.eng.PostArg(s.timing.Notify, s.notifyFn, e)
+}
+
+// install is the locked PTE update that ends every handled miss — "replace
+// the LBA field with the PFN" — leaving the PTE's LBA bit set so kpted
+// later updates OS metadata, and marking the upper levels. It returns the
+// PTE the stalled walks resume with. The write is a compare-exchange: if
+// the OS fault path resolved the page meanwhile (a duplicate of this miss
+// bounced to the exception path earlier and won), installing over its
+// translation would leak the OS's frame. install yields to it instead and
+// leaves e.installed false, so finish recycles the SMU's frame.
+//
+//hwdp:hotpath
+func (s *SMU) install(e *pmshrEntry) pagetable.Entry {
 	if cur := e.req.PTE.Get(); cur.Present() {
 		s.stats.RaceYields++
 		s.tstat(e.req.Tenant).RaceYields++
-		e.newPTE = cur
-		notifyAt := s.eng.Now()
-		e.req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", notifyAt, notifyAt+t.Notify)
-		s.eng.PostArg(t.Notify, s.notifyFn, e)
-		return
+		return cur
 	}
 	pte := pagetable.MakePresent(e.frame.PFN, e.req.Prot, false)
 	e.req.PTE.Set(pte)
 	e.installed = true
-	e.newPTE = pte
 	pagetable.MarkUnsynced(e.req.PUD, e.req.PMD)
-	notifyAt := s.eng.Now()
-	e.req.Trace.AddSpan(trace.LayerSMU, "notify-mmu", notifyAt, notifyAt+t.Notify)
-	s.eng.PostArg(t.Notify, s.notifyFn, e)
+	return pte
+}
+
+// notify broadcasts a handled miss's PTE to its stalled walks.
+//
+//hwdp:hotpath
+func (s *SMU) notify(e *pmshrEntry) {
+	s.stats.Handled++
+	s.tstat(e.req.Tenant).Handled++
+	anon, core := e.dev == nil, e.req.Core
+	s.finish(e, ResultOK, e.newPTE)
+	if anon {
+		// No device time hid the free-page fetch: refill the prefetch
+		// buffer now.
+		s.queueFor(core).Prefetch()
+	}
 }
 
 //hwdp:hotpath
@@ -886,10 +819,6 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 		e.timeout.Cancel()
 		e.timeout = nil
 	}
-	s.slots[e.idx] = nil
-	e.cid = 0
-	//hwdp:ignore hotalloc freeIdx was filled to full PMSHR depth at construction; append never exceeds that retained capacity
-	s.freeIdx = append(s.freeIdx, e.idx)
 	s.qosRelease(e.req.Tenant, e.dev != nil)
 	if e.installed {
 		s.stats.FramesInstalled++
@@ -902,15 +831,25 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 		s.stats.FramesRecycled++
 		s.tstat(e.req.Tenant).FramesRecycled++
 	}
-	addr := e.pteAddr
-	for _, w := range e.waiters {
+	// Reset the record before its slot goes back on the free list: a
+	// waiter may admit a new miss into the slot at once. The waiters are
+	// notified from their own list, which then becomes the spare.
+	addr, waiters := e.pteAddr, e.waiters
+	*e = pmshrEntry{idx: e.idx, waiters: s.spareWaiters}
+	s.spareWaiters = nil
+	s.slots[e.idx] = nil
+	//hwdp:ignore hotalloc freeIdx was filled to full PMSHR depth at construction; append never exceeds that retained capacity
+	s.freeIdx = append(s.freeIdx, e.idx)
+	for i, w := range waiters {
+		waiters[i] = doneRef{}
 		w.call(res, pte)
 	}
+	s.spareWaiters = waiters[:0]
 	s.checkBarriers(addr)
 	// Admit one backlogged request per freed slot.
 	if s.backlogHead < len(s.backlog) {
 		item := s.backlog[s.backlogHead]
-		s.backlog[s.backlogHead] = backlogItem{}
+		s.backlog[s.backlogHead] = pendingReq{}
 		s.backlogHead++
 		if s.backlogHead == len(s.backlog) {
 			s.backlog = s.backlog[:0]
@@ -920,12 +859,8 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 		item.req.Trace.AddSpan(trace.LayerSMU, "pmshr-backlog-wait", item.at, now)
 		s.backlogWait.Record(int64(now - item.at))
 		s.psi.EndStall(metrics.StallPMSHRBacklog, int64(now), int64(now-item.at))
-		s.putEntry(e)
 		s.admit(item.req, item.done)
-		s.qosDrain()
-		return
 	}
-	s.putEntry(e)
 	s.qosDrain()
 }
 
@@ -945,17 +880,6 @@ func (s *SMU) Barrier(addrs []pagetable.EntryAddr, done func()) {
 		return
 	}
 	s.barriers = append(s.barriers, &barrier{waiting: waiting, done: done})
-}
-
-// BarrierAll invokes done once every currently outstanding miss completes.
-func (s *SMU) BarrierAll(done func()) {
-	addrs := make([]pagetable.EntryAddr, 0, s.Outstanding())
-	for _, e := range s.slots {
-		if e != nil {
-			addrs = append(addrs, e.pteAddr)
-		}
-	}
-	s.Barrier(addrs, done)
 }
 
 func (s *SMU) checkBarriers(addr pagetable.EntryAddr) {

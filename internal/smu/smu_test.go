@@ -250,16 +250,71 @@ func TestBarrierNoMatchesFiresImmediately(t *testing.T) {
 func TestBarrierAll(t *testing.T) {
 	r := newRig(t, 8)
 	var order []string
+	var addrs []pagetable.EntryAddr
 	for i := 0; i < 4; i++ {
 		req := r.request(pagetable.VAddr(0x70000+i*0x1000), uint64(i))
+		addrs = append(addrs, req.PTE.Addr())
 		r.smu.HandleMissArg(req, func(any, Result, pagetable.Entry) { order = append(order, "miss") }, nil)
 	}
 	r.eng.Post(sim.Micro(1), func() {
-		r.smu.BarrierAll(func() { order = append(order, "barrier") })
+		if n := r.smu.Outstanding(); n != 4 {
+			t.Errorf("outstanding at barrier = %d, want 4", n)
+		}
+		r.smu.Barrier(addrs, func() { order = append(order, "barrier") })
 	})
 	r.eng.Run()
 	if len(order) != 5 || order[4] != "barrier" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestWaiterAdmitsIntoFreedSlot retires a miss whose first waiter admits
+// a new miss at once (a refill drains a QoS-parked request) into the slot
+// the retiring miss just freed, the only one. The fixed PMSHR record is
+// reused while its old waiters are still being notified: each waiter must
+// still be called exactly once, and the new miss must complete.
+func TestWaiterAdmitsIntoFreedSlot(t *testing.T) {
+	r := newRig(t, 0)
+	s := NewPerCore(r.eng, 0, 64, 1, 1)
+	s.AttachDevice(0, r.dev, nvme.NewQueuePair(101, 4), 1)
+	s.SetQoS(QoSConfig{Tenants: 2})
+	s.Refill(recs(8, 1000))
+
+	a := r.request(0x1000, 1)
+	dup := a
+	dup.Tenant = 1
+	b := r.request(0x2000, 2)
+	calls := map[string]int{}
+	admittedInside := -1
+	s.HandleMissArg(a, func(any, Result, pagetable.Entry) {
+		calls["a"]++
+		s.Refill(nil) // drains b into the freed slot before dup is told
+		admittedInside = s.Outstanding()
+	}, nil)
+	s.HandleMissArg(dup, func(_ any, res Result, _ pagetable.Entry) {
+		if res == ResultOK {
+			calls["dup"]++
+		}
+	}, nil)
+	s.HandleMissArg(b, func(_ any, res Result, _ pagetable.Entry) {
+		if res == ResultOK {
+			calls["b"]++
+		}
+	}, nil)
+	r.eng.Run()
+
+	if calls["a"] != 1 || calls["dup"] != 1 || calls["b"] != 1 {
+		t.Fatalf("calls = %v, want each waiter once and b handled", calls)
+	}
+	if admittedInside != 1 {
+		t.Fatalf("outstanding after the in-waiter refill = %d, want b admitted (1)", admittedInside)
+	}
+	if st := s.Stats(); st.Coalesced != 1 || st.Handled != 2 || s.TenantCounters(0).Throttled != 1 {
+		t.Fatalf("stats %+v, throttled %d: want 1 coalesced, 2 handled, b parked once",
+			st, s.TenantCounters(0).Throttled)
+	}
+	if !b.PTE.Get().Present() {
+		t.Fatal("b's PTE not installed")
 	}
 }
 

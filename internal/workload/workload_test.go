@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hwdp/internal/core"
+	"hwdp/internal/cpu"
 	"hwdp/internal/kernel"
 	"hwdp/internal/kvs"
 	"hwdp/internal/metrics"
@@ -233,7 +234,7 @@ func TestComputeKernelIPC(t *testing.T) {
 		t.Fatal("no instructions executed")
 	}
 	ipc := th.Counters.UserIPC()
-	if math.Abs(ipc-sys.Cfg.CPUParams.BaseIPC) > 0.2 {
+	if math.Abs(ipc-cpu.DefaultParams().BaseIPC) > 0.2 {
 		t.Fatalf("solo compute IPC = %f", ipc)
 	}
 	if rs[0].Ops == 0 {
