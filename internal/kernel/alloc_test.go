@@ -11,7 +11,7 @@ import (
 )
 
 // Allocation and event-heap pins for the OS side of the access path. The
-// access gate, the OS block layer, the OS fault carriers and the page
+// access gate, the OS block layer, the fault records and the page
 // replacement carriers are pooled; these pins keep a per-access, per-I/O
 // or per-eviction closure from creeping back. AllocsPerRun warms the pools
 // with a first run before measuring.
@@ -71,6 +71,79 @@ func TestBlockIORoundTripAllocationBudget(t *testing.T) {
 	if n := r.k.Stats().BlockTimeouts; n != 0 {
 		t.Fatalf("%d block-layer timeouts fired", n)
 	}
+}
+
+// faultRuns is how many faults each fault-path pin measures, after
+// AllocsPerRun's warm-up fault; every faulted page sits in one page-table
+// leaf, so only the warm-up builds table nodes.
+const faultRuns = 100
+
+// faultAllocs pins the fault path: each run accesses the next page of va
+// from every thread in ths at once and runs the machine until all the
+// accesses end. It returns AllocsPerRun's allocations per run.
+func faultAllocs(t *testing.T, r *rig, va pagetable.VAddr, ths ...*Thread) float64 {
+	t.Helper()
+	page, pending := 0, 0
+	complete := func(mmu.Result) { pending-- }
+	return testing.AllocsPerRun(faultRuns, func() {
+		pva := va + pagetable.VAddr(page)*mem.PageSize
+		page++
+		pending = len(ths)
+		for _, th := range ths {
+			r.k.Access(th, pva, false, complete)
+		}
+		for pending > 0 && r.eng.Step() {
+		}
+		if pending > 0 {
+			t.Fatalf("page %d: %d accesses never completed", page-1, pending)
+		}
+	})
+}
+
+func TestFaultPathAllocationBudget(t *testing.T) {
+	const faults = faultRuns + 1
+	t.Run("OSDP/anon-first-touch", func(t *testing.T) {
+		r := newRig(t, 64<<20, 512, withScheme(OSDP))
+		va := r.mmapAnon(t, faults, false)
+		if got := faultAllocs(t, r, va, r.th); got != 0 {
+			t.Fatalf("anonymous first touch allocates %.1f objects/fault, want 0", got)
+		}
+		if st := r.k.Stats(); st.MinorFaults != faults || st.MajorFaults != 0 {
+			t.Fatalf("stats = %+v, want %d minor faults", st, faults)
+		}
+	})
+	t.Run("OSDP/page-lock-wait", func(t *testing.T) {
+		r := newRig(t, 64<<20, 512, withScheme(OSDP))
+		va, _ := r.mmapFile(t, "f", faults, MmapFlags{})
+		got := faultAllocs(t, r, va, r.th, r.k.NewThread(r.p, 2))
+		if got != 0 {
+			t.Fatalf("a major fault and a wait on its page lock allocate %.1f objects/run, want 0", got)
+		}
+		// One read per page: the second thread waited on the first's lock.
+		if st := r.k.Stats(); st.MajorFaults != faults || r.dev.Stats().Reads != faults {
+			t.Fatalf("stats = %+v, %d device reads, want %d major faults and reads", st, r.dev.Stats().Reads, faults)
+		}
+	})
+	t.Run("SW-only/io-miss", func(t *testing.T) {
+		r := newRig(t, 64<<20, 512, withScheme(SWDP))
+		va, _ := r.mmapFile(t, "f", faults, MmapFlags{Fast: true})
+		if got := faultAllocs(t, r, va, r.th); got != 0 {
+			t.Fatalf("SW-only miss allocates %.1f objects/fault, want 0", got)
+		}
+		if st := r.k.Stats(); st.SWFaults != faults || r.dev.Stats().Reads != faults {
+			t.Fatalf("stats = %+v, %d device reads, want %d SW faults and reads", st, r.dev.Stats().Reads, faults)
+		}
+	})
+	t.Run("SW-only/zero-fill", func(t *testing.T) {
+		r := newRig(t, 64<<20, 512, withScheme(SWDP))
+		va := r.mmapAnon(t, faults, true)
+		if got := faultAllocs(t, r, va, r.th); got != 0 {
+			t.Fatalf("SW-only zero-fill allocates %.1f objects/fault, want 0", got)
+		}
+		if st := r.k.Stats(); st.SWFaults != faults || r.dev.Stats().Reads != 0 {
+			t.Fatalf("stats = %+v, %d device reads, want %d SW faults and no read", st, r.dev.Stats().Reads, faults)
+		}
+	})
 }
 
 func TestOSDPFaultsLeaveNoCanceledTimers(t *testing.T) {

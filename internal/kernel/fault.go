@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hwdp/internal/cpu"
+	"hwdp/internal/fs"
 	"hwdp/internal/mem"
 	"hwdp/internal/mmu"
 	"hwdp/internal/nvme"
@@ -33,7 +34,6 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		done()
 		return
 	}
-	idx := vma.pageIndex(va)
 
 	// Classify using the PTE (the handler reads it anyway for triage).
 	var state pagetable.State = pagetable.StateNotPresentOS
@@ -47,23 +47,34 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		return
 	}
 
+	f := k.getFault()
+	f.th, f.hw, f.as, f.va, f.vma, f.idx = th, th.HW, as, va, vma, vma.pageIndex(va)
+	f.hwFailed, f.ms, f.done = hwFailed, ms, done
+	c := k.cfg.Costs
 	if k.cfg.Scheme == SWDP && state == pagetable.StateNotPresentLBA && !hwFailed {
-		k.swFault(th, as, va, vma, idx, ms, done)
+		// SW-only: an early LBA-bit check routes the exception to the
+		// software-emulated SMU.
+		f.sw = true
+		k.stats.SWFaults++
+		ms.SetCause(trace.CauseSWMiss)
+		k.kspan(ms, "exception+sw-check", f.hw, c.Exception+c.SWCheck, f.swCheckFn)
 		return
 	}
-	f := k.getOSFault()
-	f.th, f.hw, f.as, f.va, f.vma, f.idx = th, th.HW, as, va, vma, idx
-	f.key, f.hwFailed, f.ms, f.done = pcKey{vma.File, idx}, hwFailed, ms, done
-	c := k.cfg.Costs
 	k.kspan(ms, "exception-entry", f.hw, c.Exception+c.WalkInFault+c.HandlerEntry, f.entryFn)
 }
 
-// osFault carries one conventional OSDP page fault through Figure 3's
-// timeline: exception entry, VMA triage, page-cache lookup (minor) or full
-// storage I/O with a context switch (major), then OS metadata and PTE
-// updates. Each phase is a method bound once when the carrier is made, so
-// a pooled carrier takes minor and major faults without allocating.
-type osFault struct {
+// pageFault carries one kernel page fault to its return to user. An OSDP
+// fault follows Figure 3: exception entry and VMA triage, then a
+// page-cache hit (minor), an anonymous first touch zero-filled without
+// I/O, or a storage read with a context switch (major), then OS metadata
+// and PTE updates. A SW-only miss (Fig. 17) emulates the SMU: PMSHR
+// lookup, a kernel-issued read waited out in monitor/mwait (or a
+// zero-fill), and an unsynced PTE install left for kpted. Either kind may
+// first wait on the page lock of a fault already filling its page. Each
+// phase is a method bound once, so a pooled record takes every kind of
+// fault without allocating; the record goes back to the pool when the
+// fault returns to user (end), after the last phase it scheduled has run.
+type pageFault struct {
 	k        *Kernel
 	th       *Thread
 	hw       *cpu.HWThread
@@ -71,52 +82,150 @@ type osFault struct {
 	va       pagetable.VAddr
 	vma      *VMA
 	idx      int
-	key      pcKey
 	hwFailed bool
+	sw       bool // a SW-only miss
+	zero     bool // an OSDP anonymous first touch: zero-fill, no I/O
 	ms       *trace.Miss
 	done     func()
 
-	pg       *Page       // minor fault: the resident page
-	frame    mem.FrameID // major fault: the frame being read into
-	ioStatus uint16      // major fault: the read's final status
+	// The page lock. A fault holding its lock is on the kernel's holder
+	// list and queues the faults that wait on the lock, in arrival order.
+	// next links the holder list for a holder and the queue for a waiter.
+	key           lockKey
+	next, waiters *pageFault
+	waitStart     sim.Time // when a waiter queued
 
-	entryFn, minorFn, submitFn, wakeFn, installFn func()
-	frameFn                                       func(mem.FrameID)
-	ioFn                                          func(status uint16)
+	pg       *Page              // minor fault: the resident page
+	pte      pagetable.EntryRef // SW-only: the missing PTE
+	lba      uint64             // the block being read
+	frame    mem.FrameID        // the frame being filled
+	ioStatus uint16             // the read's final status
+
+	entryFn, minorFn, swCheckFn, allocFn, submitFn                 func()
+	switchedFn, wakeFn, installFn, swInstallFn, unlockFn, waitedFn func()
+	frameFn                                                        func(mem.FrameID)
+	ioFn                                                           func(status uint16)
 }
 
-//hwdp:pool acquire osfault
-func (k *Kernel) getOSFault() *osFault {
-	var f *osFault
+// lockKey names a page lock: the file page for an OS fault, the PTE for a
+// SW-only miss (the emulated PMSHR, like the hardware's, is keyed by PTE;
+// a PTE key has no file, so the two kinds never match).
+type lockKey struct {
+	file *fs.File
+	idx  int
+	pte  pagetable.EntryAddr
+}
+
+//hwdp:pool acquire pagefault
+func (k *Kernel) getFault() *pageFault {
 	if n := len(k.faultPool); n > 0 {
-		f = k.faultPool[n-1]
+		f := k.faultPool[n-1]
 		k.faultPool[n-1] = nil
 		k.faultPool = k.faultPool[:n-1]
-	} else {
-		f = &osFault{k: k}
-		f.entryFn, f.minorFn, f.submitFn = f.entry, f.minor, f.submit
-		f.wakeFn, f.installFn = f.wake, f.install
-		f.frameFn, f.ioFn = f.onFrame, f.onIO
+		return f
 	}
+	f := &pageFault{k: k}
+	f.entryFn, f.minorFn, f.swCheckFn, f.allocFn = f.entry, f.minor, f.swCheck, f.alloc
+	f.submitFn, f.switchedFn, f.wakeFn = f.submit, f.switched, f.wake
+	f.installFn, f.swInstallFn, f.unlockFn, f.waitedFn = f.install, f.swInstall, f.unlock, f.waited
+	f.frameFn, f.ioFn = f.onFrame, f.onIO
 	return f
 }
 
 // put clears f and returns it to the pool.
 //
-//hwdp:pool release osfault
-func (f *osFault) put() {
+//hwdp:pool release pagefault
+func (f *pageFault) put() {
 	k := f.k
 	f.th, f.hw, f.as, f.va, f.vma, f.idx = nil, nil, nil, 0, nil, 0
-	f.key, f.hwFailed, f.ms, f.done = pcKey{}, false, nil, nil
-	f.pg, f.frame, f.ioStatus = nil, 0, 0
+	f.hwFailed, f.sw, f.zero, f.ms, f.done = false, false, false, nil, nil
+	f.key, f.next, f.waiters, f.waitStart = lockKey{}, nil, nil, 0
+	f.pg, f.pte, f.lba, f.frame, f.ioStatus = nil, pagetable.EntryRef{}, 0, 0, 0
 	k.faultPool = append(k.faultPool, f)
 }
 
-// entry runs after exception entry: a page-cache hit is a minor fault,
-// anything else reads the page in.
+// end returns the fault to user: the record goes back to the pool, then
+// the MMU re-walks.
+func (f *pageFault) end() {
+	done := f.done
+	f.put()
+	done()
+}
+
+// lock takes the page lock named by f.key. If another fault holds it, f
+// queues behind the holder and lock reports false; f resumes when the
+// holder unlocks. A thread has at most one fault in flight, so the holder
+// list stays short.
+func (f *pageFault) lock() bool {
+	k := f.k
+	for h := k.locked; h != nil; h = h.next {
+		if h.key == f.key {
+			f.waitStart = k.eng.Now()
+			w := &h.waiters
+			for *w != nil {
+				w = &(*w).next
+			}
+			*w = f
+			return false
+		}
+	}
+	f.next, k.locked = k.locked, f
+	return true
+}
+
+// unlock releases f's page lock, returns f to user and then resumes the
+// faults that waited on the lock, in arrival order.
 //
 //hwdp:hotpath
-func (f *osFault) entry() {
+func (f *pageFault) unlock() {
+	h := &f.k.locked
+	for *h != f {
+		h = &(*h).next
+	}
+	*h = f.next
+	w := f.waiters
+	f.end()
+	for w != nil {
+		next := w.next
+		w.resume()
+		w = next
+	}
+}
+
+// resume runs when the fault holding the lock f waited on unlocks. A
+// SW-only miss returns at once: the emulated PMSHR's completion broadcast
+// ends its mwait. An OS fault takes the minor-fault path off the page
+// cache.
+func (f *pageFault) resume() {
+	k := f.k
+	if f.sw {
+		f.ms.AddSpan(trace.LayerKernel, "sw-pmshr-wait", f.waitStart, k.eng.Now())
+		f.end()
+		return
+	}
+	f.ms.AddSpan(trace.LayerKernel, "page-lock-wait", f.waitStart, k.eng.Now())
+	k.kspan(f.ms, "minor-fault", f.hw, k.cfg.Costs.MinorFault, f.waitedFn)
+}
+
+// waited maps the page the lock holder brought in. The page can be absent
+// (the holder's read failed) or the PTE already present (the SMU beat the
+// OS to it); both cases just return, and the retried walk settles the
+// access.
+func (f *pageFault) waited() {
+	k := f.k
+	if e, found := f.as.Table.Lookup(f.va); !found || !e.Present() {
+		if pg := k.lookupPage(f.vma.File, f.idx); pg != nil {
+			k.finishMap(f.as, f.va, f.vma, pg)
+		}
+	}
+	f.end()
+}
+
+// entry runs after exception entry: a page-cache hit is a minor fault, an
+// anonymous first touch is zero-filled, anything else reads the page in.
+//
+//hwdp:hotpath
+func (f *pageFault) entry() {
 	k, c := f.k, f.k.cfg.Costs
 	// Minor fault: the page is already resident in the page cache. A page
 	// the flusher or msync is writing back stays cached and mappable; a
@@ -130,30 +239,30 @@ func (f *osFault) entry() {
 		k.kspan(f.ms, "minor-fault", f.hw, c.MinorFault, f.minorFn)
 		return
 	}
-	if f.vma.Anon && !f.vma.isSwapped(f.idx) {
-		th, as, va, vma, idx, hwFailed, ms, done := f.th, f.as, f.va, f.vma, f.idx, f.hwFailed, f.ms, f.done
-		f.put()
-		k.anonFault(th, as, va, vma, idx, hwFailed, ms, done)
-		return
-	}
-	// Another thread is already reading this page in (the page-lock
-	// serialization of real kernels): block until it finishes, then take
-	// the minor-fault path.
-	if waiters, inflight := k.faultInflight[f.key]; inflight {
+	// An anonymous first touch (no swapped-out content) needs no I/O: the
+	// minor-fault path of real kernels, and the fallback for bounced
+	// hardware zero-fills.
+	f.zero = f.vma.Anon && !f.vma.isSwapped(f.idx)
+	if f.zero {
+		k.stats.MinorFaults++
 		f.ms.SetCause(trace.CauseOSMinor)
-		key, hw, as, va, vma, idx, ms, done := f.key, f.hw, f.as, f.va, f.vma, f.idx, f.ms, f.done
-		f.put()
-		k.parkOnPageLock(key, waiters, ms, hw, as, va, vma, idx, done)
+	}
+	// Page-lock serialization: a fault on a page another thread is filling
+	// waits, then takes the minor-fault path. A concurrent first touch
+	// must not insert the page twice, so a zero-fill locks too.
+	f.key = lockKey{file: f.vma.File, idx: f.idx}
+	if !f.lock() {
+		f.ms.SetCause(trace.CauseOSMinor)
 		return
 	}
-	//hwdp:ignore hotalloc faultInflight is keyed by file page across all files, and a pending fault owns no dense slot; the map stays sized to the peak of concurrent major faults after warm-up
-	k.faultInflight[f.key] = nil
-	k.stats.MajorFaults++
-	f.ms.SetCause(trace.CauseOSMajor)
-	if f.hwFailed {
-		k.stats.HWBounceFaults++
+	if !f.zero {
+		k.stats.MajorFaults++
+		f.ms.SetCause(trace.CauseOSMajor)
+		if f.hwFailed {
+			k.stats.HWBounceFaults++
+		}
 	}
-	k.allocFrame(f.hw, f.frameFn)
+	f.alloc()
 }
 
 // minor maps the resident page and returns to user. kswapd may have
@@ -162,186 +271,161 @@ func (f *osFault) entry() {
 // mapped, and the fault is triaged again (Linux retries the fault the
 // same way). Returning instead would fail the access, since the MMU
 // re-walks only once.
-func (f *osFault) minor() {
+func (f *pageFault) minor() {
 	if f.k.lookupPage(f.vma.File, f.idx) != f.pg {
 		f.pg = nil
 		f.entry()
 		return
 	}
 	f.k.finishMap(f.as, f.va, f.vma, f.pg)
-	done := f.done
-	f.put()
-	done()
+	f.end()
 }
 
-// onFrame receives the major fault's frame from the allocator.
+// swCheck runs after the SW-only exception and LBA check: the emulated
+// PMSHR lookup. A miss on a PTE already in flight waits in mwait for the
+// original's completion broadcast.
+func (f *pageFault) swCheck() {
+	_, _, pte, ok := f.as.Table.Walk(f.va)
+	if !ok {
+		panic("kernel: sw fault on unpopulated table")
+	}
+	f.pte, f.key = pte, lockKey{pte: pte.Addr()}
+	if f.lock() {
+		f.k.kspan(f.ms, "sw-pmshr", f.hw, f.k.cfg.Costs.SWPMSHR, f.allocFn)
+	}
+}
+
+// alloc asks the allocator for the frame to fill.
 //
 //hwdp:hotpath
-func (f *osFault) onFrame(frame mem.FrameID) {
-	c := f.k.cfg.Costs
+func (f *pageFault) alloc() { f.k.allocFrame(f.hw, f.frameFn) }
+
+// onFrame receives the frame from the allocator and charges the step
+// that follows: the read's submission, or the zero-fill's install.
+//
+//hwdp:hotpath
+func (f *pageFault) onFrame(frame mem.FrameID) {
+	k, c := f.k, f.k.cfg.Costs
 	f.frame = frame
-	f.k.kspan(f.ms, "page-alloc+io-submit", f.hw, c.PageAlloc+c.IOSubmit, f.submitFn)
+	switch {
+	case f.sw:
+		blk := f.pte.Get().Block()
+		if blk.LBA == pagetable.AnonFirstTouch {
+			// The emulated SMU bypasses I/O for first-touch anonymous
+			// pages, like the hardware.
+			f.ms.SetCause(trace.CauseAnonZeroFill)
+			k.kspan(f.ms, "sw-complete", f.hw, c.SWComplete, f.swInstallFn)
+			return
+		}
+		f.lba = blk.LBA
+		k.kspan(f.ms, "sw-submit", f.hw, c.SWSubmit, f.submitFn)
+	case f.zero:
+		k.kspan(f.ms, "page-alloc+pte-install", f.hw, c.PageAlloc+c.PTEInstallReturn, f.installFn)
+	default:
+		k.kspan(f.ms, "page-alloc+io-submit", f.hw, c.PageAlloc+c.IOSubmit, f.submitFn)
+	}
 }
 
-// submit issues the read and switches the faulting thread out while the
-// device works.
+// submit issues the read. An OS fault switches the faulting thread out
+// while the device works; a SW-only miss waits in mwait, the core
+// issuing nothing.
 //
 //hwdp:hotpath
-func (f *osFault) submit() {
+func (f *pageFault) submit() {
 	k := f.k
+	if f.sw {
+		f.th.beginStall(k)
+		k.submitIORetry(f.vma.st, f.hw, nvme.OpRead, f.lba, f.frame, f.ms, f.ioFn)
+		return
+	}
 	blk, err := f.vma.st.fsys.Block(f.vma.File, f.idx)
 	if err != nil {
 		panic(err)
 	}
-	k.submitIORetry(f.vma.st, f.hw, nvme.OpRead, blk.LBA, f.frame, f.ms, f.ioFn)
-	// The thread blocks: schedule away while the device works.
+	f.lba = blk.LBA
+	k.submitIORetry(f.vma.st, f.hw, nvme.OpRead, f.lba, f.frame, f.ms, f.ioFn)
 	f.hw.AccountContextSwitch()
-	switched := nop
-	if f.hwFailed {
-		switched = k.refillAfterBounce(f.hw)
-	}
-	k.kspan(f.ms, "ctx-switch-out", f.hw, k.cfg.Costs.CtxSwitchOut, switched)
+	k.kspan(f.ms, "ctx-switch-out", f.hw, k.cfg.Costs.CtxSwitchOut, f.switchedFn)
 }
 
 func nop() {}
 
-// refillAfterBounce returns the end of a bounced hardware miss's context
-// switch out: it tops up every SMU free page queue from the allocator, on
-// the faulting core, overlapped with the in-flight device I/O (AIOS-style,
-// Section IV-D).
-//
-//hwdp:coldpath runs only for hardware misses bounced for an empty free page queue, which kpoold keeps filled
-func (k *Kernel) refillAfterBounce(hw *cpu.HWThread) func() {
-	return func() {
+// switched ends the context switch out. A hardware miss bounced for an
+// empty free page queue tops up every SMU free page queue here, overlapped
+// with the read (AIOS-style, Section IV-D). The record outlives this
+// phase: submit runs on the idle faulting core, so ctx-switch-out starts
+// at once, and all the read's completion work up to the unlock is kernel
+// work on the same core, queued behind it.
+func (f *pageFault) switched() {
+	if k := f.k; f.hwFailed {
 		k.stats.FaultRefills++
 		if total := k.refillAll(); total > 0 {
-			k.kexec(hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), nop)
+			k.kexec(f.hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), nop)
 		}
 	}
 }
 
-// onIO receives the read's final status from the block layer and starts
-// the wake-up: interrupt, block-layer completion, wake and schedule in.
+// onIO receives the read's final status from the block layer: interrupt
+// and completion, then an OS fault's wake and schedule-in, or the end of a
+// SW-only miss's mwait (the handler touches the monitored address).
 //
 //hwdp:hotpath
-func (f *osFault) onIO(status uint16) {
-	c := f.k.cfg.Costs
+func (f *pageFault) onIO(status uint16) {
+	k, c := f.k, f.k.cfg.Costs
 	f.ioStatus = status
+	if f.sw {
+		f.th.endStall(k)
+		k.kspan(f.ms, "irq+sw-complete", f.hw, c.InterruptDelivery+c.SWComplete, f.wakeFn)
+		return
+	}
 	f.hw.AccountContextSwitch()
-	f.k.kspan(f.ms, "irq+complete+wake", f.hw, c.InterruptDelivery+c.IOCompletion+c.WakeSchedule, f.wakeFn)
+	k.kspan(f.ms, "irq+complete+wake", f.hw, c.InterruptDelivery+c.IOCompletion+c.WakeSchedule, f.wakeFn)
 }
 
-// wake runs once the thread is back on the core: metadata and PTE
-// install, or SIGBUS when the read failed even after block-layer retries.
+// wake installs the read page (an OS fault charges its metadata and PTE
+// updates first), or delivers SIGBUS when the read failed for good.
 //
 //hwdp:hotpath
-func (f *osFault) wake() {
+func (f *pageFault) wake() {
 	k, c := f.k, f.k.cfg.Costs
 	if f.ioStatus != nvme.StatusSuccess {
-		// Waiters on the page lock observe the missing page and fail their
-		// walks too: nobody hangs.
+		// The faults waiting on the lock find the page missing and fail
+		// their walks too: nobody hangs.
 		k.sigbus(f.th, f.as, f.va, f.frame, f.ms)
-		f.finish()
+		f.unlock()
+		return
+	}
+	if f.sw {
+		f.swInstall()
 		return
 	}
 	k.kspan(f.ms, "metadata+pte-install", f.hw, c.MetadataUpdate+c.PTEInstallReturn, f.installFn)
 }
 
-// install puts the read page in the page cache and maps it.
-func (f *osFault) install() {
-	f.k.installPage(f.as, f.va, f.vma, f.idx, f.frame)
-	f.finish()
-}
-
-// finish releases the page lock, returns to user and wakes the faults
-// that waited on the lock.
-//
-//hwdp:hotpath
-func (f *osFault) finish() {
+// install puts the filled page in the page cache, maps it and unlocks.
+func (f *pageFault) install() {
 	k := f.k
-	waiters := k.faultInflight[f.key]
-	delete(k.faultInflight, f.key)
-	done := f.done
-	f.put()
-	done()
-	for _, w := range waiters {
-		w()
-	}
-}
-
-// anonFault is an anonymous first touch (no swapped-out content): zero-fill
-// a fresh frame without any I/O, the minor-fault path of real kernels and
-// the fallback for bounced hardware zero-fills. The fault holds the page
-// lock like the major path: allocation can park in the reclaim-retry loop,
-// and a concurrent first-touch of the same page must coalesce, not insert
-// the page twice.
-//
-//hwdp:coldpath anonymous first touches are rare on every benchmark workload; the closures here stay
-func (k *Kernel) anonFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
-	vma *VMA, idx int, hwFailed bool, ms *trace.Miss, done func()) {
-	c := k.cfg.Costs
-	hw := th.HW
-	key := pcKey{vma.File, idx}
-	k.stats.MinorFaults++
-	ms.SetCause(trace.CauseOSMinor)
-	if waiters, inflight := k.faultInflight[key]; inflight {
-		k.parkOnPageLock(key, waiters, ms, hw, as, va, vma, idx, done)
+	if k.installPage(f.as, f.va, f.vma, f.idx, f.frame) && f.zero && f.hwFailed {
+		// A bounced hardware zero-fill has no device time to hide the
+		// refill behind: refill the free page queues before returning to
+		// user.
+		k.stats.FaultRefills++
+		total := k.refillAll()
+		k.kspan(f.ms, "fault-queue-refill", f.hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), f.unlockFn)
 		return
 	}
-	k.faultInflight[key] = nil
-	k.allocFrame(hw, func(frame mem.FrameID) {
-		k.kspan(ms, "page-alloc+pte-install", hw, c.PageAlloc+c.PTEInstallReturn, func() {
-			finish := func() {
-				waiters := k.faultInflight[key]
-				delete(k.faultInflight, key)
-				done()
-				for _, w := range waiters {
-					w()
-				}
-			}
-			if !k.installPage(as, va, vma, idx, frame) || !hwFailed {
-				finish()
-				return
-			}
-			// No device time to hide behind here: refill the free page
-			// queue synchronously before returning to user.
-			k.stats.FaultRefills++
-			total := k.refillAll()
-			k.kspan(ms, "fault-queue-refill", hw, c.RefillPerFrame*sim.Time(total), finish)
-		})
-	})
+	f.unlock()
 }
 
-// parkOnPageLock queues a fault behind the in-flight fault holding key's
-// page lock.
+// swInstall ends a SW-only miss: it maps the filled frame with the PTE
+// left unsynced for kpted, like HWDP, and unlocks.
 //
-//hwdp:coldpath page-lock contention needs two threads faulting on one page at once, rare on every benchmark workload
-func (k *Kernel) parkOnPageLock(key pcKey, waiters []func(), ms *trace.Miss, hw *cpu.HWThread,
-	as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, idx int, done func()) {
-	k.faultInflight[key] = append(waiters, k.pageLockWaiter(ms, hw, as, va, vma, idx, done))
-}
-
-// pageLockWaiter builds the continuation for a fault parked on another
-// fault's page lock: when the holder finishes, the waiter takes the
-// minor-fault path off the page cache. The page can be absent (the
-// holder's I/O failed) or the PTE already resolved (the SMU beat the OS
-// to it); both cases just return — the retried walk settles the access.
-func (k *Kernel) pageLockWaiter(ms *trace.Miss, hw *cpu.HWThread, as *mmu.AddressSpace,
-	va pagetable.VAddr, vma *VMA, idx int, done func()) func() {
-	waitStart := k.eng.Now()
-	return func() {
-		ms.AddSpan(trace.LayerKernel, "page-lock-wait", waitStart, k.eng.Now())
-		k.kspan(ms, "minor-fault", hw, k.cfg.Costs.MinorFault, func() {
-			if e, found := as.Table.Lookup(va); found && e.Present() {
-				done()
-				return
-			}
-			if pg := k.lookupPage(vma.File, idx); pg != nil {
-				k.finishMap(as, va, vma, pg)
-			}
-			done()
-		})
-	}
+//hwdp:hotpath
+func (f *pageFault) swInstall() {
+	pud, pmd, pte, _ := f.as.Table.Walk(f.va)
+	pte.Set(pagetable.MakePresent(f.frame, f.vma.Prot, false))
+	pagetable.MarkUnsynced(pud, pmd)
+	f.unlock()
 }
 
 // sigbus is the delivery model for an unrecoverable fault I/O: the paging
@@ -446,94 +530,4 @@ func (k *Kernel) refillSMU(s *smu.SMU) int {
 		total += len(recs)
 	}
 	return total
-}
-
-// swFault is the SW-only scheme (Fig. 17): the exception is taken, an early
-// LBA-bit check routes to a function that emulates the SMU in software —
-// PMSHR kept as a memory table, the NVMe command issued by the kernel, and
-// monitor/mwait used to wait for the completion without a context switch.
-// OS metadata stays batched via kpted, like HWDP.
-//
-//hwdp:coldpath the SW-only scheme runs only in the Fig. 17 comparison, on no benchmark workload; its closures stay
-func (k *Kernel) swFault(th *Thread, as *mmu.AddressSpace, va pagetable.VAddr,
-	vma *VMA, idx int, ms *trace.Miss, done func()) {
-	c := k.cfg.Costs
-	hw := th.HW
-	k.stats.SWFaults++
-	ms.SetCause(trace.CauseSWMiss)
-	k.kspan(ms, "exception+sw-check", hw, c.Exception+c.SWCheck, func() {
-		_, _, pte, ok := as.Table.Walk(va)
-		if !ok {
-			panic("kernel: sw fault on unpopulated table")
-		}
-		addr := pte.Addr()
-		if waiters, dup := k.swPMSHR[addr]; dup {
-			// Emulated-PMSHR hit: wait for the original fault. mwait until
-			// the completion broadcast.
-			if ms != nil {
-				waitStart, orig := k.eng.Now(), done
-				done = func() {
-					ms.AddSpan(trace.LayerKernel, "sw-pmshr-wait", waitStart, k.eng.Now())
-					orig()
-				}
-			}
-			k.swPMSHR[addr] = append(waiters, done)
-			return
-		}
-		k.swPMSHR[addr] = nil
-		k.kspan(ms, "sw-pmshr", hw, c.SWPMSHR, func() {
-			k.allocFrame(hw, func(frame mem.FrameID) {
-				blk := pte.Get().Block()
-				if blk.LBA == pagetable.AnonFirstTouch {
-					// Emulated SMU bypasses I/O for first-touch anonymous
-					// pages, like the hardware.
-					ms.SetCause(trace.CauseAnonZeroFill)
-					k.kspan(ms, "sw-complete", hw, c.SWComplete, func() {
-						pud, pmd, pteRef, _ := as.Table.Walk(va)
-						pteRef.Set(pagetable.MakePresent(frame, vma.Prot, false))
-						pagetable.MarkUnsynced(pud, pmd)
-						waiters := k.swPMSHR[addr]
-						delete(k.swPMSHR, addr)
-						done()
-						for _, w := range waiters {
-							w()
-						}
-					})
-					return
-				}
-				k.kspan(ms, "sw-submit", hw, c.SWSubmit, func() {
-					th.beginStall(k) // mwait: core waits, issues nothing
-					k.submitIORetry(vma.st, hw, nvme.OpRead, blk.LBA, frame, ms, func(status uint16) {
-						// The interrupt handler touches the monitored
-						// address; the mwait returns and the routine
-						// finishes the miss.
-						th.endStall(k)
-						k.kspan(ms, "irq+sw-complete", hw, c.InterruptDelivery+c.SWComplete, func() {
-							if status != nvme.StatusSuccess {
-								// Unrecoverable: SIGBUS, and fail every fault
-								// coalesced on the emulated PMSHR entry.
-								k.sigbus(th, as, va, frame, ms)
-								waiters := k.swPMSHR[addr]
-								delete(k.swPMSHR, addr)
-								done()
-								for _, w := range waiters {
-									w()
-								}
-								return
-							}
-							pud, pmd, pteRef, _ := as.Table.Walk(va)
-							pteRef.Set(pagetable.MakePresent(frame, vma.Prot, false))
-							pagetable.MarkUnsynced(pud, pmd)
-							waiters := k.swPMSHR[addr]
-							delete(k.swPMSHR, addr)
-							done()
-							for _, w := range waiters {
-								w()
-							}
-						})
-					})
-				})
-			})
-		})
-	})
 }

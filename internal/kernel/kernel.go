@@ -405,11 +405,10 @@ type Kernel struct {
 	lruHead, lruTail int32
 	lruLen           int
 
-	// Software-emulated PMSHR for the SW-only scheme.
-	swPMSHR map[pagetable.EntryAddr][]func()
-
-	// In-flight major faults by file page (page-lock serialization).
-	faultInflight map[pcKey][]func()
+	// locked lists the faults holding a page lock, linked through
+	// pageFault.next: the page-lock serialization of OS faults and the
+	// SW-only scheme's emulated PMSHR.
+	locked *pageFault
 
 	kptedHW, kpooldHW, kswapdHW *cpu.HWThread
 
@@ -452,8 +451,8 @@ type Kernel struct {
 	ioRetryFn   func(any)
 	pendingPool []*osPending
 
-	// Pooled OS fault carriers, and the pre-bound stall-timeout callback.
-	faultPool      []*osFault
+	// Pooled fault records, and the pre-bound stall-timeout callback.
+	faultPool      []*pageFault
 	stallTimeoutFn func(any)
 
 	// Pooled page-replacement carriers: one per reclaim pass and one per
@@ -475,18 +474,16 @@ type Kernel struct {
 func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	kptedHW, kpooldHW, kswapdHW *cpu.HWThread) *Kernel {
 	k := &Kernel{
-		eng:           eng,
-		cpu:           c,
-		mem:           m,
-		mmu:           mm,
-		cfg:           cfg,
-		pcIndex:       make(map[*fs.File][]int32),
-		swPMSHR:       make(map[pagetable.EntryAddr][]func()),
-		faultInflight: make(map[pcKey][]func()),
-		kptedHW:       kptedHW,
-		kpooldHW:      kpooldHW,
-		kswapdHW:      kswapdHW,
-		walBuffer:     mem.NoFrame,
+		eng:       eng,
+		cpu:       c,
+		mem:       m,
+		mmu:       mm,
+		cfg:       cfg,
+		pcIndex:   make(map[*fs.File][]int32),
+		kptedHW:   kptedHW,
+		kpooldHW:  kpooldHW,
+		kswapdHW:  kswapdHW,
+		walBuffer: mem.NoFrame,
 	}
 	mm.SetOSFaultHandler(k.handleFault)
 	mm.DispatchHW = cfg.Scheme == HWDP
