@@ -3,12 +3,8 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
-	"hwdp/internal/fault"
-	"hwdp/internal/sim"
-	"hwdp/internal/smu"
 	"hwdp/internal/sweep"
 )
 
@@ -108,76 +104,6 @@ func TestSweepWorkerInvariance(t *testing.T) {
 	a, b := emit(1), emit(8)
 	if a != b {
 		t.Errorf("fleet sweep output differs between -j 1 and -j 8:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// mirroredFields are the TenantStats fields that mirror a same-named
-// global smu.Stats counter one-to-one. Submitted and Throttled are
-// excluded: they count QoS/NVMe-layer events with no global twin.
-func mirroredFields() []string {
-	var names []string
-	st := reflect.TypeOf(smu.Stats{})
-	tt := reflect.TypeOf(smu.TenantStats{})
-	for i := 0; i < tt.NumField(); i++ {
-		name := tt.Field(i).Name
-		if _, ok := st.FieldByName(name); ok {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// TestTenantConservation is the per-tenant accounting property: for every
-// mirrored counter, the sum over tenant rows equals the global SMU
-// counter — under QoS on and off, and under a device fault storm (which exercises the retry/timeout/UECC mirrors).
-func TestTenantConservation(t *testing.T) {
-	fields := mirroredFields()
-	if len(fields) < 10 {
-		t.Fatalf("only %d mirrored fields found via reflection; TenantStats drifted from Stats?", len(fields))
-	}
-	storm := []fault.Rule{
-		{Kind: fault.Transient, Prob: 0.05},
-		{Kind: fault.UECC, Prob: 0.01, ReadsOnly: true, MaxInjections: 50},
-		{Kind: fault.Spike, Prob: 0.02, SpikeFactor: 8},
-	}
-	cases := []struct {
-		name   string
-		qos    bool
-		faults []fault.Rule
-	}{
-		{"fifo", false, nil},
-		{"qos", true, nil},
-		{"fifo-faults", false, storm},
-		{"qos-faults", true, storm},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := DefaultConfig()
-			c.QoS = tc.qos
-			c.Duration = 10 * sim.Millisecond
-			c.Warmup = 2 * sim.Millisecond
-			e, err := newExperiment(c, tc.faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := e.run()
-			if res.Ops == 0 {
-				t.Fatal("empty run")
-			}
-			for sid, s := range e.sys.SMUs {
-				global := reflect.ValueOf(s.Stats())
-				for _, f := range fields {
-					var sum uint64
-					for tn := 0; tn < s.Tenants(); tn++ {
-						row := reflect.ValueOf(s.TenantCounters(tn))
-						sum += row.FieldByName(f).Uint()
-					}
-					if want := global.FieldByName(f).Uint(); sum != want {
-						t.Errorf("smu %d: sum over tenants of %s = %d, global = %d", sid, f, sum, want)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -70,8 +70,8 @@ type Request struct {
 	Core          int
 
 	// Tenant is the fleet tenant the miss is charged to (0 on the default
-	// single-tenant machine): per-tenant counters mirror each handling
-	// outcome, and the QoS layer — when armed — runs weighted-fair
+	// single-tenant machine): each handling outcome is counted in the
+	// tenant's row, and the QoS layer — when armed — runs weighted-fair
 	// admission on it.
 	Tenant int
 
@@ -201,7 +201,6 @@ type SMU struct {
 	backlogHead int
 	freeqs      []*FreeQueue // one, or one per logical core
 	devs        [8]*devSlot
-	stats       Stats
 	barriers    []*barrier
 
 	// backlogWait records how long each backlogged request waited for a
@@ -211,11 +210,14 @@ type SMU struct {
 	backlogWait *metrics.Histogram
 	psi         *metrics.PSI
 
-	// tstats mirrors the per-request counters per fleet tenant (index =
-	// Request.Tenant; always at least tenant 0). qos, when non-nil, is the
-	// armed weighted-fair admission layer and qosWait its throttle-wait
-	// histogram; nil (the default) keeps admission strictly FIFO and every
-	// run byte-identical.
+	// framesAccepted counts the frames Refill and RefillCore took in.
+	framesAccepted uint64
+
+	// tstats holds the per-request counters, one row per fleet tenant
+	// (index = Request.Tenant; always at least tenant 0). qos, when
+	// non-nil, is the armed weighted-fair admission layer and qosWait its
+	// throttle-wait histogram; nil (the default) keeps admission strictly
+	// FIFO and every run byte-identical.
 	tstats  []TenantStats
 	qos     *qosState
 	qosWait *metrics.Histogram
@@ -303,7 +305,6 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		e := a.(*pmshrEntry)
 		e.newPTE = s.install(e)
 		if e.installed {
-			s.stats.AnonZeroFill++
 			s.tstat(e.req.Tenant).AnonZeroFill++
 		}
 		s.notify(e)
@@ -329,8 +330,29 @@ func (s *SMU) Entries() int { return len(s.pmshr) }
 // Timing returns the component latency model.
 func (s *SMU) Timing() Timing { return s.timing }
 
-// Stats returns a copy of the counters.
-func (s *SMU) Stats() Stats { return s.stats }
+// Stats returns the counters: each per-request counter summed over the
+// tenant rows, and FramesAccepted.
+func (s *SMU) Stats() Stats {
+	st := Stats{FramesAccepted: s.framesAccepted}
+	for i := range s.tstats {
+		t := &s.tstats[i]
+		st.Handled += t.Handled
+		st.Coalesced += t.Coalesced
+		st.NoFreePage += t.NoFreePage
+		st.IOErrors += t.IOErrors
+		st.Backlogged += t.Backlogged
+		st.BufferMisses += t.BufferMisses
+		st.AnonZeroFill += t.AnonZeroFill
+		st.LateHits += t.LateHits
+		st.Retries += t.Retries
+		st.Timeouts += t.Timeouts
+		st.UECCFailures += t.UECCFailures
+		st.FramesInstalled += t.FramesInstalled
+		st.FramesRecycled += t.FramesRecycled
+		st.RaceYields += t.RaceYields
+	}
+	return st
+}
 
 // SetRetryPolicy replaces the error-recovery policy (configure before the
 // run starts).
@@ -365,7 +387,7 @@ func (s *SMU) Refill(recs []FrameRecord) int { return s.RefillCore(0, recs) }
 func (s *SMU) RefillCore(core int, recs []FrameRecord) int {
 	q := s.queueFor(core)
 	n := q.Push(recs)
-	s.stats.FramesAccepted += uint64(n)
+	s.framesAccepted += uint64(n)
 	q.Prefetch()
 	s.qosDrain()
 	return n
@@ -524,9 +546,8 @@ func (s *SMU) admit(req Request, done doneRef) {
 				orig.call(res, pte)
 			}}
 		}
-		//hwdp:ignore hotalloc waiters backing array is retained by the pooled entry (putEntry keeps capacity), so steady-state appends do not allocate
+		//hwdp:ignore hotalloc waiters backing array is retained by the PMSHR record (finish hands every record a cleared list back), so steady-state appends do not allocate
 		e.waiters = append(e.waiters, done)
-		s.stats.Coalesced++
 		s.tstat(req.Tenant).Coalesced++
 		return
 	}
@@ -536,7 +557,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 		// the PTE — which the page-table updater does anyway — catches the
 		// race; answer with the installed translation instead of fetching
 		// a duplicate frame (which would alias the page).
-		s.stats.LateHits++
 		s.tstat(req.Tenant).LateHits++
 		now := s.eng.Now()
 		req.Trace.AddSpan(trace.LayerSMU, "late-hit-notify", now, now+s.timing.Notify)
@@ -555,7 +575,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 		// All PMSHRs busy: the walk stays pending until a slot frees.
 		//hwdp:ignore hotalloc backlog only grows under PMSHR oversubscription and finish recycles it to backlog[:0], retaining capacity
 		s.backlog = append(s.backlog, pendingReq{req, done, s.eng.Now()})
-		s.stats.Backlogged++
 		s.tstat(req.Tenant).Backlogged++
 		s.psi.BeginStall(metrics.StallPMSHRBacklog, int64(s.eng.Now()))
 		return
@@ -568,7 +587,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 	if !anon {
 		dev = s.devs[req.Block.DeviceID]
 		if dev == nil {
-			s.stats.IOErrors++
 			s.tstat(req.Tenant).IOErrors++
 			s.notifySchedule(done, ResultIOError, 0)
 			return
@@ -580,7 +598,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 	if !ok {
 		// Free page queue empty: invalidate and fail to the OS, which
 		// handles the fault and refills the queue.
-		s.stats.NoFreePage++
 		s.tstat(req.Tenant).NoFreePage++
 		s.notifySchedule(done, ResultNoFreePage, 0)
 		return
@@ -588,7 +605,6 @@ func (s *SMU) admit(req Request, done doneRef) {
 	fetchCost := s.timing.FreePageHit
 	if !fromBuf {
 		fetchCost = s.timing.FreePageMem
-		s.stats.BufferMisses++
 		s.tstat(req.Tenant).BufferMisses++
 	}
 
@@ -661,7 +677,6 @@ func (s *SMU) issue(e *pmshrEntry) {
 		NLB:    0, // one 4 KiB block, no PRP list
 		Trace:  e.req.Trace,
 	}
-	s.tstat(e.req.Tenant).Submitted++
 	if err := e.dev.qp.Submit(cmd); err != nil {
 		// Isolated queue sized to PMSHR depth: overflow is a model bug.
 		panic(fmt.Sprintf("smu: submit failed: %v", err))
@@ -695,7 +710,6 @@ func (s *SMU) issue(e *pmshrEntry) {
 //hwdp:hotpath
 func (s *SMU) onTimeout(e *pmshrEntry) {
 	e.timeout = nil
-	s.stats.Timeouts++
 	s.tstat(e.req.Tenant).Timeouts++
 	e.req.Trace.Mark(trace.LayerNVMe, "cmd-timeout", s.eng.Now())
 	e.dev.dev.Abort(e.dev.qp.ID, e.cid)
@@ -712,7 +726,6 @@ func (s *SMU) recover(e *pmshrEntry, status uint16) {
 	if nvme.StatusRetryable(status) && e.attempts <= s.policy.MaxRetries {
 		e.cid = 0
 		backoff := s.policy.Backoff << (e.attempts - 1)
-		s.stats.Retries++
 		s.tstat(e.req.Tenant).Retries++
 		now := s.eng.Now()
 		e.req.Trace.AddSpan(trace.LayerSMU, "retry-backoff", now, now+backoff)
@@ -720,7 +733,6 @@ func (s *SMU) recover(e *pmshrEntry, status uint16) {
 		return
 	}
 	if status == nvme.StatusUncorrectable || status == nvme.StatusWriteFault {
-		s.stats.UECCFailures++
 		s.tstat(e.req.Tenant).UECCFailures++
 	}
 	s.finish(e, ResultIOError, 0)
@@ -754,7 +766,6 @@ func (s *SMU) cqHandle(dev *devSlot) {
 		e.timeout = nil
 	}
 	if !cp.OK() {
-		s.stats.IOErrors++
 		s.tstat(e.req.Tenant).IOErrors++
 		e.req.Trace.Mark(trace.LayerNVMe, "error-completion", s.eng.Now())
 		s.recover(e, cp.Status)
@@ -787,7 +798,6 @@ func (s *SMU) ptUpdate(e *pmshrEntry) {
 //hwdp:hotpath
 func (s *SMU) install(e *pmshrEntry) pagetable.Entry {
 	if cur := e.req.PTE.Get(); cur.Present() {
-		s.stats.RaceYields++
 		s.tstat(e.req.Tenant).RaceYields++
 		return cur
 	}
@@ -802,7 +812,6 @@ func (s *SMU) install(e *pmshrEntry) pagetable.Entry {
 //
 //hwdp:hotpath
 func (s *SMU) notify(e *pmshrEntry) {
-	s.stats.Handled++
 	s.tstat(e.req.Tenant).Handled++
 	anon, core := e.dev == nil, e.req.Core
 	s.finish(e, ResultOK, e.newPTE)
@@ -821,14 +830,12 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 	}
 	s.qosRelease(e.req.Tenant, e.dev != nil)
 	if e.installed {
-		s.stats.FramesInstalled++
 		s.tstat(e.req.Tenant).FramesInstalled++
 	} else {
 		// The popped frame was never installed (failure, or the PT
 		// update yielded to an OS-resolved PTE): return it to the free
 		// queue so it cannot leak (accepted == installed + held).
 		s.queueFor(e.req.Core).Requeue(e.frame)
-		s.stats.FramesRecycled++
 		s.tstat(e.req.Tenant).FramesRecycled++
 	}
 	// Reset the record before its slot goes back on the free list: a

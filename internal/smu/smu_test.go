@@ -477,3 +477,39 @@ func TestNoAliasingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTenantRowsSumToStats: the SMU counts each per-request event once, in
+// the requesting tenant's row, and Stats sums the rows.
+func TestTenantRowsSumToStats(t *testing.T) {
+	r := newRig(t, 64)
+	req := r.request(0x3000, 9)
+	req.Tenant = 2
+	other := r.request(0x4000, 10)
+	done := 0
+	cb := func(_ any, res Result, _ pagetable.Entry) {
+		if res != ResultOK {
+			t.Fatalf("res = %v", res)
+		}
+		done++
+	}
+	r.smu.HandleMissArg(req, cb, nil)
+	r.smu.HandleMissArg(req, cb, nil) // coalesces, charged to tenant 2
+	r.smu.HandleMissArg(other, cb, nil)
+	r.eng.Run()
+	if done != 3 {
+		t.Fatalf("%d of 3 misses completed", done)
+	}
+	if n := r.smu.Tenants(); n != 3 {
+		t.Fatalf("tenant rows = %d, want 3", n)
+	}
+	if row := r.smu.TenantCounters(2); row != (TenantStats{Handled: 1, Coalesced: 1, FramesInstalled: 1}) {
+		t.Fatalf("tenant 2 row = %+v", row)
+	}
+	if row := r.smu.TenantCounters(1); row != (TenantStats{}) {
+		t.Fatalf("tenant 1 row = %+v, want zero", row)
+	}
+	want := Stats{Handled: 2, Coalesced: 1, FramesAccepted: 64, FramesInstalled: 2}
+	if st := r.smu.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}

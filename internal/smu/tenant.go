@@ -1,18 +1,15 @@
 package smu
 
 // Per-tenant accounting. Every page-miss request carries the fleet tenant
-// it serves (Request.Tenant, 0 on the single-tenant machine); the SMU
-// mirrors its per-request counters into a per-tenant row so the fleet layer
-// can report throttle/fallback/latency per tenant. The mirror is pure
-// accounting — it never influences event ordering — so enabling it (it is
-// always on) keeps every run byte-identical. The conservation invariant,
-// property-tested in tenant_test.go: for each mirrored field, the sum over
-// all tenants equals the matching global Stats counter.
+// it serves (Request.Tenant, 0 on the single-tenant machine), and the SMU
+// counts each per-request event once, in that tenant's row, so the fleet
+// layer can report throttle/fallback/latency per tenant. Stats sums the
+// rows, so the machine-wide counters cover every tenant by construction.
+// The rows are pure accounting: they never influence event ordering.
 
-// TenantStats is one tenant's share of the SMU counters. All fields except
-// Submitted and Throttled mirror the same-named Stats fields; Submitted
-// counts NVMe command submissions charged to the tenant (including
-// retries), and Throttled counts admissions parked by the QoS layer.
+// TenantStats is one tenant's share of the SMU counters. Every field but
+// Throttled is summed into the same-named Stats field; Throttled counts
+// admissions parked by the QoS layer.
 type TenantStats struct {
 	Handled      uint64
 	Coalesced    uint64
@@ -31,7 +28,6 @@ type TenantStats struct {
 	FramesRecycled  uint64
 	RaceYields      uint64
 
-	Submitted uint64 // NVMe submissions for this tenant (incl. retries)
 	Throttled uint64 // admissions parked by the QoS layer
 }
 
