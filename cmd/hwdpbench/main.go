@@ -14,7 +14,8 @@
 //	hwdpbench -seed 7           # simulation seed for every unit (default 1)
 //	hwdpbench -threads 1,4      # restrict Fig. 13's thread sweep
 //	hwdpbench -j 8              # parallel run units (default GOMAXPROCS)
-//	hwdpbench -ssd modeled      # FTL/GC media model for every unit (default profile)
+//	hwdpbench -ssd modeled      # FTL/GC media model (default profile) for every unit
+//	                            # but 11, 17, devices, ssd and gctail (fixed devices)
 //	hwdpbench -ssd-fill 0.8     # modeled preconditioning: fraction of LBAs filled
 //	hwdpbench -ssd-churn 2      # modeled preconditioning: overwrite churn multiple
 //	hwdpbench -run-timeout 15m  # per-unit wall-clock budget (0 disables)
@@ -66,7 +67,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed threaded through every experiment")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts for -fig 13")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max run units executing in parallel")
-	ssdBackend := flag.String("ssd", "profile", "SSD media backend for figure units: profile or modeled (FTL + GC + plane parallelism, docs/SSD.md)")
+	ssdBackend := flag.String("ssd", "profile", "SSD media backend for figure units: profile or modeled (FTL + GC + plane parallelism, docs/SSD.md); units 11, 17, devices, ssd and gctail run fixed devices")
 	ssdFill := flag.Float64("ssd-fill", 0, "modeled-backend preconditioning fill fraction (0 = backend default of 1)")
 	ssdChurn := flag.Float64("ssd-churn", 0, "modeled-backend preconditioning churn, in multiples of the filled capacity (0 = fresh drive)")
 	runTimeout := flag.Duration("run-timeout", 15*time.Minute, "per-unit wall-clock budget (0 disables)")

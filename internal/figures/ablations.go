@@ -29,12 +29,8 @@ type PMSHRResult struct{ Rows []PMSHRRow }
 func AblationPMSHR(p Params) (*PMSHRResult, error) {
 	res := &PMSHRResult{}
 	for _, entries := range []int{2, 4, 8, 16, 32, 64} {
-		cfg := core.DefaultConfig(kernel.HWDP)
-		cfg.MemoryBytes = p.memoryBytes()
-		cfg.Seed = p.Seed
-		cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
+		cfg := p.config(kernel.HWDP)
 		cfg.PMSHREntries = entries
-		cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
 		sys := cfg.Build()
 		fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 		if err != nil {
@@ -148,12 +144,8 @@ func AblationPrefetch(p Params) (*PrefetchResult, error) {
 	res := &PrefetchResult{}
 	for _, pattern := range []string{"sequential", "random"} {
 		for _, degree := range []int{0, 1, 4} {
-			cfg := core.DefaultConfig(kernel.HWDP)
-			cfg.MemoryBytes = p.memoryBytes()
-			cfg.Seed = p.Seed
-			cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
+			cfg := p.config(kernel.HWDP)
 			cfg.PrefetchDegree = degree
-			cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
 			sys := cfg.Build()
 			fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())
 			if err != nil {

@@ -46,11 +46,8 @@ func steadyChurn(p Params) float64 {
 // runSSDRow runs the figure's workload (8-thread cold randrw FIO, 30%
 // writes) on one device configuration.
 func runSSDRow(p Params, name string, configure func(*core.Config)) (SSDSteadyRow, error) {
-	cfg := core.DefaultConfig(kernel.HWDP)
-	cfg.MemoryBytes = p.memoryBytes()
-	cfg.Seed = p.Seed
-	cfg.FSBlocks = uint64(p.datasetPages())*4 + (1 << 16)
-	cfg.Kernel.KptedPeriod = sim.Time(p.MemoryMB) * 600 * sim.Microsecond
+	p.SSDBackend = "" // configure picks the row's backend
+	cfg := p.config(kernel.HWDP)
 	configure(&cfg)
 	sys := cfg.Build()
 	fio, err := workload.SetupFIO(sys, "fio.dat", p.datasetPages(), sys.FastFlags())

@@ -83,3 +83,22 @@ func TestGCTailAblationDirection(t *testing.T) {
 		}
 	}
 }
+
+// TestPMSHRAblationHonorsSSDBackend: a figure unit that builds its own
+// machine still runs on the selected SSD backend. The modeled drive's
+// latencies differ from the profile's, so the rows must too.
+func TestPMSHRAblationHonorsSSDBackend(t *testing.T) {
+	p := Params{MemoryMB: 4, DatasetRatio: 2, OpsPerThread: 200, WarmupOps: 50, Seed: 1}
+	profile, err := AblationPMSHR(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SSDBackend = "modeled"
+	modeled, err := AblationPMSHR(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profile.String() == modeled.String() {
+		t.Fatalf("AblationPMSHR printed the same rows on both backends:\n%s", modeled)
+	}
+}
