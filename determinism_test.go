@@ -75,3 +75,43 @@ func TestGoldenOutputPinned(t *testing.T) {
 			"(an engine/miss-path refactor must keep fixed-seed output byte-identical)", got, goldenPin)
 	}
 }
+
+// multiQuantumStream renders the outputs whose user slices span several
+// 8,192-instruction CPU quanta: Fig. 16, where an FIO thread shares a
+// core with a compute co-runner whose state changes mid-slice, and a
+// fixed-seed YCSB-A run (40,000 instructions per op, five quanta) on
+// eight threads, whose SMT siblings on the last cores run the kernel
+// daemons. goldenStream runs only one-quantum FIO ops, so this pin is the
+// one that sees how a slice is split into quanta.
+func multiQuantumStream(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fig, err := figures.Fig16(figures.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(fig.String())
+	sys := New(Config{Scheme: HWDP, MemoryMB: 16, Cores: 8, Deterministic: true, Seed: 7})
+	res, err := sys.RunYCSB('A', 8, 150, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&buf, "%+v\n", res)
+	return buf.Bytes()
+}
+
+// multiQuantumPin is the SHA-256 of multiQuantumStream (amd64, as
+// goldenPin).
+const multiQuantumPin = "c059dd4c4a31ccceef2a99329f7196aa6c4fbc637f8500bcc4a525d86ad95525"
+
+func TestMultiQuantumOutputPinned(t *testing.T) {
+	sum := sha256.Sum256(multiQuantumStream(t))
+	got := hex.EncodeToString(sum[:])
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned digest is amd64-only; got %s on %s", got, runtime.GOARCH)
+	}
+	if got != multiQuantumPin {
+		t.Fatalf("multi-quantum output digest changed:\n  got  %s\n  want %s\n"+
+			"(a change to how user slices are scheduled must keep this output byte-identical)", got, multiQuantumPin)
+	}
+}
