@@ -97,15 +97,10 @@ func main() {
 	p.SSDBackend = *ssdBackend
 	p.SSDFill = *ssdFill
 	p.SSDChurn = *ssdChurn
-	var threads []int
-	if *threadsFlag != "" {
-		for _, s := range strings.Split(*threadsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(err)
-			}
-			threads = append(threads, n)
-		}
+	threads, err := parseThreads(*threadsFlag, core.DefaultConfig(kernel.HWDP).Cores)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hwdpbench:", err)
+		os.Exit(2)
 	}
 
 	ran := false
@@ -303,6 +298,28 @@ func traceSweep(quick, report bool, tracePath string, p figures.Params) {
 		}
 		fmt.Printf("wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", tracePath)
 	}
+}
+
+// parseThreads parses -threads: a comma-separated list of Fig. 13 thread
+// counts, each in 1..cores because workload thread i runs on hardware
+// thread 2i, the first of core i. The empty string selects the default
+// sweep (nil).
+func parseThreads(flagVal string, cores int) ([]int, error) {
+	if flagVal == "" {
+		return nil, nil
+	}
+	var threads []int
+	for _, s := range strings.Split(flagVal, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("-threads: %v", err)
+		}
+		if n < 1 || n > cores {
+			return nil, fmt.Errorf("-threads: %d threads outside 1..%d (one workload thread per core)", n, cores)
+		}
+		threads = append(threads, n)
+	}
+	return threads, nil
 }
 
 func fatal(err error) {
