@@ -75,10 +75,11 @@ fleet-check:
 # output-diff is the byte-identity gate for a change that should not move
 # the model: it builds hwdpbench at REV (any commit; default HEAD) from a
 # `git archive` export under bin/output-diff/, runs -all, -pressure,
-# -fleet and -breakdown, each with -quick, on REV and on the working tree,
-# cmps each stdout and names every mode that differs. The exported source
-# is removed after the build; the binaries and outputs stay for a diff.
-# See docs/SWEEP.md.
+# -fleet and -breakdown, each with -quick, and full-scale -pressure and
+# -fleet (a few events, such as a second fault on one access, happen only
+# at full scale) on REV and on the working tree, cmps each stdout and
+# names every mode that differs. The exported source is removed after the
+# build; the binaries and outputs stay for a diff. See docs/SWEEP.md.
 REV ?= HEAD
 OUTPUT_DIFF_DIR = bin/output-diff
 output-diff:
@@ -88,17 +89,19 @@ output-diff:
 	rm -rf $$d/src; \
 	$(GO) build -o $$d/hwdpbench.tree ./cmd/hwdpbench; \
 	differ=; \
-	for mode in all pressure fleet breakdown; do \
+	for run in all:-quick pressure:-quick fleet:-quick breakdown:-quick pressure: fleet:; do \
+		mode=$${run%%:*}; quick=$${run#*:}; out=$$mode$$quick; \
+		label="-$$mode$${quick:+ $$quick}"; \
 		for side in rev tree; do \
-			st=0; $$d/hwdpbench.$$side -$$mode -quick -sweep-out $$d/sweep.$$side.json \
-				> $$d/$$mode.$$side.out 2>/dev/null || st=$$?; \
-			echo "exit status $$st" >> $$d/$$mode.$$side.out; \
+			st=0; $$d/hwdpbench.$$side -$$mode $$quick -sweep-out $$d/sweep.$$side.json \
+				> $$d/$$out.$$side.out 2>/dev/null || st=$$?; \
+			echo "exit status $$st" >> $$d/$$out.$$side.out; \
 		done; \
-		if cmp -s $$d/$$mode.rev.out $$d/$$mode.tree.out; then \
-			echo "output-diff: -$$mode -quick identical"; \
+		if cmp -s $$d/$$out.rev.out $$d/$$out.tree.out; then \
+			echo "output-diff: $$label identical"; \
 		else \
-			echo "output-diff: -$$mode -quick differs ($$d/$$mode.rev.out vs $$d/$$mode.tree.out)"; \
-			differ="$$differ -$$mode"; \
+			echo "output-diff: $$label differs ($$d/$$out.rev.out vs $$d/$$out.tree.out)"; \
+			differ="$$differ '$$label'"; \
 		fi; \
 	done; \
 	if [ -n "$$differ" ]; then echo "output-diff: stdout differs from $(REV) in:$$differ"; exit 1; fi; \

@@ -20,7 +20,6 @@ import (
 	"hwdp/internal/fault"
 	"hwdp/internal/kernel"
 	"hwdp/internal/metrics"
-	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
 	"hwdp/internal/workload"
@@ -110,32 +109,6 @@ type Result struct {
 // watchdogPeriod is the audit cadence during a campaign run.
 const watchdogPeriod = 500 * sim.Microsecond
 
-// pressureWork hammers an anonymous region: a sequential populate sweep
-// first (so the full working set is touched and oversubscription actually
-// evicts), then a scrambled-zipfian mix of loads and stores.
-type pressureWork struct {
-	sys       *core.System
-	base      pagetable.VAddr
-	pages     int
-	gen       workload.KeyGen
-	writeFrac float64
-	seq       int
-}
-
-// Op issues one access; a store with probability writeFrac.
-func (w *pressureWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)) {
-	var page uint64
-	if w.seq < w.pages {
-		page = uint64(w.seq)
-		w.seq++
-	} else {
-		page = w.gen.Next(rng)
-	}
-	write := rng.Float64() < w.writeFrac
-	va := w.base + pagetable.VAddr(page)*4096
-	w.sys.K.Access(th, va, write, func(mmu.Result) { done(nil) })
-}
-
 // Run executes one scenario to completion and returns its report. The
 // machine is audited by a watchdog for the whole run; after the workload
 // finishes, the run settles (in-flight writebacks drain) and the frame
@@ -167,13 +140,23 @@ func Run(sc Scenario) Result {
 	perProc := totalPages / len(procs)
 	fast := sc.Scheme != kernel.OSDP
 	prot := pagetable.Prot{Write: true, User: true}
-	bases := make([]pagetable.VAddr, len(procs))
+	// Each process's threads hammer its anonymous region: a sequential
+	// populate sweep per thread first (so the full working set is touched
+	// and oversubscription actually evicts), then a scrambled-zipfian mix
+	// of loads and stores, each access issued with no per-op cost.
+	works := make([]*workload.FIO, len(procs))
 	for i, p := range procs {
 		va, err := sys.K.MmapAnon(p, 0, 0, perProc, prot, fast)
 		if err != nil {
 			panic(fmt.Sprintf("campaign: mmap %d pages for proc %d: %v", perProc, i, err))
 		}
-		bases[i] = va
+		works[i] = &workload.FIO{
+			Sys: sys, Base: va, Pages: perProc,
+			Gen:       workload.Scrambled{Gen: workload.NewZipfian(uint64(perProc), workload.ZipfTheta), N: uint64(perProc)},
+			WriteFrac: sc.WriteFrac,
+			Populate:  true,
+			Bare:      true,
+		}
 	}
 
 	// Threads round-robin over processes, one per physical core so the
@@ -181,14 +164,7 @@ func Run(sc Scenario) Result {
 	assignments := make([]workload.Assignment, sc.Threads)
 	for i := 0; i < sc.Threads; i++ {
 		pi := i % len(procs)
-		w := &pressureWork{
-			sys:       sys,
-			base:      bases[pi],
-			pages:     perProc,
-			gen:       workload.Scrambled{Gen: workload.NewZipfian(uint64(perProc), workload.ZipfTheta), N: uint64(perProc)},
-			writeFrac: sc.WriteFrac,
-		}
-		assignments[i] = workload.Assignment{Th: sys.K.NewThread(procs[pi], 2*i), W: w}
+		assignments[i] = workload.Assignment{Th: sys.K.NewThread(procs[pi], 2*i), W: works[pi]}
 	}
 	results := workload.RunMixed(sys, assignments, workload.RunOptions{OpsPerThread: sc.OpsPerThread})
 

@@ -21,7 +21,6 @@ import (
 	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
 	"hwdp/internal/metrics"
-	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
 	"hwdp/internal/smu"
@@ -191,97 +190,6 @@ type Result struct {
 	SLOMet       int     `json:"slo_met"`
 }
 
-// tenantWork is one tenant thread's access loop: a scrambled-zipfian page
-// pick over the tenant's mapped dataset, a fixed per-op cost plus user
-// instructions (the FIO calibration), then one memory access that may take
-// a demand-paging miss. Access latency lands in the tenant's shared
-// histogram once the warmup deadline passes.
-type tenantWork struct {
-	sys          *core.System
-	base         pagetable.VAddr
-	pages        int
-	gen          workload.KeyGen
-	writeFrac    float64
-	measureAfter sim.Time
-	lat          *metrics.Histogram
-	ops          kernel.ThreadTable[*workOp]
-}
-
-// workOp carries one tenant thread's in-flight op through its phases. A
-// thread runs one op at a time, so each thread reuses one carrier whose
-// phases are bound once.
-type workOp struct {
-	w     *tenantWork
-	th    *kernel.Thread
-	va    pagetable.VAddr
-	write bool
-	start sim.Time
-	done  func(error)
-
-	execFn, accessFn func()
-	resultFn         func(mmu.Result)
-}
-
-// Op issues one access and records its latency post-warmup.
-//
-//hwdp:hotpath
-func (w *tenantWork) Op(th *kernel.Thread, rng *sim.Rand, done func(err error)) {
-	page := w.gen.Next(rng)
-	op, ok := w.ops.Get(th)
-	if !ok {
-		op = w.newOp(th)
-	}
-	op.write = rng.Float64() < w.writeFrac
-	op.va = w.base + pagetable.VAddr(page)*4096
-	op.done = done
-	w.sys.CPU.Stall(th.HW, workload.FIOOpFixed, op.execFn)
-}
-
-// newOp builds th's carrier and binds its phases.
-//
-//hwdp:coldpath runs once per thread, on its first op
-func (w *tenantWork) newOp(th *kernel.Thread) *workOp {
-	op := &workOp{w: w, th: th}
-	op.execFn, op.accessFn, op.resultFn = op.exec, op.access, op.result
-	w.ops.Set(th, op)
-	return op
-}
-
-// exec runs the op's user work after its fixed overhead.
-//
-//hwdp:hotpath
-func (op *workOp) exec() { op.w.sys.CPU.UserExec(op.th.HW, workload.FIOOpInstr, op.accessFn) }
-
-// access starts the op's timed memory access.
-//
-//hwdp:hotpath
-func (op *workOp) access() {
-	op.start = op.w.sys.Eng.Now()
-	op.w.sys.K.Access(op.th, op.va, op.write, op.resultFn)
-}
-
-// result records the access latency and completes the op.
-//
-//hwdp:hotpath
-func (op *workOp) result(r mmu.Result) {
-	w := op.w
-	if now := w.sys.Eng.Now(); now >= w.measureAfter {
-		w.lat.Record(int64(now - op.start))
-	}
-	done := op.done
-	op.done = nil
-	if r.Outcome == mmu.OutcomeBadAddr {
-		done(errBadAddr(op.va))
-		return
-	}
-	done(nil)
-}
-
-// errBadAddr reports an access to an unmapped address.
-//
-//hwdp:coldpath error path: tenants touch only their mapped datasets
-func errBadAddr(va pagetable.VAddr) error { return fmt.Errorf("fleet: bad address %#x", va) }
-
 // Run executes one fleet experiment to completion: it builds the machine,
 // tenant processes, datasets and thread assignments, drives them for the
 // configured duration and builds the per-tenant report.
@@ -352,15 +260,18 @@ func Run(c Config) (Result, error) {
 			return Result{}, fmt.Errorf("fleet: tenant %d mmap: %w", t, err)
 		}
 		lat[t] = metrics.NewHistogram()
-		w := &tenantWork{
-			sys: sys, base: base, pages: pagesPerTenant,
-			gen: workload.Scrambled{
+		// A scrambled-zipfian page pick over the tenant's dataset, the
+		// FIO per-op cost, then one access whose latency lands in the
+		// tenant's histogram once the warm-up has passed.
+		w := &workload.FIO{
+			Sys: sys, Base: base, Pages: pagesPerTenant,
+			Gen: workload.Scrambled{
 				Gen: workload.NewZipfian(uint64(pagesPerTenant), workload.ZipfTheta),
 				N:   uint64(pagesPerTenant),
 			},
-			writeFrac:    c.WriteFrac,
-			measureAfter: sys.Eng.Now() + c.Warmup,
-			lat:          lat[t],
+			WriteFrac: c.WriteFrac,
+			Lat:       lat[t],
+			LatFrom:   sys.Eng.Now() + c.Warmup,
 		}
 		for i := 0; i < counts[t]; i++ {
 			th := sys.K.NewThread(proc, 2*hw)

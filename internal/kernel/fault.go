@@ -19,7 +19,7 @@ import (
 // free page queue. ms is the miss's trace context (nil when tracing is
 // disabled).
 func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
-	write, hwFailed bool, ms *trace.Miss, done func()) {
+	write, hwFailed bool, ms *trace.Miss, done func(bool)) {
 	th, ok := ctx.(*Thread)
 	if !ok || th == nil {
 		panic("kernel: fault without thread context")
@@ -30,8 +30,8 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 	p := k.procs[as.ASID-1]
 	vma := p.findVMA(va)
 	if vma == nil {
-		// Segfault: the MMU will report BadAddr on the retried walk.
-		done()
+		// Segfault: the access ends without a re-walk.
+		done(false)
 		return
 	}
 
@@ -43,7 +43,7 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 	if state == pagetable.StateResident || state == pagetable.StateResidentUnsynced {
 		// Raced with a concurrent fault that already mapped the page.
 		ms.SetCause(trace.CauseOSMinor)
-		done()
+		done(true)
 		return
 	}
 
@@ -86,7 +86,7 @@ type pageFault struct {
 	sw       bool // a SW-only miss
 	zero     bool // an OSDP anonymous first touch: zero-fill, no I/O
 	ms       *trace.Miss
-	done     func()
+	done     func(bool)
 
 	// The page lock. A fault holding its lock is on the kernel's holder
 	// list and queues the faults that wait on the lock, in arrival order.
@@ -145,11 +145,12 @@ func (f *pageFault) put() {
 }
 
 // end returns the fault to user: the record goes back to the pool, then
-// the MMU re-walks.
+// the MMU re-walks. A fault whose read failed for good killed its thread
+// (sigbus), and its access ends without a re-walk.
 func (f *pageFault) end() {
-	done := f.done
+	done, ok := f.done, f.ioStatus == nvme.StatusSuccess
 	f.put()
-	done()
+	done(ok)
 }
 
 // lock takes the page lock named by f.key. If another fault holds it, f
@@ -209,8 +210,8 @@ func (f *pageFault) resume() {
 
 // waited maps the page the lock holder brought in. The page can be absent
 // (the holder's read failed) or the PTE already present (the SMU beat the
-// OS to it); both cases just return, and the retried walk settles the
-// access.
+// OS to it); both cases just return, and the re-walk settles the access:
+// it hits, or it faults again and the fault is raised again.
 func (f *pageFault) waited() {
 	k := f.k
 	if e, found := f.as.Table.Lookup(f.va); !found || !e.Present() {
@@ -269,8 +270,7 @@ func (f *pageFault) entry() {
 // evicted the page during the MinorFault charge, and its frame may back
 // another page by now: a page no longer cached under (file, idx) is not
 // mapped, and the fault is triaged again (Linux retries the fault the
-// same way). Returning instead would fail the access, since the MMU
-// re-walks only once.
+// same way) without a second exception round trip.
 func (f *pageFault) minor() {
 	if f.k.lookupPage(f.vma.File, f.idx) != f.pg {
 		f.pg = nil
@@ -389,8 +389,8 @@ func (f *pageFault) onIO(status uint16) {
 func (f *pageFault) wake() {
 	k, c := f.k, f.k.cfg.Costs
 	if f.ioStatus != nvme.StatusSuccess {
-		// The faults waiting on the lock find the page missing and fail
-		// their walks too: nobody hangs.
+		// The faults waiting on the lock find the page missing: their
+		// re-walks fault again and read the block themselves.
 		k.sigbus(f.th, f.as, f.va, f.frame, f.ms)
 		f.unlock()
 		return

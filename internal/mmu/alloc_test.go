@@ -108,9 +108,9 @@ func TestOSFaultAllocationBudget(t *testing.T) {
 				_, _, ptes[i] = as.Table.Ensure(vas[i])
 			}
 			cur := 0
-			m.SetOSFaultHandler(func(_ any, _ *AddressSpace, _ pagetable.VAddr, _, _ bool, _ *trace.Miss, done func()) {
+			m.SetOSFaultHandler(func(_ any, _ *AddressSpace, _ pagetable.VAddr, _, _ bool, _ *trace.Miss, done func(bool)) {
 				ptes[cur].Set(pagetable.MakePresent(mem.FrameID(1000+cur), pagetable.Prot{}, true))
-				done()
+				done(true)
 			})
 			var res Result
 			finished := false

@@ -63,12 +63,15 @@ type CoreCarrier interface{ CoreID() int }
 type TenantCarrier interface{ TenantID() int }
 
 // OSFaultFunc raises a page-fault exception to the kernel. The kernel
-// resolves the fault (possibly blocking the thread) and calls done; the
-// MMU then re-walks. hwFailed distinguishes Table I row 1 faults from
+// handles the fault (possibly blocking the thread) and calls done. With
+// resolved true the MMU re-walks, and a re-walk that faults again raises
+// the exception again. With resolved false the kernel will not serve the
+// access (a segfault, or a thread killed by the fault), and it ends as
+// OutcomeBadAddr. hwFailed distinguishes Table I row 1 faults from
 // hardware misses bounced for lack of a free page (the kernel must refill
 // the free page queue in that case). ms is the miss's trace context (nil
 // when tracing is disabled); the kernel attaches its phase spans to it.
-type OSFaultFunc func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func())
+type OSFaultFunc func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func(resolved bool))
 
 // AddressSpace couples a page table with an ASID for TLB tagging.
 type AddressSpace struct {
@@ -155,7 +158,7 @@ type access struct {
 	ms      *trace.Miss
 	pte     pagetable.EntryRef // the PTE dispatched to the SMU
 
-	resolvedFn func() // resolved, bound once when the record is made
+	resolvedFn func(bool) // resolved, bound once when the record is made
 }
 
 // prefetchCont carries one speculative prefetch's TLB-install state
@@ -405,12 +408,12 @@ func prefetchDone(arg any, res smu.Result, _ pagetable.Entry) {
 }
 
 // raiseOS raises the page-fault exception and re-walks once the kernel
-// has resolved the fault. A fault on the re-walk is fatal for the access
-// (the kernel would deliver SIGSEGV).
+// has resolved the fault. The kernel decides what is a segfault, since it
+// holds the VMAs; without a kernel every fault is one.
 //
 //hwdp:hotpath
 func (m *MMU) raiseOS(a *access, hwFailed bool) {
-	if m.osFault == nil || a.retried {
+	if m.osFault == nil {
 		m.complete(a, Result{Outcome: OutcomeBadAddr})
 		return
 	}
@@ -423,10 +426,15 @@ func (m *MMU) raiseOS(a *access, hwFailed bool) {
 	m.osFault(a.ctx, a.as, a.va, a.write, hwFailed, a.ms, a.resolvedFn)
 }
 
-// resolved re-walks once the kernel resolved the fault.
+// resolved re-walks once the kernel resolved the fault, or ends the
+// access when the kernel refused it.
 //
 //hwdp:hotpath
-func (a *access) resolved() {
+func (a *access) resolved(ok bool) {
+	if !ok {
+		a.m.complete(a, Result{Outcome: OutcomeBadAddr})
+		return
+	}
 	a.retried = true
 	a.m.walk(a)
 }

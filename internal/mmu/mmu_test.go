@@ -205,7 +205,7 @@ func TestOSFaultPath(t *testing.T) {
 	r := newRig(t, 8)
 	r.as.Table.Set(0x7000, pagetable.MakeSwap(9, pagetable.Prot{}))
 	faults := 0
-	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func()) {
+	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func(bool)) {
 		faults++
 		if hwFailed {
 			t.Fatal("conventional fault flagged as hw-failed")
@@ -213,7 +213,7 @@ func TestOSFaultPath(t *testing.T) {
 		// Kernel installs the mapping after its handling latency.
 		r.eng.Post(sim.Micro(20), func() {
 			as.Table.Set(va.PageBase(), pagetable.MakePresent(77, pagetable.Prot{}, true))
-			done()
+			done(true)
 		})
 	})
 	var res Result
@@ -232,11 +232,11 @@ func TestHWMissBouncesToOSWhenNoFreePage(t *testing.T) {
 	blk := pagetable.BlockAddr{SID: 0, DeviceID: 0, LBA: 3}
 	r.as.Table.Set(0x9000, pagetable.MakeLBA(blk, pagetable.Prot{}))
 	hwFailedSeen := false
-	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func()) {
+	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func(bool)) {
 		hwFailedSeen = hwFailed
 		r.eng.Post(sim.Micro(15), func() {
 			as.Table.Set(va.PageBase(), pagetable.MakePresent(55, pagetable.Prot{}, true))
-			done()
+			done(true)
 		})
 	})
 	var res Result
@@ -250,6 +250,38 @@ func TestHWMissBouncesToOSWhenNoFreePage(t *testing.T) {
 	}
 	if st := r.m.Stats(); st.HWBounced != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRewalkFaultIsRaisedAgain: the kernel resolves a bounced miss but
+// the page is gone again by the re-walk (the handler leaves the PTE as an
+// LBA on its first call), so the re-walk's miss bounces again. The second
+// fault goes back to the kernel, which installs the page this time.
+func TestRewalkFaultIsRaisedAgain(t *testing.T) {
+	r := newRig(t, 0) // empty free page queue: every hardware miss bounces
+	blk := pagetable.BlockAddr{SID: 0, DeviceID: 0, LBA: 3}
+	r.as.Table.Set(0x9000, pagetable.MakeLBA(blk, pagetable.Prot{}))
+	calls := 0
+	r.m.SetOSFaultHandler(func(ctx any, as *AddressSpace, va pagetable.VAddr, write, hwFailed bool, ms *trace.Miss, done func(bool)) {
+		calls++
+		if !hwFailed {
+			t.Fatalf("fault %d not flagged as a bounced hardware miss", calls)
+		}
+		r.eng.Post(sim.Micro(15), func() {
+			if calls > 1 {
+				as.Table.Set(va.PageBase(), pagetable.MakePresent(55, pagetable.Prot{}, true))
+			}
+			done(true)
+		})
+	})
+	var res Result
+	r.m.Access(r.as, 0x9000, false, nil, func(x Result) { res = x })
+	r.eng.Run()
+	if res.Outcome != OutcomeOSFault || calls != 2 {
+		t.Fatalf("outcome = %v after %d handler calls, want %v after 2", res.Outcome, calls, OutcomeOSFault)
+	}
+	if st := r.m.Stats(); st.OSFaults != 2 || st.HWBounced != 2 {
+		t.Fatalf("stats = %+v, want 2 OS faults and 2 bounces", st)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hwdp/internal/core"
 	"hwdp/internal/kernel"
 	"hwdp/internal/kvs"
+	"hwdp/internal/metrics"
 	"hwdp/internal/sim"
 )
 
@@ -159,5 +160,44 @@ func BenchmarkKVOp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.op(b)
+	}
+}
+
+// TestBareFIOOpAllocationBudget pins the op campaign threads run at zero
+// allocations: a warm op with no per-op cost, on a resident page, rides
+// the thread's carrier, whose phases are bound once. The latency sink
+// fleet tenants use is armed too.
+func TestBareFIOOpAllocationBudget(t *testing.T) {
+	sys := testSystem(t, kernel.HWDP)
+	const pages = 16
+	f, err := SetupFIO(sys, "fio", pages, sys.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Gen = Scrambled{Gen: NewZipfian(pages, ZipfTheta), N: pages}
+	f.WriteFrac, f.Populate, f.Bare = 0.3, true, true
+	f.Lat = metrics.NewHistogram()
+	th, rng := sys.WorkloadThread(0), sim.NewRand(5)
+	var done bool
+	var opErr error
+	doneFn := func(err error) { done, opErr = true, err }
+	pending := func() bool { return !done }
+	op := func() {
+		done = false
+		f.Op(th, rng, doneFn)
+		sys.RunWhile(pending)
+		if !done || opErr != nil {
+			t.Fatalf("op: done=%v err=%v", done, opErr)
+		}
+	}
+	for i := 0; i < pages; i++ {
+		op() // the populate sweep makes every page resident
+	}
+	got := testing.AllocsPerRun(2000, op)
+	if got != 0 {
+		t.Fatalf("a warm bare op allocates %.1f objects/op, want 0", got)
+	}
+	if s := sys.MMU.Stats(); s.HWMisses != pages || s.OSFaults != 0 {
+		t.Fatalf("mmu stats %+v: want %d hardware misses, then only hits", s, pages)
 	}
 }

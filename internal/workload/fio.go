@@ -4,6 +4,7 @@ import (
 	"hwdp/internal/core"
 	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
+	"hwdp/internal/metrics"
 	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
@@ -20,30 +21,41 @@ const FIOOpInstr = 8000
 const FIOOpFixed = 3200 * sim.Nanosecond
 
 // FIO models `fio --ioengine=mmap --rw=randread --bs=4k` over one mapped
-// file: each op picks a uniformly random page and touches it, taking a
-// demand-paging miss when the page is cold.
+// region: each op picks a page and touches it, taking a demand-paging miss
+// when the page is cold. It is the simulator's one mapped-access op: fleet
+// tenants and campaign threads run it too, with their own page source,
+// sweep, latency sink or no per-op cost.
 type FIO struct {
-	Sys     *core.System
-	Base    pagetable.VAddr
-	Pages   int
-	OpInstr uint64
-	// WriteFrac makes a fraction of ops writes (randrw mixes).
+	Sys   *core.System
+	Base  pagetable.VAddr
+	Pages int
+	// WriteFrac makes a fraction of ops writes (randrw mixes). The write
+	// bit is drawn after the page, and only when WriteFrac > 0.
 	WriteFrac float64
-	// CopyData routes ops through the data-copying Load path instead of a
-	// bare access (slower to simulate; used by integrity tests).
-	CopyData bool
-	// Sequential walks the file front to back (prefetcher ablation).
+	// Gen, when set, is the page source instead of a uniform pick (fleet
+	// and campaign pass a scrambled zipfian).
+	Gen KeyGen
+	// Sequential walks the region front to back (prefetcher ablation).
 	Sequential bool
+	// Populate makes each thread sweep the region front to back once
+	// before it draws from the page source, so the whole working set is
+	// touched (campaign oversubscription).
+	Populate bool
 	// Cold makes every op touch a not-yet-resident page — the Fig. 12
 	// configuration ("repeatedly accesses [the] memory-mapped file randomly
-	// so as to incur cold page misses"). Threads walk disjoint page
-	// partitions in a scrambled full-cycle order; with the file larger
-	// than memory, pages are evicted again before their next visit.
+	// so as to incur cold page misses"). All threads share one walk over
+	// the file in a scrambled full-cycle order; with the file larger than
+	// memory, pages are evicted again before their next visit.
 	Cold bool
+	// Bare issues the access straight from Op, with no FIOOpFixed stall
+	// and no FIOOpInstr user work.
+	Bare bool
+	// Lat, when set, records each access's latency, from the access to its
+	// result, for results at or after LatFrom (a warm-up cut-off).
+	Lat     *metrics.Histogram
+	LatFrom sim.Time
 
-	cold *coldWalk                       // the walk shared by all threads in Cold mode
-	seqs kernel.ThreadTable[*coldWalk]   // each thread's walk in Sequential mode
-	bufs kernel.ThreadTable[*[4096]byte] // each thread's copy buffer in CopyData mode
+	cold *coldWalk // the walk shared by all threads in Cold mode
 	ops  kernel.ThreadTable[*fioOp]
 }
 
@@ -55,22 +67,35 @@ type fioOp struct {
 	th    *kernel.Thread
 	va    pagetable.VAddr
 	write bool
+	swept int      // ops this thread's in-order sweep has issued
+	start sim.Time // when the access was issued
 	done  func(error)
 
 	execFn, accessFn func()
 	resultFn         func(mmu.Result)
 }
 
-// coldWalk visits every page of a partition once per cycle in a scrambled
+// coldWalk visits every page of a region once per cycle in a scrambled
 // order (a full-cycle linear walk with a stride co-prime to the size).
 type coldWalk struct {
-	offset, size, stride, pos int
+	size, stride, pos int
 }
 
 func (c *coldWalk) next() int {
-	p := c.offset + (c.pos*c.stride)%c.size
+	p := (c.pos * c.stride) % c.size
 	c.pos++
 	return p
+}
+
+// newColdWalk draws the shared walk's stride.
+//
+//hwdp:coldpath runs once per workload, on its first op
+func newColdWalk(pages int, rng *sim.Rand) *coldWalk {
+	stride := pages/3 + 1 + rng.Intn(pages/3+1)
+	for gcd(stride, pages) != 1 {
+		stride++
+	}
+	return &coldWalk{size: pages, stride: stride}
 }
 
 func gcd(a, b int) int {
@@ -82,7 +107,7 @@ func gcd(a, b int) int {
 
 // NewFIO creates the workload over an already-mapped region.
 func NewFIO(sys *core.System, base pagetable.VAddr, pages int) *FIO {
-	return &FIO{Sys: sys, Base: base, Pages: pages, OpInstr: FIOOpInstr}
+	return &FIO{Sys: sys, Base: base, Pages: pages}
 }
 
 // SetupFIO creates and maps a file for the standard FIO scenario.
@@ -94,41 +119,41 @@ func SetupFIO(sys *core.System, name string, pages int, flags kernel.MmapFlags) 
 	return NewFIO(sys, base, pages), nil
 }
 
-func (f *FIO) pick(th *kernel.Thread, rng *sim.Rand) int {
-	if f.Sequential {
-		w, ok := f.seqs.Get(th)
-		if !ok {
-			w = &coldWalk{offset: 0, size: f.Pages, stride: 1}
-			f.seqs.Set(th, w)
+// pick returns the op's page: the thread's in-order sweep first, then
+// the shared cold walk, the page source or a uniform draw.
+func (f *FIO) pick(op *fioOp, rng *sim.Rand) int {
+	if f.Sequential || (f.Populate && op.swept < f.Pages) {
+		p := op.swept % f.Pages
+		op.swept++
+		return p
+	}
+	switch {
+	case f.Cold:
+		if f.cold == nil {
+			f.cold = newColdWalk(f.Pages, rng)
 		}
-		return w.next()
+		return f.cold.next()
+	case f.Gen != nil:
+		return int(f.Gen.Next(rng))
 	}
-	if !f.Cold {
-		return rng.Intn(f.Pages)
-	}
-	// One shared full-cycle walk over the whole file: every page is
-	// visited exactly once per cycle (threads interleave on it), and with
-	// the file larger than memory a page is evicted before its next visit.
-	if f.cold == nil {
-		stride := f.Pages/3 + 1 + rng.Intn(f.Pages/3+1)
-		for gcd(stride, f.Pages) != 1 {
-			stride++
-		}
-		f.cold = &coldWalk{offset: 0, size: f.Pages, stride: stride}
-	}
-	return f.cold.next()
+	return rng.Intn(f.Pages)
 }
 
 // Op implements Workload.
+//
+//hwdp:hotpath
 func (f *FIO) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
-	page := f.pick(th, rng)
 	op, ok := f.ops.Get(th)
 	if !ok {
 		op = f.newOp(th)
 	}
-	op.va = f.Base + pagetable.VAddr(page)*4096
+	op.va = f.Base + pagetable.VAddr(f.pick(op, rng))*4096
 	op.write = f.WriteFrac > 0 && rng.Float64() < f.WriteFrac
 	op.done = done
+	if f.Bare {
+		op.access()
+		return
+	}
 	f.Sys.CPU.Stall(th.HW, FIOOpFixed, op.execFn)
 }
 
@@ -145,27 +170,25 @@ func (f *FIO) newOp(th *kernel.Thread) *fioOp {
 // exec runs the op's user work after its fixed overhead.
 //
 //hwdp:hotpath
-func (op *fioOp) exec() { op.f.Sys.CPU.UserExec(op.th.HW, op.f.OpInstr, op.accessFn) }
+func (op *fioOp) exec() { op.f.Sys.CPU.UserExec(op.th.HW, FIOOpInstr, op.accessFn) }
 
 // access touches the op's page.
+//
+//hwdp:hotpath
 func (op *fioOp) access() {
-	f := op.f
-	if f.CopyData {
-		buf, ok := f.bufs.Get(op.th)
-		if !ok {
-			buf = new([4096]byte)
-			f.bufs.Set(op.th, buf)
-		}
-		f.Sys.K.Load(op.th, op.va, buf[:], op.resultFn)
-		return
-	}
-	f.Sys.K.Access(op.th, op.va, op.write, op.resultFn)
+	op.start = op.f.Sys.Eng.Now()
+	op.f.Sys.K.Access(op.th, op.va, op.write, op.resultFn)
 }
 
-// result completes the op.
+// result records the access latency and completes the op.
 //
 //hwdp:hotpath
 func (op *fioOp) result(r mmu.Result) {
+	if f := op.f; f.Lat != nil {
+		if now := f.Sys.Eng.Now(); now >= f.LatFrom {
+			f.Lat.Record(int64(now - op.start))
+		}
+	}
 	done := op.done
 	op.done = nil
 	done(badAddrErr(r))

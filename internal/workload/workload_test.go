@@ -6,9 +6,11 @@ import (
 
 	"hwdp/internal/core"
 	"hwdp/internal/cpu"
+	"hwdp/internal/fs"
 	"hwdp/internal/kernel"
 	"hwdp/internal/kvs"
 	"hwdp/internal/metrics"
+	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
 )
 
@@ -132,6 +134,53 @@ func TestFIORunsAndFaults(t *testing.T) {
 	if total.MeanLatency() < sim.Micro(5) {
 		t.Fatalf("mean latency %v implausibly low", total.MeanLatency())
 	}
+
+	// The same op as campaign threads run it: each thread sweeps the
+	// region in order, then draws from the page source, and a latency
+	// sink keeps only the results after its cut-off.
+	const pages, ops = 64, 100
+	base, _, err := sys.MapFile("swept", pages, fs.SeededInit(1), sys.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &sweptGen{t: t, sys: sys, base: base, pages: pages}
+	lat := metrics.NewHistogram()
+	swept := &FIO{
+		Sys: sys, Base: base, Pages: pages, Gen: gen, WriteFrac: 0.3,
+		Populate: true, Bare: true, Lat: lat, LatFrom: sys.Eng.Now() + sim.Micro(100),
+	}
+	total = Merge(Run(sys, threads, swept, RunOptions{OpsPerThread: ops}))
+	if total.Ops != 2*ops || total.Errors != 0 {
+		t.Fatalf("swept run: ops=%d errors=%d", total.Ops, total.Errors)
+	}
+	if gen.calls != 2*(ops-pages) {
+		t.Fatalf("page source drawn %d times, want %d: each thread sweeps %d pages first",
+			gen.calls, 2*(ops-pages), pages)
+	}
+	if n := lat.Count(); n == 0 || n >= total.Ops {
+		t.Fatalf("latency sink kept %d of %d accesses: the cut-off did not split the run", n, total.Ops)
+	}
+}
+
+// sweptGen is a page source that checks, on its first draw, that the
+// in-order sweep before it touched every page.
+type sweptGen struct {
+	t            *testing.T
+	sys          *core.System
+	base         pagetable.VAddr
+	pages, calls int
+}
+
+func (g *sweptGen) Next(r *sim.Rand) uint64 {
+	if g.calls == 0 {
+		for p := 0; p < g.pages; p++ {
+			if e, ok := g.sys.Proc.AS.Table.Lookup(g.base + pagetable.VAddr(p)*4096); !ok || !e.Present() {
+				g.t.Fatalf("page %d not resident at the first page-source draw", p)
+			}
+		}
+	}
+	g.calls++
+	return r.Uint64() % uint64(g.pages)
 }
 
 func TestFIOThroughputGainHWDPvsOSDP(t *testing.T) {
