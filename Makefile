@@ -78,8 +78,9 @@ fleet-check:
 # -fleet and -breakdown, each with -quick, and full-scale -pressure and
 # -fleet (a few events, such as a second fault on one access, happen only
 # at full scale) on REV and on the working tree, cmps each stdout and
-# names every mode that differs. The exported source is removed after the
-# build; the binaries and outputs stay for a diff. See docs/SWEEP.md.
+# names every mode that differs, printing the first 40 lines of its
+# `diff -u`. The exported source is removed after the build; the binaries
+# and outputs stay for a full diff. See docs/SWEEP.md.
 REV ?= HEAD
 OUTPUT_DIFF_DIR = bin/output-diff
 output-diff:
@@ -101,6 +102,7 @@ output-diff:
 			echo "output-diff: $$label identical"; \
 		else \
 			echo "output-diff: $$label differs ($$d/$$out.rev.out vs $$d/$$out.tree.out)"; \
+			diff -u $$d/$$out.rev.out $$d/$$out.tree.out | head -40; \
 			differ="$$differ '$$label'"; \
 		fi; \
 	done; \

@@ -88,7 +88,8 @@ type Result struct {
 	OOMReapedPages  uint64  `json:"oom_reaped_pages"`
 	ThrottledWrites uint64  `json:"throttled_writes"`
 	AllocStalls     uint64  `json:"alloc_stalls"`
-	SQFullWaits     uint64  `json:"sq_full_waits"`
+	BlockTimeouts   uint64  `json:"block_timeouts"` // OS commands aborted after no completion
+	BlockRetries    uint64  `json:"block_retries"`  // OS commands resubmitted after a failure
 	FlusherRuns     uint64  `json:"flusher_runs"`
 	FlusherPages    uint64  `json:"flusher_pages"`
 	Evictions       uint64  `json:"evictions"`
@@ -203,7 +204,8 @@ func Run(sc Scenario) Result {
 		OOMReapedPages:  ks.OOMReapedPages,
 		ThrottledWrites: ks.ThrottledWrites,
 		AllocStalls:     ks.AllocStalls,
-		SQFullWaits:     ks.SQFullWaits,
+		BlockTimeouts:   ks.BlockTimeouts,
+		BlockRetries:    ks.BlockRetries,
 		FlusherRuns:     ks.FlusherRuns,
 		FlusherPages:    ks.FlusherPages,
 		Evictions:       ks.Evictions,

@@ -42,8 +42,8 @@ func RenderResult(r Result) string {
 	fmt.Fprintf(&b, "  latency us: p50 %.2f  p99 %.2f  p99.9 %.2f\n", r.P50US, r.P99US, r.P999US)
 	fmt.Fprintf(&b, "  fallback rate %.4f  evictions %d  writebacks %d  backlog waits %d\n",
 		r.FallbackRate, r.Evictions, r.Writebacks, r.BacklogWaits)
-	fmt.Fprintf(&b, "  pressure: alloc stalls %d  throttled writes %d  flusher %d/%d  sq-full %d\n",
-		r.AllocStalls, r.ThrottledWrites, r.FlusherRuns, r.FlusherPages, r.SQFullWaits)
+	fmt.Fprintf(&b, "  pressure: alloc stalls %d  throttled writes %d  flusher %d/%d  block timeouts %d  retries %d\n",
+		r.AllocStalls, r.ThrottledWrites, r.FlusherRuns, r.FlusherPages, r.BlockTimeouts, r.BlockRetries)
 	fmt.Fprintf(&b, "  oom: kills %d  reaped pages %d\n", r.OOMKills, r.OOMReapedPages)
 	for _, row := range r.PSI {
 		if row.Stalls == 0 {

@@ -24,8 +24,8 @@ import (
 	"hwdp/internal/trace"
 )
 
-// SMUQueueID is the NVMe submission queue ID of the SMU's isolated queue
-// pair on every socket's device (OS queues start at 1000). Fault rules can
+// SMUQueueID is the NVMe queue ID of the SMU's isolated queue on every
+// socket's device (OS queues start at 1000). Fault rules can
 // target it to exercise the hardware path's degradation in isolation.
 const SMUQueueID uint16 = 1
 
@@ -282,10 +282,8 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 			s.SetRetryPolicy(rp)
 		}
-		// The isolated SMU queue pair, sized so the PMSHR can never
-		// overflow it.
-		sqp := nvme.NewQueuePair(SMUQueueID, 2*pmshr+2)
-		s.AttachDevice(0, dev, sqp, uint32(sid+1))
+		// The SMU's isolated queue, apart from the OS block queues.
+		s.AttachDevice(0, dev, SMUQueueID, uint32(sid+1))
 		mm.AttachSMU(s)
 		k.AttachStorage(uint8(sid), 0, dev, fsys)
 		k.AttachSMU(s)

@@ -14,7 +14,6 @@ import (
 	"hwdp/internal/nvme"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
-	"hwdp/internal/smu"
 	"hwdp/internal/ssd"
 )
 
@@ -220,8 +219,7 @@ func TestMultiDeviceRouting(t *testing.T) {
 		}
 	})
 	dev2.AddNamespace(nvme.Namespace{ID: 2, Blocks: 1 << 16})
-	qp2 := nvme.NewQueuePair(2, 2*smu.PMSHREntries)
-	r.smu.AttachDevice(1, dev2, qp2, 2)
+	r.smu.AttachDevice(1, dev2, 2, 2)
 	r.k.AttachStorage(0, 1, dev2, fsys2)
 
 	f2, err := fsys2.Create("on-dev2", 8, fs.SeededInit(5))

@@ -244,26 +244,25 @@ func (f *pageFault) entry() {
 	// minor-fault path of real kernels, and the fallback for bounced
 	// hardware zero-fills.
 	f.zero = f.vma.Anon && !f.vma.isSwapped(f.idx)
-	if f.zero {
+	// Page-lock serialization: a fault on a page another thread is filling
+	// waits, then takes the minor-fault path, and counts as a minor fault.
+	// A concurrent first touch must not insert the page twice, so a
+	// zero-fill locks too.
+	f.key = lockKey{file: f.vma.File, idx: f.idx}
+	locked := f.lock()
+	if !locked || f.zero {
 		k.stats.MinorFaults++
 		f.ms.SetCause(trace.CauseOSMinor)
-	}
-	// Page-lock serialization: a fault on a page another thread is filling
-	// waits, then takes the minor-fault path. A concurrent first touch
-	// must not insert the page twice, so a zero-fill locks too.
-	f.key = lockKey{file: f.vma.File, idx: f.idx}
-	if !f.lock() {
-		f.ms.SetCause(trace.CauseOSMinor)
-		return
-	}
-	if !f.zero {
+	} else {
 		k.stats.MajorFaults++
 		f.ms.SetCause(trace.CauseOSMajor)
 		if f.hwFailed {
 			k.stats.HWBounceFaults++
 		}
 	}
-	f.alloc()
+	if locked {
+		f.alloc()
+	}
 }
 
 // minor maps the resident page and returns to user. kswapd may have

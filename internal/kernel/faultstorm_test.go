@@ -157,7 +157,7 @@ func TestFaultStormInvariants(t *testing.T) {
 // requirement taken to its limit.
 func TestSMUPathDegradation(t *testing.T) {
 	r := newRig(t, 16<<20, 64, withScheme(HWDP))
-	// Queue 1 is the SMU's queue pair in this rig; OS block queues have
+	// Queue 1 is the SMU's queue in this rig; OS block queues have
 	// IDs >= 1000 and stay healthy.
 	r.dev.SetInjector(fault.NewInjector(sim.NewRand(7),
 		fault.Rule{Kind: fault.Transient, Prob: 1, Queue: 1}))

@@ -173,27 +173,16 @@ type Stats struct {
 	FlusherPages    uint64 // pages cleaned by background writeback
 	OOMKills        uint64 // processes killed by the OOM killer
 	OOMReapedPages  uint64 // resident pages reclaimed from OOM victims
-	SQFullWaits     uint64 // OS commands parked on a full submission queue
 }
 
 type storKey struct{ sid, dev uint8 }
 
 type osQueue struct {
-	qp      *nvme.QueuePair
+	qid     uint16
 	port    *ssd.Port
 	st      *storage
 	nextCID uint16
 	pending nvme.CIDTable[*osPending]
-	// waitlist holds commands that found the submission queue full (I/O
-	// storm): instead of overflowing, they park here and the completion
-	// interrupt resubmits them as slots free up.
-	waitlist []sqWait
-}
-
-// sqWait is one parked command plus the time it started waiting.
-type sqWait struct {
-	cmd nvme.Command
-	at  sim.Time
 }
 
 // osPending is one block-layer request: the command's arguments, the retry
@@ -220,7 +209,7 @@ type storage struct {
 	key  storKey
 	dev  *ssd.Device
 	fsys *fs.FS
-	// One OS-managed queue pair per hardware thread, NVMe-style, by
+	// One OS-managed queue per hardware thread, NVMe-style, by
 	// hardware thread ID; nil until the thread's first I/O.
 	qps    []*osQueue
 	nextQP uint16
@@ -716,17 +705,16 @@ func (k *Kernel) osQueueFor(st *storage, hw *cpu.HWThread) *osQueue {
 	return k.newOSQueue(st, hw)
 }
 
-// newOSQueue creates and attaches the OS queue pair for hw on st.
+// newOSQueue creates and attaches the OS queue for hw on st.
 //
 //hwdp:coldpath runs once per (storage, hardware thread), on its first I/O
 func (k *Kernel) newOSQueue(st *storage, hw *cpu.HWThread) *osQueue {
-	qp := nvme.NewQueuePair(st.nextQP, 256)
+	q := &osQueue{qid: st.nextQP, st: st}
 	st.nextQP++
-	q := &osQueue{qp: qp, st: st}
 	st.qps[hw.ID] = q
 	// Completions cross back over the IRQ wire and the interrupt
 	// handler runs kernel-side.
-	q.port = st.dev.Attach(qp, irqWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
+	q.port = st.dev.Attach(q.qid, irqWire, func(cp nvme.Completion) { k.osInterrupt(q, cp) })
 	return q
 }
 
@@ -734,67 +722,15 @@ func (k *Kernel) newOSQueue(st *storage, hw *cpu.HWThread) *osQueue {
 // per-command callback decides what handling to charge where. Completions
 // for commands the block layer already timed out (the pending entry is
 // gone) are stale and dropped.
-func (k *Kernel) osInterrupt(q *osQueue, _ nvme.Completion) {
-	for {
-		cp, ok := q.qp.PollCQ()
-		if !ok {
-			break
-		}
-		q.qp.ConsumeCQ()
-		if p, ok := q.pending.Take(cp.CID); ok {
-			p.timeout.Cancel()
-			p.timeout = nil
-			k.ioDone(p, cp.Status)
-		}
-	}
-	k.drainParked(q)
-}
-
-// drainParked resubmits commands parked on a full submission queue, in
-// arrival order, until the queue fills again or the waitlist empties.
-func (k *Kernel) drainParked(q *osQueue) {
-	for len(q.waitlist) > 0 {
-		w := q.waitlist[0]
-		if err := q.qp.Submit(w.cmd); err != nil {
-			return
-		}
-		copy(q.waitlist, q.waitlist[1:])
-		q.waitlist[len(q.waitlist)-1] = sqWait{}
-		q.waitlist = q.waitlist[:len(q.waitlist)-1]
-		now := k.eng.Now()
-		k.psi.EndStall(metrics.StallSQFull, int64(now), int64(now-w.at))
-		k.ringOS(q)
+func (k *Kernel) osInterrupt(q *osQueue, cp nvme.Completion) {
+	if p, ok := q.pending.Take(cp.CID); ok {
+		p.timeout.Cancel()
+		p.timeout = nil
+		k.ioDone(p, cp.Status)
 	}
 }
 
-// ringOS pops everything the host just submitted on an OS queue and puts it
-// on the doorbell wire, with the rings staying wholly host-owned.
-func (k *Kernel) ringOS(q *osQueue) {
-	for {
-		cmd, ok := q.qp.PopSQ()
-		if !ok {
-			return
-		}
-		q.st.dev.Deliver(q.port, cmd, doorbellWire)
-	}
-}
-
-// dropParked removes a parked command (its block-layer timeout fired
-// before a submission slot opened) so it is never submitted against a
-// frame the caller may have released.
-func (k *Kernel) dropParked(q *osQueue, cid uint16) {
-	for i, w := range q.waitlist {
-		if w.cmd.CID != cid {
-			continue
-		}
-		now := k.eng.Now()
-		k.psi.EndStall(metrics.StallSQFull, int64(now), int64(now-w.at))
-		q.waitlist = append(q.waitlist[:i], q.waitlist[i+1:]...)
-		return
-	}
-}
-
-// submitIORetry issues a read or write on the caller's OS queue pair and
+// submitIORetry issues a read or write on the caller's OS queue and
 // resubmits on retryable failures (transient media errors, timeouts) with
 // a doubling delay, up to blockRetries resubmissions. done runs at
 // completion-interrupt time with the final status (callers charge
@@ -812,7 +748,8 @@ func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lb
 	k.submitIO(p)
 }
 
-// submitIO issues one attempt of p under a fresh CID.
+// submitIO issues one attempt of p under a fresh CID: the command goes
+// straight onto the doorbell wire.
 //
 //hwdp:hotpath
 func (k *Kernel) submitIO(p *osPending) {
@@ -836,18 +773,7 @@ func (k *Kernel) submitIO(p *osPending) {
 		SLBA:   p.lba,
 		Trace:  p.ms,
 	}
-	if err := q.qp.Submit(cmd); err != nil {
-		// Submission queue full (I/O storm): park the command instead of
-		// overflowing. The completion interrupt drains the waitlist as
-		// slots free; the block-layer timeout still bounds the total wait.
-		k.stats.SQFullWaits++
-		now := k.eng.Now()
-		k.psi.BeginStall(metrics.StallSQFull, int64(now))
-		//hwdp:ignore hotalloc the waitlist grows only in an I/O storm that fills the submission queue
-		q.waitlist = append(q.waitlist, sqWait{cmd: cmd, at: now})
-		return
-	}
-	k.ringOS(q)
+	q.st.dev.Deliver(q.port, cmd, doorbellWire)
 }
 
 // replacePending files p under a CID that is still live: the command
@@ -869,8 +795,7 @@ func (k *Kernel) ioTimeout(a any) {
 	p.timeout = nil
 	q, cid := p.q, p.cid
 	q.pending.Take(cid)
-	k.dropParked(q, cid)
-	p.st.dev.Abort(q.qp.ID, cid)
+	p.st.dev.Abort(q.qid, cid)
 	k.stats.BlockTimeouts++
 	p.ms.Mark(trace.LayerKernel, "block-timeout", k.eng.Now())
 	k.ioDone(p, nvme.StatusHostTimeout)

@@ -66,8 +66,7 @@ func newRigProf(t testing.TB, memBytes uint64, freeQDepth int, prof ssd.Profile,
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 22})
 	mm := mmu.New(eng)
 	s := smu.NewPerCore(eng, 0, freeQDepth, smu.PMSHREntries, 1)
-	sqp := nvme.NewQueuePair(1, 2*smu.PMSHREntries)
-	s.AttachDevice(0, dev, sqp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 	mm.AttachSMU(s)
 
 	cfg := DefaultConfig(HWDP)

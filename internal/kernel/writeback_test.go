@@ -12,6 +12,7 @@ import (
 	"hwdp/internal/mmu"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
+	"hwdp/internal/ssd"
 )
 
 func withDirtyRatio(frac float64) rigOpt { return func(c *Config) { c.DirtyRatioFrac = frac } }
@@ -161,5 +162,43 @@ func TestCoalescedWriteMissesDirtyOnce(t *testing.T) {
 	}
 	if got := r.k.dirtyPages - before; got != 1 {
 		t.Fatalf("dirty pages rose by %d, want 1", got)
+	}
+}
+
+// TestMsyncDeepQueue: one OSDP thread's msync of 300 dirty pages keeps all
+// 300 writes in flight on the thread's one OS queue at once, more than a
+// 256-entry submission ring would hold. The queue has no depth limit: on
+// a slow device every write completes, none times out, and the page cache
+// stays consistent.
+func TestMsyncDeepQueue(t *testing.T) {
+	prof := ssd.ZSSD
+	prof.JitterFrac = 0
+	prof.Write4K = 100 * sim.Microsecond
+	r := newRigProf(t, 64<<20, 512, prof, withScheme(OSDP))
+	const pages = 300
+	va, _ := r.mmapFile(t, "f", pages, MmapFlags{})
+	for i := 0; i < pages; i++ {
+		r.store(t, va+pagetable.VAddr(i)*mem.PageSize, []byte{byte(i)})
+	}
+	writes := r.dev.Stats().Writes
+	done, peak := false, 0
+	r.k.Msync(r.th, va, func() { done = true })
+	for deadline := r.eng.Now() + sim.Second; !done && r.eng.Now() < deadline && r.eng.Step(); {
+		peak = max(peak, r.dev.Inflight())
+	}
+	if !done {
+		t.Fatal("msync hung")
+	}
+	if peak != pages {
+		t.Fatalf("peak in-flight commands = %d, want all %d writes at once", peak, pages)
+	}
+	if n := r.dev.Stats().Writes - writes; n != pages {
+		t.Fatalf("device writes = %d, want %d", n, pages)
+	}
+	if st := r.k.Stats(); st.BlockTimeouts != 0 || st.BlockRetries != 0 {
+		t.Fatalf("block timeouts %d, retries %d, want 0", st.BlockTimeouts, st.BlockRetries)
+	}
+	if v := r.k.AuditPageCache(); len(v) != 0 {
+		t.Fatalf("page cache audit: %v", v)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // StallKind names one source of memory-pressure stalling, mirroring the
 // layers the paper's degradation story crosses: frame allocation (direct
 // reclaim), the PMSHR backlog (all 32 slots busy), dirty-writeback
-// throttling, the OS submission queue filling up under I/O storms, and the
-// fleet QoS layer parking requests from tenants over their admission caps.
+// throttling, and the fleet QoS layer parking requests from tenants over
+// their admission caps.
 type StallKind int
 
 // Stall kinds tracked by PSI. NumStallKinds bounds the arrays.
@@ -17,7 +17,6 @@ const (
 	StallAlloc StallKind = iota
 	StallPMSHRBacklog
 	StallWritebackThrottle
-	StallSQFull
 	StallQoSThrottle
 	NumStallKinds
 )
@@ -31,8 +30,6 @@ func (k StallKind) String() string {
 		return "pmshr-backlog"
 	case StallWritebackThrottle:
 		return "writeback-throttle"
-	case StallSQFull:
-		return "sq-full"
 	case StallQoSThrottle:
 		return "qos-throttle"
 	}

@@ -42,12 +42,12 @@ func TestPSIOverlappingStalls(t *testing.T) {
 // An open stall is counted up to the latest observed timestamp.
 func TestPSIOpenStallCounted(t *testing.T) {
 	p := NewPSI()
-	p.BeginStall(StallSQFull, 50)
+	p.BeginStall(StallAlloc, 50)
 	p.BeginStall(StallWritebackThrottle, 500) // advances lastNow
-	if got := p.SomeTime(StallSQFull); got != 450 {
+	if got := p.SomeTime(StallAlloc); got != 450 {
 		t.Fatalf("open some time = %d, want 450", got)
 	}
-	if p.Active(StallSQFull) != 1 {
+	if p.Active(StallAlloc) != 1 {
 		t.Fatal("open stall not active")
 	}
 }

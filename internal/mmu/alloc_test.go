@@ -26,8 +26,7 @@ func TestAccessMissAllocationBudget(t *testing.T) {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := smu.NewPerCore(eng, 0, 4096, smu.PMSHREntries, 1)
-	qp := nvme.NewQueuePair(1, 64)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 	m := New(eng)
 	m.AttachSMU(s)
 	as := &AddressSpace{ASID: 1, Table: pagetable.New()}

@@ -113,8 +113,7 @@ func newRig(t *testing.T, freeFrames int) *rig {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := smu.NewPerCore(eng, 0, 4096, smu.PMSHREntries, 1)
-	qp := nvme.NewQueuePair(1, 64)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 	if freeFrames > 0 {
 		fr := make([]smu.FrameRecord, freeFrames)
 		for i := range fr {

@@ -1,9 +1,17 @@
 // Package nvme implements the subset of the NVM Express protocol the paper
-// relies on: I/O commands, paired submission/completion queues with
-// doorbells and the completion phase bit, and namespaces. Both the OS block
-// layer (OSDP) and the SMU's NVMe host controller (HWDP) drive devices
-// through this package — the SMU issues "a 4KB read without a physical
-// region page (PRP) list", i.e. a single-PRP read command.
+// relies on: I/O commands, completions, status codes, namespaces, and a
+// CIDTable that maps a queue's live command identifiers to host or device
+// state. Both the OS block layer (OSDP) and the SMU's NVMe host controller
+// (HWDP) drive devices with these types — the SMU issues "a 4KB read
+// without a physical region page (PRP) list", i.e. a single-PRP read
+// command.
+//
+// A queue is its ID. The device takes each command off the doorbell wire
+// as it arrives and hands each completion to the host over the IRQ or
+// snoop wire, so no submission or completion entry ever waits in a ring:
+// the SQ write, doorbell, CQ write and CQ-head update are charged as
+// timing constants by the hosts (smu.Timing, the kernel's doorbell and
+// IRQ wires), not kept as ring state.
 package nvme
 
 import (
@@ -64,6 +72,13 @@ type Command struct {
 // Blocks returns the transfer length in logical blocks.
 func (c Command) Blocks() int { return int(c.NLB) + 1 }
 
+// Namespace is a storage volume organized into logical blocks, typically
+// managed by a single file system (paper, Section III-C footnote).
+type Namespace struct {
+	ID     uint32
+	Blocks uint64 // capacity in logical blocks
+}
+
 // Status codes in completion entries, encoded as (SCT << 8) | SC like the
 // spec's combined status field: generic command status (SCT 0), command
 // specific status (SCT 1), and media/data integrity errors (SCT 2).
@@ -112,14 +127,12 @@ func StatusRetryable(s uint16) bool {
 	return s == StatusCmdInterrupted || s == StatusHostTimeout
 }
 
-// Completion is a completion-queue entry. Phase is the phase tag the host
-// compares against its expected phase to detect new entries.
+// Completion is a completion-queue entry: the command it answers, the
+// queue it was submitted on, and its status.
 type Completion struct {
 	CID    uint16
 	SQID   uint16
-	SQHead uint16
 	Status uint16
-	Phase  bool
 }
 
 // OK reports whether the command succeeded.

@@ -24,8 +24,7 @@ func TestMissPathAllocationBudget(t *testing.T) {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
-	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 
 	// Pre-build everything the driver loop needs so the measurement sees
 	// only the miss path itself, not test scaffolding.

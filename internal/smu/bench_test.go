@@ -25,8 +25,7 @@ func BenchmarkHandleMiss(b *testing.B) {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
-	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 	tbl := pagetable.New()
 	recs := make([]FrameRecord, 0, 1024)
 	for i := 0; i < 1024; i++ {
@@ -73,8 +72,7 @@ func TestBenchmarkMissShapeCompletes(t *testing.T) {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := NewPerCore(eng, 0, 1<<16, PMSHREntries, 1)
-	qp := nvme.NewQueuePair(1, 2*PMSHREntries)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 1, 1)
 	recs := make([]FrameRecord, 0, 64)
 	for i := 0; i < 64; i++ {
 		recs = append(recs, RecordFor(mem.FrameID(i)))

@@ -191,8 +191,7 @@ func TestBacklogDrainsThroughFailures(t *testing.T) {
 	dev.SetInjector(fault.NewInjector(sim.NewRand(2),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
 	s := NewPerCore(eng, 0, 4096, 2, 1)
-	qp := nvme.NewQueuePair(100, 2*PMSHREntries)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 100, 1)
 	s.Refill(recs(16, 1000))
 
 	tbl := pagetable.New()

@@ -166,7 +166,7 @@ type pmshrEntry struct {
 }
 
 type devSlot struct {
-	qp   *nvme.QueuePair
+	qid  uint16
 	dev  *ssd.Device
 	port *ssd.Port
 	nsid uint32
@@ -493,25 +493,22 @@ func (s *SMU) notifySchedule(done doneRef, res Result, pte pagetable.Entry) {
 }
 
 // AttachDevice initializes one set of NVMe queue descriptor registers for a
-// block device: the isolated queue pair the OS allocated, the device it
-// belongs to, and the namespace to address. Interrupts are disabled on the
-// pair; completions arrive via the completion unit's memory snoop.
-func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qp *nvme.QueuePair, nsid uint32) {
+// block device: the ID of the isolated queue the OS allocated, the device
+// it belongs to, and the namespace to address. The queue raises no
+// interrupts; completions arrive via the completion unit's memory snoop.
+func (s *SMU) AttachDevice(devID uint8, dev *ssd.Device, qid uint16, nsid uint32) {
 	if devID >= 8 {
 		panic(fmt.Sprintf("smu: device ID %d out of range", devID))
 	}
 	if s.devs[devID] != nil {
 		panic(fmt.Sprintf("smu: device %d already attached", devID))
 	}
-	qp.InterruptsEnabled = false
-	slot := &devSlot{qp: qp, dev: dev, nsid: nsid}
+	slot := &devSlot{qid: qid, dev: dev, nsid: nsid}
 	s.devs[devID] = slot
 	// The CQ write plus the completion unit's protocol-handling latency
 	// ride the wire as the attachment's irq, so the notify callback runs
 	// at the post-snoop handle time.
-	slot.port = dev.Attach(qp, s.timing.CQHandle, func(cp nvme.Completion) {
-		s.cqHandle(slot)
-	})
+	slot.port = dev.Attach(qid, s.timing.CQHandle, s.cqHandle)
 }
 
 // HandleMissArg processes one page-miss request. done(arg, res, pte) is
@@ -677,22 +674,12 @@ func (s *SMU) issue(e *pmshrEntry) {
 		NLB:    0, // one 4 KiB block, no PRP list
 		Trace:  e.req.Trace,
 	}
-	if err := e.dev.qp.Submit(cmd); err != nil {
-		// Isolated queue sized to PMSHR depth: overflow is a model bug.
-		panic(fmt.Sprintf("smu: submit failed: %v", err))
-	}
 	t := s.timing
 	now := s.eng.Now()
 	e.req.Trace.AddSpan(trace.LayerNVMe, "sq-doorbell", now, now+t.Doorbell)
-	// The host side owns the rings: pop the entry just submitted and put
-	// it on the doorbell wire. Deliver before the doorbell-tail stage so
-	// device service precedes the prefetch when both land on the same
-	// timestamp.
-	wcmd, ok := e.dev.qp.PopSQ()
-	if !ok {
-		panic("smu: submitted command missing from SQ")
-	}
-	e.dev.dev.Deliver(e.dev.port, wcmd, t.Doorbell)
+	// Deliver before the doorbell-tail stage so device service precedes
+	// the prefetch when both land on the same timestamp.
+	e.dev.dev.Deliver(e.dev.port, cmd, t.Doorbell)
 	s.eng.PostArg(t.Doorbell, s.doorbellFn, e)
 	if s.policy.CmdTimeout > 0 {
 		// Pooled handle: onTimeout nils e.timeout as its first action and
@@ -712,7 +699,7 @@ func (s *SMU) onTimeout(e *pmshrEntry) {
 	e.timeout = nil
 	s.tstat(e.req.Tenant).Timeouts++
 	e.req.Trace.Mark(trace.LayerNVMe, "cmd-timeout", s.eng.Now())
-	e.dev.dev.Abort(e.dev.qp.ID, e.cid)
+	e.dev.dev.Abort(e.dev.qid, e.cid)
 	s.recover(e, nvme.StatusHostTimeout)
 }
 
@@ -739,21 +726,15 @@ func (s *SMU) recover(e *pmshrEntry, status uint16) {
 }
 
 // cqHandle is the completion unit: the memory-write snoop of the CQ entry
-// plus the protocol-handling latency arrive together over the attachment's
-// completion wire (Attach's irq), so by the time this runs the CQ entry
-// is visible and CQHandle has elapsed. It updates the page table and
-// broadcasts.
+// cp plus the protocol-handling latency arrive together over the
+// attachment's completion wire (Attach's irq), so by the time this runs
+// CQHandle has elapsed. It updates the page table and broadcasts.
 //
 //hwdp:hotpath
-func (s *SMU) cqHandle(dev *devSlot) {
+func (s *SMU) cqHandle(cp nvme.Completion) {
 	t := s.timing
 	// The snoop that scheduled us fired exactly CQHandle ago.
 	snoopAt := s.eng.Now() - t.CQHandle
-	cp, ok := dev.qp.PollCQ()
-	if !ok {
-		return // spurious snoop
-	}
-	dev.qp.ConsumeCQ()
 	e := s.lookupCID(cp.CID)
 	if e == nil {
 		// Completion for an abandoned attempt (the SMU timed out and

@@ -29,8 +29,7 @@ func newRig(t *testing.T, freeFrames int) *rig {
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 30})
 	s := NewPerCore(eng, 0, 4096, PMSHREntries, 1)
-	qp := nvme.NewQueuePair(100, 2*PMSHREntries)
-	s.AttachDevice(0, dev, qp, 1)
+	s.AttachDevice(0, dev, 100, 1)
 	if freeFrames > 0 {
 		s.Refill(recs(freeFrames, 1000))
 	}
@@ -276,7 +275,7 @@ func TestBarrierAll(t *testing.T) {
 func TestWaiterAdmitsIntoFreedSlot(t *testing.T) {
 	r := newRig(t, 0)
 	s := NewPerCore(r.eng, 0, 64, 1, 1)
-	s.AttachDevice(0, r.dev, nvme.NewQueuePair(101, 4), 1)
+	s.AttachDevice(0, r.dev, 101, 1)
 	s.SetQoS(QoSConfig{Tenants: 2})
 	s.Refill(recs(8, 1000))
 
@@ -351,14 +350,10 @@ func TestAttachDeviceValidation(t *testing.T) {
 	s := NewPerCore(eng, 0, 64, PMSHREntries, 1)
 	prof := ssd.ZSSD
 	dev := ssd.New(eng, prof, sim.NewRand(1), nil)
-	qp := nvme.NewQueuePair(1, 8)
-	s.AttachDevice(3, dev, qp, 1)
-	if qp.InterruptsEnabled {
-		t.Fatal("SMU queue must run with interrupts disabled")
-	}
+	s.AttachDevice(3, dev, 1, 1)
 	for _, f := range []func(){
-		func() { s.AttachDevice(8, dev, nvme.NewQueuePair(2, 8), 1) },
-		func() { s.AttachDevice(3, dev, nvme.NewQueuePair(3, 8), 1) },
+		func() { s.AttachDevice(8, dev, 2, 1) },
+		func() { s.AttachDevice(3, dev, 3, 1) },
 	} {
 		func() {
 			defer func() {

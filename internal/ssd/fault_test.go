@@ -129,7 +129,7 @@ func TestAbortCancelsPendingCommand(t *testing.T) {
 func TestAbortUnknownQueueOrCIDReturnsFalse(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	var done2 []nvme.Completion
-	p2 := dev.Attach(nvme.NewQueuePair(2, 64), 0, func(cp nvme.Completion) { done2 = append(done2, cp) })
+	p2 := dev.Attach(2, 0, func(cp nvme.Completion) { done2 = append(done2, cp) })
 	submitRead(dev, 1, 0)
 	eng.Run()
 	submitRead(dev, 7, 0)

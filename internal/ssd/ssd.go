@@ -1,9 +1,9 @@
 // Package ssd models ultra-low-latency NVMe SSDs. A device receives
-// commands over the doorbell wire of an attached queue pair, services them
+// commands over the doorbell wire of an attached queue, services them
 // on a set of internal channels (striped by LBA), applies write-induced read
 // interference (reads behind flash-program operations get slower — the
 // effect the paper cites for YCSB's lower gains), performs the DMA via a
-// caller-supplied callback, and posts completions.
+// caller-supplied callback, and hands completions back to the host.
 //
 // Three profiles reproduce Figure 17's device times: Samsung Z-SSD
 // (10.9 µs 4 KiB read), Intel Optane SSD (6.5 µs) and Optane DC PMM in
@@ -102,16 +102,16 @@ type BackendSpan struct {
 // order.
 type DMAFunc func(cmd nvme.Command)
 
-// NotifyFunc delivers a completion to the host side of a queue pair: an
+// NotifyFunc delivers a completion to the host side of a queue: an
 // interrupt for OS-managed queues, a memory-write snoop for the SMU queue.
 type NotifyFunc func(cp nvme.Completion)
 
-// Port is one queue pair's attachment to a device, the handle Attach
-// returns: the host delivers commands through it, and it holds the
-// device-side state of the pair's in-flight commands by CID.
+// Port is one queue's attachment to a device, the handle Attach returns:
+// the host delivers commands through it, and it holds the device-side
+// state of the queue's in-flight commands by CID.
 type Port struct {
 	dev    *Device
-	qp     *nvme.QueuePair
+	qid    uint16
 	notify NotifyFunc
 	// irq is the completion wire latency: CQ write plus interrupt or
 	// snoop delivery.
@@ -302,19 +302,19 @@ func (d *Device) namespace(nsid uint32) (nvme.Namespace, bool) {
 	return d.ns[nsid], true
 }
 
-// Attach registers a queue pair and returns its port: the host submits
+// Attach registers queue qid and returns its port: the host submits
 // commands with Deliver (each crossing the doorbell wire as an event), and
 // completions cross back after irq — the CQ write plus interrupt (OS
-// queues) or memory-snoop handling (the SMU queue) — with the DMA, the CQ
-// post and notify all running at delivery.
-func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) *Port {
-	if d.port(qp.ID) != nil {
-		panic(fmt.Sprintf("ssd: queue %d attached twice", qp.ID))
+// queues) or memory-snoop handling (the SMU queue) — with the DMA and
+// notify both running at delivery.
+func (d *Device) Attach(qid uint16, irq sim.Time, notify NotifyFunc) *Port {
+	if d.port(qid) != nil {
+		panic(fmt.Sprintf("ssd: queue %d attached twice", qid))
 	}
 	if irq < 0 {
 		irq = 0
 	}
-	p := &Port{dev: d, qp: qp, notify: notify, irq: irq}
+	p := &Port{dev: d, qid: qid, notify: notify, irq: irq}
 	d.ports = append(d.ports, p)
 	return p
 }
@@ -323,7 +323,7 @@ func (d *Device) Attach(qp *nvme.QueuePair, irq sim.Time, notify NotifyFunc) *Po
 // attached.
 func (d *Device) port(qid uint16) *Port {
 	for _, p := range d.ports {
-		if p.qp.ID == qid {
+		if p.qid == qid {
 			return p
 		}
 	}
@@ -335,9 +335,8 @@ func (d *Device) port(qid uint16) *Port {
 const RejectLatency = 500 * sim.Nanosecond
 
 // Deliver carries one host-submitted command across the doorbell wire to
-// the device through the queue's port: service begins wire later. The host
-// side pops its own SQ at ring time — the rings are wholly host-owned, and
-// the wire message carries the command.
+// the device through the queue's port: service begins wire later. The wire
+// message carries the command, so nothing waits in a submission ring.
 //
 //hwdp:hotpath
 func (d *Device) Deliver(at *Port, cmd nvme.Command, wire sim.Time) {
@@ -383,7 +382,7 @@ func (d *Device) service(at *Port, cmd nvme.Command) {
 		}
 		spike := 1.0
 		if d.inj != nil {
-			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qp.ID)
+			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qid)
 			if dec.Kind == fault.Spike {
 				d.stats.InjSpikes++
 				spike = dec.SpikeFactor
@@ -426,7 +425,7 @@ func (d *Device) service(at *Port, cmd nvme.Command) {
 		}
 
 		if d.inj != nil {
-			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qp.ID)
+			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qid)
 			if dec.Kind == fault.Spike {
 				d.stats.InjSpikes++
 				svc = sim.Time(float64(svc) * dec.SpikeFactor)
@@ -457,7 +456,7 @@ func (d *Device) service(at *Port, cmd nvme.Command) {
 
 	fl := d.getFlight()
 	if !at.inflight.Put(cmd.CID, fl) {
-		panic(fmt.Sprintf("ssd: duplicate in-flight CID %d on queue %d", cmd.CID, at.qp.ID))
+		panic(fmt.Sprintf("ssd: duplicate in-flight CID %d on queue %d", cmd.CID, at.qid))
 	}
 	fl.at, fl.cmd, fl.dec, fl.ch, fl.done = at, cmd, dec, ch, done
 	fl.isWrite = cmd.Opcode == nvme.OpWrite
@@ -583,7 +582,7 @@ func (d *Device) complete(at *Port, cmd nvme.Command, status uint16) {
 }
 
 // deliverCompletion runs when a completion finishes crossing the irq/snoop
-// wire: DMA (successful commands only), CQ post, then host notification.
+// wire: DMA (successful commands only), then host notification.
 //
 //hwdp:hotpath
 func (d *Device) deliverCompletion(m *wireMsg) {
@@ -592,9 +591,8 @@ func (d *Device) deliverCompletion(m *wireMsg) {
 	if status == nvme.StatusSuccess && d.dma != nil {
 		d.dma(cmd)
 	}
-	at.qp.PostCompletion(nvme.Completion{CID: cmd.CID, Status: status})
 	if at.notify != nil {
-		at.notify(nvme.Completion{CID: cmd.CID, SQID: at.qp.ID, Status: status})
+		at.notify(nvme.Completion{CID: cmd.CID, SQID: at.qid, Status: status})
 	}
 }
 

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"hwdp/internal/fault"
 	"hwdp/internal/nvme"
 	"hwdp/internal/sim"
 )
@@ -12,9 +13,8 @@ func newDev(t *testing.T, prof Profile, dma DMAFunc) (*sim.Engine, *Device, *[]n
 	eng := sim.NewEngine()
 	dev := New(eng, prof, sim.NewRand(1), dma)
 	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 20})
-	qp := nvme.NewQueuePair(1, 64)
 	var done []nvme.Completion
-	dev.Attach(qp, 0, func(cp nvme.Completion) { done = append(done, cp) })
+	dev.Attach(1, 0, func(cp nvme.Completion) { done = append(done, cp) })
 	return eng, dev, &done
 }
 
@@ -191,17 +191,56 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestNotifyCarriesCompletion pins the hand-off to the host: each port's
+// notify receives every completion as it crosses the wire, in completion
+// order, with the command's CID, the port's queue ID and the status. A
+// rejected command (bad NSID) and an injected transient error arrive the
+// same way as clean completions.
+func TestNotifyCarriesCompletion(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := New(eng, noJitter(ZSSD), sim.NewRand(1), nil)
+	dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 20})
+	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
+		fault.Rule{Kind: fault.Transient, Prob: 1, LBAStart: 100, LBAEnd: 101}))
+	type got struct {
+		at sim.Time
+		cp nvme.Completion
+	}
+	var log []got
+	notify := func(cp nvme.Completion) { log = append(log, got{eng.Now(), cp}) }
+	p3 := dev.Attach(3, 0, notify)
+	p5 := dev.Attach(5, 0, notify)
+	dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 9, SLBA: 0}, 0)
+	dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 11, NSID: 1, SLBA: 100}, sim.Micro(1))
+	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpWrite, CID: 12, NSID: 1, SLBA: 3}, 0)
+	eng.Run()
+	want := []got{
+		{RejectLatency, nvme.Completion{CID: 10, SQID: 5, Status: nvme.StatusInvalidNS}},
+		{ZSSD.Write4K, nvme.Completion{CID: 12, SQID: 5, Status: nvme.StatusSuccess}},
+		{ZSSD.Read4K, nvme.Completion{CID: 10, SQID: 3, Status: nvme.StatusSuccess}},
+		{sim.Micro(1) + ZSSD.Read4K, nvme.Completion{CID: 11, SQID: 3, Status: nvme.StatusCmdInterrupted}},
+	}
+	if len(log) != len(want) {
+		t.Fatalf("notified %d completions, want %d: %+v", len(log), len(want), log)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("completion %d = %+v, want %+v", i, log[i], want[i])
+		}
+	}
+}
+
 func TestDoubleAttachPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := New(eng, ZSSD, sim.NewRand(1), nil)
-	qp := nvme.NewQueuePair(1, 4)
-	dev.Attach(qp, 0, nil)
+	dev.Attach(1, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.Attach(qp, 0, nil)
+	dev.Attach(1, 0, nil)
 }
 
 func TestUnattachedDoorbellPanics(t *testing.T) {
@@ -221,7 +260,7 @@ func TestForeignPortPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, ZSSD, sim.NewRand(1), nil)
 	b := New(eng, ZSSD, sim.NewRand(1), nil)
-	p := a.Attach(nvme.NewQueuePair(1, 4), 0, nil)
+	p := a.Attach(1, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
