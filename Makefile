@@ -18,7 +18,8 @@ race:
 
 # bench-go runs every go-test benchmark once, and no tests, as a
 # compile-and-smoke check: the engine benchmarks in internal/sim, the SMU
-# miss path (smu.BenchmarkHandleMiss), the OS fault-and-evict path
+# miss path (smu.BenchmarkHandleMiss), one device command from Deliver to
+# notify (ssd.BenchmarkDeliver), the OS fault-and-evict path
 # (kernel.BenchmarkMajorFaultEvict), the KV op path
 # (workload.BenchmarkKVOp), one user slice (cpu.BenchmarkUserExec) and the
 # root BenchmarkFig* figure summaries. The repository benchmark is bench/
@@ -75,12 +76,14 @@ fleet-check:
 # output-diff is the byte-identity gate for a change that should not move
 # the model: it builds hwdpbench at REV (any commit; default HEAD) from a
 # `git archive` export under bin/output-diff/, runs -all, -pressure,
-# -fleet and -breakdown, each with -quick, and full-scale -pressure and
+# -fleet and -breakdown, each with -quick, full-scale -pressure and
 # -fleet (a few events, such as a second fault on one access, happen only
-# at full scale) on REV and on the working tree, cmps each stdout and
-# names every mode that differs, printing the first 40 lines of its
-# `diff -u`. The exported source is removed after the build; the binaries
-# and outputs stay for a full diff. See docs/SWEEP.md.
+# at full scale), and -all -quick on the aged modeled SSD backend
+# (-ssd modeled -ssd-churn 1) on REV and on the working tree, cmps each
+# stdout and names every mode that differs, printing the first 40 lines
+# of its `diff -u`. A run's flags after the mode are comma-separated in
+# the list below. The exported source is removed after the build; the
+# binaries and outputs stay for a full diff. See docs/SWEEP.md.
 REV ?= HEAD
 OUTPUT_DIFF_DIR = bin/output-diff
 output-diff:
@@ -90,11 +93,13 @@ output-diff:
 	rm -rf $$d/src; \
 	$(GO) build -o $$d/hwdpbench.tree ./cmd/hwdpbench; \
 	differ=; \
-	for run in all:-quick pressure:-quick fleet:-quick breakdown:-quick pressure: fleet:; do \
-		mode=$${run%%:*}; quick=$${run#*:}; out=$$mode$$quick; \
-		label="-$$mode$${quick:+ $$quick}"; \
+	for run in all:-quick pressure:-quick fleet:-quick breakdown:-quick pressure: fleet: \
+		all:-quick,-ssd,modeled,-ssd-churn,1; do \
+		mode=$${run%%:*}; flags=$$(echo "$${run#*:}" | tr , ' '); \
+		out=$$mode$$(echo "$${run#*:}" | tr -d ,); \
+		label="-$$mode$${flags:+ $$flags}"; \
 		for side in rev tree; do \
-			st=0; $$d/hwdpbench.$$side -$$mode $$quick -sweep-out $$d/sweep.$$side.json \
+			st=0; $$d/hwdpbench.$$side -$$mode $$flags -sweep-out $$d/sweep.$$side.json \
 				> $$d/$$out.$$side.out 2>/dev/null || st=$$?; \
 			echo "exit status $$st" >> $$d/$$out.$$side.out; \
 		done; \

@@ -119,7 +119,7 @@ func TestPollutionMemoMatchesExp(t *testing.T) {
 	// Instruction counts that share a memo slot evict each other; every
 	// lookup, hit or miss, returns exactly the recomputed factor.
 	_, c := newCPU(1)
-	for _, instr := range []uint64{0, 5, 5 + memoSlots, 5, 28000, 28000 + 3*memoSlots, 28000} {
+	for _, instr := range []uint64{0, 5, sharesSlot(5), 5, 28000, sharesSlot(28000), 28000} {
 		want := expNeg(float64(instr) / c.params.PolluteInstr)
 		if got := c.pollution(instr); got != want {
 			t.Fatalf("pollution(%d) = %v, want %v", instr, got, want)
@@ -145,9 +145,46 @@ func TestRecoveryMemoMatchesExp(t *testing.T) {
 			check(chunk)
 		}
 	}
-	for _, chunk := range []uint64{userQuantum, userQuantum - memoSlots, userQuantum,
-		7232, 7232 + memoSlots, 7232, 7232 - 2*memoSlots, userQuantum, 7232} {
+	for _, chunk := range []uint64{userQuantum, sharesSlot(userQuantum), userQuantum,
+		7232, sharesSlot(7232), 7232, sharesSlot(sharesSlot(7232)), userQuantum, 7232} {
 		check(chunk)
+	}
+}
+
+// sharesSlot returns the next count after n that lands in n's memo slot.
+func sharesSlot(n uint64) uint64 {
+	m := n + 1
+	for memoSlot(m) != memoSlot(n) {
+		m++
+	}
+	return m
+}
+
+// TestRecoveryMemoKeepsOpSizesApart alternates the chunk sizes the
+// evaluation's ops run in — userQuantum and the remainders of FIO (8,000),
+// YCSB (40,000), db_bench (26,000) and Fig. 16's mcf-, lbm- and xz-like
+// ops (20,000, 60,000 and 140,000 instructions) — and counts the lookups
+// that recompute math.Exp: only each size's first.
+func TestRecoveryMemoKeepsOpSizesApart(t *testing.T) {
+	_, c := newCPU(1)
+	var sizes []uint64
+	for _, op := range []uint64{8000, 40_000, 26_000, 20_000, 60_000, 140_000} {
+		sizes = append(sizes, op%userQuantum)
+	}
+	sizes = append(sizes, userQuantum)
+	recomputes := 0
+	for round := 0; round < 100; round++ {
+		for _, n := range sizes {
+			if c.recovery[memoSlot(n)].key != n+1 {
+				recomputes++
+			}
+			if got, want := c.recoveryFactor(n), expNeg(float64(n)/c.params.RecoverInstr); got != want {
+				t.Fatalf("recoveryFactor(%d) = %v, want %v", n, got, want)
+			}
+		}
+	}
+	if recomputes != len(sizes) {
+		t.Fatalf("%d recomputes over 100 rounds of %v, want %d (one per size)", recomputes, sizes, len(sizes))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"hwdp/internal/sim"
 	"hwdp/internal/smu"
+	"hwdp/internal/ssd"
 	"hwdp/internal/trace"
 )
 
@@ -140,7 +141,7 @@ func TestFig11TimelineMatchesSMUTiming(t *testing.T) {
 		{"free-page-fetch", tm.FreePageHit},
 		{"pmshr-write", tm.PMSHRWrite},
 		{"nvme-cmd-write", tm.CmdWrite},
-		{"sq-doorbell", tm.Doorbell},
+		{"sq-doorbell", ssd.DoorbellWire},
 		{"cq-handle", tm.CQHandle},
 		{"pt-update", tm.PTUpdate},
 		{"notify-mmu", tm.Notify},

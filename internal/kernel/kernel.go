@@ -117,13 +117,11 @@ const (
 	// doubles on each subsequent attempt.
 	blockRetryDelay = 20 * sim.Microsecond
 
-	// doorbellWire is the host-to-device latency of an OS submission-queue
-	// doorbell write (MMIO post over PCIe), charged per delivered command:
-	// 1.6 ns.
-	doorbellWire = 1600 * sim.Picosecond
 	// irqWire is the device-to-host latency from CQ write to the interrupt
 	// handler starting (MSI-X delivery; the handler's own cost is
-	// Costs.InterruptDelivery, charged separately on the CPU).
+	// Costs.InterruptDelivery, charged separately on the CPU). The
+	// host-to-device doorbell write is ssd.DoorbellWire, the wire the SMU
+	// rings too.
 	irqWire = 100 * sim.Nanosecond
 )
 
@@ -749,7 +747,8 @@ func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lb
 }
 
 // submitIO issues one attempt of p under a fresh CID: the command goes
-// straight onto the doorbell wire.
+// straight onto the doorbell wire, and the device services it for the
+// time it lands.
 //
 //hwdp:hotpath
 func (k *Kernel) submitIO(p *osPending) {
@@ -773,7 +772,7 @@ func (k *Kernel) submitIO(p *osPending) {
 		SLBA:   p.lba,
 		Trace:  p.ms,
 	}
-	q.st.dev.Deliver(q.port, cmd, doorbellWire)
+	q.st.dev.Deliver(q.port, cmd)
 }
 
 // replacePending files p under a CID that is still live: the command

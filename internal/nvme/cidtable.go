@@ -85,5 +85,14 @@ func (t *CIDTable[T]) Take(cid uint16) (v T, ok bool) {
 	return v, true
 }
 
+// Each calls fn with every live CID and its state, in slot order.
+func (t *CIDTable[T]) Each(fn func(cid uint16, v T)) {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.live {
+			fn(s.cid, s.v)
+		}
+	}
+}
+
 // Len returns the number of live CIDs.
 func (t *CIDTable[T]) Len() int { return t.n }

@@ -46,7 +46,7 @@ func TestCompletionPhaseWrap(t *testing.T) {
 	p := h.attach(2)
 	const lap = 4
 	for i := 0; i < lap; i++ {
-		h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)}, 0)
+		h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)})
 		h.eng.Run()
 		got := h.seen[2]
 		if len(got) != i+1 || got[i].CID != uint16(i) || !got[i].OK() {
@@ -59,7 +59,7 @@ func TestCompletionPhaseWrap(t *testing.T) {
 		t.Fatalf("stale completion after the lap: %+v", h.seen[2])
 	}
 	// Second lap reuses CID 0; only the new command is notified.
-	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 0, NSID: 1, SLBA: 99}, 0)
+	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 0, NSID: 1, SLBA: 99})
 	h.eng.Run()
 	got := h.seen[2]
 	if len(got) != lap+1 || got[lap].CID != 0 || !got[lap].OK() {
@@ -80,7 +80,7 @@ func TestPollEmptyCQ(t *testing.T) {
 		t.Fatalf("idle queue notified: %+v", h.seen[1])
 	}
 	busy := h.attach(3)
-	h.dev.Deliver(busy, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 7}, 0)
+	h.dev.Deliver(busy, nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 7})
 	h.eng.Run()
 	if len(h.seen[1]) != 0 {
 		t.Fatalf("idle queue notified of another queue's completion: %+v", h.seen[1])
@@ -102,7 +102,7 @@ func TestCompletionCarriesSQHead(t *testing.T) {
 		h.seen[7] = append(h.seen[7], cp)
 		inflight = h.dev.Inflight()
 	})
-	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpWrite, CID: 5, NSID: 1, SLBA: 1}, 0)
+	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpWrite, CID: 5, NSID: 1, SLBA: 1})
 	h.eng.Run()
 	got := h.seen[7]
 	if len(got) != 1 || got[0].CID != 5 {
@@ -122,7 +122,7 @@ func TestCompletionCarriesSQHead(t *testing.T) {
 func TestQueuePairRoundTripDelivery(t *testing.T) {
 	h := newHandoff()
 	p := h.attach(1)
-	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 77, NSID: 1, SLBA: 123}, 0)
+	h.dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 77, NSID: 1, SLBA: 123})
 	h.eng.Run()
 	if len(h.dma) != 1 || h.dma[0].CID != 77 || h.dma[0].SLBA != 123 {
 		t.Fatalf("DMA saw %+v, want one command with CID 77 SLBA 123", h.dma)

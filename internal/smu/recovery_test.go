@@ -250,3 +250,70 @@ func TestRetryBackoffIsExponential(t *testing.T) {
 	}
 	checkConservation(t, r.smu)
 }
+
+// TestTimeoutAtMediaDoneAborts pins the order at a tie: with the timeout
+// equal to the device time, every attempt's timeout falls exactly when its
+// media work ends and fires first, so each abort finds its command — the
+// first attempt's, which the device drops, included (the SMU arms its
+// timeout before ringing the doorbell). The retries run out.
+func TestTimeoutAtMediaDoneAborts(t *testing.T) {
+	r := newRig(t, 8)
+	p := DefaultRetryPolicy()
+	p.CmdTimeout = ssd.ZSSD.Read4K
+	r.smu.SetRetryPolicy(p)
+	r.dev.SetInjector(fault.NewInjector(sim.NewRand(1),
+		fault.Rule{Kind: fault.Drop, Prob: 1, MaxInjections: 1}))
+	var res Result = -1
+	r.smu.HandleMissArg(r.request(0x4000, 12), func(_ any, rr Result, _ pagetable.Entry) { res = rr }, nil)
+	r.eng.Run()
+	if res != ResultIOError {
+		t.Fatalf("res = %v, want io-error after every attempt timed out", res)
+	}
+	attempts := uint64(1 + p.MaxRetries)
+	if ds := r.dev.Stats(); ds.Aborts != attempts || ds.InjDropped != 0 {
+		t.Fatalf("device aborts %d, dropped %d; want every abort to win its tie (%d, 0)", ds.Aborts, ds.InjDropped, attempts)
+	}
+	checkConservation(t, r.smu)
+}
+
+// TestCommandIDNamesSlot pins the slot-indexed command IDs: a CID carries
+// its PMSHR slot in the low bits and is never 0, each submission of a slot
+// gets a new one (generations wrap without reaching 0), and a CID that is
+// not the slot's current command — a retried attempt's, one after the
+// slot retired, or one naming no slot — finds no entry.
+func TestCommandIDNamesSlot(t *testing.T) {
+	for _, entries := range []int{1, 3, PMSHREntries} {
+		s := NewPerCore(sim.NewEngine(), 0, 64, entries, 1)
+		e := &s.pmshr[entries-1]
+		mask := uint16(1<<s.cidShift - 1)
+		first := s.nextCID(e)
+		e.cid = first
+		if s.lookupCID(first) != e {
+			t.Fatalf("%d entries: CID %#x does not find its slot", entries, first)
+		}
+		seen := map[uint16]bool{}
+		for i := 0; i < 1<<16; i++ {
+			cid := s.nextCID(e)
+			if cid == 0 || int(cid&mask) != e.idx {
+				t.Fatalf("%d entries: CID %#x for slot %d", entries, cid, e.idx)
+			}
+			seen[cid] = true
+			if i == 0 {
+				e.cid = cid // the retry's command
+				if s.lookupCID(first) != nil {
+					t.Fatalf("%d entries: stale CID %#x found the retried slot", entries, first)
+				}
+			}
+		}
+		if want := 1<<(16-s.cidShift) - 1; len(seen) != want {
+			t.Fatalf("%d entries: %d distinct CIDs per slot, want %d", entries, len(seen), want)
+		}
+		e.cid = 0
+		if s.lookupCID(first) != nil || s.lookupCID(0) != nil {
+			t.Fatal("a retired slot or CID 0 found an entry")
+		}
+		if entries == 3 && s.lookupCID(1<<s.cidShift|3) != nil {
+			t.Fatal("a CID naming slot 3 of 3 found an entry")
+		}
+	}
+}

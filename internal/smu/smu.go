@@ -16,6 +16,7 @@ package smu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hwdp/internal/metrics"
 	"hwdp/internal/nvme"
@@ -156,6 +157,7 @@ type pmshrEntry struct {
 	// I/O-path state (zero for anonymous zero-fill entries).
 	dev      *devSlot
 	cid      uint16 // current command ID; 0 = no command in flight
+	gen      uint16 // the slot's submission generation, kept across misses
 	attempts int    // submissions so far, including the first
 	timeout  *sim.Event
 	newPTE   pagetable.Entry // installed PTE, staged between PT update and notify
@@ -195,7 +197,7 @@ type SMU struct {
 	pmshr       []pmshrEntry  // the PMSHR records, one per slot
 	slots       []*pmshrEntry // the CAM's view of pmshr: nil = free slot
 	freeIdx     []int
-	nextCID     uint16
+	cidShift    uint // command IDs carry the slot index below this bit
 	policy      RetryPolicy
 	backlog     []pendingReq
 	backlogHead int
@@ -249,6 +251,9 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 	if entries < 1 {
 		panic("smu: need at least one PMSHR entry")
 	}
+	if entries > maxEntries {
+		panic(fmt.Sprintf("smu: %d PMSHR entries, at most %d", entries, maxEntries))
+	}
 	if cores < 1 {
 		panic("smu: need at least one free page queue")
 	}
@@ -258,7 +263,7 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		timing:      DefaultTiming(),
 		pmshr:       make([]pmshrEntry, entries),
 		slots:       make([]*pmshrEntry, entries),
-		nextCID:     1,
+		cidShift:    uint(bits.Len(uint(entries - 1))),
 		policy:      DefaultRetryPolicy(),
 		backlogWait: metrics.NewHistogram(),
 		qosWait:     metrics.NewHistogram(),
@@ -289,7 +294,7 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 	}
 	s.issueFn = func(a any) { s.issue(a.(*pmshrEntry)) }
 	s.doorbellFn = func(a any) {
-		// The command itself is already crossing the doorbell wire (issue
+		// The device already took the command off the doorbell wire (issue
 		// hands it to Device.Deliver); this stage models the SMU-side tail
 		// of the doorbell write. Opportunistically refill the prefetch
 		// buffer during the device I/O time — this is what hides the memory
@@ -421,14 +426,20 @@ func (s *SMU) lookup(addr pagetable.EntryAddr) *pmshrEntry {
 	return nil
 }
 
-// lookupCID scans the slots for the entry owning an in-flight command ID.
+// maxEntries bounds the PMSHR so that a command ID keeps at least four
+// bits of generation above the slot index.
+const maxEntries = 1 << 12
+
+// lookupCID returns the entry owning an in-flight command ID: the slot its
+// low bits name, if that slot's current command is this one.
+//
+//hwdp:hotpath
 func (s *SMU) lookupCID(cid uint16) *pmshrEntry {
-	for _, e := range s.slots {
-		if e != nil && e.cid == cid {
-			return e
-		}
+	idx := int(cid & (1<<s.cidShift - 1))
+	if cid == 0 || idx >= len(s.pmshr) || s.pmshr[idx].cid != cid {
+		return nil
 	}
-	return nil
+	return &s.pmshr[idx]
 }
 
 // getReq takes a pooled admission carrier.
@@ -636,26 +647,18 @@ func (s *SMU) admit(req Request, done doneRef) {
 	s.eng.PostArg(written+t.CmdWrite, s.issueFn, e)
 }
 
-// allocCID hands out a command identifier not currently in flight. Each
-// submission — including retries of the same miss — gets a fresh CID, so a
-// late completion of an abandoned attempt (e.g. one that raced its own
-// timeout) can never be mistaken for the retry's completion.
+// nextCID gives an entry's next submission its command identifier: the
+// slot index in the low cidShift bits and the slot's generation, never 0,
+// above them. Each submission — including retries of the same miss — bumps
+// the generation, so a late completion of an abandoned attempt (e.g. one
+// that raced its own timeout) cannot be mistaken for the retry's
+// completion, and a CID is never 0 (no command).
 //
 //hwdp:hotpath
-func (s *SMU) allocCID() uint16 {
-	for {
-		cid := s.nextCID
-		s.nextCID++
-		if s.nextCID == 0 {
-			s.nextCID = 1
-		}
-		if cid == 0 {
-			continue
-		}
-		if s.lookupCID(cid) == nil {
-			return cid
-		}
-	}
+func (s *SMU) nextCID(e *pmshrEntry) uint16 {
+	gens := 1<<(16-s.cidShift) - 1 // the generations that fit above the index
+	e.gen = e.gen%uint16(gens) + 1
+	return e.gen<<s.cidShift | uint16(e.idx)
 }
 
 // issue submits (or resubmits) the read command for a PMSHR entry and arms
@@ -664,7 +667,7 @@ func (s *SMU) allocCID() uint16 {
 //hwdp:hotpath
 func (s *SMU) issue(e *pmshrEntry) {
 	e.attempts++
-	e.cid = s.allocCID()
+	e.cid = s.nextCID(e)
 	cmd := nvme.Command{
 		Opcode: nvme.OpRead,
 		CID:    e.cid,
@@ -674,19 +677,18 @@ func (s *SMU) issue(e *pmshrEntry) {
 		NLB:    0, // one 4 KiB block, no PRP list
 		Trace:  e.req.Trace,
 	}
-	t := s.timing
 	now := s.eng.Now()
-	e.req.Trace.AddSpan(trace.LayerNVMe, "sq-doorbell", now, now+t.Doorbell)
-	// Deliver before the doorbell-tail stage so device service precedes
-	// the prefetch when both land on the same timestamp.
-	e.dev.dev.Deliver(e.dev.port, cmd, t.Doorbell)
-	s.eng.PostArg(t.Doorbell, s.doorbellFn, e)
 	if s.policy.CmdTimeout > 0 {
-		// Pooled handle: onTimeout nils e.timeout as its first action and
-		// every Cancel site nils it immediately after, so the handle never
-		// outlives the event.
-		e.timeout = s.eng.AtArgPooled(now+t.Doorbell+s.policy.CmdTimeout, s.timeoutFn, e)
+		// Armed before the doorbell rings, so a timeout due exactly at
+		// media done fires before the device retires the command and
+		// still aborts it. Pooled handle: onTimeout nils e.timeout as its
+		// first action and every Cancel site nils it immediately after, so
+		// the handle never outlives the event.
+		e.timeout = s.eng.AtArgPooled(now+ssd.DoorbellWire+s.policy.CmdTimeout, s.timeoutFn, e)
 	}
+	e.req.Trace.AddSpan(trace.LayerNVMe, "sq-doorbell", now, now+ssd.DoorbellWire)
+	e.dev.dev.Deliver(e.dev.port, cmd)
+	s.eng.PostArg(ssd.DoorbellWire, s.doorbellFn, e)
 }
 
 // onTimeout fires when a submitted command produced no completion within
@@ -823,7 +825,7 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 	// waiter may admit a new miss into the slot at once. The waiters are
 	// notified from their own list, which then becomes the spare.
 	addr, waiters := e.pteAddr, e.waiters
-	*e = pmshrEntry{idx: e.idx, waiters: s.spareWaiters}
+	*e = pmshrEntry{idx: e.idx, gen: e.gen, waiters: s.spareWaiters}
 	s.spareWaiters = nil
 	s.slots[e.idx] = nil
 	//hwdp:ignore hotalloc freeIdx was filled to full PMSHR depth at construction; append never exceeds that retained capacity

@@ -9,7 +9,7 @@ import (
 )
 
 func submitRead(dev *Device, cid uint16, lba uint64) {
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: cid, NSID: 1, SLBA: lba})
 }
 
 func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
@@ -32,8 +32,8 @@ func TestInjectedTransientCompletesWithRetryableStatus(t *testing.T) {
 		t.Fatalf("stats = %+v", dev.Stats())
 	}
 	// The fault completes at normal service time — latency is unchanged.
-	if eng.Now() != ZSSD.Read4K {
-		t.Fatalf("latency = %v, want %v", eng.Now(), ZSSD.Read4K)
+	if eng.Now() != DoorbellWire+ZSSD.Read4K {
+		t.Fatalf("latency = %v, want %v", eng.Now(), DoorbellWire+ZSSD.Read4K)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestInjectedUECCOnWriteIsWriteFault(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	dev.SetInjector(fault.NewInjector(sim.NewRand(1),
 		fault.Rule{Kind: fault.UECC, Prob: 1}))
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
 	eng.Run()
 	if len(*done) != 1 || (*done)[0].Status != nvme.StatusWriteFault {
 		t.Fatalf("completions: %+v", *done)
@@ -93,7 +93,7 @@ func TestInjectedSpikeMultipliesLatency(t *testing.T) {
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
 	}
-	if want := 4 * ZSSD.Read4K; eng.Now() != want {
+	if want := DoorbellWire + 4*ZSSD.Read4K; eng.Now() != want {
 		t.Fatalf("spiked latency = %v, want %v", eng.Now(), want)
 	}
 	if dev.Stats().InjSpikes != 1 {
@@ -104,7 +104,6 @@ func TestInjectedSpikeMultipliesLatency(t *testing.T) {
 func TestAbortCancelsPendingCommand(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	submitRead(dev, 7, 0)
-	eng.RunUntil(0) // the zero-latency doorbell wire delivers at t=0
 	if dev.Inflight() != 1 {
 		t.Fatalf("inflight = %d", dev.Inflight())
 	}
@@ -133,9 +132,8 @@ func TestAbortUnknownQueueOrCIDReturnsFalse(t *testing.T) {
 	submitRead(dev, 1, 0)
 	eng.Run()
 	submitRead(dev, 7, 0)
-	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 7, NSID: 1, SLBA: 1}, 0)
-	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 8, NSID: 1, SLBA: 2}, 0)
-	eng.RunUntil(eng.Now()) // the zero-latency doorbell wire delivers now
+	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 7, NSID: 1, SLBA: 1})
+	dev.Deliver(p2, nvme.Command{Opcode: nvme.OpRead, CID: 8, NSID: 1, SLBA: 2})
 	if n := dev.Inflight(); n != 3 {
 		t.Fatalf("inflight = %d, want 3 across two queues", n)
 	}
@@ -196,15 +194,14 @@ func TestAbortReleasesChannelTail(t *testing.T) {
 	if len(*done) != 1 || (*done)[0].CID != 2 {
 		t.Fatalf("completions: %+v", *done)
 	}
-	if want := sim.Micro(1) + ZSSD.Read4K; eng.Now() != want {
+	if want := sim.Micro(1) + DoorbellWire + ZSSD.Read4K; eng.Now() != want {
 		t.Fatalf("retry finished at %v, want %v (channel not released)", eng.Now(), want)
 	}
 }
 
 func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
-	eng.RunUntil(0) // the zero-latency doorbell wire delivers at t=0
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
 	if !dev.Abort(1, 1) {
 		t.Fatal("abort failed")
 	}
@@ -215,8 +212,8 @@ func TestAbortedWriteReleasesWriteInterference(t *testing.T) {
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
 	}
-	if eng.Now() != ZSSD.Read4K {
-		t.Fatalf("read after aborted write took %v, want %v", eng.Now(), ZSSD.Read4K)
+	if eng.Now() != DoorbellWire+ZSSD.Read4K {
+		t.Fatalf("read after aborted write took %v, want %v", eng.Now(), DoorbellWire+ZSSD.Read4K)
 	}
 }
 
@@ -240,6 +237,42 @@ func TestInjectionRespectsLBARangeAndQueue(t *testing.T) {
 			if cp.Status != nvme.StatusUncorrectable {
 				t.Fatalf("faulty LBA status = %s", nvme.StatusString(cp.Status))
 			}
+		}
+	}
+}
+
+// TestAbortAtMediaDone pins the in-flight boundary: a command is in flight
+// through the picosecond its media work ends, so an abort armed before
+// the delivery and firing exactly then cancels it, while one a picosecond
+// later is too late and the completion still arrives, once.
+func TestAbortAtMediaDone(t *testing.T) {
+	done := DoorbellWire + ZSSD.Read4K
+	for _, c := range []struct {
+		at       sim.Time
+		aborted  bool
+		inflight int
+	}{{done, true, 1}, {done + 1, false, 0}} {
+		eng := sim.NewEngine()
+		dev := New(eng, noJitter(ZSSD), sim.NewRand(1), nil)
+		dev.AddNamespace(nvme.Namespace{ID: 1, Blocks: 1 << 20})
+		var got []sim.Time
+		p := dev.Attach(1, 100*sim.Nanosecond, func(nvme.Completion) { got = append(got, eng.Now()) })
+		eng.Post(c.at, func() {
+			if n := dev.Inflight(); n != c.inflight {
+				t.Errorf("abort at %v: inflight = %d, want %d", c.at, n, c.inflight)
+			}
+			if ok := dev.Abort(1, 7); ok != c.aborted {
+				t.Errorf("abort at %v = %v, want %v", c.at, ok, c.aborted)
+			}
+		})
+		dev.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 7, NSID: 1})
+		eng.Run()
+		want := []sim.Time{done + 100*sim.Nanosecond}
+		if c.aborted {
+			want = nil
+		}
+		if len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
+			t.Errorf("abort at %v: completions at %v, want %v", c.at, got, want)
 		}
 	}
 }

@@ -5,6 +5,18 @@
 // effect the paper cites for YCSB's lower gains), performs the DMA via a
 // caller-supplied callback, and hands completions back to the host.
 //
+// A command costs one engine event. Every host rings the doorbell over the
+// same wire (DoorbellWire), so commands reach the device in the order they
+// are delivered, and nothing else can act on the device while one crosses
+// the wire. Deliver therefore services the command at once, for the time
+// it lands: it commits the channel (or backend) schedule, draws the jitter
+// and the injector's decision, and posts one completion event at media done
+// plus the port's irq wire, which runs the DMA and the host's notify. Tie
+// rule: that event takes its engine sequence number at delivery, so among
+// events due at the same picosecond it fires before those scheduled after
+// the command was delivered (a model that posted the completion at media
+// done ordered it after them).
+//
 // Three profiles reproduce Figure 17's device times: Samsung Z-SSD
 // (10.9 µs 4 KiB read), Intel Optane SSD (6.5 µs) and Optane DC PMM in
 // App-direct mode used as storage (2.1 µs).
@@ -98,8 +110,7 @@ type BackendSpan struct {
 
 // DMAFunc performs the data transfer for a command once the media access
 // completes: for reads it deposits the block into the frame addressed by
-// PRP1. It runs when the completion reaches the host, in virtual time
-// order.
+// PRP1. It runs when the completion reaches the host, just before notify.
 type DMAFunc func(cmd nvme.Command)
 
 // NotifyFunc delivers a completion to the host side of a queue: an
@@ -119,9 +130,48 @@ type Port struct {
 	inflight nvme.CIDTable[*flight]
 }
 
+// channel is one profile-model channel: when its media is next free, and
+// the writes serviced on it whose completion has not fired yet.
 type channel struct {
-	freeAt            sim.Time
-	outstandingWrites int
+	freeAt sim.Time
+	writes *flight // head of the list linked through flight.prevW/nextW
+}
+
+// writesAfter counts the channel's writes whose media work ends after ts:
+// the writes still programming when a read lands at ts. A write that ends
+// exactly at ts was serviced at least 0.7×Write4K earlier, so it no longer
+// counts, as it would not had its media-done been an event of its own.
+func (c *channel) writesAfter(ts sim.Time) int {
+	n := 0
+	for w := c.writes; w != nil; w = w.nextW {
+		if w.done > ts {
+			n++
+		}
+	}
+	return n
+}
+
+// linkWrite adds a serviced write to the channel's list.
+func (c *channel) linkWrite(fl *flight) {
+	fl.nextW = c.writes
+	if c.writes != nil {
+		c.writes.prevW = fl
+	}
+	c.writes = fl
+}
+
+// unlinkWrite removes a write from the channel's list when it completes or
+// is aborted.
+func (c *channel) unlinkWrite(fl *flight) {
+	if fl.prevW != nil {
+		fl.prevW.nextW = fl.nextW
+	} else {
+		c.writes = fl.nextW
+	}
+	if fl.nextW != nil {
+		fl.nextW.prevW = fl.prevW
+	}
+	fl.prevW, fl.nextW = nil, nil
 }
 
 // Stats aggregates device-side counters. Latency accounting is split into
@@ -143,47 +193,39 @@ type Stats struct {
 	Aborts       uint64 // host aborts that canceled an in-flight command
 }
 
-// flight is the device-side state of one scheduled command: the completion
-// event plus everything the completion (or an abort) needs to run the
-// channel bookkeeping exactly once. Flights are pooled and recycled, so a
-// steady read stream allocates no per-command device state.
+// flight is the device-side state of one delivered command, from Deliver
+// to its completion event: everything the completion (or an abort) needs
+// to run the bookkeeping exactly once. Flights are pooled and recycled, so
+// a steady read stream allocates no per-command device state.
 type flight struct {
-	ev      *sim.Event
-	at      *Port
-	cmd     nvme.Command
-	dec     fault.Decision
-	ch      *channel
-	isWrite bool
-	done    sim.Time // scheduled media-completion time
-}
-
-// wireMsg is one host<->device transport crossing: a command riding the
-// doorbell wire toward the device, or a completion riding the IRQ/snoop
-// wire home. Messages are pooled so the steady-state miss path stays
-// allocation-free.
-type wireMsg struct {
-	at     *Port
-	cmd    nvme.Command
+	ev   *sim.Event // the completion event (nil for a rejected command)
+	at   *Port
+	cmd  nvme.Command
+	kind fault.Kind // the injector's decision
+	// status is a rejected command's completion status; a command that
+	// reached media carries StatusSuccess here and takes its status from
+	// kind when it completes.
 	status uint16
+	ch     *channel // the profile channel; nil for backend and rejected commands
+	done   sim.Time // media completion time
+	// prevW and nextW link a write into ch.writes.
+	prevW, nextW *flight
 }
 
 // Device is one simulated NVMe SSD.
 type Device struct {
-	eng       *sim.Engine
-	prof      Profile
-	rng       *sim.Rand
-	ns        []nvme.Namespace // by NSID; a zero ID marks an unregistered NSID
-	ports     []*Port          // in attach order
-	chans     []channel
-	dma       DMAFunc
-	backend   Backend
-	inj       *fault.Injector
-	pool      []*flight
-	msgPool   []*wireMsg
-	finishFn  func(any) // pre-bound media-completion callback
-	serviceFn func(any) // pre-bound doorbell-wire delivery callback
-	deliverFn func(any) // pre-bound completion-wire delivery callback
-	stats     Stats
+	eng        *sim.Engine
+	prof       Profile
+	rng        *sim.Rand
+	ns         []nvme.Namespace // by NSID; a zero ID marks an unregistered NSID
+	ports      []*Port          // in attach order
+	chans      []channel
+	dma        DMAFunc
+	backend    Backend
+	inj        *fault.Injector
+	pool       []*flight
+	completeFn func(any) // pre-bound completion-event callback
+	stats      Stats
 }
 
 // New creates a device. dma may be nil (no data movement, timing only).
@@ -199,36 +241,8 @@ func New(eng *sim.Engine, prof Profile, rng *sim.Rand, dma DMAFunc) *Device {
 		dma:   dma,
 		ports: make([]*Port, 0, 8), // a device serves a few queues
 	}
-	d.finishFn = func(a any) { d.finish(a.(*flight)) }
-	d.serviceFn = func(a any) {
-		m := a.(*wireMsg)
-		at, cmd := m.at, m.cmd
-		d.putMsg(m)
-		d.service(at, cmd)
-	}
-	d.deliverFn = func(a any) { d.deliverCompletion(a.(*wireMsg)) }
+	d.completeFn = func(a any) { d.complete(a.(*flight)) }
 	return d
-}
-
-// getMsg takes a pooled transport message.
-//
-//hwdp:pool acquire wiremsg
-func (d *Device) getMsg() *wireMsg {
-	if n := len(d.msgPool); n > 0 {
-		m := d.msgPool[n-1]
-		d.msgPool[n-1] = nil
-		d.msgPool = d.msgPool[:n-1]
-		return m
-	}
-	return &wireMsg{}
-}
-
-// putMsg clears a pooled message and returns it to the pool.
-//
-//hwdp:pool release wiremsg
-func (d *Device) putMsg(m *wireMsg) {
-	*m = wireMsg{}
-	d.msgPool = append(d.msgPool, m)
 }
 
 // getFlight takes a pooled flight record.
@@ -303,10 +317,9 @@ func (d *Device) namespace(nsid uint32) (nvme.Namespace, bool) {
 }
 
 // Attach registers queue qid and returns its port: the host submits
-// commands with Deliver (each crossing the doorbell wire as an event), and
-// completions cross back after irq — the CQ write plus interrupt (OS
-// queues) or memory-snoop handling (the SMU queue) — with the DMA and
-// notify both running at delivery.
+// commands with Deliver, and completions cross back after irq — the CQ
+// write plus interrupt (OS queues) or memory-snoop handling (the SMU
+// queue) — with the DMA and notify both running when they arrive.
 func (d *Device) Attach(qid uint16, irq sim.Time, notify NotifyFunc) *Port {
 	if d.port(qid) != nil {
 		panic(fmt.Sprintf("ssd: queue %d attached twice", qid))
@@ -334,55 +347,79 @@ func (d *Device) port(qid uint16) *Port {
 // without touching media (bad namespace or LBA range).
 const RejectLatency = 500 * sim.Nanosecond
 
-// Deliver carries one host-submitted command across the doorbell wire to
-// the device through the queue's port: service begins wire later. The wire
-// message carries the command, so nothing waits in a submission ring.
+// DoorbellWire is the host-to-device latency of a submission-queue
+// doorbell write (a posted MMIO write over PCIe), the 1.60 ns of
+// Fig. 11(b). The OS block layer and the SMU ring the doorbell over the
+// same wire, so a command lands on the device DoorbellWire after Deliver.
+const DoorbellWire = 1600 * sim.Picosecond
+
+// Deliver rings the doorbell of the queue behind port at with one command.
+// The device services it at once, for the time it lands (Now plus
+// DoorbellWire): no other command can land first, since every command
+// crosses the same wire, and nothing else acts on the device in between.
+// The command's one completion event is posted here.
 //
 //hwdp:hotpath
-func (d *Device) Deliver(at *Port, cmd nvme.Command, wire sim.Time) {
+func (d *Device) Deliver(at *Port, cmd nvme.Command) {
 	if at == nil || at.dev != d {
 		panic("ssd: delivery through a port not attached to this device")
 	}
-	m := d.getMsg()
-	m.at, m.cmd = at, cmd
-	d.eng.PostArg(wire, d.serviceFn, m)
-}
-
-//hwdp:hotpath
-func (d *Device) service(at *Port, cmd nvme.Command) {
-	now := d.eng.Now()
+	ts := d.eng.Now() + DoorbellWire
 	status := nvme.StatusSuccess
 	if ns, ok := d.namespace(cmd.NSID); !ok {
 		status = nvme.StatusInvalidNS
 	} else if cmd.Opcode != nvme.OpFlush && cmd.SLBA+uint64(cmd.Blocks()) > ns.Blocks {
 		status = nvme.StatusLBARange
 	}
+	fl := d.getFlight()
+	fl.at, fl.cmd = at, cmd
 	if status != nvme.StatusSuccess {
-		// Errors complete quickly without touching media.
-		cmd.Trace.Mark(trace.LayerSSD, "rejected", now)
-		//hwdp:ignore all command rejections only happen on malformed/out-of-range submissions, off the steady-state path
-		d.eng.Post(RejectLatency, func() { d.complete(at, cmd, status) })
+		// Errors complete quickly without touching media; the command
+		// never enters the in-flight table, so Abort cannot find it.
+		cmd.Trace.Mark(trace.LayerSSD, "rejected", ts)
+		fl.status = status
+		d.eng.PostArg(DoorbellWire+RejectLatency+at.irq, d.completeFn, fl)
 		return
 	}
+	if !at.inflight.Put(cmd.CID, fl) {
+		panic(fmt.Sprintf("ssd: duplicate in-flight CID %d on queue %d", cmd.CID, at.qid))
+	}
+	d.service(fl, ts)
+	due := fl.done + at.irq
+	if fl.kind == fault.Drop {
+		// The command dies inside the device: its event at media done
+		// only retires it.
+		due = fl.done
+	}
+	// Pooled handle: complete recycles fl (dropping fl.ev) when the event
+	// fires, and Abort drops it right after Cancel, so the handle never
+	// outlives the event.
+	fl.ev = d.eng.AtArgPooled(due, d.completeFn, fl)
+}
 
-	var ch *channel
+// service schedules the media work of a command that lands at now: it sets
+// fl.ch, fl.kind and fl.done and counts the command.
+//
+//hwdp:hotpath
+func (d *Device) service(fl *flight, now sim.Time) {
+	cmd := fl.cmd
+	switch cmd.Opcode {
+	case nvme.OpRead:
+		d.stats.Reads++
+	case nvme.OpWrite:
+		d.stats.Writes++
+	case nvme.OpFlush:
+		d.stats.Flushes++
+	}
 	var start, done sim.Time
 	var dec fault.Decision
 	if d.backend != nil {
 		// Media timing is the backend's: the profile's channels, jitter
 		// and write-interference are all subsumed by its own resource
 		// model. Fault spikes multiply the backend's service times.
-		switch cmd.Opcode {
-		case nvme.OpRead:
-			d.stats.Reads++
-		case nvme.OpWrite:
-			d.stats.Writes++
-		case nvme.OpFlush:
-			d.stats.Flushes++
-		}
 		spike := 1.0
 		if d.inj != nil {
-			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qid)
+			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, fl.at.qid)
 			if dec.Kind == fault.Spike {
 				d.stats.InjSpikes++
 				spike = dec.SpikeFactor
@@ -404,66 +441,59 @@ func (d *Device) service(at *Port, cmd nvme.Command) {
 				cmd.Trace.AddSpan(trace.LayerSSD, sp.Label, sp.Start, sp.End)
 			}
 		}
-	} else {
-		ch = &d.chans[int(cmd.SLBA)%len(d.chans)]
-		var svc sim.Time
-		switch cmd.Opcode {
-		case nvme.OpRead:
-			d.stats.Reads++
-			svc = d.jitter(d.prof.Read4K) * sim.Time(cmd.Blocks())
-			if !cmd.Urgent && ch.outstandingWrites > 0 {
+		fl.kind, fl.done = dec.Kind, done
+		return
+	}
+
+	ch := &d.chans[int(cmd.SLBA)%len(d.chans)]
+	var svc sim.Time
+	switch cmd.Opcode {
+	case nvme.OpRead:
+		svc = d.jitter(d.prof.Read4K) * sim.Time(cmd.Blocks())
+		if !cmd.Urgent {
+			if n := ch.writesAfter(now); n > 0 {
 				// Reads queued behind program operations on the same channel.
-				svc += sim.Time(float64(d.prof.Read4K) * d.prof.WriteInterference * float64(ch.outstandingWrites))
+				svc += sim.Time(float64(d.prof.Read4K) * d.prof.WriteInterference * float64(n))
 			}
-		case nvme.OpWrite:
-			d.stats.Writes++
-			svc = d.jitter(d.prof.Write4K) * sim.Time(cmd.Blocks())
-			ch.outstandingWrites++
-		case nvme.OpFlush:
-			d.stats.Flushes++
-			svc = d.jitter(d.prof.Write4K / 2)
 		}
+	case nvme.OpWrite:
+		svc = d.jitter(d.prof.Write4K) * sim.Time(cmd.Blocks())
+	case nvme.OpFlush:
+		svc = d.jitter(d.prof.Write4K / 2)
+	}
 
-		if d.inj != nil {
-			dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, at.qid)
-			if dec.Kind == fault.Spike {
-				d.stats.InjSpikes++
-				svc = sim.Time(float64(svc) * dec.SpikeFactor)
-			}
-		}
-
-		start = now
-		if ch.freeAt > start {
-			d.stats.QueueWaitSum += ch.freeAt - start
-			start = ch.freeAt
-		}
-		done = start + svc
-		ch.freeAt = done
-		d.stats.MediaBusySum += svc
-		if cmd.Opcode == nvme.OpRead {
-			d.stats.ReadLatencySum += done - now
-		}
-		if cmd.Trace != nil {
-			// Spans are recorded at schedule time (start and end are both
-			// known): channel queue wait, then media occupancy.
-			if start > now {
-				cmd.Trace.AddSpan(trace.LayerSSD, "channel-queue-wait", now, start)
-			}
-			//hwdp:ignore hotalloc label built only for traced commands (single-miss experiments), never in steady state
-			cmd.Trace.AddSpan(trace.LayerSSD, "media "+cmd.Opcode.String(), start, done)
+	if d.inj != nil {
+		dec = d.inj.Decide(cmd.Opcode == nvme.OpRead, cmd.SLBA, fl.at.qid)
+		if dec.Kind == fault.Spike {
+			d.stats.InjSpikes++
+			svc = sim.Time(float64(svc) * dec.SpikeFactor)
 		}
 	}
 
-	fl := d.getFlight()
-	if !at.inflight.Put(cmd.CID, fl) {
-		panic(fmt.Sprintf("ssd: duplicate in-flight CID %d on queue %d", cmd.CID, at.qid))
+	start = now
+	if ch.freeAt > start {
+		d.stats.QueueWaitSum += ch.freeAt - start
+		start = ch.freeAt
 	}
-	fl.at, fl.cmd, fl.dec, fl.ch, fl.done = at, cmd, dec, ch, done
-	fl.isWrite = cmd.Opcode == nvme.OpWrite
-	// Pooled handle: finish recycles fl (dropping fl.ev) when the event
-	// fires, and Abort drops it right after Cancel, so the handle never
-	// outlives the event.
-	fl.ev = d.eng.AtArgPooled(done, d.finishFn, fl)
+	done = start + svc
+	ch.freeAt = done
+	d.stats.MediaBusySum += svc
+	if cmd.Opcode == nvme.OpRead {
+		d.stats.ReadLatencySum += done - now
+	}
+	if cmd.Trace != nil {
+		// Spans are recorded at schedule time (start and end are both
+		// known): channel queue wait, then media occupancy.
+		if start > now {
+			cmd.Trace.AddSpan(trace.LayerSSD, "channel-queue-wait", now, start)
+		}
+		//hwdp:ignore hotalloc label built only for traced commands (single-miss experiments), never in steady state
+		cmd.Trace.AddSpan(trace.LayerSSD, "media "+cmd.Opcode.String(), start, done)
+	}
+	fl.ch, fl.kind, fl.done = ch, dec.Kind, done
+	if cmd.Opcode == nvme.OpWrite {
+		ch.linkWrite(fl)
+	}
 }
 
 // outcomeStatus maps a fault decision and opcode to the completion status
@@ -488,112 +518,109 @@ func outcomeStatus(kind fault.Kind, op nvme.Opcode) (status uint16, deliverable 
 	return nvme.StatusSuccess, true
 }
 
-// finish runs at a command's media-completion time: channel bookkeeping,
-// injected-fault resolution, DMA, and the completion post.
+// complete is a command's one completion event: at media done plus the
+// port's irq wire it retires the command, resolves its injected fault, and
+// runs the DMA (successful commands only) and the host's notify. A dropped
+// command's event fires at media done and delivers nothing; a rejected
+// command's carries its rejection status.
 //
 //hwdp:hotpath
-func (d *Device) finish(fl *flight) {
-	fl.at.inflight.Take(fl.cmd.CID)
-	if fl.isWrite && fl.ch != nil {
-		// Backend flights carry no channel: interference lives in the
-		// backend's own plane timelines.
-		fl.ch.outstandingWrites--
-	}
-	at, cmd, done := fl.at, fl.cmd, fl.done
-	kind := fl.dec.Kind
-	d.putFlight(fl)
-	//hwdp:exhaustive
-	switch kind {
-	case fault.Drop:
-		// The command is lost inside the device: no DMA, no completion.
-		// Only a host-side timeout (followed by Abort) recovers.
-		d.stats.InjDropped++
-		cmd.Trace.Mark(trace.LayerSSD, "fault-dropped", done)
-	case fault.Transient:
-		d.stats.InjTransient++
-		cmd.Trace.Mark(trace.LayerSSD, "fault-transient", done)
-	case fault.UECC:
-		d.stats.InjUECC++
-		cmd.Trace.Mark(trace.LayerSSD, "fault-uecc", done)
-	case fault.None, fault.Spike:
-		// Clean (or merely slowed) completion: nothing to account.
-	}
-	if status, deliverable := outcomeStatus(kind, cmd.Opcode); deliverable {
-		d.complete(at, cmd, status)
-	}
-}
-
-// Abort cancels an in-flight command the host has given up on (after a
-// completion timeout). It returns true when the command was still pending
-// and is now guaranteed never to DMA or complete; false means the command
-// already finished (its completion and any DMA have already happened) or
-// was never seen, and the host must treat the late completion, if any, as
-// stale. Abort mirrors the NVMe admin Abort command but resolves instantly:
-// the simulated window between "host decides to abort" and "device acks"
-// folds into the host's own timeout delay.
-func (d *Device) Abort(qid, cid uint16) bool {
-	at := d.port(qid)
-	if at == nil {
-		return false
-	}
-	fl, ok := at.inflight.Take(cid)
-	if !ok {
-		return false
-	}
-	fl.ev.Cancel()
-	fl.ev = nil
-	if fl.ch != nil {
-		if fl.isWrite {
-			fl.ch.outstandingWrites--
+func (d *Device) complete(fl *flight) {
+	at, cmd, status := fl.at, fl.cmd, fl.status
+	if status == nvme.StatusSuccess {
+		at.inflight.Take(cmd.CID)
+		if fl.ch != nil && cmd.Opcode == nvme.OpWrite {
+			// Backend flights carry no channel: interference lives in the
+			// backend's own plane timelines.
+			fl.ch.unlinkWrite(fl)
 		}
-		// An aborted command stops occupying its channel. Only the channel
-		// tail can be reclaimed: once a later command queued behind this
-		// one, the media time is already committed. (Backend flights have
-		// no channel; the backend's timelines are already committed, which
-		// matches the same-rule conservatism.)
-		if fl.ch.freeAt == fl.done {
-			if now := d.eng.Now(); now < fl.ch.freeAt {
-				fl.ch.freeAt = now
-			}
+		kind, done := fl.kind, fl.done
+		//hwdp:exhaustive
+		switch kind {
+		case fault.Drop:
+			// The command is lost inside the device: no DMA, no completion.
+			// Only a host-side timeout (followed by Abort) recovers.
+			d.stats.InjDropped++
+			cmd.Trace.Mark(trace.LayerSSD, "fault-dropped", done)
+		case fault.Transient:
+			d.stats.InjTransient++
+			cmd.Trace.Mark(trace.LayerSSD, "fault-transient", done)
+		case fault.UECC:
+			d.stats.InjUECC++
+			cmd.Trace.Mark(trace.LayerSSD, "fault-uecc", done)
+		case fault.None, fault.Spike:
+			// Clean (or merely slowed) completion: nothing to account.
+		}
+		var deliverable bool
+		if status, deliverable = outcomeStatus(kind, cmd.Opcode); !deliverable {
+			d.putFlight(fl)
+			return
 		}
 	}
-	fl.cmd.Trace.Mark(trace.LayerSSD, "aborted", d.eng.Now())
 	d.putFlight(fl)
-	d.stats.Aborts++
-	return true
-}
-
-// Inflight returns the number of commands scheduled on media that have not
-// yet completed or been aborted, across all queues (invariant-checking
-// hook for tests).
-func (d *Device) Inflight() int {
-	n := 0
-	for _, p := range d.ports {
-		n += p.inflight.Len()
-	}
-	return n
-}
-
-// complete puts a completion on the port's irq/snoop wire.
-func (d *Device) complete(at *Port, cmd nvme.Command, status uint16) {
-	m := d.getMsg()
-	m.at, m.cmd, m.status = at, cmd, status
-	d.eng.PostArg(at.irq, d.deliverFn, m)
-}
-
-// deliverCompletion runs when a completion finishes crossing the irq/snoop
-// wire: DMA (successful commands only), then host notification.
-//
-//hwdp:hotpath
-func (d *Device) deliverCompletion(m *wireMsg) {
-	at, cmd, status := m.at, m.cmd, m.status
-	d.putMsg(m)
 	if status == nvme.StatusSuccess && d.dma != nil {
 		d.dma(cmd)
 	}
 	if at.notify != nil {
 		at.notify(nvme.Completion{CID: cmd.CID, SQID: at.qid, Status: status})
 	}
+}
+
+// Abort cancels an in-flight command the host has given up on (after a
+// completion timeout). A command is in flight from Deliver until its media
+// work ends (Now <= done). Abort returns true when the command was in
+// flight and is now guaranteed never to DMA or complete; false means the
+// command's media work is over (its completion, if any, still arrives) or
+// the command was never seen, and the host must treat a late completion
+// as stale. Abort mirrors the NVMe admin Abort command but resolves
+// instantly: the simulated window between "host decides to abort" and
+// "device acks" folds into the host's own timeout delay.
+func (d *Device) Abort(qid, cid uint16) bool {
+	at := d.port(qid)
+	if at == nil {
+		return false
+	}
+	now := d.eng.Now()
+	fl, ok := at.inflight.Get(cid)
+	if !ok || now > fl.done {
+		return false
+	}
+	at.inflight.Take(cid)
+	fl.ev.Cancel()
+	fl.ev = nil
+	if fl.ch != nil {
+		if fl.cmd.Opcode == nvme.OpWrite {
+			fl.ch.unlinkWrite(fl)
+		}
+		// An aborted command stops occupying its channel. Only the channel
+		// tail can be reclaimed: once a later command queued behind this
+		// one, the media time is already committed. (Backend flights have
+		// no channel; the backend's timelines are already committed, which
+		// matches the same-rule conservatism.)
+		if fl.ch.freeAt == fl.done && now < fl.ch.freeAt {
+			fl.ch.freeAt = now
+		}
+	}
+	fl.cmd.Trace.Mark(trace.LayerSSD, "aborted", now)
+	d.putFlight(fl)
+	d.stats.Aborts++
+	return true
+}
+
+// Inflight returns the number of commands, across all queues, whose media
+// work has not yet ended and that were not aborted: the commands Abort
+// would find (invariant-checking hook for tests).
+func (d *Device) Inflight() int {
+	now := d.eng.Now()
+	n := 0
+	for _, p := range d.ports {
+		p.inflight.Each(func(_ uint16, fl *flight) {
+			if now <= fl.done {
+				n++
+			}
+		})
+	}
+	return n
 }
 
 func (d *Device) jitter(base sim.Time) sim.Time {

@@ -22,13 +22,13 @@ func noJitter(p Profile) Profile { p.JitterFrac = 0; return p }
 
 func TestSingleReadLatency(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0})
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatalf("completions: %+v", *done)
 	}
-	if eng.Now() != ZSSD.Read4K {
-		t.Fatalf("read latency = %v, want %v", eng.Now(), ZSSD.Read4K)
+	if eng.Now() != DoorbellWire+ZSSD.Read4K {
+		t.Fatalf("read latency = %v, want %v", eng.Now(), DoorbellWire+ZSSD.Read4K)
 	}
 	if dev.Stats().Reads != 1 {
 		t.Fatal("read not counted")
@@ -55,13 +55,13 @@ func TestChannelParallelism(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// 8 reads striped over 8 channels: total time ~= one read.
 	for i := 0; i < 8; i++ {
-		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i)})
 	}
 	eng.Run()
 	if len(*done) != 8 {
 		t.Fatalf("done = %d", len(*done))
 	}
-	if eng.Now() != ZSSD.Read4K {
+	if eng.Now() != DoorbellWire+ZSSD.Read4K {
 		t.Fatalf("parallel reads took %v", eng.Now())
 	}
 }
@@ -70,14 +70,14 @@ func TestSameChannelSerializes(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
 	// Same channel (stride = channel count): serial service.
 	for i := 0; i < 4; i++ {
-		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: 1, SLBA: uint64(i * ZSSD.Channels)})
 	}
 	eng.Run()
 	if len(*done) != 4 {
 		t.Fatalf("done = %d", len(*done))
 	}
-	if eng.Now() != 4*ZSSD.Read4K {
-		t.Fatalf("serial reads took %v, want %v", eng.Now(), 4*ZSSD.Read4K)
+	if eng.Now() != DoorbellWire+4*ZSSD.Read4K {
+		t.Fatalf("serial reads took %v, want %v", eng.Now(), DoorbellWire+4*ZSSD.Read4K)
 	}
 	if dev.Stats().QueueWaitSum == 0 {
 		t.Fatal("queue wait not recorded")
@@ -87,10 +87,10 @@ func TestSameChannelSerializes(t *testing.T) {
 func TestWriteInterferenceSlowsReads(t *testing.T) {
 	eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
 	// Launch a write, then while it is in flight, a read on the same channel.
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
 	var readDone sim.Time
 	eng.Post(sim.Micro(1), func() {
-		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)})
 	})
 	eng.Run()
 	readDone = eng.Now()
@@ -104,9 +104,9 @@ func TestWriteInterferenceSlowsReads(t *testing.T) {
 func TestUrgentReadSkipsInterference(t *testing.T) {
 	run := func(urgent bool) sim.Time {
 		eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
-		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
 		eng.Post(sim.Micro(1), func() {
-			dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent}, 0)
+			dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels), Urgent: urgent})
 		})
 		eng.Run()
 		return eng.Now()
@@ -125,7 +125,7 @@ func TestInvalidNamespace(t *testing.T) {
 	dev.AddNamespace(nvme.Namespace{ID: 4, Blocks: 1 << 10})
 	bad := []uint32{0, 2, 3, 5, 42, MaxNSID + 1, 1<<32 - 1}
 	for i, nsid := range bad {
-		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: nsid, SLBA: 0}, 0)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: uint16(i), NSID: nsid, SLBA: 0})
 	}
 	eng.Run()
 	if len(*done) != len(bad) {
@@ -137,8 +137,8 @@ func TestInvalidNamespace(t *testing.T) {
 		}
 	}
 	*done = nil
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0}, 0)
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 4, SLBA: 0}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1, SLBA: 0})
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 4, SLBA: 0})
 	eng.Run()
 	if len(*done) != 2 || !(*done)[0].OK() || !(*done)[1].OK() {
 		t.Fatalf("registered namespaces: %+v", *done)
@@ -162,7 +162,7 @@ func TestAddNamespaceRejectsBadIDs(t *testing.T) {
 
 func TestLBARangeError(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 9, NSID: 1, SLBA: 1 << 20})
 	eng.Run()
 	if (*done)[0].Status != nvme.StatusLBARange {
 		t.Fatalf("status = %#x", (*done)[0].Status)
@@ -172,7 +172,7 @@ func TestLBARangeError(t *testing.T) {
 func TestDMACallbackRuns(t *testing.T) {
 	var got []nvme.Command
 	eng, dev, _ := newDev(t, noJitter(ZSSD), func(c nvme.Command) { got = append(got, c) })
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 3, NSID: 1, SLBA: 77, PRP1: 0x1000})
 	eng.Run()
 	if len(got) != 1 || got[0].SLBA != 77 || got[0].PRP1 != 0x1000 {
 		t.Fatalf("dma calls: %+v", got)
@@ -181,7 +181,7 @@ func TestDMACallbackRuns(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	eng, dev, done := newDev(t, noJitter(ZSSD), nil)
-	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1}, 0)
+	dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpFlush, CID: 1, NSID: 1})
 	eng.Run()
 	if len(*done) != 1 || !(*done)[0].OK() {
 		t.Fatal("flush failed")
@@ -210,16 +210,18 @@ func TestNotifyCarriesCompletion(t *testing.T) {
 	notify := func(cp nvme.Completion) { log = append(log, got{eng.Now(), cp}) }
 	p3 := dev.Attach(3, 0, notify)
 	p5 := dev.Attach(5, 0, notify)
-	dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 1, SLBA: 0}, 0)
-	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 9, SLBA: 0}, 0)
-	dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 11, NSID: 1, SLBA: 100}, sim.Micro(1))
-	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpWrite, CID: 12, NSID: 1, SLBA: 3}, 0)
+	dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 1, SLBA: 0})
+	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpRead, CID: 10, NSID: 9, SLBA: 0})
+	eng.Post(sim.Micro(1), func() {
+		dev.Deliver(p3, nvme.Command{Opcode: nvme.OpRead, CID: 11, NSID: 1, SLBA: 100})
+	})
+	dev.Deliver(p5, nvme.Command{Opcode: nvme.OpWrite, CID: 12, NSID: 1, SLBA: 3})
 	eng.Run()
 	want := []got{
-		{RejectLatency, nvme.Completion{CID: 10, SQID: 5, Status: nvme.StatusInvalidNS}},
-		{ZSSD.Write4K, nvme.Completion{CID: 12, SQID: 5, Status: nvme.StatusSuccess}},
-		{ZSSD.Read4K, nvme.Completion{CID: 10, SQID: 3, Status: nvme.StatusSuccess}},
-		{sim.Micro(1) + ZSSD.Read4K, nvme.Completion{CID: 11, SQID: 3, Status: nvme.StatusCmdInterrupted}},
+		{DoorbellWire + RejectLatency, nvme.Completion{CID: 10, SQID: 5, Status: nvme.StatusInvalidNS}},
+		{DoorbellWire + ZSSD.Write4K, nvme.Completion{CID: 12, SQID: 5, Status: nvme.StatusSuccess}},
+		{DoorbellWire + ZSSD.Read4K, nvme.Completion{CID: 10, SQID: 3, Status: nvme.StatusSuccess}},
+		{sim.Micro(1) + DoorbellWire + ZSSD.Read4K, nvme.Completion{CID: 11, SQID: 3, Status: nvme.StatusCmdInterrupted}},
 	}
 	if len(log) != len(want) {
 		t.Fatalf("notified %d completions, want %d: %+v", len(log), len(want), log)
@@ -251,7 +253,7 @@ func TestUnattachedDoorbellPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	dev.Deliver(dev.port(5), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
+	dev.Deliver(dev.port(5), nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1})
 }
 
 // TestForeignPortPanics pins that a port only delivers to the device that
@@ -266,7 +268,7 @@ func TestForeignPortPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	b.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1}, 0)
+	b.Deliver(p, nvme.Command{Opcode: nvme.OpRead, CID: 1, NSID: 1})
 }
 
 func TestJitterBounded(t *testing.T) {
@@ -279,6 +281,30 @@ func TestJitterBounded(t *testing.T) {
 		}
 		if v > 2*ZSSD.Read4K {
 			t.Fatalf("jitter way above base: %v", v)
+		}
+	}
+}
+
+// TestWriteEndingAsReadLands pins the interference boundary: a read that
+// lands on the picosecond a same-channel write's media work ends sees no
+// interference from it, and one that lands a picosecond earlier does.
+func TestWriteEndingAsReadLands(t *testing.T) {
+	writeDone := DoorbellWire + ZSSD.Write4K
+	for _, c := range []struct {
+		lands sim.Time
+		extra sim.Time
+	}{
+		{writeDone, 0},
+		{writeDone - 1, sim.Time(float64(ZSSD.Read4K) * ZSSD.WriteInterference)},
+	} {
+		eng, dev, _ := newDev(t, noJitter(ZSSD), nil)
+		dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpWrite, CID: 1, NSID: 1, SLBA: 0})
+		eng.Post(c.lands-DoorbellWire, func() {
+			dev.Deliver(dev.port(1), nvme.Command{Opcode: nvme.OpRead, CID: 2, NSID: 1, SLBA: uint64(ZSSD.Channels)})
+		})
+		eng.Run()
+		if want := writeDone + ZSSD.Read4K + c.extra; eng.Now() != want {
+			t.Errorf("read landing at %v finished at %v, want %v", c.lands, eng.Now(), want)
 		}
 	}
 }
