@@ -21,7 +21,8 @@ race:
 # miss path (smu.BenchmarkHandleMiss), one device command from Deliver to
 # notify (ssd.BenchmarkDeliver), the OS fault-and-evict path
 # (kernel.BenchmarkMajorFaultEvict), the KV op path
-# (workload.BenchmarkKVOp), one user slice (cpu.BenchmarkUserExec) and the
+# (workload.BenchmarkKVOp), one user slice (cpu.BenchmarkUserExec), one
+# kernel charge on a fully decayed thread (cpu.BenchmarkKernelExec) and the
 # root BenchmarkFig* figure summaries. The repository benchmark is bench/
 # (bash bench/run.sh).
 bench-go:

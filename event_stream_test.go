@@ -12,6 +12,8 @@ import (
 	"encoding/hex"
 	"runtime"
 	"testing"
+
+	"hwdp/internal/fs"
 )
 
 // eventStreamDigest runs the fixed-seed FIO workload with an observer on
@@ -41,11 +43,13 @@ func eventStreamDigest(t *testing.T) string {
 // (amd64; the workload does integer-only timing arithmetic but the device
 // jitter path renders through float64, so the pin follows the golden
 // pin's amd64 restriction). Re-pin together with goldenPin on intentional
-// timing-model changes, or, as when the SSD went from three events per
-// command to one, when a change removes events without retiming the rest:
-// the run's 4,403 timestamps then equalled the earlier stream's 5,343 with
-// the device's 470 service and 470 media-done events dropped.
-const eventStreamPin = "f61ed3be597dd123e97e0b46c977939cd60bde036b326edff7d5b76a1ce1e455"
+// timing-model changes, or when a change removes events without retiming
+// the rest. When the SSD went from three events per command to one, the
+// run's 4,403 timestamps equalled the earlier stream's 5,343 with the
+// device's 470 service and 470 media-done events dropped; when the SMU's
+// doorbell-tail refill became a sim.Mark, its 3,934 equalled those 4,403
+// with the 469 doorbell-tail events dropped.
+const eventStreamPin = "34ab227e174d890ca9fe07ffb392237029451cf48084afe55e3eeee992dd2d3d"
 
 func TestEventStreamPinned(t *testing.T) {
 	d1 := eventStreamDigest(t)
@@ -59,5 +63,28 @@ func TestEventStreamPinned(t *testing.T) {
 	if d1 != eventStreamPin {
 		t.Fatalf("event-stream digest changed:\n  got  %s\n  want %s\n"+
 			"(re-pin only together with goldenPin, for sanctioned timing-model changes)", d1, eventStreamPin)
+	}
+}
+
+// eventsPerHWDPMiss is how many engine events one cold HWDP file miss
+// fires on an idle machine from the access to its result: the MMU's page
+// walk, the SMU's admission and issue, the device's one completion, and
+// the SMU's page-table update and notify. Folding or splitting any stage
+// of the miss pipeline moves this number.
+const eventsPerHWDPMiss = 6
+
+func TestEventsPerHWDPMiss(t *testing.T) {
+	raw := New(det(HWDP)).Raw()
+	va, _, err := raw.MapFile("probe", 16, fs.SeededInit(1), raw.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired, handled := raw.Eng.Fired(), raw.SMUs[0].Stats().Handled
+	raw.MeasureSingleFault(raw.WorkloadThread(0), va)
+	if n := raw.SMUs[0].Stats().Handled - handled; n != 1 {
+		t.Fatalf("SMU handled %d misses, want the one cold miss", n)
+	}
+	if n := raw.Eng.Fired() - fired; n != eventsPerHWDPMiss {
+		t.Fatalf("one cold HWDP miss fired %d events, want %d", n, eventsPerHWDPMiss)
 	}
 }

@@ -34,6 +34,15 @@
 // which charge up to Now. Reading an HWThread's Counters field directly
 // mid-slice shows only the quanta charged so far, and after
 // sim.Engine.RunUntil Now is the last fired event, not the deadline.
+//
+// KernelExec flushes a warmth that decays below the smallest normal
+// float64 (2^-1022) to zero. A thread that only runs kernel work, such as
+// kswapd's, would otherwise sit at 5e-324, which each further decay
+// rounds back to itself, and every multiply on a subnormal takes a slow
+// microcode assist on x86. The flush is exact: every reader adds warmth
+// to IPCFloor or subtracts it from 1 (userIPCAt, charge's cold,
+// planQuantum's recovery), and for a w below 2^-54 those results round to
+// exactly what w = 0 gives whenever IPCFloor is at least 1/2 (it is 0.55).
 package cpu
 
 import (
@@ -273,6 +282,10 @@ func (c *CPU) Thread(i int) *HWThread {
 
 func expNeg(x float64) float64 { return math.Exp(-x) }
 
+// minNormal is the smallest normal float64, 2^-1022. KernelExec flushes a
+// warmth below it to zero.
+const minNormal = 0x1p-1022
+
 // memoSlots sizes the warmth-factor memos (a power of two).
 const memoSlots = 256
 
@@ -477,6 +490,9 @@ func (c *CPU) KernelExec(t *HWThread, dur sim.Time, done func()) {
 	t.KernelInstr += instr
 	t.KernelTime += dur
 	t.warmth *= c.pollution(instr)
+	if t.warmth < minNormal {
+		t.warmth = 0 // see the package comment: exact, and no subnormal arithmetic
+	}
 	t.state = RunningKernel
 	c.siblingMoved(t)
 	t.done = done

@@ -115,6 +115,73 @@ func TestKernelExecPollutes(t *testing.T) {
 	}
 }
 
+// TestKernelOnlyWarmthReachesZero runs a thread through nothing but short
+// kernel charges, as kswapd's is. Each 1 µs charge decays warmth by about
+// 0.73, which rounds the smallest subnormal, 5e-324, back to itself; the
+// flush takes it to exactly 0 instead.
+func TestKernelOnlyWarmthReachesZero(t *testing.T) {
+	eng, c := newCPU(1)
+	th := c.Thread(0)
+	if f := c.pollution(uint64(sim.Micro(1).ToCycles())); f < 0.5 {
+		t.Fatalf("pollution factor %v: want one above 1/2, which keeps a subnormal stuck", f)
+	}
+	for i := 0; i < 5000; i++ {
+		c.KernelExec(th, sim.Micro(1), func() {})
+		eng.Run()
+	}
+	if w := th.Warmth(); w != 0 {
+		t.Fatalf("warmth after 5,000 kernel charges = %v, want exactly 0", w)
+	}
+}
+
+// TestSubnormalWarmthPlansLikeZero checks that the flush moves no bit: a
+// quantum planned and charged from any warmth the flush removes gives the
+// same duration, warmth and counters as one from warmth 0.
+func TestSubnormalWarmthPlansLikeZero(t *testing.T) {
+	_, c := newCPU(1)
+	run := func(w float64, chunk uint64, f float64) (quantumPlan, HWThread) {
+		th := HWThread{warmth: w}
+		q := c.planQuantum(w, chunk, f)
+		c.charge(&th, chunk, q)
+		return q, th
+	}
+	for _, w := range []float64{5e-324, 0x1p-1050, 0x1p-1022 - 5e-324} {
+		if w >= minNormal || w == 0 {
+			t.Fatalf("warmth %v is not a subnormal", w)
+		}
+		for _, chunk := range []uint64{0, 1, 7232, 8000, userQuantum} {
+			for _, f := range []float64{1, c.params.SMTShare} {
+				gq, gt := run(w, chunk, f)
+				wq, wt := run(0, chunk, f)
+				if gq != wq || gt.warmth != wt.warmth || gt.Counters != wt.Counters {
+					t.Fatalf("w=%v chunk=%d f=%v: got %+v %+v %+v, from 0 %+v %+v %+v",
+						w, chunk, f, gq, gt.warmth, gt.Counters, wq, wt.warmth, wt.Counters)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelExec charges 1 µs of kernel work to a thread whose
+// warmth has already decayed to the bottom, as kswapd's has for most of a
+// run.
+func BenchmarkKernelExec(b *testing.B) {
+	eng, c := newCPU(1)
+	th := c.Thread(0)
+	th.warmth = 5e-324
+	done := false
+	fin := func() { done = true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done = false
+		c.KernelExec(th, sim.Micro(1), fin)
+		for !done {
+			eng.Step()
+		}
+	}
+}
+
 func TestPollutionMemoMatchesExp(t *testing.T) {
 	// Instruction counts that share a memo slot evict each other; every
 	// lookup, hit or miss, returns exactly the recomputed factor.

@@ -57,6 +57,7 @@ func (ev *Event) Pending() bool { return ev != nil && ev.idx >= 0 }
 type Engine struct {
 	now   Time
 	seq   uint64
+	last  uint64 // seq of the event firing now, or fired last (see Reached)
 	queue []*Event
 	free  []*Event
 	fired uint64
@@ -172,7 +173,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.at
+	e.now, e.last = ev.at, ev.seq
 	e.fired++
 	if e.obs != nil {
 		e.obs(ev.at)
@@ -202,10 +203,35 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline && len(e.queue) == 0 {
-		e.now = deadline
+	if e.now <= deadline && len(e.queue) == 0 {
+		e.now, e.last = deadline, e.seq
 	}
 	return e.now
+}
+
+// Mark is a slot in the engine's event order: a time and a seq, taken the
+// way an event takes them but with nothing scheduled. A component whose
+// event would only change the component's own state can take a mark
+// instead of posting it, and make the change the first time it is touched
+// once the mark is Reached. Every event then sees the state it would have
+// seen had the event fired, ties at one picosecond included.
+type Mark struct {
+	at  Time
+	seq uint64
+}
+
+// MarkAfter takes the slot that PostArg(d, ...) would give an event now.
+func (e *Engine) MarkAfter(d Time) Mark {
+	m := Mark{at: max(e.now+d, e.now), seq: e.seq}
+	e.seq++
+	return m
+}
+
+// Reached reports whether an event in m's slot would have fired by now:
+// m comes before the event firing now (or the last one fired), or, once
+// RunUntil has drained the queue, at or before its deadline.
+func (e *Engine) Reached(m Mark) bool {
+	return m.at < e.now || m.at == e.now && m.seq < e.last
 }
 
 // Pending returns the number of events in the queue. Canceled events leave

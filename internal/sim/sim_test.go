@@ -296,3 +296,72 @@ func TestRandIntnPanics(t *testing.T) {
 	}()
 	NewRand(1).Intn(0)
 }
+
+// TestMarkReachedMatchesEvent drives two engines through one random
+// schedule in which events post further events and take marks at small
+// delays, so many land on one picosecond. On one engine a mark is
+// MarkAfter; on the other it is a real event that records its firing. In
+// every event, Reached on the first must agree with fired on the second.
+func TestMarkReachedMatchesEvent(t *testing.T) {
+	run := func(seed uint64, real bool) []bool {
+		e := NewEngine()
+		r := NewRand(seed)
+		var marks []Mark
+		var fired, log []bool
+		steps := 0
+		var step func()
+		step = func() {
+			for i := range fired {
+				if real {
+					log = append(log, fired[i])
+				} else {
+					log = append(log, e.Reached(marks[i]))
+				}
+			}
+			if steps++; steps > 300 {
+				return
+			}
+			for k := r.Intn(3); k > 0; k-- {
+				d := Time(r.Intn(4))
+				if r.Intn(2) == 0 {
+					e.Post(d, step)
+					continue
+				}
+				i := len(fired)
+				fired = append(fired, false)
+				if real {
+					e.Post(d, func() { fired[i] = true })
+				} else {
+					marks = append(marks, e.MarkAfter(d))
+				}
+			}
+		}
+		e.Post(0, step)
+		e.Run()
+		return log
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		want, got := run(seed, true), run(seed, false)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d observations, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: observation %d: Reached %v, event fired %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRunUntilDrainReachesMarks: once RunUntil has drained the queue, a
+// mark at or before its deadline counts as reached, as an event there
+// would have fired; one after it does not.
+func TestRunUntilDrainReachesMarks(t *testing.T) {
+	e := NewEngine()
+	var at, after Mark
+	e.Post(10, func() { at, after = e.MarkAfter(0), e.MarkAfter(1) })
+	e.RunUntil(10)
+	if !e.Reached(at) || e.Reached(after) {
+		t.Fatalf("after draining to 10: mark at 10 reached %v, at 11 reached %v", e.Reached(at), e.Reached(after))
+	}
+}

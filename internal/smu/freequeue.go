@@ -1,6 +1,9 @@
 package smu
 
-import "hwdp/internal/mem"
+import (
+	"hwdp/internal/mem"
+	"hwdp/internal/sim"
+)
 
 // FrameRecord is one entry of the free page queue: a physical frame number
 // and the DMA address the NVMe command will target (paper: "a circular
@@ -35,6 +38,13 @@ type FreeQueue struct {
 	bufCap  int
 	pops    uint64
 	refills uint64
+
+	// due holds the prefetches the SMU made due at marks in the engine's
+	// event order (prefetchAt), oldest first. Every method that reads or
+	// changes the ring or the buffer first runs those already reached, so
+	// it sees the queue as it would be had each prefetch been an event.
+	eng *sim.Engine
+	due []sim.Mark
 }
 
 // NewFreeQueue creates a queue with the given ring depth and prefetch
@@ -59,10 +69,16 @@ func (q *FreeQueue) Depth() int { return q.depth - 1 }
 
 // Len returns the number of records in the ring (excluding the prefetch
 // buffer).
-func (q *FreeQueue) Len() int { return (q.tail - q.head + q.depth) % q.depth }
+func (q *FreeQueue) Len() int {
+	q.catchUp()
+	return (q.tail - q.head + q.depth) % q.depth
+}
 
 // Buffered returns the number of records in the prefetch buffer.
-func (q *FreeQueue) Buffered() int { return len(q.buf) - q.bufHead }
+func (q *FreeQueue) Buffered() int {
+	q.catchUp()
+	return len(q.buf) - q.bufHead
+}
 
 // Space returns how many records the producer can still push.
 func (q *FreeQueue) Space() int { return q.Depth() - q.Len() }
@@ -70,6 +86,7 @@ func (q *FreeQueue) Space() int { return q.Depth() - q.Len() }
 // Push appends records (producer side). It returns the number actually
 // enqueued (stops when the ring is full).
 func (q *FreeQueue) Push(recs []FrameRecord) int {
+	q.catchUp()
 	n := 0
 	for _, r := range recs {
 		if (q.tail+1)%q.depth == q.head {
@@ -86,10 +103,50 @@ func (q *FreeQueue) Push(recs []FrameRecord) int {
 }
 
 // Prefetch moves up to the buffer capacity of records from the ring into
-// the SMU-internal buffer. Hardware runs this opportunistically (e.g.
-// during device I/O time); the model invokes it at miss-handling
-// completion and at refill.
+// the SMU-internal buffer. Hardware runs this opportunistically; the SMU
+// runs it when its doorbell write for a read has crossed the wire (the
+// device I/O time hides it), when an anonymous zero-fill retires (no
+// device time did), and at refill.
 func (q *FreeQueue) Prefetch() {
+	q.catchUp()
+	q.prefetch()
+}
+
+// prefetchAt makes a Prefetch due at mark m, which must not come before
+// the marks already due. An SMU issue makes one due at the end of its
+// doorbell wire in place of posting an event there.
+func (q *FreeQueue) prefetchAt(m sim.Mark) {
+	q.catchUp()
+	// Every mark left is unreached, and a PMSHR record has at most one of
+	// those: its next issue is an event posted once its command has
+	// completed or timed out, no earlier than the end of the wire, so it
+	// fires after the mark. So due, sized to the PMSHR, never outgrows its
+	// capacity.
+	q.due = q.due[:len(q.due)+1]
+	q.due[len(q.due)-1] = m
+}
+
+// catchUp runs the prefetches whose marks the engine has reached.
+func (q *FreeQueue) catchUp() {
+	if len(q.due) > 0 {
+		q.runDue()
+	}
+}
+
+// runDue is catchUp's slow path. One prefetch stands for all the reached
+// marks: nothing touched the queue in between.
+func (q *FreeQueue) runDue() {
+	n := 0
+	for n < len(q.due) && q.eng.Reached(q.due[n]) {
+		n++
+	}
+	if n > 0 {
+		q.due = q.due[:copy(q.due, q.due[n:])]
+		q.prefetch()
+	}
+}
+
+func (q *FreeQueue) prefetch() {
 	if q.bufHead > 0 {
 		// Compact consumed slots so append reuses the backing array.
 		n := copy(q.buf, q.buf[q.bufHead:])
@@ -108,6 +165,7 @@ func (q *FreeQueue) Prefetch() {
 // both the buffer and the ring are empty — the case where the SMU fails
 // the miss back to the OS.
 func (q *FreeQueue) Pop() (rec FrameRecord, fromBuffer, ok bool) {
+	q.catchUp()
 	if q.bufHead < len(q.buf) {
 		rec = q.buf[q.bufHead]
 		q.bufHead++
@@ -132,6 +190,7 @@ func (q *FreeQueue) Pop() (rec FrameRecord, fromBuffer, ok bool) {
 // frame is still free and must not leak. The buffer may transiently exceed
 // its capacity; Prefetch simply stays idle until pops drain it back down.
 func (q *FreeQueue) Requeue(rec FrameRecord) {
+	q.catchUp()
 	//hwdp:ignore hotalloc failure-path only (frame recycle after I/O error or race yield); a transient over-capacity append drains back via pops
 	q.buf = append(q.buf, rec)
 }

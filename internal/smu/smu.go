@@ -12,6 +12,16 @@
 // rather than a hash map. A record is reset when its miss retires and
 // reused by the next claim of its slot, so steady-state miss handling
 // performs no heap allocations (pinned by TestMissPathAllocationBudget).
+// The scan visits only the occupied records, kept in an unordered list;
+// a PTE has at most one record (admission coalesces), so the order of
+// the scan cannot change what it finds.
+//
+// A miss fires one engine event per pipeline stage (admission, command
+// issue, page-table update, notify), except the prefetch refill at the
+// end of the doorbell wire: issue takes that slot in the event order as a
+// sim.Mark, and the free page queue runs the refill the first time it is
+// touched after it, so every operation sees the queue exactly as if the
+// refill had been an event.
 package smu
 
 import (
@@ -145,10 +155,11 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Backoff: sim.Micro(5)}
 }
 
-// pmshrEntry is one PMSHR record. idx is its fixed slot index; every
-// other field is reset when the miss retires.
+// pmshrEntry is one PMSHR record. idx is its fixed slot index and gen is
+// kept across misses; every other field is reset when the miss retires.
 type pmshrEntry struct {
 	idx     int
+	pos     int // the record's place in the SMU's live list while occupied
 	pteAddr pagetable.EntryAddr
 	req     Request
 	frame   FrameRecord
@@ -195,7 +206,7 @@ type SMU struct {
 	timing Timing
 
 	pmshr       []pmshrEntry  // the PMSHR records, one per slot
-	slots       []*pmshrEntry // the CAM's view of pmshr: nil = free slot
+	live        []*pmshrEntry // the occupied records, unordered: the CAM scans these
 	freeIdx     []int
 	cidShift    uint // command IDs carry the slot index below this bit
 	policy      RetryPolicy
@@ -236,7 +247,6 @@ type SMU struct {
 	// pipeline stage costs no closure allocation.
 	admitFn    func(any)
 	issueFn    func(any)
-	doorbellFn func(any)
 	timeoutFn  func(any)
 	ptUpdateFn func(any)
 	notifyFn   func(any)
@@ -262,7 +272,7 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		eng:         eng,
 		timing:      DefaultTiming(),
 		pmshr:       make([]pmshrEntry, entries),
-		slots:       make([]*pmshrEntry, entries),
+		live:        make([]*pmshrEntry, 0, entries),
 		cidShift:    uint(bits.Len(uint(entries - 1))),
 		policy:      DefaultRetryPolicy(),
 		backlogWait: metrics.NewHistogram(),
@@ -274,7 +284,9 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		per = 2
 	}
 	for i := 0; i < cores; i++ {
-		s.freeqs = append(s.freeqs, NewFreeQueue(per, PrefetchBufEntries))
+		q := NewFreeQueue(per, PrefetchBufEntries)
+		q.eng, q.due = eng, make([]sim.Mark, 0, entries)
+		s.freeqs = append(s.freeqs, q)
 	}
 	for i := entries - 1; i >= 0; i-- {
 		s.pmshr[i].idx = i
@@ -293,14 +305,6 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 		done.call(res, pte)
 	}
 	s.issueFn = func(a any) { s.issue(a.(*pmshrEntry)) }
-	s.doorbellFn = func(a any) {
-		// The device already took the command off the doorbell wire (issue
-		// hands it to Device.Deliver); this stage models the SMU-side tail
-		// of the doorbell write. Opportunistically refill the prefetch
-		// buffer during the device I/O time — this is what hides the memory
-		// latency of free-page fetches.
-		s.queueFor(a.(*pmshrEntry).req.Core).Prefetch()
-	}
 	s.timeoutFn = func(a any) { s.onTimeout(a.(*pmshrEntry)) }
 	s.ptUpdateFn = func(a any) { s.ptUpdate(a.(*pmshrEntry)) }
 	s.notifyFn = func(a any) { s.notify(a.(*pmshrEntry)) }
@@ -418,8 +422,8 @@ func (s *SMU) SetPSI(p *metrics.PSI) { s.psi = p }
 // lookup scans the PMSHR slots for an outstanding miss on a PTE — the CAM
 // lookup the hardware performs on every request.
 func (s *SMU) lookup(addr pagetable.EntryAddr) *pmshrEntry {
-	for _, e := range s.slots {
-		if e != nil && e.pteAddr == addr {
+	for _, e := range s.live {
+		if e.pteAddr == addr {
 			return e
 		}
 	}
@@ -626,7 +630,11 @@ func (s *SMU) admit(req Request, done doneRef) {
 	e.pteAddr, e.req, e.frame, e.dev = addr, req, rec, dev
 	//hwdp:ignore hotalloc waiters backing array is retained by the PMSHR record (finish hands every record a cleared list back), so steady-state appends do not allocate
 	e.waiters = append(e.waiters, done)
-	s.slots[idx] = e
+	// live has the PMSHR's capacity and holds only occupied records, so
+	// reslicing by one never outgrows it.
+	e.pos = len(s.live)
+	s.live = s.live[:e.pos+1]
+	s.live[e.pos] = e
 
 	t := s.timing
 	if anon {
@@ -661,8 +669,9 @@ func (s *SMU) nextCID(e *pmshrEntry) uint16 {
 	return e.gen<<s.cidShift | uint16(e.idx)
 }
 
-// issue submits (or resubmits) the read command for a PMSHR entry and arms
-// the completion timeout.
+// issue submits (or resubmits) the read command for a PMSHR entry, arms
+// the completion timeout and makes the prefetch refill due at the end of
+// the doorbell wire.
 //
 //hwdp:hotpath
 func (s *SMU) issue(e *pmshrEntry) {
@@ -688,7 +697,10 @@ func (s *SMU) issue(e *pmshrEntry) {
 	}
 	e.req.Trace.AddSpan(trace.LayerNVMe, "sq-doorbell", now, now+ssd.DoorbellWire)
 	e.dev.dev.Deliver(e.dev.port, cmd)
-	s.eng.PostArg(ssd.DoorbellWire, s.doorbellFn, e)
+	// Once the doorbell write has crossed the wire, refill the prefetch
+	// buffer during the device I/O time: this is what hides the memory
+	// latency of free-page fetches.
+	s.queueFor(e.req.Core).prefetchAt(s.eng.MarkAfter(ssd.DoorbellWire))
 }
 
 // onTimeout fires when a submitted command produced no completion within
@@ -825,9 +837,14 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 	// waiter may admit a new miss into the slot at once. The waiters are
 	// notified from their own list, which then becomes the spare.
 	addr, waiters := e.pteAddr, e.waiters
+	last := len(s.live) - 1
+	moved := s.live[last]
+	moved.pos = e.pos
+	s.live[e.pos] = moved
+	s.live[last] = nil
+	s.live = s.live[:last]
 	*e = pmshrEntry{idx: e.idx, gen: e.gen, waiters: s.spareWaiters}
 	s.spareWaiters = nil
-	s.slots[e.idx] = nil
 	//hwdp:ignore hotalloc freeIdx was filled to full PMSHR depth at construction; append never exceeds that retained capacity
 	s.freeIdx = append(s.freeIdx, e.idx)
 	for i, w := range waiters {

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hwdp/internal/fault"
 	"hwdp/internal/mem"
-
 	"hwdp/internal/nvme"
 	"hwdp/internal/pagetable"
 	"hwdp/internal/sim"
@@ -399,6 +399,117 @@ func TestPrefetchHidesMemoryLatency(t *testing.T) {
 	r.eng.Run()
 	if st := r.smu.Stats(); st.BufferMisses != 0 {
 		t.Fatalf("buffer misses = %d", st.BufferMisses)
+	}
+}
+
+// TestPrefetchRefillKeepsEventOrder pins where issue's prefetch refill
+// sits: in the event-order slot of an event posted at issue for the end of
+// the doorbell wire. A pop inside the wire still misses the buffer. At the
+// end of the wire, an event posted before the issue runs before the
+// refill, and one posted after it sees the buffer full.
+func TestPrefetchRefillKeepsEventOrder(t *testing.T) {
+	r := newRig(t, 64)
+	q := r.smu.FreeQueue()
+	for q.Buffered() > 0 {
+		q.Pop()
+	}
+	tm := r.smu.Timing()
+	issueAt := 2*tm.ReqRegWrite + tm.CAMLookup + tm.FreePageMem + tm.PMSHRWrite + tm.CmdWrite
+	wireEnd := issueAt + ssd.DoorbellWire
+	inside, postedBefore, postedAfter := true, -1, -1
+	r.eng.Post(wireEnd, func() { postedBefore = q.Buffered() })
+	r.eng.Post(issueAt+ssd.DoorbellWire/2, func() {
+		_, inside, _ = q.Pop()
+		r.eng.Post(wireEnd-r.eng.Now(), func() { postedAfter = q.Buffered() })
+	})
+	r.smu.HandleMissArg(r.request(0x1000, 1), func(any, Result, pagetable.Entry) {}, nil)
+	r.eng.Run()
+	if inside {
+		t.Error("a pop inside the doorbell wire came from the prefetch buffer, want the ring")
+	}
+	if postedBefore != 0 || postedAfter != PrefetchBufEntries {
+		t.Errorf("buffered at the end of the wire = %d posted before the issue, %d posted after; want 0 and %d",
+			postedBefore, postedAfter, PrefetchBufEntries)
+	}
+	if st := r.smu.Stats(); st.BufferMisses != 1 || st.Handled != 1 {
+		t.Fatalf("stats %+v: want the one miss handled after one buffer miss", st)
+	}
+}
+
+// TestCAMLookupMatchesBruteForce drives a small PMSHR through random
+// admissions, coalesced duplicates, retirements (some failing, so their
+// frames recycle), anonymous fills and backlog overflow, and after every
+// step checks lookup against a scan of every occupied record.
+func TestCAMLookupMatchesBruteForce(t *testing.T) {
+	const pages = 12
+	var coalesced, backlogged, recycled uint64
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := newRig(t, 0)
+		s := NewPerCore(r.eng, 0, 4096, 4, 1)
+		s.AttachDevice(0, r.dev, 101, 1)
+		s.Refill(recs(2048, 1000))
+		r.dev.SetInjector(fault.NewInjector(sim.NewRand(seed),
+			fault.Rule{Kind: fault.Transient, Prob: 0.2}, fault.Rule{Kind: fault.UECC, Prob: 0.1}))
+		rng := sim.NewRand(seed)
+		var addrs [pages]pagetable.EntryAddr
+		reqs := make([]Request, pages)
+		for i := range reqs {
+			reqs[i] = r.request(pagetable.VAddr(0x100000+i*0x1000), uint64(i))
+			if i%4 == 3 {
+				reqs[i].Block.LBA = pagetable.AnonFirstTouch
+			}
+			addrs[i] = reqs[i].PTE.Addr()
+		}
+		check := func(step int) {
+			free := map[int]bool{}
+			for _, i := range s.freeIdx {
+				free[i] = true
+			}
+			if len(s.live) != s.Outstanding() {
+				t.Fatalf("seed %d step %d: %d live records, %d outstanding", seed, step, len(s.live), s.Outstanding())
+			}
+			for i, e := range s.live {
+				if e.pos != i || free[e.idx] {
+					t.Fatalf("seed %d step %d: live[%d] is slot %d at pos %d (free %v)", seed, step, i, e.idx, e.pos, free[e.idx])
+				}
+			}
+			for _, a := range addrs {
+				var want *pmshrEntry
+				for i := range s.pmshr {
+					if !free[i] && s.pmshr[i].pteAddr == a {
+						if want != nil {
+							t.Fatalf("seed %d step %d: two records for one PTE", seed, step)
+						}
+						want = &s.pmshr[i]
+					}
+				}
+				if got := s.lookup(a); got != want {
+					t.Fatalf("seed %d step %d: lookup = %p, brute force %p", seed, step, got, want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) == 0 {
+				i := rng.Intn(pages)
+				if e := reqs[i].PTE.Get(); e.Present() {
+					// Evict the page, so it can miss again.
+					reqs[i].PTE.Set(pagetable.MakeLBA(reqs[i].Block, reqs[i].Prot))
+				}
+				s.HandleMissArg(reqs[i], func(any, Result, pagetable.Entry) {}, nil)
+			} else {
+				r.eng.Step()
+			}
+			check(step)
+		}
+		r.eng.Run()
+		check(-1)
+		st := s.Stats()
+		coalesced += st.Coalesced
+		backlogged += st.Backlogged
+		recycled += st.FramesRecycled
+	}
+	if coalesced == 0 || backlogged == 0 || recycled == 0 {
+		t.Fatalf("coalesced %d, backlogged %d, recycled %d: want every path exercised", coalesced, backlogged, recycled)
 	}
 }
 
