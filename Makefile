@@ -118,21 +118,19 @@ output-diff:
 fmt:
 	gofmt -w .
 
-# lint runs the stock go vet analyzers plus the repo's own hwdplint suite
+# lint runs the stock go vet analyzers, then the repo's own analyzer suite
 # (determinism, pool pairing, sim-time units, status-switch
 # exhaustiveness, and the interprocedural sharedstate/hotalloc proofs over
-# per-package callgraph facts: no state shared between concurrent sweep
-# units, and an allocation-free miss path). See
-# docs/ANALYSIS.md for the analyzers and the //hwdp:ignore syntax. The
-# wall-clock budget keeps the fact-driven vettool pass honest: blowing it
-# means facts stopped caching (check the -V=full fingerprint) or an
-# analyzer went superlinear.
+# the whole module's call graph: no state shared between concurrent sweep
+# units, and an allocation-free miss path) through its one driver, the
+# in-process TestLintClean gate. See docs/ANALYSIS.md for the analyzers
+# and the //hwdp:ignore syntax. The wall-clock budget catches an analyzer
+# that went superlinear.
 LINT_BUDGET_SECS ?= 120
 lint:
 	@start=$$(date +%s); \
 	$(GO) vet ./... && \
-	$(GO) build -o bin/hwdplint ./cmd/hwdplint && \
-	$(GO) vet -vettool=$(CURDIR)/bin/hwdplint ./... || exit $$?; \
+	$(GO) test -count=1 -run TestLintClean . || exit $$?; \
 	elapsed=$$(( $$(date +%s) - start )); \
 	echo "lint wall-clock: $${elapsed}s (budget $(LINT_BUDGET_SECS)s)"; \
 	if [ $$elapsed -gt $(LINT_BUDGET_SECS) ]; then \

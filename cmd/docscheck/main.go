@@ -23,7 +23,7 @@
 //     a registered flag, so the reference cannot drift from the binary's
 //     actual surface in either direction;
 //
-// and, for the hwdplint suite:
+// and, for the analyzer suite:
 //
 //   - every analyzer in suite.Analyzers has a `### <name>` section under
 //     "## The analyzers" in docs/ANALYSIS.md, and every section there names
@@ -322,7 +322,7 @@ func checkAnalyzerDocs(root string, addf func(string, ...any)) {
 	docPath := filepath.Join(root, "docs", "ANALYSIS.md")
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
-		addf("%s: missing; it documents the hwdplint analyzers", docPath)
+		addf("%s: missing; it documents the analyzer suite", docPath)
 		return
 	}
 	known := map[string]bool{"hwdpignore": true}

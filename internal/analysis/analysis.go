@@ -1,7 +1,8 @@
 // Package analysis is the repo's static-analysis substrate: a small,
 // dependency-free mirror of the golang.org/x/tools/go/analysis API plus the
-// driver glue shared by cmd/hwdplint, the analysistest-style golden runner,
-// and the tier-1 lint regression test.
+// driver glue shared by the analysistest-style golden runner and the
+// tier-1 lint regression test (TestLintClean, the one driver of the suite
+// over the real tree).
 //
 // The toolchain image this repository builds in has no module network
 // access, so the framework is implemented on the standard library alone
@@ -37,8 +38,8 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and suppressions; it
 	// must be a single lowercase word.
 	Name string
-	// Doc is the analyzer's one-paragraph description (shown by
-	// `hwdplint -help`).
+	// Doc is the analyzer's one-paragraph description (cmd/docscheck
+	// checks that docs/ANALYSIS.md documents every analyzer).
 	Doc string
 	// Run executes the check over one package and reports findings
 	// through the Pass.
@@ -98,11 +99,11 @@ type Unit struct {
 	// Info holds type-checker facts (Types, Defs, Uses, Selections must
 	// be populated).
 	Info *types.Info
-	// Facts is the driver-attached cross-package fact store (in practice
-	// a *callgraph.Registry). It is typed as any to keep the framework
-	// free of a dependency on the fact format; interprocedural analyzers
-	// assert the concrete type and degrade to local-only checks when it
-	// is absent.
+	// Facts is the driver-attached cross-package fact store, a
+	// *callgraph.Registry (callgraph.SummarizeAll attaches it). It is
+	// typed as any to keep the framework free of a dependency on the fact
+	// format; the interprocedural analyzers assert the concrete type and
+	// fail when it is absent.
 	Facts any
 
 	sups     []*suppression
@@ -301,24 +302,8 @@ var HotPathPackages = regexp.MustCompile(`^hwdp/internal/(sim|smu|mmu|nvme|ssd|k
 // analyzer behavior is identical in and out of tests.
 const SimPackagePath = "hwdp/internal/sim"
 
-// NormalizePkgPath strips the decorations the go command adds to test
-// variants ("pkg [pkg.test]", "pkg.test") so path gates see the plain
-// import path.
-func NormalizePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, ".test")
-}
-
-// IsHotPathPkg reports whether the package path (possibly a test variant)
-// is part of the simulator hot path.
+// IsHotPathPkg reports whether the package path is part of the simulator
+// hot path.
 func IsHotPathPkg(path string) bool {
-	return HotPathPackages.MatchString(NormalizePkgPath(path))
-}
-
-// IsSimPkg reports whether path is the sim package itself (conversion
-// helpers live there, so simtime exempts it).
-func IsSimPkg(path string) bool {
-	return NormalizePkgPath(path) == SimPackagePath
+	return HotPathPackages.MatchString(path)
 }

@@ -1,18 +1,15 @@
-// Package callgraph gives the hwdplint suite an interprocedural spine: a
+// Package callgraph gives the analyzer suite an interprocedural spine: a
 // per-package summary of each function's outgoing calls and
 // interprocedurally-relevant sites ("atoms"), a class-hierarchy method
-// index for resolving interface calls, and a registry that merges the
-// summaries of a package's dependency closure so analyzers can walk the
-// call graph across package boundaries.
+// index for resolving interface calls, and a registry that holds the
+// summaries of every package in a load so analyzers can walk the call
+// graph across package boundaries.
 //
-// Summaries are plain data (JSON), serialized per package. Under the
-// `go vet -vettool` protocol cmd/hwdplint writes each package's summary to
-// the vet facts file the go command provides (vet.cfg VetxOutput) and
-// reads its dependencies' summaries back (vet.cfg PackageVetx), so facts
-// flow between separate tool invocations exactly like x/tools analyzer
-// facts. In-process drivers (the TestLintClean gate and the analyzertest
-// fixture harness) summarize the whole load in dependency order with
-// SummarizeAll.
+// SummarizeAll summarizes a whole in-process load (suite.RunAll, which
+// the TestLintClean gate drives, and the analyzertest fixture harness) in
+// dependency order into one registry and attaches it to every unit. Every
+// unit of a load shares one token.FileSet, so the positions a summary
+// records are valid in every package that walks it.
 //
 // The graph is a deliberate over-approximation, resolved class-hierarchy
 // style:
@@ -35,17 +32,14 @@
 package callgraph
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"os"
+	"path/filepath"
 	"sort"
 	"strings"
-)
 
-// Version tags the serialized fact format; a registry silently drops
-// summaries written by a different format version.
-const Version = 3
+	"hwdp/internal/analysis"
+)
 
 // Atom is one interprocedurally-relevant site inside a function: a
 // potential heap allocation (Analyzer "hotalloc") or a shared-state
@@ -60,10 +54,8 @@ type Atom struct {
 	Kind string
 	// Msg describes the site for diagnostics.
 	Msg string
-	// Pos is the site position as "file.go:line" (base filename).
-	Pos string
-
-	pos token.Pos // valid only in the summarizing process
+	// Pos is the site position.
+	Pos token.Pos
 }
 
 // Edge is one outgoing call-graph edge of a function.
@@ -75,60 +67,39 @@ type Edge struct {
 	// Target is a function key "pkgpath::local" for call/ref edges, or a
 	// method selector "Name|signature" for iface edges.
 	Target string
-	// Pos is the call or binding site as "file.go:line".
-	Pos string
-
-	pos token.Pos // valid only in the summarizing process
+	// Pos is the call or binding site.
+	Pos token.Pos
 }
 
 // FuncFacts is the summary of one function (or function literal, keyed
 // "parent$n").
 type FuncFacts struct {
 	// Atoms are the function's own relevant sites.
-	Atoms []Atom `json:",omitempty"`
+	Atoms []Atom
 	// Edges are the function's outgoing edges, in source order.
-	Edges []Edge `json:",omitempty"`
+	Edges []Edge
 	// Hot marks a //hwdp:hotpath root for the hotalloc analyzer.
-	Hot bool `json:",omitempty"`
+	Hot bool
 	// Cold holds the //hwdp:coldpath reason; hotalloc stops descending
 	// into cold functions (sharedstate does not: cold code shares state
 	// just the same).
-	Cold string `json:",omitempty"`
+	Cold string
 }
 
-// PkgFacts is the serialized summary of one package.
+// PkgFacts is the summary of one package.
 type PkgFacts struct {
-	// Version is the fact format version.
-	Version int
-	// Pkg is the normalized import path.
+	// Pkg is the import path.
 	Pkg string
 	// Funcs maps local function keys ("Name", "(Recv).Name",
 	// "(Recv).Name$1") to their summaries.
-	Funcs map[string]*FuncFacts `json:",omitempty"`
+	Funcs map[string]*FuncFacts
 	// Methods is the class-hierarchy index: "Name|signature" to the local
 	// keys of this package's concrete methods with that name and
 	// signature.
-	Methods map[string][]string `json:",omitempty"`
+	Methods map[string][]string
 }
 
-// Encode serializes the summary for a vet facts file.
-func (p *PkgFacts) Encode() ([]byte, error) {
-	return json.Marshal(p)
-}
-
-// Decode parses a serialized summary, rejecting other format versions.
-func Decode(data []byte) (*PkgFacts, error) {
-	var p PkgFacts
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, err
-	}
-	if p.Version != Version {
-		return nil, fmt.Errorf("fact version %d, want %d", p.Version, Version)
-	}
-	return &p, nil
-}
-
-// Registry merges the summaries of a package and its dependency closure.
+// Registry holds the summaries of every package in a load.
 type Registry struct {
 	pkgs  map[string]*PkgFacts
 	paths []string // sorted keys of pkgs, for deterministic iteration
@@ -149,30 +120,19 @@ func (r *Registry) Add(p *PkgFacts) {
 	r.pkgs[p.Pkg] = p
 }
 
-// LoadFile reads a serialized summary from a vet facts file. Unreadable,
-// empty, or version-mismatched files are skipped without error: the go
-// command may hand the tool facts files written by other configurations,
-// and a missing summary only widens the analysis' blind spot, which the
-// walk already treats as opaque.
-func (r *Registry) LoadFile(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		return
+// RegistryOf returns the registry SummarizeAll attached to the unit. A
+// unit without one was not summarized: that is a driver bug, reported as
+// an error rather than a silently narrower walk.
+func RegistryOf(u *analysis.Unit) (*Registry, error) {
+	reg, ok := u.Facts.(*Registry)
+	if !ok {
+		return nil, fmt.Errorf("%s: no callgraph registry attached (summarize the load with callgraph.SummarizeAll)", u.Pkg.Path())
 	}
-	p, err := Decode(data)
-	if err != nil {
-		return
-	}
-	r.Add(p)
-}
-
-// Pkg returns the summary for a normalized import path, or nil.
-func (r *Registry) Pkg(path string) *PkgFacts {
-	return r.pkgs[path]
+	return reg, nil
 }
 
 // Func resolves a global function key "pkgpath::local", or nil when the
-// package or function is unknown (stdlib, un-summarized dependency).
+// package or function is unknown (stdlib, a package outside the load).
 func (r *Registry) Func(key string) *FuncFacts {
 	pkg, local, ok := SplitKey(key)
 	if !ok {
@@ -223,4 +183,11 @@ func DisplayKey(key string) string {
 		return local
 	}
 	return pkg + "." + local
+}
+
+// ShortPos renders a position as "file.go:line" (base filename), the form
+// diagnostics quote for sites and calls in other packages.
+func ShortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

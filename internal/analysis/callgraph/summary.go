@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,8 +28,8 @@ const (
 
 // Summarize builds the package summary for one unit, adds it to the
 // registry, and attaches the registry to the unit (Unit.Facts) for the
-// analyzers. Dependencies must be summarized (or loaded from facts files)
-// into the same registry first, in dependency order.
+// analyzers. Dependencies must be summarized into the same registry first,
+// in dependency order; SummarizeAll does that for a whole load.
 //
 // Non-module packages get an empty summary: the walk treats them as
 // opaque, and allocating stdlib calls are recorded as atoms at the caller.
@@ -38,8 +37,8 @@ const (
 // here — in the defining package, where the waiver can sit next to the
 // code it excuses — and the waiver is marked used for the stale check.
 func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
-	path := analysis.NormalizePkgPath(u.Pkg.Path())
-	pf := &PkgFacts{Version: Version, Pkg: path, Funcs: map[string]*FuncFacts{}, Methods: map[string][]string{}}
+	path := u.Pkg.Path()
+	pf := &PkgFacts{Pkg: path, Funcs: map[string]*FuncFacts{}, Methods: map[string][]string{}}
 	defer func() {
 		reg.Add(pf)
 		u.Facts = reg
@@ -87,18 +86,17 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 
 // SummarizeAll summarizes a whole in-process load into one fresh
 // registry, each unit after the units it imports, so cross-package walks
-// see complete facts. Imports outside units stay opaque. It is the
-// in-process equivalent of the vet driver's facts files.
+// see complete facts. Imports outside units stay opaque.
 func SummarizeAll(units []*analysis.Unit) *Registry {
 	byPath := make(map[string]*analysis.Unit, len(units))
 	for _, u := range units {
-		byPath[analysis.NormalizePkgPath(u.Pkg.Path())] = u
+		byPath[u.Pkg.Path()] = u
 	}
 	reg := NewRegistry()
 	done := make(map[string]bool, len(units))
 	var visit func(u *analysis.Unit)
 	visit = func(u *analysis.Unit) {
-		path := analysis.NormalizePkgPath(u.Pkg.Path())
+		path := u.Pkg.Path()
 		if done[path] {
 			return
 		}
@@ -106,7 +104,7 @@ func SummarizeAll(units []*analysis.Unit) *Registry {
 		imps := u.Pkg.Imports()
 		paths := make([]string, 0, len(imps))
 		for _, imp := range imps {
-			paths = append(paths, analysis.NormalizePkgPath(imp.Path()))
+			paths = append(paths, imp.Path())
 		}
 		sort.Strings(paths)
 		for _, p := range paths {
@@ -185,7 +183,7 @@ func FuncKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return ""
 	}
-	return JoinKey(analysis.NormalizePkgPath(fn.Pkg().Path()), localFuncKey(fn))
+	return JoinKey(fn.Pkg().Path(), localFuncKey(fn))
 }
 
 // sigString renders a signature with the receiver stripped and parameter
@@ -200,9 +198,7 @@ func sigString(sig *types.Signature) string {
 		return types.NewTuple(vars...)
 	}
 	stripped := types.NewSignatureType(nil, nil, nil, anon(sig.Params()), anon(sig.Results()), sig.Variadic())
-	return types.TypeString(stripped, func(p *types.Package) string {
-		return analysis.NormalizePkgPath(p.Path())
-	})
+	return types.TypeString(stripped, (*types.Package).Path)
 }
 
 // allocPkgs lists standard-library calls recorded as allocation atoms at
@@ -292,12 +288,6 @@ func (w *funcWalker) inPanic(pos token.Pos) bool {
 	return false
 }
 
-// posString renders a position as "file.go:line".
-func (s *summarizer) posString(pos token.Pos) string {
-	p := s.u.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
 // atom records one site unless a //hwdp:ignore at the site waives it.
 func (w *funcWalker) atom(analyzer, kind string, pos token.Pos, format string, args ...any) {
 	if w.s.u.Suppresses(analyzer, pos) {
@@ -307,8 +297,7 @@ func (w *funcWalker) atom(analyzer, kind string, pos token.Pos, format string, a
 		Analyzer: analyzer,
 		Kind:     kind,
 		Msg:      fmt.Sprintf(format, args...),
-		Pos:      w.s.posString(pos),
-		pos:      pos,
+		Pos:      pos,
 	})
 }
 
@@ -328,7 +317,7 @@ func (w *funcWalker) sharedAtom(kind string, pos token.Pos, format string, args 
 
 // edge records one outgoing edge.
 func (w *funcWalker) edge(kind, target string, pos token.Pos) {
-	w.ff.Edges = append(w.ff.Edges, Edge{Kind: kind, Target: target, Pos: w.s.posString(pos), pos: pos})
+	w.ff.Edges = append(w.ff.Edges, Edge{Kind: kind, Target: target, Pos: pos})
 }
 
 func (w *funcWalker) visit(n ast.Node) bool {
@@ -469,7 +458,7 @@ func (w *funcWalker) funcRef(expr ast.Expr, id *ast.Ident) {
 		return
 	}
 	fn = fn.Origin()
-	if fn.Pkg() == nil || !strings.HasPrefix(analysis.NormalizePkgPath(fn.Pkg().Path()), "hwdp") {
+	if fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "hwdp") {
 		return
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -553,7 +542,7 @@ func (w *funcWalker) call(call *ast.CallExpr) {
 	if fn.Pkg() == nil {
 		return
 	}
-	ppath := analysis.NormalizePkgPath(fn.Pkg().Path())
+	ppath := fn.Pkg().Path()
 	denylisted := false
 	if !strings.HasPrefix(ppath, "hwdp") {
 		if fns, ok := allocPkgs[ppath]; ok && (fns == nil || fns[fn.Name()]) {

@@ -10,8 +10,8 @@ import (
 type Step struct {
 	// Callee is the global key of the function entered.
 	Callee string
-	// CallPos is the "file.go:line" site of the call in the caller.
-	CallPos string
+	// CallPos is the site of the call in the caller.
+	CallPos token.Pos
 }
 
 // Finding is one atom reached from a root by the transitive walk.
@@ -25,27 +25,17 @@ type Finding struct {
 	// Chain is the call path from Root to Func (empty when the atom is in
 	// the root itself).
 	Chain []Step
-	// FirstHopPos is the token position of the first call out of the
-	// root, valid in the summarizing process (the root's own package is
-	// always summarized by the reporting pass). Zero when the atom is in
-	// the root itself — report at Atom's own position then.
-	FirstHopPos token.Pos
 }
 
-// ReportPos returns the position to anchor a diagnostic for the finding:
-// the atom's own position when it sits in the root function (always in
-// the reporting package), otherwise the first call out of the root.
+// ReportPos returns the position to anchor a diagnostic for the finding
+// in the root's package: the atom's own position when it sits in the root
+// function, otherwise the first call out of the root.
 func (f *Finding) ReportPos() token.Pos {
 	if len(f.Chain) == 0 {
-		return f.SitePos()
+		return f.Atom.Pos
 	}
-	return f.FirstHopPos
+	return f.Chain[0].CallPos
 }
-
-// SitePos returns the atom's own position. It is valid only when the
-// atom's package was summarized in this process, which always holds for
-// the reporting package's own sites.
-func (f *Finding) SitePos() token.Pos { return f.Atom.pos }
 
 // pred records how the walk first reached a function.
 type pred struct {
@@ -81,7 +71,7 @@ func (r *Registry) Reachable(root, analyzer string, honorCold bool) []Finding {
 				continue
 			}
 			f := Finding{Root: root, Func: key, Atom: a}
-			f.Chain, f.FirstHopPos = r.chain(preds, root, key)
+			f.Chain = chain(preds, root, key)
 			out = append(out, f)
 		}
 		for i := range ff.Edges {
@@ -108,29 +98,25 @@ func (r *Registry) Reachable(root, analyzer string, honorCold bool) []Finding {
 }
 
 // chain reconstructs the call path root -> ... -> key from the
-// predecessor map, returning the steps and the token position of the
-// first hop out of the root.
-func (r *Registry) chain(preds map[string]pred, root, key string) ([]Step, token.Pos) {
+// predecessor map.
+func chain(preds map[string]pred, root, key string) []Step {
 	var rev []Step
-	var firstHop token.Pos
 	for key != root {
 		p := preds[key]
 		rev = append(rev, Step{Callee: key, CallPos: p.edge.Pos})
-		if p.from == root {
-			firstHop = p.edge.pos
-		}
 		key = p.from
 	}
 	steps := make([]Step, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
 		steps = append(steps, rev[i])
 	}
-	return steps, firstHop
+	return steps
 }
 
 // RenderChain formats a discovery chain for a diagnostic:
 // "smu.(SMU).admit (smu.go:530) -> trace.(Miss).AddSpan (trace.go:162)".
-func RenderChain(chain []Step) string {
+// fset is the load's shared FileSet.
+func RenderChain(fset *token.FileSet, chain []Step) string {
 	var b strings.Builder
 	for i, s := range chain {
 		if i > 0 {
@@ -138,7 +124,7 @@ func RenderChain(chain []Step) string {
 		}
 		b.WriteString(DisplayKey(s.Callee))
 		b.WriteString(" (")
-		b.WriteString(s.CallPos)
+		b.WriteString(ShortPos(fset, s.CallPos))
 		b.WriteString(")")
 	}
 	return b.String()

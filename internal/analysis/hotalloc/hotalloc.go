@@ -53,7 +53,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.HasPrefix(analysis.NormalizePkgPath(pass.Pkg.Path()), "hwdp") {
+	reg, err := callgraph.RegistryOf(pass.Unit)
+	if err != nil {
+		return err
+	}
+	if !strings.HasPrefix(pass.Pkg.Path(), "hwdp") {
 		return nil
 	}
 	var roots []*ast.FuncDecl
@@ -86,10 +90,6 @@ func run(pass *analysis.Pass) error {
 			})
 		}
 	}
-	reg, ok := pass.Unit.Facts.(*callgraph.Registry)
-	if !ok {
-		return nil // fact-less driver: local checks only
-	}
 	seen := map[string]bool{}
 	for _, fd := range roots {
 		root := callgraph.DeclFuncKey(pass.TypesInfo, fd)
@@ -97,22 +97,20 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, finding := range reg.Reachable(root, "hotalloc", true) {
-			key := finding.Func + "|" + finding.Atom.Pos + "|" + finding.Atom.Kind
-			if seen[key] || posted[finding.SitePos()] {
+			site := callgraph.ShortPos(pass.Fset, finding.Atom.Pos)
+			key := finding.Func + "|" + site + "|" + finding.Atom.Kind
+			if seen[key] || posted[finding.Atom.Pos] {
 				continue
 			}
 			seen[key] = true
 			pos := finding.ReportPos()
-			if !pos.IsValid() {
-				pos = fd.Name.Pos()
-			}
 			if len(finding.Chain) == 0 {
 				pass.Reportf(pos, "hot path %s: %s — the miss path must stay allocation-free (pool the object, pre-bind the callback, or mark the branch //hwdp:coldpath <reason>)",
 					callgraph.DisplayKey(root), finding.Atom.Msg)
 				continue
 			}
 			pass.Reportf(pos, "hot path %s reaches a heap allocation: %s: %s at %s — pool it, pre-bind it, or mark the branch //hwdp:coldpath <reason>",
-				callgraph.DisplayKey(root), callgraph.RenderChain(finding.Chain), finding.Atom.Msg, finding.Atom.Pos)
+				callgraph.DisplayKey(root), callgraph.RenderChain(pass.Fset, finding.Chain), finding.Atom.Msg, site)
 		}
 	}
 	return nil

@@ -1,9 +1,10 @@
-// Package loader type-checks this module's packages for the in-process
-// analysis run (the TestLintClean lint regression test). It shells out to
-// `go list -deps -export -json`, which builds export data for every
-// dependency; the named module packages are then parsed from source and
-// type-checked against that export data — the same split the `go vet`
-// driver uses, without requiring go/packages.
+// Package loader type-checks this module's packages for the analyzer
+// suite's one driver (suite.RunAll, run over the real tree by the
+// TestLintClean lint gate). It shells out to `go list -deps -export
+// -json`, which builds export data for every dependency; the named module
+// packages are then parsed from source and type-checked against that
+// export data, all into one shared token.FileSet — the split go vet itself
+// uses, without requiring go/packages.
 package loader
 
 import (
@@ -85,7 +86,7 @@ func Load(dir string, patterns ...string) ([]*analysis.Unit, error) {
 
 	var units []*analysis.Unit
 	for _, p := range targets {
-		files, err := ParseFiles(fset, p.Dir, p.GoFiles)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -100,17 +101,12 @@ func Load(dir string, patterns ...string) ([]*analysis.Unit, error) {
 	return units, nil
 }
 
-// ParseFiles parses a package's source files with comments (paths may be
-// relative to dir, as go list reports them, or absolute, as vet.cfg
-// supplies them).
-func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+// parseFiles parses a package's source files, named relative to dir as go
+// list reports them, with comments.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}

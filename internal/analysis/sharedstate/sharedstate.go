@@ -38,14 +38,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !analysis.IsHotPathPkg(pass.Pkg.Path()) {
+	reg, err := callgraph.RegistryOf(pass.Unit)
+	if err != nil {
+		return err
+	}
+	pkg := pass.Pkg.Path()
+	if !analysis.IsHotPathPkg(pkg) {
 		return nil
 	}
-	reg, ok := pass.Unit.Facts.(*callgraph.Registry)
-	if !ok {
-		return nil // fact-less driver: nothing to walk
-	}
-	pkg := analysis.NormalizePkgPath(pass.Pkg.Path())
 	seen := map[string]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -58,22 +58,19 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			for _, finding := range reg.Reachable(root, pass.Analyzer.Name, false) {
-				key := finding.Func + "|" + finding.Atom.Pos + "|" + finding.Atom.Kind
+				site := callgraph.ShortPos(pass.Fset, finding.Atom.Pos)
+				key := finding.Func + "|" + site + "|" + finding.Atom.Kind
 				if seen[key] {
 					continue
 				}
 				seen[key] = true
 				if fpkg, _, _ := callgraph.SplitKey(finding.Func); fpkg == pkg {
-					pass.Reportf(finding.SitePos(), "model code %s: %s — state must live on a model component, and hand-offs must be engine events",
+					pass.Reportf(finding.Atom.Pos, "model code %s: %s — state must live on a model component, and hand-offs must be engine events",
 						callgraph.DisplayKey(finding.Func), finding.Atom.Msg)
 					continue
 				}
-				pos := finding.ReportPos()
-				if !pos.IsValid() {
-					pos = fd.Name.Pos()
-				}
-				pass.Reportf(pos, "model code %s reaches shared state: %s: %s at %s — state must live on a model component, not be shared across concurrent sweep units",
-					callgraph.DisplayKey(root), callgraph.RenderChain(finding.Chain), finding.Atom.Msg, finding.Atom.Pos)
+				pass.Reportf(finding.ReportPos(), "model code %s reaches shared state: %s: %s at %s — state must live on a model component, not be shared across concurrent sweep units",
+					callgraph.DisplayKey(root), callgraph.RenderChain(pass.Fset, finding.Chain), finding.Atom.Msg, site)
 			}
 		}
 	}

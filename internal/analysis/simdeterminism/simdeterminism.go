@@ -151,7 +151,7 @@ func (w *effectWalker) classifyCall(call *ast.CallExpr, depth int) (string, toke
 	if pkg == nil {
 		return "", token.NoPos // builtins like error.Error
 	}
-	path := analysis.NormalizePkgPath(pkg.Path())
+	path := pkg.Path()
 	switch path {
 	case "hwdp/internal/metrics":
 		return "writes metrics (" + fn.Name() + ")", call.Pos()
@@ -170,7 +170,7 @@ func (w *effectWalker) classifyCall(call *ast.CallExpr, depth int) (string, toke
 		}
 	}
 	// Same-package callee: walk into its body (the "small taint walk").
-	if path == analysis.NormalizePkgPath(w.pass.Pkg.Path()) {
+	if path == w.pass.Pkg.Path() {
 		if depth >= maxCalleeDepth || w.visited[fn] {
 			return "", token.NoPos
 		}

@@ -160,7 +160,7 @@ func familyOf(c *types.Const) (*family, *types.Package) {
 	if pkg == nil {
 		return nil, nil
 	}
-	path := analysis.NormalizePkgPath(pkg.Path())
+	path := pkg.Path()
 	for i := range families {
 		f := &families[i]
 		if f.pkg != path {

@@ -1,7 +1,6 @@
-// Package suite registers the repo's analyzers in one place, shared by
-// cmd/hwdplint and the repo-level lint regression test, and provides the
-// whole-load driver that threads callgraph facts between packages in
-// dependency order.
+// Package suite registers the repo's analyzers in one place and provides
+// their one driver: RunAll over a loader.Load of the module, which the
+// repo-level TestLintClean gate (and so `make lint`) runs.
 package suite
 
 import (
@@ -15,7 +14,7 @@ import (
 	"hwdp/internal/analysis/statuscase"
 )
 
-// Analyzers is the full hwdplint suite, in reporting order.
+// Analyzers is the full suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
 	sharedstate.Analyzer,

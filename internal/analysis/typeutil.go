@@ -64,7 +64,7 @@ func IsSimTime(t types.Type) bool {
 		return false
 	}
 	path, name := NamedPathAndName(t)
-	return name == "Time" && IsSimPkg(path)
+	return name == "Time" && path == SimPackagePath
 }
 
 // IsTimeDuration reports whether t is the standard library's
@@ -97,7 +97,7 @@ func IsEngineScheduler(fn *types.Func) (string, bool) {
 		return "", false
 	}
 	path, name := NamedPathAndName(sig.Recv().Type())
-	if name != "Engine" || !IsSimPkg(path) {
+	if name != "Engine" || path != SimPackagePath {
 		return "", false
 	}
 	if _, known := EngineSchedulers[fn.Name()]; !known {

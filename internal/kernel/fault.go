@@ -518,9 +518,12 @@ func (k *Kernel) refillSMU(s *smu.SMU) int {
 		if space <= 0 {
 			continue
 		}
-		frames := k.mem.AllocN(space)
-		recs := make([]smu.FrameRecord, len(frames))
-		for i, f := range frames {
+		recs := k.refillRecs[:space]
+		for i := range recs {
+			f, err := k.mem.Alloc()
+			if err != nil {
+				panic("kernel: allocator ran dry inside a sized refill")
+			}
 			recs[i] = smu.RecordFor(f)
 		}
 		if n := s.RefillCore(core, recs); n != len(recs) {

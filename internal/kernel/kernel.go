@@ -372,6 +372,10 @@ type Kernel struct {
 	// smus holds the SMUs indexed by socket ID; refill sweeps visit them
 	// in SID order, so frames are handed out deterministically.
 	smus []*smu.SMU
+	// refillRecs is refillSMU's scratch batch, sized at AttachSMU to the
+	// deepest free page queue so a refill never allocates (Push copies
+	// the records out).
+	refillRecs []smu.FrameRecord
 
 	// procs holds every process in creation order, so process ASID sits
 	// at procs[ASID-1] (ASIDs count up from 1).
@@ -567,6 +571,11 @@ func (k *Kernel) AttachSMU(s *smu.SMU) {
 		panic(fmt.Sprintf("kernel: SMU %d attached after %d SMUs (want SIDs 0, 1, ... in order)", s.SID, len(k.smus)))
 	}
 	k.smus = append(k.smus, s)
+	for _, q := range s.Queues() {
+		if q.Depth() > len(k.refillRecs) {
+			k.refillRecs = make([]smu.FrameRecord, q.Depth())
+		}
+	}
 }
 
 // Start primes the free page queues and launches the background threads.

@@ -8,14 +8,15 @@ import (
 	"hwdp/internal/analysis/suite"
 )
 
-// TestLintClean is the tier-1 regression gate for the hwdplint analyzers:
-// the whole module must type-check and produce zero unsuppressed
-// diagnostics. A new wall-clock read, unpaired pool acquire, unit-less
-// sim.Time constant, hot-path capturing closure, non-exhaustive status
-// switch, allocation reachable from a //hwdp:hotpath root, or shared-state
-// site reachable from hot-path model code fails this test — the same
-// findings `make lint` reports through the vettool, run in process
-// (suite.RunAll summarizes callgraph facts with callgraph.SummarizeAll).
+// TestLintClean is the analyzer suite's one driver over the real tree and
+// its tier-1 regression gate (`make lint` runs it after go vet): the whole
+// module must type-check and produce zero unsuppressed diagnostics. A new
+// wall-clock read, unpaired pool acquire, unit-less sim.Time constant,
+// hot-path capturing closure, non-exhaustive status switch, allocation
+// reachable from a //hwdp:hotpath root, or shared-state site reachable
+// from hot-path model code fails this test (suite.RunAll summarizes the
+// module's call graph with callgraph.SummarizeAll, then runs every
+// analyzer).
 func TestLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lint pass recompiles the module for export data; skipped in -short mode")
