@@ -27,10 +27,7 @@
 //
 //   - every analyzer in suite.Analyzers has a `### <name>` section under
 //     "## The analyzers" in docs/ANALYSIS.md, and every section there names
-//     a registered analyzer (or hwdpignore, the suppression check);
-//   - every pool declared with `//hwdp:pool acquire NAME` in a Go file
-//     outside testdata is named in docs/ANALYSIS.md's list of annotated
-//     pools, and every name in that list is declared so.
+//     a registered analyzer (or hwdpignore, the suppression check).
 //
 // It exits non-zero and lists each violation as file:line when anything
 // fails, so it slots directly into CI.
@@ -80,10 +77,6 @@ func main() {
 		os.Exit(1)
 	}
 	checkAnalyzerDocs(*root, addf)
-	if err := checkPoolDocs(*root, addf); err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(1)
-	}
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -349,87 +342,6 @@ func checkAnalyzerDocs(root string, addf func(string, ...any)) {
 		}
 	}
 }
-
-// poolListStart opens the paragraph of docs/ANALYSIS.md that names every
-// annotated pool in backquotes.
-const poolListStart = "Annotated pools on the current tree"
-
-// poolAcquire matches a pool's acquire directive, a line comment of its
-// own, and captures the pool's name.
-var poolAcquire = regexp.MustCompile(`^//hwdp:pool acquire (\S+)`)
-
-// checkPoolDocs requires every pool declared by an acquire directive in a
-// Go file outside testdata to be named in the pool list of
-// docs/ANALYSIS.md, and every name in that list to be declared so.
-func checkPoolDocs(root string, addf func(string, ...any)) error {
-	docPath := filepath.Join(root, "docs", "ANALYSIS.md")
-	doc, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil // checkAnalyzerDocs reports the missing file
-	}
-	listed := map[string]int{} // pool name -> doc line
-	var order []string
-	if i := strings.Index(string(doc), poolListStart); i >= 0 {
-		para, _, _ := strings.Cut(string(doc)[i:], "\n\n")
-		first := strings.Count(string(doc[:i]), "\n") + 1
-		for j, line := range strings.Split(para, "\n") {
-			for _, m := range backquoted.FindAllStringSubmatch(line, -1) {
-				for _, name := range strings.Split(m[1], "/") {
-					if _, dup := listed[name]; !dup {
-						listed[name] = first + j
-						order = append(order, name)
-					}
-				}
-			}
-		}
-	} else {
-		addf("%s: no paragraph starting %q lists the annotated pools", docPath, poolListStart)
-	}
-	declared := map[string]bool{}
-	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := poolAcquire.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				declared[m[1]] = true
-				if _, ok := listed[m[1]]; !ok {
-					addf("%s:%d: pool %q is not in the pool list of docs/ANALYSIS.md",
-						path, fset.Position(c.Pos()).Line, m[1])
-				}
-			}
-		}
-		return nil
-	})
-	for _, name := range order {
-		if !declared[name] {
-			addf("%s:%d: pool %q in the pool list has no //hwdp:pool acquire directive outside testdata",
-				docPath, listed[name], name)
-		}
-	}
-	return err
-}
-
-// backquoted captures the text of a `code span`.
-var backquoted = regexp.MustCompile("`([^`]+)`")
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 

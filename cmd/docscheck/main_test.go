@@ -114,63 +114,6 @@ func main() {
 	}
 }
 
-// TestPoolDocsDrift checks the pool-list check in both directions: a pool
-// whose acquire directive is missing from the list in docs/ANALYSIS.md is
-// reported at its directive's line, and a listed name no directive outside
-// testdata declares (a retired pool, or one declared only in a fixture) at
-// its doc line. Listed pools (also in a/b form), pools declared under
-// testdata, and a directive quoted inside a comment or a string literal
-// are not reported.
-func TestPoolDocsDrift(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, body string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("docs/ANALYSIS.md", "# Static analysis\n\n"+
-		"Annotated pools on the current tree include `event` and\n`entry`/`req` (SMU), `fixture`.\n\n"+
-		"Later text naming `stale` is not the list.\n")
-	write("internal/x/x.go", `package x
-
-//	//hwdp:pool acquire quoted
-
-//hwdp:pool acquire event
-func getEvent() {}
-
-//hwdp:pool acquire req result=1
-func getReq() {}
-
-//hwdp:pool acquire stale
-func getStale() {}
-`+"\nvar doc = \x60\n//hwdp:pool acquire instring\n\x60\n")
-	write("internal/x/testdata/src/p/p.go", "package p\n\n//hwdp:pool acquire fixture\nfunc get() {}\n")
-	var problems []string
-	if err := checkPoolDocs(root, func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf(format, args...))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		`x.go:11: pool "stale" is not in the pool list`,
-		`ANALYSIS.md:4: pool "entry" in the pool list has no //hwdp:pool acquire directive`,
-		`ANALYSIS.md:4: pool "fixture" in the pool list has no //hwdp:pool acquire directive`,
-	}
-	if len(problems) != len(want) {
-		t.Fatalf("problems = %q, want %q", problems, want)
-	}
-	for i, w := range want {
-		if !strings.Contains(problems[i], w) {
-			t.Errorf("problem %d = %q, want %q", i, problems[i], w)
-		}
-	}
-}
-
 // TestCommandDocsDrift checks the documented-command check: inside fenced
 // code blocks, a `go run` of a missing directory or of a directory without
 // a package main, and a hwdpbench flag cmd/hwdpbench does not register, are

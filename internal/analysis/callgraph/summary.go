@@ -20,10 +20,6 @@ const (
 	// ColdDirective (with a mandatory reason) stops the hotalloc walk:
 	// the function is off the steady-state path by construction.
 	ColdDirective = "//hwdp:coldpath"
-	// poolDirective is poolpair's accessor annotation; pool accessors are
-	// exempt from hotalloc atoms (refill/growth is the amortized,
-	// warm-up-only allocation the AllocsPerRun pins already discount).
-	poolDirective = "//hwdp:pool"
 )
 
 // Summarize builds the package summary for one unit, adds it to the
@@ -71,7 +67,7 @@ func Summarize(u *analysis.Unit, reg *Registry) *PkgFacts {
 			ff := &FuncFacts{}
 			ff.Hot, ff.Cold = parseDirectives(fd.Doc)
 			pf.Funcs[key] = ff
-			s.walkFunc(key, ff, fd.Body, isPoolAccessor(fd.Doc))
+			s.walkFunc(key, ff, fd.Body)
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 				sel := fn.Name() + "|" + sigString(sig)
 				pf.Methods[sel] = append(pf.Methods[sel], key)
@@ -136,19 +132,6 @@ func parseDirectives(doc *ast.CommentGroup) (hot bool, cold string) {
 		}
 	}
 	return hot, cold
-}
-
-// isPoolAccessor reports whether the doc carries a //hwdp:pool directive.
-func isPoolAccessor(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, poolDirective) {
-			return true
-		}
-	}
-	return false
 }
 
 // localFuncKey names a function within its package: "Name" for package
@@ -228,12 +211,10 @@ type summarizer struct {
 	pkg string
 }
 
-// walkFunc summarizes one function body into ff. poolFn suppresses
-// hotalloc atoms (pool accessors allocate only to grow the pool, which
-// the alloc pins amortize away); closures inherit it.
-func (s *summarizer) walkFunc(key string, ff *FuncFacts, body ast.Node, poolFn bool) {
+// walkFunc summarizes one function body into ff.
+func (s *summarizer) walkFunc(key string, ff *FuncFacts, body ast.Node) {
 	w := &funcWalker{
-		s: s, key: key, ff: ff, poolFn: poolFn,
+		s: s, key: key, ff: ff,
 		callees: map[ast.Node]bool{},
 		handled: map[ast.Node]bool{},
 	}
@@ -243,11 +224,10 @@ func (s *summarizer) walkFunc(key string, ff *FuncFacts, body ast.Node, poolFn b
 
 // funcWalker holds per-function walk state.
 type funcWalker struct {
-	s      *summarizer
-	key    string
-	ff     *FuncFacts
-	poolFn bool
-	lits   int
+	s    *summarizer
+	key  string
+	ff   *FuncFacts
+	lits int
 	// callees marks expressions serving as a call's function operand, so
 	// the identifier visitors do not double-count them as value
 	// references.
@@ -301,10 +281,10 @@ func (w *funcWalker) atom(analyzer, kind string, pos token.Pos, format string, a
 	})
 }
 
-// allocAtom records a hotalloc atom, subject to the pool-accessor and
-// panic-argument exemptions.
+// allocAtom records a hotalloc atom, subject to the panic-argument
+// exemption.
 func (w *funcWalker) allocAtom(kind string, pos token.Pos, format string, args ...any) {
-	if w.poolFn || w.inPanic(pos) {
+	if w.inPanic(pos) {
 		return
 	}
 	w.atom("hotalloc", kind, pos, format, args...)
@@ -332,7 +312,7 @@ func (w *funcWalker) visit(n ast.Node) bool {
 		}
 		litFF := &FuncFacts{}
 		w.s.pf.Funcs[litKey] = litFF
-		w.s.walkFunc(litKey, litFF, n.Body, w.poolFn)
+		w.s.walkFunc(litKey, litFF, n.Body)
 		return false
 	case *ast.CallExpr:
 		w.call(n)

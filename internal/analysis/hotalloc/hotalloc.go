@@ -15,9 +15,10 @@
 //
 //	//hwdp:coldpath <reason>
 //
-// (failure/diagnostic paths that run off the steady state), inside
-// //hwdp:pool accessors (pool growth is the amortized warm-up allocation
-// the pins already discount), and inside panic(...) arguments. The
+// (failure/diagnostic paths that run off the steady state) and inside
+// panic(...) arguments; a single site is excused by an
+// //hwdp:ignore hotalloc waiver, as sim.Pool's two growth sites are (pool
+// growth is the amortized warm-up allocation the pins discount). The
 // annotations matter at the boundaries the call graph cannot see: event
 // callbacks dispatched through pooled func values (the engine fire loop)
 // are reached dynamically, not through a static edge, so each stage entry

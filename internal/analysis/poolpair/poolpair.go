@@ -1,23 +1,25 @@
-// Package poolpair verifies pooled-object discipline: every value taken
-// from an object pool must, on every control-flow path, either be handed
-// back to its pool or handed off (stored, returned, passed on, or captured
-// — ownership transfer). It is the static twin of the dynamic
+// Package poolpair verifies pooled-object discipline: every record taken
+// from a sim.Pool must, on every control-flow path, either be handed back
+// to its pool or handed off (stored, returned, passed on, or captured —
+// ownership transfer). It is the static twin of the dynamic
 // frame-conservation property test: the property test catches a leak when
 // a run happens to execute the leaky path; poolpair rejects the path at
 // vet time.
 //
-// Pools are declared, not guessed. A pool's accessors carry directives in
-// their doc comments:
+// The pool type carries what the check needs. An acquire is a call of
+// sim.Pool's Get and a release a call of its Put, matched through the
+// method's origin against the sim package path, so every pool in every
+// package is checked without annotations:
 //
-//	//hwdp:pool acquire req
-//	func (s *SMU) getReq() *pendingReq { ... }
+//	c := s.reqs.Get()
+//	...
+//	s.reqs.Put(c)
 //
-//	//hwdp:pool release req
-//	func (s *SMU) putReq(c *pendingReq) { ... }
-//
-// An optional "result=N" selects which result of a multi-value acquire is
-// the pooled object (default 0). Directives are package-local, matching
-// the repo's pools, which are all unexported.
+// A record handed to the engine comes back as its callback's argument,
+// and the callback owns it again: unpacking a pooled type from an
+// interface value (c := a.(*pendingReq), for a T some sim.Pool[T] of the
+// package holds) is an acquire too, so a callback that forgets the Put is
+// reported.
 //
 // The analysis is flow-sensitive over structured control flow (if/else,
 // switch, return, defer) and deliberately lenient around loops, gotos and
@@ -30,8 +32,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 
 	"hwdp/internal/analysis"
 )
@@ -39,96 +39,20 @@ import (
 // Analyzer is the poolpair check.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolpair",
-	Doc: "check that every pooled acquire (//hwdp:pool acquire) reaches a matching " +
-		"release or ownership hand-off on all return and error paths",
+	Doc: "check that every sim.Pool Get reaches a matching Put or ownership " +
+		"hand-off on all return and error paths",
 	Run: run,
 }
 
-// PoolDirective is the doc-comment prefix declaring a pool accessor.
-const PoolDirective = "//hwdp:pool"
-
-// accessor describes one annotated pool function.
-type accessor struct {
-	kind      string // "acquire" or "release"
-	pool      string
-	resultIdx int
-}
-
-// parseDirective parses one //hwdp:pool comment line; ok is false for
-// non-directive lines. A malformed directive is reported by the caller.
-func parseDirective(text string) (acc accessor, ok bool, malformed string) {
-	if !strings.HasPrefix(text, PoolDirective) {
-		return accessor{}, false, ""
-	}
-	fields := strings.Fields(strings.TrimPrefix(text, PoolDirective))
-	if len(fields) < 2 || (fields[0] != "acquire" && fields[0] != "release") {
-		return accessor{}, false, "want \"//hwdp:pool <acquire|release> <pool> [result=N]\""
-	}
-	acc = accessor{kind: fields[0], pool: fields[1]}
-	for _, f := range fields[2:] {
-		if v, found := strings.CutPrefix(f, "result="); found {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return accessor{}, false, "bad result index " + strconv.Quote(v)
-			}
-			acc.resultIdx = n
-		} else {
-			return accessor{}, false, "unknown option " + strconv.Quote(f)
-		}
-	}
-	return acc, true, ""
-}
-
 func run(pass *analysis.Pass) error {
-	acquires := make(map[*types.Func]accessor)
-	releases := make(map[*types.Func]accessor)
-	releaseName := make(map[string]string) // pool -> a release func name, for messages
-
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				acc, ok, malformed := parseDirective(c.Text)
-				if malformed != "" {
-					pass.Reportf(c.Pos(), "malformed pool directive: %s", malformed)
-					continue
-				}
-				if !ok {
-					continue
-				}
-				fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				if acc.kind == "acquire" {
-					acquires[fn] = acc
-				} else {
-					releases[fn] = acc
-					releaseName[acc.pool] = fn.Name()
-				}
-			}
+	c := &checker{pass: pass, pooled: map[types.Type]bool{}}
+	for id, inst := range pass.TypesInfo.Instances {
+		obj := pass.TypesInfo.Uses[id]
+		if obj != nil && obj.Name() == "Pool" && obj.Pkg() != nil &&
+			obj.Pkg().Path() == analysis.SimPackagePath && inst.TypeArgs.Len() == 1 {
+			c.pooled[inst.TypeArgs.At(0)] = true
 		}
 	}
-	if len(acquires) == 0 {
-		return nil
-	}
-	for pool := range poolsOf(acquires) {
-		if _, ok := releaseName[pool]; !ok {
-			// Without a release the check cannot hold; surface the
-			// misconfiguration at one acquire site.
-			for fn, acc := range acquires {
-				if acc.pool == pool {
-					pass.Reportf(fn.Pos(), "pool %q has an acquire but no //hwdp:pool release in this package", pool)
-					break
-				}
-			}
-		}
-	}
-
-	c := &checker{pass: pass, acquires: acquires, releases: releases, releaseName: releaseName}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -139,19 +63,46 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func poolsOf(m map[*types.Func]accessor) map[string]bool {
-	out := make(map[string]bool)
-	for _, acc := range m {
-		out[acc.pool] = true
+// poolGet returns the pool operand of a call of sim.Pool's Get, as
+// source text ("s.reqs"), or ok false for any other call.
+func (c *checker) poolGet(e ast.Expr) (pool string, ok bool) {
+	call, isCall := ast.Unparen(e).(*ast.CallExpr)
+	if !isCall {
+		return "", false
 	}
-	return out
+	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
+	if fn == nil || fn.Name() != "Get" {
+		return "", false
+	}
+	sig, _ := fn.Origin().Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return "", false
+	}
+	if path, name := analysis.NamedPathAndName(sig.Recv().Type()); name != "Pool" || path != analysis.SimPackagePath {
+		return "", false
+	}
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", false
+	}
+	return types.ExprString(sel.X), true
 }
 
 type checker struct {
-	pass        *analysis.Pass
-	acquires    map[*types.Func]accessor
-	releases    map[*types.Func]accessor
-	releaseName map[string]string
+	pass *analysis.Pass
+	// pooled holds T for every sim.Pool[T] the package instantiates.
+	pooled map[types.Type]bool
+}
+
+// unpacked reports whether e unpacks a pooled record from an interface
+// value (an event callback's argument): arg.(*T) for a pooled T.
+func (c *checker) unpacked(e ast.Expr) bool {
+	ta, isAssert := ast.Unparen(e).(*ast.TypeAssertExpr)
+	if !isAssert || ta.Type == nil {
+		return false
+	}
+	ptr, isPtr := c.pass.TypesInfo.TypeOf(ta.Type).(*types.Pointer)
+	return isPtr && c.pooled[ptr.Elem()]
 }
 
 // checkFunc finds each acquire in the function (including inside closures)
@@ -176,8 +127,8 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 	var walkList func(stmts []ast.Stmt, frames [][]ast.Stmt)
 	walkList = func(stmts []ast.Stmt, frames [][]ast.Stmt) {
 		for i, s := range stmts {
-			if obj, acc, pos, ok := c.acquireIn(s); ok {
-				c.analyze(obj, acc, pos, stmts[i+1:], frames)
+			if obj, pool, pos, ok := c.acquireIn(s); ok {
+				c.analyze(obj, pool, pos, stmts[i+1:], frames)
 			}
 			// Recurse into nested statement lists, tracking enclosing
 			// frames so the analysis can continue past block ends. Loop
@@ -225,66 +176,52 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 	walkList(body.List, nil)
 }
 
-// acquireIn matches `x := pool.Get(...)` (or `=`) and bare `pool.Get(...)`
-// statements, returning the bound object (nil when the result is
-// discarded).
-func (c *checker) acquireIn(s ast.Stmt) (obj types.Object, acc accessor, pos token.Pos, ok bool) {
+// acquireIn matches `x := pool.Get()` (or `=`), `x := arg.(*T)` for a
+// pooled T, and bare `pool.Get()` statements, returning the bound object
+// (nil when the result is discarded) and the pool: its source text, or
+// "" for an unpacked record.
+func (c *checker) acquireIn(s ast.Stmt) (obj types.Object, pool string, pos token.Pos, ok bool) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
-		if len(s.Rhs) != 1 {
-			return nil, accessor{}, token.NoPos, false
+		if len(s.Rhs) != 1 || len(s.Lhs) != 1 {
+			return nil, "", token.NoPos, false
 		}
-		call, isCall := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
-		if !isCall {
-			return nil, accessor{}, token.NoPos, false
+		pool, isGet := c.poolGet(s.Rhs[0])
+		if !isGet {
+			if !c.unpacked(s.Rhs[0]) {
+				return nil, "", token.NoPos, false
+			}
 		}
-		fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
-		a, isAcq := c.acquires[fn]
-		if !isAcq {
-			return nil, accessor{}, token.NoPos, false
+		id, isIdent := s.Lhs[0].(*ast.Ident)
+		if !isIdent {
+			// Stored into a field or an element: a hand-off.
+			return nil, "", token.NoPos, false
 		}
-		if a.resultIdx >= len(s.Lhs) {
-			return nil, a, call.Pos(), true // discarded results
-		}
-		id, isIdent := s.Lhs[a.resultIdx].(*ast.Ident)
-		if !isIdent || id.Name == "_" {
-			// Assigned into a field/index or blank: field stores are a
-			// hand-off; blank is a discard we cannot track further.
-			return nil, accessor{}, token.NoPos, false
+		if id.Name == "_" {
+			return nil, pool, s.Rhs[0].Pos(), true
 		}
 		o := c.pass.TypesInfo.Defs[id]
 		if o == nil {
 			o = c.pass.TypesInfo.Uses[id]
 		}
 		if o == nil {
-			return nil, accessor{}, token.NoPos, false
+			return nil, "", token.NoPos, false
 		}
-		return o, a, call.Pos(), true
+		return o, pool, s.Rhs[0].Pos(), true
 	case *ast.ExprStmt:
-		call, isCall := ast.Unparen(s.X).(*ast.CallExpr)
-		if !isCall {
-			return nil, accessor{}, token.NoPos, false
+		if pool, isGet := c.poolGet(s.X); isGet {
+			return nil, pool, s.X.Pos(), true // result dropped on the floor
 		}
-		fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
-		a, isAcq := c.acquires[fn]
-		if !isAcq {
-			return nil, accessor{}, token.NoPos, false
-		}
-		return nil, a, call.Pos(), true // result dropped on the floor
 	}
-	return nil, accessor{}, token.NoPos, false
+	return nil, "", token.NoPos, false
 }
 
 // analyze checks that obj is consumed on every path through rest (then the
 // enclosing frames). A nil obj means the acquire's result was discarded —
 // an unconditional leak.
-func (c *checker) analyze(obj types.Object, acc accessor, pos token.Pos, rest []ast.Stmt, frames [][]ast.Stmt) {
-	relName := c.releaseName[acc.pool]
-	if relName == "" {
-		return // missing-release misconfiguration already reported
-	}
+func (c *checker) analyze(obj types.Object, pool string, pos token.Pos, rest []ast.Stmt, frames [][]ast.Stmt) {
 	if obj == nil {
-		c.pass.Reportf(pos, "result of pool %q acquire is discarded: the pooled object leaks (release with %s)", acc.pool, relName)
+		c.pass.Reportf(pos, "result of %s.Get is discarded: the pooled record leaks (hand it back with %s.Put)", pool, pool)
 		return
 	}
 	res := c.consume(rest, obj)
@@ -299,9 +236,15 @@ func (c *checker) analyze(obj types.Object, acc accessor, pos token.Pos, rest []
 		}
 		res = c.consume(frames[i], obj)
 	}
-	if res != consumed {
-		c.pass.Reportf(pos, "pooled object %q (pool %q) is not released on every path: a path reaches function exit without %s or a hand-off", obj.Name(), acc.pool, relName)
+	if res == consumed {
+		return
 	}
+	if pool == "" {
+		typ := types.TypeString(obj.Type(), types.RelativeTo(c.pass.Pkg))
+		c.pass.Reportf(pos, "pooled record %q (a %s unpacked from an event argument) is not released on every path: a path reaches function exit without its pool's Put or a hand-off", obj.Name(), typ)
+		return
+	}
+	c.pass.Reportf(pos, "pooled record %q from %s is not released on every path: a path reaches function exit without %s.Put or a hand-off", obj.Name(), pool, pool)
 }
 
 type outcome int

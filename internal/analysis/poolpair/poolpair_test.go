@@ -1,41 +1,12 @@
 package poolpair_test
 
 import (
-	"strings"
 	"testing"
 
-	"hwdp/internal/analysis"
 	"hwdp/internal/analysis/analyzertest"
 	"hwdp/internal/analysis/poolpair"
 )
 
 func TestPoolpair(t *testing.T) {
 	analyzertest.Run(t, "../testdata", "pooltest", poolpair.Analyzer)
-}
-
-// TestMalformedDirectives asserts each broken //hwdp:pool spelling is
-// reported (programmatically: the diagnostics land on the directive
-// comments themselves, where no same-line want comment fits).
-func TestMalformedDirectives(t *testing.T) {
-	u := analyzertest.Load(t, "../testdata", "badpool")
-	diags, err := analysis.Run(u, []*analysis.Analyzer{poolpair.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wants := []string{
-		`want "//hwdp:pool <acquire|release> <pool> [result=N]"`,
-		`bad result index "x"`,
-		`unknown option "flavor=blue"`,
-	}
-	if len(diags) != len(wants) {
-		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(wants), diags)
-	}
-	for i, w := range wants {
-		if !strings.Contains(diags[i].Message, w) {
-			t.Errorf("diagnostic %d = %q, want it to contain %q", i, diags[i].Message, w)
-		}
-		if diags[i].Analyzer != "poolpair" {
-			t.Errorf("diagnostic %d attributed to %q, want poolpair", i, diags[i].Analyzer)
-		}
-	}
 }

@@ -30,7 +30,7 @@ func Bump() { grows++ }
 // seededSMU seeds one violation per analyzer: a hot-path root reaching
 // mmu.Grow's append (hotalloc) and mmu.Bump's package write (sharedstate),
 // a host clock read (simdeterminism), a unit-less Post delay (simtime), a
-// pooled acquire leaked on an early return (poolpair) and a status switch
+// sim.Pool record leaked on an early return (poolpair) and a status switch
 // missing a member without a default (statuscase).
 const seededSMU = `// Package smu is a seeded end-to-end fixture.
 package smu
@@ -48,7 +48,7 @@ type req struct{ next *req }
 // SMU is the seeded unit.
 type SMU struct {
 	e    *sim.Engine
-	free []*req
+	reqs sim.Pool[req]
 }
 
 // HandleMiss is the hot-path root.
@@ -65,30 +65,13 @@ func (s *SMU) Stamp() int64 { return time.Now().UnixNano() }
 // Later posts fn with a unit-less delay.
 func (s *SMU) Later(fn func()) { s.e.Post(500, fn) }
 
-// get takes a pooled request.
-//
-//hwdp:pool acquire req
-func (s *SMU) get() *req {
-	if n := len(s.free); n > 0 {
-		r := s.free[n-1]
-		s.free = s.free[:n-1]
-		return r
-	}
-	return &req{}
-}
-
-// put returns a request to the pool.
-//
-//hwdp:pool release req
-func (s *SMU) put(r *req) { s.free = append(s.free, r) }
-
 // Try leaks its request when it fails.
 func (s *SMU) Try(fail bool) bool {
-	r := s.get()
+	r := s.reqs.Get()
 	if fail {
 		return false
 	}
-	s.put(r)
+	s.reqs.Put(r)
 	return true
 }
 
@@ -164,17 +147,18 @@ func TestRunAllSeededModule(t *testing.T) {
 			t.Errorf("%s reported nothing on its seed", a.Name)
 		}
 	}
-	chains := map[string]string{
+	prefixes := map[string]string{
 		"hotalloc":    "hwdp/internal/smu: hot path smu.(SMU).HandleMiss reaches a heap allocation: mmu.Grow (smu.go:25): append may grow the backing array at mmu.go:7",
 		"sharedstate": "hwdp/internal/smu: model code smu.(SMU).HandleMiss reaches shared state: mmu.Bump (smu.go:24): write to package-level variable grows",
+		"poolpair":    `hwdp/internal/smu: pooled record "r" from s.reqs is not released on every path`,
 	}
-	for name, want := range chains {
+	for name, want := range prefixes {
 		found := false
 		for _, msg := range byAnalyzer[name] {
 			found = found || strings.HasPrefix(msg, want)
 		}
 		if !found {
-			t.Errorf("%s: no finding carries the cross-package chain %q", name, want)
+			t.Errorf("%s: no finding starts %q", name, want)
 		}
 	}
 

@@ -48,3 +48,26 @@ func (e *Engine) Post(d Time, fn func()) {}
 
 // PostArg schedules fn(arg) after d with a pooled event (stub).
 func (e *Engine) PostArg(d Time, fn func(any), arg any) {}
+
+// Pool is a LIFO free list of *T records (stub: the real growth sites and
+// their waivers).
+type Pool[T any] struct {
+	free []*T
+}
+
+// Get takes the record Put last, or a new one (stub).
+func (p *Pool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free = p.free[:n-1]
+		return v
+	}
+	//hwdp:ignore hotalloc fixture: pool growth, only while the list is empty
+	return new(T)
+}
+
+// Put hands v back (stub).
+func (p *Pool[T]) Put(v *T) {
+	//hwdp:ignore hotalloc fixture: pool growth, the list stops growing at the peak in flight
+	p.free = append(p.free, v)
+}

@@ -3,16 +3,19 @@
 // allocations planted at every distance from the //hwdp:hotpath roots —
 // in the root itself, and transitively through a pipeline stage into a
 // helper package — plus each exemption the analyzer honors (coldpath
-// stops, pool accessors, panic arguments, atom-site waivers).
+// stops, waived sim.Pool growth, panic arguments, atom-site waivers).
 package smu
 
-import "hwdp/internal/smu/deep"
+import (
+	"hwdp/internal/sim"
+	"hwdp/internal/smu/deep"
+)
 
 // SMU is the fixture's miss handler.
 type SMU struct {
 	name    string
 	scratch []int
-	free    []*entry
+	entries sim.Pool[entry]
 	byVA    map[uint64]int
 }
 
@@ -75,25 +78,14 @@ func (s *SMU) guarded(va uint64) {
 	}
 }
 
-// getEntry is a pool accessor: growth here is the amortized warm-up
-// allocation the alloc pins already discount, so no atom is recorded.
-//
-//hwdp:pool acquire
-func (s *SMU) getEntry() *entry {
-	if len(s.free) == 0 {
-		return &entry{}
-	}
-	e := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	return e
-}
-
-// pooled is clean: it allocates only through the pool accessor.
+// pooled is clean: it allocates only through sim.Pool, whose growth
+// sites carry waivers in the sim package.
 //
 //hwdp:hotpath
 func (s *SMU) pooled(va uint64) {
-	e := s.getEntry()
+	e := s.entries.Get()
 	e.va = va
+	s.entries.Put(e)
 }
 
 // guardrail is clean: allocations feeding a panic are failure-path

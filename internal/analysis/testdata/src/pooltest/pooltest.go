@@ -1,99 +1,140 @@
-// Package pooltest is the poolpair analyzer fixture: annotated pool
-// accessors with releasing, handing-off, leaking, and suppressed callers.
+// Package pooltest is the poolpair analyzer fixture: sim.Pool records
+// taken outside the sim package, with releasing, handing-off, leaking and
+// suppressed callers.
 package pooltest
+
+import "hwdp/internal/sim"
 
 type entry struct{ next *entry }
 
-type pool struct {
-	free []*entry
-	live []*entry
+type owner struct {
+	entries sim.Pool[entry]
+	live    []*entry
+	cur     *entry
 }
 
-//hwdp:pool acquire entry
-func (p *pool) get() *entry { return nil }
+// getter has a Get method of its own: not a sim.Pool, so not a pool.
+type getter struct{}
 
-//hwdp:pool release entry
-func (p *pool) put(e *entry) {}
+func (getter) Get() *entry { return nil }
 
-//hwdp:pool acquire rec result=1
-func (p *pool) getRec() (bool, *entry) { return false, nil }
-
-//hwdp:pool release rec
-func (p *pool) putRec(e *entry) {}
-
-func (p *pool) okSimple() {
-	e := p.get()
-	p.put(e)
+func (p *owner) okSimple() {
+	e := p.entries.Get()
+	p.entries.Put(e)
 }
 
-func (p *pool) okDefer() {
-	e := p.get()
-	defer p.put(e)
+func (p *owner) okDefer() {
+	e := p.entries.Get()
+	defer p.entries.Put(e)
 	work()
 }
 
-func (p *pool) okHandOff() {
-	e := p.get()
+func (p *owner) okHandOffAppend() {
+	e := p.entries.Get()
 	p.live = append(p.live, e)
 }
 
-func (p *pool) okReturn() *entry {
-	e := p.get()
+func (p *owner) okHandOffStore(b bool) {
+	e := p.entries.Get()
+	if b {
+		p.cur = e
+		return
+	}
+	p.entries.Put(e)
+}
+
+func (p *owner) okStoreDirect() {
+	p.cur = p.entries.Get()
+}
+
+func (p *owner) okReturn() *entry {
+	e := p.entries.Get()
 	return e
 }
 
-func (p *pool) okBranches(b bool) {
-	e := p.get()
+func (p *owner) okBranches(b bool) {
+	e := p.entries.Get()
 	if b {
-		p.put(e)
+		p.entries.Put(e)
 		return
 	}
-	p.put(e)
+	p.entries.Put(e)
 }
 
-func (p *pool) okMulti(b bool) {
-	ok, e := p.getRec()
-	if ok || b {
-		p.putRec(e)
-		return
-	}
-	p.putRec(e)
+func (p *owner) okLocalPool() {
+	var pool sim.Pool[entry]
+	e := pool.Get()
+	pool.Put(e)
 }
 
-func (p *pool) leakErrPath(b bool) error {
-	e := p.get() // want `pooled object "e" \(pool "entry"\) is not released on every path`
+func (p *owner) okNotAPool(g getter) {
+	g.Get()
+}
+
+func (p *owner) leakEarlyReturn(b bool) error {
+	e := p.entries.Get() // want `pooled record "e" from p\.entries is not released on every path: a path reaches function exit without p\.entries\.Put or a hand-off`
 	if b {
 		return errFail
 	}
-	p.put(e)
+	p.entries.Put(e)
 	return nil
 }
 
-func (p *pool) leakDiscard() {
-	p.get() // want `result of pool "entry" acquire is discarded`
+func (p *owner) leakFallOff(b bool) {
+	e := p.entries.Get() // want `pooled record "e" from p\.entries is not released on every path`
+	if b {
+		p.entries.Put(e)
+	}
 }
 
-func (p *pool) leakMulti(b bool) {
-	_, e := p.getRec() // want `pooled object "e" \(pool "rec"\) is not released on every path`
+func (p *owner) leakDiscard() {
+	p.entries.Get() // want `result of p\.entries\.Get is discarded: the pooled record leaks \(hand it back with p\.entries\.Put\)`
+}
+
+func (p *owner) leakBlank() {
+	_ = p.entries.Get() // want `result of p\.entries\.Get is discarded`
+}
+
+func (p *owner) leakInLoop(n int) {
+	for i := 0; i < n; i++ {
+		e := p.entries.Get() // want `pooled record "e" from p\.entries is not released on every path`
+		e.next = nil
+	}
+}
+
+func (p *owner) suppressed(b bool) {
+	e := p.entries.Get() //hwdp:ignore poolpair ownership recorded in the caller's side table
 	if b {
 		return
 	}
-	p.putRec(e)
+	p.entries.Put(e)
 }
 
-func (p *pool) suppressed(b bool) {
-	e := p.get() //hwdp:ignore poolpair ownership recorded in the caller's side table
-	if b {
-		return
-	}
-	p.put(e)
+// An event callback owns the record its argument carries.
+
+func (p *owner) okCallback(a any) {
+	e := a.(*entry)
+	next := e.next
+	*e = entry{}
+	p.entries.Put(e)
+	work2(next)
 }
 
-type orphanRec struct{}
+func (p *owner) leakCallback(a any) {
+	e := a.(*entry) // want `pooled record "e" \(a \*entry unpacked from an event argument\) is not released on every path: a path reaches function exit without its pool's Put or a hand-off`
+	next := e.next
+	work2(next)
+}
 
-//hwdp:pool acquire orphan
-func getOrphan() *orphanRec { return nil } // want `pool "orphan" has an acquire but no //hwdp:pool release`
+type other struct{}
+
+func (p *owner) okNotPooled(a any) {
+	o := a.(*other)
+	_ = o
+}
 
 var errFail error
 
 func work() {}
+
+func work2(*entry) {}

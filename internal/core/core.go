@@ -196,7 +196,7 @@ func NewSystem(cfg Config) (*System, error) {
 	mm.PrefetchDegree = cfg.PrefetchDegree
 	var tracer *trace.Tracer
 	if cfg.TraceEnabled {
-		tracer = trace.New(trace.DefaultRingDepth)
+		tracer = trace.New()
 		mm.Tracer = tracer
 	}
 	// Keep the free page queue a small fraction of memory (the paper's

@@ -47,7 +47,10 @@ func (k *Kernel) handleFault(ctx any, as *mmu.AddressSpace, va pagetable.VAddr,
 		return
 	}
 
-	f := k.getFault()
+	f := k.faults.Get()
+	if f.k == nil {
+		f.bind(k)
+	}
 	f.th, f.hw, f.as, f.va, f.vma, f.idx = th, th.HW, as, va, vma, vma.pageIndex(va)
 	f.hwFailed, f.ms, f.done = hwFailed, ms, done
 	c := k.cfg.Costs
@@ -116,32 +119,16 @@ type lockKey struct {
 	pte  pagetable.EntryAddr
 }
 
-//hwdp:pool acquire pagefault
-func (k *Kernel) getFault() *pageFault {
-	if n := len(k.faultPool); n > 0 {
-		f := k.faultPool[n-1]
-		k.faultPool[n-1] = nil
-		k.faultPool = k.faultPool[:n-1]
-		return f
-	}
-	f := &pageFault{k: k}
+// bind ties a new record to k and binds its phase callbacks. It runs once
+// per record: the pool keeps both across reuse.
+//
+//hwdp:coldpath runs once per record, only while the fault pool grows
+func (f *pageFault) bind(k *Kernel) {
+	f.k = k
 	f.entryFn, f.minorFn, f.swCheckFn, f.allocFn = f.entry, f.minor, f.swCheck, f.alloc
 	f.submitFn, f.switchedFn, f.wakeFn = f.submit, f.switched, f.wake
 	f.installFn, f.swInstallFn, f.unlockFn, f.waitedFn = f.install, f.swInstall, f.unlock, f.waited
 	f.frameFn, f.ioFn = f.onFrame, f.onIO
-	return f
-}
-
-// put clears f and returns it to the pool.
-//
-//hwdp:pool release pagefault
-func (f *pageFault) put() {
-	k := f.k
-	f.th, f.hw, f.as, f.va, f.vma, f.idx = nil, nil, nil, 0, nil, 0
-	f.hwFailed, f.sw, f.zero, f.ms, f.done = false, false, false, nil, nil
-	f.key, f.next, f.waiters, f.waitStart = lockKey{}, nil, nil, 0
-	f.pg, f.pte, f.lba, f.frame, f.ioStatus = nil, pagetable.EntryRef{}, 0, 0, 0
-	k.faultPool = append(k.faultPool, f)
 }
 
 // end returns the fault to user: the record goes back to the pool, then
@@ -149,7 +136,11 @@ func (f *pageFault) put() {
 // (sigbus), and its access ends without a re-walk.
 func (f *pageFault) end() {
 	done, ok := f.done, f.ioStatus == nvme.StatusSuccess
-	f.put()
+	f.th, f.hw, f.as, f.va, f.vma, f.idx = nil, nil, nil, 0, nil, 0
+	f.hwFailed, f.sw, f.zero, f.ms, f.done = false, false, false, nil, nil
+	f.key, f.next, f.waiters, f.waitStart = lockKey{}, nil, nil, 0
+	f.pg, f.pte, f.lba, f.frame, f.ioStatus = nil, pagetable.EntryRef{}, 0, 0, 0
+	f.k.faults.Put(f)
 	done(ok)
 }
 

@@ -47,7 +47,7 @@ func hasSpan(tr *trace.Tracer, name string) bool {
 
 func TestOSDPPageLockWait(t *testing.T) {
 	r := newRig(t, 64<<20, 512, withScheme(OSDP))
-	tr := trace.New(0)
+	tr := trace.New()
 	r.mmu.Tracer = tr
 	va, _ := r.mmapFile(t, "f", 8, MmapFlags{})
 	th2 := r.k.NewThread(r.p, 2)
@@ -78,7 +78,7 @@ func TestOSDPPageLockWait(t *testing.T) {
 
 func TestSWDPPMSHRCoalesces(t *testing.T) {
 	r := newRig(t, 64<<20, 512, withScheme(SWDP))
-	tr := trace.New(0)
+	tr := trace.New()
 	r.mmu.Tracer = tr
 	va, _ := r.mmapFile(t, "f", 8, MmapFlags{Fast: true})
 	th2 := r.k.NewThread(r.p, 2)
@@ -130,7 +130,7 @@ func TestSWDPUnrecoverableReadFailsWaiter(t *testing.T) {
 
 func TestOSDPAnonFirstTouchConcurrent(t *testing.T) {
 	r := newRig(t, 64<<20, 512, withScheme(OSDP))
-	tr := trace.New(0)
+	tr := trace.New()
 	r.mmu.Tracer = tr
 	va := r.mmapAnon(t, 8, false)
 	th2 := r.k.NewThread(r.p, 2)
@@ -169,7 +169,7 @@ func TestBounceRefillOutlivesFastRead(t *testing.T) {
 	prof.JitterFrac = 0
 	prof.Read4K = 10 * sim.Nanosecond
 	r := newRigProf(t, 64<<20, 4, prof, withScheme(HWDP), noKpoold())
-	tr := trace.New(0)
+	tr := trace.New()
 	r.mmu.Tracer = tr
 	va, _ := r.mmapFile(t, "f", 8, MmapFlags{Fast: true})
 	// Drain the 3-entry free page queue; the fourth miss bounces.

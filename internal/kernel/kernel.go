@@ -426,31 +426,31 @@ type Kernel struct {
 	// Pooled retry records for kexec's busy-wait poll: a core can stay
 	// busy across many 150ns polls, so the retry must not allocate a
 	// closure per attempt.
-	kexecFn   func(any)
-	kexecPool []*kexecReq
+	kexecFn func(any)
+	kexecs  sim.Pool[kexecReq]
 
 	// Pooled carriers for the allocation reclaim-retry loop and the
 	// dirty-throttle loop (both can poll many times under pressure).
-	allocFn      func(any)
-	allocPool    []*allocReq
-	throttleFn   func(any)
-	throttlePool []*throttleReq
+	allocFn    func(any)
+	allocs     sim.Pool[allocReq]
+	throttleFn func(any)
+	throttles  sim.Pool[throttleReq]
 
 	// Pooled block-layer requests and their pre-bound timeout and retry
 	// callbacks: one osPending per in-flight I/O, recycled forever.
 	ioTimeoutFn func(any)
 	ioRetryFn   func(any)
-	pendingPool []*osPending
+	pendings    sim.Pool[osPending]
 
 	// Pooled fault records, and the pre-bound stall-timeout callback.
-	faultPool      []*pageFault
+	faults         sim.Pool[pageFault]
 	stallTimeoutFn func(any)
 
 	// Pooled page-replacement carriers: one per reclaim pass and one per
 	// freeing writeback. kswapdFn and kswapdDoneFn are kswapd's tick and
 	// end-of-pass callbacks, bound once.
-	scanPool     []*reclaimScan
-	wbPool       []*wbDone
+	scans        sim.Pool[reclaimScan]
+	wbDones      sim.Pool[wbDone]
 	kswapdFn     func()
 	kswapdDoneFn func(int)
 
@@ -645,7 +645,7 @@ func (p *Process) findVMA(va pagetable.VAddr) *VMA {
 // is serviced at the next instruction boundary of the critical section).
 func (k *Kernel) kexec(hw *cpu.HWThread, d sim.Time, fn func()) {
 	if hw.State() != cpu.Idle {
-		r := k.getKexecReq()
+		r := k.kexecs.Get()
 		r.hw, r.d, r.fn = hw, d, fn
 		k.eng.PostArg(sim.Nano(150), k.kexecFn, r)
 		return
@@ -661,28 +661,12 @@ type kexecReq struct {
 	fn func()
 }
 
-//hwdp:pool acquire kexecreq
-func (k *Kernel) getKexecReq() *kexecReq {
-	if n := len(k.kexecPool); n > 0 {
-		r := k.kexecPool[n-1]
-		k.kexecPool[n-1] = nil
-		k.kexecPool = k.kexecPool[:n-1]
-		return r
-	}
-	return &kexecReq{}
-}
-
-//hwdp:pool release kexecreq
-func (k *Kernel) putKexecReq(r *kexecReq) {
-	*r = kexecReq{}
-	k.kexecPool = append(k.kexecPool, r)
-}
-
 // runKexec is the pre-bound PostArg callback for kexec retries.
 func (k *Kernel) runKexec(a any) {
 	r := a.(*kexecReq)
 	hw, d, fn := r.hw, r.d, r.fn
-	k.putKexecReq(r)
+	*r = kexecReq{}
+	k.kexecs.Put(r)
 	k.kexec(hw, d, fn)
 }
 
@@ -749,7 +733,7 @@ func (k *Kernel) osInterrupt(q *osQueue, cp nvme.Completion) {
 //hwdp:hotpath
 func (k *Kernel) submitIORetry(st *storage, hw *cpu.HWThread, op nvme.Opcode, lba uint64,
 	frame mem.FrameID, ms *trace.Miss, done func(status uint16)) {
-	p := k.getPending()
+	p := k.pendings.Get()
 	p.st, p.hw, p.op, p.lba, p.frame, p.ms, p.done = st, hw, op, lba, frame, ms, done
 	p.attempt = 1
 	k.submitIO(p)
@@ -817,7 +801,8 @@ func (k *Kernel) ioDone(p *osPending, status uint16) {
 	if status == nvme.StatusSuccess || !nvme.StatusRetryable(status) ||
 		p.attempt > blockRetries {
 		done := p.done
-		k.putPending(p)
+		*p = osPending{}
+		k.pendings.Put(p)
 		done(status)
 		return
 	}
@@ -832,23 +817,6 @@ func (k *Kernel) ioDone(p *osPending, status uint16) {
 // ioRetry is the pre-bound PostArg callback that resubmits p after its
 // backoff.
 func (k *Kernel) ioRetry(a any) { k.submitIO(a.(*osPending)) }
-
-//hwdp:pool acquire ospending
-func (k *Kernel) getPending() *osPending {
-	if n := len(k.pendingPool); n > 0 {
-		p := k.pendingPool[n-1]
-		k.pendingPool[n-1] = nil
-		k.pendingPool = k.pendingPool[:n-1]
-		return p
-	}
-	return &osPending{}
-}
-
-//hwdp:pool release ospending
-func (k *Kernel) putPending(p *osPending) {
-	*p = osPending{}
-	k.pendingPool = append(k.pendingPool, p)
-}
 
 // storage returns the storage attached at <sid, devID>, or nil.
 //

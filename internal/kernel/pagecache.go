@@ -135,7 +135,7 @@ func (k *Kernel) allocFrame(hw *cpu.HWThread, done func(mem.FrameID)) {
 		done(f)
 		return
 	}
-	r := k.getAllocReq()
+	r := k.allocs.Get()
 	r.hw, r.done, r.since = hw, done, k.eng.Now()
 	k.stats.AllocStalls++
 	k.psi.BeginStall(metrics.StallAlloc, int64(r.since))
@@ -180,24 +180,13 @@ type reclaimScan struct {
 	stepFn, freeFn, submitFn func()
 }
 
-//hwdp:pool acquire scan
-func (k *Kernel) getScan() *reclaimScan {
-	if n := len(k.scanPool); n > 0 {
-		s := k.scanPool[n-1]
-		k.scanPool[n-1] = nil
-		k.scanPool = k.scanPool[:n-1]
-		return s
-	}
-	s := &reclaimScan{k: k}
+// bind ties a new carrier to k and binds its phase callbacks. It runs
+// once per carrier: the pool keeps both across reuse.
+//
+//hwdp:coldpath runs once per carrier, only while the scan pool grows
+func (s *reclaimScan) bind(k *Kernel) {
+	s.k = k
 	s.stepFn, s.freeFn, s.submitFn = s.step, s.free, s.submit
-	return s
-}
-
-//hwdp:pool release scan
-func (k *Kernel) putScan(s *reclaimScan) {
-	s.hw, s.done, s.pg = nil, nil, nil
-	s.target, s.freed, s.scanned, s.maxScan, s.lba = 0, 0, 0, 0, 0
-	k.scanPool = append(k.scanPool, s)
 }
 
 // reclaim evicts up to target pages using the clock algorithm: pages with
@@ -205,7 +194,10 @@ func (k *Kernel) putScan(s *reclaimScan) {
 // rotated); others are unmapped and freed, with dirty pages written back
 // first. done receives the number of pages whose eviction began.
 func (k *Kernel) reclaim(hw *cpu.HWThread, target int, done func(freed int)) {
-	s := k.getScan()
+	s := k.scans.Get()
+	if s.k == nil {
+		s.bind(k)
+	}
 	s.hw, s.target, s.maxScan, s.done = hw, target, 2*k.lruLen+1, done
 	s.step()
 }
@@ -218,7 +210,9 @@ func (s *reclaimScan) step() {
 	k := s.k
 	if s.freed >= s.target || s.scanned >= s.maxScan || k.lruLen == 0 {
 		done, freed := s.done, s.freed
-		k.putScan(s)
+		s.hw, s.done, s.pg = nil, nil, nil
+		s.target, s.freed, s.scanned, s.maxScan, s.lba = 0, 0, 0, 0, 0
+		k.scans.Put(s)
 		done(freed)
 		return
 	}
@@ -344,14 +338,17 @@ func (k *Kernel) startWriteback(pg *Page) (lba uint64) {
 // submitWriteback writes pg, already started, to lba from hw. Its
 // completion is wbDone.complete; then, if not nil, runs after it.
 func (k *Kernel) submitWriteback(hw *cpu.HWThread, pg *Page, lba uint64, then func()) {
-	w := k.getWBDone()
+	w := k.wbDones.Get()
+	if w.k == nil {
+		w.bind(k)
+	}
 	w.pg, w.then = pg, then
 	k.submitIORetry(pg.st, hw, nvme.OpWrite, lba, pg.frame, nil, w.fn)
 }
 
 // wbDone is the completion of every page writeback: eviction, unmap,
 // msync and the flusher. It holds the page and the caller's continuation;
-// its callback is bound once when the carrier is made.
+// its callback is bound once per carrier (bind).
 type wbDone struct {
 	k    *Kernel
 	pg   *Page
@@ -359,23 +356,12 @@ type wbDone struct {
 	fn   func(status uint16)
 }
 
-//hwdp:pool acquire wbdone
-func (k *Kernel) getWBDone() *wbDone {
-	if n := len(k.wbPool); n > 0 {
-		w := k.wbPool[n-1]
-		k.wbPool[n-1] = nil
-		k.wbPool = k.wbPool[:n-1]
-		return w
-	}
-	w := &wbDone{k: k}
-	w.fn = w.complete
-	return w
-}
-
-//hwdp:pool release wbdone
-func (k *Kernel) putWBDone(w *wbDone) {
-	w.pg, w.then = nil, nil
-	k.wbPool = append(k.wbPool, w)
+// bind ties a new carrier to k and binds its callback. It runs once per
+// carrier: the pool keeps both across reuse.
+//
+//hwdp:coldpath runs once per carrier, only while the writeback pool grows
+func (w *wbDone) bind(k *Kernel) {
+	w.k, w.fn = k, w.complete
 }
 
 // complete ends a writeback. The frame belongs to the write once the page
@@ -388,7 +374,8 @@ func (k *Kernel) putWBDone(w *wbDone) {
 //hwdp:hotpath
 func (w *wbDone) complete(status uint16) {
 	k, pg, then := w.k, w.pg, w.then
-	k.putWBDone(w)
+	w.pg, w.then = nil, nil
+	k.wbDones.Put(w)
 	if status != nvme.StatusSuccess {
 		k.stats.WritebackErrors++
 	}

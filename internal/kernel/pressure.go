@@ -26,23 +26,6 @@ type allocReq struct {
 	since sim.Time // when the stall began (PSI interval, OOM deadline base)
 }
 
-//hwdp:pool acquire allocreq
-func (k *Kernel) getAllocReq() *allocReq {
-	if n := len(k.allocPool); n > 0 {
-		r := k.allocPool[n-1]
-		k.allocPool[n-1] = nil
-		k.allocPool = k.allocPool[:n-1]
-		return r
-	}
-	return &allocReq{}
-}
-
-//hwdp:pool release allocreq
-func (k *Kernel) putAllocReq(r *allocReq) {
-	*r = allocReq{}
-	k.allocPool = append(k.allocPool, r)
-}
-
 // runAllocRetry is the pre-bound PostArg callback for the 50 µs
 // allocation retry poll. Past Config.OOMStallLimit it invokes the OOM
 // killer before the next reclaim pass.
@@ -69,7 +52,8 @@ func (k *Kernel) allocDone(r *allocReq, f mem.FrameID) {
 	now := k.eng.Now()
 	k.psi.EndStall(metrics.StallAlloc, int64(now), int64(now-r.since))
 	done := r.done
-	k.putAllocReq(r)
+	*r = allocReq{}
+	k.allocs.Put(r)
 	done(f)
 }
 
@@ -206,23 +190,6 @@ type throttleReq struct {
 	spins int
 }
 
-//hwdp:pool acquire throttlereq
-func (k *Kernel) getThrottleReq() *throttleReq {
-	if n := len(k.throttlePool); n > 0 {
-		r := k.throttlePool[n-1]
-		k.throttlePool[n-1] = nil
-		k.throttlePool = k.throttlePool[:n-1]
-		return r
-	}
-	return &throttleReq{}
-}
-
-//hwdp:pool release throttlereq
-func (k *Kernel) putThrottleReq(r *throttleReq) {
-	*r = throttleReq{}
-	k.throttlePool = append(k.throttlePool, r)
-}
-
 // throttleMaxSpins bounds the throttle loop: after this many backoff
 // slices the write proceeds regardless, guaranteeing forward progress
 // even if the flusher cannot keep up.
@@ -235,7 +202,7 @@ const throttleMaxSpins = 512
 //hwdp:coldpath writes throttle only with Config.DirtyRatioFrac set, at the hard dirty limit
 func (k *Kernel) throttle(th *Thread, va pagetable.VAddr, done func(mmu.Result)) {
 	k.stats.ThrottledWrites++
-	r := k.getThrottleReq()
+	r := k.throttles.Get()
 	r.th, r.va, r.done, r.since = th, va, done, k.eng.Now()
 	k.psi.BeginStall(metrics.StallWritebackThrottle, int64(r.since))
 	k.kickFlusher()
@@ -254,7 +221,8 @@ func (k *Kernel) runThrottle(a any) {
 	now := k.eng.Now()
 	k.psi.EndStall(metrics.StallWritebackThrottle, int64(now), int64(now-r.since))
 	th, va, done := r.th, r.va, r.done
-	k.putThrottleReq(r)
+	*r = throttleReq{}
+	k.throttles.Put(r)
 	k.accessNow(th, va, true, done)
 }
 

@@ -132,13 +132,13 @@ type MMU struct {
 	osFault OSFaultFunc
 	stats   Stats
 
-	// walkCb is the pre-bound runWalk callback. accessFree recycles the
-	// access records (one per in-flight TLB miss) and pfFree the prefetch
-	// continuations (one per speculative fetch), so a miss allocates
-	// nothing.
+	// walkCb is the pre-bound runWalk callback. accesses recycles the
+	// access records (one per in-flight TLB miss) and prefetches the
+	// prefetch continuations (one per speculative fetch), so a miss
+	// allocates nothing.
 	walkCb     func(any)
-	accessFree []*access
-	pfFree     []*prefetchCont
+	accesses   sim.Pool[access]
+	prefetches sim.Pool[prefetchCont]
 }
 
 // access carries one TLB-missing access from the miss to its callback:
@@ -158,7 +158,7 @@ type access struct {
 	ms      *trace.Miss
 	pte     pagetable.EntryRef // the PTE dispatched to the SMU
 
-	resolvedFn func(bool) // resolved, bound once when the record is made
+	resolvedFn func(bool) // resolved, bound once per record (bind)
 }
 
 // prefetchCont carries one speculative prefetch's TLB-install state
@@ -231,7 +231,10 @@ func (m *MMU) Access(as *AddressSpace, va pagetable.VAddr, write bool, ctx any, 
 		m.tlb.Invalidate(as.ASID, vpn)
 	}
 	m.stats.Walks++
-	a := m.getAccess()
+	a := m.accesses.Get()
+	if a.m == nil {
+		a.bind(m)
+	}
 	a.ctx, a.as, a.va, a.write, a.done, a.t0 = ctx, as, va, write, done, m.eng.Now()
 	if cc, ok := ctx.(CoreCarrier); ok {
 		a.core = cc.CoreID()
@@ -242,40 +245,12 @@ func (m *MMU) Access(as *AddressSpace, va pagetable.VAddr, write bool, ctx any, 
 	m.eng.PostArg(m.WalkLatency, m.walkCb, a)
 }
 
-//hwdp:pool acquire access
-func (m *MMU) getAccess() *access {
-	if n := len(m.accessFree); n > 0 {
-		a := m.accessFree[n-1]
-		m.accessFree[n-1] = nil
-		m.accessFree = m.accessFree[:n-1]
-		return a
-	}
-	a := &access{m: m}
-	a.resolvedFn = a.resolved
-	return a
-}
-
-//hwdp:pool release access
-func (m *MMU) putAccess(a *access) {
-	*a = access{m: m, resolvedFn: a.resolvedFn}
-	m.accessFree = append(m.accessFree, a)
-}
-
-//hwdp:pool acquire prefetchcont
-func (m *MMU) getPrefetchCont() *prefetchCont {
-	if n := len(m.pfFree); n > 0 {
-		c := m.pfFree[n-1]
-		m.pfFree[n-1] = nil
-		m.pfFree = m.pfFree[:n-1]
-		return c
-	}
-	return new(prefetchCont)
-}
-
-//hwdp:pool release prefetchcont
-func (m *MMU) putPrefetchCont(c *prefetchCont) {
-	*c = prefetchCont{}
-	m.pfFree = append(m.pfFree, c)
+// bind ties a new record to m and binds its re-walk callback. It runs
+// once per record: the pool keeps both across reuse.
+//
+//hwdp:coldpath runs once per record, only while the access pool grows
+func (a *access) bind(m *MMU) {
+	a.m, a.resolvedFn = m, a.resolved
 }
 
 // runWalk starts the walk of a pooled access once the walk latency elapsed.
@@ -362,7 +337,7 @@ func (m *MMU) prefetch(a *access, s *smu.SMU) {
 		}
 		m.stats.Prefetches++
 		req := smu.Request{PUD: pud, PMD: pmd, PTE: pte, Block: blk, Prot: e.Prot(), Core: a.core, Tenant: a.tenant}
-		pc := m.getPrefetchCont()
+		pc := m.prefetches.Get()
 		pc.m, pc.as, pc.va, pc.pte = m, a.as, nva, pte
 		s.HandleMissArg(req, prefetchDone, pc)
 	}
@@ -404,7 +379,8 @@ func prefetchDone(arg any, res smu.Result, _ pagetable.Entry) {
 	if res == smu.ResultOK {
 		m.tlb.Insert(c.as.ASID, c.va.PageNumber(), c.pte)
 	}
-	m.putPrefetchCont(c)
+	*c = prefetchCont{}
+	m.prefetches.Put(c)
 }
 
 // raiseOS raises the page-fault exception and re-walks once the kernel
@@ -451,6 +427,7 @@ func (m *MMU) complete(a *access, r Result) {
 	}
 	a.ms.Finish(m.eng.Now())
 	done := a.done
-	m.putAccess(a)
+	*a = access{m: m, resolvedFn: a.resolvedFn}
+	m.accesses.Put(a)
 	done(r)
 }

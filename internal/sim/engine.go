@@ -4,8 +4,8 @@ package sim
 // they were scheduled (stable FIFO tie-break), which keeps runs
 // deterministic.
 //
-// Every event's storage is owned by the engine and recycled through an
-// internal free list, so steady-state scheduling performs no allocations.
+// Every event's storage is owned by the engine and recycled through its
+// Pool, so steady-state scheduling performs no allocations.
 // Post and PostArg are fire-and-forget and return no handle. AtArgPooled
 // returns a handle for Cancel and Pending that is valid only until the
 // event fires or is canceled: after either, the engine reuses the storage
@@ -55,12 +55,12 @@ func (ev *Event) Pending() bool { return ev != nil && ev.idx >= 0 }
 // Less/Swap indirection, and the wider fan-out halves the tree depth for
 // the sift-down that dominates pop.
 type Engine struct {
-	now   Time
-	seq   uint64
-	last  uint64 // seq of the event firing now, or fired last (see Reached)
-	queue []*Event
-	free  []*Event
-	fired uint64
+	now    Time
+	seq    uint64
+	last   uint64 // seq of the event firing now, or fired last (see Reached)
+	queue  []*Event
+	events Pool[Event]
+	fired  uint64
 
 	// obs, when set, observes every fired event's timestamp. Tests use it
 	// to hash the event stream for the event-stream pin.
@@ -81,29 +81,6 @@ func (e *Engine) SetObserver(fn func(Time)) { e.obs = fn }
 // Fired returns the number of events executed so far (useful for progress
 // accounting and run limits in tests).
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// alloc takes an event from the free list, or the heap allocator when the
-// list is empty.
-//
-//hwdp:pool acquire event
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{idx: -1}
-}
-
-// recycle clears a fired or canceled event and returns it to the free
-// list.
-//
-//hwdp:pool release event
-func (e *Engine) recycle(ev *Event) {
-	*ev = Event{idx: -1}
-	e.free = append(e.free, ev)
-}
 
 // schedule clamps t to the current time and pushes the event.
 func (e *Engine) schedule(ev *Event, t Time) {
@@ -133,7 +110,7 @@ func (e *Engine) schedule(ev *Event, t Time) {
 //
 //hwdp:hotpath
 func (e *Engine) AtArgPooled(t Time, fn func(any), arg any) *Event {
-	ev := e.alloc()
+	ev := e.events.Get()
 	ev.afn = fn
 	ev.arg = arg
 	e.schedule(ev, t)
@@ -146,7 +123,7 @@ func (e *Engine) AtArgPooled(t Time, fn func(any), arg any) *Event {
 //
 //hwdp:hotpath
 func (e *Engine) Post(d Time, fn func()) {
-	ev := e.alloc()
+	ev := e.events.Get()
 	ev.fn = fn
 	e.schedule(ev, e.now+d)
 }
@@ -158,7 +135,7 @@ func (e *Engine) Post(d Time, fn func()) {
 //
 //hwdp:hotpath
 func (e *Engine) PostArg(d Time, fn func(any), arg any) {
-	ev := e.alloc()
+	ev := e.events.Get()
 	ev.afn = fn
 	ev.arg = arg
 	e.schedule(ev, e.now+d)
@@ -181,7 +158,8 @@ func (e *Engine) Step() bool {
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	// Recycle before the callback runs so the callback's own scheduling
 	// can reuse the slot.
-	e.recycle(ev)
+	*ev = Event{idx: -1}
+	e.events.Put(ev)
 	if afn != nil {
 		afn(arg)
 	} else {
@@ -282,7 +260,8 @@ func (e *Engine) remove(ev *Event) {
 			e.siftDown(i)
 		}
 	}
-	e.recycle(ev)
+	*ev = Event{idx: -1}
+	e.events.Put(ev)
 }
 
 // siftUp restores the heap property from index i toward the root.

@@ -39,8 +39,7 @@ type qosState struct {
 	ioCap   []int // NVMe commands a tenant may have in flight
 	slots   []int // PMSHR slots currently held
 	ios     []int // NVMe commands currently in flight
-	parked  [][]pendingReq
-	heads   []int
+	parked  []reqQueue
 	rr      int // next tenant the drain scan starts from
 	total   int // parked waiters across all tenants
 }
@@ -63,8 +62,7 @@ func (s *SMU) SetQoS(cfg QoSConfig) {
 		ioCap:   make([]int, n),
 		slots:   make([]int, n),
 		ios:     make([]int, n),
-		parked:  make([][]pendingReq, n),
-		heads:   make([]int, n),
+		parked:  make([]reqQueue, n),
 	}
 	sum := 0.0
 	for t := 0; t < n; t++ {
@@ -172,8 +170,7 @@ func (s *SMU) qosPark(req Request, done doneRef) {
 	q := s.qos
 	t := q.qosTenant(req.Tenant)
 	now := s.eng.Now()
-	//hwdp:ignore hotalloc the per-tenant park queue is drained to parked[t][:0] (retained capacity), so steady-state appends do not allocate
-	q.parked[t] = append(q.parked[t], pendingReq{req, done, now})
+	q.parked[t].push(pendingReq{req, done, now})
 	q.total++
 	s.tstat(req.Tenant).Throttled++
 	req.Trace.Mark(trace.LayerSMU, "qos-throttle", now)
@@ -196,14 +193,8 @@ func (s *SMU) qosDrain() {
 	n := q.cfg.Tenants
 	for scanned := 0; scanned < n && q.total > 0; {
 		t := q.rr % n
-		if q.heads[t] < len(q.parked[t]) && !s.qosBlocked(q.parked[t][q.heads[t]].req) {
-			w := q.parked[t][q.heads[t]]
-			q.parked[t][q.heads[t]] = pendingReq{}
-			q.heads[t]++
-			if q.heads[t] == len(q.parked[t]) {
-				q.parked[t] = q.parked[t][:0]
-				q.heads[t] = 0
-			}
+		if p := &q.parked[t]; p.len() > 0 && !s.qosBlocked(p.front().req) {
+			w := p.pop()
 			q.total--
 			now := s.eng.Now()
 			w.req.Trace.AddSpan(trace.LayerSMU, "qos-throttle-wait", w.at, now)

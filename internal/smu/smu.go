@@ -194,6 +194,39 @@ type pendingReq struct {
 	at   sim.Time // when the request began waiting (backlog or QoS park)
 }
 
+// reqQueue is a FIFO of waiting requests: the PMSHR backlog and each
+// tenant's QoS park queue. A pop advances the head, and the queue resets
+// to [:0] when it empties, so its backing array is reused and pushes stop
+// allocating once it has held the deepest backlog.
+type reqQueue struct {
+	items []pendingReq
+	head  int
+}
+
+// len returns the number of waiting requests.
+func (q *reqQueue) len() int { return len(q.items) - q.head }
+
+// front returns the oldest waiting request; the queue must not be empty.
+func (q *reqQueue) front() *pendingReq { return &q.items[q.head] }
+
+// push appends a waiting request.
+func (q *reqQueue) push(r pendingReq) {
+	//hwdp:ignore hotalloc the queue resets to items[:0] when it empties (retained capacity), so it grows only past its deepest backlog
+	q.items = append(q.items, r)
+}
+
+// pop removes and returns the oldest waiting request; the queue must not
+// be empty.
+func (q *reqQueue) pop() pendingReq {
+	r := q.items[q.head]
+	q.items[q.head] = pendingReq{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return r
+}
+
 type barrier struct {
 	waiting map[pagetable.EntryAddr]bool
 	done    func()
@@ -205,16 +238,15 @@ type SMU struct {
 	eng    *sim.Engine
 	timing Timing
 
-	pmshr       []pmshrEntry  // the PMSHR records, one per slot
-	live        []*pmshrEntry // the occupied records, unordered: the CAM scans these
-	freeIdx     []int
-	cidShift    uint // command IDs carry the slot index below this bit
-	policy      RetryPolicy
-	backlog     []pendingReq
-	backlogHead int
-	freeqs      []*FreeQueue // one, or one per logical core
-	devs        [8]*devSlot
-	barriers    []*barrier
+	pmshr    []pmshrEntry  // the PMSHR records, one per slot
+	live     []*pmshrEntry // the occupied records, unordered: the CAM scans these
+	freeIdx  []int
+	cidShift uint // command IDs carry the slot index below this bit
+	policy   RetryPolicy
+	backlog  reqQueue
+	freeqs   []*FreeQueue // one, or one per logical core
+	devs     [8]*devSlot
+	barriers []*barrier
 
 	// backlogWait records how long each backlogged request waited for a
 	// PMSHR slot (picoseconds); psi, when set, feeds the same waits into
@@ -239,8 +271,8 @@ type SMU struct {
 	// recycled so the steady-state miss path allocates nothing. finish
 	// notifies a retiring record's waiters from their own list and hands
 	// it back here, for the next record it resets.
-	reqPool      []*pendingReq
-	noticePool   []*doneNotice
+	reqs         sim.Pool[pendingReq]
+	notices      sim.Pool[doneNotice]
 	spareWaiters []doneRef
 
 	// Pre-bound event callbacks (built once in NewPerCore) so scheduling a
@@ -295,13 +327,15 @@ func NewPerCore(eng *sim.Engine, sid uint8, freeQueueDepth, entries, cores int) 
 	s.admitFn = func(a any) {
 		c := a.(*pendingReq)
 		req, done := c.req, c.done
-		s.putReq(c)
+		*c = pendingReq{}
+		s.reqs.Put(c)
 		s.admit(req, done)
 	}
 	s.noticeFn = func(a any) {
 		n := a.(*doneNotice)
 		done, res, pte := n.done, n.res, n.pte
-		s.putNotice(n)
+		*n = doneNotice{}
+		s.notices.Put(n)
 		done.call(res, pte)
 	}
 	s.issueFn = func(a any) { s.issue(a.(*pmshrEntry)) }
@@ -409,7 +443,7 @@ func (s *SMU) Outstanding() int { return len(s.pmshr) - len(s.freeIdx) }
 // slot. The invariant watchdog uses it for the no-lost-wakeup check: a
 // non-empty backlog with zero outstanding misses means nobody will ever
 // admit the waiters.
-func (s *SMU) BacklogLen() int { return len(s.backlog) - s.backlogHead }
+func (s *SMU) BacklogLen() int { return s.backlog.len() }
 
 // BacklogWait exposes the PMSHR backlog wait-time histogram (picoseconds):
 // how long each request that found all slots busy waited for admission.
@@ -446,27 +480,6 @@ func (s *SMU) lookupCID(cid uint16) *pmshrEntry {
 	return &s.pmshr[idx]
 }
 
-// getReq takes a pooled admission carrier.
-//
-//hwdp:pool acquire req
-func (s *SMU) getReq() *pendingReq {
-	if n := len(s.reqPool); n > 0 {
-		c := s.reqPool[n-1]
-		s.reqPool[n-1] = nil
-		s.reqPool = s.reqPool[:n-1]
-		return c
-	}
-	return &pendingReq{}
-}
-
-// putReq clears an admission carrier and returns it to the pool.
-//
-//hwdp:pool release req
-func (s *SMU) putReq(c *pendingReq) {
-	*c = pendingReq{}
-	s.reqPool = append(s.reqPool, c)
-}
-
 // doneNotice carries a deferred done(res, pte) callback through the
 // engine's pooled argument path, replacing a closure allocation on the
 // late-hit, no-free-page, and I/O-error notify paths.
@@ -476,33 +489,12 @@ type doneNotice struct {
 	pte  pagetable.Entry
 }
 
-// getNotice takes a pooled completion-notice carrier.
-//
-//hwdp:pool acquire notice
-func (s *SMU) getNotice() *doneNotice {
-	if n := len(s.noticePool); n > 0 {
-		c := s.noticePool[n-1]
-		s.noticePool[n-1] = nil
-		s.noticePool = s.noticePool[:n-1]
-		return c
-	}
-	return &doneNotice{}
-}
-
-// putNotice clears a notice carrier and returns it to the pool.
-//
-//hwdp:pool release notice
-func (s *SMU) putNotice(n *doneNotice) {
-	*n = doneNotice{}
-	s.noticePool = append(s.noticePool, n)
-}
-
 // notifySchedule fires done(res, pte) after the SMU-to-core notify latency
 // without allocating a closure environment.
 //
 //hwdp:hotpath
 func (s *SMU) notifySchedule(done doneRef, res Result, pte pagetable.Entry) {
-	n := s.getNotice()
+	n := s.notices.Get()
 	n.done, n.res, n.pte = done, res, pte
 	s.eng.PostArg(s.timing.Notify, s.noticeFn, n)
 }
@@ -539,7 +531,7 @@ func (s *SMU) HandleMissArg(req Request, done DoneArgFunc, arg any) {
 	lookupCost := 2*t.ReqRegWrite + t.CAMLookup
 	now := s.eng.Now()
 	req.Trace.AddSpan(trace.LayerSMU, "req-regs+cam", now, now+lookupCost)
-	c := s.getReq()
+	c := s.reqs.Get()
 	c.req, c.done = req, doneRef{afn: done, arg: arg}
 	s.eng.PostArg(lookupCost, s.admitFn, c)
 }
@@ -585,8 +577,7 @@ func (s *SMU) admit(req Request, done doneRef) {
 
 	if len(s.freeIdx) == 0 {
 		// All PMSHRs busy: the walk stays pending until a slot frees.
-		//hwdp:ignore hotalloc backlog only grows under PMSHR oversubscription and finish recycles it to backlog[:0], retaining capacity
-		s.backlog = append(s.backlog, pendingReq{req, done, s.eng.Now()})
+		s.backlog.push(pendingReq{req, done, s.eng.Now()})
 		s.tstat(req.Tenant).Backlogged++
 		s.psi.BeginStall(metrics.StallPMSHRBacklog, int64(s.eng.Now()))
 		return
@@ -854,14 +845,8 @@ func (s *SMU) finish(e *pmshrEntry, res Result, pte pagetable.Entry) {
 	s.spareWaiters = waiters[:0]
 	s.checkBarriers(addr)
 	// Admit one backlogged request per freed slot.
-	if s.backlogHead < len(s.backlog) {
-		item := s.backlog[s.backlogHead]
-		s.backlog[s.backlogHead] = pendingReq{}
-		s.backlogHead++
-		if s.backlogHead == len(s.backlog) {
-			s.backlog = s.backlog[:0]
-			s.backlogHead = 0
-		}
+	if s.backlog.len() > 0 {
+		item := s.backlog.pop()
 		now := s.eng.Now()
 		item.req.Trace.AddSpan(trace.LayerSMU, "pmshr-backlog-wait", item.at, now)
 		s.backlogWait.Record(int64(now - item.at))

@@ -223,7 +223,7 @@ type Device struct {
 	dma        DMAFunc
 	backend    Backend
 	inj        *fault.Injector
-	pool       []*flight
+	flights    sim.Pool[flight]
 	completeFn func(any) // pre-bound completion-event callback
 	stats      Stats
 }
@@ -243,27 +243,6 @@ func New(eng *sim.Engine, prof Profile, rng *sim.Rand, dma DMAFunc) *Device {
 	}
 	d.completeFn = func(a any) { d.complete(a.(*flight)) }
 	return d
-}
-
-// getFlight takes a pooled flight record.
-//
-//hwdp:pool acquire flight
-func (d *Device) getFlight() *flight {
-	if n := len(d.pool); n > 0 {
-		fl := d.pool[n-1]
-		d.pool[n-1] = nil
-		d.pool = d.pool[:n-1]
-		return fl
-	}
-	return &flight{}
-}
-
-// putFlight clears a flight and returns it to the pool.
-//
-//hwdp:pool release flight
-func (d *Device) putFlight(fl *flight) {
-	*fl = flight{}
-	d.pool = append(d.pool, fl)
 }
 
 // SetBackend swaps the media model (see Backend). It must be called
@@ -371,7 +350,7 @@ func (d *Device) Deliver(at *Port, cmd nvme.Command) {
 	} else if cmd.Opcode != nvme.OpFlush && cmd.SLBA+uint64(cmd.Blocks()) > ns.Blocks {
 		status = nvme.StatusLBARange
 	}
-	fl := d.getFlight()
+	fl := d.flights.Get()
 	fl.at, fl.cmd = at, cmd
 	if status != nvme.StatusSuccess {
 		// Errors complete quickly without touching media; the command
@@ -553,11 +532,13 @@ func (d *Device) complete(fl *flight) {
 		}
 		var deliverable bool
 		if status, deliverable = outcomeStatus(kind, cmd.Opcode); !deliverable {
-			d.putFlight(fl)
+			*fl = flight{}
+			d.flights.Put(fl)
 			return
 		}
 	}
-	d.putFlight(fl)
+	*fl = flight{}
+	d.flights.Put(fl)
 	if status == nvme.StatusSuccess && d.dma != nil {
 		d.dma(cmd)
 	}
@@ -602,7 +583,8 @@ func (d *Device) Abort(qid, cid uint16) bool {
 		}
 	}
 	fl.cmd.Trace.Mark(trace.LayerSSD, "aborted", now)
-	d.putFlight(fl)
+	*fl = flight{}
+	d.flights.Put(fl)
 	d.stats.Aborts++
 	return true
 }

@@ -11,8 +11,8 @@
 // tracer folds the spans into per-layer and per-phase latency histograms
 // (the critical-path attribution report) and keeps the full record for
 // export as Chrome trace_event JSON (viewable in Perfetto or
-// chrome://tracing) and for the flight-recorder ring consulted on
-// postmortems.
+// chrome://tracing) and for the flight recorder, the latest of those
+// records, consulted on postmortems.
 //
 // Tracing is off by default. Every method on *Tracer and *Miss is
 // nil-receiver safe, and layers hold plain nil pointers when tracing is
@@ -209,21 +209,19 @@ func (m *Miss) Total() sim.Time {
 	return m.End - m.Start
 }
 
-// DefaultRingDepth is the flight recorder's default capacity in misses.
-const DefaultRingDepth = 64
+// flightDepth is how many of the latest finished misses the flight
+// recorder shows.
+const flightDepth = 64
 
 // maxPostmortems bounds how many kill dumps a run retains.
 const maxPostmortems = 8
 
 // Tracer collects finished miss records, maintains the per-layer and
-// per-phase attribution histograms, and keeps the flight-recorder ring.
+// per-phase attribution histograms, and keeps the flight recorder.
 // It is single-threaded, like the simulation engine it observes.
 type Tracer struct {
 	nextID uint64
 	misses []*Miss
-
-	ring     []*Miss
-	ringNext int
 
 	postmortems []Postmortem
 	kills       uint64
@@ -234,14 +232,9 @@ type Tracer struct {
 	otherH *metrics.Histogram
 }
 
-// New returns a tracer with the given flight-recorder depth (<= 0 picks
-// DefaultRingDepth).
-func New(ringDepth int) *Tracer {
-	if ringDepth <= 0 {
-		ringDepth = DefaultRingDepth
-	}
+// New returns an empty tracer.
+func New() *Tracer {
 	t := &Tracer{
-		ring:   make([]*Miss, 0, ringDepth),
 		phaseH: make(map[string]*metrics.Histogram),
 		totalH: metrics.NewHistogram(),
 		otherH: metrics.NewHistogram(),
@@ -294,12 +287,6 @@ func (t *Tracer) retire(m *Miss) {
 		t.otherH.Record(int64(rest))
 	}
 	t.misses = append(t.misses, m)
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, m)
-	} else {
-		t.ring[t.ringNext] = m
-		t.ringNext = (t.ringNext + 1) % cap(t.ring)
-	}
 }
 
 // Misses returns every finished miss, in completion order.
@@ -365,7 +352,7 @@ func (t *Tracer) NoteKill(victim *Miss, reason string, at sim.Time) {
 		Reason: reason,
 		At:     at,
 		Victim: victim,
-		Recent: t.ringSnapshot(),
+		Recent: t.recent(),
 	})
 }
 
@@ -377,16 +364,13 @@ func (t *Tracer) Postmortems() []Postmortem {
 	return t.postmortems
 }
 
-// ringSnapshot copies the flight-recorder ring, oldest first.
-func (t *Tracer) ringSnapshot() []*Miss {
-	out := make([]*Miss, 0, len(t.ring))
-	if len(t.ring) < cap(t.ring) {
-		return append(out, t.ring...)
-	}
-	for i := 0; i < len(t.ring); i++ {
-		out = append(out, t.ring[(t.ringNext+i)%len(t.ring)])
-	}
-	return out
+// recent returns the flight recorder: the last flightDepth finished
+// misses, oldest first. misses only grows by append, so the window stays
+// as it is when later misses retire; its capacity ends at its length, so
+// appending to it cannot reach the tracer's record.
+func (t *Tracer) recent() []*Miss {
+	n := len(t.misses)
+	return t.misses[max(0, n-flightDepth):n:n]
 }
 
 // FlightDump renders the current flight-recorder contents (the last
@@ -396,7 +380,7 @@ func (t *Tracer) FlightDump() string {
 		return "tracing disabled\n"
 	}
 	var sb strings.Builder
-	recent := t.ringSnapshot()
+	recent := t.recent()
 	fmt.Fprintf(&sb, "flight recorder: last %d of %d traced misses\n", len(recent), len(t.misses))
 	for _, m := range recent {
 		renderMiss(&sb, m, "  ")

@@ -11,7 +11,7 @@ import (
 
 // buildFixture populates a tracer with a fixed set of misses.
 func buildFixture() *Tracer {
-	t := New(4)
+	t := New()
 	for i := 0; i < 10; i++ {
 		start := sim.Time(i) * 1000
 		m := t.Begin(i%2, 0x1000*uint64(i+1), CauseHWMiss, start)
@@ -82,25 +82,48 @@ func TestLayerAttribution(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRing checks the flight recorder's window: every
+// finished miss while fewer than flightDepth have retired, then the last
+// flightDepth, oldest first; a postmortem's window stays as it was at the
+// kill while later misses retire.
 func TestFlightRecorderRing(t *testing.T) {
-	tr := New(3)
-	for i := 0; i < 5; i++ {
-		m := tr.Begin(0, uint64(i), CauseHWMiss, sim.Time(i))
-		m.Finish(sim.Time(i) + 1)
-	}
-	recent := tr.ringSnapshot()
-	if len(recent) != 3 {
-		t.Fatalf("ring size = %d, want 3", len(recent))
-	}
-	// Oldest first: misses 3, 4, 5 (IDs are 1-based).
-	for i, m := range recent {
-		if want := uint64(i + 3); m.ID != want {
-			t.Errorf("ring[%d].ID = %d, want %d", i, m.ID, want)
+	tr := New()
+	finish := func(n int) {
+		for i := 0; i < n; i++ {
+			at := sim.Time(len(tr.Misses()))
+			tr.Begin(0, uint64(at), CauseHWMiss, at).Finish(at + 1)
 		}
 	}
-	dump := tr.FlightDump()
-	if !strings.Contains(dump, "last 3 of 5 traced misses") {
-		t.Errorf("dump missing header:\n%s", dump)
+	finish(3)
+	if got := len(tr.recent()); got != 3 {
+		t.Fatalf("window = %d misses after 3, want 3", got)
+	}
+	finish(flightDepth + 7)
+	recent := tr.recent()
+	if len(recent) != flightDepth {
+		t.Fatalf("window = %d misses, want %d", len(recent), flightDepth)
+	}
+	// Oldest first: misses 11 .. 74 of 74 (IDs are 1-based).
+	for i, m := range recent {
+		if want := uint64(i + 11); m.ID != want {
+			t.Errorf("window[%d].ID = %d, want %d", i, m.ID, want)
+		}
+	}
+	if dump := tr.FlightDump(); !strings.Contains(dump, "last 64 of 74 traced misses") {
+		t.Errorf("dump missing header:\n%s", dump[:min(len(dump), 200)])
+	}
+
+	victim := tr.Begin(0, 0xdead000, CauseOSMajor, 1000)
+	tr.NoteKill(victim, "SIGBUS: unrecoverable read", 1001)
+	finish(5)
+	pm := tr.Postmortems()[0]
+	if len(pm.Recent) != flightDepth || pm.Recent[0].ID != 11 || pm.Recent[flightDepth-1].ID != 74 {
+		t.Errorf("postmortem window moved after later misses: %d misses, IDs %d..%d, want 64, 11..74",
+			len(pm.Recent), pm.Recent[0].ID, pm.Recent[len(pm.Recent)-1].ID)
+	}
+	_ = append(pm.Recent, victim)
+	if got := tr.Misses()[flightDepth+10].ID; got != 76 {
+		t.Errorf("appending to a postmortem window overwrote the record: miss 75 has ID %d, want 76", got)
 	}
 }
 
@@ -114,8 +137,8 @@ func TestPostmortemSnapshot(t *testing.T) {
 	if pm.At != 99500 || pm.Victim == nil || !pm.Victim.Killed {
 		t.Errorf("bad postmortem: %+v", pm)
 	}
-	if len(pm.Recent) != 4 { // ring depth 4
-		t.Errorf("recent = %d, want 4", len(pm.Recent))
+	if len(pm.Recent) != 10 { // every miss finished before the kill
+		t.Errorf("recent = %d, want 10", len(pm.Recent))
 	}
 	if !strings.Contains(pm.String(), "SIGBUS") {
 		t.Errorf("postmortem dump missing reason:\n%s", pm.String())
