@@ -22,8 +22,10 @@ race:
 # notify (ssd.BenchmarkDeliver), the OS fault-and-evict path
 # (kernel.BenchmarkMajorFaultEvict), the KV op path
 # (workload.BenchmarkKVOp), one user slice (cpu.BenchmarkUserExec), one
-# kernel charge on a fully decayed thread (cpu.BenchmarkKernelExec) and the
-# root BenchmarkFig* figure summaries. The repository benchmark is bench/
+# user slice with its kernel tail, a KV op's CPU work
+# (cpu.BenchmarkUserThenKernel), one kernel charge on a fully decayed
+# thread (cpu.BenchmarkKernelExec) and the root BenchmarkFig* figure
+# summaries. The repository benchmark is bench/
 # (bash bench/run.sh).
 bench-go:
 	$(GO) test -short -run '^$$' -bench=. -benchtime=1x ./...
@@ -79,8 +81,10 @@ fleet-check:
 # `git archive` export under bin/output-diff/, runs -all, -pressure,
 # -fleet and -breakdown, each with -quick, full-scale -pressure and
 # -fleet (a few events, such as a second fault on one access, happen only
-# at full scale), and -all -quick on the aged modeled SSD backend
-# (-ssd modeled -ssd-churn 1) on REV and on the working tree, cmps each
+# at full scale), -all -quick on the aged modeled SSD backend
+# (-ssd modeled -ssd-churn 1), and -all -quick at seed 2 (a change in
+# event tie order can match every seed-1 run and still move another
+# seed) on REV and on the working tree, cmps each
 # stdout and names every mode that differs, printing the first 40 lines
 # of its `diff -u`. A run's flags after the mode are comma-separated in
 # the list below. The exported source is removed after the build; the
@@ -95,7 +99,7 @@ output-diff:
 	$(GO) build -o $$d/hwdpbench.tree ./cmd/hwdpbench; \
 	differ=; \
 	for run in all:-quick pressure:-quick fleet:-quick breakdown:-quick pressure: fleet: \
-		all:-quick,-ssd,modeled,-ssd-churn,1; do \
+		all:-quick,-ssd,modeled,-ssd-churn,1 all:-quick,-seed,2; do \
 		mode=$${run%%:*}; flags=$$(echo "$${run#*:}" | tr , ' '); \
 		out=$$mode$$(echo "$${run#*:}" | tr -d ,); \
 		label="-$$mode$${flags:+ $$flags}"; \

@@ -14,6 +14,9 @@ import (
 	"testing"
 
 	"hwdp/internal/fs"
+	"hwdp/internal/kvs"
+	"hwdp/internal/sim"
+	"hwdp/internal/workload"
 )
 
 // eventStreamDigest runs the fixed-seed FIO workload with an observer on
@@ -48,8 +51,10 @@ func eventStreamDigest(t *testing.T) string {
 // run's 4,403 timestamps equalled the earlier stream's 5,343 with the
 // device's 470 service and 470 media-done events dropped; when the SMU's
 // doorbell-tail refill became a sim.Mark, its 3,934 equalled those 4,403
-// with the 469 doorbell-tail events dropped.
-const eventStreamPin = "34ab227e174d890ca9fe07ffb392237029451cf48084afe55e3eeee992dd2d3d"
+// with the 469 doorbell-tail events dropped; when an OS read's wake and
+// its metadata and PTE updates became one kernel segment, its 3,933
+// equalled those 3,934 with the one bounced fault's wake event dropped.
+const eventStreamPin = "02c24fe2741d09a53bcd568733df814218fdac05192f8aa66de5fa4021801140"
 
 func TestEventStreamPinned(t *testing.T) {
 	d1 := eventStreamDigest(t)
@@ -86,5 +91,79 @@ func TestEventsPerHWDPMiss(t *testing.T) {
 	}
 	if n := raw.Eng.Fired() - fired; n != eventsPerHWDPMiss {
 		t.Fatalf("one cold HWDP miss fired %d events, want %d", n, eventsPerHWDPMiss)
+	}
+}
+
+// eventsPerOSMajorFault is how many engine events one cold OSDP file fault
+// fires on an idle machine from the access to its result: the MMU's page
+// walk, the kernel's exception entry, page allocation and I/O submission
+// and context switch out, the device's one completion, and one kernel
+// segment for the interrupt, completion and wake followed by the metadata
+// and PTE updates. Folding or splitting any phase of the fault moves this
+// number.
+const eventsPerOSMajorFault = 6
+
+func TestEventsPerOSMajorFault(t *testing.T) {
+	raw := New(det(OSDP)).Raw()
+	va, _, err := raw.MapFile("probe", 16, fs.SeededInit(1), raw.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired, majors := raw.Eng.Fired(), raw.K.Stats().MajorFaults
+	raw.MeasureSingleFault(raw.WorkloadThread(0), va)
+	if n := raw.K.Stats().MajorFaults - majors; n != 1 {
+		t.Fatalf("the kernel took %d major faults, want the one cold fault", n)
+	}
+	if n := raw.Eng.Fired() - fired; n != eventsPerOSMajorFault {
+		t.Fatalf("one cold OSDP fault fired %d events, want %d", n, eventsPerOSMajorFault)
+	}
+}
+
+// eventsPerKVOp is how many engine events one YCSB read of a resident,
+// TLB-mapped record fires on an idle machine from Op to its completion:
+// the end of one segment that runs the op's user work and then its
+// baseline syscall work. The record load hits the TLB and completes in
+// that event. Folding or splitting any stage of the KV op moves this
+// number.
+const eventsPerKVOp = 1
+
+func TestEventsPerKVOp(t *testing.T) {
+	raw := New(det(HWDP)).Raw()
+	st, err := kvs.Create(raw.K, raw.FS, raw.Proc, "db", 4, 0, 0, raw.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := workload.NewYCSB(raw, st, 'C')
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, rng := raw.WorkloadThread(0), sim.NewRand(1)
+	var done bool
+	doneFn := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = true
+	}
+	op := func() uint64 {
+		done = false
+		fired := raw.Eng.Fired()
+		kv.Op(th, rng, doneFn)
+		raw.RunWhile(func() bool { return !done })
+		return raw.Eng.Fired() - fired
+	}
+	// Warm up until every record's page is resident and in the TLB.
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	before := raw.MMU.Stats()
+	n := op()
+	after := raw.MMU.Stats()
+	if after.Accesses != before.Accesses+1 || after.TLBHits != before.TLBHits+1 {
+		t.Fatalf("the read made %d accesses with %d TLB hits, want one hit",
+			after.Accesses-before.Accesses, after.TLBHits-before.TLBHits)
+	}
+	if n != eventsPerKVOp {
+		t.Fatalf("one resident KV read fired %d events, want %d", n, eventsPerKVOp)
 	}
 }

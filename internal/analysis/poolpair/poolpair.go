@@ -1,7 +1,10 @@
 // Package poolpair verifies pooled-object discipline: every record taken
 // from a sim.Pool must, on every control-flow path, either be handed back
 // to its pool or handed off (stored, returned, passed on, or captured —
-// ownership transfer). It is the static twin of the dynamic
+// ownership transfer). A call hands a record off only when it takes the
+// record itself (obj or &obj) or a callback of it (obj.M, or a func field
+// bound to it), or is a method call on it; reading a data field into a
+// call does not. It is the static twin of the dynamic
 // frame-conservation property test: the property test catches a leak when
 // a run happens to execute the leaky path; poolpair rejects the path at
 // vet time.
@@ -414,15 +417,18 @@ func (c *checker) scanEvent(n ast.Node, obj types.Object) event {
 	return found
 }
 
-// mentionsCall reports whether a call passes obj as an argument or invokes
-// a method on it — release, hand-off, or unknown callee: all consume.
+// mentionsCall reports whether a call passes obj itself (obj or &obj) or
+// a callback of it (a method value obj.M, or a func-typed field such as a
+// phase bound once to the record) as an argument, or invokes a method on
+// it — release, hand-off, or unknown callee: all consume. A call that only
+// reads a data field (f(obj.x), or obj.x.M()) hands nothing off.
 func (c *checker) mentionsCall(call *ast.CallExpr, obj types.Object) bool {
 	for _, a := range call.Args {
-		if c.mentions(a, obj) {
+		if c.isObjValue(a, obj) || c.isObjCallback(a, obj) {
 			return true
 		}
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && c.mentions(sel.X, obj) {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && c.isObjIdent(sel.X, obj) {
 		return true
 	}
 	return false
@@ -454,6 +460,17 @@ func (c *checker) isObjValue(e ast.Expr, obj types.Object) bool {
 		e = ast.Unparen(u.X)
 	}
 	return c.isObjIdent(e, obj)
+}
+
+// isObjCallback reports whether e is a func-valued selector on obj: a
+// method value, or a callback field the record carries.
+func (c *checker) isObjCallback(e ast.Expr, obj types.Object) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok || !c.isObjIdent(sel.X, obj) {
+		return false
+	}
+	_, isFunc := c.pass.TypesInfo.TypeOf(sel).Underlying().(*types.Signature)
+	return isFunc
 }
 
 // isObjIdent reports whether e is obj's bare identifier.

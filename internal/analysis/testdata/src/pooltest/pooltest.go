@@ -126,6 +126,70 @@ func (p *owner) leakCallback(a any) {
 	work2(next)
 }
 
+// A call that only reads a record's data field hands nothing off; one that
+// takes a callback the record carries, or calls a method on it, does.
+
+type thread struct{}
+
+func (*thread) wake() {}
+
+type job struct {
+	th    *thread
+	since int
+	fn    func()
+}
+
+func (j *job) run() {}
+
+type jobs struct{ pool sim.Pool[job] }
+
+func (q *jobs) leakFieldArg(a any) {
+	j := a.(*job) // want `pooled record "j" \(a \*job unpacked from an event argument\) is not released on every path`
+	work3(j.since)
+}
+
+func (q *jobs) leakFieldArgExpr(a any, now int) {
+	j := a.(*job) // want `pooled record "j" \(a \*job unpacked from an event argument\) is not released on every path`
+	work3(now - j.since)
+}
+
+func (q *jobs) leakFieldPassed() {
+	j := q.pool.Get() // want `pooled record "j" from q\.pool is not released on every path`
+	kill(j.th)
+}
+
+func (q *jobs) leakFieldMethod() {
+	j := q.pool.Get() // want `pooled record "j" from q\.pool is not released on every path`
+	j.th.wake()
+}
+
+func (q *jobs) okFieldThenPut(a any) {
+	j := a.(*job)
+	work3(j.since)
+	*j = job{}
+	q.pool.Put(j)
+}
+
+func (q *jobs) okCallbackField() {
+	j := q.pool.Get()
+	post(j.fn)
+}
+
+func (q *jobs) okMethodValue() {
+	j := q.pool.Get()
+	post(j.run)
+}
+
+func (q *jobs) okMethodCall() {
+	j := q.pool.Get()
+	j.run()
+}
+
+func (q *jobs) okAddressOf() {
+	j := q.pool.Get()
+	keep(&j)
+}
+
 type other struct{}
 
 func (p *owner) okNotPooled(a any) {
@@ -138,3 +202,11 @@ var errFail error
 func work() {}
 
 func work2(*entry) {}
+
+func work3(int) {}
+
+func kill(*thread) {}
+
+func post(func()) {}
+
+func keep(**job) {}

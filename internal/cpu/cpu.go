@@ -30,10 +30,30 @@
 //
 // A quantum's counters and warmth are charged lazily, once the clock has
 // reached its start: at the next state change on the core, at the slice
-// end, or on a read through CPU.Thread, CPU.Threads or HWThread.Warmth,
-// which charge up to Now. Reading an HWThread's Counters field directly
-// mid-slice shows only the quanta charged so far, and after
+// end, or on a read through CPU.Thread, CPU.Threads, HWThread.Warmth or
+// HWThread.State, which charge up to Now. Reading an HWThread's Counters
+// field directly mid-slice shows only the quanta charged so far, and after
 // sim.Engine.RunUntil Now is the last fired event, not the deadline.
+//
+// A segment can carry a kernel tail: UserThenKernel is a UserExec whose
+// end runs KernelExec at once, and KernelThenKernel two KernelExecs back
+// to back, each with one end event instead of two. The tail is charged
+// lazily too, once the clock reaches the boundary where the first part
+// ends: its instructions, time, warmth decay and subnormal flush, the
+// charge KernelExec makes. Until then the thread reports the first part's
+// state, and from the boundary on RunningKernel. The sibling's SMT factor
+// is the same on both sides of the boundary, so the sibling sees nothing
+// there; a re-split of the user part moves the end to the new user end
+// plus the tail. Tie rule: the end event takes its seq when the segment
+// is posted (or re-split), not at the boundary, so it fires before an
+// event for the same picosecond posted between then and the boundary,
+// which the two calls' second end followed. A reader at the boundary
+// picosecond sees the tail charged. The golden pins and every hwdpbench
+// output are unchanged.
+//
+// A slice keeps the plans of its first planSlots uncharged quanta, made
+// when its end is planned, and charges them as they are; a longer slice
+// plans the quanta past them again when they are charged.
 //
 // KernelExec flushes a warmth that decays below the smallest normal
 // float64 (2^-1022) to zero. A thread that only runs kernel work, such as
@@ -165,9 +185,10 @@ type HWThread struct {
 	sib   *HWThread
 	state ThreadState
 
-	// slice is the running UserExec's uncharged quanta (next to state:
-	// a state change reads the sibling's), and done the caller's
-	// completion of the running UserExec, KernelExec or Stall.
+	// slice is the running segment's uncharged quanta and kernel tail
+	// (next to state: a state change reads the sibling's), and done the
+	// caller's completion of the running UserExec, KernelExec, Stall or
+	// fused segment.
 	slice userSlice
 	done  func()
 
@@ -177,6 +198,10 @@ type HWThread struct {
 	// The open-ended stall StartStall opened, if any.
 	stallOpen  bool
 	stallStart sim.Time
+
+	// plans are the running slice's kept quantum plans (see userSlice),
+	// last so the fields every event touches share fewer cache lines.
+	plans [planSlots]quantumPlan
 }
 
 // Core is one physical core with two hardware threads.
@@ -185,8 +210,14 @@ type Core struct {
 	Threads [2]*HWThread
 }
 
-// State returns the thread's current state.
-func (t *HWThread) State() ThreadState { return t.state }
+// State returns the thread's current state. A fused segment reports
+// RunningKernel from its boundary on.
+func (t *HWThread) State() ThreadState {
+	if t.slice.tailed {
+		t.cpu.settle(t) // only a tail changes the state mid-segment
+	}
+	return t.state
+}
 
 // Warmth returns the current microarchitectural warmth in [0,1].
 func (t *HWThread) Warmth() float64 {
@@ -194,17 +225,30 @@ func (t *HWThread) Warmth() float64 {
 	return t.warmth
 }
 
-// userSlice is a running UserExec past its charged quanta: the
-// instructions left to charge, the start of the first uncharged quantum,
-// the SMT factor the uncharged quanta run at, and the end event. A
-// one-quantum slice is charged at UserExec and never uses it.
+// userSlice is a running segment past its charged quanta: the
+// instructions left to charge, the start of the first uncharged quantum
+// (once they are all charged, the boundary where the kernel tail starts),
+// the SMT factor the uncharged quanta run at, the kernel tail, and the end
+// event. A one-quantum UserExec is charged at the call and never uses it.
+//
+// The thread's plans[pi:np] are the plans sliceEnd made for the next
+// uncharged quanta, in order; settle charges them as they are, and plans
+// the quanta past them again.
 type userSlice struct {
 	left   uint64
 	next   sim.Time
 	factor float64
 	endAt  sim.Time
 	end    *sim.Event
+	tail   sim.Time // the kernel tail's duration, 0 without one
+	pi, np uint8
+	tailed bool // the tail is still to charge
 }
+
+// planSlots is how many quantum plans a slice keeps: a YCSB op's 40,000
+// instructions leave 4 quanta after the first, and a longer slice, such
+// as YCSB-E's 16-record scan of 18 quanta, plans the rest again.
+const planSlots = 8
 
 // quantumPlan is one quantum's duration and the warmth after it.
 type quantumPlan struct {
@@ -354,22 +398,61 @@ func (c *CPU) UserExec(t *HWThread, instr uint64, done func()) {
 	if t.state != Idle {
 		panic(fmt.Sprintf("cpu: UserExec on thread %d in state %v", t.ID, t.state))
 	}
+	next, f := c.startUser(t, instr, done)
+	if instr <= userQuantum {
+		// One quantum, already started: nothing can move its end.
+		c.eng.AtArgPooled(next, c.contFn, t)
+		return
+	}
+	c.runSlice(t, instr-userQuantum, next, f, 0, false)
+}
+
+// UserThenKernel runs instr user instructions on t, then kdur of kernel
+// work, then calls done: UserExec followed by KernelExec at the boundary,
+// with one end event. The kernel tail is charged lazily at the boundary
+// (see the package comment).
+func (c *CPU) UserThenKernel(t *HWThread, instr uint64, kdur sim.Time, done func()) {
+	if t.state != Idle {
+		panic(fmt.Sprintf("cpu: UserThenKernel on thread %d in state %v", t.ID, t.state))
+	}
+	next, f := c.startUser(t, instr, done)
+	c.runSlice(t, instr-min(instr, userQuantum), next, f, max(kdur, 0), true)
+}
+
+// KernelThenKernel runs d1 of kernel work on t, then d2 more, then calls
+// done: two KernelExecs back to back, with one end event. The second
+// charge is a kernel tail, charged lazily at the boundary.
+func (c *CPU) KernelThenKernel(t *HWThread, d1, d2 sim.Time, done func()) {
+	if t.state != Idle {
+		panic(fmt.Sprintf("cpu: KernelThenKernel on thread %d in state %v", t.ID, t.state))
+	}
+	d1 = max(d1, 0)
+	c.chargeKernel(t, d1)
+	t.state = RunningKernel
+	c.siblingMoved(t)
+	t.done = done
+	c.runSlice(t, 0, c.eng.Now()+d1, 0, max(d2, 0), true)
+}
+
+// startUser starts t's user work: it charges the first quantum of instr,
+// which starts now, even an empty one, and returns the quantum's end and
+// the SMT factor it ran at.
+func (c *CPU) startUser(t *HWThread, instr uint64, done func()) (sim.Time, float64) {
 	t.state = RunningUser
 	c.siblingMoved(t)
-	// The first quantum starts now, even an empty one.
 	f := c.smtFactor(t)
 	chunk := min(instr, userQuantum)
 	q := c.planQuantum(t.warmth, chunk, f)
 	c.charge(t, chunk, q)
 	t.done = done
-	next := c.eng.Now() + q.dur
-	if instr == chunk {
-		// One quantum, already started: nothing can move its end.
-		c.eng.AtArgPooled(next, c.contFn, t)
-		return
-	}
+	return c.eng.Now() + q.dur, f
+}
+
+// runSlice plans t's running segment, left user instructions from next at
+// SMT factor f and then the kernel tail if tailed, and posts its end.
+func (c *CPU) runSlice(t *HWThread, left uint64, next sim.Time, f float64, tail sim.Time, tailed bool) {
 	s := &t.slice
-	s.left, s.next, s.factor = instr-chunk, next, f
+	s.left, s.next, s.factor, s.tail, s.tailed = left, next, f, tail, tailed
 	s.endAt = c.sliceEnd(t)
 	s.end = c.eng.AtArgPooled(s.endAt, c.contFn, t)
 }
@@ -399,30 +482,52 @@ func (c *CPU) charge(t *HWThread, chunk uint64, q quantumPlan) {
 	t.warmth = q.warmth
 }
 
-// sliceEnd returns when t's slice ends if its uncharged quanta run at the
-// slice's factor. settle repeats the same arithmetic when it charges them.
+// sliceEnd returns when t's segment ends if its uncharged quanta run at
+// the slice's factor: the last quantum's end plus the kernel tail. It keeps
+// the first planSlots quanta's plans for settle to charge.
 func (c *CPU) sliceEnd(t *HWThread) sim.Time {
 	s := &t.slice
 	end, w := s.next, t.warmth
+	n := uint8(0)
 	for left := s.left; left > 0; {
 		chunk := min(left, userQuantum)
 		q := c.planQuantum(w, chunk, s.factor)
+		if n < planSlots {
+			t.plans[n] = q
+			n++
+		}
 		end += q.dur
 		w = q.warmth
 		left -= chunk
 	}
-	return end
+	s.pi, s.np = 0, n
+	return end + s.tail
 }
 
-// settle charges the quanta of t's slice that start at or before now.
+// settle charges the quanta of t's slice that start at or before now, and
+// its kernel tail once the boundary is at or before now. A quantum past
+// the kept plans is planned again from the warmth the one before it left,
+// which is the arithmetic sliceEnd did.
 func (c *CPU) settle(t *HWThread) {
 	s := &t.slice
-	for s.left > 0 && s.next <= c.eng.Now() {
+	now := c.eng.Now()
+	for s.left > 0 && s.next <= now {
 		chunk := min(s.left, userQuantum)
-		q := c.planQuantum(t.warmth, chunk, s.factor)
+		var q quantumPlan
+		if s.pi < s.np {
+			q = t.plans[s.pi]
+			s.pi++
+		} else {
+			q = c.planQuantum(t.warmth, chunk, s.factor)
+		}
 		c.charge(t, chunk, q)
 		s.left -= chunk
 		s.next += q.dur
+	}
+	if s.tailed && s.left == 0 && s.next <= now {
+		s.tailed = false
+		c.chargeKernel(t, s.tail)
+		t.state = RunningKernel
 	}
 }
 
@@ -456,8 +561,9 @@ func (c *CPU) resplit(t *HWThread) {
 	}
 }
 
-// runCont ends t's UserExec, KernelExec or Stall: it charges a slice's
-// remaining quanta, idles the thread and fires the caller's completion.
+// runCont ends t's UserExec, KernelExec, Stall or fused segment: it
+// charges a slice's remaining quanta and kernel tail, idles the thread and
+// fires the caller's completion.
 // The sibling is re-split after done returns, so a completion that starts
 // t issuing again at once leaves the sibling's slice as it was.
 func (c *CPU) runCont(a any) {
@@ -486,6 +592,16 @@ func (c *CPU) KernelExec(t *HWThread, dur sim.Time, done func()) {
 	if dur < 0 {
 		dur = 0
 	}
+	c.chargeKernel(t, dur)
+	t.state = RunningKernel
+	c.siblingMoved(t)
+	t.done = done
+	c.eng.PostArg(dur, c.contFn, t)
+}
+
+// chargeKernel charges dur of kernel work to t: its instructions and time,
+// and the warmth it decays.
+func (c *CPU) chargeKernel(t *HWThread, dur sim.Time) {
 	instr := uint64(float64(dur.ToCycles()) * c.params.KernelIPC)
 	t.KernelInstr += instr
 	t.KernelTime += dur
@@ -493,10 +609,6 @@ func (c *CPU) KernelExec(t *HWThread, dur sim.Time, done func()) {
 	if t.warmth < minNormal {
 		t.warmth = 0 // see the package comment: exact, and no subnormal arithmetic
 	}
-	t.state = RunningKernel
-	c.siblingMoved(t)
-	t.done = done
-	c.eng.PostArg(dur, c.contFn, t)
 }
 
 // Stall blocks the pipeline for dur — the HWDP page-miss behavior: the

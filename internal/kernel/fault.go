@@ -369,27 +369,29 @@ func (f *pageFault) onIO(status uint16) {
 		return
 	}
 	f.hw.AccountContextSwitch()
-	k.kspan(f.ms, "irq+complete+wake", f.hw, c.InterruptDelivery+c.IOCompletion+c.WakeSchedule, f.wakeFn)
+	wake := c.InterruptDelivery + c.IOCompletion + c.WakeSchedule
+	if status != nvme.StatusSuccess {
+		k.kspan(f.ms, "irq+complete+wake", f.hw, wake, f.wakeFn)
+		return
+	}
+	// The wake and the metadata and PTE updates are one kernel segment.
+	k.kspanThen(f.ms, "irq+complete+wake", "metadata+pte-install", f.hw,
+		wake, c.MetadataUpdate+c.PTEInstallReturn, f.installFn)
 }
 
-// wake installs the read page (an OS fault charges its metadata and PTE
-// updates first), or delivers SIGBUS when the read failed for good.
+// wake ends a SW-only miss, or delivers SIGBUS when the read failed for
+// good.
 //
 //hwdp:hotpath
 func (f *pageFault) wake() {
-	k, c := f.k, f.k.cfg.Costs
 	if f.ioStatus != nvme.StatusSuccess {
 		// The faults waiting on the lock find the page missing: their
 		// re-walks fault again and read the block themselves.
-		k.sigbus(f.th, f.as, f.va, f.frame, f.ms)
+		f.k.sigbus(f.th, f.as, f.va, f.frame, f.ms)
 		f.unlock()
 		return
 	}
-	if f.sw {
-		f.swInstall()
-		return
-	}
-	k.kspan(f.ms, "metadata+pte-install", f.hw, c.MetadataUpdate+c.PTEInstallReturn, f.installFn)
+	f.swInstall()
 }
 
 // install puts the filled page in the page cache, maps it and unlocks.

@@ -643,31 +643,42 @@ func (p *Process) findVMA(va pagetable.VAddr) *VMA {
 // thread to become idle first (an interrupt arriving while the core still
 // runs the context-switch-out path is delayed, as on real hardware where it
 // is serviced at the next instruction boundary of the critical section).
-func (k *Kernel) kexec(hw *cpu.HWThread, d sim.Time, fn func()) {
-	if hw.State() != cpu.Idle {
+func (k *Kernel) kexec(hw *cpu.HWThread, d sim.Time, fn func()) { k.kexecThen(hw, d, noTail, fn) }
+
+// noTail is kexecThen's second duration for a single kernel charge.
+const noTail sim.Time = -1
+
+// kexecThen is kexec for kernel work of duration d followed by d2 more on
+// the same hardware thread, charged as one segment with one end event
+// (cpu.KernelThenKernel); d2 == noTail is plain kexec.
+func (k *Kernel) kexecThen(hw *cpu.HWThread, d, d2 sim.Time, fn func()) {
+	switch {
+	case hw.State() != cpu.Idle:
 		r := k.kexecs.Get()
-		r.hw, r.d, r.fn = hw, d, fn
+		r.hw, r.d, r.d2, r.fn = hw, d, d2, fn
 		k.eng.PostArg(sim.Nano(150), k.kexecFn, r)
-		return
+	case d2 == noTail:
+		k.cpu.KernelExec(hw, d, fn)
+	default:
+		k.cpu.KernelThenKernel(hw, d, d2, fn)
 	}
-	k.cpu.KernelExec(hw, d, fn)
 }
 
 // kexecReq carries the arguments of a delayed kexec retry through the
 // event queue without a per-poll closure.
 type kexecReq struct {
-	hw *cpu.HWThread
-	d  sim.Time
-	fn func()
+	hw    *cpu.HWThread
+	d, d2 sim.Time
+	fn    func()
 }
 
 // runKexec is the pre-bound PostArg callback for kexec retries.
 func (k *Kernel) runKexec(a any) {
 	r := a.(*kexecReq)
-	hw, d, fn := r.hw, r.d, r.fn
+	hw, d, d2, fn := r.hw, r.d, r.d2, r.fn
 	*r = kexecReq{}
 	k.kexecs.Put(r)
-	k.kexec(hw, d, fn)
+	k.kexecThen(hw, d, d2, fn)
 }
 
 // kspan is kexec plus span recording: when the miss is traced, the kernel
@@ -683,6 +694,25 @@ func (k *Kernel) kspan(ms *trace.Miss, name string, hw *cpu.HWThread, d sim.Time
 	//hwdp:ignore hotalloc closure only built when tracing is on (single-miss experiments), never in steady state
 	k.kexec(hw, d, func() {
 		ms.AddSpan(trace.LayerKernel, name, start, k.eng.Now())
+		fn()
+	})
+}
+
+// kspanThen is kspan for two kernel phases back to back, charged through
+// kexecThen. A traced miss records both spans when fn runs: the first
+// from now to the boundary, d2 before the end, and the second from there.
+func (k *Kernel) kspanThen(ms *trace.Miss, name, name2 string, hw *cpu.HWThread, d, d2 sim.Time, fn func()) {
+	if ms == nil {
+		k.kexecThen(hw, d, d2, fn)
+		return
+	}
+	start := k.eng.Now()
+	//hwdp:ignore hotalloc closure only built when tracing is on (single-miss experiments), never in steady state
+	k.kexecThen(hw, d, d2, func() {
+		end := k.eng.Now()
+		mid := end - max(d2, 0)
+		ms.AddSpan(trace.LayerKernel, name, start, mid)
+		ms.AddSpan(trace.LayerKernel, name2, mid, end)
 		fn()
 	})
 }

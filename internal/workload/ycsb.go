@@ -67,9 +67,9 @@ type kvOp struct {
 	scanStart uint64
 	scanN     int
 
-	execFn, op2Fn, scanFn func()
-	gotFn                 func(version uint64, rec mem.Content, err error)
-	scannedFn             func(scanned int, err error)
+	op2Fn, scanFn func()
+	gotFn         func(version uint64, rec mem.Content, err error)
+	scannedFn     func(scanned int, err error)
 }
 
 func newKV(sys *core.System, st *kvs.Store, name string, read, update, insert, scan float64) *KV {
@@ -173,7 +173,7 @@ func (kv *KV) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 		op = kv.newOp(th)
 	}
 	op.rng, op.kind, op.done = rng, kind, done
-	kv.Sys.CPU.UserExec(th.HW, kv.OpInstr, op.execFn)
+	kv.Sys.CPU.UserThenKernel(th.HW, kv.OpInstr, KVSyscallPerOp, op.op2Fn)
 }
 
 // newOp builds th's carrier and binds its phases.
@@ -181,7 +181,7 @@ func (kv *KV) Op(th *kernel.Thread, rng *sim.Rand, done func(error)) {
 //hwdp:coldpath runs once per thread, on its first op
 func (kv *KV) newOp(th *kernel.Thread) *kvOp {
 	op := &kvOp{kv: kv, th: th}
-	op.execFn, op.op2Fn, op.scanFn = op.exec, op.op2, op.scan
+	op.op2Fn, op.scanFn = op.op2, op.scan
 	op.gotFn, op.scannedFn = op.got, op.scanned
 	kv.ops.Set(th, op)
 	return op
@@ -207,12 +207,8 @@ func (kv *KV) bump(key uint64) uint64 {
 //hwdp:coldpath runs once, on the workload's first write
 func (kv *KV) allocVersions() { kv.versions = make([]uint64, kv.Store.Keys()) }
 
-// exec runs the op's baseline syscall work after its user work.
-//
-//hwdp:hotpath
-func (op *kvOp) exec() { op.kv.Sys.CPU.KernelExec(op.th.HW, KVSyscallPerOp, op.op2Fn) }
-
-// op2 issues the storage operation.
+// op2 issues the storage operation, after the op's user work and its
+// baseline syscall work.
 //
 //hwdp:hotpath
 func (op *kvOp) op2() {

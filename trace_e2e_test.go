@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hwdp/internal/fs"
+	"hwdp/internal/trace"
 )
 
 // tracedRun executes a fixed FIO workload with tracing on and returns the
@@ -127,5 +130,45 @@ func TestTraceDisabledFacade(t *testing.T) {
 	}
 	if !strings.Contains(sys.FlightDump(), "disabled") {
 		t.Fatal("flight dump missing disabled notice")
+	}
+}
+
+// TestTracedOSReadSpans checks the kernel spans of a traced cold OSDP
+// fault's read completion, which the CPU runs as one segment with one end
+// event: irq+complete+wake ends where metadata+pte-install starts, and on
+// an idle core each lasts exactly its cost.
+func TestTracedOSReadSpans(t *testing.T) {
+	cfg := det(OSDP)
+	cfg.Trace = true
+	raw := New(cfg).Raw()
+	va, _, err := raw.MapFile("probe", 16, fs.SeededInit(1), raw.FastFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.MeasureSingleFault(raw.WorkloadThread(0), va)
+	ms := raw.Trace.Misses()
+	if len(ms) != 1 {
+		t.Fatalf("%d misses traced, want the one cold fault", len(ms))
+	}
+	var wake, install *trace.Span
+	for i, s := range ms[0].Spans {
+		switch s.Name {
+		case "irq+complete+wake":
+			wake = &ms[0].Spans[i]
+		case "metadata+pte-install":
+			install = &ms[0].Spans[i]
+			if wake == nil {
+				t.Fatal("metadata+pte-install recorded before irq+complete+wake")
+			}
+		}
+	}
+	if wake == nil || install == nil {
+		t.Fatalf("spans %+v lack the read completion's two kernel spans", ms[0].Spans)
+	}
+	c := raw.K.Config().Costs
+	if wake.End != install.Start || install.End != ms[0].End ||
+		wake.Dur() != c.InterruptDelivery+c.IOCompletion+c.WakeSchedule ||
+		install.Dur() != c.MetadataUpdate+c.PTEInstallReturn {
+		t.Fatalf("read completion spans %+v then %+v, miss ends %v", *wake, *install, ms[0].End)
 	}
 }
