@@ -23,9 +23,8 @@ race:
 # (kernel.BenchmarkMajorFaultEvict), the KV op path
 # (workload.BenchmarkKVOp), one user slice (cpu.BenchmarkUserExec), one
 # user slice with its kernel tail, a KV op's CPU work
-# (cpu.BenchmarkUserThenKernel), one kernel charge on a fully decayed
-# thread (cpu.BenchmarkKernelExec) and the root BenchmarkFig* figure
-# summaries. The repository benchmark is bench/
+# (cpu.BenchmarkUserThenKernel) and one kernel charge on a fully decayed
+# thread (cpu.BenchmarkKernelExec). The repository benchmark is bench/
 # (bash bench/run.sh).
 bench-go:
 	$(GO) test -short -run '^$$' -bench=. -benchtime=1x ./...

@@ -23,10 +23,13 @@ import (
 // the engine and returns SHA-256(0x00 || SHA-256(timestamps)), each fired
 // event's timestamp written as 8 little-endian bytes. The leading zero
 // byte is the stream-index marker of the digest's earlier multi-stream
-// form, kept so the pinned value carries over unchanged.
-func eventStreamDigest(t *testing.T) string {
+// form, kept so the pinned value carries over unchanged. shardKpoold sets
+// the kernel's Config.ShardKpoold.
+func eventStreamDigest(t *testing.T, shardKpoold bool) string {
 	t.Helper()
-	sys := New(det(HWDP))
+	c := det(HWDP).core()
+	c.Kernel.ShardKpoold = shardKpoold
+	sys := &System{sys: c.Build()}
 	h := sha256.New()
 	var scratch [8]byte
 	sys.Raw().Eng.SetObserver(func(at Duration) {
@@ -57,8 +60,8 @@ func eventStreamDigest(t *testing.T) string {
 const eventStreamPin = "02c24fe2741d09a53bcd568733df814218fdac05192f8aa66de5fa4021801140"
 
 func TestEventStreamPinned(t *testing.T) {
-	d1 := eventStreamDigest(t)
-	d2 := eventStreamDigest(t)
+	d1 := eventStreamDigest(t, false)
+	d2 := eventStreamDigest(t, false)
 	if d1 != d2 {
 		t.Fatalf("event stream diverged across two in-process runs:\n  %s\n  %s", d1, d2)
 	}
@@ -68,6 +71,14 @@ func TestEventStreamPinned(t *testing.T) {
 	if d1 != eventStreamPin {
 		t.Fatalf("event-stream digest changed:\n  got  %s\n  want %s\n"+
 			"(re-pin only together with goldenPin, for sanctioned timing-model changes)", d1, eventStreamPin)
+	}
+}
+
+// On one socket a sharded kpoold is one kpoold over the one SMU, with no
+// stagger: the event stream must not move.
+func TestShardKpooldOneSocketEventStream(t *testing.T) {
+	if off, on := eventStreamDigest(t, false), eventStreamDigest(t, true); off != on {
+		t.Fatalf("ShardKpoold moved the one-socket event stream:\n  off %s\n  on  %s", off, on)
 	}
 }
 

@@ -207,7 +207,10 @@ type System struct {
 }
 
 // New builds and boots a machine.
-func New(cfg Config) *System {
+func New(cfg Config) *System { return &System{sys: cfg.core().Build()} }
+
+// core translates cfg into the machine configuration New builds.
+func (cfg Config) core() core.Config {
 	c := core.DefaultConfig(cfg.Scheme.kernel())
 	if cfg.MemoryMB > 0 {
 		c.MemoryBytes = uint64(cfg.MemoryMB) << 20
@@ -235,7 +238,7 @@ func New(cfg Config) *System {
 		c.SMURetry = &p
 	}
 	c.TraceEnabled = cfg.Trace
-	return &System{sys: c.Build()}
+	return c
 }
 
 // Raw exposes the underlying machine for advanced use.

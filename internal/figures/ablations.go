@@ -87,15 +87,12 @@ func AblationDeviceSweep(p Params) (*DeviceSweepResult, error) {
 		var lats [2]sim.Time
 		for i, scheme := range []kernel.Scheme{kernel.OSDP, kernel.HWDP} {
 			cfg := core.DefaultConfig(scheme)
-			cfg.MemoryBytes = p.memoryBytes()
 			cfg.Device = dev
-			cfg.DeviceJitter = false
-			sys := cfg.Build()
-			va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
+			lat, _, err := singleFault(p, cfg)
 			if err != nil {
 				return nil, err
 			}
-			lats[i] = sys.MeasureSingleFault(sys.WorkloadThread(0), va)
+			lats[i] = lat
 		}
 		c := kernel.DefaultCosts()
 		hwTime := lats[1] - dev.Read4K

@@ -38,20 +38,27 @@ var fig11Labels = map[string]string{
 	"notify-mmu":      "notify MMU",
 }
 
+// singleFault builds cfg at p's memory size with device jitter off, maps a
+// 16-page probe file and returns one cold fault's end-to-end latency and
+// the machine it ran on.
+func singleFault(p Params, cfg core.Config) (sim.Time, *core.System, error) {
+	cfg.MemoryBytes = p.memoryBytes()
+	cfg.DeviceJitter = false
+	sys := cfg.Build()
+	va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
+	if err != nil {
+		return 0, nil, err
+	}
+	return sys.MeasureSingleFault(sys.WorkloadThread(0), va), sys, nil
+}
+
 // Fig11 measures one fault under each scheme and takes the hardware
 // timeline from the traced HWDP miss.
 func Fig11(p Params) (*Fig11Result, error) {
 	single := func(scheme kernel.Scheme) (sim.Time, *core.System, error) {
 		cfg := core.DefaultConfig(scheme)
-		cfg.MemoryBytes = p.memoryBytes()
-		cfg.DeviceJitter = false
 		cfg.TraceEnabled = scheme == kernel.HWDP
-		sys := cfg.Build()
-		va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
-		if err != nil {
-			return 0, nil, err
-		}
-		return sys.MeasureSingleFault(sys.WorkloadThread(0), va), sys, nil
+		return singleFault(p, cfg)
 	}
 	osLat, osSys, err := single(kernel.OSDP)
 	if err != nil {
@@ -176,16 +183,9 @@ type Fig17Result struct{ Rows []Fig17Row }
 func Fig17(p Params) (*Fig17Result, error) {
 	single := func(scheme kernel.Scheme, dev ssd.Profile) (sim.Time, error) {
 		cfg := core.DefaultConfig(scheme)
-		cfg.MemoryBytes = p.memoryBytes()
 		cfg.Device = dev
-		cfg.DeviceJitter = false
-		sys := cfg.Build()
-		va, _, err := sys.MapFile("probe", 16, nil, sys.FastFlags())
-		if err != nil {
-			return 0, err
-		}
-		lat := sys.MeasureSingleFault(sys.WorkloadThread(0), va)
-		return lat, nil
+		lat, _, err := singleFault(p, cfg)
+		return lat, err
 	}
 	res := &Fig17Result{}
 	for _, dev := range []ssd.Profile{ssd.ZSSD, ssd.OptaneSSD, ssd.OptaneDCPMM} {

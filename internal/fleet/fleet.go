@@ -288,17 +288,12 @@ func Run(c Config) (Result, error) {
 		Name: c.Name, Tenants: c.Tenants, Sockets: c.Sockets,
 		Skew: c.Skew, QoS: c.QoS,
 	}
-	perTenant := make([]workload.Result, c.Tenants)
-	for i := range perTenant {
-		perTenant[i].Lat = metrics.NewHistogram()
-	}
+	ops := make([]uint64, c.Tenants)
+	errs := make([]uint64, c.Tenants)
 	for i, r := range results {
 		t := tenantOf[i]
-		perTenant[t].Ops += r.Ops
-		perTenant[t].Errors += r.Errors
-		if r.Elapsed > perTenant[t].Elapsed {
-			perTenant[t].Elapsed = r.Elapsed
-		}
+		ops[t] += r.Ops
+		errs[t] += r.Errors
 	}
 	qosWait := metrics.NewHistogram()
 	for _, s := range sys.SMUs {
@@ -312,7 +307,7 @@ func Run(c Config) (Result, error) {
 		row := TenantRow{
 			Tenant: t, Socket: t % c.Sockets, Threads: counts[t],
 			Weight: weights[t],
-			Ops:    perTenant[t].Ops, Errors: perTenant[t].Errors,
+			Ops:    ops[t], Errors: errs[t],
 			SLOTargetUS: c.SLOTargetUS,
 		}
 		for _, s := range sys.SMUs {

@@ -196,8 +196,8 @@ func evictRig(tb testing.TB) (*rig, func(i int)) {
 func TestReclaimAllocationBudget(t *testing.T) {
 	r, access := evictRig(t)
 	passes := 0
-	kswapdDone := r.k.kswapdDoneFn
-	r.k.kswapdDoneFn = func(freed int) {
+	kswapdDone := r.k.kswapd.passDoneFn
+	r.k.kswapd.passDoneFn = func(freed int) {
 		passes++
 		kswapdDone(freed)
 	}

@@ -349,7 +349,7 @@ func nop() {}
 func (f *pageFault) switched() {
 	if k := f.k; f.hwFailed {
 		k.stats.FaultRefills++
-		if total := k.refillAll(); total > 0 {
+		if total := k.refill(k.smus); total > 0 {
 			k.kexec(f.hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), nop)
 		}
 	}
@@ -402,7 +402,7 @@ func (f *pageFault) install() {
 		// refill behind: refill the free page queues before returning to
 		// user.
 		k.stats.FaultRefills++
-		total := k.refillAll()
+		total := k.refill(k.smus)
 		k.kspan(f.ms, "fault-queue-refill", f.hw, k.cfg.Costs.RefillPerFrame*sim.Time(total), f.unlockFn)
 		return
 	}
@@ -486,11 +486,11 @@ func (k *Kernel) finishMap(as *mmu.AddressSpace, va pagetable.VAddr, vma *VMA, p
 	}
 }
 
-// refillAll refills every SMU's free page queues, in SID order, and
-// returns the number of frames moved.
-func (k *Kernel) refillAll() int {
+// refill refills the free page queues of smus, in order, and returns the
+// number of frames moved.
+func (k *Kernel) refill(smus []*smu.SMU) int {
 	total := 0
-	for _, s := range k.smus {
+	for _, s := range smus {
 		total += k.refillSMU(s)
 	}
 	return total

@@ -64,12 +64,12 @@ type Config struct {
 
 	DisableKpoold bool // ablation: no background refill (Section IV-D)
 
-	// ShardKpoold splits the kpoold refill sweep into one periodic tick per
-	// socket, staggered across the period, instead of one tick refilling
-	// every SMU at the same timestamp. Fleet configs enable it so refill
-	// work — and the doorbell traffic it triggers on each socket's device
-	// — spreads in time across sockets. Off (the default) keeps the
-	// single-sweep behavior byte-identical.
+	// ShardKpoold runs one kpoold per socket, each refilling its own SMU
+	// with its first tick staggered across the period, instead of one
+	// kpoold refilling every SMU at the same timestamp. Fleet configs
+	// enable it so refill work — and the doorbell traffic it triggers on
+	// each socket's device — spreads in time across sockets. On a
+	// one-socket machine both forms run the same events.
 	ShardKpoold bool
 
 	// StallTimeout, when non-zero under HWDP, bounds how long a pipeline
@@ -406,10 +406,12 @@ type Kernel struct {
 	// walBuffer is a pinned frame used as the DMA source for WriteRaw.
 	walBuffer mem.FrameID
 
-	reclaiming bool
-	stats      Stats
-	started    bool
-	tracer     *trace.Tracer
+	stats   Stats
+	started bool
+	tracer  *trace.Tracer
+
+	// kswapd is the background reclaim daemon, made at Start.
+	kswapd *daemon
 
 	// Pressure state. psi is the optional pressure-stall recorder
 	// (recording-only: it never schedules events, so attaching it cannot
@@ -447,12 +449,9 @@ type Kernel struct {
 	stallTimeoutFn func(any)
 
 	// Pooled page-replacement carriers: one per reclaim pass and one per
-	// freeing writeback. kswapdFn and kswapdDoneFn are kswapd's tick and
-	// end-of-pass callbacks, bound once.
-	scans        sim.Pool[reclaimScan]
-	wbDones      sim.Pool[wbDone]
-	kswapdFn     func()
-	kswapdDoneFn func(int)
+	// freeing writeback.
+	scans   sim.Pool[reclaimScan]
+	wbDones sim.Pool[wbDone]
 
 	// walWrittenFn is the completion of every WriteRaw device write,
 	// bound once.
@@ -484,7 +483,6 @@ func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, mm *mmu.MMU, cfg Config,
 	k.ioTimeoutFn = k.ioTimeout
 	k.ioRetryFn = k.ioRetry
 	k.stallTimeoutFn = k.stallTimeout
-	k.kswapdFn, k.kswapdDoneFn = k.kswapdTick, k.kswapdDone
 	k.walWrittenFn = k.walWritten
 	if cfg.DirtyRatioFrac > 0 {
 		k.dirtyHardLimit = int(float64(m.Frames()) * cfg.DirtyRatioFrac)
@@ -586,27 +584,25 @@ func (k *Kernel) Start() {
 	}
 	k.started = true
 	if k.cfg.Scheme == HWDP {
-		k.refillAll()
+		k.refill(k.smus)
+		period := k.cfg.KpooldPeriod
 		switch {
 		case k.cfg.DisableKpoold:
 		case k.cfg.ShardKpoold:
-			// One refill tick per socket, staggered across the period so the
-			// sweeps don't land on a single timestamp. Each ticker binds its
-			// callback once; rescheduling reposts the stored func.
-			for i, s := range k.smus {
-				t := &smuTicker{k: k, s: s}
-				t.tick = t.run
-				off := k.cfg.KpooldPeriod * sim.Time(i) / sim.Time(len(k.smus))
-				k.eng.Post(k.cfg.KpooldPeriod+off, t.tick)
+			// One kpoold per socket, staggered across the period so the
+			// sweeps don't land on a single timestamp.
+			for i := range k.smus {
+				off := period * sim.Time(i) / sim.Time(len(k.smus))
+				k.startDaemon(k.kpooldHW, period, period+off, k.kpooldWork(k.smus[i:i+1]))
 			}
 		default:
-			k.eng.Post(k.cfg.KpooldPeriod, k.kpooldTick)
+			k.startDaemon(k.kpooldHW, period, period, k.kpooldWork(k.smus))
 		}
 	}
 	if k.cfg.Scheme == HWDP || k.cfg.Scheme == SWDP {
-		k.eng.Post(k.cfg.KptedPeriod, k.kptedTick)
+		k.startDaemon(k.kptedHW, k.cfg.KptedPeriod, k.cfg.KptedPeriod, k.kptedWork)
 	}
-	k.eng.Post(k.cfg.KswapdPeriod, k.kswapdFn)
+	k.kswapd = k.startDaemon(k.kswapdHW, k.cfg.KswapdPeriod, k.cfg.KswapdPeriod, k.kswapdWork)
 }
 
 // NewProcess creates a process with an empty address space.

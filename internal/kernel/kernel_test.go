@@ -536,6 +536,44 @@ func TestMsyncWritesBackDirtyPages(t *testing.T) {
 	}
 }
 
+// An msync syncs the hardware installs of its own VMA only, and leaves
+// the sync marks alone: kpted's next tick still scans both VMAs' leaf
+// tables and finds the other VMA's install.
+func TestMsyncSyncsOnlyItsVMA(t *testing.T) {
+	r := newRig(t, 64<<20, 512, withScheme(HWDP), kptedEvery(50*sim.Millisecond))
+	vaA, _ := r.mmapFile(t, "a", 8, MmapFlags{Fast: true})
+	vaB, _ := r.mmapFile(t, "b", 8, MmapFlags{Fast: true})
+	r.access(t, r.th, vaA+4096, false)
+	r.access(t, r.th, vaB+2*4096, false)
+	state := func(va pagetable.VAddr) pagetable.State {
+		e, _ := r.p.AS.Table.Lookup(va)
+		return e.State()
+	}
+	if state(vaA+4096) != pagetable.StateResidentUnsynced || state(vaB+2*4096) != pagetable.StateResidentUnsynced {
+		t.Fatal("the hardware installs are not unsynced")
+	}
+	done := false
+	r.k.Msync(r.th, vaA, func() { done = true })
+	for !done && r.eng.Step() {
+	}
+	st := r.k.Stats()
+	if !done || st.KptedRuns != 0 {
+		t.Fatalf("msync done %v after %d kpted runs: want it done before kpted's first tick", done, st.KptedRuns)
+	}
+	if st.KptedSyncs != 1 || state(vaA+4096) != pagetable.StateResident || state(vaB+2*4096) != pagetable.StateResidentUnsynced {
+		t.Fatalf("msync of A made %d syncs, A %v, B %v: want A's install synced and B's not",
+			st.KptedSyncs, state(vaA+4096), state(vaB+2*4096))
+	}
+	r.eng.RunUntil(60 * sim.Millisecond)
+	st = r.k.Stats()
+	if st.KptedRuns != 1 || st.KptedSyncs != 2 || state(vaB+2*4096) != pagetable.StateResident {
+		t.Fatalf("after kpted's tick: %d runs, %d syncs, B %v: want B's install synced", st.KptedRuns, st.KptedSyncs, state(vaB+2*4096))
+	}
+	if st.KptedPTEsSeen != 2*pagetable.EntriesPerTable {
+		t.Fatalf("kpted visited %d PTEs, want both VMAs' leaf tables (%d)", st.KptedPTEsSeen, 2*pagetable.EntriesPerTable)
+	}
+}
+
 func TestFsync(t *testing.T) {
 	r := newRig(t, 64<<20, 512, withScheme(HWDP))
 	va, f := r.mmapFile(t, "f", 4, MmapFlags{Fast: true})

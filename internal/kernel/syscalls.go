@@ -141,32 +141,10 @@ func (k *Kernel) MmapAnon(p *Process, sid, devID uint8, pages int,
 // VMA (the set the SMU barrier must drain before unmapping).
 func (k *Kernel) vmaPTEAddrs(vma *VMA) []pagetable.EntryAddr {
 	var addrs []pagetable.EntryAddr
-	for i := 0; i < vma.Pages; i++ {
-		va := vma.Start + pagetable.VAddr(i)*4096
-		if _, _, pte, ok := vma.proc.AS.Table.Walk(va); ok {
-			addrs = append(addrs, pte.Addr())
-		}
-	}
+	vma.proc.AS.Table.Range(vma.Start, vma.End(), func(_ pagetable.VAddr, pte pagetable.EntryRef) {
+		addrs = append(addrs, pte.Addr())
+	})
 	return addrs
-}
-
-// syncVMARange synchronizes OS metadata for every hardware-handled PTE in
-// the VMA (what msync/fsync/munmap do before operating — Section IV-C).
-// It returns the number of PTEs synced.
-func (k *Kernel) syncVMARange(vma *VMA) int {
-	n := 0
-	for i := 0; i < vma.Pages; i++ {
-		va := vma.Start + pagetable.VAddr(i)*4096
-		_, _, pte, ok := vma.proc.AS.Table.Walk(va)
-		if !ok {
-			continue
-		}
-		if pte.Get().State() == pagetable.StateResidentUnsynced {
-			k.syncPageMetadata(vma.proc, va, pte)
-			n++
-		}
-	}
-	return n
 }
 
 // afterBarrier runs fn once the SMU serving a fast-mmap VMA has drained
@@ -187,19 +165,14 @@ func (k *Kernel) afterBarrier(vma *VMA, fn func()) {
 // VMA dead. It returns the PTEs synced and the pages unmapped; callers
 // charge the time.
 func (k *Kernel) unmapVMA(p *Process, vma *VMA) (synced, unmapped int) {
-	synced = k.syncVMARange(vma)
-	for i := 0; i < vma.Pages; i++ {
-		va := vma.Start + pagetable.VAddr(i)*4096
-		_, _, pte, ok := p.AS.Table.Walk(va)
-		if !ok {
-			continue
-		}
+	synced = int(k.syncRange(p, vma.Start, vma.End()).PTEsMatched)
+	p.AS.Table.Range(vma.Start, vma.End(), func(va pagetable.VAddr, pte pagetable.EntryRef) {
 		if pte.Get().Present() {
 			k.unmapOne(p, vma, va, pte)
 			unmapped++
 		}
 		pte.Set(0)
-	}
+	})
 	vma.dead = true
 	return synced, unmapped
 }
@@ -271,7 +244,7 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 	k.stats.Msyncs++
 	c := k.cfg.Costs
 	k.afterBarrier(vma, func() {
-		synced := k.syncVMARange(vma)
+		synced := k.syncRange(p, vma.Start, vma.End()).PTEsMatched
 		outstanding := 1 // the submission charge, until it ends
 		pageDone := func() {
 			if outstanding--; outstanding == 0 {
@@ -279,19 +252,14 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 			}
 		}
 		cost := c.SyscallEntry + c.KptedPerSync*sim.Time(synced)
-		for i := 0; i < vma.Pages; i++ {
-			va := vma.Start + pagetable.VAddr(i)*4096
-			_, _, pte, ok := p.AS.Table.Walk(va)
-			if !ok {
-				continue
-			}
+		p.AS.Table.Range(vma.Start, vma.End(), func(va pagetable.VAddr, pte pagetable.EntryRef) {
 			e := pte.Get()
 			if !e.Present() || !e.Dirty() {
-				continue
+				return
 			}
 			pg := k.lookupPage(vma.File, vma.pageIndex(va))
 			if pg == nil || pg.wb {
-				continue
+				return
 			}
 			pte.Set(e.ClearFlags(pagetable.FlagDirty))
 			if vma.Anon {
@@ -300,7 +268,7 @@ func (k *Kernel) Msync(th *Thread, start pagetable.VAddr, done func()) {
 			cost += c.WritebackSubmit
 			outstanding++
 			k.submitWriteback(th.HW, pg, k.startWriteback(pg), pageDone)
-		}
+		})
 		k.kexec(th.HW, cost, pageDone)
 	})
 }
@@ -400,20 +368,12 @@ func (k *Kernel) Fork(parent *Process) *Process {
 			continue
 		}
 		if v.Fast {
-			for i := 0; i < v.Pages; i++ {
-				va := v.Start + pagetable.VAddr(i)*4096
-				_, _, pte, ok := parent.AS.Table.Walk(va)
-				if !ok {
-					continue
-				}
-				e := pte.Get()
-				switch e.State() {
-				case pagetable.StateNotPresentLBA:
+			k.syncRange(parent, v.Start, v.End())
+			parent.AS.Table.Range(v.Start, v.End(), func(_ pagetable.VAddr, pte pagetable.EntryRef) {
+				if e := pte.Get(); e.State() == pagetable.StateNotPresentLBA {
 					pte.Set(pagetable.MakeSwap(0, e.Prot()))
-				case pagetable.StateResidentUnsynced:
-					k.syncPageMetadata(parent, va, pte)
 				}
-			}
+			})
 			v.Fast = false
 		}
 		cv := &VMA{Start: v.Start, Pages: v.Pages, File: v.File, st: v.st,

